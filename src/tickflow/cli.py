@@ -236,7 +236,7 @@ def _dispatch(args) -> int:
         assert isinstance(verdict, Unreachable)
         print(
             f"unreachable within {verdict.bound} ticks "
-            f"({verdict.states_explored} states explored)"
+            f"({verdict.states_explored} transitions explored)"
         )
         return 0
 

@@ -178,27 +178,28 @@ class FlowRes(_Res):
     stop: bool  # computed last tick: terminate on resume without running
 
 
-def _copy_res(res):
+def _copy_res(res, copies: dict):
+    """Copy a residue tree; `copies` maps id(instance) -> its copy."""
     if res is None:
         return None
     if isinstance(res, PauseRes):
         return PauseRes(res.node)
     if isinstance(res, SeqRes):
-        return SeqRes(res.node, res.index, _copy_res(res.child))
+        return SeqRes(res.node, res.index, _copy_res(res.child, copies))
     if isinstance(res, ParRes):
-        return ParRes(res.node, [_copy_res(c) for c in res.children])
+        return ParRes(res.node, [_copy_res(c, copies) for c in res.children])
     if isinstance(res, IfRes):
-        return IfRes(res.node, res.branch, _copy_res(res.child))
+        return IfRes(res.node, res.branch, _copy_res(res.child, copies))
     if isinstance(res, LoopRes):
-        return LoopRes(res.node, _copy_res(res.child))
+        return LoopRes(res.node, _copy_res(res.child, copies))
     if isinstance(res, AbortRes):
-        return AbortRes(res.node, _copy_res(res.child))
+        return AbortRes(res.node, _copy_res(res.child, copies))
     if isinstance(res, SuspendRes):
-        return SuspendRes(res.node, _copy_res(res.child))
+        return SuspendRes(res.node, _copy_res(res.child, copies))
     if isinstance(res, DeclRes):
-        return DeclRes(res.node, res.instance.copy(), _copy_res(res.child))
+        return DeclRes(res.node, copies[id(res.instance)], _copy_res(res.child, copies))
     if isinstance(res, LabelRes):
-        return LabelRes(res.node, _copy_res(res.child))
+        return LabelRes(res.node, _copy_res(res.child, copies))
     if isinstance(res, FlowRes):
         return FlowRes(res.node, res.stop)
     raise AssertionError(f"unhandled residue {res!r}")
@@ -269,17 +270,15 @@ class TickState:
         dup.program = self.program
         dup.cfg = self.cfg
         dup.native_flows = self.native_flows
+        # copy in registry order: settle names same-named instances by it
+        copies = {key: inst.copy() for key, inst in self.registry.items()}
         dup.residue = (
-            self.residue if self.residue is _UNSTARTED else _copy_res(self.residue)
+            self.residue if self.residue is _UNSTARTED else _copy_res(self.residue, copies)
         )
         dup.tick = self.tick
         dup.terminated = self.terminated
         dup.termination_tick = self.termination_tick
-        dup.registry = {}
-        live: list = []
-        _instances_in(None if dup.residue is _UNSTARTED else dup.residue, live)
-        for inst in live:
-            dup.registry[id(inst)] = inst
+        dup.registry = {id(inst): inst for inst in copies.values()}
         dup.initial_conts = dict(self.initial_conts)
         dup.input_names = self.input_names
         dup.output_names = self.output_names

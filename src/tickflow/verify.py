@@ -1,36 +1,33 @@
 """Bounded explicit-state reachability over the deterministic kernel.
 
 Programs are deterministic once their inputs are fixed, so the search tree
-branches only on the per-tick input choice. States are memoized by a
-fingerprint of the settled machine state; breadth-first order makes the
-first witness a shortest one (depth-first mode trades that guarantee for a
-smaller frontier). Verdicts are always relative to the tick bound.
+branches only on the per-tick input choice. Verdicts are relative to the
+tick bound. States are keyed by `fingerprint`, an exact nested tuple over
+one preorder index of the program built per search. The cache maps each key
+to the earliest tick the state was reached at, and a state is expanded
+again only when reached strictly earlier (it then has more ticks left), so
+depth-first order is as sound as breadth-first. Breadth-first order reaches
+states in tick order, so its first witness is a shortest one. Successors
+that terminated or sit at the bound are checked for the target, never keyed.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .errors import KernelError, ScheduleError, SearchLimitError
+from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
 from .kernel import (
     InputAssignment,
     TickState,
     _UNSTARTED,
-    AbortRes,
-    DeclRes,
     FlowRes,
     IfRes,
-    LabelRes,
-    LoopRes,
     ParRes,
     PauseRes,
     SeqRes,
     SignalInstance,
-    SuspendRes,
     init,
 )
 from .rational import format_rational
@@ -124,75 +121,65 @@ class Witness:
 
 @dataclass(frozen=True)
 class Unreachable:
+    """No schedule makes the target settle present within `bound` ticks.
+    `states_explored` counts transitions (one clone advanced by one input
+    choice), not distinct states."""
+
     bound: int
     states_explored: int
 
 
-# --- fingerprinting -------------------------------------------------------------
+# --- state keys -----------------------------------------------------------------
 
 
-def fingerprint(state: TickState) -> str:
-    """Digest of the settled state: control residue shape plus every live
-    instance's settled status and value. Equal for structurally equal
-    settled states regardless of how they were reached."""
-    h = hashlib.sha256()
-    h.update(b"T" if state.terminated else b"L")
-    _hash_res(None if state.residue is _UNSTARTED else state.residue, state, h)
-    return h.hexdigest()
-
-
-def _hash_res(res, state: TickState, h) -> None:
-    if res is None:
-        h.update(b".")
-        return
-    h.update(type(res).__name__.encode())
-    h.update(str(_node_index(state, res.node)).encode())
-    if isinstance(res, SeqRes):
-        h.update(str(res.index).encode())
-        _hash_res(res.child, state, h)
-    elif isinstance(res, IfRes):
-        h.update(str(res.branch).encode())
-        _hash_res(res.child, state, h)
-    elif isinstance(res, (LoopRes, AbortRes, LabelRes)):
-        _hash_res(res.child, state, h)
-    elif isinstance(res, SuspendRes):
-        _hash_res(res.child, state, h)
-    elif isinstance(res, ParRes):
-        for child in res.children:
-            _hash_res(child, state, h)
-    elif isinstance(res, DeclRes):
-        inst = res.instance
-        if isinstance(inst, SignalInstance):
-            h.update(b"S1" if inst.status_prev else b"S0")
-            if inst.value_prev is not None:
-                h.update(_value_bytes(inst.value_prev))
-        else:
-            h.update(_value_bytes(inst.value_prev))
-        _hash_res(res.child, state, h)
-    elif isinstance(res, FlowRes):
-        h.update(b"F1" if res.stop else b"F0")
-    elif isinstance(res, PauseRes):
-        pass
-    else:
-        raise AssertionError(f"unhandled residue {res!r}")
-
-
-def _value_bytes(value) -> bytes:
-    if isinstance(value, bool):
-        return b"#t" if value else b"#f"
-    return format_rational(Fraction(value)).encode()
-
-
-def _node_index(state: TickState, node) -> int:
-    index = getattr(state, "_node_ids", None)
+def fingerprint(state: TickState, index: Optional[dict] = None) -> tuple:
+    """Exact key of a settled state: equal keys mean equal states, however
+    they were reached. A nested tuple of the termination flag, the residue
+    tree (each residue by its node's position in `index`, which fixes its
+    class, with its Seq index, If branch or flow stop flag) and the live
+    instances in registration order, each with its declaration's position
+    (a declaration has at most one live instance), settled status and
+    value. Registration order decides which of two
+    same-named instances settles as `S` and which as `S:2`. A declaration
+    fixes its value's type, so `True` never meets `Fraction(1)`. `index` is
+    `_node_index(state.program)`; the search passes the one it built."""
     if index is None:
-        index = {}
-        counter = 0
-        for stmt in state.program.walk():
-            index[id(stmt)] = counter
-            counter += 1
-        state._node_ids = index
-    return index[id(node)]
+        index = _node_index(state.program)
+    instances = []
+    for inst in state.registry.values():
+        if inst.__class__ is SignalInstance:
+            instances.append((index[id(inst.decl)], inst.status_prev, inst.value_prev))
+        else:
+            instances.append((index[id(inst.decl)], inst.value_prev))
+    residue = None if state.residue is _UNSTARTED else _res_key(state.residue, index)
+    return (state.terminated, residue, tuple(instances))
+
+
+def _res_key(res, index: dict):
+    if res is None:
+        return None
+    cls = res.__class__
+    node = index[id(res.node)]
+    if cls is PauseRes:
+        return node
+    if cls is SeqRes:
+        return (node, res.index, _res_key(res.child, index))
+    if cls is IfRes:
+        return (node, res.branch, _res_key(res.child, index))
+    if cls is ParRes:
+        return (node, tuple([_res_key(c, index) for c in res.children]))
+    if cls is FlowRes:
+        return (node, res.stop)
+    # Loop, Abort, Suspend, Label and Decl residues: a node and one child
+    return (node, _res_key(res.child, index))
+
+
+def _node_index(program: Program) -> dict:
+    """id of every statement node -> its preorder position."""
+    index = {}
+    for stmt in program.walk():
+        index[id(stmt)] = len(index)
+    return index
 
 
 # --- the search -----------------------------------------------------------------
@@ -212,29 +199,30 @@ def check_reachable(
     within `bound` ticks? Returns a Witness or an Unreachable verdict.
 
     With an empty alphabet the program is closed and the search degenerates
-    to a single run. Raises SearchLimitError past `node_limit` states.
+    to a single run. Raises SearchLimitError past `node_limit` transitions.
     """
+    if strategy not in ("bfs", "dfs"):
+        raise TickflowError(f"unknown search strategy {strategy!r} (bfs or dfs)")
+    if bound < 0:
+        raise TickflowError(f"search bound must be non-negative, got {bound}")
     if target not in _declared_signals(program):
         raise KernelError(f"target signal {target!r} is not declared")
     if alphabet is None:
         alphabet = InputAlphabet.closed()
     choices = alphabet.choices()
+    index = _node_index(program)
+    take = deque.popleft if strategy == "bfs" else deque.pop
+    earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)
-    visited = {fingerprint(start)}
-    frontier = deque([(start, ())])
+    frontier = deque([(start, ())] if bound > 0 else [])
     explored = 0
     while frontier:
-        if strategy == "bfs":
-            state, prefix = frontier.popleft()
-        else:
-            state, prefix = frontier.pop()
-        if state.terminated or state.tick >= bound:
-            continue
+        state, prefix = take(frontier)  # never a leaf
         for assignment in choices:
             explored += 1
             if explored > node_limit:
                 raise SearchLimitError(
-                    f"reachability search exceeded {node_limit} states"
+                    f"reachability search exceeded {node_limit} transitions"
                 )
             successor = state.clone()
             record = successor.advance(assignment)
@@ -245,10 +233,13 @@ def check_reachable(
                     tick=record.tick,
                     snapshot=_snapshot_rows(record),
                 )
-            key = fingerprint(successor)
-            if key in visited:
+            if successor.terminated or successor.tick >= bound:
+                continue  # a leaf: never expanded, so never keyed
+            key = fingerprint(successor, index)
+            reached = earliest.get(key)
+            if reached is not None and reached <= successor.tick:
                 continue
-            visited.add(key)
+            earliest[key] = successor.tick
             frontier.append((successor, schedule))
     return Unreachable(bound=bound, states_explored=explored)
 

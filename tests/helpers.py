@@ -114,3 +114,74 @@ def random_program(rng: random.Random) -> tuple:
         if rng.random() < 0.7:
             schedule = {rng.randint(1, 4): InputAssignment.make(present=["FAULT"])}
     return source, wcrt, schedule
+
+
+# --- small programs for search-vs-enumeration checks ---------------------------
+
+
+def random_search_program(rng: random.Random) -> tuple:
+    """(source, wcrt) of a small program whose only inputs are the free
+    pure signals A and B and whose target signal is HIT. The shapes mix
+    input-dependent detours, preemption, suspension, a guarded flow and
+    same-named signals declared in parallel branches."""
+    shape = rng.randrange(4)
+    wcrt = F(1)
+    if shape == 0:
+        body = _search_stmt(rng, 3)
+    elif shape == 1:
+        # the detour that made a fingerprint-only depth-first cache unsound
+        detour = "; ".join(["pause"] * rng.randint(1, 4))
+        tail = "; ".join(["pause"] * rng.randint(0, 3) + ["emit HIT"])
+        body = f"pause; if ({_guard(rng)}) {{ {detour} }}; {tail}"
+        if rng.random() < 0.5:
+            body = f"{{ {body} }} || {{ {_search_stmt(rng, 2)} }}"
+    elif shape == 2:
+        # two HITs in parallel branches: which one settles as `HIT` (not
+        # `HIT:2`) depends on which was declared first
+        branches = []
+        for _ in range(2):
+            delay = "; ".join(["pause"] * rng.randint(1, 2))
+            branches.append(
+                f"{{ pause; if ({_guard(rng)}) {{ {delay} }}; signal HIT; "
+                f"{{ {_search_stmt(rng, 2)} }} }}"
+            )
+        return "input signal A, B;\n" + " || ".join(branches), wcrt
+    else:
+        wcrt = rng.choice(WCRT_CHOICES)
+        rate = format_rational(F(rng.randint(1, 4), rng.choice((1, 2))))
+        limit = format_rational(F(rng.randint(2, 8)))
+        alarm = format_rational(F(rng.randint(1, 6)) * wcrt)
+        body = (
+            "cont z = 0;\n"
+            f"{{ loop {{ abort (A) {{ suspend (B) {{ do {{z' = {rate}}} until (z <= {limit}) }} }};"
+            " z = 0; pause } }\n"
+            f"|| {{ loop {{ if (z >= {alarm}) emit HIT; pause }} }}"
+        )
+    return "input signal A, B;\nsignal HIT;\n" + body, wcrt
+
+
+def _guard(rng: random.Random) -> str:
+    return rng.choice(("A", "B", "!A", "A && B", "A || B"))
+
+
+def _search_stmt(rng: random.Random, depth: int) -> str:
+    kind = rng.randrange(8) if depth else rng.randrange(2)
+    if kind == 0:
+        return "pause"
+    if kind == 1:
+        return "emit HIT" if rng.random() < 0.3 else "pause; pause"
+
+    def sub():
+        return _search_stmt(rng, depth - 1)
+
+    if kind == 2:
+        return f"{sub()}; {sub()}"
+    if kind == 3:
+        return f"if ({_guard(rng)}) {{ {sub()} }} else {{ {sub()} }}"
+    if kind == 4:
+        return f"abort ({_guard(rng)}) {{ {sub()} }}"
+    if kind == 5:
+        return f"suspend ({_guard(rng)}) {{ {sub()} }}"
+    if kind == 6:
+        return f"{{ {sub()} }} || {{ {sub()} }}"
+    return f"loop {{ {sub()}; pause }}"

@@ -101,7 +101,22 @@ def test_verify_unreachable_exit_0(capsys):
         "--bound", "30", "--target", "ERROR",
     ])
     assert code == 0
-    assert "unreachable within 30" in capsys.readouterr().out
+    assert "unreachable within 30 ticks (30 transitions explored)" in capsys.readouterr().out
+
+
+def test_verify_malformed_search_arguments_exit_2(capsys):
+    code = main([
+        "verify", CAROUSEL, "--wcrt", "1", "--param", "alpha=1", *CAROUSEL_PARAMS,
+        "--bound", "-3", "--target", "ERROR",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"{CAROUSEL}:search bound must be non-negative")
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "verify", CAROUSEL, "--wcrt", "1", "--param", "alpha=1", *CAROUSEL_PARAMS,
+            "--bound", "3", "--target", "ERROR", "--strategy", "bogus",
+        ])
+    assert exit_info.value.code == 2
 
 
 def test_lti_verdicts(capsys):

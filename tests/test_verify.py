@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import SearchLimitError
+from helpers import random_search_program
+from tickflow import verify
+from tickflow.errors import SearchLimitError, TickflowError
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
@@ -148,6 +152,125 @@ def test_valued_alphabet_choices():
     assert len(choices) == 3
 
 
+def test_dfs_finds_witness_behind_a_slow_detour():
+    # DFS first reaches the merge state late, through the SLOW detour; a
+    # cache keyed by state alone then pruned the earlier arrival and
+    # reported Unreachable at bounds 6 to 8
+    source = """
+    input signal SLOW; signal HIT;
+    pause;
+    if (SLOW) { pause; pause; pause; pause };
+    pause; pause; pause; emit HIT
+    """
+    program = _program(source)
+    alphabet = alphabet_for(program)
+    for bound in range(5, 11):
+        for strategy in ("bfs", "dfs"):
+            verdict = check_reachable(
+                program, CFG1, alphabet, bound=bound, target="HIT", strategy=strategy
+            )
+            assert isinstance(verdict, Witness), (bound, strategy)
+            assert replay(program, CFG1, verdict)
+            if strategy == "bfs":
+                assert verdict.tick == 5
+
+
+def test_witness_with_same_named_instances_replays():
+    # a clone must keep registration order, which names the second S `S:2`
+    source = """
+    signal T;
+    { pause; pause; signal S; { pause; emit S; emit T; pause } }
+    || { pause; signal S; { pause; pause; pause; pause } }
+    """
+    program = _program(source)
+    verdict = check_reachable(program, CFG1, alphabet_for(program), bound=10, target="T")
+    assert isinstance(verdict, Witness)
+    rows = dict(((name, kind), value) for name, kind, value in verdict.snapshot)
+    assert rows[("S", "status")] == "false" and rows[("S:2", "status")] == "true"
+    assert replay(program, CFG1, verdict)
+
+
+def test_registration_order_is_part_of_the_state():
+    # with Y at tick 1 the second branch's HIT is declared first and so
+    # settles as `HIT`; without Y the same residue and values arise in the
+    # other order, where the emission settles as `HIT:2`
+    source = """
+    input signal Y;
+    { pause; if (Y) { pause }; signal HIT; { loop { pause } } }
+    || { pause; signal HIT; { pause; pause; emit HIT; pause } }
+    """
+    program = _program(source)
+    for strategy in ("bfs", "dfs"):
+        verdict = check_reachable(
+            program, CFG1, alphabet_for(program), bound=6, target="HIT",
+            strategy=strategy,
+        )
+        assert isinstance(verdict, Witness), strategy
+        assert verdict.tick == 4
+        assert verdict.schedule[0].present == frozenset({"Y"})
+        assert replay(program, CFG1, verdict)
+
+
+def test_malformed_search_arguments_are_rejected():
+    program = _program("signal S;\nemit S")
+    with pytest.raises(TickflowError, match="strategy 'bogus'"):
+        check_reachable(program, CFG1, None, bound=3, target="S", strategy="bogus")
+    with pytest.raises(TickflowError, match="non-negative, got -3"):
+        check_reachable(program, CFG1, None, bound=-3, target="S")
+    assert isinstance(check_reachable(program, CFG1, None, bound=0, target="S"), Unreachable)
+
+
+def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
+    program = _program("signal S;\npause; pause; pause; pause; pause")
+    calls = {"index": 0, "key": 0}
+    real_index, real_key = verify._node_index, verify.fingerprint
+
+    def counting_index(program):
+        calls["index"] += 1
+        return real_index(program)
+
+    def counting_key(state, index=None):
+        calls["key"] += 1
+        return real_key(state, index)
+
+    monkeypatch.setattr(verify, "_node_index", counting_index)
+    monkeypatch.setattr(verify, "fingerprint", counting_key)
+    verdict = check_reachable(program, CFG1, None, bound=3, target="S")
+    assert isinstance(verdict, Unreachable) and verdict.states_explored == 3
+    # ticks 1 and 2 are expanded; the tick-3 successor is a leaf
+    assert calls == {"index": 1, "key": 2}
+
+
+def test_search_agrees_with_schedule_enumeration():
+    # every schedule up to the bound, replayed with `run`, is the oracle:
+    # both strategies must match its verdict, BFS also its earliest tick
+    for seed in range(60):
+        rng = random.Random(seed)
+        source, wcrt = random_search_program(rng)
+        bound = rng.randint(2, 4)
+        cfg = RewriteConfig(wcrt)
+        program = rewrite_flows(parse(source), cfg)
+        alphabet = alphabet_for(program)
+        earliest = None
+        for schedule in itertools.product(alphabet.choices(), repeat=bound):
+            trace = run(program, cfg, schedule=list(schedule), max_ticks=bound)
+            ticks = [r.tick for r in trace.records if r.statuses.get("HIT", False)]
+            if ticks and (earliest is None or ticks[0] < earliest):
+                earliest = ticks[0]
+        for strategy in ("bfs", "dfs"):
+            verdict = check_reachable(
+                program, cfg, alphabet, bound=bound, target="HIT", strategy=strategy
+            )
+            where = (seed, strategy, source)
+            if earliest is None:
+                assert isinstance(verdict, Unreachable), where
+                continue
+            assert isinstance(verdict, Witness), where
+            assert replay(program, cfg, verdict), where
+            if strategy == "bfs":
+                assert verdict.tick == earliest, where
+
+
 # --- fingerprints ---------------------------------------------------------------
 
 
@@ -184,3 +307,11 @@ def test_fingerprint_tracks_control_position():
     state.advance()
     prints.append(fingerprint(state))
     assert len(set(prints)) == 3
+
+
+def test_fingerprint_with_a_shared_index_is_the_same_key():
+    program = _program("input int signal LEVEL = 0;\nsignal S;\nloop { emit S; pause }")
+    state = init(program, CFG1)
+    state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(3)}))
+    assert fingerprint(state, verify._node_index(program)) == fingerprint(state)
+    assert fingerprint(state.clone()) == fingerprint(state)
