@@ -39,17 +39,34 @@ from .trace import to_csv, to_json, to_svg_timing
 from .verify import InputAlphabet, Unreachable, Witness, check_reachable
 
 
-def load_schedule(path: str) -> dict:
-    """JSON array of per-tick input objects:
-    [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2"}}, ...].
-    Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
+def _load_json(path: str, what: str, shape: type):
+    """The parsed JSON document in `path`, whose top level must be a
+    `shape` (list or dict); `what` names the file's role in errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScheduleError(f"{path}: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ScheduleError(f"{path}: schedule must be a JSON array")
+    if not isinstance(doc, shape):
+        kind = "array" if shape is list else "object"
+        raise ScheduleError(f"{path}: {what} must be a JSON {kind}")
+    return doc
+
+
+def _rational(path: str, text) -> Fraction:
+    if isinstance(text, str):
+        try:
+            return parse_rational(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ScheduleError(f"{path}: bad rational {text!r}")
+
+
+def load_schedule(path: str) -> dict:
+    """JSON array of per-tick input objects:
+    [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2"}}, ...].
+    Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
+    doc = _load_json(path, "schedule", list)
     schedule: dict = {}
     for entry in doc:
         if not isinstance(entry, dict) or "tick" not in entry:
@@ -59,8 +76,7 @@ def load_schedule(path: str) -> dict:
             raise ScheduleError(f"{path}: bad tick {tick!r}")
         present = entry.get("present", [])
         values = {
-            name: parse_rational(text)
-            for name, text in entry.get("values", {}).items()
+            name: _rational(path, text) for name, text in entry.get("values", {}).items()
         }
         if tick in schedule:
             raise ScheduleError(f"{path}: duplicate tick {tick}")
@@ -71,14 +87,15 @@ def load_schedule(path: str) -> dict:
 def load_alphabet(path: str) -> InputAlphabet:
     """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
     listed input may be present or absent; valued ones pick from `values`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "alphabet", dict)
     statuses = {}
     values = {}
     for name, spec in doc.items():
+        if not isinstance(spec, dict):
+            raise ScheduleError(f"{path}: alphabet entry {name!r} must be a JSON object")
         statuses[name] = tuple(spec.get("statuses", ("absent", "present")))
         if "values" in spec:
-            values[name] = tuple(parse_rational(v) for v in spec["values"])
+            values[name] = tuple(_rational(path, v) for v in spec["values"])
     return InputAlphabet.make(statuses, values)
 
 
@@ -268,8 +285,7 @@ def _dispatch(args) -> int:
         rewritten_input = args.program
         with open(rewritten_input, "r", encoding="utf-8") as fh:
             program = bind_params(parse(fh.read()), params)
-        with open(args.map, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
+        mapping = _load_json(args.map, "variable map", dict)
         report = compare(
             automaton, program, RewriteConfig(wcrt), parse_rational(args.horizon), mapping
         )

@@ -17,7 +17,7 @@ idealized automaton and the tick-discretized program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -158,6 +158,14 @@ class Edge:
     label: str = ""
     delay: Fraction = Fraction(0)
     priority: int = 0
+    delay_wcrt: bool = False  # `delay wcrt`: one reaction time, set by compare
+
+    def __post_init__(self):
+        if self.delay < 0:
+            raise AutomatonError(
+                f"edge {self.source} -> {self.target} has a negative delay "
+                f"{format_rational(self.delay)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -322,6 +330,10 @@ def _next_switch(ha, loc, valuation, now, horizon, use_delays):
                 f"simultaneously at t={format_rational(now + best_enable)}"
             )
     edge = best[0]
+    if use_delays and edge.delay_wcrt:
+        raise AutomatonError(
+            f"edge {edge.source} -> {edge.target} has delay wcrt but no wcrt was given"
+        )
     switch_time = now + best_enable + (edge.delay if use_delays else Fraction(0))
     if switch_time >= horizon:
         return None
@@ -446,23 +458,11 @@ def _program_value(trace, by_tick: dict, pvar: str, k: int) -> Fraction:
 
 
 def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
-    """Resolve symbolic per-edge delays: edges authored with `delay wcrt`
-    carry Fraction(-1) as a placeholder replaced here."""
+    """Give every edge authored with `delay wcrt` a delay of one wcrt."""
     edges = tuple(
-        Edge(
-            e.source,
-            e.target,
-            e.guard,
-            e.resets,
-            e.label,
-            wcrt if e.delay == Fraction(-1) else e.delay,
-            e.priority,
-        )
-        for e in ha.edges
+        replace(e, delay=wcrt, delay_wcrt=False) if e.delay_wcrt else e for e in ha.edges
     )
-    return HybridAutomaton(
-        ha.variables, ha.locations, edges, ha.initial_location, ha.initial_valuation
-    )
+    return replace(ha, edges=edges)
 
 
 # --- automaton description files ---------------------------------------------------
@@ -479,7 +479,7 @@ def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
 #
 # Comparisons are `expr OP expr` over variables, rationals and bound
 # parameter names; `delay wcrt` marks a controller-delayed edge, `delay Q`
-# a fixed one. '#' starts a comment.
+# a fixed one (Q >= 0). '#' starts a comment.
 
 
 def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton:
@@ -568,6 +568,7 @@ def _parse_edge(line: str, variables, params) -> Edge:
     resets: list = []
     label = ""
     delay = Fraction(0)
+    delay_wcrt = False
     priority = 0
     fields = _split_fields(rest, ("when", "label", "reset", "delay", "priority"))
     for key, value in fields:
@@ -584,10 +585,19 @@ def _parse_edge(line: str, variables, params) -> Edge:
                 )
         elif key == "delay":
             token = value.strip()
-            delay = Fraction(-1) if token == "wcrt" else _rate_value(token, params)
+            if token == "wcrt":
+                delay_wcrt = True
+            else:
+                delay = _rate_value(token, params)
         elif key == "priority":
-            priority = int(value.strip())
-    return Edge(source, target, tuple(guard), tuple(resets), label, delay, priority)
+            token = value.strip()
+            try:
+                priority = int(token)
+            except ValueError as exc:
+                raise AutomatonError(f"bad priority {token!r} in edge: {line!r}") from exc
+    return Edge(
+        source, target, tuple(guard), tuple(resets), label, delay, priority, delay_wcrt
+    )
 
 
 def _split_fields(text: str, keys) -> list:

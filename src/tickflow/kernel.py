@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import KernelError
-from .rewrite import RewriteConfig
-from .syntax.checks import fold_constant
+from .rewrite import FlowSite, RewriteConfig, flow_site
 from .syntax.nodes import (
     Abort,
     Binary,
@@ -261,6 +260,7 @@ class TickState:
         self.initial_conts: dict = {}  # first initial value per cont name
         self.input_names = {d.name for d in program.inputs()}
         self.output_names = [d.name for d in program.outputs()]
+        self.sites: dict = {}  # id(flow or TTL node) -> its FlowSite
         self.read_log: Optional[list] = None
 
     # -- state duplication (for search) --
@@ -282,6 +282,7 @@ class TickState:
         dup.initial_conts = dict(self.initial_conts)
         dup.input_names = self.input_names
         dup.output_names = self.output_names
+        dup.sites = self.sites
         dup.read_log = None
         return dup
 
@@ -414,7 +415,9 @@ class _TickCtx:
             inst = self._lookup(expr.name, frame)
             if isinstance(inst, SignalInstance):
                 return self.read_status(inst)
-            return self.read_value(inst)
+            if isinstance(inst, ContInstance):
+                return self.read_value(inst)
+            return inst  # a look-ahead prediction, not a read
         if isinstance(expr, ValueRef):
             inst = self._lookup(expr.name, frame)
             if not isinstance(inst, SignalInstance) or inst.decl.pure:
@@ -449,7 +452,7 @@ class _TickCtx:
                 return left - right
             return left * right
         if isinstance(expr, TtlCall):
-            return self._eval_ttl(expr.odes, expr.invariant, frame)
+            return self._eval_ttl(self._site(expr), expr.invariant, frame)
         raise KernelError(f"cannot evaluate {expr!r}", self.t)
 
     def _lookup(self, name: str, frame: dict):
@@ -458,39 +461,33 @@ class _TickCtx:
             raise KernelError(f"unbound name {name!r}", self.t)
         return inst
 
-    def _eval_ttl(self, odes, invariant: Expr, frame: dict) -> bool:
-        folded = [(name, fold_constant(rate)) for name, rate in odes]
-        vars_ordered: list = []
-        for name, _ in folded:
-            if name not in vars_ordered:
-                vars_ordered.append(name)
+    def _site(self, node) -> FlowSite:
+        """The flow site of a flow action or TTL call, derived once per
+        program."""
+        site = self.state.sites.get(id(node))
+        if site is None:
+            site = self.state.sites[id(node)] = flow_site(node.odes)
+        return site
+
+    def _eval_ttl(self, site: FlowSite, invariant: Expr, frame: dict) -> bool:
+        """The two-tick look-ahead: the invariant, evaluated with the site's
+        variables bound to their predicted values."""
         vals = {}
         combine = {}
-        for name in vars_ordered:
+        for name in site.vars:
             inst = self._lookup(name, frame)
             if not isinstance(inst, ContInstance):
                 raise KernelError(f"{name!r} is not a continuous variable", self.t)
             vals[name] = self.read_value(inst)
             if inst.decl.combine is not None:
                 combine[name] = inst.decl.combine
-
-        def lookup(name: str, kind: str):
-            inst = self._lookup(name, frame)
-            if kind == "status":
-                if isinstance(inst, SignalInstance):
-                    return self.read_status(inst)
-                return self.read_value(inst)
-            return self.read_value(inst)
-
-        multi = len(folded) > len(vars_ordered)
-        if multi:
-            return ttl_mod.ttl_combined(
-                folded, invariant, vars_ordered, combine, vals, self.state.cfg.wcrt,
-                lookup,
-            )
-        return ttl_mod.ttl_single(
-            folded, invariant, vars_ordered, vals, self.state.cfg.wcrt, lookup
+        delta = ttl_mod.delta_combined(
+            site.odes, site.vars, combine, vals, self.state.cfg.wcrt
         )
+        result = self.eval(invariant, {**frame, **delta})
+        if not isinstance(result, bool):
+            raise KernelError("invariant did not evaluate to a boolean", self.t)
+        return result
 
     # -- fresh entry ----------------------------------------------------------
 
@@ -650,15 +647,15 @@ class _TickCtx:
         """One iteration of a natively interpreted flow: assignments in
         source order, then the look-ahead; a failed look-ahead terminates
         the flow on the next resume, exactly like the rewritten form."""
-        for name, rate_expr in node.odes:
+        site = self._site(node)
+        for name, rate in site.odes:
             inst = self._lookup(name, frame)
             if not isinstance(inst, ContInstance):
                 raise KernelError(f"{name!r} is not a continuous variable", self.t)
-            rate = fold_constant(rate_expr)
             self.write(inst, self.read_value(inst) + rate * self.state.cfg.wcrt)
         if isinstance(node.invariant, BoolLit) and node.invariant.value:
             return FlowRes(node, stop=False)
-        ok = self._eval_ttl(node.odes, node.invariant, frame)
+        ok = self._eval_ttl(site, node.invariant, frame)
         return FlowRes(node, stop=not ok)
 
     # -- end of tick ----------------------------------------------------------

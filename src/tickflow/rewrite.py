@@ -32,7 +32,6 @@ from .syntax.nodes import (
     ContDecl,
     DoUntil,
     Emit,
-    Expr,
     If,
     Label,
     Loop,
@@ -71,33 +70,18 @@ class RewriteConfig:
 
 @dataclass(frozen=True)
 class FlowSite:
-    """One flow action: its rates, invariant, variables and the combine
-    operator of every multi-rate variable."""
+    """One flow action's rates folded to rationals, in source order, and its
+    variables, unique in first-occurrence order."""
 
-    odes: tuple  # ((name, Fraction), ...) in source order
-    invariant: Expr
-    vars: tuple  # unique names, first-occurrence order
-    combine: dict  # name -> 'plus' | 'times' for declared operators
-
-    @property
-    def free_running(self) -> bool:
-        return isinstance(self.invariant, BoolLit) and self.invariant.value
+    odes: tuple  # ((name, Fraction), ...)
+    vars: tuple  # (name, ...)
 
 
-def flow_site(stmt: DoUntil, env: dict) -> FlowSite:
-    """Fold one do-until statement into a FlowSite. env maps names to
-    declarations (for combine operators); rates must be parameter-free."""
-    odes = tuple((name, fold_constant(rate)) for name, rate in stmt.odes)
-    seen: list = []
-    for name, _ in odes:
-        if name not in seen:
-            seen.append(name)
-    combine = {}
-    for name in seen:
-        decl = env.get(name)
-        if isinstance(decl, ContDecl) and decl.combine is not None:
-            combine[name] = decl.combine
-    return FlowSite(odes, stmt.invariant, tuple(seen), combine)
+def flow_site(odes) -> FlowSite:
+    """Fold the (name, rate expression) pairs of a flow action or a `TTL`
+    call; rates must be parameter-free."""
+    folded = tuple((name, fold_constant(rate)) for name, rate in odes)
+    return FlowSite(folded, tuple(dict.fromkeys(name for name, _ in folded)))
 
 
 def rewrite_flows(program: Program, cfg: RewriteConfig) -> Program:
@@ -156,22 +140,18 @@ def _rewrite(stmt: Stmt, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:
 
 
 def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:
-    odes = tuple((name, fold_constant(rate)) for name, rate in stmt.odes)
+    site = flow_site(stmt.odes)
     assigns = [
         ContAssign(name, Binary("+", NameRef(name), NumLit(rate * cfg.wcrt)))
-        for name, rate in odes
+        for name, rate in site.odes
     ]
     if isinstance(stmt.invariant, BoolLit) and stmt.invariant.value:
         return Loop(_seq(assigns + [Pause()]))
-    vars_ordered: list = []
-    for name, _ in odes:
-        if name not in vars_ordered:
-            vars_ordered.append(name)
     stop = gensym.fresh()
     ttl = TtlCall(
-        tuple((name, NumLit(rate)) for name, rate in odes),
+        tuple((name, NumLit(rate)) for name, rate in site.odes),
         stmt.invariant,
-        tuple(vars_ordered),
+        site.vars,
     )
     body = Loop(
         _seq(

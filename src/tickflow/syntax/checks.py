@@ -44,6 +44,7 @@ from .nodes import (
     Unary,
     ValueRef,
     ValueWrite,
+    sub_exprs,
 )
 
 # expression types: 'bool' | 'int' | 'ratio'
@@ -173,6 +174,7 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
                     f"rate of {name!r} does not fold to a constant", *_p(stmt)
                 )
             _check_expr(rate, env)
+        _reject_nested_ttl(stmt.invariant)
         t = _check_expr(stmt.invariant, env)
         if t != "bool":
             raise TypeError_("until expression must be boolean", *_p(stmt))
@@ -270,14 +272,31 @@ def _check_expr(expr: Expr, env: dict) -> str:
                 raise NonConstantRateError(
                     f"TTL rate for {name!r} is not constant", line, col
                 )
-        for name in expr.vars:
-            _resolve(name, env, expr.pos)
+        targets = {name for name, _ in expr.odes}
+        if set(expr.vars) != targets:
+            line, col = expr.pos if expr.pos else (None, None)
+            raise TypeError_(
+                f"TTL variable set {{{', '.join(expr.vars)}}} must name exactly "
+                f"its rate targets {{{', '.join(sorted(targets))}}}",
+                line,
+                col,
+            )
+        _reject_nested_ttl(expr.invariant)
         t = _check_expr(expr.invariant, env)
         if t != "bool":
             line, col = expr.pos if expr.pos else (None, None)
             raise TypeError_("TTL invariant must be boolean", line, col)
         return "bool"
     raise AssertionError(f"unhandled expression {expr!r}")
+
+
+def _reject_nested_ttl(invariant: Expr) -> None:
+    """A flow invariant becomes a TTL invariant when the flow is rewritten,
+    so neither may contain a TTL of its own."""
+    for sub in sub_exprs(invariant):
+        if isinstance(sub, TtlCall):
+            line, col = sub.pos if sub.pos else (None, None)
+            raise TypeError_("TTL cannot appear inside a flow or TTL invariant", line, col)
 
 
 def _is_constant(expr: Expr, env: dict) -> bool:

@@ -1,31 +1,20 @@
 """Two-tick look-ahead that bounds every flow loop.
 
 A flow loop may run one more iteration only if its invariant still holds
-two ticks from now. `ttl_single` handles sites where every variable has
-exactly one rate; `ttl_combined` additionally folds simultaneous rates on
-one variable with its declared combine operator. Both predict purely from
-the site's own rates: reads are previous-tick snapshots, and any
-interference from parallel writers is resolved later by the kernel's
-end-of-tick combine step.
+two ticks from now. `delta_combined` predicts where each flow variable will
+be at that point, purely from the site's own rates: reads are previous-tick
+snapshots, and any interference from parallel writers is resolved later by
+the kernel's end-of-tick combine step. A variable with one rate r moves to
+`value + 2*r*wcrt`; simultaneous rates on one variable are folded with its
+declared combine operator. The kernel evaluates the invariant against this
+prediction with its own evaluator (`kernel._TickCtx._eval_ttl`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import KernelError
-from .syntax.nodes import Binary, BoolLit, Expr, NameRef, NumLit, Unary, ValueRef
-
-# A valuation maps a continuous variable to its previous-tick snapshot;
-# a delta set maps it to its predicted value two ticks from now.
-Valuation = dict
-DeltaSet = dict
-
-# Resolves names the delta set does not cover: lookup(name, kind) with kind
-# 'status' (bare signal name) or 'value' (?name). None means "nothing else
-# is in scope" and any such reference is an evaluation error.
-Lookup = Optional[Callable[[str, str], object]]
 
 
 def combine_fold(op: str, values: list) -> Fraction:
@@ -42,43 +31,19 @@ def combine_fold(op: str, values: list) -> Fraction:
     raise KernelError(f"unknown combine operator {op!r}")
 
 
-def rates_for(odes, var: str) -> list:
-    return [rate for name, rate in odes if name == var]
+def delta_combined(odes, vars, combine: dict, vals: dict, wcrt: Fraction) -> dict:
+    """Predicted values two ticks ahead, by variable.
 
-
-def delta_single(odes, vars, vals: Valuation, wcrt: Fraction) -> DeltaSet:
-    """Predicted values two ticks ahead when each variable has one rate."""
-    delta: DeltaSet = {}
-    for v in vars:
-        rates = rates_for(odes, v)
-        if len(rates) != 1:
-            raise KernelError(f"variable {v!r} needs exactly one rate here")
-        delta[v] = vals[v] + 2 * rates[0] * wcrt
-    return delta
-
-
-def delta_combined(
-    odes,
-    vars,
-    combine: dict,
-    vals: Valuation,
-    wcrt: Fraction,
-    final_reduce: bool = False,
-) -> DeltaSet:
-    """Predicted values two ticks ahead with simultaneous rates folded.
-
-    For a variable with rates (r1..rm), m > 1: start from a vector of m
-    copies of the snapshot; twice, advance every entry one step and fold
-    the entries with the combine operator, then propagate the fold back
-    into every entry. The fold computed by the second step is the
-    prediction. `final_reduce` applies one more fold over the propagated
-    vector afterwards; it exists only for compatibility experiments and is
-    off by default because it disagrees with the combined write-write
-    arithmetic everywhere else in the system.
+    `odes` are (name, rational rate) pairs, `vars` the names to predict,
+    `combine` the operator of each variable that has one and `vals` the
+    previous-tick snapshots. A variable with rates (r1..rm), m > 1, starts
+    from a vector of m copies of its snapshot; twice, every entry advances
+    one step, the entries fold with the combine operator, and the fold is
+    propagated back into every entry. The second fold is the prediction.
     """
-    delta: DeltaSet = {}
+    delta = {}
     for v in vars:
-        rates = rates_for(odes, v)
+        rates = [rate for name, rate in odes if name == v]
         if not rates:
             raise KernelError(f"variable {v!r} has no rate in this site")
         if len(rates) == 1:
@@ -88,95 +53,8 @@ def delta_combined(
         if op is None:
             raise KernelError(f"variable {v!r} has simultaneous rates but no combine operator")
         gamma = [vals[v]] * len(rates)
-        tau = vals[v]
         for _ in range(2):
             tau = combine_fold(op, [g + r * wcrt for g, r in zip(gamma, rates)])
             gamma = [tau] * len(rates)
-        if final_reduce:
-            tau = combine_fold(op, gamma)
         delta[v] = tau
     return delta
-
-
-def ttl_single(
-    odes,
-    invariant: Expr,
-    vars,
-    vals: Valuation,
-    wcrt: Fraction,
-    lookup: Lookup = None,
-) -> bool:
-    """True iff the invariant still holds two ticks from now (one rate per
-    variable)."""
-    return holds_at_delta(invariant, delta_single(odes, vars, vals, wcrt), lookup)
-
-
-def ttl_combined(
-    odes,
-    invariant: Expr,
-    vars,
-    combine: dict,
-    vals: Valuation,
-    wcrt: Fraction,
-    lookup: Lookup = None,
-    final_reduce: bool = False,
-) -> bool:
-    """True iff the invariant still holds two ticks from now, folding
-    simultaneous rates with the declared combine operator."""
-    delta = delta_combined(odes, vars, combine, vals, wcrt, final_reduce)
-    return holds_at_delta(invariant, delta, lookup)
-
-
-def holds_at_delta(invariant: Expr, delta: DeltaSet, lookup: Lookup = None) -> bool:
-    """Evaluate the invariant with continuous names bound to the delta set
-    and signal references resolved through `lookup`."""
-    result = _eval(invariant, delta, lookup)
-    if not isinstance(result, bool):
-        raise KernelError("invariant did not evaluate to a boolean")
-    return result
-
-
-def _eval(expr: Expr, delta: DeltaSet, lookup: Lookup):
-    if isinstance(expr, NumLit):
-        return expr.value
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, NameRef):
-        if expr.name in delta:
-            return delta[expr.name]
-        if lookup is None:
-            raise KernelError(f"unbound name {expr.name!r} in invariant")
-        return lookup(expr.name, "status")
-    if isinstance(expr, ValueRef):
-        if lookup is None:
-            raise KernelError(f"unbound value reference {expr.name!r} in invariant")
-        return lookup(expr.name, "value")
-    if isinstance(expr, Unary):
-        operand = _eval(expr.operand, delta, lookup)
-        return (not operand) if expr.op == "!" else -operand
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, delta, lookup)
-        right = _eval(expr.right, delta, lookup)
-        op = expr.op
-        if op == "&&":
-            return left and right
-        if op == "||":
-            return left or right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        return left * right
-    raise KernelError(f"cannot evaluate {expr!r} inside an invariant")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,16 @@ def test_check_garbage_exits_2(tmp_path, capsys):
     bad.write_text("this is not a program")
     assert main(["check", str(bad)]) == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_check_malformed_ttl_exits_2(tmp_path, capsys):
+    bad = tmp_path / "ttl.hsj"
+    bad.write_text("cont a, b;\nif (TTL([a' = 1], a <= 5 && b <= 0, {a, b})) pause")
+    assert main(["check", str(bad)]) == 2
+    assert f"{bad}:2:5: TTL variable set" in capsys.readouterr().err
+    bad.write_text("cont a, b;\nif (TTL([a' = 1], TTL([b' = 1], b <= 3, {b}), {a})) pause")
+    assert main(["check", str(bad)]) == 2
+    assert f"{bad}:2:19: TTL cannot appear" in capsys.readouterr().err
 
 
 def test_check_undeclared_param_exits_2(tmp_path, capsys):
@@ -154,6 +165,10 @@ def test_schedule_loader_errors(tmp_path):
     bad.write_text('[{"tick": 1}, {"tick": 1}]')
     with pytest.raises(ScheduleError):
         load_schedule(str(bad))
+    for text in ('[{"tick": 1', '[{"tick": 1, "values": {"S": "zz"}}]'):
+        bad.write_text(text)
+        with pytest.raises(ScheduleError):
+            load_schedule(str(bad))
 
 
 def test_schedule_loader_values():
@@ -168,6 +183,59 @@ def test_alphabet_loader(tmp_path):
     names = [name for name, _ in alphabet.statuses]
     assert names == ["GO", "LEVEL"]
     assert len(alphabet.choices()) == 2 * 3  # GO x {absent,present@1,present@3/2}
+
+
+def test_malformed_alphabet_exits_2(tmp_path, capsys):
+    prog = tmp_path / "gated.hsj"
+    prog.write_text("input signal GO; signal FIRED;\nloop { if (GO) emit FIRED; pause }\n")
+    alpha = tmp_path / "alpha.json"
+    for text in ('{"GO": {', '["GO"]', '{"GO": 1}', '{"GO": {"values": ["x"]}}'):
+        alpha.write_text(text)
+        with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
+            load_alphabet(str(alpha))
+        code = main([
+            "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",
+            "--alphabet", str(alpha),
+        ])
+        assert code == 2
+        assert str(alpha) in capsys.readouterr().err
+
+
+def test_malformed_map_exits_2(tmp_path, capsys):
+    bad = tmp_path / "map.json"
+    for text in ('{"x": "a"', '["x"]'):
+        bad.write_text(text)
+        code = main([
+            "compare",
+            "--ha", str(CORPUS / "automata" / "carousel.ha"),
+            "--program", CAROUSEL,
+            "--wcrt", "2", "--horizon", "12",
+            "--map", str(bad),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+def test_malformed_automaton_exits_2(tmp_path, capsys):
+    text = (CORPUS / "automata" / "carousel.ha").read_text()
+    bad = tmp_path / "carousel.ha"
+    for edit, message in (
+        ("delay -1", "edge A -> B has a negative delay -1"),
+        ("delay -3", "edge A -> B has a negative delay -3"),
+        ("delay wcrt priority x", "bad priority 'x'"),
+    ):
+        bad.write_text(text.replace("delay wcrt", edit))
+        code = main([
+            "compare",
+            "--ha", str(bad),
+            "--program", CAROUSEL,
+            "--wcrt", "2", "--horizon", "12",
+            "--map", str(CORPUS / "maps" / "carousel.json"),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verify_with_alphabet_and_dfs(tmp_path, capsys):

@@ -122,6 +122,25 @@ def test_bad_files():
         parse_automaton("var x\nlocation L\n  inv x <= beta\ninit L x = 0\n")
 
 
+def test_edge_delays_and_priorities():
+    base = "var x\nlocation A\n  rate x 1\nlocation B\ninit A x = 0\n"
+    ha = parse_automaton(base + "edge A -> B when x >= 3 delay wcrt\n")
+    assert ha.edges[0].delay_wcrt and ha.edges[0].delay == 0
+    with pytest.raises(AutomatonError):
+        ha_simulate(ha, F(10), use_delays=True)  # no wcrt resolved yet
+    resolved = _with_wcrt_delays(ha, F(2))
+    assert not resolved.edges[0].delay_wcrt and resolved.edges[0].delay == 2
+    assert ha_simulate(resolved, F(10), use_delays=True).steps[0].time == F(5)
+    fixed = parse_automaton(base + "edge A -> B when x >= 3 delay 1/2\n")
+    assert not fixed.edges[0].delay_wcrt and fixed.edges[0].delay == F(1, 2)
+    # a negative delay used to read as `delay wcrt` (-1) or to switch
+    # before the guard is enabled (-3)
+    for bad in ("delay -1", "delay -3", "priority x"):
+        with pytest.raises(AutomatonError) as err:
+            parse_automaton(base + f"edge A -> B when x >= 3 {bad}\n")
+        assert ("negative delay" if "delay" in bad else "bad priority") in str(err.value)
+
+
 # --- comparison against the program ------------------------------------------------
 
 

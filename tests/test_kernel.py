@@ -76,13 +76,29 @@ def test_every_read_returns_previous_settlement():
     cont a;
     loop { ?S = ?S + 1; a = a + 1; pause }
     """
-    trace = _run(source, max_ticks=8, record_reads=True)
-    settled = {0: {"S": F(0), "a": F(0)}}
-    for rec in trace.records:
-        settled[rec.tick] = {"S": rec.values["S"], "a": rec.conts["a"]}
-    assert trace.read_log
-    for t, name, kind, value in trace.read_log:
-        assert value == settled[t - 1][name]
+    # a flow's look-ahead reads snapshots; its prediction must not be logged
+    flows = """
+    signal OFF; cont a = 1, b op+;
+    do {a' = 1 || b' = 1 || b' = 2} until (a <= 9 && b <= 30 && !OFF)
+    """
+    traces = [
+        _run(source, max_ticks=8, record_reads=True),
+        _run(flows, max_ticks=20, record_reads=True),
+        run(parse(flows), CFG1, max_ticks=20, native_flows=True, record_reads=True),
+    ]
+    for trace in traces:
+        settled = {0: {("S", "value"): F(0), ("OFF", "status"): False}}
+        settled[0].update(((name, "value"), v) for name, v in trace.initial_conts.items())
+        for rec in trace.records:
+            settled[rec.tick] = {
+                **{(name, "status"): status for name, status in rec.statuses.items()},
+                **{(name, "value"): value for name, value in rec.values.items()},
+                **{(name, "value"): value for name, value in rec.conts.items()},
+            }
+        assert trace.read_log
+        for t, name, kind, value in trace.read_log:
+            assert value == settled[t - 1][(name, kind)]
+    assert traces[1].terminated and traces[2].terminated
 
 
 def test_never_written_value_reads_default():

@@ -146,6 +146,31 @@ def test_type_errors():
         parse("signal S; cont a;\na = S")  # status into a continuous variable
 
 
+def test_nested_ttl_rejected():
+    inner = "TTL([b' = 1], b <= 3, {b})"
+    for source in (
+        f"cont a, b;\nif (TTL([a' = 1], a <= 5 && {inner}, {{a}})) pause",
+        f"cont a, b;\ndo {{a' = 1}} until (a <= 5 && {inner})",
+    ):
+        with pytest.raises(TypeError_) as err:
+            parse(source)
+        assert "inside a flow or TTL invariant" in err.value.message
+        assert (err.value.line, err.value.col) == (2, source.splitlines()[1].index("TTL([b") + 1)
+
+
+def test_ttl_variable_set_must_equal_rate_targets():
+    for source in (
+        "cont a, b;\nif (TTL([a' = 1], a <= 5 && b <= 0, {a, b})) pause",
+        "cont a, b;\nif (TTL([a' = 1, b' = 1], a <= 5, {a})) pause",
+        "signal S; cont a;\nif (TTL([a' = 1], a <= 5, {S})) pause",
+    ):
+        with pytest.raises(TypeError_) as err:
+            parse(source)
+        assert "must name exactly its rate targets" in err.value.message
+        assert (err.value.line, err.value.col) == (2, 5)
+    parse("cont a, b;\nif (TTL([a' = 1, b' = 1], a <= 5, {b, a})) pause")
+
+
 def test_non_constant_rate_rejected():
     from tickflow.errors import NonConstantRateError
 

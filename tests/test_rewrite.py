@@ -7,6 +7,7 @@ import pytest
 from tickflow.errors import CompileError
 from tickflow.params import bind_params
 from tickflow.rewrite import (
+    FlowSite,
     RewriteConfig,
     flow_site,
     rewrite_flows,
@@ -141,12 +142,14 @@ def test_idempotence():
 
 def test_flow_site_summary():
     program = parse("cont a op+ = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
-    decl = program.root
-    site = flow_site(decl.body, {"a": decl})
+    site = flow_site(program.root.body.odes)
     assert site.odes == (("a", F(1)), ("a", F(1)))
     assert site.vars == ("a",)
-    assert site.combine == {"a": "plus"}
-    assert not site.free_running
+    # the rewritten TTL carries the same folded rates and variable order
+    rewritten = _rewrite("cont a op+ = 0, b op+;\ndo {b' = 2 || a' = 1 || b' = 1/2} until (a <= 4)")
+    (ttl,) = [s.cond.operand for s in walk_stmt(rewritten.root) if isinstance(s, If)]
+    assert flow_site(ttl.odes) == FlowSite((("b", F(2)), ("a", F(1)), ("b", F(1, 2))), ("b", "a"))
+    assert ttl.vars == ("b", "a")
 
 
 def test_rewritten_output_reparses():

@@ -5,95 +5,111 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import KernelError
+from tickflow.errors import KernelError, ResolveError
+from tickflow.kernel import InputAssignment, run
+from tickflow.rational import format_rational
+from tickflow.rewrite import RewriteConfig, rewrite_flows
+from tickflow.syntax import parse
 from tickflow.syntax.parser import parse_raw
-from tickflow.ttl import (
-    delta_combined,
-    delta_single,
-    holds_at_delta,
-    ttl_combined,
-    ttl_single,
-)
+from tickflow.ttl import delta_combined
 
 
-def _expr(text: str):
-    return parse_raw(f"cont Z;\nif ({text}) pause else pause").root.body.cond
+def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
+    """Whether the look-ahead `ttl` holds on the first tick of a program
+    that declares `decls` and only evaluates it."""
+    cfg = RewriteConfig(wcrt)
+    program = rewrite_flows(parse(f"{decls}\nsignal HOLDS;\nif ({ttl}) emit HOLDS;\npause"), cfg)
+    return run(program, cfg, max_ticks=1).status("HOLDS", 1)
 
 
 def test_lookahead_breaks_small_bound():
     # from 0 at rate 1 with a 2-unit step, two ticks ahead is 4
     odes = (("a", F(1)),)
-    assert delta_single(odes, ("a",), {"a": F(0)}, F(2)) == {"a": F(4)}
-    assert ttl_single(odes, _expr("a <= 2"), ("a",), {"a": F(0)}, F(2)) is False
+    assert delta_combined(odes, ("a",), {}, {"a": F(0)}, F(2)) == {"a": F(4)}
+    assert _holds("cont a = 0;", "TTL([a' = 1], a <= 2, {a})") is False
+    assert _holds("cont a = 0;", "TTL([a' = 1], a <= 4, {a})") is True
 
 
 def test_zero_rate_never_violates():
-    odes = (("a", F(0)),)
-    assert ttl_single(odes, _expr("a <= 2"), ("a",), {"a": F(0)}, F(2)) is True
+    assert _holds("cont a = 0;", "TTL([a' = 0], a <= 2, {a})") is True
+    cfg = RewriteConfig(F(2))
+    program = rewrite_flows(parse("cont a = 0;\ndo {a' = 0} until (a <= 2)"), cfg)
+    assert not run(program, cfg, max_ticks=50).terminated
 
 
 def test_pair_prediction():
     odes = (("a", F(2)), ("b", F(2)))
     vals = {"a": F(4), "b": F(4)}
-    assert delta_single(odes, ("a", "b"), vals, F(2)) == {"a": F(12), "b": F(12)}
-    inv = _expr("a <= 16 && b <= 10")
-    assert ttl_single(odes, inv, ("a", "b"), vals, F(2)) is False
+    assert delta_combined(odes, ("a", "b"), {}, vals, F(2)) == {"a": F(12), "b": F(12)}
+    ttl = "TTL([a' = 2, b' = 2], a <= 16 && b <= 10, {a, b})"
+    assert _holds("cont a = 4, b = 4;", ttl) is False
     early = {"a": F(0), "b": F(0)}
-    assert delta_single(odes, ("a", "b"), early, F(2)) == {"a": F(8), "b": F(8)}
-    assert ttl_single(odes, inv, ("a", "b"), early, F(2)) is True
+    assert delta_combined(odes, ("a", "b"), {}, early, F(2)) == {"a": F(8), "b": F(8)}
+    assert _holds("cont a = 0, b = 0;", ttl) is True
 
 
 def test_combined_prediction_folds_twice():
     odes = (("a", F(1)), ("a", F(1)))
-    combine = {"a": "plus"}
-    delta = delta_combined(odes, ("a",), combine, {"a": F(0)}, F(2))
+    delta = delta_combined(odes, ("a",), {"a": "plus"}, {"a": F(0)}, F(2))
     assert delta == {"a": F(12)}
-    assert ttl_combined(odes, _expr("a <= 4"), ("a",), combine, {"a": F(0)}, F(2)) is False
-    assert ttl_combined(odes, _expr("a <= 100"), ("a",), combine, {"a": F(0)}, F(2)) is True
-
-
-def test_combined_final_reduce_compatibility_flag():
-    # the literal trailing fold doubles the prediction; off by default
-    odes = (("a", F(1)), ("a", F(1)))
-    delta = delta_combined(odes, ("a",), {"a": "plus"}, {"a": F(0)}, F(2), final_reduce=True)
-    assert delta == {"a": F(24)}
+    assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})") is False
+    assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 12, {a})") is True
+    assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 100, {a})") is True
 
 
 def test_combined_missing_operator():
     odes = (("a", F(1)), ("a", F(1)))
     with pytest.raises(KernelError):
         delta_combined(odes, ("a",), {}, {"a": F(0)}, F(2))
+    with pytest.raises(KernelError) as err:
+        _holds("cont a = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})")
+    assert err.value.tick == 1
 
 
 def test_single_writer_degeneration_randomized():
+    # one rate: the prediction is the closed form value + 2*rate*wcrt, and
+    # the kernel's look-ahead binds exactly that value
     rng = random.Random(20240917)
     for _ in range(100):
         rate = F(rng.randint(-50, 50), rng.randint(1, 9))
         value = F(rng.randint(-100, 100), rng.randint(1, 7))
         wcrt = rng.choice([F(1), F(1, 2), F(2), F(3)])
-        odes = (("a", rate),)
-        one = delta_single(odes, ("a",), {"a": value}, wcrt)["a"]
-        two = delta_combined(odes, ("a",), {}, {"a": value}, wcrt)["a"]
-        assert one == two == value + 2 * rate * wcrt
+        expected = value + 2 * rate * wcrt
+        delta = delta_combined((("a", rate),), ("a",), {}, {"a": value}, wcrt)
+        assert delta == {"a": expected}
+        ttl = f"TTL([a' = {format_rational(rate)}], a == {format_rational(expected)}, {{a}})"
+        assert _holds(f"cont a = {format_rational(value)};", ttl, wcrt) is True
 
 
 def test_holds_at_delta_values():
-    assert holds_at_delta(_expr("a <= 2"), {"a": F(4)}) is False
-    assert holds_at_delta(_expr("true"), {}) is True
-    assert holds_at_delta(_expr("a <= 16 && b <= 10"), {"a": F(8), "b": F(8)}) is True
+    # the invariant sees the prediction two ticks out, not the snapshot
+    assert _holds("cont a = 0;", "TTL([a' = 2], a <= 2, {a})", F(1)) is False
+    assert _holds("cont a = 0;", "TTL([a' = 2], a == 4, {a})", F(1)) is True
+    assert _holds("cont a = 0;", "TTL([a' = 2], true, {a})", F(1)) is True
+    ttl = "TTL([a' = 4, b' = 4], a <= 16 && b <= 10, {a, b})"
+    assert _holds("cont a = 0, b = 0;", ttl, F(1)) is True
 
 
 def test_holds_at_delta_unbound_name():
-    with pytest.raises(KernelError):
-        holds_at_delta(_expr("a <= q"), {"a": F(1)})
+    source = "cont a = 0;\nif (TTL([a' = 1], a <= q, {a})) pause else pause"
+    with pytest.raises(ResolveError):
+        parse(source)
+    with pytest.raises(KernelError) as err:
+        run(parse_raw(source), RewriteConfig(F(2)), max_ticks=1)
+    assert "'q'" in err.value.message and err.value.tick == 1
 
 
 def test_holds_at_delta_signal_lookup():
-    seen = []
-
-    def lookup(name, kind):
-        seen.append((name, kind))
-        return True
-
-    assert holds_at_delta(_expr("a <= 2 && OK"), {"a": F(0)}, lookup) is True
-    assert seen == [("OK", "status")]
+    # a signal in the invariant reads its previous-tick status; the
+    # predicted variable is bound to its prediction and logged as no read
+    source = (
+        "input signal OK; signal HOLDS; cont a = 0;\n"
+        "loop { if (TTL([a' = 1], a <= 2 && OK, {a})) emit HOLDS; pause }"
+    )
+    schedule = {1: InputAssignment.make(present=["OK"])}
+    trace = run(parse(source), RewriteConfig(F(1)), schedule, max_ticks=3, record_reads=True)
+    assert [trace.status("HOLDS", t) for t in (1, 2, 3)] == [False, True, False]
+    assert [entry for entry in trace.read_log if entry[0] == 2] == [
+        (2, "a", "value", F(0)),
+        (2, "OK", "status", True),
+    ]
