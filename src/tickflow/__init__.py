@@ -9,7 +9,7 @@ the rewrite pass.
 from .corpus import run_corpus
 from .errors import TickflowError
 from .hybrid import HybridAutomaton, compare, ha_simulate, parse_automaton
-from .kernel import InputAssignment, TickState, init, run, tick
+from .kernel import InputAssignment, TickState, init, run
 from .lti import (
     LtiSystem,
     RationalMatrix,
@@ -33,7 +33,6 @@ __all__ = [
     "TickState",
     "init",
     "run",
-    "tick",
     "bind_params",
     "FlowSite",
     "RewriteConfig",

@@ -99,13 +99,21 @@ def load_alphabet(path: str) -> InputAlphabet:
     return InputAlphabet.make(statuses, values)
 
 
+def _flag_rational(flag: str, text: str) -> Fraction:
+    """A command-line rational; `flag` names the option in errors."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise CompileError(f"{flag}: bad rational {text!r}") from None
+
+
 def _parse_params(pairs) -> dict:
     values = {}
     for pair in pairs or []:
         name, sep, text = pair.partition("=")
         if not sep:
             raise CompileError(f"--param needs name=value, got {pair!r}")
-        values[name] = parse_rational(text)
+        values[name] = _flag_rational(f"--param {name}", text)
     return values
 
 
@@ -119,7 +127,7 @@ def _load_program(path: str, params: dict, wcrt: Fraction):
 
 
 def _wcrt(text: str) -> Fraction:
-    value = parse_rational(text)
+    value = _flag_rational("--wcrt", text)
     if value <= 0:
         raise CompileError("wcrt must be strictly positive")
     return value
@@ -286,9 +294,8 @@ def _dispatch(args) -> int:
         with open(rewritten_input, "r", encoding="utf-8") as fh:
             program = bind_params(parse(fh.read()), params)
         mapping = _load_json(args.map, "variable map", dict)
-        report = compare(
-            automaton, program, RewriteConfig(wcrt), parse_rational(args.horizon), mapping
-        )
+        horizon = _flag_rational("--horizon", args.horizon)
+        report = compare(automaton, program, RewriteConfig(wcrt), horizon, mapping)
         sys.stdout.write(report.to_text())
         return 0 if report.first_divergence_tick is None else 1
 

@@ -8,14 +8,17 @@ branches to their next pause or termination while every read observes only
 previous-tick snapshots, then fold the tick's pending writes with the
 declared combine operators and promote them to the visible snapshot.
 
-The machine state between ticks is a residue tree mirroring the program
-structure, with live declaration instances embedded. Identical
+The machine state between ticks is a residue, an immutable tree that
+mirrors the paused part of the program, and a store mapping each live
+declaration instance to its settled (status, value) in registration order.
+A tick builds a new residue and a new store and never mutates the old ones,
+so states share them and `TickState.clone` copies only fields. Identical
 (program, config, schedule) triples produce identical traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -84,162 +87,117 @@ EMPTY_INPUTS = InputAssignment()
 
 
 class SignalInstance:
-    __slots__ = ("decl", "status_prev", "value_prev")
+    """One entry of a signal declaration's scope: an identity token whose
+    settled (status, value) lives in `TickState.store`."""
 
-    def __init__(self, decl: SignalDecl, value_prev):
+    __slots__ = ("decl",)
+
+    def __init__(self, decl: SignalDecl):
         self.decl = decl
-        self.status_prev = False
-        self.value_prev = value_prev
-
-    @property
-    def name(self):
-        return self.decl.name
-
-    def copy(self):
-        inst = SignalInstance(self.decl, self.value_prev)
-        inst.status_prev = self.status_prev
-        return inst
 
 
 class ContInstance:
-    __slots__ = ("decl", "value_prev")
+    """One entry of a continuous variable's scope; its settled status in
+    the store is always False."""
 
-    def __init__(self, decl: ContDecl, value_prev: Fraction):
+    __slots__ = ("decl",)
+
+    def __init__(self, decl: ContDecl):
         self.decl = decl
-        self.value_prev = value_prev
-
-    @property
-    def name(self):
-        return self.decl.name
-
-    def copy(self):
-        return ContInstance(self.decl, self.value_prev)
 
 
 # --- residues ----------------------------------------------------------------
+#
+# Residues are values: built once by `run` or `resume`, never mutated, and
+# shared between states. Equality and hashing ignore `node`, which is exact
+# within one program: from the root, a residue's class and its Seq index, If
+# branch or Par slot fix its node. A declaration has at most one live
+# instance, so a DeclRes is fixed by its node too, and its `instance` is
+# left out as well.
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class _Res:
-    node: Stmt
+    node: Stmt = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class PauseRes(_Res):
     pass
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class SeqRes(_Res):
     index: int
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class ParRes(_Res):
-    children: list  # per branch: residue, or None once the branch finished
+    children: tuple  # per branch: residue, or None once the branch finished
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class IfRes(_Res):
     branch: int
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class LoopRes(_Res):
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class AbortRes(_Res):
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class SuspendRes(_Res):
     child: Optional["_Res"]  # None: immediate guard froze it before entry
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class DeclRes(_Res):
-    instance: object
+    instance: object = field(compare=False)
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class LabelRes(_Res):
     child: "_Res"
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class FlowRes(_Res):
     stop: bool  # computed last tick: terminate on resume without running
 
 
-def _copy_res(res, copies: dict):
-    """Copy a residue tree; `copies` maps id(instance) -> its copy."""
-    if res is None:
-        return None
-    if isinstance(res, PauseRes):
-        return PauseRes(res.node)
-    if isinstance(res, SeqRes):
-        return SeqRes(res.node, res.index, _copy_res(res.child, copies))
-    if isinstance(res, ParRes):
-        return ParRes(res.node, [_copy_res(c, copies) for c in res.children])
-    if isinstance(res, IfRes):
-        return IfRes(res.node, res.branch, _copy_res(res.child, copies))
-    if isinstance(res, LoopRes):
-        return LoopRes(res.node, _copy_res(res.child, copies))
-    if isinstance(res, AbortRes):
-        return AbortRes(res.node, _copy_res(res.child, copies))
-    if isinstance(res, SuspendRes):
-        return SuspendRes(res.node, _copy_res(res.child, copies))
-    if isinstance(res, DeclRes):
-        return DeclRes(res.node, copies[id(res.instance)], _copy_res(res.child, copies))
-    if isinstance(res, LabelRes):
-        return LabelRes(res.node, _copy_res(res.child, copies))
-    if isinstance(res, FlowRes):
-        return FlowRes(res.node, res.stop)
-    raise AssertionError(f"unhandled residue {res!r}")
-
-
-def _instances_in(res, out: list):
+def _live_in(res, labels: list, instances: list):
+    """Collect the names of the labels and the instances a residue holds."""
     if res is None:
         return
-    if isinstance(res, DeclRes):
-        out.append(res.instance)
-        _instances_in(res.child, out)
-    elif isinstance(res, (SeqRes, IfRes, LoopRes, AbortRes, SuspendRes, LabelRes)):
-        _instances_in(res.child, out)
-    elif isinstance(res, ParRes):
+    cls = res.__class__
+    if cls is ParRes:
         for child in res.children:
-            _instances_in(child, out)
-
-
-def _labels_in(res, out: list):
-    if res is None:
+            _live_in(child, labels, instances)
         return
-    if isinstance(res, LabelRes):
-        out.append(res.node.name)
-        _labels_in(res.child, out)
-    elif isinstance(res, DeclRes):
-        _labels_in(res.child, out)
-    elif isinstance(res, (SeqRes, IfRes, LoopRes, AbortRes, SuspendRes)):
-        _labels_in(res.child, out)
-    elif isinstance(res, ParRes):
-        for child in res.children:
-            _labels_in(child, out)
-
-
-_UNSTARTED = object()
+    if cls is DeclRes:
+        instances.append(res.instance)
+    elif cls is LabelRes:
+        labels.append(res.node.name)
+    elif cls is PauseRes or cls is FlowRes:
+        return
+    _live_in(res.child, labels, instances)
 
 
 # --- the machine -------------------------------------------------------------
 
 
 class TickState:
-    """Full machine state at a tick boundary."""
+    """Full machine state at a tick boundary. Its residue and store are
+    never mutated once a tick has built them, so clones share both."""
 
     def __init__(self, program: Program, cfg: RewriteConfig, native_flows: bool = False):
         if program.params():
@@ -252,14 +210,14 @@ class TickState:
         self.program = program
         self.cfg = cfg
         self.native_flows = native_flows
-        self.residue = _UNSTARTED
+        self.residue = None  # None before tick 1 and after termination
         self.tick = 0
         self.terminated = False
         self.termination_tick: Optional[int] = None
-        self.registry: dict = {}  # id(instance) -> instance, insertion ordered
+        # live instance -> settled (status, value), in registration order
+        self.store: dict = {}
         self.initial_conts: dict = {}  # first initial value per cont name
         self.input_names = {d.name for d in program.inputs()}
-        self.output_names = [d.name for d in program.outputs()]
         self.sites: dict = {}  # id(flow or TTL node) -> its FlowSite
         self.read_log: Optional[list] = None
 
@@ -267,22 +225,7 @@ class TickState:
 
     def clone(self) -> "TickState":
         dup = TickState.__new__(TickState)
-        dup.program = self.program
-        dup.cfg = self.cfg
-        dup.native_flows = self.native_flows
-        # copy in registry order: settle names same-named instances by it
-        copies = {key: inst.copy() for key, inst in self.registry.items()}
-        dup.residue = (
-            self.residue if self.residue is _UNSTARTED else _copy_res(self.residue, copies)
-        )
-        dup.tick = self.tick
-        dup.terminated = self.terminated
-        dup.termination_tick = self.termination_tick
-        dup.registry = {id(inst): inst for inst in copies.values()}
-        dup.initial_conts = dict(self.initial_conts)
-        dup.input_names = self.input_names
-        dup.output_names = self.output_names
-        dup.sites = self.sites
+        dup.__dict__.update(self.__dict__)
         dup.read_log = None
         return dup
 
@@ -294,10 +237,8 @@ class TickState:
         t = self.tick + 1
         self._validate_inputs(inputs, t)
         ctx = _TickCtx(self, inputs, t)
-        for inst in list(self.registry.values()):
-            ctx.latch_input(inst)
         try:
-            if self.residue is _UNSTARTED:
+            if self.tick == 0:
                 self.residue = ctx.run(self.program.root, {})
             else:
                 self.residue = ctx.resume(self.residue, {})
@@ -325,13 +266,11 @@ class TickState:
         out = {}
         seen: dict = {}
         live: list = []
-        _instances_in(None if self.residue is _UNSTARTED else self.residue, live)
+        _live_in(self.residue, [], live)
         for inst in live:
-            name = _disambiguate(inst.name, seen)
-            if isinstance(inst, SignalInstance):
-                out[name] = (inst.status_prev, inst.value_prev)
-            else:
-                out[name] = inst.value_prev
+            name = _disambiguate(inst.decl.name, seen)
+            status, value = self.store[inst]
+            out[name] = (status, value) if inst.__class__ is SignalInstance else value
         return out
 
 
@@ -342,15 +281,21 @@ def _disambiguate(name: str, seen: dict) -> str:
 
 
 class _TickCtx:
-    """Per-tick scratch: pending emissions and writes, plus the evaluator."""
+    """Per-tick scratch: the settled values reads observe, pending emissions
+    and writes, plus the evaluator."""
 
     def __init__(self, state: TickState, inputs: InputAssignment, t: int):
         self.state = state
         self.inputs = inputs
         self.input_values = inputs.value_map()
         self.t = t
-        self.emitted: set = set()  # id(instance)
-        self.writes: dict = {}  # id(instance) -> [value, ...]
+        # instance -> previous-tick (status, value); settle walks it, so it
+        # also gains the instances registered during this tick, in order
+        self.prev: dict = dict(state.store)
+        self.emitted: set = set()  # instances
+        self.writes: dict = {}  # instance -> [value, ...]
+        for inst in state.store:
+            self.latch_input(inst)
 
     # -- effects --
 
@@ -359,26 +304,29 @@ class _TickCtx:
             return
         if inst.decl.direction != "input":
             return
-        name = inst.name
+        name = inst.decl.name
         if name in self.inputs.present:
-            self.emitted.add(id(inst))
+            self.emitted.add(inst)
         if name in self.input_values:
             if inst.decl.pure:
                 raise KernelError(f"value supplied for pure input {name!r}", self.t)
-            self.writes.setdefault(id(inst), []).append(
+            self.writes.setdefault(inst, []).append(
                 _adapt_value(self.input_values[name], inst.decl, self.t)
             )
 
     def emit(self, inst):
-        self.emitted.add(id(inst))
+        self.emitted.add(inst)
 
     def write(self, inst, value):
-        self.writes.setdefault(id(inst), []).append(value)
+        self.writes.setdefault(inst, []).append(value)
 
-    def register(self, inst):
-        self.state.registry[id(inst)] = inst
+    def register(self, inst, value):
+        self.prev[inst] = (False, value)
         if isinstance(inst, ContInstance):
-            self.state.initial_conts.setdefault(inst.name, inst.value_prev)
+            name = inst.decl.name
+            if name not in self.state.initial_conts:
+                # copy on write: clones share the dict
+                self.state.initial_conts = {**self.state.initial_conts, name: value}
         self.latch_input(inst)
 
     def kill(self, res):
@@ -386,23 +334,25 @@ class _TickCtx:
         killed subtree has not run this tick (guards are evaluated top-down
         before bodies), so it holds no pending effects."""
         gone: list = []
-        _instances_in(res, gone)
+        _live_in(res, [], gone)
         for inst in gone:
-            self.state.registry.pop(id(inst), None)
-            self.writes.pop(id(inst), None)
-            self.emitted.discard(id(inst))
+            self.prev.pop(inst, None)
+            self.writes.pop(inst, None)
+            self.emitted.discard(inst)
 
     # -- reads --
 
     def read_status(self, inst) -> bool:
+        status = self.prev[inst][0]
         if self.state.read_log is not None:
-            self.state.read_log.append((self.t, inst.name, "status", inst.status_prev))
-        return inst.status_prev
+            self.state.read_log.append((self.t, inst.decl.name, "status", status))
+        return status
 
     def read_value(self, inst):
+        value = self.prev[inst][1]
         if self.state.read_log is not None:
-            self.state.read_log.append((self.t, inst.name, "value", inst.value_prev))
-        return inst.value_prev
+            self.state.read_log.append((self.t, inst.decl.name, "value", value))
+        return value
 
     # -- expression evaluation (previous-tick snapshots only) --
 
@@ -524,7 +474,7 @@ class _TickCtx:
                     return SeqRes(node, i, res)
             return None
         if isinstance(node, Parallel):
-            children = [self.run(branch, frame) for branch in node.branches]
+            children = tuple([self.run(branch, frame) for branch in node.branches])
             if all(c is None for c in children):
                 return None
             return ParRes(node, children)
@@ -550,16 +500,16 @@ class _TickCtx:
             res = self.run(node.body, frame)
             return SuspendRes(node, res) if res is not None else None
         if isinstance(node, SignalDecl):
-            inst = SignalInstance(node, self._signal_init(node, frame))
-            self.register(inst)
+            inst = SignalInstance(node)
+            self.register(inst, self._signal_init(node, frame))
             res = self.run(node.body, {**frame, node.name: inst})
             return DeclRes(node, inst, res) if res is not None else None
         if isinstance(node, ContDecl):
             init = (
                 Fraction(self.eval(node.init, frame)) if node.init is not None else Fraction(0)
             )
-            inst = ContInstance(node, init)
-            self.register(inst)
+            inst = ContInstance(node)
+            self.register(inst, init)
             res = self.run(node.body, {**frame, node.name: inst})
             return DeclRes(node, inst, res) if res is not None else None
         if isinstance(node, ParamDecl):
@@ -600,9 +550,9 @@ class _TickCtx:
                     return SeqRes(node, i, nxt)
             return None
         if isinstance(res, ParRes):
-            children = [
+            children = tuple([
                 None if c is None else self.resume(c, frame) for c in res.children
-            ]
+            ])
             if all(c is None for c in children):
                 return None
             return ParRes(res.node, children)
@@ -661,37 +611,33 @@ class _TickCtx:
     # -- end of tick ----------------------------------------------------------
 
     def settle(self) -> TickRecord:
+        """Fold the tick's writes into every instance that was live during
+        it and name them in registration order; the store keeps the ones
+        still live. An instance whose scope ended this tick settles once."""
+        labels: list = []
+        live: list = []
+        _live_in(self.state.residue, labels, live)
+        live = set(live)
         statuses: dict = {}
         values: dict = {}
         conts: dict = {}
         seen: dict = {}
-        for inst in self.state.registry.values():
-            name = _disambiguate(inst.name, seen)
+        store: dict = {}
+        for inst, (status, value) in self.prev.items():
+            name = _disambiguate(inst.decl.name, seen)
+            writes = self.writes.get(inst)
+            if writes:
+                value = _fold_writes(inst, writes, self.t)
             if isinstance(inst, SignalInstance):
-                inst.status_prev = id(inst) in self.emitted
-                writes = self.writes.get(id(inst))
-                if writes:
-                    inst.value_prev = _fold_writes(inst, writes, self.t)
-                statuses[name] = inst.status_prev
+                status = inst in self.emitted
+                statuses[name] = status
                 if not inst.decl.pure:
-                    values[name] = inst.value_prev
+                    values[name] = value
             else:
-                writes = self.writes.get(id(inst))
-                if writes:
-                    inst.value_prev = _fold_writes(inst, writes, self.t)
-                conts[name] = inst.value_prev
-        labels: list = []
-        _labels_in(self.state.residue if self.state.residue is not _UNSTARTED else None,
-                   labels)
-        # prune instances whose scope ended this tick (they settled once)
-        live: list = []
-        _instances_in(
-            self.state.residue if self.state.residue is not _UNSTARTED else None, live
-        )
-        live_ids = {id(inst) for inst in live}
-        for key in list(self.state.registry):
-            if key not in live_ids:
-                del self.state.registry[key]
+                conts[name] = value
+            if inst in live:
+                store[inst] = (status, value)
+        self.state.store = store
         return TickRecord(
             tick=self.t,
             time=self.t * self.state.cfg.wcrt,
@@ -722,7 +668,7 @@ def _fold_writes(inst, writes: list, t: int):
     op = inst.decl.combine
     if op is None:
         raise KernelError(
-            f"{inst.name!r} written {len(writes)} times in one tick "
+            f"{inst.decl.name!r} written {len(writes)} times in one tick "
             "with no combine operator",
             t,
         )
@@ -735,17 +681,6 @@ def _fold_writes(inst, writes: list, t: int):
 def init(program: Program, cfg: RewriteConfig, native_flows: bool = False) -> TickState:
     """Machine state at tick 0: nothing has run, nothing is visible."""
     return TickState(program, cfg, native_flows=native_flows)
-
-
-def tick(state: TickState, inputs: InputAssignment = EMPTY_INPUTS):
-    """Advance one tick. Returns (state, outputs) where outputs carries the
-    settled status (and value, for valued signals) of every output signal."""
-    record = state.advance(inputs)
-    outputs = {}
-    for name in state.output_names:
-        if name in record.statuses:
-            outputs[name] = (record.statuses[name], record.values.get(name))
-    return state, outputs
 
 
 def normalize_schedule(schedule) -> dict:

@@ -40,7 +40,9 @@ class Trace:
     # -- queries --
 
     def record(self, tick: int) -> TickRecord:
-        for rec in self.records:
+        """The record of `tick`; records hold ticks 1..n in order."""
+        if 1 <= tick <= len(self.records):
+            rec = self.records[tick - 1]
             if rec.tick == tick:
                 return rec
         raise TickflowError(f"no record for tick {tick}")
@@ -92,12 +94,9 @@ class Trace:
         rec = self.record(tick)
         if any(rec.statuses.values()):
             return False
-        prev = None
-        for r in self.records:
-            if r.tick == tick - 1:
-                prev = r
-        if prev is None:
+        if tick == 1:
             return not rec.conts and not rec.values
+        prev = self.record(tick - 1)
         for name, value in rec.conts.items():
             if name in prev.conts and prev.conts[name] != value:
                 return False
@@ -202,6 +201,11 @@ def from_json(text: str) -> Trace:
         )
         for entry in doc["ticks"]
     ]
+    for expected, rec in enumerate(records, start=1):
+        if type(rec.tick) is not int or rec.tick != expected:
+            raise TickflowError(
+                f"trace record {expected} is for tick {rec.tick!r}; ticks must run 1..n in order"
+            )
     return Trace(
         wcrt=parse_rational(doc["wcrt"]),
         records=records,

@@ -2,8 +2,9 @@
 
 Programs are deterministic once their inputs are fixed, so the search tree
 branches only on the per-tick input choice. Verdicts are relative to the
-tick bound. States are keyed by `fingerprint`, an exact nested tuple over
-one preorder index of the program built per search. The cache maps each key
+tick bound. States are keyed by `fingerprint`, an exact tuple of the shared
+residue and the store, with declarations numbered by one preorder index of
+the program built per search. The cache maps each key
 to the earliest tick the state was reached at, and a state is expanded
 again only when reached strictly earlier (it then has more ticks left), so
 depth-first order is as sound as breadth-first. Breadth-first order reaches
@@ -18,18 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
-from .kernel import (
-    InputAssignment,
-    TickState,
-    _UNSTARTED,
-    FlowRes,
-    IfRes,
-    ParRes,
-    PauseRes,
-    SeqRes,
-    SignalInstance,
-    init,
-)
+from .kernel import InputAssignment, TickState, init
 from .rational import format_rational
 from .rewrite import RewriteConfig
 from .syntax.nodes import Program
@@ -134,44 +124,22 @@ class Unreachable:
 
 def fingerprint(state: TickState, index: Optional[dict] = None) -> tuple:
     """Exact key of a settled state: equal keys mean equal states, however
-    they were reached. A nested tuple of the termination flag, the residue
-    tree (each residue by its node's position in `index`, which fixes its
-    class, with its Seq index, If branch or flow stop flag) and the live
-    instances in registration order, each with its declaration's position
-    (a declaration has at most one live instance), settled status and
-    value. Registration order decides which of two
-    same-named instances settles as `S` and which as `S:2`. A declaration
-    fixes its value's type, so `True` never meets `Fraction(1)`. `index` is
-    `_node_index(state.program)`; the search passes the one it built."""
+    they were reached. A tuple of the termination flag, the residue (a
+    hashable value; see `kernel` on why its equality is exact within one
+    program) and the store in registration order, each instance as its
+    declaration's position in `index` (a declaration has at most one live
+    instance), settled status and value. Registration order decides which
+    of two same-named instances settles as `S` and which as `S:2`. A
+    declaration fixes its value's type, so `True` never meets `Fraction(1)`.
+    `index` is `_node_index(state.program)`; the search passes the one it
+    built."""
     if index is None:
         index = _node_index(state.program)
-    instances = []
-    for inst in state.registry.values():
-        if inst.__class__ is SignalInstance:
-            instances.append((index[id(inst.decl)], inst.status_prev, inst.value_prev))
-        else:
-            instances.append((index[id(inst.decl)], inst.value_prev))
-    residue = None if state.residue is _UNSTARTED else _res_key(state.residue, index)
-    return (state.terminated, residue, tuple(instances))
-
-
-def _res_key(res, index: dict):
-    if res is None:
-        return None
-    cls = res.__class__
-    node = index[id(res.node)]
-    if cls is PauseRes:
-        return node
-    if cls is SeqRes:
-        return (node, res.index, _res_key(res.child, index))
-    if cls is IfRes:
-        return (node, res.branch, _res_key(res.child, index))
-    if cls is ParRes:
-        return (node, tuple([_res_key(c, index) for c in res.children]))
-    if cls is FlowRes:
-        return (node, res.stop)
-    # Loop, Abort, Suspend, Label and Decl residues: a node and one child
-    return (node, _res_key(res.child, index))
+    store = tuple([
+        (index[id(inst.decl)], status, value)
+        for inst, (status, value) in state.store.items()
+    ])
+    return (state.terminated, state.residue, store)
 
 
 def _node_index(program: Program) -> dict:

@@ -238,6 +238,36 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_bad_param_rational_exits_2(capsys):
+    flow = str(CORPUS / "programs" / "flow_single.hsj")
+    for command, text in (("run", "abc"), ("check", "1/0"), ("run", "")):
+        extra = ["--wcrt", "2"] if command == "run" else []
+        code = main([command, flow, *extra, "--param", f"k={text}"])
+        assert code == 2, (command, text)
+        assert f"--param k: bad rational {text!r}" in capsys.readouterr().err
+
+
+def test_bad_wcrt_rational_exits_2(capsys):
+    flow = str(CORPUS / "programs" / "flow_single.hsj")
+    for text in ("abc", "1/0", "2/x"):
+        assert main(["run", flow, "--wcrt", text]) == 2, text
+        assert f"--wcrt: bad rational {text!r}" in capsys.readouterr().err
+
+
+def test_bad_horizon_rational_exits_2(capsys):
+    for text in ("twelve", "12/0"):
+        code = main([
+            "compare",
+            "--ha", str(CORPUS / "automata" / "carousel.ha"),
+            "--program", CAROUSEL,
+            "--wcrt", "2", "--horizon", text,
+            "--map", str(CORPUS / "maps" / "carousel.json"),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2, text
+        assert f"--horizon: bad rational {text!r}" in capsys.readouterr().err
+
+
 def test_verify_with_alphabet_and_dfs(tmp_path, capsys):
     prog = tmp_path / "gated.hsj"
     prog.write_text(

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from tickflow.errors import KernelError
-from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run, tick
+from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow.verify import fingerprint
 
 CFG1 = RewriteConfig(F(1))
 CFG2 = RewriteConfig(F(2))
@@ -246,22 +247,65 @@ def test_schedule_tail_defaults_to_absent():
     assert trace.emission_ticks("Q") == [2]
 
 
-def test_tick_returns_outputs():
-    program = rewrite_flows(
-        parse("output int signal OUT = 0;\nloop { ?OUT = ?OUT + 1; emit OUT; pause }"),
-        CFG1,
-    )
-    state = init(program, CFG1)
-    state, outputs = tick(state, EMPTY_INPUTS)
-    assert outputs == {"OUT": (True, F(1))}
-
-
 def test_terminated_state_refuses_ticks():
     program = rewrite_flows(parse("nothing"), CFG1)
     state = init(program, CFG1)
     state.advance()
     with pytest.raises(KernelError):
         state.advance()
+
+
+# --- clones ----------------------------------------------------------------------
+
+# S is declared again in the tick its old scope ends, so S and S:2 both
+# settle from tick 2; GO kills the abort body, which holds T and c; d is
+# declared only after the kill, so its initial value is recorded then
+CLONED = """
+input signal GO; input int signal LEVEL = 0;
+int signal ACC = 0;
+{ loop { signal S; emit S; ?ACC = ?ACC + ?LEVEL; pause } }
+|| { abort (GO) { signal T; cont c op+ = 1; loop { c = c + 1; emit T; pause } };
+     cont d = 5; loop { pause } }
+"""
+
+
+def _level(n):
+    return InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(n)})
+
+
+GO = InputAssignment.make(present=["GO"])
+
+
+def test_clone_is_independent_of_its_origin():
+    program = parse(CLONED)
+    # (ticks before the clone, the clone's own inputs, the origin's next)
+    cases = (
+        # the clone kills the abort body and declares d; the origin keeps both
+        ([_level(2), _level(3)], [GO, _level(5), EMPTY_INPUTS, _level(1)], _level(4)),
+        # both kill on their next tick
+        ([_level(2), GO], [_level(7), EMPTY_INPUTS, _level(1)], GO),
+        # after the kill, with d live in both
+        ([_level(2), GO, EMPTY_INPUTS], [_level(7), GO, _level(1)], _level(4)),
+    )
+    for prefix, drive, probe in cases:
+        origin, twin = init(program, CFG1), init(program, CFG1)
+        for inputs in prefix:
+            origin.advance(inputs)
+            twin.advance(inputs)
+        snap, key = origin.snapshot(), fingerprint(origin)
+        initial = dict(origin.initial_conts)
+        clone = origin.clone()
+        for inputs in drive:
+            clone.advance(inputs)
+        assert fingerprint(clone) != key
+        assert origin.snapshot() == snap and fingerprint(origin) == key
+        assert origin.initial_conts == initial
+        record = origin.advance(probe)
+        assert record == twin.advance(probe) and "S:2" in record.statuses
+        # the origin moving on leaves the clone as it was
+        snap, key = clone.snapshot(), fingerprint(clone)
+        origin.advance(GO)
+        assert clone.snapshot() == snap and fingerprint(clone) == key
 
 
 # --- labels -------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -75,6 +76,30 @@ def test_json_roundtrip_empty():
     trace = _trace(SINGLE_FLOW)
     trace.records = []
     assert trace_equal(from_json(to_json(trace)), trace)
+
+
+def test_json_rejects_ticks_out_of_order():
+    doc = json.loads(to_json(_trace(PAIR_FLOW)))
+    assert len(doc["ticks"]) >= 3
+    for edit, bad in (
+        (lambda ticks: ticks.reverse(), "record 1 is for tick"),
+        (lambda ticks: ticks.pop(1), "record 2 is for tick 3"),
+        (lambda ticks: ticks.insert(1, dict(ticks[0])), "record 2 is for tick 1"),
+        (lambda ticks: ticks[0].update(tick=True), "record 1 is for tick True"),
+    ):
+        edited = json.loads(json.dumps(doc))
+        edit(edited["ticks"])
+        with pytest.raises(TickflowError, match=bad):
+            from_json(json.dumps(edited))
+
+
+def test_record_by_tick():
+    trace = _trace(PAIR_FLOW)
+    n = len(trace.records)
+    assert [trace.record(t).tick for t in range(1, n + 1)] == list(range(1, n + 1))
+    for tick in (0, -1, n + 1):
+        with pytest.raises(TickflowError, match=f"no record for tick {tick}"):
+            trace.record(tick)
 
 
 def test_json_deterministic():

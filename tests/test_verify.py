@@ -9,7 +9,16 @@ import pytest
 from helpers import random_search_program
 from tickflow import verify
 from tickflow.errors import SearchLimitError, TickflowError
-from tickflow.kernel import InputAssignment, init, run
+from tickflow.kernel import (
+    FlowRes,
+    IfRes,
+    InputAssignment,
+    ParRes,
+    PauseRes,
+    SeqRes,
+    init,
+    run,
+)
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
@@ -315,3 +324,68 @@ def test_fingerprint_with_a_shared_index_is_the_same_key():
     state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(3)}))
     assert fingerprint(state, verify._node_index(program)) == fingerprint(state)
     assert fingerprint(state.clone()) == fingerprint(state)
+
+
+def _oracle_key(state, index):
+    """An independent state key: each residue by its node's preorder
+    position, so it does not rest on residue equality."""
+    store = tuple(
+        (index[id(inst.decl)], status, value)
+        for inst, (status, value) in state.store.items()
+    )
+    return (state.terminated, _res_key(state.residue, index), store)
+
+
+def _res_key(res, index):
+    if res is None:
+        return None
+    cls = res.__class__
+    node = index[id(res.node)]
+    if cls is PauseRes:
+        return node
+    if cls is SeqRes:
+        return (node, res.index, _res_key(res.child, index))
+    if cls is IfRes:
+        return (node, res.branch, _res_key(res.child, index))
+    if cls is ParRes:
+        return (node, tuple([_res_key(c, index) for c in res.children]))
+    if cls is FlowRes:
+        return (node, res.stop)
+    # Loop, Abort, Suspend, Label and Decl residues: a node and one child
+    return (node, _res_key(res.child, index))
+
+
+def test_fingerprint_equality_is_node_position_equality():
+    # the last program's flow stops on a status the store no longer holds
+    cases = [random_search_program(random.Random(seed)) for seed in range(60)]
+    cases.append((
+        "input signal A, B; signal HIT; cont z = 0;\n"
+        "loop { abort (A) { do {z' = 1} until (z <= 3 && !B) }; z = 0; pause }",
+        F(1),
+    ))
+    for source, wcrt in cases:
+        cfg = RewriteConfig(wcrt)
+        parsed = parse(source)
+        for program, native in ((rewrite_flows(parsed, cfg), False), (parsed, True)):
+            index = verify._node_index(program)
+            choices = alphabet_for(program).choices()
+            start = init(program, cfg, native_flows=native)
+            reached = [start]
+            frontier = [start]
+            seen = {_oracle_key(start, index)}
+            for _ in range(4):
+                successors = []
+                for state in frontier:
+                    for assignment in choices:
+                        successor = state.clone()
+                        successor.advance(assignment)
+                        reached.append(successor)
+                        key = _oracle_key(successor, index)
+                        if not successor.terminated and key not in seen:
+                            seen.add(key)
+                            successors.append(successor)
+                frontier = successors
+            keys = [(fingerprint(state, index), _oracle_key(state, index)) for state in reached]
+            prints = {key for key, _ in keys}
+            oracle = {key for _, key in keys}
+            assert len(prints) == len(oracle) == len(set(keys)), (native, source)
