@@ -1,0 +1,19 @@
+"""Regenerate `behaviour.json`, the digests `tests/test_behaviour.py` checks.
+
+Run from the repository root, only when behaviour changes on purpose:
+
+    PYTHONPATH=src python tests/data/make_behaviour.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+
+from test_behaviour import DATA, compute  # noqa: E402
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DATA}")
