@@ -74,10 +74,14 @@ def load_schedule(path: str) -> dict:
         tick = entry["tick"]
         if not isinstance(tick, int) or tick < 1:
             raise ScheduleError(f"{path}: bad tick {tick!r}")
+        _known_keys(path, f"tick {tick}", entry, ("tick", "present", "values"))
         present = entry.get("present", [])
-        values = {
-            name: _rational(path, text) for name, text in entry.get("values", {}).items()
-        }
+        if not isinstance(present, list) or not all(isinstance(n, str) for n in present):
+            raise ScheduleError(f"{path}: tick {tick}: 'present' must be a list of names")
+        texts = entry.get("values", {})
+        if not isinstance(texts, dict):
+            raise ScheduleError(f"{path}: tick {tick}: 'values' must be a JSON object")
+        values = {name: _rational(path, text) for name, text in texts.items()}
         if tick in schedule:
             raise ScheduleError(f"{path}: duplicate tick {tick}")
         schedule[tick] = InputAssignment.make(present=present, values=values)
@@ -93,10 +97,31 @@ def load_alphabet(path: str) -> InputAlphabet:
     for name, spec in doc.items():
         if not isinstance(spec, dict):
             raise ScheduleError(f"{path}: alphabet entry {name!r} must be a JSON object")
-        statuses[name] = tuple(spec.get("statuses", ("absent", "present")))
+        _known_keys(path, f"alphabet entry {name!r}", spec, ("statuses", "values"))
+        chosen = spec.get("statuses", ["absent", "present"])
+        if (
+            not isinstance(chosen, list)
+            or not chosen
+            or not all(c in ("absent", "present") for c in chosen)
+        ):
+            raise ScheduleError(
+                f"{path}: alphabet entry {name!r}: 'statuses' must be a non-empty "
+                "list of 'absent' and 'present'"
+            )
+        statuses[name] = tuple(chosen)
         if "values" in spec:
+            if not isinstance(spec["values"], list):
+                raise ScheduleError(
+                    f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"
+                )
             values[name] = tuple(_rational(path, v) for v in spec["values"])
     return InputAlphabet.make(statuses, values)
+
+
+def _known_keys(path: str, where: str, entry: dict, keys: tuple):
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise ScheduleError(f"{path}: {where}: unknown key {unknown[0]!r}")
 
 
 def _flag_rational(flag: str, text: str) -> Fraction:

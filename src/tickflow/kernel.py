@@ -262,14 +262,12 @@ class TickState:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
     def snapshot(self) -> dict:
-        """Settled previous-tick values of every live instance, by name."""
+        """Settled previous-tick values of every live instance, named in
+        registration order as the tick's record names them."""
         out = {}
         seen: dict = {}
-        live: list = []
-        _live_in(self.residue, [], live)
-        for inst in live:
+        for inst, (status, value) in self.store.items():
             name = _disambiguate(inst.decl.name, seen)
-            status, value = self.store[inst]
             out[name] = (status, value) if inst.__class__ is SignalInstance else value
         return out
 

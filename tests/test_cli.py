@@ -165,9 +165,17 @@ def test_schedule_loader_errors(tmp_path):
     bad.write_text('[{"tick": 1}, {"tick": 1}]')
     with pytest.raises(ScheduleError):
         load_schedule(str(bad))
-    for text in ('[{"tick": 1', '[{"tick": 1, "values": {"S": "zz"}}]'):
+    for text in (
+        '[{"tick": 1',
+        '[{"tick": 1, "values": {"S": "zz"}}]',
+        '[{"tick": 1, "present": "A"}]',
+        '[{"tick": 1, "present": 5}]',
+        '[{"tick": 1, "present": ["A", 5]}]',
+        '[{"tick": 1, "values": ["A", "1"]}]',
+        '[{"tick": 1, "presnt": ["A"]}]',
+    ):
         bad.write_text(text)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match=re.escape(str(bad))):
             load_schedule(str(bad))
 
 
@@ -183,13 +191,22 @@ def test_alphabet_loader(tmp_path):
     names = [name for name, _ in alphabet.statuses]
     assert names == ["GO", "LEVEL"]
     assert len(alphabet.choices()) == 2 * 3  # GO x {absent,present@1,present@3/2}
+    path.write_text('{"GO": {"statuses": ["present"]}}')
+    assert [a.present for a in load_alphabet(str(path)).choices()] == [frozenset({"GO"})]
 
 
 def test_malformed_alphabet_exits_2(tmp_path, capsys):
     prog = tmp_path / "gated.hsj"
     prog.write_text("input signal GO; signal FIRED;\nloop { if (GO) emit FIRED; pause }\n")
     alpha = tmp_path / "alpha.json"
-    for text in ('{"GO": {', '["GO"]', '{"GO": 1}', '{"GO": {"values": ["x"]}}'):
+    for text in (
+        '{"GO": {', '["GO"]', '{"GO": 1}', '{"GO": {"values": ["x"]}}',
+        '{"GO": {"values": "12"}}',
+        '{"GO": {"statuses": "present"}}',
+        '{"GO": {"statuses": ["absent", "bogus"]}}',
+        '{"GO": {"statuses": []}}',
+        '{"GO": {"statusses": ["present"]}}',
+    ):
         alpha.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
             load_alphabet(str(alpha))

@@ -6,8 +6,11 @@ import pytest
 
 from tickflow.errors import KernelError
 from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
+from tickflow import rewrite
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow.syntax.nodes import Program
+from tickflow.syntax.parser import parse_raw
 from tickflow.verify import fingerprint
 
 CFG1 = RewriteConfig(F(1))
@@ -141,6 +144,42 @@ def test_double_emission_is_idempotent():
 def test_int_signal_rejects_fractional_write():
     with pytest.raises(KernelError):
         _run("int signal S = 0;\n?S = 1/2;\npause")
+
+
+# --- runtime errors ----------------------------------------------------------------
+
+# (source, message substring, tick): programs the static checks would
+# reject, run unchecked, rewritten and native
+RUNTIME_ERRORS = (
+    ("signal S; pause; emit X", "unbound name 'X'", 2),
+    ("signal S; pause; pause; if (Y) emit S", "unbound name 'Y'", 3),
+    ("cont a; pause; emit a", "cannot emit 'a'", 2),
+    ("signal S; ?S = 1", "'S' is not a valued signal", 1),
+    ("signal S; pause; S = 1", "'S' is not a continuous variable", 2),
+    ("cont a; a = true", "boolean written to 'a'", 1),
+    ("signal S; loop { emit S; if (S) nothing else pause }",
+     "loop body completed without pausing", 2),
+    ("int signal S = 0; pause; ?S = 1/2", "'S' holds an integer value", 2),
+    ("cont a; pause; { {a = 1} || {a = 2} }",
+     "'a' written 2 times in one tick with no combine operator", 2),
+    ("cont a; pause; do {a' = 1} until (a + 1)",
+     "invariant did not evaluate to a boolean", 2),
+    ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",
+     "variable 'a' has simultaneous rates but no combine operator", 2),
+)
+
+
+@pytest.mark.parametrize("source,message,tick", RUNTIME_ERRORS)
+def test_runtime_error_message_and_tick(source, message, tick):
+    program = parse_raw(source)
+    # the rewrite minus its static check, which refuses the last two rows
+    rewritten = Program(rewrite._rewrite(program.root, CFG1, rewrite._StopNames(program)))
+    runs = ((rewritten, False), (program, True))
+    for prog, native in runs:
+        with pytest.raises(KernelError) as err:
+            run(prog, CFG1, max_ticks=5, native_flows=native)
+        assert message in err.value.message, (source, native)
+        assert err.value.tick == tick, (source, native)
 
 
 # --- preemption and suspension ------------------------------------------------------
@@ -306,6 +345,21 @@ def test_clone_is_independent_of_its_origin():
         snap, key = clone.snapshot(), fingerprint(clone)
         origin.advance(GO)
         assert clone.snapshot() == snap and fingerprint(clone) == key
+
+
+def test_snapshot_names_instances_like_the_record():
+    # the second branch declares its S first, so it settles as `S`
+    source = """
+    signal T;
+    { pause; pause; signal S; { pause; emit S; emit T; pause } }
+    || { pause; signal S; { pause; pause; pause; pause } }
+    """
+    state = init(parse(source), CFG1)
+    for _ in range(4):
+        record = state.advance()
+    assert record.statuses["S"] is False and record.statuses["S:2"] is True
+    snap = state.snapshot()
+    assert snap["S"] == (False, None) and snap["S:2"] == (True, None)
 
 
 # --- labels -------------------------------------------------------------------------
