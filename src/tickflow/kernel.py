@@ -8,54 +8,51 @@ branches to their next pause or termination while every read observes only
 previous-tick snapshots, then fold the tick's pending writes with the
 declared combine operators and promote them to the visible snapshot.
 
+The program is compiled once per (program, config), when its `TickState`
+is built, and clones share the code. Each statement becomes a pair of
+closures: `run(ctx)` enters it afresh and `resume(ctx, res)` continues it
+from the residue it left. A parent picks the child that resumes a residue
+by its Seq index, If branch or Par slot, so a tick dispatches on nothing.
+Each expression becomes a closure too. Names resolve to slots at compile
+time: a declaration has at most one live instance, so the per-tick list
+`ctx.env` holds it in the declaration's slot while its scope runs, and a
+look-ahead puts its predictions in slots of its own. Misuse, such as an
+unbound name or an `emit` of a continuous variable, compiles to code that
+raises the same `KernelError` at the tick that reaches it.
+
 The machine state between ticks is a residue, an immutable tree that
 mirrors the paused part of the program, and a store mapping each live
 declaration instance to its settled (status, value) in registration order.
 A tick builds a new residue and a new store and never mutates the old ones,
-so states share them and `TickState.clone` copies only fields. Identical
-(program, config, schedule) triples produce identical traces.
+so states share them and `TickState.clone` copies only fields. The tick
+records the labels that hold a paused point as it builds the residue, and
+each declaration records its scope ending, so settling walks no residue.
+Identical (program, config, schedule) triples produce identical traces.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import KernelError
-from .rewrite import FlowSite, RewriteConfig, flow_site
+from .rewrite import RewriteConfig, flow_site
 from .syntax.nodes import (
-    Abort,
     Binary,
     BoolLit,
-    ContAssign,
-    ContDecl,
-    DoUntil,
-    Emit,
-    Expr,
-    If,
-    Label,
-    Loop,
     NameRef,
-    Nothing,
     NumLit,
-    ParamDecl,
-    Parallel,
-    Pause,
     Program,
-    Seq,
     SignalDecl,
     Stmt,
-    Suspend,
     TtlCall,
     Unary,
     ValueRef,
-    ValueWrite,
 )
 from . import ttl as ttl_mod
 from .trace import TickRecord, Trace
-
-Value = Union[Fraction, bool]
 
 
 # --- input assignments -------------------------------------------------------
@@ -102,7 +99,7 @@ class ContInstance:
 
     __slots__ = ("decl",)
 
-    def __init__(self, decl: ContDecl):
+    def __init__(self, decl):
         self.decl = decl
 
 
@@ -197,7 +194,8 @@ def _live_in(res, labels: list, instances: list):
 
 class TickState:
     """Full machine state at a tick boundary. Its residue and store are
-    never mutated once a tick has built them, so clones share both."""
+    never mutated once a tick has built them, so clones share both, and
+    the compiled code."""
 
     def __init__(self, program: Program, cfg: RewriteConfig, native_flows: bool = False):
         if program.params():
@@ -210,15 +208,18 @@ class TickState:
         self.program = program
         self.cfg = cfg
         self.native_flows = native_flows
+        compiler = _Compiler(cfg, native_flows)
+        run, resume = compiler.stmt(program.root, {})
+        self.code = (run, resume, compiler.slots)
         self.residue = None  # None before tick 1 and after termination
         self.tick = 0
         self.terminated = False
         self.termination_tick: Optional[int] = None
         # live instance -> settled (status, value), in registration order
         self.store: dict = {}
+        self.live_inputs: tuple = ()  # the store's input instances, in order
         self.initial_conts: dict = {}  # first initial value per cont name
         self.input_names = {d.name for d in program.inputs()}
-        self.sites: dict = {}  # id(flow or TTL node) -> its FlowSite
         self.read_log: Optional[list] = None
 
     # -- state duplication (for search) --
@@ -236,12 +237,13 @@ class TickState:
             raise KernelError("program already terminated", self.tick)
         t = self.tick + 1
         self._validate_inputs(inputs, t)
-        ctx = _TickCtx(self, inputs, t)
+        run, resume, slots = self.code
         try:
+            ctx = _TickCtx(self, inputs, t, slots)
             if self.tick == 0:
-                self.residue = ctx.run(self.program.root, {})
+                self.residue = run(ctx)
             else:
-                self.residue = ctx.resume(self.residue, {})
+                self.residue = resume(ctx, self.residue)
         except KernelError as err:
             if err.tick is None:
                 raise KernelError(err.message, t) from None
@@ -278,54 +280,50 @@ def _disambiguate(name: str, seen: dict) -> str:
     return name if count == 1 else f"{name}:{count}"
 
 
-class _TickCtx:
-    """Per-tick scratch: the settled values reads observe, pending emissions
-    and writes, plus the evaluator."""
+def _is_input(inst) -> bool:
+    return inst.__class__ is SignalInstance and inst.decl.direction == "input"
 
-    def __init__(self, state: TickState, inputs: InputAssignment, t: int):
+
+class _TickCtx:
+    """Per-tick scratch that compiled code reads and writes: the slot
+    environment, the settled values reads observe, pending emissions and
+    writes, and what the tick records for `settle`."""
+
+    __slots__ = (
+        "state", "t", "env", "prev", "emitted", "writes", "labels", "ended",
+        "log", "present", "input_values", "inputs_changed",
+    )
+
+    def __init__(self, state: TickState, inputs: InputAssignment, t: int, slots: int):
         self.state = state
-        self.inputs = inputs
-        self.input_values = inputs.value_map()
         self.t = t
-        # instance -> previous-tick (status, value); settle walks it, so it
-        # also gains the instances registered during this tick, in order
+        self.env = [None] * slots  # declaration slot -> instance; TTL slot -> prediction
+        # instance -> previous-tick (status, value), plus this tick's registrations
         self.prev: dict = dict(state.store)
         self.emitted: set = set()  # instances
         self.writes: dict = {}  # instance -> [value, ...]
-        for inst in state.store:
-            self.latch_input(inst)
-
-    # -- effects --
-
-    def latch_input(self, inst):
-        if not isinstance(inst, SignalInstance):
+        self.labels: list = []  # names of the labels holding a paused point
+        self.ended: set = set()  # instances whose scope ended this tick
+        self.log = state.read_log
+        self.inputs_changed = False
+        if inputs.is_empty():
+            self.present = None  # nothing to latch
             return
-        if inst.decl.direction != "input":
-            return
-        name = inst.decl.name
-        if name in self.inputs.present:
+        self.present = inputs.present
+        self.input_values = inputs.value_map()
+        for inst in state.live_inputs:
+            self.latch(inst)
+
+    def latch(self, inst):
+        decl = inst.decl
+        name = decl.name
+        if name in self.present:
             self.emitted.add(inst)
         if name in self.input_values:
-            if inst.decl.pure:
-                raise KernelError(f"value supplied for pure input {name!r}", self.t)
-            self.writes.setdefault(inst, []).append(
-                _adapt_value(self.input_values[name], inst.decl, self.t)
-            )
-
-    def emit(self, inst):
-        self.emitted.add(inst)
-
-    def write(self, inst, value):
-        self.writes.setdefault(inst, []).append(value)
-
-    def register(self, inst, value):
-        self.prev[inst] = (False, value)
-        if isinstance(inst, ContInstance):
-            name = inst.decl.name
-            if name not in self.state.initial_conts:
-                # copy on write: clones share the dict
-                self.state.initial_conts = {**self.state.initial_conts, name: value}
-        self.latch_input(inst)
+            if decl.pure:
+                raise KernelError(f"value supplied for pure input {name!r}")
+            value = _adapt(self.input_values[name], decl)
+            self.writes.setdefault(inst, []).append(value)
 
     def kill(self, res):
         """Discard a residue subtree: its instances vanish unsettled. A
@@ -337,326 +335,65 @@ class _TickCtx:
             self.prev.pop(inst, None)
             self.writes.pop(inst, None)
             self.emitted.discard(inst)
-
-    # -- reads --
-
-    def read_status(self, inst) -> bool:
-        status = self.prev[inst][0]
-        if self.state.read_log is not None:
-            self.state.read_log.append((self.t, inst.decl.name, "status", status))
-        return status
-
-    def read_value(self, inst):
-        value = self.prev[inst][1]
-        if self.state.read_log is not None:
-            self.state.read_log.append((self.t, inst.decl.name, "value", value))
-        return value
-
-    # -- expression evaluation (previous-tick snapshots only) --
-
-    def eval(self, expr: Expr, frame: dict):
-        if isinstance(expr, NumLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NameRef):
-            inst = self._lookup(expr.name, frame)
-            if isinstance(inst, SignalInstance):
-                return self.read_status(inst)
-            if isinstance(inst, ContInstance):
-                return self.read_value(inst)
-            return inst  # a look-ahead prediction, not a read
-        if isinstance(expr, ValueRef):
-            inst = self._lookup(expr.name, frame)
-            if not isinstance(inst, SignalInstance) or inst.decl.pure:
-                raise KernelError(f"{expr.name!r} has no value", self.t)
-            return self.read_value(inst)
-        if isinstance(expr, Unary):
-            operand = self.eval(expr.operand, frame)
-            return (not operand) if expr.op == "!" else -operand
-        if isinstance(expr, Binary):
-            left = self.eval(expr.left, frame)
-            right = self.eval(expr.right, frame)
-            op = expr.op
-            if op == "&&":
-                return left and right
-            if op == "||":
-                return left or right
-            if op == "==":
-                return left == right
-            if op == "!=":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            return left * right
-        if isinstance(expr, TtlCall):
-            return self._eval_ttl(self._site(expr), expr.invariant, frame)
-        raise KernelError(f"cannot evaluate {expr!r}", self.t)
-
-    def _lookup(self, name: str, frame: dict):
-        inst = frame.get(name)
-        if inst is None:
-            raise KernelError(f"unbound name {name!r}", self.t)
-        return inst
-
-    def _site(self, node) -> FlowSite:
-        """The flow site of a flow action or TTL call, derived once per
-        program."""
-        site = self.state.sites.get(id(node))
-        if site is None:
-            site = self.state.sites[id(node)] = flow_site(node.odes)
-        return site
-
-    def _eval_ttl(self, site: FlowSite, invariant: Expr, frame: dict) -> bool:
-        """The two-tick look-ahead: the invariant, evaluated with the site's
-        variables bound to their predicted values."""
-        vals = {}
-        combine = {}
-        for name in site.vars:
-            inst = self._lookup(name, frame)
-            if not isinstance(inst, ContInstance):
-                raise KernelError(f"{name!r} is not a continuous variable", self.t)
-            vals[name] = self.read_value(inst)
-            if inst.decl.combine is not None:
-                combine[name] = inst.decl.combine
-        delta = ttl_mod.delta_combined(
-            site.odes, site.vars, combine, vals, self.state.cfg.wcrt
-        )
-        result = self.eval(invariant, {**frame, **delta})
-        if not isinstance(result, bool):
-            raise KernelError("invariant did not evaluate to a boolean", self.t)
-        return result
-
-    # -- fresh entry ----------------------------------------------------------
-
-    def run(self, node: Stmt, frame: dict):
-        if isinstance(node, Nothing):
-            return None
-        if isinstance(node, Pause):
-            return PauseRes(node)
-        if isinstance(node, Emit):
-            inst = self._lookup(node.name, frame)
-            if not isinstance(inst, SignalInstance):
-                raise KernelError(f"cannot emit {node.name!r}", self.t)
-            self.emit(inst)
-            return None
-        if isinstance(node, ValueWrite):
-            inst = self._lookup(node.name, frame)
-            if not isinstance(inst, SignalInstance) or inst.decl.pure:
-                raise KernelError(f"{node.name!r} is not a valued signal", self.t)
-            self.write(inst, _adapt_value(self.eval(node.expr, frame), inst.decl, self.t))
-            return None
-        if isinstance(node, ContAssign):
-            inst = self._lookup(node.name, frame)
-            if not isinstance(inst, ContInstance):
-                raise KernelError(f"{node.name!r} is not a continuous variable", self.t)
-            value = self.eval(node.expr, frame)
-            if isinstance(value, bool):
-                raise KernelError(f"boolean written to {node.name!r}", self.t)
-            self.write(inst, Fraction(value))
-            return None
-        if isinstance(node, Seq):
-            for i, stmt in enumerate(node.stmts):
-                res = self.run(stmt, frame)
-                if res is not None:
-                    return SeqRes(node, i, res)
-            return None
-        if isinstance(node, Parallel):
-            children = tuple([self.run(branch, frame) for branch in node.branches])
-            if all(c is None for c in children):
-                return None
-            return ParRes(node, children)
-        if isinstance(node, If):
-            if self.eval(node.cond, frame):
-                res = self.run(node.then, frame)
-                return IfRes(node, 0, res) if res is not None else None
-            res = self.run(node.orelse, frame)
-            return IfRes(node, 1, res) if res is not None else None
-        if isinstance(node, Loop):
-            res = self.run(node.body, frame)
-            if res is None:
-                raise KernelError("loop body completed without pausing", self.t)
-            return LoopRes(node, res)
-        if isinstance(node, Abort):
-            if node.immediate and self.eval(node.guard, frame):
-                return None
-            res = self.run(node.body, frame)
-            return AbortRes(node, res) if res is not None else None
-        if isinstance(node, Suspend):
-            if node.immediate and self.eval(node.guard, frame):
-                return SuspendRes(node, None)
-            res = self.run(node.body, frame)
-            return SuspendRes(node, res) if res is not None else None
-        if isinstance(node, SignalDecl):
-            inst = SignalInstance(node)
-            self.register(inst, self._signal_init(node, frame))
-            res = self.run(node.body, {**frame, node.name: inst})
-            return DeclRes(node, inst, res) if res is not None else None
-        if isinstance(node, ContDecl):
-            init = (
-                Fraction(self.eval(node.init, frame)) if node.init is not None else Fraction(0)
-            )
-            inst = ContInstance(node)
-            self.register(inst, init)
-            res = self.run(node.body, {**frame, node.name: inst})
-            return DeclRes(node, inst, res) if res is not None else None
-        if isinstance(node, ParamDecl):
-            raise KernelError("unbound named constant at runtime", self.t)
-        if isinstance(node, Label):
-            res = self.run(node.body, frame)
-            return LabelRes(node, res) if res is not None else None
-        if isinstance(node, DoUntil):
-            if not self.state.native_flows:
-                raise KernelError(
-                    "flow action reached the kernel without being rewritten", self.t
-                )
-            return self._flow_step(node, frame)
-        raise KernelError(f"unhandled statement {node!r}", self.t)
-
-    def _signal_init(self, node: SignalDecl, frame: dict):
-        if node.pure:
-            return None
-        if node.init is not None:
-            return _adapt_value(self.eval(node.init, frame), node, self.t)
-        if node.stype == "boolean":
-            return False
-        return Fraction(0)
-
-    # -- resumption -----------------------------------------------------------
-
-    def resume(self, res, frame: dict):
-        if isinstance(res, PauseRes):
-            return None
-        if isinstance(res, SeqRes):
-            node = res.node
-            child = self.resume(res.child, frame)
-            if child is not None:
-                return SeqRes(node, res.index, child)
-            for i in range(res.index + 1, len(node.stmts)):
-                nxt = self.run(node.stmts[i], frame)
-                if nxt is not None:
-                    return SeqRes(node, i, nxt)
-            return None
-        if isinstance(res, ParRes):
-            children = tuple([
-                None if c is None else self.resume(c, frame) for c in res.children
-            ])
-            if all(c is None for c in children):
-                return None
-            return ParRes(res.node, children)
-        if isinstance(res, IfRes):
-            child = self.resume(res.child, frame)
-            return IfRes(res.node, res.branch, child) if child is not None else None
-        if isinstance(res, LoopRes):
-            child = self.resume(res.child, frame)
-            if child is not None:
-                return LoopRes(res.node, child)
-            child = self.run(res.node.body, frame)
-            if child is None:
-                raise KernelError("loop body completed without pausing", self.t)
-            return LoopRes(res.node, child)
-        if isinstance(res, AbortRes):
-            if self.eval(res.node.guard, frame):
-                self.kill(res.child)
-                return None
-            child = self.resume(res.child, frame)
-            return AbortRes(res.node, child) if child is not None else None
-        if isinstance(res, SuspendRes):
-            if self.eval(res.node.guard, frame):
-                return res  # frozen: no micro-steps this tick
-            if res.child is None:
-                child = self.run(res.node.body, frame)
-            else:
-                child = self.resume(res.child, frame)
-            return SuspendRes(res.node, child) if child is not None else None
-        if isinstance(res, DeclRes):
-            child = self.resume(res.child, {**frame, res.node.name: res.instance})
-            return DeclRes(res.node, res.instance, child) if child is not None else None
-        if isinstance(res, LabelRes):
-            child = self.resume(res.child, frame)
-            return LabelRes(res.node, child) if child is not None else None
-        if isinstance(res, FlowRes):
-            if res.stop:
-                return None
-            return self._flow_step(res.node, frame)
-        raise AssertionError(f"unhandled residue {res!r}")
-
-    def _flow_step(self, node: DoUntil, frame: dict):
-        """One iteration of a natively interpreted flow: assignments in
-        source order, then the look-ahead; a failed look-ahead terminates
-        the flow on the next resume, exactly like the rewritten form."""
-        site = self._site(node)
-        for name, rate in site.odes:
-            inst = self._lookup(name, frame)
-            if not isinstance(inst, ContInstance):
-                raise KernelError(f"{name!r} is not a continuous variable", self.t)
-            self.write(inst, self.read_value(inst) + rate * self.state.cfg.wcrt)
-        if isinstance(node.invariant, BoolLit) and node.invariant.value:
-            return FlowRes(node, stop=False)
-        ok = self._eval_ttl(site, node.invariant, frame)
-        return FlowRes(node, stop=not ok)
-
-    # -- end of tick ----------------------------------------------------------
+            if _is_input(inst):
+                self.inputs_changed = True
 
     def settle(self) -> TickRecord:
         """Fold the tick's writes into every instance that was live during
         it and name them in registration order; the store keeps the ones
-        still live. An instance whose scope ended this tick settles once."""
-        labels: list = []
-        live: list = []
-        _live_in(self.state.residue, labels, live)
-        live = set(live)
+        whose scope did not end. An instance whose scope ended this tick
+        settles once."""
+        t = self.t
+        writes = self.writes
+        emitted = self.emitted
+        ended = self.ended
         statuses: dict = {}
         values: dict = {}
         conts: dict = {}
         seen: dict = {}
         store: dict = {}
         for inst, (status, value) in self.prev.items():
-            name = _disambiguate(inst.decl.name, seen)
-            writes = self.writes.get(inst)
-            if writes:
-                value = _fold_writes(inst, writes, self.t)
-            if isinstance(inst, SignalInstance):
-                status = inst in self.emitted
+            decl = inst.decl
+            name = _disambiguate(decl.name, seen)
+            pending = writes.get(inst)
+            if pending:
+                value = _fold_writes(inst, pending, t)
+            if inst.__class__ is SignalInstance:
+                status = inst in emitted
                 statuses[name] = status
-                if not inst.decl.pure:
+                if decl.stype is not None:
                     values[name] = value
             else:
                 conts[name] = value
-            if inst in live:
+            if inst not in ended:
                 store[inst] = (status, value)
-        self.state.store = store
+        state = self.state
+        state.store = store
+        if self.inputs_changed:
+            state.live_inputs = tuple([inst for inst in store if _is_input(inst)])
         return TickRecord(
-            tick=self.t,
-            time=self.t * self.state.cfg.wcrt,
+            tick=t,
+            time=t * state.cfg.wcrt,
             statuses=statuses,
             values=values,
             conts=conts,
-            labels=tuple(sorted(labels)),
+            labels=tuple(sorted(self.labels)),
         )
 
 
-def _adapt_value(value, decl: SignalDecl, t: int):
+def _adapt(value, decl: SignalDecl):
+    """Check and convert a value written to a valued signal."""
     kind = decl.stype
     if kind == "boolean":
-        if not isinstance(value, bool):
-            raise KernelError(f"{decl.name!r} holds a boolean value", t)
+        if value.__class__ is not bool:
+            raise KernelError(f"{decl.name!r} holds a boolean value")
         return value
-    if isinstance(value, bool):
-        raise KernelError(f"{decl.name!r} holds a numeric value", t)
-    value = Fraction(value)
+    if value.__class__ is not Fraction:
+        if value.__class__ is bool:
+            raise KernelError(f"{decl.name!r} holds a numeric value")
+        value = Fraction(value)
     if kind == "int" and value.denominator != 1:
-        raise KernelError(f"{decl.name!r} holds an integer value", t)
+        raise KernelError(f"{decl.name!r} holds an integer value")
     return value
 
 
@@ -671,6 +408,449 @@ def _fold_writes(inst, writes: list, t: int):
             t,
         )
     return ttl_mod.combine_fold(op, writes)
+
+
+# --- compilation -------------------------------------------------------------
+
+
+def _fail(message: str):
+    """Code for a misuse: raises when reached, at the tick that reaches it."""
+
+    def fail(ctx, res=None):
+        raise KernelError(message)
+
+    return fail
+
+
+def _misuse(kind, name: str, message: str):
+    """Code for a name that is unbound (`kind` None) or used against the
+    kind of its declaration (`message`)."""
+    return _fail(f"unbound name {name!r}" if kind is None else message)
+
+
+_UNBOUND = (None, None, None)  # the scope entry of a name no declaration binds
+
+
+def _none(ctx):
+    return None
+
+
+def _done(ctx, res):
+    return None
+
+
+def _reader(slot: int, name: str, kind: str, index: int):
+    """A read of the previous-tick status (index 0) or value (index 1) of
+    the instance in `slot`, logged when the state records reads."""
+
+    def read(ctx):
+        value = ctx.prev[ctx.env[slot]][index]
+        if ctx.log is not None:
+            ctx.log.append((ctx.t, name, kind, value))
+        return value
+
+    return read
+
+
+_BINARY = {
+    "&&": lambda a, b: a and b,  # both operands are evaluated first
+    "||": lambda a, b: a or b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+}
+
+
+class _Compiler:
+    """Translates statements into (run, resume) closure pairs and
+    expressions into closures. A scope maps each visible name to
+    (kind, slot, declaration), kind being "signal", "cont" or "pred" (a
+    look-ahead prediction); `slots` counts the environment slots."""
+
+    def __init__(self, cfg: RewriteConfig, native_flows: bool):
+        self.wcrt = cfg.wcrt
+        self.native_flows = native_flows
+        self.slots = 0
+
+    def slot(self) -> int:
+        self.slots += 1
+        return self.slots - 1
+
+    def stmt(self, node: Stmt, scope: dict):
+        build = getattr(self, "_" + node.__class__.__name__, None)
+        if build is None:
+            return _fail(f"unhandled statement {node!r}"), None
+        return build(node, scope)
+
+    # -- leaves --
+
+    def _Nothing(self, node, scope):
+        return _none, None
+
+    def _Pause(self, node, scope):
+        res = PauseRes(node)
+        return (lambda ctx: res), _done
+
+    def _Emit(self, node, scope):
+        kind, slot, _ = scope.get(node.name, _UNBOUND)
+        if kind != "signal":
+            return _misuse(kind, node.name, f"cannot emit {node.name!r}"), None
+
+        def run(ctx):
+            ctx.emitted.add(ctx.env[slot])
+
+        return run, None
+
+    def _ValueWrite(self, node, scope):
+        kind, slot, decl = scope.get(node.name, _UNBOUND)
+        if kind != "signal" or decl.pure:
+            return _misuse(kind, node.name, f"{node.name!r} is not a valued signal"), None
+        expr = self.expr(node.expr, scope)
+
+        def run(ctx):
+            inst = ctx.env[slot]
+            ctx.writes.setdefault(inst, []).append(_adapt(expr(ctx), decl))
+
+        return run, None
+
+    def _ContAssign(self, node, scope):
+        name = node.name
+        kind, slot, _ = scope.get(name, _UNBOUND)
+        if kind != "cont":
+            return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
+        expr = self.expr(node.expr, scope)
+
+        def run(ctx):
+            value = expr(ctx)
+            if value.__class__ is not Fraction:
+                if value.__class__ is bool:
+                    raise KernelError(f"boolean written to {name!r}")
+                value = Fraction(value)
+            ctx.writes.setdefault(ctx.env[slot], []).append(value)
+
+        return run, None
+
+    # -- control --
+
+    def block(self, nodes, scope):
+        """The run and the resume code of each statement of `nodes`."""
+        return tuple(zip(*[self.stmt(node, scope) for node in nodes]))
+
+    def _Seq(self, node, scope):
+        runs, resumes = self.block(node.stmts, scope)
+        count = len(runs)
+
+        def run(ctx, start=0):
+            for i in range(start, count):
+                res = runs[i](ctx)
+                if res is not None:
+                    return SeqRes(node, i, res)
+            return None
+
+        def resume(ctx, res):
+            i = res.index
+            child = resumes[i](ctx, res.child)
+            if child is not None:
+                return SeqRes(node, i, child)
+            return run(ctx, i + 1)
+
+        return run, resume
+
+    def _Parallel(self, node, scope):
+        runs, resumes = self.block(node.branches, scope)
+        count = len(runs)
+
+        def run(ctx):
+            children = tuple([r(ctx) for r in runs])
+            return None if children.count(None) == count else ParRes(node, children)
+
+        def resume(ctx, res):
+            children = tuple([
+                None if c is None else r(ctx, c) for r, c in zip(resumes, res.children)
+            ])
+            return None if children.count(None) == count else ParRes(node, children)
+
+        return run, resume
+
+    def _If(self, node, scope):
+        cond = self.expr(node.cond, scope)
+        (then_run, else_run), resumes = self.block((node.then, node.orelse), scope)
+
+        def run(ctx):
+            branch = 0 if cond(ctx) else 1
+            res = (then_run if branch == 0 else else_run)(ctx)
+            return IfRes(node, branch, res) if res is not None else None
+
+        def resume(ctx, res):
+            branch = res.branch
+            child = resumes[branch](ctx, res.child)
+            return IfRes(node, branch, child) if child is not None else None
+
+        return run, resume
+
+    def _Loop(self, node, scope):
+        body_run, body_resume = self.stmt(node.body, scope)
+
+        def run(ctx):
+            res = body_run(ctx)
+            if res is None:
+                raise KernelError("loop body completed without pausing")
+            return LoopRes(node, res)
+
+        def resume(ctx, res):
+            child = body_resume(ctx, res.child)
+            if child is not None:
+                return LoopRes(node, child)
+            return run(ctx)
+
+        return run, resume
+
+    def _Abort(self, node, scope):
+        guard = self.expr(node.guard, scope)
+        immediate = node.immediate
+        body_run, body_resume = self.stmt(node.body, scope)
+
+        def run(ctx):
+            if immediate and guard(ctx):
+                return None
+            res = body_run(ctx)
+            return AbortRes(node, res) if res is not None else None
+
+        def resume(ctx, res):
+            if guard(ctx):
+                ctx.kill(res.child)
+                return None
+            child = body_resume(ctx, res.child)
+            return AbortRes(node, child) if child is not None else None
+
+        return run, resume
+
+    def _Suspend(self, node, scope):
+        guard = self.expr(node.guard, scope)
+        immediate = node.immediate
+        body_run, body_resume = self.stmt(node.body, scope)
+
+        def run(ctx):
+            if immediate and guard(ctx):
+                return SuspendRes(node, None)
+            res = body_run(ctx)
+            return SuspendRes(node, res) if res is not None else None
+
+        def resume(ctx, res):
+            if guard(ctx):
+                # frozen: no micro-steps this tick, but its labels still hold
+                _live_in(res.child, ctx.labels, [])
+                return res
+            if res.child is None:
+                child = body_run(ctx)
+            else:
+                child = body_resume(ctx, res.child)
+            return SuspendRes(node, child) if child is not None else None
+
+        return run, resume
+
+    def _Label(self, node, scope):
+        body_run, body_resume = self.stmt(node.body, scope)
+        name = node.name
+
+        def run(ctx):
+            res = body_run(ctx)
+            if res is None:
+                return None
+            ctx.labels.append(name)
+            return LabelRes(node, res)
+
+        def resume(ctx, res):
+            child = body_resume(ctx, res.child)
+            if child is None:
+                return None
+            ctx.labels.append(name)
+            return LabelRes(node, child)
+
+        return run, resume
+
+    # -- declarations --
+
+    def _SignalDecl(self, node, scope):
+        if node.pure:
+            init = _none
+        elif node.init is not None:
+            expr = self.expr(node.init, scope)
+            init = lambda ctx: _adapt(expr(ctx), node)  # noqa: E731
+        else:
+            default = False if node.stype == "boolean" else Fraction(0)
+            init = lambda ctx: default  # noqa: E731
+        return self._declare(node, scope, "signal", SignalInstance, init)
+
+    def _ContDecl(self, node, scope):
+        if node.init is not None:
+            expr = self.expr(node.init, scope)
+
+            def init(ctx):
+                value = expr(ctx)
+                return value if value.__class__ is Fraction else Fraction(value)
+        else:
+            zero = Fraction(0)
+            init = lambda ctx: zero  # noqa: E731
+        return self._declare(node, scope, "cont", ContInstance, init)
+
+    def _declare(self, node, scope, kind, make, init):
+        """A declaration's code: a new instance in a fresh slot, registered
+        with its initial value (read in the outer scope) before the body
+        runs; the instance ends with the body."""
+        slot = self.slot()
+        body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
+        name = node.name
+        is_cont = kind == "cont"
+        is_input = getattr(node, "direction", None) == "input"
+
+        def run(ctx):
+            value = init(ctx)
+            inst = make(node)
+            ctx.prev[inst] = (False, value)
+            if is_cont and name not in ctx.state.initial_conts:
+                # copy on write: clones share the dict
+                ctx.state.initial_conts = {**ctx.state.initial_conts, name: value}
+            if is_input:
+                ctx.inputs_changed = True
+                if ctx.present is not None:
+                    ctx.latch(inst)
+            ctx.env[slot] = inst
+            child = body_run(ctx)
+            return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
+
+        def resume(ctx, res):
+            inst = res.instance
+            ctx.env[slot] = inst
+            child = body_resume(ctx, res.child)
+            return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
+
+        def end(ctx, inst):
+            ctx.ended.add(inst)
+            if is_input:
+                ctx.inputs_changed = True
+
+        return run, resume
+
+    def _ParamDecl(self, node, scope):
+        return _fail("unbound named constant at runtime"), None
+
+    # -- flows --
+
+    def _DoUntil(self, node, scope):
+        """A natively interpreted flow: per iteration the assignments in
+        source order, then the look-ahead; a failed look-ahead terminates
+        the flow on the next resume, exactly like the rewritten form."""
+        if not self.native_flows:
+            return _fail("flow action reached the kernel without being rewritten"), None
+        site = flow_site(node.odes)
+        steps = []
+        for name, rate in site.odes:
+            kind, slot, _ = scope.get(name, _UNBOUND)
+            if kind != "cont":
+                return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
+            steps.append((slot, _reader(slot, name, "value", 1), rate * self.wcrt))
+        going, stopping = FlowRes(node, stop=False), FlowRes(node, stop=True)
+        always = isinstance(node.invariant, BoolLit) and node.invariant.value
+        lookahead = None if always else self._lookahead(site, node.invariant, scope)
+
+        def run(ctx):
+            env, writes = ctx.env, ctx.writes
+            for slot, read, step in steps:
+                value = read(ctx) + step
+                writes.setdefault(env[slot], []).append(value)
+            if lookahead is None or lookahead(ctx):
+                return going
+            return stopping
+
+        def resume(ctx, res):
+            return None if res.stop else run(ctx)
+
+        return run, resume
+
+    def _lookahead(self, site, invariant, scope):
+        """The two-tick look-ahead: reads the site's variables, puts their
+        predictions in slots of its own that shadow them for the whole
+        invariant, and evaluates the invariant."""
+        reads, slots, combine = [], [], {}
+        inner = dict(scope)
+        for name in site.vars:
+            kind, slot, decl = scope.get(name, _UNBOUND)
+            if kind == "cont":
+                reads.append(_reader(slot, name, "value", 1))
+                if decl.combine is not None:
+                    combine[name] = decl.combine
+            else:
+                reads.append(_misuse(kind, name, f"{name!r} is not a continuous variable"))
+            slots.append(self.slot())
+            inner[name] = ("pred", slots[-1], None)
+        predicts = ttl_mod.predictors(site.odes, site.vars, combine, self.wcrt)
+        check = self.expr(invariant, inner)
+        if len(reads) == 1:
+            (read,), (slot,), (predict,) = reads, slots, predicts
+
+            def predict_all(ctx):
+                ctx.env[slot] = predict(read(ctx))
+        else:
+            targets = tuple(zip(slots, predicts))
+
+            def predict_all(ctx):
+                values = [read(ctx) for read in reads]
+                env = ctx.env
+                for (slot, predict), value in zip(targets, values):
+                    env[slot] = predict(value)
+
+        def lookahead(ctx):
+            predict_all(ctx)
+            result = check(ctx)
+            if result.__class__ is not bool:
+                raise KernelError("invariant did not evaluate to a boolean")
+            return result
+
+        return lookahead
+
+    # -- expressions (previous-tick snapshots only) --
+
+    def expr(self, node, scope):
+        cls = node.__class__
+        if cls is NumLit or cls is BoolLit:
+            value = node.value
+            return lambda ctx: value
+        if cls is NameRef:
+            kind, slot, _ = scope.get(node.name, _UNBOUND)
+            if kind is None:
+                return _fail(f"unbound name {node.name!r}")
+            if kind == "signal":
+                return _reader(slot, node.name, "status", 0)
+            if kind == "cont":
+                return _reader(slot, node.name, "value", 1)
+            return lambda ctx: ctx.env[slot]  # a look-ahead prediction, not a read
+        if cls is ValueRef:
+            kind, slot, decl = scope.get(node.name, _UNBOUND)
+            if kind != "signal" or decl.pure:
+                return _misuse(kind, node.name, f"{node.name!r} has no value")
+            return _reader(slot, node.name, "value", 1)
+        if cls is Unary:
+            operand = self.expr(node.operand, scope)
+            if node.op == "!":
+                return lambda ctx: not operand(ctx)
+            return lambda ctx: -operand(ctx)
+        if cls is Binary:
+            fn = _BINARY.get(node.op, operator.mul)
+            left = self.expr(node.left, scope)
+            if node.right.__class__ in (NumLit, BoolLit):
+                constant = node.right.value
+                return lambda ctx: fn(left(ctx), constant)
+            right = self.expr(node.right, scope)
+            return lambda ctx: fn(left(ctx), right(ctx))
+        if cls is TtlCall:
+            return self._lookahead(flow_site(node.odes), node.invariant, scope)
+        return _fail(f"cannot evaluate {node!r}")
 
 
 # --- module-level operations -------------------------------------------------
