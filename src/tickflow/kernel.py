@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import KernelError
+from .errors import KernelError, NonConstantRateError
 from .rewrite import RewriteConfig, flow_site
 from .syntax.nodes import (
     Binary,
@@ -207,7 +207,6 @@ class TickState:
             )
         self.program = program
         self.cfg = cfg
-        self.native_flows = native_flows
         compiler = _Compiler(cfg, native_flows)
         run, resume = compiler.stmt(program.root, {})
         self.code = (run, resume, compiler.slots)
@@ -343,21 +342,18 @@ class _TickCtx:
         it and name them in registration order; the store keeps the ones
         whose scope did not end. An instance whose scope ended this tick
         settles once."""
-        t = self.t
-        writes = self.writes
-        emitted = self.emitted
-        ended = self.ended
-        statuses: dict = {}
-        values: dict = {}
-        conts: dict = {}
-        seen: dict = {}
-        store: dict = {}
+        t, writes, emitted, ended = self.t, self.writes, self.emitted, self.ended
+        statuses, values, conts, seen, store = {}, {}, {}, {}, {}
         for inst, (status, value) in self.prev.items():
             decl = inst.decl
-            name = _disambiguate(decl.name, seen)
+            name = decl.name
+            if name in seen:
+                name = _disambiguate(name, seen)
+            else:
+                seen[name] = 1
             pending = writes.get(inst)
             if pending:
-                value = _fold_writes(inst, pending, t)
+                value = pending[0] if len(pending) == 1 else _fold_writes(inst, pending, t)
             if inst.__class__ is SignalInstance:
                 status = inst in emitted
                 statuses[name] = status
@@ -398,8 +394,6 @@ def _adapt(value, decl: SignalDecl):
 
 
 def _fold_writes(inst, writes: list, t: int):
-    if len(writes) == 1:
-        return writes[0]
     op = inst.decl.combine
     if op is None:
         raise KernelError(
@@ -413,13 +407,22 @@ def _fold_writes(inst, writes: list, t: int):
 # --- compilation -------------------------------------------------------------
 
 
-def _fail(message: str):
+def _fail(message: str, error=KernelError, *args):
     """Code for a misuse: raises when reached, at the tick that reaches it."""
 
     def fail(ctx, res=None):
-        raise KernelError(message)
+        raise error(message, *args)
 
     return fail
+
+
+def _site(odes):
+    """The flow site of `odes`, or the code that raises when its rates do
+    not fold to constants."""
+    try:
+        return flow_site(odes), None
+    except NonConstantRateError as err:
+        return None, _fail(err.message, NonConstantRateError, err.line, err.col)
 
 
 def _misuse(kind, name: str, message: str):
@@ -431,11 +434,8 @@ def _misuse(kind, name: str, message: str):
 _UNBOUND = (None, None, None)  # the scope entry of a name no declaration binds
 
 
-def _none(ctx):
-    return None
-
-
-def _done(ctx, res):
+def _none(ctx, res=None):
+    """Code that leaves no residue, as a run or as a resume."""
     return None
 
 
@@ -452,17 +452,11 @@ def _reader(slot: int, name: str, kind: str, index: int):
     return read
 
 
-_BINARY = {
+_BINARY = {  # any other operator multiplies
     "&&": lambda a, b: a and b,  # both operands are evaluated first
     "||": lambda a, b: a or b,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "+": operator.add,
-    "-": operator.sub,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
 }
 
 
@@ -482,21 +476,21 @@ class _Compiler:
         return self.slots - 1
 
     def stmt(self, node: Stmt, scope: dict):
-        build = getattr(self, "_" + node.__class__.__name__, None)
+        build = getattr(self, "stmt_" + node.__class__.__name__, None)
         if build is None:
             return _fail(f"unhandled statement {node!r}"), None
         return build(node, scope)
 
     # -- leaves --
 
-    def _Nothing(self, node, scope):
+    def stmt_Nothing(self, node, scope):
         return _none, None
 
-    def _Pause(self, node, scope):
+    def stmt_Pause(self, node, scope):
         res = PauseRes(node)
-        return (lambda ctx: res), _done
+        return (lambda ctx: res), _none
 
-    def _Emit(self, node, scope):
+    def stmt_Emit(self, node, scope):
         kind, slot, _ = scope.get(node.name, _UNBOUND)
         if kind != "signal":
             return _misuse(kind, node.name, f"cannot emit {node.name!r}"), None
@@ -506,7 +500,7 @@ class _Compiler:
 
         return run, None
 
-    def _ValueWrite(self, node, scope):
+    def stmt_ValueWrite(self, node, scope):
         kind, slot, decl = scope.get(node.name, _UNBOUND)
         if kind != "signal" or decl.pure:
             return _misuse(kind, node.name, f"{node.name!r} is not a valued signal"), None
@@ -518,7 +512,7 @@ class _Compiler:
 
         return run, None
 
-    def _ContAssign(self, node, scope):
+    def stmt_ContAssign(self, node, scope):
         name = node.name
         kind, slot, _ = scope.get(name, _UNBOUND)
         if kind != "cont":
@@ -541,7 +535,7 @@ class _Compiler:
         """The run and the resume code of each statement of `nodes`."""
         return tuple(zip(*[self.stmt(node, scope) for node in nodes]))
 
-    def _Seq(self, node, scope):
+    def stmt_Seq(self, node, scope):
         runs, resumes = self.block(node.stmts, scope)
         count = len(runs)
 
@@ -561,7 +555,7 @@ class _Compiler:
 
         return run, resume
 
-    def _Parallel(self, node, scope):
+    def stmt_Parallel(self, node, scope):
         runs, resumes = self.block(node.branches, scope)
         count = len(runs)
 
@@ -577,13 +571,13 @@ class _Compiler:
 
         return run, resume
 
-    def _If(self, node, scope):
+    def stmt_If(self, node, scope):
         cond = self.expr(node.cond, scope)
-        (then_run, else_run), resumes = self.block((node.then, node.orelse), scope)
+        runs, resumes = self.block((node.then, node.orelse), scope)
 
         def run(ctx):
             branch = 0 if cond(ctx) else 1
-            res = (then_run if branch == 0 else else_run)(ctx)
+            res = runs[branch](ctx)
             return IfRes(node, branch, res) if res is not None else None
 
         def resume(ctx, res):
@@ -593,7 +587,7 @@ class _Compiler:
 
         return run, resume
 
-    def _Loop(self, node, scope):
+    def stmt_Loop(self, node, scope):
         body_run, body_resume = self.stmt(node.body, scope)
 
         def run(ctx):
@@ -610,7 +604,7 @@ class _Compiler:
 
         return run, resume
 
-    def _Abort(self, node, scope):
+    def stmt_Abort(self, node, scope):
         guard = self.expr(node.guard, scope)
         immediate = node.immediate
         body_run, body_resume = self.stmt(node.body, scope)
@@ -630,7 +624,7 @@ class _Compiler:
 
         return run, resume
 
-    def _Suspend(self, node, scope):
+    def stmt_Suspend(self, node, scope):
         guard = self.expr(node.guard, scope)
         immediate = node.immediate
         body_run, body_resume = self.stmt(node.body, scope)
@@ -654,7 +648,7 @@ class _Compiler:
 
         return run, resume
 
-    def _Label(self, node, scope):
+    def stmt_Label(self, node, scope):
         body_run, body_resume = self.stmt(node.body, scope)
         name = node.name
 
@@ -676,7 +670,7 @@ class _Compiler:
 
     # -- declarations --
 
-    def _SignalDecl(self, node, scope):
+    def stmt_SignalDecl(self, node, scope):
         if node.pure:
             init = _none
         elif node.init is not None:
@@ -687,16 +681,13 @@ class _Compiler:
             init = lambda ctx: default  # noqa: E731
         return self._declare(node, scope, "signal", SignalInstance, init)
 
-    def _ContDecl(self, node, scope):
-        if node.init is not None:
-            expr = self.expr(node.init, scope)
+    def stmt_ContDecl(self, node, scope):
+        expr = self.expr(NumLit(Fraction(0)) if node.init is None else node.init, scope)
 
-            def init(ctx):
-                value = expr(ctx)
-                return value if value.__class__ is Fraction else Fraction(value)
-        else:
-            zero = Fraction(0)
-            init = lambda ctx: zero  # noqa: E731
+        def init(ctx):
+            value = expr(ctx)
+            return value if value.__class__ is Fraction else Fraction(value)
+
         return self._declare(node, scope, "cont", ContInstance, init)
 
     def _declare(self, node, scope, kind, make, init):
@@ -707,7 +698,7 @@ class _Compiler:
         body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
         name = node.name
         is_cont = kind == "cont"
-        is_input = getattr(node, "direction", None) == "input"
+        is_input = not is_cont and node.direction == "input"
 
         def run(ctx):
             value = init(ctx)
@@ -737,18 +728,20 @@ class _Compiler:
 
         return run, resume
 
-    def _ParamDecl(self, node, scope):
+    def stmt_ParamDecl(self, node, scope):
         return _fail("unbound named constant at runtime"), None
 
     # -- flows --
 
-    def _DoUntil(self, node, scope):
+    def stmt_DoUntil(self, node, scope):
         """A natively interpreted flow: per iteration the assignments in
         source order, then the look-ahead; a failed look-ahead terminates
         the flow on the next resume, exactly like the rewritten form."""
         if not self.native_flows:
             return _fail("flow action reached the kernel without being rewritten"), None
-        site = flow_site(node.odes)
+        site, fail = _site(node.odes)
+        if fail is not None:
+            return fail, None
         steps = []
         for name, rate in site.odes:
             kind, slot, _ = scope.get(name, _UNBOUND)
@@ -849,7 +842,8 @@ class _Compiler:
             right = self.expr(node.right, scope)
             return lambda ctx: fn(left(ctx), right(ctx))
         if cls is TtlCall:
-            return self._lookahead(flow_site(node.odes), node.invariant, scope)
+            site, fail = _site(node.odes)
+            return fail or self._lookahead(site, node.invariant, scope)
         return _fail(f"cannot evaluate {node!r}")
 
 
