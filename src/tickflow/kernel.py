@@ -207,7 +207,7 @@ class TickState:
             )
         self.program = program
         self.cfg = cfg
-        compiler = _Compiler(cfg, native_flows)
+        compiler = _Compiler(cfg)
         run, resume = compiler.stmt(program.root, {})
         self.code = (run, resume, compiler.slots)
         self.residue = None  # None before tick 1 and after termination
@@ -416,7 +416,7 @@ def _fail(message: str, error=KernelError, *args):
     return fail
 
 
-def _site(odes):
+def _folded_site(odes):
     """The flow site of `odes`, or the code that raises when its rates do
     not fold to constants."""
     try:
@@ -466,9 +466,8 @@ class _Compiler:
     (kind, slot, declaration), kind being "signal", "cont" or "pred" (a
     look-ahead prediction); `slots` counts the environment slots."""
 
-    def __init__(self, cfg: RewriteConfig, native_flows: bool):
+    def __init__(self, cfg: RewriteConfig):
         self.wcrt = cfg.wcrt
-        self.native_flows = native_flows
         self.slots = 0
 
     def slot(self) -> int:
@@ -728,18 +727,14 @@ class _Compiler:
 
         return run, resume
 
-    def stmt_ParamDecl(self, node, scope):
-        return _fail("unbound named constant at runtime"), None
-
     # -- flows --
 
     def stmt_DoUntil(self, node, scope):
         """A natively interpreted flow: per iteration the assignments in
         source order, then the look-ahead; a failed look-ahead terminates
-        the flow on the next resume, exactly like the rewritten form."""
-        if not self.native_flows:
-            return _fail("flow action reached the kernel without being rewritten"), None
-        site, fail = _site(node.odes)
+        the flow on the next resume, exactly like the rewritten form. Only
+        a state built with native flows holds one."""
+        site, fail = _folded_site(node.odes)
         if fail is not None:
             return fail, None
         steps = []
@@ -842,7 +837,7 @@ class _Compiler:
             right = self.expr(node.right, scope)
             return lambda ctx: fn(left(ctx), right(ctx))
         if cls is TtlCall:
-            site, fail = _site(node.odes)
+            site, fail = _folded_site(node.odes)
             return fail or self._lookahead(site, node.invariant, scope)
         return _fail(f"cannot evaluate {node!r}")
 

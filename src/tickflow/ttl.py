@@ -59,11 +59,7 @@ def _predictor(v: str, rates: tuple, op, wcrt: Fraction):
     if len(rates) == 1:
         step = 2 * rates[0] * wcrt
         return lambda value: value + step
-    if not rates:
-        message = f"variable {v!r} has no rate in this site"
-    elif op is None:
-        message = f"variable {v!r} has simultaneous rates but no combine operator"
-    else:
+    if rates and op is not None:
         steps = tuple(rate * wcrt for rate in rates)
 
         def predict(value):
@@ -72,6 +68,10 @@ def _predictor(v: str, rates: tuple, op, wcrt: Fraction):
             return value
 
         return predict
+    if not rates:
+        message = f"variable {v!r} has no rate in this site"
+    else:
+        message = f"variable {v!r} has simultaneous rates but no combine operator"
 
     def fail(value):
         raise KernelError(message)

@@ -377,6 +377,14 @@ def test_labels_mark_paused_positions():
     assert trace.record(2).labels == ("WAITING",)
     assert trace.record(3).labels == ("RUNNING",)  # the kill tick moves on
     assert trace.terminated
+    # a frozen body's labels still hold a paused point, and so does a
+    # label resumed at its first pause
+    source = """
+    input signal HOLD;
+    { suspend (HOLD) loop { WAITING: pause } } || { loop RUNNING: { pause; pause } }
+    """
+    trace = _run(source, schedule={2: InputAssignment.make(present=["HOLD"])}, max_ticks=4)
+    assert [trace.record(t).labels for t in (1, 2, 3, 4)] == [("RUNNING", "WAITING")] * 4
 
 
 # --- determinism -------------------------------------------------------------------
