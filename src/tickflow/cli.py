@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import (
+    AutomatonError,
     CompileError,
     ScheduleError,
     SearchLimitError,
@@ -108,14 +109,23 @@ def load_alphabet(path: str) -> InputAlphabet:
                 f"{path}: alphabet entry {name!r}: 'statuses' must be a non-empty "
                 "list of 'absent' and 'present'"
             )
-        statuses[name] = tuple(chosen)
+        statuses[name] = _distinct(path, name, "statuses", chosen)
         if "values" in spec:
             if not isinstance(spec["values"], list):
                 raise ScheduleError(
                     f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"
                 )
-            values[name] = tuple(_rational(path, v) for v in spec["values"])
+            picked = [_rational(path, v) for v in spec["values"]]
+            values[name] = _distinct(path, name, "values", picked)
     return InputAlphabet.make(statuses, values)
+
+
+def _distinct(path: str, name: str, key: str, items: list) -> tuple:
+    """`items` as a tuple; a repeat would make the search advance the same
+    choice twice, so it is an error."""
+    if len(set(items)) < len(items):
+        raise ScheduleError(f"{path}: alphabet entry {name!r}: {key!r} repeats an entry")
+    return tuple(items)
 
 
 def _known_keys(path: str, where: str, entry: dict, keys: tuple):
@@ -147,7 +157,6 @@ def _load_program(path: str, params: dict, wcrt: Fraction):
         source = fh.read()
     program = parse(source)
     bound = bind_params(program, params)
-    reject_nonlinear_combine(bound)
     return rewrite_flows(bound, RewriteConfig(wcrt))
 
 
@@ -211,6 +220,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except ScheduleError as err:  # names the file beside the program at fault
+        print(err, file=sys.stderr)
+        return 2
     except (CompileError, TickflowError) as err:
         prog_path = getattr(args, "program", None) or getattr(args, "matrices", "")
         print(f"{prog_path}:{err}", file=sys.stderr)
@@ -314,7 +326,11 @@ def _dispatch(args) -> int:
         wcrt = _wcrt(args.wcrt)
         params = _parse_params(args.param)
         with open(args.ha, "r", encoding="utf-8") as fh:
-            automaton = parse_automaton(fh.read(), params)
+            text = fh.read()
+        try:
+            automaton = parse_automaton(text, params)
+        except AutomatonError as err:
+            raise ScheduleError(f"{args.ha}:{err}") from None
         rewritten_input = args.program
         with open(rewritten_input, "r", encoding="utf-8") as fh:
             program = bind_params(parse(fh.read()), params)

@@ -70,8 +70,9 @@ class KernelError(TickflowError):
 
 
 class ScheduleError(TickflowError):
-    """An input-schedule file is malformed or inconsistent with the
-    program's declared inputs."""
+    """An input schedule, input alphabet, variable map or command-line
+    automaton file is malformed, and the message names it; or an alphabet
+    lacks the values a valued input needs."""
 
 
 class MatrixError(TickflowError):
@@ -79,7 +80,13 @@ class MatrixError(TickflowError):
 
 
 class AutomatonError(TickflowError):
-    """A hybrid-automaton description is malformed."""
+    """A hybrid-automaton description is malformed, at `line` of its text
+    when that is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.message = message
+        self.line = line
+        super().__init__(message if line is None else f"{line}: {message}")
 
 
 class DeadlockError(TickflowError):

@@ -222,12 +222,10 @@ class HaTrace:
         raise AutomatonError(f"time {t} beyond the simulated horizon")
 
 
-def ha_simulate(
-    ha: HybridAutomaton,
-    horizon: Fraction,
-    use_delays: bool = False,
-    max_switches: int = 10_000,
-) -> HaTrace:
+_MAX_SWITCHES = 10_000  # beyond this many switches a run is taken for a livelock
+
+
+def ha_simulate(ha: HybridAutomaton, horizon: Fraction, use_delays: bool = False) -> HaTrace:
     """Simulate with urgent switching up to the horizon.
 
     `use_delays` turns on the per-edge delays (the clocked-controller
@@ -265,7 +263,7 @@ def ha_simulate(
         )
         zero_dwell = zero_dwell + 1 if dwell == 0 else 0
         switches += 1
-        if switches > max_switches or zero_dwell > len(ha.locations) + len(ha.edges):
+        if switches > _MAX_SWITCHES or zero_dwell > len(ha.locations) + len(ha.edges):
             raise AutomatonError("switch livelock: no time passes")
         loc = ha.locations[edge.target]
         valuation = after
@@ -499,52 +497,60 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
             )
             current = None
 
-    for raw in text.splitlines():
+    init_line = None
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        head = parts[0]
-        if head == "var":
-            variables.extend(parts[1:])
-        elif head == "location":
-            close_location()
-            if len(parts) != 2:
-                raise AutomatonError(f"bad location line: {line!r}")
-            current = {"name": parts[1], "rates": {}, "inv": []}
-        elif head == "rate":
-            if current is None or len(parts) != 3:
-                raise AutomatonError(f"bad rate line: {line!r}")
-            current["rates"][parts[1]] = _rate_value(parts[2], params)
-        elif head == "inv":
-            if current is None:
-                raise AutomatonError(f"invariant outside a location: {line!r}")
-            current["inv"].append(_parse_comparison(" ".join(parts[1:]), variables, params))
-        elif head == "init":
-            close_location()
-            if len(parts) < 2:
-                raise AutomatonError(f"bad init line: {line!r}")
-            initial_location = parts[1]
-            rest = " ".join(parts[2:])
-            for assign in rest.split(","):
-                assign = assign.strip()
-                if not assign:
-                    continue
-                var, _, value = assign.partition("=")
-                initial_valuation[var.strip()] = _rate_value(value.strip(), params)
-        elif head == "edge":
-            close_location()
-            edges.append(_parse_edge(line, variables, params))
-        else:
-            raise AutomatonError(f"unrecognized line: {line!r}")
+        try:
+            parts = line.split()
+            head = parts[0]
+            if head == "var":
+                variables.extend(parts[1:])
+            elif head == "location":
+                close_location()
+                if len(parts) != 2:
+                    raise AutomatonError(f"bad location line: {line!r}")
+                current = {"name": parts[1], "rates": {}, "inv": []}
+            elif head == "rate":
+                if current is None or len(parts) != 3:
+                    raise AutomatonError(f"bad rate line: {line!r}")
+                current["rates"][parts[1]] = _rate_value(parts[2], params)
+            elif head == "inv":
+                if current is None:
+                    raise AutomatonError(f"invariant outside a location: {line!r}")
+                current["inv"].append(_parse_comparison(" ".join(parts[1:]), variables, params))
+            elif head == "init":
+                close_location()
+                if len(parts) < 2:
+                    raise AutomatonError(f"bad init line: {line!r}")
+                initial_location = parts[1]
+                init_line = number
+                rest = " ".join(parts[2:])
+                for assign in rest.split(","):
+                    assign = assign.strip()
+                    if not assign:
+                        continue
+                    var, _, value = assign.partition("=")
+                    initial_valuation[var.strip()] = _rate_value(value.strip(), params)
+            elif head == "edge":
+                close_location()
+                edges.append(_parse_edge(line, variables, params))
+            else:
+                raise AutomatonError(f"unrecognized line: {line!r}")
+        except AutomatonError as err:
+            raise AutomatonError(err.message, number) from None
     close_location()
     if initial_location is None:
         raise AutomatonError("no init line")
     for var in variables:
         initial_valuation.setdefault(var, Fraction(0))
-    return HybridAutomaton(
-        tuple(variables), locations, tuple(edges), initial_location, initial_valuation
-    )
+    try:
+        return HybridAutomaton(
+            tuple(variables), locations, tuple(edges), initial_location, initial_valuation
+        )
+    except AutomatonError as err:  # the initial location and valuation
+        raise AutomatonError(err.message, init_line) from None
 
 
 def _rate_value(token: str, params: dict) -> Fraction:

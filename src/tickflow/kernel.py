@@ -20,9 +20,10 @@ look-ahead puts its predictions in slots of its own. Misuse, such as an
 unbound name or an `emit` of a continuous variable, compiles to code that
 raises the same `KernelError` at the tick that reaches it.
 
-The machine state between ticks is a residue, an immutable tree that
-mirrors the paused part of the program, and a store mapping each live
-declaration instance to its settled (status, value) in registration order.
+The machine state between ticks is a residue, an immutable tree of the
+paused points of the program, and a store mapping each live declaration
+instance to its settled (status, value) in registration order. A loop or
+an abort resumes its body's residue, so neither adds a node of its own.
 A tick builds a new residue and a new store and never mutates the old ones,
 so states share them and `TickState.clone` copies only fields. The tick
 records the labels that hold a paused point as it builds the residue, and
@@ -83,19 +84,10 @@ EMPTY_INPUTS = InputAssignment()
 # --- declaration instances ---------------------------------------------------
 
 
-class SignalInstance:
-    """One entry of a signal declaration's scope: an identity token whose
-    settled (status, value) lives in `TickState.store`."""
-
-    __slots__ = ("decl",)
-
-    def __init__(self, decl: SignalDecl):
-        self.decl = decl
-
-
-class ContInstance:
-    """One entry of a continuous variable's scope; its settled status in
-    the store is always False."""
+class Instance:
+    """One entry of a declaration's scope: an identity token whose settled
+    (status, value) lives in `TickState.store`. `decl` tells a signal from
+    a continuous variable, whose settled status is always False."""
 
     __slots__ = ("decl",)
 
@@ -106,11 +98,14 @@ class ContInstance:
 # --- residues ----------------------------------------------------------------
 #
 # Residues are values: built once by `run` or `resume`, never mutated, and
-# shared between states. Equality and hashing ignore `node`, which is exact
-# within one program: from the root, a residue's class and its Seq index, If
-# branch or Par slot fix its node. A declaration has at most one live
-# instance, so a DeclRes is fixed by its node too, and its `instance` is
-# left out as well.
+# shared between states. A loop's or an abort's residue is its body's; a
+# suspend keeps a SuspendRes, since its None child (an immediate guard held
+# the body before entry) differs from a body that terminated. Equality and
+# hashing ignore `node`, which is exact within one program: walking down
+# from the root, the statements passed on the way and each residue's Seq
+# index, If branch or Par slot fix its node. A declaration has at most one
+# live instance, so a DeclRes is fixed by its node too, and its `instance`
+# is left out as well.
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -137,16 +132,6 @@ class ParRes(_Res):
 @dataclass(slots=True, unsafe_hash=True)
 class IfRes(_Res):
     branch: int
-    child: "_Res"
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class LoopRes(_Res):
-    child: "_Res"
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class AbortRes(_Res):
     child: "_Res"
 
 
@@ -216,7 +201,6 @@ class TickState:
         self.termination_tick: Optional[int] = None
         # live instance -> settled (status, value), in registration order
         self.store: dict = {}
-        self.live_inputs: tuple = ()  # the store's input instances, in order
         self.initial_conts: dict = {}  # first initial value per cont name
         self.input_names = {d.name for d in program.inputs()}
         self.read_log: Optional[list] = None
@@ -269,7 +253,7 @@ class TickState:
         seen: dict = {}
         for inst, (status, value) in self.store.items():
             name = _disambiguate(inst.decl.name, seen)
-            out[name] = (status, value) if inst.__class__ is SignalInstance else value
+            out[name] = (status, value) if inst.decl.__class__ is SignalDecl else value
         return out
 
 
@@ -279,10 +263,6 @@ def _disambiguate(name: str, seen: dict) -> str:
     return name if count == 1 else f"{name}:{count}"
 
 
-def _is_input(inst) -> bool:
-    return inst.__class__ is SignalInstance and inst.decl.direction == "input"
-
-
 class _TickCtx:
     """Per-tick scratch that compiled code reads and writes: the slot
     environment, the settled values reads observe, pending emissions and
@@ -290,7 +270,7 @@ class _TickCtx:
 
     __slots__ = (
         "state", "t", "env", "prev", "emitted", "writes", "labels", "ended",
-        "log", "present", "input_values", "inputs_changed",
+        "log", "present", "input_values",
     )
 
     def __init__(self, state: TickState, inputs: InputAssignment, t: int, slots: int):
@@ -304,14 +284,15 @@ class _TickCtx:
         self.labels: list = []  # names of the labels holding a paused point
         self.ended: set = set()  # instances whose scope ended this tick
         self.log = state.read_log
-        self.inputs_changed = False
         if inputs.is_empty():
             self.present = None  # nothing to latch
             return
         self.present = inputs.present
         self.input_values = inputs.value_map()
-        for inst in state.live_inputs:
-            self.latch(inst)
+        for inst in state.store:
+            decl = inst.decl
+            if decl.__class__ is SignalDecl and decl.direction == "input":
+                self.latch(inst)
 
     def latch(self, inst):
         decl = inst.decl
@@ -334,8 +315,6 @@ class _TickCtx:
             self.prev.pop(inst, None)
             self.writes.pop(inst, None)
             self.emitted.discard(inst)
-            if _is_input(inst):
-                self.inputs_changed = True
 
     def settle(self) -> TickRecord:
         """Fold the tick's writes into every instance that was live during
@@ -354,7 +333,7 @@ class _TickCtx:
             pending = writes.get(inst)
             if pending:
                 value = pending[0] if len(pending) == 1 else _fold_writes(inst, pending, t)
-            if inst.__class__ is SignalInstance:
+            if decl.__class__ is SignalDecl:
                 status = inst in emitted
                 statuses[name] = status
                 if decl.stype is not None:
@@ -365,8 +344,6 @@ class _TickCtx:
                 store[inst] = (status, value)
         state = self.state
         state.store = store
-        if self.inputs_changed:
-            state.live_inputs = tuple([inst for inst in store if _is_input(inst)])
         return TickRecord(
             tick=t,
             time=t * state.cfg.wcrt,
@@ -593,13 +570,11 @@ class _Compiler:
             res = body_run(ctx)
             if res is None:
                 raise KernelError("loop body completed without pausing")
-            return LoopRes(node, res)
+            return res
 
         def resume(ctx, res):
-            child = body_resume(ctx, res.child)
-            if child is not None:
-                return LoopRes(node, child)
-            return run(ctx)
+            child = body_resume(ctx, res)
+            return child if child is not None else run(ctx)
 
         return run, resume
 
@@ -611,15 +586,13 @@ class _Compiler:
         def run(ctx):
             if immediate and guard(ctx):
                 return None
-            res = body_run(ctx)
-            return AbortRes(node, res) if res is not None else None
+            return body_run(ctx)
 
         def resume(ctx, res):
             if guard(ctx):
-                ctx.kill(res.child)
+                ctx.kill(res)
                 return None
-            child = body_resume(ctx, res.child)
-            return AbortRes(node, child) if child is not None else None
+            return body_resume(ctx, res)
 
         return run, resume
 
@@ -678,7 +651,7 @@ class _Compiler:
         else:
             default = False if node.stype == "boolean" else Fraction(0)
             init = lambda ctx: default  # noqa: E731
-        return self._declare(node, scope, "signal", SignalInstance, init)
+        return self._declare(node, scope, "signal", init)
 
     def stmt_ContDecl(self, node, scope):
         expr = self.expr(NumLit(Fraction(0)) if node.init is None else node.init, scope)
@@ -687,9 +660,9 @@ class _Compiler:
             value = expr(ctx)
             return value if value.__class__ is Fraction else Fraction(value)
 
-        return self._declare(node, scope, "cont", ContInstance, init)
+        return self._declare(node, scope, "cont", init)
 
-    def _declare(self, node, scope, kind, make, init):
+    def _declare(self, node, scope, kind, init):
         """A declaration's code: a new instance in a fresh slot, registered
         with its initial value (read in the outer scope) before the body
         runs; the instance ends with the body."""
@@ -701,15 +674,13 @@ class _Compiler:
 
         def run(ctx):
             value = init(ctx)
-            inst = make(node)
+            inst = Instance(node)
             ctx.prev[inst] = (False, value)
             if is_cont and name not in ctx.state.initial_conts:
                 # copy on write: clones share the dict
                 ctx.state.initial_conts = {**ctx.state.initial_conts, name: value}
-            if is_input:
-                ctx.inputs_changed = True
-                if ctx.present is not None:
-                    ctx.latch(inst)
+            if is_input and ctx.present is not None:
+                ctx.latch(inst)
             ctx.env[slot] = inst
             child = body_run(ctx)
             return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
@@ -722,8 +693,6 @@ class _Compiler:
 
         def end(ctx, inst):
             ctx.ended.add(inst)
-            if is_input:
-                ctx.inputs_changed = True
 
         return run, resume
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p', 'p/q' or an exact decimal like '0.25' into a Fraction.

@@ -255,13 +255,6 @@ class Program:
             if isinstance(d, SignalDecl) and d.direction == "input"
         ]
 
-    def outputs(self):
-        return [
-            d
-            for d in self.declarations()
-            if isinstance(d, SignalDecl) and d.direction == "output"
-        ]
-
     def declared_names(self):
         return {d.name for d in self.declarations()}
 

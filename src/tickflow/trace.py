@@ -132,17 +132,20 @@ def _datum(value) -> str:
     return format_rational(value)
 
 
+def settled_rows(rec: TickRecord) -> list:
+    """(entity, kind, printed datum) for every settled status, signal value
+    and continuous variable of a record, unsorted."""
+    rows = [(name, "status", _datum(status)) for name, status in rec.statuses.items()]
+    rows += [(name, "value", _datum(value)) for name, value in rec.values.items()]
+    rows += [(name, "cont", _datum(value)) for name, value in rec.conts.items()]
+    return rows
+
+
 def to_csv(trace: Trace) -> str:
     """One row per settled entity per tick: tick,time,entity,kind,value."""
     lines = ["tick,time,entity,kind,value"]
     for rec in trace.records:
-        rows = []
-        for name, status in rec.statuses.items():
-            rows.append((name, "status", _datum(status)))
-        for name, value in rec.values.items():
-            rows.append((name, "value", _datum(value)))
-        for name, value in rec.conts.items():
-            rows.append((name, "cont", _datum(value)))
+        rows = settled_rows(rec)
         for name in rec.labels:
             rows.append((name, "label", "true"))
         for name, kind, datum in sorted(rows):

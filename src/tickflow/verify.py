@@ -20,9 +20,9 @@ from typing import Optional
 
 from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
 from .kernel import InputAssignment, TickState, init
-from .rational import format_rational
 from .rewrite import RewriteConfig
 from .syntax.nodes import Program
+from .trace import settled_rows
 
 
 # --- input alphabets -----------------------------------------------------------
@@ -219,27 +219,13 @@ def _declared_signals(program: Program) -> set:
 
 
 def _snapshot_rows(record) -> tuple:
-    rows = []
-    for name, status in record.statuses.items():
-        rows.append((name, "status", "true" if status else "false"))
-    for name, value in record.values.items():
-        rows.append((name, "value", _print_value(value)))
-    for name, value in record.conts.items():
-        rows.append((name, "cont", format_rational(value)))
-    return tuple(sorted(rows))
+    return tuple(sorted(settled_rows(record)))
 
 
-def _print_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format_rational(value)
-
-
-def replay(program: Program, cfg: RewriteConfig, witness: Witness,
-           native_flows: bool = False) -> bool:
+def replay(program: Program, cfg: RewriteConfig, witness: Witness) -> bool:
     """Re-run a witness schedule; True iff the target tick's record is
-    reproduced. Soundness check used by the tests and the CLI."""
-    state = init(program, cfg, native_flows=native_flows)
+    reproduced. Soundness check used by the tests."""
+    state = init(program, cfg)
     last = None
     for assignment in witness.schedule:
         last = state.advance(assignment)

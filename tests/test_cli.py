@@ -179,6 +179,17 @@ def test_schedule_loader_errors(tmp_path):
             load_schedule(str(bad))
 
 
+def test_schedule_error_names_only_the_schedule(tmp_path, capsys):
+    bad = tmp_path / "sched.json"
+    bad.write_text('[{"tick": 0}]')
+    code = main([
+        "run", str(CORPUS / "programs" / "faulty_reset.hsj"),
+        "--wcrt", "2", "--schedule", str(bad),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"{bad}: bad tick 0\n"
+
+
 def test_schedule_loader_values():
     sched = load_schedule(str(CORPUS / "schedules" / "fault_tick1.json"))
     assert sched[1].present == frozenset({"FAULT"})
@@ -206,6 +217,10 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         '{"GO": {"statuses": ["absent", "bogus"]}}',
         '{"GO": {"statuses": []}}',
         '{"GO": {"statusses": ["present"]}}',
+        '{"GO": {"statuses": ["absent", "absent", "absent"]}}',
+        '{"GO": {"statuses": ["present", "absent", "present"]}}',
+        '{"GO": {"values": ["1", "2", "1"]}}',
+        '{"GO": {"values": ["1/2", "0.5"]}}',
     ):
         alpha.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
@@ -215,7 +230,8 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
             "--alphabet", str(alpha),
         ])
         assert code == 2
-        assert str(alpha) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"{alpha}: ") and str(prog) not in err
 
 
 def test_malformed_map_exits_2(tmp_path, capsys):
@@ -237,12 +253,16 @@ def test_malformed_map_exits_2(tmp_path, capsys):
 def test_malformed_automaton_exits_2(tmp_path, capsys):
     text = (CORPUS / "automata" / "carousel.ha").read_text()
     bad = tmp_path / "carousel.ha"
-    for edit, message in (
-        ("delay -1", "edge A -> B has a negative delay -1"),
-        ("delay -3", "edge A -> B has a negative delay -3"),
-        ("delay wcrt priority x", "bad priority 'x'"),
+    for old, new, message in (
+        ("delay wcrt", "delay -1", "19: edge A -> B has a negative delay -1"),
+        ("delay wcrt", "delay -3", "19: edge A -> B has a negative delay -3"),
+        ("delay wcrt", "delay wcrt priority x", "19: bad priority 'x'"),
+        ("location D", "bogus line", "14: unrecognized line: 'bogus line'"),
+        ("inv y <= theta", "inv y <= gamma", "13: unknown constant 'gamma'"),
+        ("init A", "init Z", "18: unknown initial location 'Z'"),
+        ("init A x = 0, y = 0", "", "no init line"),
     ):
-        bad.write_text(text.replace("delay wcrt", edit))
+        bad.write_text(text.replace(old, new))
         code = main([
             "compare",
             "--ha", str(bad),
@@ -252,7 +272,8 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
             "--param", "alpha=3", *CAROUSEL_PARAMS,
         ])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"{bad}:{message}") and CAROUSEL not in err
 
 
 def test_bad_param_rational_exits_2(capsys):

@@ -286,6 +286,30 @@ def test_schedule_tail_defaults_to_absent():
     assert trace.emission_ticks("Q") == [2]
 
 
+def test_input_declared_in_a_killed_and_reentered_scope():
+    # GO kills P's scope at ticks 4 and 8; P is re-declared at 6 and 10 and
+    # latches only while its scope is live
+    source = (
+        "input signal GO; signal Q;\n"
+        "loop { abort (GO) { input signal P; loop { if (P) emit Q; pause } }; pause; pause }"
+    )
+    schedule = {
+        t: InputAssignment.make(present=["P", "GO"] if t in (3, 7) else ["P"])
+        for t in range(1, 12)
+    }
+    trace = _run(source, schedule=schedule, max_ticks=11)
+    assert trace.emission_ticks("P") == [1, 2, 3, 6, 7, 10, 11]
+    assert [t for t in range(1, 12) if "P" in trace.record(t).statuses] == [
+        1, 2, 3, 6, 7, 10, 11,
+    ]
+    assert trace.emission_ticks("Q") == [2, 3, 7, 11]
+    # a local signal that shadows an input never latches it
+    source = "input signal P; signal Q;\nloop { signal P; loop { if (P) emit Q; pause } }"
+    trace = _run(source, schedule=[InputAssignment.make(present=["P"])] * 4, max_ticks=4)
+    assert trace.emission_ticks("P") == [1, 2, 3, 4]
+    assert trace.emission_ticks("P:2") == [] and trace.emission_ticks("Q") == []
+
+
 def test_terminated_state_refuses_ticks():
     program = rewrite_flows(parse("nothing"), CFG1)
     state = init(program, CFG1)

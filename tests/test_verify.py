@@ -351,7 +351,7 @@ def _res_key(res, index):
         return (node, tuple([_res_key(c, index) for c in res.children]))
     if cls is FlowRes:
         return (node, res.stop)
-    # Loop, Abort, Suspend, Label and Decl residues: a node and one child
+    # Suspend, Label and Decl residues: a node and one child
     return (node, _res_key(res.child, index))
 
 
