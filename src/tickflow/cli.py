@@ -128,6 +128,14 @@ def _distinct(path: str, name: str, key: str, items: list) -> tuple:
     return tuple(items)
 
 
+def _require_inputs(path: str, where: str, names, program) -> None:
+    """Reject a name in an input file that names no input of `program`;
+    `where` says where in the file the names sit."""
+    undeclared = sorted(set(names) - {d.name for d in program.inputs()})
+    if undeclared:
+        raise ScheduleError(f"{path}: {where}{undeclared[0]!r} is not a declared input")
+
+
 def _known_keys(path: str, where: str, entry: dict, keys: tuple):
     unknown = sorted(set(entry) - set(keys))
     if unknown:
@@ -227,6 +235,11 @@ def main(argv=None) -> int:
         prog_path = getattr(args, "program", None) or getattr(args, "matrices", "")
         print(f"{prog_path}:{err}", file=sys.stderr)
         return 2
+    except OSError as err:  # a named file that cannot be opened
+        if err.filename is None:
+            raise
+        print(f"{err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -251,6 +264,9 @@ def _dispatch(args) -> int:
         wcrt = _wcrt(args.wcrt)
         rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
         schedule = load_schedule(args.schedule) if args.schedule else None
+        for tick, inputs in (schedule or {}).items():
+            names = inputs.present | {name for name, _ in inputs.values}
+            _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
         trace = run(rewritten, RewriteConfig(wcrt), schedule=schedule, max_ticks=args.ticks)
         if args.out is None or args.out.endswith(".csv"):
             text = to_csv(trace)
@@ -273,6 +289,9 @@ def _dispatch(args) -> int:
         wcrt = _wcrt(args.wcrt)
         rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
         alphabet = load_alphabet(args.alphabet) if args.alphabet else None
+        if alphabet is not None:
+            names = [name for name, _ in alphabet.statuses]
+            _require_inputs(args.alphabet, "alphabet entry ", names, rewritten)
         try:
             verdict = check_reachable(
                 rewritten,

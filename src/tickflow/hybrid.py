@@ -471,13 +471,15 @@ def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
 #       rate y 0
 #       inv x <= alpha
 #     location B ...
-#     init A x = 0 y = 0
+#     init A x = 0, y = 0
 #     edge A -> B when x >= alpha label detect delay wcrt
 #     edge B -> D when y >= theta label divert reset y = 0
 #
 # Comparisons are `expr OP expr` over variables, rationals and bound
 # parameter names; `delay wcrt` marks a controller-delayed edge, `delay Q`
-# a fixed one (Q >= 0). '#' starts a comment.
+# a fixed one (Q >= 0). Every variable a line names must be listed by
+# `var` before it, and every edge must join declared locations. '#' starts
+# a comment.
 
 
 def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton:
@@ -498,6 +500,7 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
             current = None
 
     init_line = None
+    edge_lines: list = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -515,7 +518,8 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
             elif head == "rate":
                 if current is None or len(parts) != 3:
                     raise AutomatonError(f"bad rate line: {line!r}")
-                current["rates"][parts[1]] = _rate_value(parts[2], params)
+                var = _variable(parts[1], variables)
+                current["rates"][var] = _rate_value(parts[2], params)
             elif head == "inv":
                 if current is None:
                     raise AutomatonError(f"invariant outside a location: {line!r}")
@@ -532,15 +536,21 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
                     if not assign:
                         continue
                     var, _, value = assign.partition("=")
-                    initial_valuation[var.strip()] = _rate_value(value.strip(), params)
+                    var = _variable(var.strip(), variables)
+                    initial_valuation[var] = _rate_value(value.strip(), params)
             elif head == "edge":
                 close_location()
                 edges.append(_parse_edge(line, variables, params))
+                edge_lines.append(number)
             else:
                 raise AutomatonError(f"unrecognized line: {line!r}")
         except AutomatonError as err:
             raise AutomatonError(err.message, number) from None
     close_location()
+    for edge, number in zip(edges, edge_lines):
+        for name in (edge.source, edge.target):
+            if name not in locations:
+                raise AutomatonError(f"unknown location {name!r} in edge", number)
     if initial_location is None:
         raise AutomatonError("no init line")
     for var in variables:
@@ -560,6 +570,12 @@ def _rate_value(token: str, params: dict) -> Fraction:
         return parse_rational(token)
     except ValueError as exc:
         raise AutomatonError(f"unknown constant {token!r}") from exc
+
+
+def _variable(name: str, variables) -> str:
+    if name not in variables:
+        raise AutomatonError(f"unknown variable {name!r}")
+    return name
 
 
 def _parse_edge(line: str, variables, params) -> Edge:
@@ -586,9 +602,10 @@ def _parse_edge(line: str, variables, params) -> Edge:
         elif key == "reset":
             for assign in value.split(","):
                 var, _, expr = assign.partition("=")
-                resets.append(
-                    (var.strip(), _parse_linexpr(expr.strip(), variables, params))
-                )
+                resets.append((
+                    _variable(var.strip(), variables),
+                    _parse_linexpr(expr.strip(), variables, params),
+                ))
         elif key == "delay":
             token = value.strip()
             if token == "wcrt":
@@ -664,9 +681,7 @@ def _parse_linexpr(text: str, variables, params) -> LinExpr:
         if "*" in term:
             factor, _, var = term.partition("*")
             coeff = _rate_value(factor.strip(), params)
-            var = var.strip()
-            if var not in variables:
-                raise AutomatonError(f"unknown variable {var!r}")
+            var = _variable(var.strip(), variables)
             coeffs[var] = coeffs.get(var, Fraction(0)) + (-coeff if negative else coeff)
         elif term in variables:
             coeffs[term] = coeffs.get(term, Fraction(0)) + (

@@ -198,6 +198,8 @@ def parse_matrix_file(text: str) -> dict:
         if len(header) != 3:
             raise MatrixError(f"bad matrix header: {lines[i]!r}")
         name = header[0]
+        if name in matrices:
+            raise MatrixError(f"matrix {name!r} is defined twice")
         try:
             rows, cols = int(header[1]), int(header[2])
         except ValueError as exc:

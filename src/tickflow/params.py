@@ -8,33 +8,21 @@ or leaving a defaultless one unbound, is a compile error.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ParamError
 from .syntax.checks import fold_constant
 from .syntax.nodes import (
-    Abort,
-    Binary,
-    ContAssign,
     ContDecl,
-    DoUntil,
     Expr,
-    If,
-    Label,
-    Loop,
     NameRef,
     NumLit,
     ParamDecl,
-    Parallel,
     Program,
-    Seq,
     SignalDecl,
     Stmt,
-    Suspend,
-    TtlCall,
     Unary,
-    ValueWrite,
+    rebuild,
 )
 
 
@@ -62,53 +50,20 @@ def _subst_stmt(stmt: Stmt, env: dict, given: dict) -> Stmt:
         else:
             raise ParamError(f"constant {stmt.name!r} is unbound and has no default")
         return _subst_stmt(stmt.body, {**env, stmt.name: value}, given)
+    inner = env
     if isinstance(stmt, (SignalDecl, ContDecl)):
-        init = _subst_expr(stmt.init, env) if stmt.init is not None else None
-        # an inner declaration shadows an outer constant of the same name
+        # an inner declaration shadows an outer constant of the same name;
+        # its own initial value still sees the outer one
         inner = {k: v for k, v in env.items() if k != stmt.name}
-        return replace(stmt, init=init, body=_subst_stmt(stmt.body, inner, given))
-    if isinstance(stmt, (ValueWrite, ContAssign)):
-        return replace(stmt, expr=_subst_expr(stmt.expr, env))
-    if isinstance(stmt, (Abort, Suspend)):
-        return replace(
-            stmt, guard=_subst_expr(stmt.guard, env), body=_subst_stmt(stmt.body, env, given)
-        )
-    if isinstance(stmt, If):
-        return replace(
-            stmt,
-            cond=_subst_expr(stmt.cond, env),
-            then=_subst_stmt(stmt.then, env, given),
-            orelse=_subst_stmt(stmt.orelse, env, given),
-        )
-    if isinstance(stmt, Loop):
-        return replace(stmt, body=_subst_stmt(stmt.body, env, given))
-    if isinstance(stmt, Label):
-        return replace(stmt, body=_subst_stmt(stmt.body, env, given))
-    if isinstance(stmt, Seq):
-        return replace(stmt, stmts=tuple(_subst_stmt(s, env, given) for s in stmt.stmts))
-    if isinstance(stmt, Parallel):
-        return replace(
-            stmt, branches=tuple(_subst_stmt(b, env, given) for b in stmt.branches)
-        )
-    if isinstance(stmt, DoUntil):
-        odes = tuple((name, _subst_expr(rate, env)) for name, rate in stmt.odes)
-        return replace(stmt, odes=odes, invariant=_subst_expr(stmt.invariant, env))
-    return stmt
+    return rebuild(
+        stmt, lambda child: _subst_stmt(child, inner, given), lambda e: _subst_expr(e, env)
+    )
 
 
 def _subst_expr(expr: Expr, env: dict) -> Expr:
     if isinstance(expr, NameRef) and expr.name in env:
         return NumLit(env[expr.name], pos=expr.pos)
-    if isinstance(expr, Unary):
-        inner = _subst_expr(expr.operand, env)
-        if expr.op == "-" and isinstance(inner, NumLit):
-            return NumLit(-inner.value, pos=expr.pos)
-        return replace(expr, operand=inner)
-    if isinstance(expr, Binary):
-        return replace(
-            expr, left=_subst_expr(expr.left, env), right=_subst_expr(expr.right, env)
-        )
-    if isinstance(expr, TtlCall):
-        odes = tuple((name, _subst_expr(rate, env)) for name, rate in expr.odes)
-        return replace(expr, odes=odes, invariant=_subst_expr(expr.invariant, env))
+    expr = rebuild(expr, None, lambda e: _subst_expr(e, env))
+    if isinstance(expr, Unary) and expr.op == "-" and isinstance(expr.operand, NumLit):
+        return NumLit(-expr.operand.value, pos=expr.pos)
     return expr

@@ -19,7 +19,7 @@ preemptable only from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompileError
@@ -29,27 +29,23 @@ from .syntax.nodes import (
     Binary,
     BoolLit,
     ContAssign,
-    ContDecl,
     DoUntil,
     Emit,
     If,
-    Label,
     Loop,
     NameRef,
     Nothing,
     NumLit,
-    ParamDecl,
-    Parallel,
     Pause,
     Program,
     Seq,
     SignalDecl,
     Stmt,
-    Suspend,
     TtlCall,
     Unary,
+    direct_exprs,
+    rebuild,
     sub_exprs,
-    walk_exprs,
     walk_stmt,
 )
 
@@ -101,7 +97,7 @@ class _StopNames:
     def __init__(self, program: Program):
         taken = set(program.declared_names())
         for node in program.walk():
-            for _, expr in walk_exprs(node):
+            for expr in direct_exprs(node):
                 for sub in sub_exprs(expr):
                     if isinstance(sub, NameRef):
                         taken.add(sub.name)
@@ -120,23 +116,7 @@ class _StopNames:
 def _rewrite(stmt: Stmt, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:
     if isinstance(stmt, DoUntil):
         return _rewrite_site(stmt, cfg, gensym)
-    if isinstance(stmt, (Abort, Suspend, Loop, Label)):
-        return replace(stmt, body=_rewrite(stmt.body, cfg, gensym))
-    if isinstance(stmt, If):
-        return replace(
-            stmt,
-            then=_rewrite(stmt.then, cfg, gensym),
-            orelse=_rewrite(stmt.orelse, cfg, gensym),
-        )
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        return replace(stmt, body=_rewrite(stmt.body, cfg, gensym))
-    if isinstance(stmt, Seq):
-        return replace(stmt, stmts=tuple(_rewrite(s, cfg, gensym) for s in stmt.stmts))
-    if isinstance(stmt, Parallel):
-        return replace(
-            stmt, branches=tuple(_rewrite(b, cfg, gensym) for b in stmt.branches)
-        )
-    return stmt
+    return rebuild(stmt, lambda child: _rewrite(child, cfg, gensym), lambda expr: expr)
 
 
 def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:

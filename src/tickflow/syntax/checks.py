@@ -44,7 +44,9 @@ from .nodes import (
     Unary,
     ValueRef,
     ValueWrite,
+    children,
     sub_exprs,
+    walk_stmt,
 )
 
 # expression types: 'bool' | 'int' | 'ratio'
@@ -339,8 +341,6 @@ def fold_constant(expr: Expr) -> Fraction:
 
 
 def _check_loops(root: Stmt) -> None:
-    from .nodes import walk_stmt
-
     for node in walk_stmt(root):
         if isinstance(node, Loop) and _may_be_instantaneous(node.body):
             raise InstantaneousLoopError(
@@ -380,11 +380,14 @@ def reject_nonlinear_combine(program: Program) -> None:
 
     Simultaneous write sites are: several ODEs for one variable inside one
     do-block, or writes to one variable from distinct branches of one
-    parallel composition (do-block or plain assignment).
+    parallel composition (do-block or plain assignment). Offenders are
+    judged in preorder, and the first one judged illegal is reported: a
+    parallel composition's own offenders come before those inside its
+    branches, and a do-block's follow its ODE order.
     """
-    multi: dict[int, ContDecl] = {}
-    _collect_multi_writers(program.root, {}, multi)
-    for decl in multi.values():
+    offenders: list = []
+    _writes(program.root, {}, offenders)
+    for decl in offenders:
         if decl.combine is None:
             raise CombineError(
                 f"continuous variable {decl.name!r} has simultaneous writers "
@@ -399,69 +402,40 @@ def reject_nonlinear_combine(program: Program) -> None:
             )
 
 
-def _collect_multi_writers(stmt: Stmt, env: dict, out: dict) -> None:
+def _writes(stmt: Stmt, env: dict, offenders: list) -> dict:
+    """The continuous variables written inside `stmt`, as id(declaration) ->
+    (declaration, written by a flow?), in order of first write. Appends the
+    variables with simultaneous writers inside `stmt` to `offenders`, in the
+    order `reject_nonlinear_combine` states."""
+    if isinstance(stmt, ContAssign):
+        decl = env.get(stmt.name)
+        return {id(decl): (decl, False)} if isinstance(decl, ContDecl) else {}
     if isinstance(stmt, DoUntil):
-        seen: dict[int, int] = {}
+        written: dict = {}
         for name, _ in stmt.odes:
             decl = env.get(name)
             if isinstance(decl, ContDecl):
-                seen[id(decl)] = seen.get(id(decl), 0) + 1
-                if seen[id(decl)] > 1:
-                    out[id(decl)] = decl
-        return
+                if id(decl) in written:
+                    offenders.append(decl)
+                written[id(decl)] = (decl, True)
+        return written
+    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
+        env = {**env, stmt.name: stmt}
+    mark = len(offenders)
+    written = {}
+    writers: dict = {}  # id(declaration) -> how many children write it
+    for child in children(stmt):
+        for key, (decl, via_flow) in _writes(child, env, offenders).items():
+            writers[key] = writers.get(key, 0) + 1
+            written[key] = (decl, via_flow or written.get(key, (decl, False))[1])
     if isinstance(stmt, Parallel):
         # flag a variable written from several branches only when a flow
         # drives it somewhere; simultaneous plain assignments are legal and
         # resolved (or rejected) when the writes settle
-        counts: dict[int, int] = {}
-        decls: dict[int, ContDecl] = {}
-        flow_driven: set = set()
-        for branch in stmt.branches:
-            written: dict[int, tuple] = {}
-            _written_conts(branch, env, written)
-            for key, (decl, via_flow) in written.items():
-                counts[key] = counts.get(key, 0) + 1
-                decls[key] = decl
-                if via_flow:
-                    flow_driven.add(key)
-        for key, count in counts.items():
-            if count > 1 and key in flow_driven:
-                out[key] = decls[key]
-        for branch in stmt.branches:
-            _collect_multi_writers(branch, env, out)
-        return
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        _collect_multi_writers(stmt.body, {**env, stmt.name: stmt}, out)
-        return
-    from .nodes import children
-
-    for child in children(stmt):
-        _collect_multi_writers(child, env, out)
-
-
-def _written_conts(stmt: Stmt, env: dict, out: dict) -> None:
-    """Continuous-variable declarations written anywhere inside stmt,
-    excluding variables declared inside stmt itself. Values are
-    (declaration, written-by-a-flow?)."""
-    if isinstance(stmt, ContAssign):
-        decl = env.get(stmt.name)
-        if isinstance(decl, ContDecl):
-            prev = out.get(id(decl), (decl, False))
-            out[id(decl)] = (decl, prev[1])
-        return
-    if isinstance(stmt, DoUntil):
-        for name, _ in stmt.odes:
-            decl = env.get(name)
-            if isinstance(decl, ContDecl):
-                out[id(decl)] = (decl, True)
-        return
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        _written_conts(stmt.body, {**env, stmt.name: stmt}, out)
-        return
-    from .nodes import children
-
-    for child in children(stmt):
-        _written_conts(child, env, out)
+        offenders[mark:mark] = [
+            decl for key, (decl, via_flow) in written.items() if via_flow and writers[key] > 1
+        ]
+    return written
 
 
 def _p(node) -> tuple:

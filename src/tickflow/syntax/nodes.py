@@ -5,15 +5,26 @@ source positions are excluded from comparison so a program and its
 re-parsed pretty-print compare equal. Declarations carry their body: a
 declaration scopes over the remainder of the block it appears in, and the
 parser nests the rest of the block inside it.
+
+A node's shape lives in its class: `SHAPE` maps each child field, in field
+order, to its kind (`EXPR`, `STMT`, `STMTS` or `ODES`). `children`,
+`direct_exprs` and `rebuild` read it, so a pass that only copies or walks
+the tree writes no per-class code and a new field is declared once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 Pos = Optional[tuple]  # (line, col) or None
+
+# child kinds in a node's SHAPE
+EXPR = "expr"  # an expression, or None where the field is optional
+STMT = "stmt"  # a statement
+STMTS = "stmts"  # a tuple of statements
+ODES = "odes"  # a tuple of (variable name, rate expression) pairs
 
 
 # --- expressions -----------------------------------------------------------
@@ -21,7 +32,7 @@ Pos = Optional[tuple]  # (line, col) or None
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    SHAPE = {}
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,7 @@ class Unary(Expr):
     op: str  # '!' or '-'
     operand: Expr
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"operand": EXPR}
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,7 @@ class Binary(Expr):
     left: Expr
     right: Expr
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"left": EXPR, "right": EXPR}
 
 
 @dataclass(frozen=True)
@@ -75,10 +88,11 @@ class TtlCall(Expr):
     for each variable is taken from its declaration at evaluation time.
     """
 
-    odes: tuple  # tuple[(name, Fraction), ...]
+    odes: tuple  # tuple[(name, constant Expr), ...]
     invariant: Expr
     vars: tuple  # tuple[str, ...]
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"odes": ODES, "invariant": EXPR}
 
 
 # --- statements ------------------------------------------------------------
@@ -86,7 +100,7 @@ class TtlCall(Expr):
 
 @dataclass(frozen=True)
 class Stmt:
-    pass
+    SHAPE = {}
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,7 @@ class ValueWrite(Stmt):
     name: str
     expr: Expr
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"expr": EXPR}
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,7 @@ class ContAssign(Stmt):
     name: str
     expr: Expr
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"expr": EXPR}
 
 
 @dataclass(frozen=True)
@@ -129,6 +145,7 @@ class Abort(Stmt):
     guard: Expr
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"guard": EXPR, "body": STMT}
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,7 @@ class Suspend(Stmt):
     guard: Expr
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"guard": EXPR, "body": STMT}
 
 
 @dataclass(frozen=True)
@@ -145,6 +163,7 @@ class If(Stmt):
     then: Stmt
     orelse: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"cond": EXPR, "then": STMT, "orelse": STMT}
 
 
 @dataclass(frozen=True)
@@ -158,6 +177,7 @@ class SignalDecl(Stmt):
     init: Optional[Expr]
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"init": EXPR, "body": STMT}
 
     @property
     def pure(self) -> bool:
@@ -173,6 +193,7 @@ class ContDecl(Stmt):
     init: Optional[Expr]
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"init": EXPR, "body": STMT}
 
 
 @dataclass(frozen=True)
@@ -184,24 +205,28 @@ class ParamDecl(Stmt):
     default: Optional[Expr]
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"default": EXPR, "body": STMT}
 
 
 @dataclass(frozen=True)
 class Loop(Stmt):
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"body": STMT}
 
 
 @dataclass(frozen=True)
 class Seq(Stmt):
     stmts: tuple  # tuple[Stmt, ...], length >= 2
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"stmts": STMTS}
 
 
 @dataclass(frozen=True)
 class Parallel(Stmt):
     branches: tuple  # tuple[Stmt, ...], length >= 2
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"branches": STMTS}
 
 
 @dataclass(frozen=True)
@@ -215,6 +240,7 @@ class DoUntil(Stmt):
     odes: tuple  # tuple[(name, Expr), ...]
     invariant: Expr
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"odes": ODES, "invariant": EXPR}
 
 
 @dataclass(frozen=True)
@@ -224,6 +250,7 @@ class Label(Stmt):
     name: str
     body: Stmt
     pos: Pos = field(default=None, compare=False)
+    SHAPE = {"body": STMT}
 
 
 Decl = Union[SignalDecl, ContDecl, ParamDecl]
@@ -262,18 +289,46 @@ class Program:
         return any(isinstance(node, DoUntil) for node in self.walk())
 
 
-def children(stmt: Stmt):
-    if isinstance(stmt, (Abort, Suspend, Loop, Label)):
-        return (stmt.body,)
-    if isinstance(stmt, If):
-        return (stmt.then, stmt.orelse)
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        return (stmt.body,)
-    if isinstance(stmt, Seq):
-        return stmt.stmts
-    if isinstance(stmt, Parallel):
-        return stmt.branches
-    return ()
+def children(stmt: Stmt) -> tuple:
+    """The direct child statements of a statement, in field order."""
+    kids = ()
+    for name, kind in stmt.SHAPE.items():
+        if kind == STMT:
+            kids += (getattr(stmt, name),)
+        elif kind == STMTS:
+            kids += getattr(stmt, name)
+    return kids
+
+
+def direct_exprs(node):
+    """Yield the expressions directly under a statement or an expression, in
+    field order; an ODE pair contributes its rate."""
+    for name, kind in node.SHAPE.items():
+        if kind == EXPR:
+            expr = getattr(node, name)
+            if expr is not None:
+                yield expr
+        elif kind == ODES:
+            for _, rate in getattr(node, name):
+                yield rate
+
+
+def rebuild(node, on_stmt, on_expr):
+    """A copy of `node` with each child statement passed through `on_stmt`
+    and each child expression (ODE rates included) through `on_expr`, in
+    field order; a node without children is returned as is."""
+    changes = {}
+    for name, kind in node.SHAPE.items():
+        value = getattr(node, name)
+        if kind == EXPR:
+            changes[name] = None if value is None else on_expr(value)
+        elif kind == STMT:
+            changes[name] = on_stmt(value)
+        elif kind == STMTS:
+            changes[name] = tuple(on_stmt(s) for s in value)
+        else:
+            changes[name] = tuple((var, on_expr(rate)) for var, rate in value)
+    return replace(node, **changes) if changes else node
 
 
 def walk_stmt(stmt: Stmt):
@@ -282,32 +337,8 @@ def walk_stmt(stmt: Stmt):
         yield from walk_stmt(child)
 
 
-def walk_exprs(stmt: Stmt):
-    """Yield (owner-stmt, expr) for every top-level expression in the tree."""
-    for node in walk_stmt(stmt):
-        if isinstance(node, (ValueWrite, ContAssign)):
-            yield node, node.expr
-        elif isinstance(node, (Abort, Suspend)):
-            yield node, node.guard
-        elif isinstance(node, If):
-            yield node, node.cond
-        elif isinstance(node, (SignalDecl, ContDecl, ParamDecl)):
-            init = node.init if not isinstance(node, ParamDecl) else node.default
-            if init is not None:
-                yield node, init
-        elif isinstance(node, DoUntil):
-            yield node, node.invariant
-            for _, rate in node.odes:
-                yield node, rate
-
-
 def sub_exprs(expr: Expr):
     """Yield every expression node under (and including) expr."""
     yield expr
-    if isinstance(expr, Unary):
-        yield from sub_exprs(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from sub_exprs(expr.left)
-        yield from sub_exprs(expr.right)
-    elif isinstance(expr, TtlCall):
-        yield from sub_exprs(expr.invariant)
+    for sub in direct_exprs(expr):
+        yield from sub_exprs(sub)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
@@ -48,34 +49,25 @@ class InputAlphabet:
 
     def choices(self) -> list:
         """Every admissible InputAssignment for one tick, in a canonical
-        order (all-absent first)."""
-        options: list = [InputAssignment.make()]
+        order: the first input varies slowest, each through its statuses in
+        the order given (all-absent first)."""
         value_map = dict(self.values)
+        per_input = []
         for name, statuses in self.statuses:
-            extended = []
-            for base in options:
-                for status in statuses:
-                    if status == "absent":
-                        extended.append(base)
-                    else:
-                        vals = value_map.get(name)
-                        if vals is None:
-                            extended.append(
-                                InputAssignment.make(
-                                    present=set(base.present) | {name},
-                                    values=base.value_map(),
-                                )
-                            )
-                        else:
-                            for v in vals:
-                                vm = base.value_map()
-                                vm[name] = v
-                                extended.append(
-                                    InputAssignment.make(
-                                        present=set(base.present) | {name}, values=vm
-                                    )
-                                )
-            options = extended
+            picks = []  # None for absent, else (name, value or None)
+            for status in statuses:
+                if status == "absent":
+                    picks.append(None)
+                else:
+                    picks.extend((name, v) for v in value_map.get(name, (None,)))
+            per_input.append(picks)
+        options = []
+        for combo in product(*per_input):
+            present = [pick for pick in combo if pick is not None]
+            options.append(InputAssignment.make(
+                present=[name for name, _ in present],
+                values={name: v for name, v in present if v is not None},
+            ))
         return options
 
 

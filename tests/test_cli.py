@@ -181,13 +181,18 @@ def test_schedule_loader_errors(tmp_path):
 
 def test_schedule_error_names_only_the_schedule(tmp_path, capsys):
     bad = tmp_path / "sched.json"
-    bad.write_text('[{"tick": 0}]')
-    code = main([
-        "run", str(CORPUS / "programs" / "faulty_reset.hsj"),
-        "--wcrt", "2", "--schedule", str(bad),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == f"{bad}: bad tick 0\n"
+    for text, message in (
+        ('[{"tick": 0}]', "bad tick 0"),
+        ('[{"tick": 1, "present": ["NOPE"]}]', "tick 1: 'NOPE' is not a declared input"),
+        ('[{"tick": 3, "values": {"LEVEL": "1"}}]', "tick 3: 'LEVEL' is not a declared input"),
+    ):
+        bad.write_text(text)
+        code = main([
+            "run", str(CORPUS / "programs" / "faulty_reset.hsj"),
+            "--wcrt", "2", "--schedule", str(bad),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"{bad}: {message}\n"
 
 
 def test_schedule_loader_values():
@@ -232,6 +237,13 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{alpha}: ") and str(prog) not in err
+    alpha.write_text('{"NOPE": {}}')
+    code = main([
+        "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",
+        "--alphabet", str(alpha),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"{alpha}: alphabet entry 'NOPE' is not a declared input\n"
 
 
 def test_malformed_map_exits_2(tmp_path, capsys):
@@ -261,6 +273,10 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         ("inv y <= theta", "inv y <= gamma", "13: unknown constant 'gamma'"),
         ("init A", "init Z", "18: unknown initial location 'Z'"),
         ("init A x = 0, y = 0", "", "no init line"),
+        ("edge D -> A", "edge D -> Q", "21: unknown location 'Q' in edge"),
+        ("rate y 0", "rate z 0", "8: unknown variable 'z'"),
+        ("init A x = 0, y = 0", "init A x = 0, q = 5", "18: unknown variable 'q'"),
+        ("reset x = 0, y = 0", "reset x = 0, w = 0", "21: unknown variable 'w'"),
     ):
         bad.write_text(text.replace(old, new))
         code = main([
@@ -274,6 +290,29 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{bad}:{message}") and CAROUSEL not in err
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    flow = str(CORPUS / "programs" / "flow_single.hsj")
+    compare = [
+        "compare",
+        "--ha", str(CORPUS / "automata" / "carousel.ha"),
+        "--program", CAROUSEL,
+        "--wcrt", "2", "--horizon", "12",
+        "--map", str(CORPUS / "maps" / "carousel.json"),
+        "--param", "alpha=3", *CAROUSEL_PARAMS,
+    ]
+    for argv in (
+        ["run", missing, "--wcrt", "1"],
+        ["run", flow, "--wcrt", "2", "--schedule", missing],
+        ["verify", flow, "--wcrt", "2", "--bound", "3", "--target", "X", "--alphabet", missing],
+        [missing if arg.endswith("carousel.json") else arg for arg in compare],
+        [missing if arg.endswith("carousel.ha") else arg for arg in compare],
+        ["lti", missing],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"{missing}: No such file or directory\n"
 
 
 def test_bad_param_rational_exits_2(capsys):

@@ -201,3 +201,5 @@ def test_matrix_file_errors():
         parse_matrix_file("A 1 2\n1\n")  # short row
     with pytest.raises(MatrixError):
         system_from_file("C 1 1\n1\n")  # no A
+    with pytest.raises(MatrixError, match="matrix 'A' is defined twice"):
+        parse_matrix_file("A 2 2\n1 0\n0 1\nA 1 1\n1\nC 1 1\n1\n")

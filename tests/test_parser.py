@@ -227,6 +227,18 @@ def test_parallel_assignment_plus_flow_needs_operator():
     reject_nonlinear_combine(parse(source.replace("cont a =", "cont a op+ =")))
 
 
+def test_first_offender_in_preorder_is_reported():
+    # the parallel composition's own offender x comes before the do-block's y
+    source = (
+        "cont x; cont y; { do { x' = 1 } until (x <= 5) "
+        "|| { x = 2; do { y' = 1 || y' = 2 } until (y <= 4) } }"
+    )
+    with pytest.raises(CombineError, match="variable 'x'"):
+        reject_nonlinear_combine(parse(source))
+    with pytest.raises(CombineError, match="variable 'y'"):
+        reject_nonlinear_combine(parse(source.replace("cont x;", "cont x op+;")))
+
+
 def test_every_corpus_program_parses():
     for path in corpus_sources():
         parse(path.read_text())
