@@ -13,7 +13,7 @@ stderr as file:line:col: message.
 from __future__ import annotations
 
 import argparse
-import json
+import errno
 import sys
 from fractions import Fraction
 
@@ -24,30 +24,34 @@ from .errors import (
     SearchLimitError,
     TickflowError,
 )
-from .hybrid import compare, parse_automaton
-from .kernel import InputAssignment, run
-from .lti import (
-    controllability_matrix,
-    observability_matrix,
-    rank,
-    system_from_file,
-)
-from .params import bind_params
 from .rational import parse_rational
-from .rewrite import RewriteConfig, rewrite_flows
-from .syntax import parse, pretty_print, reject_nonlinear_combine
-from .trace import to_csv, to_json, to_svg_timing
-from .verify import InputAlphabet, Unreachable, Witness, check_reachable
+
+# Each subcommand imports the modules it runs when it runs (`json` too, for
+# the input files), so `check` and `desugar` never load the kernel, `lti`
+# never loads the parser, and a cold command pays only for its own chain.
+# Calls go through module attributes, read at call time.
+
+
+def _read_text(path: str) -> str:
+    """The text of the file at `path`. A file that is not UTF-8 raises an
+    `OSError` naming it, like a file that cannot be opened."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+            raise OSError(errno.EILSEQ, reason, path) from None
 
 
 def _load_json(path: str, what: str, shape: type):
     """The parsed JSON document in `path`, whose top level must be a
     `shape` (list or dict); `what` names the file's role in errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScheduleError(f"{path}: {exc}") from exc
+    import json
+
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ScheduleError(f"{path}: {exc}") from exc
     if not isinstance(doc, shape):
         kind = "array" if shape is list else "object"
         raise ScheduleError(f"{path}: {what} must be a JSON {kind}")
@@ -67,6 +71,8 @@ def load_schedule(path: str) -> dict:
     """JSON array of per-tick input objects:
     [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2"}}, ...].
     Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
+    from . import kernel
+
     doc = _load_json(path, "schedule", list)
     schedule: dict = {}
     for entry in doc:
@@ -85,13 +91,16 @@ def load_schedule(path: str) -> dict:
         values = {name: _rational(path, text) for name, text in texts.items()}
         if tick in schedule:
             raise ScheduleError(f"{path}: duplicate tick {tick}")
-        schedule[tick] = InputAssignment.make(present=present, values=values)
+        schedule[tick] = kernel.InputAssignment.make(present=present, values=values)
     return schedule
 
 
-def load_alphabet(path: str) -> InputAlphabet:
+def load_alphabet(path: str):
     """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
-    listed input may be present or absent; valued ones pick from `values`."""
+    listed input may be present or absent; valued ones pick from `values`.
+    Returns a `verify.InputAlphabet`."""
+    from . import verify
+
     doc = _load_json(path, "alphabet", dict)
     statuses = {}
     values = {}
@@ -117,7 +126,7 @@ def load_alphabet(path: str) -> InputAlphabet:
                 )
             picked = [_rational(path, v) for v in spec["values"]]
             values[name] = _distinct(path, name, "values", picked)
-    return InputAlphabet.make(statuses, values)
+    return verify.InputAlphabet.make(statuses, values)
 
 
 def _distinct(path: str, name: str, key: str, items: list) -> tuple:
@@ -160,12 +169,13 @@ def _parse_params(pairs) -> dict:
     return values
 
 
-def _load_program(path: str, params: dict, wcrt: Fraction):
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    program = parse(source)
-    bound = bind_params(program, params)
-    return rewrite_flows(bound, RewriteConfig(wcrt))
+def _load_program(path: str, values: dict, wcrt: Fraction):
+    """The program at `path`, parsed, with `values` bound to its constants
+    and its flows rewritten for `wcrt`."""
+    from . import params, rewrite, syntax
+
+    bound = params.bind_params(syntax.parse(_read_text(path)), values)
+    return rewrite.rewrite_flows(bound, rewrite.RewriteConfig(wcrt))
 
 
 def _wcrt(text: str) -> Fraction:
@@ -227,7 +237,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except ScheduleError as err:  # names the file beside the program at fault
         print(err, file=sys.stderr)
         return 2
@@ -242,124 +252,141 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args) -> int:
-    if args.command == "check":
-        with open(args.program, "r", encoding="utf-8") as fh:
-            program = parse(fh.read())
-        params = _parse_params(args.param)
-        if params or not program.params():
-            bound = bind_params(program, params)
-            reject_nonlinear_combine(bound)
-        else:
-            reject_nonlinear_combine(program)
-        print("ok")
-        return 0
+def _check(args) -> int:
+    from . import params, syntax
 
-    if args.command == "desugar":
-        rewritten = _load_program(args.program, _parse_params(args.param), _wcrt(args.wcrt))
-        sys.stdout.write(pretty_print(rewritten))
-        return 0
+    program = syntax.parse(_read_text(args.program))
+    values = _parse_params(args.param)
+    if values or not program.params():
+        syntax.reject_nonlinear_combine(params.bind_params(program, values))
+    else:
+        syntax.reject_nonlinear_combine(program)
+    print("ok")
+    return 0
 
-    if args.command == "run":
-        wcrt = _wcrt(args.wcrt)
-        rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
-        schedule = load_schedule(args.schedule) if args.schedule else None
-        for tick, inputs in (schedule or {}).items():
-            names = inputs.present | {name for name, _ in inputs.values}
-            _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
-        trace = run(rewritten, RewriteConfig(wcrt), schedule=schedule, max_ticks=args.ticks)
-        if args.out is None or args.out.endswith(".csv"):
-            text = to_csv(trace)
-        elif args.out.endswith(".json"):
-            text = to_json(trace)
-        elif args.out.endswith(".svg"):
-            if not args.svg_vars:
-                raise TickflowError("--svg-vars is required for .svg output")
-            text = to_svg_timing(trace, args.svg_vars.split(","))
-        else:
-            raise TickflowError(f"unknown trace format for {args.out!r}")
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return 0
 
-    if args.command == "verify":
-        wcrt = _wcrt(args.wcrt)
-        rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
-        alphabet = load_alphabet(args.alphabet) if args.alphabet else None
-        if alphabet is not None:
-            names = [name for name, _ in alphabet.statuses]
-            _require_inputs(args.alphabet, "alphabet entry ", names, rewritten)
-        try:
-            verdict = check_reachable(
-                rewritten,
-                RewriteConfig(wcrt),
-                alphabet,
-                bound=args.bound,
-                target=args.target,
-                strategy=args.strategy,
-                node_limit=args.node_limit,
-            )
-        except SearchLimitError as err:
-            print(f"resource limit: {err}", file=sys.stderr)
-            return 2
-        if isinstance(verdict, Witness):
-            print(f"witness: {args.target} settles present at tick {verdict.tick}")
-            for i, assignment in enumerate(verdict.schedule, start=1):
-                if not assignment.is_empty():
-                    present = ",".join(sorted(assignment.present))
-                    print(f"  tick {i}: present [{present}]")
-            for name, kind, value in verdict.snapshot:
-                print(f"  {name} {kind} = {value}")
-            return 1
-        assert isinstance(verdict, Unreachable)
-        print(
-            f"unreachable within {verdict.bound} ticks "
-            f"({verdict.states_explored} transitions explored)"
+def _desugar(args) -> int:
+    from . import syntax
+
+    rewritten = _load_program(args.program, _parse_params(args.param), _wcrt(args.wcrt))
+    sys.stdout.write(syntax.pretty_print(rewritten))
+    return 0
+
+
+def _run(args) -> int:
+    from . import kernel, rewrite, trace
+
+    wcrt = _wcrt(args.wcrt)
+    rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
+    schedule = load_schedule(args.schedule) if args.schedule else None
+    for tick, inputs in (schedule or {}).items():
+        names = inputs.present | {name for name, _ in inputs.values}
+        _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
+    result = kernel.run(
+        rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=args.ticks
+    )
+    if args.out is None or args.out.endswith(".csv"):
+        text = trace.to_csv(result)
+    elif args.out.endswith(".json"):
+        text = trace.to_json(result)
+    elif args.out.endswith(".svg"):
+        if not args.svg_vars:
+            raise TickflowError("--svg-vars is required for .svg output")
+        text = trace.to_svg_timing(result, args.svg_vars.split(","))
+    else:
+        raise TickflowError(f"unknown trace format for {args.out!r}")
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
+
+
+def _verify(args) -> int:
+    from . import rewrite, verify
+
+    wcrt = _wcrt(args.wcrt)
+    rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
+    alphabet = load_alphabet(args.alphabet) if args.alphabet else None
+    if alphabet is not None:
+        names = [name for name, _ in alphabet.statuses]
+        _require_inputs(args.alphabet, "alphabet entry ", names, rewritten)
+    try:
+        verdict = verify.check_reachable(
+            rewritten,
+            rewrite.RewriteConfig(wcrt),
+            alphabet,
+            bound=args.bound,
+            target=args.target,
+            strategy=args.strategy,
+            node_limit=args.node_limit,
         )
-        return 0
+    except SearchLimitError as err:
+        print(f"resource limit: {err}", file=sys.stderr)
+        return 2
+    if isinstance(verdict, verify.Witness):
+        print(f"witness: {args.target} settles present at tick {verdict.tick}")
+        for i, assignment in enumerate(verdict.schedule, start=1):
+            if not assignment.is_empty():
+                present = ",".join(sorted(assignment.present))
+                print(f"  tick {i}: present [{present}]")
+        for name, kind, value in verdict.snapshot:
+            print(f"  {name} {kind} = {value}")
+        return 1
+    assert isinstance(verdict, verify.Unreachable)
+    print(
+        f"unreachable within {verdict.bound} ticks "
+        f"({verdict.states_explored} transitions explored)"
+    )
+    return 0
 
-    if args.command == "lti":
-        with open(args.matrices, "r", encoding="utf-8") as fh:
-            system = system_from_file(fh.read())
-        ok = True
-        if system.c is not None:
-            obs = observability_matrix(system)
-            r = rank(obs)
-            verdict = "observable" if r == system.n else "NOT observable"
-            print(f"observability rank {r}/{system.n}: {verdict}")
-            ok = ok and r == system.n
-        if system.b is not None:
-            ctr = controllability_matrix(system)
-            r = rank(ctr)
-            verdict = "controllable" if r == system.n else "NOT controllable"
-            print(f"controllability rank {r}/{system.n}: {verdict}")
-            ok = ok and r == system.n
-        if system.c is None and system.b is None:
-            raise TickflowError("matrix file defines neither C nor B")
-        return 0 if ok else 1
 
-    if args.command == "compare":
-        wcrt = _wcrt(args.wcrt)
-        params = _parse_params(args.param)
-        with open(args.ha, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            automaton = parse_automaton(text, params)
-        except AutomatonError as err:
-            raise ScheduleError(f"{args.ha}:{err}") from None
-        rewritten_input = args.program
-        with open(rewritten_input, "r", encoding="utf-8") as fh:
-            program = bind_params(parse(fh.read()), params)
-        mapping = _load_json(args.map, "variable map", dict)
-        horizon = _flag_rational("--horizon", args.horizon)
-        report = compare(automaton, program, RewriteConfig(wcrt), horizon, mapping)
-        sys.stdout.write(report.to_text())
-        return 0 if report.first_divergence_tick is None else 1
+def _lti(args) -> int:
+    from . import lti
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    system = lti.system_from_file(_read_text(args.matrices))
+    ok = True
+    if system.c is not None:
+        r = lti.rank(lti.observability_matrix(system))
+        verdict = "observable" if r == system.n else "NOT observable"
+        print(f"observability rank {r}/{system.n}: {verdict}")
+        ok = ok and r == system.n
+    if system.b is not None:
+        r = lti.rank(lti.controllability_matrix(system))
+        verdict = "controllable" if r == system.n else "NOT controllable"
+        print(f"controllability rank {r}/{system.n}: {verdict}")
+        ok = ok and r == system.n
+    if system.c is None and system.b is None:
+        raise TickflowError("matrix file defines neither C nor B")
+    return 0 if ok else 1
+
+
+def _compare(args) -> int:
+    from . import hybrid, params, rewrite, syntax
+
+    wcrt = _wcrt(args.wcrt)
+    values = _parse_params(args.param)
+    try:
+        automaton = hybrid.parse_automaton(_read_text(args.ha), values)
+    except AutomatonError as err:
+        raise ScheduleError(f"{args.ha}:{err}") from None
+    program = params.bind_params(syntax.parse(_read_text(args.program)), values)
+    mapping = _load_json(args.map, "variable map", dict)
+    horizon = _flag_rational("--horizon", args.horizon)
+    report = hybrid.compare(automaton, program, rewrite.RewriteConfig(wcrt), horizon, mapping)
+    sys.stdout.write(report.to_text())
+    return 0 if report.first_divergence_tick is None else 1
+
+
+_COMMANDS = {
+    "check": _check,
+    "desugar": _desugar,
+    "run": _run,
+    "verify": _verify,
+    "lti": _lti,
+    "compare": _compare,
+}
 
 
 def entry() -> None:

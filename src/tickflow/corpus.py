@@ -10,7 +10,6 @@ interpretation tick for tick.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,13 +17,13 @@ from .kernel import InputAssignment, run
 from .params import bind_params
 from .rational import format_rational, parse_rational
 from .rewrite import STOP_PREFIX, RewriteConfig, rewrite_flows
+from .struct import Struct
 from .syntax import parse
 from .trace import Trace
 from .verify import Unreachable, Witness, check_reachable
 
 
-@dataclass
-class GoldenCase:
+class GoldenCase(Struct, frozen=False):
     name: str
     program: str
     wcrt: Fraction
@@ -35,18 +34,20 @@ class GoldenCase:
     note: str = ""
 
 
-@dataclass
-class CaseResult:
+class CaseResult(Struct, frozen=False):
     name: str
-    failures: list = field(default_factory=list)
+    failures: list
+
+    def __init__(self, name, failures=None):
+        self.name = name
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(Struct, frozen=False):
     results: list
 
     @property

@@ -17,7 +17,6 @@ idealized automaton and the tick-discretized program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .errors import AutomatonError, DeadlockError, NondeterminismError
 from .kernel import run as kernel_run
 from .rational import format_rational, parse_rational
 from .rewrite import RewriteConfig, rewrite_flows
+from .struct import Struct, replace
 from .syntax.nodes import Program
 
 _INF = None  # open upper bound
@@ -33,8 +33,7 @@ _INF = None  # open upper bound
 # --- linear expressions over automaton variables --------------------------------
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(Struct):
     """constant + sum(coeff * var)."""
 
     const: Fraction
@@ -60,8 +59,7 @@ class LinExpr:
         return total
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Struct):
     """lhs OP 0 with OP in <=, <, >=, >, ==."""
 
     lhs: LinExpr
@@ -142,15 +140,13 @@ def window_intersect(a, b):
 # --- automaton structure ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Struct):
     name: str
     rates: dict  # var -> Fraction
     invariant: tuple  # conjunction of Comparisons
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Struct):
     source: str
     target: str
     guard: tuple  # conjunction of Comparisons
@@ -168,8 +164,7 @@ class Edge:
             )
 
 
-@dataclass(frozen=True)
-class HybridAutomaton:
+class HybridAutomaton(Struct):
     variables: tuple
     locations: dict  # name -> Location
     edges: tuple
@@ -186,8 +181,7 @@ class HybridAutomaton:
                 raise AutomatonError("initial valuation violates the invariant")
 
 
-@dataclass(frozen=True)
-class TimeSegment:
+class TimeSegment(Struct):
     start: Fraction
     duration: Fraction
     location: str
@@ -195,8 +189,7 @@ class TimeSegment:
     rates: dict
 
 
-@dataclass(frozen=True)
-class DiscreteStep:
+class DiscreteStep(Struct):
     time: Fraction
     label: str
     source: str
@@ -205,8 +198,7 @@ class DiscreteStep:
     valuation_after: dict
 
 
-@dataclass
-class HaTrace:
+class HaTrace(Struct, frozen=False):
     segments: list  # TimeSegment
     steps: list  # DiscreteStep
     horizon: Fraction
@@ -341,8 +333,7 @@ def _next_switch(ha, loc, valuation, now, horizon, use_delays):
 # --- comparison against the tick-discretized program ------------------------------
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(Struct):
     tick: int
     time: Fraction
     ha_values: dict
@@ -350,8 +341,7 @@ class GridPoint:
     diverged: bool
 
 
-@dataclass
-class DivergenceReport:
+class DivergenceReport(Struct, frozen=False):
     mapping: dict  # automaton var -> program cont var
     grid: list  # GridPoint per tick
     first_divergence_tick: Optional[int]
@@ -514,6 +504,8 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
                 close_location()
                 if len(parts) != 2:
                     raise AutomatonError(f"bad location line: {line!r}")
+                if parts[1] in locations:
+                    raise AutomatonError(f"location {parts[1]!r} defined twice")
                 current = {"name": parts[1], "rates": {}, "inv": []}
             elif head == "rate":
                 if current is None or len(parts) != 3:

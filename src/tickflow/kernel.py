@@ -34,12 +34,12 @@ Identical (program, config, schedule) triples produce identical traces.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import KernelError, NonConstantRateError
 from .rewrite import RewriteConfig, flow_site
+from .struct import Struct
 from .syntax.nodes import (
     Binary,
     BoolLit,
@@ -59,8 +59,7 @@ from .trace import TickRecord, Trace
 # --- input assignments -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputAssignment:
+class InputAssignment(Struct):
     """Statuses and values the environment supplies for one tick."""
 
     present: frozenset = frozenset()
@@ -101,59 +100,95 @@ class Instance:
 # shared between states. A loop's or an abort's residue is its body's; a
 # suspend keeps a SuspendRes, since its None child (an immediate guard held
 # the body before entry) differs from a body that terminated. Equality and
-# hashing ignore `node`, which is exact within one program: walking down
-# from the root, the statements passed on the way and each residue's Seq
-# index, If branch or Par slot fix its node. A declaration has at most one
-# live instance, so a DeclRes is fixed by its node too, and its `instance`
-# is left out as well.
+# hashing ignore `node` (it is in `UNCOMPARED`), which is exact within one
+# program: walking down from the root, the statements passed on the way and
+# each residue's Seq index, If branch or Par slot fix its node. A
+# declaration has at most one live instance, so a DeclRes is fixed by its
+# node too, and its `instance` is left out as well. A tick builds many
+# residues, so each class keeps `__slots__` and writes its own `__init__`.
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class _Res:
-    node: Stmt = field(compare=False)
+class _Res(Struct, frozen=False):
+    __slots__ = ("node",)
+    UNCOMPARED = ("node",)
+    node: Stmt
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class PauseRes(_Res):
-    pass
+    __slots__ = ()
+
+    def __init__(self, node):
+        self.node = node
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class SeqRes(_Res):
+    __slots__ = ("index", "child")
     index: int
     child: "_Res"
 
+    def __init__(self, node, index, child):
+        self.node = node
+        self.index = index
+        self.child = child
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class ParRes(_Res):
+    __slots__ = ("children",)
     children: tuple  # per branch: residue, or None once the branch finished
 
+    def __init__(self, node, children):
+        self.node = node
+        self.children = children
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class IfRes(_Res):
+    __slots__ = ("branch", "child")
     branch: int
     child: "_Res"
 
+    def __init__(self, node, branch, child):
+        self.node = node
+        self.branch = branch
+        self.child = child
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class SuspendRes(_Res):
+    __slots__ = ("child",)
     child: Optional["_Res"]  # None: immediate guard froze it before entry
 
+    def __init__(self, node, child):
+        self.node = node
+        self.child = child
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class DeclRes(_Res):
-    instance: object = field(compare=False)
+    __slots__ = ("instance", "child")
+    UNCOMPARED = ("node", "instance")
+    instance: object
     child: "_Res"
 
+    def __init__(self, node, instance, child):
+        self.node = node
+        self.instance = instance
+        self.child = child
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class LabelRes(_Res):
+    __slots__ = ("child",)
     child: "_Res"
 
+    def __init__(self, node, child):
+        self.node = node
+        self.child = child
 
-@dataclass(slots=True, unsafe_hash=True)
+
 class FlowRes(_Res):
+    __slots__ = ("stop",)
     stop: bool  # computed last tick: terminate on resume without running
+
+    def __init__(self, node, stop):
+        self.node = node
+        self.stop = stop
 
 
 def _live_in(res, labels: list, instances: list):

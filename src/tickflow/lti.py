@@ -9,15 +9,14 @@ discretization itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MatrixError
 from .rational import format_rational, parse_rational
+from .struct import Struct
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Struct):
     rows: int
     cols: int
     entries: tuple  # row-major Fractions, rows*cols of them
@@ -90,8 +89,7 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.cols + other.cols, tuple(entries))
 
 
-@dataclass(frozen=True)
-class LtiSystem:
+class LtiSystem(Struct):
     """x(k+1) = A x(k) [+ B u(k)], y(k) = C x(k); everything rational."""
 
     a: RationalMatrix

@@ -19,10 +19,10 @@ preemptable only from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompileError
+from .struct import Struct
 from .syntax.checks import fold_constant, reject_nonlinear_combine
 from .syntax.nodes import (
     Abort,
@@ -52,8 +52,7 @@ from .syntax.nodes import (
 STOP_PREFIX = "__stop"
 
 
-@dataclass(frozen=True)
-class RewriteConfig:
+class RewriteConfig(Struct):
     """Time units per logical tick: the controller's worst-case reaction
     time, fixed for the whole program."""
 
@@ -64,8 +63,7 @@ class RewriteConfig:
             raise CompileError("wcrt must be strictly positive")
 
 
-@dataclass(frozen=True)
-class FlowSite:
+class FlowSite(Struct):
     """One flow action's rates folded to rationals, in source order, and its
     variables, unique in first-occurrence order."""
 

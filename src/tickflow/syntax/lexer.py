@@ -7,9 +7,8 @@ the derivative marker and is produced as its own PRIME token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import LexError
+from ..struct import Struct
 
 KEYWORDS = {
     "nothing",
@@ -67,8 +66,7 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Struct):
     kind: str  # 'name' | 'keyword' | 'number' | 'punct' | 'eof'
     text: str
     line: int

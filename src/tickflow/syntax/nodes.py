@@ -1,10 +1,11 @@
 """AST node definitions.
 
-Nodes are frozen dataclasses so that structural equality is the default;
-source positions are excluded from comparison so a program and its
-re-parsed pretty-print compare equal. Declarations carry their body: a
-declaration scopes over the remainder of the block it appears in, and the
-parser nests the rest of the block inside it.
+Nodes are frozen `Struct`s (see `tickflow.struct`), so structural equality
+is the default; source positions are named in `UNCOMPARED` and left out of
+comparison, so a program and its re-parsed pretty-print compare equal.
+Declarations carry their body: a declaration scopes over the remainder of
+the block it appears in, and the parser nests the rest of the block inside
+it.
 
 A node's shape lives in its class: `SHAPE` maps each child field, in field
 order, to its kind (`EXPR`, `STMT`, `STMTS` or `ODES`). `children`,
@@ -14,9 +15,10 @@ the tree writes no per-class code and a new field is declared once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
+
+from ..struct import Struct, replace
 
 Pos = Optional[tuple]  # (line, col) or None
 
@@ -30,57 +32,50 @@ ODES = "odes"  # a tuple of (variable name, rate expression) pairs
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Struct):
+    UNCOMPARED = ("pos",)
     SHAPE = {}
 
 
-@dataclass(frozen=True)
 class NumLit(Expr):
     value: Fraction
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class NameRef(Expr):
     """Bare name: signal status, continuous variable, or named constant."""
 
     name: str
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class ValueRef(Expr):
     """`?name` — the value of a valued signal."""
 
     name: str
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     op: str  # '!' or '-'
     operand: Expr
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"operand": EXPR}
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     op: str  # && || == != < <= > >= + - *
     left: Expr
     right: Expr
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"left": EXPR, "right": EXPR}
 
 
-@dataclass(frozen=True)
 class TtlCall(Expr):
     """Look-ahead intrinsic: TTL([v' = rate, ...], invariant, {v, ...}).
 
@@ -91,82 +86,73 @@ class TtlCall(Expr):
     odes: tuple  # tuple[(name, constant Expr), ...]
     invariant: Expr
     vars: tuple  # tuple[str, ...]
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"odes": ODES, "invariant": EXPR}
 
 
 # --- statements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(Struct):
+    UNCOMPARED = ("pos",)
     SHAPE = {}
 
 
-@dataclass(frozen=True)
 class Nothing(Stmt):
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class Pause(Stmt):
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class Emit(Stmt):
     name: str
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
 
 
-@dataclass(frozen=True)
 class ValueWrite(Stmt):
     """`?name = expr` — write the value of a valued signal."""
 
     name: str
     expr: Expr
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"expr": EXPR}
 
 
-@dataclass(frozen=True)
 class ContAssign(Stmt):
     """`name = expr` — write a continuous variable."""
 
     name: str
     expr: Expr
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"expr": EXPR}
 
 
-@dataclass(frozen=True)
 class Abort(Stmt):
     immediate: bool
     guard: Expr
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"guard": EXPR, "body": STMT}
 
 
-@dataclass(frozen=True)
 class Suspend(Stmt):
     immediate: bool
     guard: Expr
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"guard": EXPR, "body": STMT}
 
 
-@dataclass(frozen=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     orelse: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"cond": EXPR, "then": STMT, "orelse": STMT}
 
 
-@dataclass(frozen=True)
 class SignalDecl(Stmt):
     """`[input|output] [type] signal name [op] [= init]; rest-of-block`."""
 
@@ -176,7 +162,7 @@ class SignalDecl(Stmt):
     combine: Optional[str]  # 'plus' | 'times' | None
     init: Optional[Expr]
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"init": EXPR, "body": STMT}
 
     @property
@@ -184,7 +170,6 @@ class SignalDecl(Stmt):
         return self.stype is None
 
 
-@dataclass(frozen=True)
 class ContDecl(Stmt):
     """`cont name [op] [= init]; rest-of-block`. Type is always ratio."""
 
@@ -192,11 +177,10 @@ class ContDecl(Stmt):
     combine: Optional[str]
     init: Optional[Expr]
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"init": EXPR, "body": STMT}
 
 
-@dataclass(frozen=True)
 class ParamDecl(Stmt):
     """`param name [= default]; rest-of-block` — a named rational constant
     resolved before the rewrite pass."""
@@ -204,32 +188,28 @@ class ParamDecl(Stmt):
     name: str
     default: Optional[Expr]
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"default": EXPR, "body": STMT}
 
 
-@dataclass(frozen=True)
 class Loop(Stmt):
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"body": STMT}
 
 
-@dataclass(frozen=True)
 class Seq(Stmt):
     stmts: tuple  # tuple[Stmt, ...], length >= 2
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"stmts": STMTS}
 
 
-@dataclass(frozen=True)
 class Parallel(Stmt):
     branches: tuple  # tuple[Stmt, ...], length >= 2
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"branches": STMTS}
 
 
-@dataclass(frozen=True)
 class DoUntil(Stmt):
     """`do { v' = rate || ... } until (expr)` — a flow action.
 
@@ -239,17 +219,16 @@ class DoUntil(Stmt):
 
     odes: tuple  # tuple[(name, Expr), ...]
     invariant: Expr
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"odes": ODES, "invariant": EXPR}
 
 
-@dataclass(frozen=True)
 class Label(Stmt):
     """`name: stmt` — trace annotation with no semantic effect."""
 
     name: str
     body: Stmt
-    pos: Pos = field(default=None, compare=False)
+    pos: Pos = None
     SHAPE = {"body": STMT}
 
 
@@ -259,8 +238,7 @@ Decl = Union[SignalDecl, ContDecl, ParamDecl]
 # --- program ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Struct):
     root: Stmt
 
     def walk(self):

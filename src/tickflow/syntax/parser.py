@@ -25,11 +25,11 @@ parentheses for boolean operators there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from ..errors import ParseError
+from ..struct import Struct
 from .lexer import Token, lex
 from .nodes import (
     Abort,
@@ -82,8 +82,7 @@ _STMT_STARTERS = {
 }
 
 
-@dataclass
-class _DeclSpec:
+class _DeclSpec(Struct, frozen=False):
     """One declarator of a (possibly multi-name) declaration."""
 
     kind: str  # 'signal' | 'cont' | 'param'

@@ -10,16 +10,15 @@ output is byte-deterministic for equal traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import TickflowError
 from .rational import format_rational, parse_rational
+from .struct import Struct
 
 
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(Struct):
     tick: int
     time: Fraction
     statuses: dict  # name -> bool
@@ -27,15 +26,34 @@ class TickRecord:
     conts: dict  # name -> Fraction
     labels: tuple  # sorted label names with a paused control point
 
+    def __init__(self, tick, time, statuses, values, conts, labels):
+        # one record per tick: set the fields directly, past the generic init
+        setattr_ = object.__setattr__
+        setattr_(self, "tick", tick)
+        setattr_(self, "time", time)
+        setattr_(self, "statuses", statuses)
+        setattr_(self, "values", values)
+        setattr_(self, "conts", conts)
+        setattr_(self, "labels", labels)
 
-@dataclass
-class Trace:
+
+class Trace(Struct, frozen=False):
     wcrt: Fraction
     records: list
     terminated: bool
     termination_tick: Optional[int]
-    initial_conts: dict = field(default_factory=dict)
-    read_log: Optional[list] = None
+    initial_conts: dict
+    read_log: Optional[list]
+
+    def __init__(
+        self, wcrt, records, terminated, termination_tick, initial_conts=None, read_log=None
+    ):
+        self.wcrt = wcrt
+        self.records = records
+        self.terminated = terminated
+        self.termination_tick = termination_tick
+        self.initial_conts = {} if initial_conts is None else initial_conts
+        self.read_log = read_log
 
     # -- queries --
 

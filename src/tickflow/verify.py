@@ -15,13 +15,13 @@ that terminated or sit at the bound are checked for the target, never keyed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
 from .kernel import InputAssignment, TickState, init
 from .rewrite import RewriteConfig
+from .struct import Struct
 from .syntax.nodes import Program
 from .trace import settled_rows
 
@@ -29,8 +29,7 @@ from .trace import settled_rows
 # --- input alphabets -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputAlphabet:
+class InputAlphabet(Struct):
     """Finite per-signal choices: every declared input may be absent or
     present; valued inputs carry one of finitely many values when present."""
 
@@ -91,8 +90,7 @@ def alphabet_for(program: Program, values_per_input: Optional[dict] = None) -> I
 # --- verdicts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Struct):
     """An input schedule prefix that makes the target signal settle present
     at `tick`, plus the settled snapshot at that tick."""
 
@@ -101,8 +99,7 @@ class Witness:
     snapshot: tuple  # sorted ((name, printed value), ...)
 
 
-@dataclass(frozen=True)
-class Unreachable:
+class Unreachable(Struct):
     """No schedule makes the target settle present within `bound` ticks.
     `states_explored` counts transitions (one clone advanced by one input
     choice), not distinct states."""

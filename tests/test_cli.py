@@ -277,6 +277,8 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         ("rate y 0", "rate z 0", "8: unknown variable 'z'"),
         ("init A x = 0, y = 0", "init A x = 0, q = 5", "18: unknown variable 'q'"),
         ("reset x = 0, y = 0", "reset x = 0, w = 0", "21: unknown variable 'w'"),
+        ("deliver reset x = 0, y = 0\n", "deliver reset x = 0, y = 0\nlocation A\n  rate x 2\n",
+         "22: location 'A' defined twice"),
     ):
         bad.write_text(text.replace(old, new))
         code = main([
@@ -294,6 +296,8 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "missing")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
     flow = str(CORPUS / "programs" / "flow_single.hsj")
     compare = [
         "compare",
@@ -303,16 +307,23 @@ def test_missing_file_exits_2(tmp_path, capsys):
         "--map", str(CORPUS / "maps" / "carousel.json"),
         "--param", "alpha=3", *CAROUSEL_PARAMS,
     ]
-    for argv in (
-        ["run", missing, "--wcrt", "1"],
-        ["run", flow, "--wcrt", "2", "--schedule", missing],
-        ["verify", flow, "--wcrt", "2", "--bound", "3", "--target", "X", "--alphabet", missing],
-        [missing if arg.endswith("carousel.json") else arg for arg in compare],
-        [missing if arg.endswith("carousel.ha") else arg for arg in compare],
-        ["lti", missing],
+    for bad, reason in (
+        (missing, "No such file or directory"),
+        (str(binary), "not UTF-8 text (invalid start byte at byte 0)"),
     ):
-        assert main(argv) == 2, argv
-        assert capsys.readouterr().err == f"{missing}: No such file or directory\n"
+        for argv in (
+            ["run", bad, "--wcrt", "1"],
+            ["check", bad],
+            ["desugar", bad, "--wcrt", "1"],
+            ["run", flow, "--wcrt", "2", "--schedule", bad],
+            ["verify", flow, "--wcrt", "2", "--bound", "3", "--target", "X", "--alphabet", bad],
+            [bad if arg.endswith("carousel.json") else arg for arg in compare],
+            [bad if arg.endswith("carousel.ha") else arg for arg in compare],
+            [bad if arg == CAROUSEL else arg for arg in compare],
+            ["lti", bad],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"{bad}: {reason}\n", argv
 
 
 def test_bad_param_rational_exits_2(capsys):

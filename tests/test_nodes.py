@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from fractions import Fraction as F
 
 from tickflow.params import bind_params
@@ -36,11 +35,11 @@ def _kind(value):
 
 
 def _nodes(node):
-    """Every node under `node`, found through its dataclass fields and not
+    """Every node under `node`, found through its declared fields and not
     through its SHAPE."""
     yield node
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in node.FIELDS:
+        value = getattr(node, name)
         for item in value if isinstance(value, tuple) else (value,):
             for sub in item if isinstance(item, tuple) else (item,):
                 if isinstance(sub, (Expr, Stmt)):
@@ -63,14 +62,13 @@ def test_every_child_field_is_in_its_shape():
     for name, root in _trees():
         for node in _nodes(root):
             seen.add(type(node).__name__)
-            field_names = {f.name for f in fields(node)}
-            assert "pos" not in node.SHAPE and set(node.SHAPE) <= field_names, (name, node)
-            for f in fields(node):
-                kind = _kind(getattr(node, f.name))
+            assert "pos" not in node.SHAPE and set(node.SHAPE) <= set(node.FIELDS), (name, node)
+            for field in node.FIELDS:
+                kind = _kind(getattr(node, field))
                 if kind is not None:
-                    assert node.SHAPE.get(f.name) == kind, (name, type(node), f.name)
-                elif f.name in node.SHAPE:
-                    assert node.SHAPE[f.name] == EXPR and getattr(node, f.name) is None
+                    assert node.SHAPE.get(field) == kind, (name, type(node), field)
+                elif field in node.SHAPE:
+                    assert node.SHAPE[field] == EXPR and getattr(node, field) is None
     concrete = {cls.__name__ for base in (Expr, Stmt) for cls in base.__subclasses__()}
     assert seen == concrete
 

@@ -1,0 +1,78 @@
+"""The record base class: fields, equality, hashing, immutability, replace
+and repr, on syntax nodes and kernel residues."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pytest
+
+from tickflow.kernel import DeclRes, Instance, PauseRes, SeqRes
+from tickflow.struct import Struct, replace
+from tickflow.syntax.nodes import Binary, Emit, NameRef, NumLit, Pause, Seq
+
+
+def test_fields_are_read_in_order_bases_first():
+    assert Binary.FIELDS == ("op", "left", "right", "pos")
+    assert DeclRes.FIELDS == ("node", "instance", "child")
+    assert Struct.FIELDS == ()
+
+
+def test_nodes_that_differ_only_in_pos_are_equal_and_hash_equal():
+    a = Binary("+", NameRef("x", pos=(1, 1)), NumLit(F(2), (1, 5)), pos=(1, 1))
+    b = Binary("+", NameRef("x", pos=(7, 3)), NumLit(F(2)), pos=None)
+    assert a == b and hash(a) == hash(b)
+    assert Pause((1, 1)) == Pause((2, 2)) and hash(Pause((1, 1))) == hash(Pause())
+    assert a != Binary("-", NameRef("x"), NumLit(F(2)))
+    assert NameRef("x") != Emit("x")  # another class is never equal
+
+
+def test_residues_that_differ_only_in_node_or_instance_are_equal():
+    first, second = Pause((1, 1)), Emit("S", (2, 1))
+    assert PauseRes(first) == PauseRes(second)
+    assert hash(SeqRes(first, 0, PauseRes(first))) == hash(SeqRes(second, 0, PauseRes(second)))
+    assert SeqRes(first, 0, PauseRes(first)) != SeqRes(first, 1, PauseRes(first))
+    a = DeclRes(first, Instance(first), PauseRes(first))
+    b = DeclRes(second, Instance(second), PauseRes(second))
+    assert a == b and hash(a) == hash(b)
+
+
+def test_assigning_or_deleting_a_node_field_raises():
+    node = NameRef("x", (1, 1))
+    with pytest.raises(AttributeError):
+        node.name = "y"
+    with pytest.raises(AttributeError):
+        node.pos = None
+    with pytest.raises(AttributeError):
+        del node.name
+    assert node.name == "x" and node.pos == (1, 1)
+
+
+def test_arguments_by_position_name_and_default():
+    assert NumLit(F(1)).pos is None
+    assert NumLit(value=F(1), pos=(3, 4)).pos == (3, 4)
+    for args, kwargs in (((), {}), ((F(1), None, 3), {}), ((F(1),), {"value": F(2)}),
+                         ((F(1),), {"colour": 3})):
+        with pytest.raises(TypeError):
+            NumLit(*args, **kwargs)
+
+
+def test_replace_keeps_the_class_and_the_uncompared_fields():
+    seq = Seq((Pause((2, 1)), Emit("S", (3, 1))), pos=(2, 1))
+    changed = replace(seq, stmts=(Emit("T", (4, 1)), Pause((5, 1))))
+    assert type(changed) is Seq and changed.pos == (2, 1)
+    assert changed.stmts[0] == Emit("T") and seq.stmts[0] == Pause()
+    res = DeclRes(seq, Instance(seq), PauseRes(seq))
+    moved = replace(res, child=None)
+    assert type(moved) is DeclRes and moved.node is seq and moved.instance is res.instance
+    with pytest.raises(TypeError):
+        replace(seq, colour=3)
+
+
+def test_repr_names_the_class_and_every_field():
+    assert repr(NameRef("x", (1, 2))) == "NameRef(name='x', pos=(1, 2))"
+    assert repr(Binary("*", NumLit(F(1, 2)), NameRef("y"))) == (
+        "Binary(op='*', left=NumLit(value=Fraction(1, 2), pos=None), "
+        "right=NameRef(name='y', pos=None), pos=None)"
+    )
+    assert repr(PauseRes(Pause())) == "PauseRes(node=Pause(pos=None))"
