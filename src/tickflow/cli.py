@@ -18,13 +18,14 @@ import sys
 from fractions import Fraction
 
 from .errors import (
+    ArgumentError,
     AutomatonError,
     CompileError,
     ScheduleError,
     SearchLimitError,
     TickflowError,
 )
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 
 # Each subcommand imports the modules it runs when it runs (`json` too, for
 # the input files), so `check` and `desugar` never load the kernel, `lti`
@@ -185,6 +186,10 @@ def _wcrt(text: str) -> Fraction:
     return value
 
 
+# The flag that supplies each library parameter an `ArgumentError` names.
+_FLAGS = {"max_ticks": "--ticks", "node_limit": "--node-limit", "horizon": "--horizon"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tickflow",
@@ -240,6 +245,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ScheduleError as err:  # names the file beside the program at fault
         print(err, file=sys.stderr)
+        return 2
+    except ArgumentError as err:  # names the flag at fault
+        print(f"{_FLAGS.get(err.name, err.name)}: {err.message}", file=sys.stderr)
         return 2
     except (CompileError, TickflowError) as err:
         prog_path = getattr(args, "program", None) or getattr(args, "matrices", "")
@@ -329,7 +337,11 @@ def _verify(args) -> int:
         print(f"witness: {args.target} settles present at tick {verdict.tick}")
         for i, assignment in enumerate(verdict.schedule, start=1):
             if not assignment.is_empty():
-                present = ",".join(sorted(assignment.present))
+                values = assignment.value_map()
+                present = ",".join(
+                    f"{name}={format_rational(values[name])}" if name in values else name
+                    for name in sorted(assignment.present)
+                )
                 print(f"  tick {i}: present [{present}]")
         for name, kind, value in verdict.snapshot:
             print(f"  {name} {kind} = {value}")

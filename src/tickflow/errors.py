@@ -101,5 +101,14 @@ class NondeterminismError(TickflowError):
     """Two edges enable at the same instant and no priority orders them."""
 
 
+class ArgumentError(TickflowError):
+    """An argument of a call is out of range; `name` is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        self.message = message
+        super().__init__(f"{name} {message}")
+
+
 class SearchLimitError(TickflowError):
     """The reachability search hit its configured node limit."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import AutomatonError, DeadlockError, NondeterminismError
+from .errors import ArgumentError, AutomatonError, DeadlockError, NondeterminismError
 from .kernel import run as kernel_run
 from .rational import format_rational, parse_rational
 from .rewrite import RewriteConfig, rewrite_flows
@@ -400,6 +400,8 @@ def compare(
 
     `mapping` sends automaton variables to program continuous variables.
     """
+    if horizon <= 0:
+        raise ArgumentError("horizon", f"must be positive, got {format_rational(horizon)}")
     for var in mapping:
         if var not in ha.variables:
             raise AutomatonError(f"unmapped automaton variable {var!r}")

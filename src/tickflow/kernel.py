@@ -15,10 +15,21 @@ from the residue it left. A parent picks the child that resumes a residue
 by its Seq index, If branch or Par slot, so a tick dispatches on nothing.
 Each expression becomes a closure too. Names resolve to slots at compile
 time: a declaration has at most one live instance, so the per-tick list
-`ctx.env` holds it in the declaration's slot while its scope runs, and a
-look-ahead puts its predictions in slots of its own. Misuse, such as an
-unbound name or an `emit` of a continuous variable, compiles to code that
-raises the same `KernelError` at the tick that reaches it.
+`ctx.env` holds it in the declaration's slot while its scope runs. Misuse,
+such as an unbound name or an `emit` of a continuous variable, compiles to
+code that raises the same `KernelError` at the tick that reaches it.
+
+A look-ahead compiles to reads of its site's variables, in site order,
+into slots of its own that shadow them, then its invariant. A variable
+whose prediction is affine in its snapshot (`ttl.affine_form`; every
+variable of a rewritten flow is) keeps the snapshot in its slot: the
+invariant's `name <op> literal` compiles to one integer cross-multiplication
+against the threshold `(literal - shift)/scale`, folded at compile time,
+and any other use of the name computes `scale*snapshot + shift`. A
+comparison of a continuous variable with a literal compiles to the same
+integer test. Any other variable's slot holds its prediction, computed
+once every variable is read. So the look-ahead of a rewritten flow does
+no `Fraction` arithmetic: a flow tick's are its steps and the tick's time.
 
 The machine state between ticks is a residue, an immutable tree of the
 paused points of the program, and a store mapping each live declaration
@@ -37,7 +48,7 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .errors import KernelError, NonConstantRateError
+from .errors import ArgumentError, KernelError, NonConstantRateError
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.nodes import (
@@ -471,12 +482,15 @@ _BINARY = {  # any other operator multiplies
     ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
 }
 
+_COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
 
 class _Compiler:
     """Translates statements into (run, resume) closure pairs and
     expressions into closures. A scope maps each visible name to
     (kind, slot, declaration), kind being "signal", "cont" or "pred" (a
-    look-ahead prediction); `slots` counts the environment slots."""
+    look-ahead prediction, whose third entry is its affine form or None);
+    `slots` counts the environment slots."""
 
     def __init__(self, cfg: RewriteConfig):
         self.wcrt = cfg.wcrt
@@ -766,39 +780,37 @@ class _Compiler:
         return run, resume
 
     def _lookahead(self, site, invariant, scope):
-        """The two-tick look-ahead: reads the site's variables, puts their
-        predictions in slots of its own that shadow them for the whole
-        invariant, and evaluates the invariant."""
-        reads, slots, combine = [], [], {}
+        """The two-tick look-ahead: reads the site's variables in site order
+        into slots of its own that shadow them for the whole invariant, and
+        evaluates the invariant. A variable with an affine prediction keeps
+        its snapshot in the slot, and the invariant applies the form where
+        it uses the name; any other variable's slot holds its prediction,
+        computed once every variable is read."""
+        reads, predicted, combine = [], [], {}
         inner = dict(scope)
         for name in site.vars:
             kind, slot, decl = scope.get(name, _UNBOUND)
             if kind == "cont":
-                reads.append(_reader(slot, name, "value", 1))
+                read = _reader(slot, name, "value", 1)
                 if decl.combine is not None:
                     combine[name] = decl.combine
             else:
-                reads.append(_misuse(kind, name, f"{name!r} is not a continuous variable"))
-            slots.append(self.slot())
-            inner[name] = ("pred", slots[-1], None)
+                read = _misuse(kind, name, f"{name!r} is not a continuous variable")
+            reads.append((self.slot(), read))
         predicts = ttl_mod.predictors(site.odes, site.vars, combine, self.wcrt)
+        for name, (slot, _), predict in zip(site.vars, reads, predicts):
+            form = ttl_mod.affine_form(site.odes, name, combine.get(name), self.wcrt)
+            if form is None:
+                predicted.append((slot, predict))
+            inner[name] = ("pred", slot, form)
         check = self.expr(invariant, inner)
-        if len(reads) == 1:
-            (read,), (slot,), (predict,) = reads, slots, predicts
-
-            def predict_all(ctx):
-                ctx.env[slot] = predict(read(ctx))
-        else:
-            targets = tuple(zip(slots, predicts))
-
-            def predict_all(ctx):
-                values = [read(ctx) for read in reads]
-                env = ctx.env
-                for (slot, predict), value in zip(targets, values):
-                    env[slot] = predict(value)
 
         def lookahead(ctx):
-            predict_all(ctx)
+            env = ctx.env
+            for slot, read in reads:
+                env[slot] = read(ctx)
+            for slot, predict in predicted:
+                env[slot] = predict(env[slot])
             result = check(ctx)
             if result.__class__ is not bool:
                 raise KernelError("invariant did not evaluate to a boolean")
@@ -814,14 +826,17 @@ class _Compiler:
             value = node.value
             return lambda ctx: value
         if cls is NameRef:
-            kind, slot, _ = scope.get(node.name, _UNBOUND)
+            kind, slot, form = scope.get(node.name, _UNBOUND)
             if kind is None:
                 return _fail(f"unbound name {node.name!r}")
             if kind == "signal":
                 return _reader(slot, node.name, "status", 0)
             if kind == "cont":
                 return _reader(slot, node.name, "value", 1)
-            return lambda ctx: ctx.env[slot]  # a look-ahead prediction, not a read
+            if form is None:  # a look-ahead prediction, not a read
+                return lambda ctx: ctx.env[slot]
+            scale, shift = form
+            return lambda ctx: scale * ctx.env[slot] + shift
         if cls is ValueRef:
             kind, slot, decl = scope.get(node.name, _UNBOUND)
             if kind != "signal" or decl.pure:
@@ -833,6 +848,15 @@ class _Compiler:
                 return lambda ctx: not operand(ctx)
             return lambda ctx: -operand(ctx)
         if cls is Binary:
+            if (
+                node.op in _COMPARE
+                and node.left.__class__ is NameRef
+                and node.right.__class__ is NumLit
+                and node.right.value.__class__ is Fraction
+            ):
+                test = self._bound_test(node, scope)
+                if test is not None:
+                    return test
             fn = _BINARY.get(node.op, operator.mul)
             left = self.expr(node.left, scope)
             if node.right.__class__ in (NumLit, BoolLit):
@@ -844,6 +868,36 @@ class _Compiler:
             site, fail = _folded_site(node.odes)
             return fail or self._lookahead(site, node.invariant, scope)
         return _fail(f"cannot evaluate {node!r}")
+
+    def _bound_test(self, node, scope):
+        """`name <op> literal` on a continuous variable or an affine
+        prediction, as one integer cross-multiplication, or None for any
+        other name. For a prediction `scale*v + shift` the literal becomes
+        the threshold `(c - shift)/scale`; both denominators are positive,
+        so `v <op> p/q` is `v.numerator*q <op> p*v.denominator`."""
+        name, bound = node.left.name, node.right.value
+        kind, slot, form = scope.get(name, _UNBOUND)
+        if kind == "cont":
+            read = _reader(slot, name, "value", 1)
+        elif kind == "pred" and form is not None:
+            scale, shift = form
+            bound = (bound - shift) / scale
+            read = None
+        else:
+            return None
+        p, q, cmp = bound.numerator, bound.denominator, _BINARY[node.op]
+        if read is None:
+
+            def test(ctx):
+                v = ctx.env[slot]
+                return cmp(v.numerator * q, p * v.denominator)
+        else:
+
+            def test(ctx):
+                v = read(ctx)
+                return cmp(v.numerator * q, p * v.denominator)
+
+        return test
 
 
 # --- module-level operations -------------------------------------------------
@@ -874,6 +928,8 @@ def run(
 ) -> Trace:
     """Run to termination or max_ticks; ticks past the end of the schedule
     see all inputs absent."""
+    if max_ticks < 0:
+        raise ArgumentError("max_ticks", f"must be non-negative, got {max_ticks}")
     state = init(program, cfg, native_flows=native_flows)
     by_tick = normalize_schedule(schedule)
     if record_reads:

@@ -166,10 +166,8 @@ def to_csv(trace: Trace) -> str:
         rows = settled_rows(rec)
         for name in rec.labels:
             rows.append((name, "label", "true"))
-        for name, kind, datum in sorted(rows):
-            lines.append(
-                f"{rec.tick},{format_rational(rec.time)},{name},{kind},{datum}"
-            )
+        prefix = f"{rec.tick},{format_rational(rec.time)},"
+        lines.extend([f"{prefix}{name},{kind},{datum}" for name, kind, datum in sorted(rows)])
     return "\n".join(lines) + "\n"
 
 

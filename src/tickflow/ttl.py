@@ -8,11 +8,24 @@ the kernel's end-of-tick combine step. A variable with one rate r moves to
 `value + 2*r*wcrt`; simultaneous rates on one variable are folded with its
 declared combine operator.
 
+Every prediction an accepted program can reach is affine in the snapshot:
+`scale*value + shift` with `scale > 0` (`affine_form`). One rate gives
+`(1, 2*r*wcrt)`, and m > 1 rates folded with `op+` give
+`(m*m, (m+1)*(r1+..+rm)*wcrt)`, the closed form of folding twice. Because
+`scale` is positive, `scale*value + shift <op> c` holds exactly when
+`value <op> (c - shift)/scale` does, for each of `<`, `<=`, `>`, `>=`, `==`
+and `!=`; the kernel folds the threshold once, when it compiles the
+invariant, and tests the snapshot against it with integer arithmetic. The
+test is exact: it is the same rational comparison, rearranged.
+
+Several rates under `op*` (reachable only through natively interpreted
+flows and hand-written `TTL` calls) have no affine form and keep the
+iterated fold; several rates with no operator raise.
+
 `predictors` is the formula's one home. It folds a site's rates with the
 tick length once, when the kernel compiles the site, into one function per
-variable from its snapshot to its prediction; the kernel then evaluates the
-invariant against the predictions. `delta_combined` applies the same
-functions to a valuation directly.
+variable from its snapshot to its prediction. `delta_combined` applies the
+same functions to a valuation directly.
 """
 
 from __future__ import annotations
@@ -36,31 +49,47 @@ def combine_fold(op: str, values: list) -> Fraction:
     raise KernelError(f"unknown combine operator {op!r}")
 
 
+def affine_form(odes, v: str, op, wcrt: Fraction):
+    """`(scale, shift)` such that the prediction of `v` from its snapshot
+    is `scale*value + shift`, or None when it is not affine.
+
+    `odes` are the site's (name, rational rate) pairs and `op` the combine
+    operator of `v`, if it has one. Rates (r1..rm) folded with `op+` (or a
+    single rate, whatever the operator) start from m copies of the
+    snapshot; one fold gives `m*value + S` with `S = (r1+..+rm)*wcrt`, and
+    the second `m*(m*value + S) + S`.
+    """
+    rates = [rate for name, rate in odes if name == v]
+    m = len(rates)
+    if m == 1 or (m > 1 and op == "plus"):
+        return m * m, (m + 1) * sum(rates) * wcrt
+    return None
+
+
 def predictors(odes, vars, combine: dict, wcrt: Fraction) -> tuple:
     """Per variable of `vars`, a function from its previous-tick snapshot
     to its value two ticks ahead.
 
     `odes` are (name, rational rate) pairs and `combine` the operator of
-    each variable that has one. A variable with one rate r moves by the
-    folded constant 2*r*wcrt. A variable with rates (r1..rm), m > 1, starts
-    from a vector of m copies of its snapshot; twice, every entry advances
-    by its folded step ri*wcrt, the entries fold with the combine operator,
-    and the fold is propagated back into every entry. The second fold is
-    the prediction. A variable with no rate, or with several and no
-    operator, gets a function that raises when called.
+    each variable that has one. A variable with an affine form (see
+    `affine_form`) applies it. A variable with rates (r1..rm), m > 1, and
+    another operator starts from a vector of m copies of its snapshot;
+    twice, every entry advances by its folded step ri*wcrt, the entries
+    fold with the combine operator, and the fold is propagated back into
+    every entry. The second fold is the prediction. A variable with no
+    rate, or with several and no operator, gets a function that raises
+    when called.
     """
-    return tuple(
-        _predictor(v, tuple(rate for name, rate in odes if name == v), combine.get(v), wcrt)
-        for v in vars
-    )
+    return tuple(_predictor(odes, v, combine.get(v), wcrt) for v in vars)
 
 
-def _predictor(v: str, rates: tuple, op, wcrt: Fraction):
-    if len(rates) == 1:
-        step = 2 * rates[0] * wcrt
-        return lambda value: value + step
-    if rates and op is not None:
-        steps = tuple(rate * wcrt for rate in rates)
+def _predictor(odes, v: str, op, wcrt: Fraction):
+    form = affine_form(odes, v, op, wcrt)
+    if form is not None:
+        scale, shift = form
+        return lambda value: scale * value + shift
+    steps = tuple(rate * wcrt for name, rate in odes if name == v)
+    if steps and op is not None:
 
         def predict(value):
             for _ in range(2):
@@ -68,7 +97,7 @@ def _predictor(v: str, rates: tuple, op, wcrt: Fraction):
             return value
 
         return predict
-    if not rates:
+    if not steps:
         message = f"variable {v!r} has no rate in this site"
     else:
         message = f"variable {v!r} has simultaneous rates but no combine operator"

@@ -18,7 +18,7 @@ from collections import deque
 from itertools import product
 from typing import Optional
 
-from .errors import KernelError, ScheduleError, SearchLimitError, TickflowError
+from .errors import ArgumentError, KernelError, ScheduleError, SearchLimitError, TickflowError
 from .kernel import InputAssignment, TickState, init
 from .rewrite import RewriteConfig
 from .struct import Struct
@@ -162,6 +162,8 @@ def check_reachable(
         raise TickflowError(f"unknown search strategy {strategy!r} (bfs or dfs)")
     if bound < 0:
         raise TickflowError(f"search bound must be non-negative, got {bound}")
+    if node_limit < 1:
+        raise ArgumentError("node_limit", f"must be positive, got {node_limit}")
     if target not in _declared_signals(program):
         raise KernelError(f"target signal {target!r} is not declared")
     if alphabet is None:

@@ -130,6 +130,70 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (
+        ["run", CAROUSEL, "--wcrt", "2", "--ticks", "-3"],
+        "--ticks: must be non-negative, got -3",
+    ),
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "3", "--target", "ERROR",
+         "--node-limit", "-1"],
+        "--node-limit: must be positive, got -1",
+    ),
+    (
+        ["compare", "--ha", str(CORPUS / "automata" / "carousel.ha"), "--program", CAROUSEL,
+         "--wcrt", "2", "--horizon", "-4", "--map", str(CORPUS / "maps" / "carousel.json")],
+        "--horizon: must be positive, got -4",
+    ),
+], ids=["ticks", "node-limit", "horizon"])
+def test_out_of_range_flag_exits_2(argv, message, capsys):
+    assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_valued_witness_replays_from_its_output(tmp_path, capsys):
+    from tickflow.kernel import InputAssignment
+    from tickflow.params import bind_params
+    from tickflow.rational import parse_rational
+    from tickflow.rewrite import RewriteConfig, rewrite_flows
+    from tickflow.syntax import parse
+    from tickflow.verify import Witness, replay
+
+    source = "input int signal LEVEL; signal HIGH;\nloop { if (?LEVEL >= 3) emit HIGH; pause }\n"
+    prog = tmp_path / "level.hsj"
+    prog.write_text(source)
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text('{"LEVEL": {"values": ["1", "5"]}}')
+    code = main([
+        "verify", str(prog), "--wcrt", "1", "--bound", "4", "--target", "HIGH",
+        "--alphabet", str(alpha),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  tick 1: present [LEVEL=5]" in lines
+    # rebuild the witness from the printed lines alone
+    tick = int(re.fullmatch(r"witness: HIGH settles present at tick (\d+)", lines[0]).group(1))
+    schedule = [InputAssignment()] * tick
+    snapshot = []
+    for line in lines[1:]:
+        shown = re.fullmatch(r"  tick (\d+): present \[(.*)\]", line)
+        if shown:
+            present, values = [], {}
+            for entry in shown.group(2).split(","):
+                name, _, value = entry.partition("=")
+                present.append(name)
+                if value:
+                    values[name] = parse_rational(value)
+            schedule[int(shown.group(1)) - 1] = InputAssignment.make(present, values)
+        else:
+            name, kind, _, value = line.split()
+            snapshot.append((name, kind, value))
+    cfg = RewriteConfig(parse_rational("1"))
+    program = rewrite_flows(bind_params(parse(source), {}), cfg)
+    assert replay(program, cfg, Witness(tuple(schedule), tick, tuple(snapshot)))
+
+
 def test_lti_verdicts(capsys):
     assert main(["lti", str(CORPUS / "matrices" / "observable.mat")]) == 0
     assert "observable" in capsys.readouterr().out

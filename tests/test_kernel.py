@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tickflow.errors import KernelError
 from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
 from tickflow import rewrite
+from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.nodes import Program
@@ -433,3 +435,56 @@ def test_time_advances_by_wcrt():
     trace = _run("cont a;\ndo {a' = 1} until (a <= 6)", wcrt=F(3, 2), max_ticks=10)
     times = [rec.time for rec in trace.records]
     assert times == [F(3, 2) * (i + 1) for i in range(len(times))]
+
+
+# --- comparisons against literals -----------------------------------------------
+
+_OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
+def _holds_first_tick(decls: str, cond: str, wcrt: F) -> bool:
+    trace = _run(f"{decls}\nsignal HOLDS;\nif ({cond}) emit HOLDS;\npause", wcrt, max_ticks=1)
+    return trace.status("HOLDS", 1)
+
+
+def test_comparison_with_literal_matches_fraction_evaluation():
+    # a continuous read, a one-rate and a two-rate op+ prediction, each
+    # against its own value, the values next to it, and negative and
+    # non-integer literals; the expected status is plain Fraction arithmetic
+    wcrt = F(2, 3)
+    start = F(-5, 4)
+    r1, r2 = F(3, 2), F(-1, 3)
+    one_rate = start + 2 * r1 * wcrt
+    two_rate = start
+    for _ in range(2):
+        two_rate = (two_rate + r1 * wcrt) + (two_rate + r2 * wcrt)
+    cases = [
+        ("cont a = -5/4;", "a {op} {lit}", start),
+        ("cont a = -5/4;", "TTL([a' = 3/2], a {op} {lit}, {{a}})", one_rate),
+        ("cont a op+ = -5/4;", "TTL([a' = 3/2, a' = -1/3], a {op} {lit}, {{a}})", two_rate),
+    ]
+    for decls, template, seen in cases:
+        literals = {seen, seen - F(1, 7), seen + F(1, 7), F(-3), F(-7, 2), F(5, 3), F(0)}
+        for op, holds in _OPS.items():
+            for lit in sorted(literals):
+                cond = template.format(op=op, lit=format_rational(lit))
+                assert _holds_first_tick(decls, cond, wcrt) is holds(seen, lit), cond
+
+
+def test_prediction_outside_a_comparison_is_the_prediction():
+    # the prediction (0 + 2*1*2 = 4, and 4*1 + 3*(1+2)*2 = 22) in
+    # arithmetic, on the right of a comparison and as a sum
+    assert _holds_first_tick("cont a = 0;", "TTL([a' = 1], a + 0 == 4, {a})", F(2))
+    assert _holds_first_tick("cont a = 0;", "TTL([a' = 1], 4 == a, {a})", F(2))
+    two = "cont a op+ = 1, b = 0;"
+    assert _holds_first_tick(two, "TTL([a' = 1, a' = 2, b' = 1], a - b == 18, {a, b})", F(2))
+
+
+def test_lookahead_reads_every_site_variable_in_site_order():
+    # the invariant names only b; a is still read, first
+    source = "cont a = 1, b = 2;\nloop { if (TTL([a' = 1, b' = 1], b <= 10, {a, b})) pause else pause }"
+    trace = run(parse(source), CFG1, max_ticks=1, record_reads=True)
+    assert trace.read_log == [(1, "a", "value", F(1)), (1, "b", "value", F(2))]

@@ -11,7 +11,7 @@ from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.parser import parse_raw
-from tickflow.ttl import delta_combined
+from tickflow.ttl import affine_form, delta_combined
 
 
 def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
@@ -113,3 +113,50 @@ def test_holds_at_delta_signal_lookup():
         (2, "a", "value", F(0)),
         (2, "OK", "status", True),
     ]
+
+
+def _iterated(value, rates, op, wcrt):
+    """The look-ahead by its definition: m copies of the snapshot; twice,
+    every entry advances by its own step, the entries fold with `op`, and
+    the fold is propagated back into every entry."""
+    entries = [value] * len(rates)
+    for _ in range(2):
+        entries = [entry + rate * wcrt for entry, rate in zip(entries, rates)]
+        folded = entries[0]
+        for entry in entries[1:]:
+            folded = folded + entry if op == "plus" else folded * entry
+        entries = [folded] * len(rates)
+    return entries[0]
+
+
+def test_affine_form_matches_the_iterated_definition_randomized():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        rates = [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(m)]
+        value = F(rng.randint(-50, 50), rng.randint(1, 5))
+        wcrt = F(rng.randint(1, 4), rng.randint(1, 3))
+        odes = tuple(("a", rate) for rate in rates) + (("b", F(1)),)
+        expected = _iterated(value, rates, "plus", wcrt)
+        for op in ("plus", "times", None):
+            form = affine_form(odes, "a", op, wcrt)
+            combine = {} if op is None else {"a": op}
+            if m == 1 or op == "plus":
+                # one rate folds the same under any operator
+                scale, shift = form
+                assert scale > 0 and scale * value + shift == expected
+                assert delta_combined(odes, ("a",), combine, {"a": value}, wcrt) == {
+                    "a": expected
+                }
+            elif op == "times":
+                assert form is None
+                assert delta_combined(odes, ("a",), combine, {"a": value}, wcrt) == {
+                    "a": _iterated(value, rates, "times", wcrt)
+                }
+            else:
+                assert form is None
+                with pytest.raises(KernelError, match="no combine operator"):
+                    delta_combined(odes, ("a",), combine, {"a": value}, wcrt)
+    assert affine_form((("b", F(1)),), "a", "plus", F(1)) is None
+    with pytest.raises(KernelError, match="no rate"):
+        delta_combined((("b", F(1)),), ("a",), {}, {"a": F(0)}, F(1))
