@@ -63,7 +63,7 @@ def _rational(path: str, text) -> Fraction:
     if isinstance(text, str):
         try:
             return parse_rational(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
     raise ScheduleError(f"{path}: bad rational {text!r}")
 
@@ -156,7 +156,7 @@ def _flag_rational(flag: str, text: str) -> Fraction:
     """A command-line rational; `flag` names the option in errors."""
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise CompileError(f"{flag}: bad rational {text!r}") from None
 
 
@@ -385,6 +385,10 @@ def _compare(args) -> int:
         raise ScheduleError(f"{args.ha}:{err}") from None
     program = params.bind_params(syntax.parse(_read_text(args.program)), values)
     mapping = _load_json(args.map, "variable map", dict)
+    try:
+        hybrid.check_mapping(automaton, program, mapping)
+    except AutomatonError as err:
+        raise ScheduleError(f"{args.map}: {err}") from None
     horizon = _flag_rational("--horizon", args.horizon)
     report = hybrid.compare(automaton, program, rewrite.RewriteConfig(wcrt), horizon, mapping)
     sys.stdout.write(report.to_text())

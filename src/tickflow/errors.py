@@ -76,7 +76,13 @@ class ScheduleError(TickflowError):
 
 
 class MatrixError(TickflowError):
-    """A matrix file is malformed or dimensions are incompatible."""
+    """A matrix file is malformed, at `line` of its text when that is
+    known, or dimensions are incompatible."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.message = message
+        self.line = line
+        super().__init__(message if line is None else f"{line}: {message}")
 
 
 class AutomatonError(TickflowError):

@@ -25,7 +25,7 @@ from .kernel import run as kernel_run
 from .rational import format_rational, parse_rational
 from .rewrite import RewriteConfig, rewrite_flows
 from .struct import Struct, replace
-from .syntax.nodes import Program
+from .syntax.nodes import ContDecl, Program
 
 _INF = None  # open upper bound
 
@@ -402,9 +402,13 @@ def compare(
     """
     if horizon <= 0:
         raise ArgumentError("horizon", f"must be positive, got {format_rational(horizon)}")
-    for var in mapping:
-        if var not in ha.variables:
-            raise AutomatonError(f"unmapped automaton variable {var!r}")
+    if horizon < cfg.wcrt:
+        raise ArgumentError(
+            "horizon",
+            f"must be at least one tick, {format_rational(cfg.wcrt)}, "
+            f"got {format_rational(horizon)}",
+        )
+    check_mapping(ha, program, mapping)
     ideal = ha_simulate(ha, horizon)
     delayed = ha_simulate(_with_wcrt_delays(ha, cfg.wcrt), horizon, use_delays=True)
     rewritten = rewrite_flows(program, cfg)
@@ -436,6 +440,19 @@ def compare(
         mode_switches=list(ideal.steps),
         delayed_mode_switches=list(delayed.steps),
     )
+
+
+def check_mapping(ha: HybridAutomaton, program: Program, mapping: dict) -> None:
+    """Reject a map entry whose key is not a variable of `ha` or whose
+    target is not a continuous variable of `program`."""
+    conts = {d.name for d in program.declarations() if isinstance(d, ContDecl)}
+    for var, pvar in mapping.items():
+        if var not in ha.variables:
+            raise AutomatonError(f"unmapped automaton variable {var!r}")
+        if not isinstance(pvar, str) or pvar not in conts:
+            raise AutomatonError(
+                f"map target {pvar!r} is not a continuous variable of the program"
+            )
 
 
 def _program_value(trace, by_tick: dict, pvar: str, k: int) -> Fraction:

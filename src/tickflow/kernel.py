@@ -40,6 +40,12 @@ so states share them and `TickState.clone` copies only fields. The tick
 records the labels that hold a paused point as it builds the residue, and
 each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
+
+`TickState.advance` is three parts, which a caller that reads less can
+take apart. `step` runs the tick and folds each instance's writes once;
+`settle` builds the next store from the folded writes; `record` names
+them in a `TickRecord`. The search steps every successor, reads the one
+status it checks, settles only a state it keys and records only a witness.
 """
 
 from __future__ import annotations
@@ -110,19 +116,28 @@ class Instance:
 # Residues are values: built once by `run` or `resume`, never mutated, and
 # shared between states. A loop's or an abort's residue is its body's; a
 # suspend keeps a SuspendRes, since its None child (an immediate guard held
-# the body before entry) differs from a body that terminated. Equality and
-# hashing ignore `node` (it is in `UNCOMPARED`), which is exact within one
-# program: walking down from the root, the statements passed on the way and
-# each residue's Seq index, If branch or Par slot fix its node. A
-# declaration has at most one live instance, so a DeclRes is fixed by its
-# node too, and its `instance` is left out as well. A tick builds many
-# residues, so each class keeps `__slots__` and writes its own `__init__`.
+# the body before entry) differs from a body that terminated. Each class
+# writes its own `==` and `hash` over its compared slots, which leave out
+# `node`: that is exact within one program, since walking down from the
+# root, the statements passed on the way and each residue's Seq index, If
+# branch or Par slot fix its node. A declaration has at most one live
+# instance, so a DeclRes is fixed by its node too, and its `instance` is
+# left out as well. A tick builds many residues and the search keys states
+# by them, so each class keeps `__slots__` and writes its own `__init__`.
 
 
 class _Res(Struct, frozen=False):
+    """The base of the residues that compare one slot, `child`: Suspend,
+    Decl and Label residues."""
+
     __slots__ = ("node",)
-    UNCOMPARED = ("node",)
     node: Stmt
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.child == other.child
+
+    def __hash__(self):
+        return hash(self.child)
 
 
 class PauseRes(_Res):
@@ -130,6 +145,12 @@ class PauseRes(_Res):
 
     def __init__(self, node):
         self.node = node
+
+    def __eq__(self, other):
+        return other.__class__ is PauseRes
+
+    def __hash__(self):
+        return 0
 
 
 class SeqRes(_Res):
@@ -142,6 +163,14 @@ class SeqRes(_Res):
         self.index = index
         self.child = child
 
+    def __eq__(self, other):
+        return (
+            other.__class__ is SeqRes and self.index == other.index and self.child == other.child
+        )
+
+    def __hash__(self):
+        return hash((self.index, self.child))
+
 
 class ParRes(_Res):
     __slots__ = ("children",)
@@ -150,6 +179,12 @@ class ParRes(_Res):
     def __init__(self, node, children):
         self.node = node
         self.children = children
+
+    def __eq__(self, other):
+        return other.__class__ is ParRes and self.children == other.children
+
+    def __hash__(self):
+        return hash(self.children)
 
 
 class IfRes(_Res):
@@ -161,6 +196,14 @@ class IfRes(_Res):
         self.node = node
         self.branch = branch
         self.child = child
+
+    def __eq__(self, other):
+        return (
+            other.__class__ is IfRes and self.branch == other.branch and self.child == other.child
+        )
+
+    def __hash__(self):
+        return hash((self.branch, self.child))
 
 
 class SuspendRes(_Res):
@@ -174,7 +217,6 @@ class SuspendRes(_Res):
 
 class DeclRes(_Res):
     __slots__ = ("instance", "child")
-    UNCOMPARED = ("node", "instance")
     instance: object
     child: "_Res"
 
@@ -200,6 +242,12 @@ class FlowRes(_Res):
     def __init__(self, node, stop):
         self.node = node
         self.stop = stop
+
+    def __eq__(self, other):
+        return other.__class__ is FlowRes and self.stop == other.stop
+
+    def __hash__(self):
+        return hash(self.stop)
 
 
 def _live_in(res, labels: list, instances: list):
@@ -245,8 +293,9 @@ class TickState:
         self.tick = 0
         self.terminated = False
         self.termination_tick: Optional[int] = None
-        # live instance -> settled (status, value), in registration order
-        self.store: dict = {}
+        # live instance -> settled (status, value), in registration order;
+        # None from a `step` until its tick is settled
+        self.store: Optional[dict] = {}
         self.initial_conts: dict = {}  # first initial value per cont name
         self.input_names = {d.name for d in program.inputs()}
         self.read_log: Optional[list] = None
@@ -262,10 +311,22 @@ class TickState:
     # -- one tick --
 
     def advance(self, inputs: InputAssignment = EMPTY_INPUTS) -> TickRecord:
+        """Run one tick, settle its store and return its record."""
+        tick = self.step(inputs)
+        tick.settle()
+        return tick.record()
+
+    def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_TickCtx":
+        """Run one tick and fold its writes, but build neither the next
+        store nor the record: the returned tick's `settle` builds the store
+        and its `record` the record, each from what the tick folded. Until
+        the tick is settled the state has no store, so it cannot step again
+        or be keyed."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         t = self.tick + 1
-        self._validate_inputs(inputs, t)
+        if inputs is not EMPTY_INPUTS:
+            self._validate_inputs(inputs, t)
         run, resume, slots = self.code
         try:
             ctx = _TickCtx(self, inputs, t, slots)
@@ -277,12 +338,13 @@ class TickState:
             if err.tick is None:
                 raise KernelError(err.message, t) from None
             raise
-        record = ctx.settle()
+        ctx.fold()
+        self.store = None
         self.tick = t
         if self.residue is None:
             self.terminated = True
             self.termination_tick = t
-        return record
+        return ctx
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
         for name in inputs.present:
@@ -312,11 +374,13 @@ def _disambiguate(name: str, seen: dict) -> str:
 class _TickCtx:
     """Per-tick scratch that compiled code reads and writes: the slot
     environment, the settled values reads observe, pending emissions and
-    writes, and what the tick records for `settle`."""
+    writes, and what the tick records. Once the tick has run, `fold` turns
+    the writes into settled values, and `settle`, `record` and
+    `settles_present` read them."""
 
     __slots__ = (
         "state", "t", "env", "prev", "emitted", "writes", "labels", "ended",
-        "log", "present", "input_values",
+        "log", "present", "input_values", "folded",
     )
 
     def __init__(self, state: TickState, inputs: InputAssignment, t: int, slots: int):
@@ -362,42 +426,72 @@ class _TickCtx:
             self.writes.pop(inst, None)
             self.emitted.discard(inst)
 
-    def settle(self) -> TickRecord:
-        """Fold the tick's writes into every instance that was live during
-        it and name them in registration order; the store keeps the ones
-        whose scope did not end. An instance whose scope ended this tick
-        settles once."""
-        t, writes, emitted, ended = self.t, self.writes, self.emitted, self.ended
-        statuses, values, conts, seen, store = {}, {}, {}, {}, {}
-        for inst, (status, value) in self.prev.items():
+    def fold(self):
+        """Fold each written instance's writes, once, into the value it
+        settles to (`folded`). Two writes with no combine operator raise
+        for the first such instance in registration order."""
+        writes = self.writes
+        self.folded = folded = {}
+        for inst, pending in writes.items():
+            if len(pending) == 1:
+                folded[inst] = pending[0]
+            elif inst.decl.combine is not None:
+                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
+            else:
+                first = next(
+                    i for i in self.prev
+                    if i.decl.combine is None and len(writes.get(i, ())) > 1
+                )
+                raise KernelError(
+                    f"{first.decl.name!r} written {len(writes[first])} times in one "
+                    "tick with no combine operator",
+                    self.t,
+                )
+
+    def settle(self):
+        """Build the state's next store: every instance whose scope did not
+        end this tick, in registration order, with its settled status and
+        value."""
+        folded, emitted, ended = self.folded, self.emitted, self.ended
+        self.state.store = {
+            inst: (inst in emitted, folded.get(inst, value))
+            for inst, (_, value) in self.prev.items()
+            if inst not in ended
+        }
+
+    def record(self) -> TickRecord:
+        """Name every instance that was live during the tick in
+        registration order, the second of a name `S` as `S:2`, and record
+        its settled status or value. An instance whose scope ended this
+        tick is recorded too."""
+        t, folded, emitted = self.t, self.folded, self.emitted
+        statuses, values, conts, seen = {}, {}, {}, {}
+        for inst, (_, value) in self.prev.items():
             decl = inst.decl
             name = decl.name
             if name in seen:
                 name = _disambiguate(name, seen)
             else:
                 seen[name] = 1
-            pending = writes.get(inst)
-            if pending:
-                value = pending[0] if len(pending) == 1 else _fold_writes(inst, pending, t)
+            if inst in folded:
+                value = folded[inst]
             if decl.__class__ is SignalDecl:
-                status = inst in emitted
-                statuses[name] = status
+                statuses[name] = inst in emitted
                 if decl.stype is not None:
                     values[name] = value
             else:
                 conts[name] = value
-            if inst not in ended:
-                store[inst] = (status, value)
-        state = self.state
-        state.store = store
-        return TickRecord(
-            tick=t,
-            time=t * state.cfg.wcrt,
-            statuses=statuses,
-            values=values,
-            conts=conts,
-            labels=tuple(sorted(self.labels)),
-        )
+        labels = tuple(sorted(self.labels))
+        return TickRecord(t, self.state.cfg.wcrt * t, statuses, values, conts, labels)
+
+    def settles_present(self, name: str) -> bool:
+        """Whether the record shows `name` present: the record names the
+        first instance in registration order whose declaration is `name`
+        by that name, whether or not its scope ended this tick."""
+        for inst in self.prev:
+            if inst.decl.name == name:
+                return inst in self.emitted
+        return False
 
 
 def _adapt(value, decl: SignalDecl):
@@ -414,17 +508,6 @@ def _adapt(value, decl: SignalDecl):
     if kind == "int" and value.denominator != 1:
         raise KernelError(f"{decl.name!r} holds an integer value")
     return value
-
-
-def _fold_writes(inst, writes: list, t: int):
-    op = inst.decl.combine
-    if op is None:
-        raise KernelError(
-            f"{inst.decl.name!r} written {len(writes)} times in one tick "
-            "with no combine operator",
-            t,
-        )
-    return ttl_mod.combine_fold(op, writes)
 
 
 # --- compilation -------------------------------------------------------------

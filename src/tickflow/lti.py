@@ -194,14 +194,14 @@ def parse_matrix_file(text: str) -> dict:
             continue
         header = lines[i].split()
         if len(header) != 3:
-            raise MatrixError(f"bad matrix header: {lines[i]!r}")
+            raise MatrixError(f"bad matrix header: {lines[i]!r}", i + 1)
         name = header[0]
         if name in matrices:
-            raise MatrixError(f"matrix {name!r} is defined twice")
+            raise MatrixError(f"matrix {name!r} is defined twice", i + 1)
         try:
             rows, cols = int(header[1]), int(header[2])
         except ValueError as exc:
-            raise MatrixError(f"bad dimensions in {lines[i]!r}") from exc
+            raise MatrixError(f"bad dimensions in {lines[i]!r}", i + 1) from exc
         i += 1
         data = []
         while len(data) < rows:
@@ -214,12 +214,13 @@ def parse_matrix_file(text: str) -> dict:
             if len(parts) != cols:
                 raise MatrixError(
                     f"matrix {name!r} row {len(data)} has {len(parts)} entries, "
-                    f"expected {cols}"
+                    f"expected {cols}",
+                    i + 1,
                 )
             try:
                 data.append([parse_rational(p) for p in parts])
             except ValueError as exc:
-                raise MatrixError(f"bad entry in matrix {name!r}: {exc}") from exc
+                raise MatrixError(f"bad entry in matrix {name!r}: {exc}", i + 1) from exc
             i += 1
         matrices[name] = RationalMatrix.from_rows(data)
     return matrices

@@ -12,12 +12,15 @@ from fractions import Fraction
 def parse_rational(text: str) -> Fraction:
     """Parse 'p', 'p/q' or an exact decimal like '0.25' into a Fraction.
 
-    Raises ValueError on anything else.
+    Raises ValueError on anything else, a zero denominator included.
     """
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     if "." in text or "e" in text or "E" in text:
         # Fraction(str) parses decimals exactly; floats never enter.
         return Fraction(text)

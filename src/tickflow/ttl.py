@@ -24,8 +24,7 @@ iterated fold; several rates with no operator raise.
 
 `predictors` is the formula's one home. It folds a site's rates with the
 tick length once, when the kernel compiles the site, into one function per
-variable from its snapshot to its prediction. `delta_combined` applies the
-same functions to a valuation directly.
+variable from its snapshot to its prediction.
 """
 
 from __future__ import annotations
@@ -106,12 +105,3 @@ def _predictor(odes, v: str, op, wcrt: Fraction):
         raise KernelError(message)
 
     return fail
-
-
-def delta_combined(odes, vars, combine: dict, vals: dict, wcrt: Fraction) -> dict:
-    """Predicted values two ticks ahead, by variable, from the snapshots
-    `vals`; see `predictors`."""
-    return {
-        v: predict(vals[v])
-        for v, predict in zip(vars, predictors(odes, vars, combine, wcrt))
-    }

@@ -8,8 +8,11 @@ the program built per search. The cache maps each key
 to the earliest tick the state was reached at, and a state is expanded
 again only when reached strictly earlier (it then has more ticks left), so
 depth-first order is as sound as breadth-first. Breadth-first order reaches
-states in tick order, so its first witness is a shortest one. Successors
-that terminated or sit at the bound are checked for the target, never keyed.
+states in tick order, so its first witness is a shortest one. Each
+successor is stepped (`TickState.step`) and checked for the target; a
+leaf, one that terminated or sits at the bound, is never settled or keyed.
+Only a successor that is keyed builds its store, and only a witness builds
+a `TickRecord`, from which its snapshot is read.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class Witness(Struct):
 
 class Unreachable(Struct):
     """No schedule makes the target settle present within `bound` ticks.
-    `states_explored` counts transitions (one clone advanced by one input
+    `states_explored` counts transitions (one clone stepped by one input
     choice), not distinct states."""
 
     bound: int
@@ -184,22 +187,23 @@ def check_reachable(
                     f"reachability search exceeded {node_limit} transitions"
                 )
             successor = state.clone()
-            record = successor.advance(assignment)
-            schedule = prefix + (assignment,)
-            if record.statuses.get(target, False):
+            tick = successor.step(assignment)
+            if tick.settles_present(target):
+                record = tick.record()
                 return Witness(
-                    schedule=schedule,
+                    schedule=prefix + (assignment,),
                     tick=record.tick,
                     snapshot=_snapshot_rows(record),
                 )
             if successor.terminated or successor.tick >= bound:
-                continue  # a leaf: never expanded, so never keyed
+                continue  # a leaf: never expanded, so never settled or keyed
+            tick.settle()
             key = fingerprint(successor, index)
             reached = earliest.get(key)
             if reached is not None and reached <= successor.tick:
                 continue
             earliest[key] = successor.tick
-            frontier.append((successor, schedule))
+            frontier.append((successor, prefix + (assignment,)))
     return Unreachable(bound=bound, states_explored=explored)
 
 

@@ -23,7 +23,7 @@ from tickflow.lti import (
 from tickflow.params import bind_params
 from tickflow.rewrite import STOP_PREFIX, RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.ttl import delta_combined
+from tickflow.ttl import predictors
 from tickflow.verify import Unreachable, Witness, check_reachable
 
 from helpers import random_flow, random_program
@@ -133,10 +133,8 @@ def test_criterion_06_simultaneous_writes():
     trace = run(program, cfg, max_ticks=6)
     assert trace.terminated and trace.effective_termination_tick == 1
     # the look-ahead folds the two unit rates twice: prediction is 12
-    delta = delta_combined(
-        (("a", F(1)), ("a", F(1))), ("a",), {"a": "plus"}, {"a": F(0)}, F(2)
-    )
-    assert delta == {"a": F(12)}
+    (predict,) = predictors((("a", F(1)), ("a", F(1))), ("a",), {"a": "plus"}, F(2))
+    assert predict(F(0)) == F(12)
     _report(6, "write-write folds to 3; double-rate look-ahead predicts 12")
 
 

@@ -145,7 +145,13 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
          "--wcrt", "2", "--horizon", "-4", "--map", str(CORPUS / "maps" / "carousel.json")],
         "--horizon: must be positive, got -4",
     ),
-], ids=["ticks", "node-limit", "horizon"])
+    (
+        # one tick is 2 long: a horizon of 1 would tabulate no program tick
+        ["compare", "--ha", str(CORPUS / "automata" / "carousel.ha"), "--program", CAROUSEL,
+         "--wcrt", "2", "--horizon", "1", "--map", str(CORPUS / "maps" / "carousel.json")],
+        "--horizon: must be at least one tick, 2, got 1",
+    ),
+], ids=["ticks", "node-limit", "horizon", "horizon-below-tick"])
 def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
     captured = capsys.readouterr()
@@ -326,6 +332,37 @@ def test_malformed_map_exits_2(tmp_path, capsys):
         assert str(bad) in capsys.readouterr().err
 
 
+def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
+    bad = tmp_path / "map.json"
+    for text, message in (
+        ('{"x": "x", "y": "nope"}', "map target 'nope' is not a continuous variable of the program"),
+        ('{"x": ["x"]}', "map target ['x'] is not a continuous variable of the program"),
+        ('{"x": "x", "q": "y"}', "unmapped automaton variable 'q'"),
+    ):
+        bad.write_text(text)
+        code = main([
+            "compare",
+            "--ha", str(CORPUS / "automata" / "carousel.ha"),
+            "--program", CAROUSEL,
+            "--wcrt", "2", "--horizon", "12",
+            "--map", str(bad),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2, text
+        captured = capsys.readouterr()
+        assert captured.err == f"{bad}: {message}\n" and captured.out == "", text
+
+
+def test_bad_matrix_entry_exits_2_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "m.mat"
+    for entry, reason in (("1/0", "zero denominator in '1/0'"), ("x", "")):
+        bad.write_text(f"A 2 2\n{entry} 1\n0 1\nC 1 2\n1 0\n")
+        assert main(["lti", str(bad)]) == 2, entry
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{bad}:2: bad entry in matrix 'A': {reason}"), entry
+        assert captured.out == "", entry
+
+
 def test_malformed_automaton_exits_2(tmp_path, capsys):
     text = (CORPUS / "automata" / "carousel.ha").read_text()
     bad = tmp_path / "carousel.ha"
@@ -335,6 +372,7 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         ("delay wcrt", "delay wcrt priority x", "19: bad priority 'x'"),
         ("location D", "bogus line", "14: unrecognized line: 'bogus line'"),
         ("inv y <= theta", "inv y <= gamma", "13: unknown constant 'gamma'"),
+        ("inv y <= theta", "inv y <= 1/0", "13: unknown constant '1/0'"),
         ("init A", "init Z", "18: unknown initial location 'Z'"),
         ("init A x = 0, y = 0", "", "no init line"),
         ("edge D -> A", "edge D -> Q", "21: unknown location 'Q' in edge"),

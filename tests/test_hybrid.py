@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tickflow.errors import AutomatonError, DeadlockError, NondeterminismError
+from tickflow.errors import ArgumentError, AutomatonError, DeadlockError, NondeterminismError
 from tickflow.hybrid import (
     _with_wcrt_delays,
     compare,
@@ -213,3 +213,15 @@ def test_compare_unmapped_variable():
     program = parse("cont x = 0;\ndo {x' = 1} until (true)")
     with pytest.raises(AutomatonError):
         compare(ha, program, RewriteConfig(F(2)), F(4), {"z": "x"})
+
+
+def test_compare_rejects_a_target_and_a_horizon_it_cannot_tabulate():
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = parse("cont x = 0;\ndo {x' = 1} until (true)")
+    with pytest.raises(AutomatonError, match="map target 'y'"):
+        compare(ha, program, RewriteConfig(F(2)), F(4), {"x": "y"})
+    with pytest.raises(ArgumentError, match="at least one tick"):
+        compare(ha, program, RewriteConfig(F(2)), F(3, 2), {"x": "x"})
+    # one tick exactly: tick 0 and tick 1 are tabulated
+    report = compare(ha, program, RewriteConfig(F(2)), F(2), {"x": "x"})
+    assert [point.tick for point in report.grid] == [0, 1]

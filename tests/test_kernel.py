@@ -164,6 +164,12 @@ RUNTIME_ERRORS = (
     ("int signal S = 0; pause; ?S = 1/2", "'S' holds an integer value", 2),
     ("cont a; pause; { {a = 1} || {a = 2} }",
      "'a' written 2 times in one tick with no combine operator", 2),
+    # b is written first, but a was declared first: the error names a
+    ("cont a; cont b; pause; { {b = 1} || {b = 2} || {a = 1} || {a = 2} }",
+     "'a' written 2 times in one tick with no combine operator", 2),
+    # c, declared first, is written once and folds before a's two writes
+    ("cont c; cont a; pause; { {c = 1} || {a = 1} || {a = 2} }",
+     "'a' written 2 times in one tick with no combine operator", 2),
     ("cont a; pause; do {a' = 1} until (a + 1)",
      "invariant did not evaluate to a boolean", 2),
     ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",

@@ -11,7 +11,7 @@ from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.parser import parse_raw
-from tickflow.ttl import affine_form, delta_combined
+from tickflow.ttl import affine_form, predictors
 
 
 def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
@@ -25,7 +25,8 @@ def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
 def test_lookahead_breaks_small_bound():
     # from 0 at rate 1 with a 2-unit step, two ticks ahead is 4
     odes = (("a", F(1)),)
-    assert delta_combined(odes, ("a",), {}, {"a": F(0)}, F(2)) == {"a": F(4)}
+    (predict,) = predictors(odes, ("a",), {}, F(2))
+    assert predict(F(0)) == F(4)
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 2, {a})") is False
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 4, {a})") is True
 
@@ -39,19 +40,18 @@ def test_zero_rate_never_violates():
 
 def test_pair_prediction():
     odes = (("a", F(2)), ("b", F(2)))
-    vals = {"a": F(4), "b": F(4)}
-    assert delta_combined(odes, ("a", "b"), {}, vals, F(2)) == {"a": F(12), "b": F(12)}
+    predict_a, predict_b = predictors(odes, ("a", "b"), {}, F(2))
+    assert (predict_a(F(4)), predict_b(F(4))) == (F(12), F(12))
     ttl = "TTL([a' = 2, b' = 2], a <= 16 && b <= 10, {a, b})"
     assert _holds("cont a = 4, b = 4;", ttl) is False
-    early = {"a": F(0), "b": F(0)}
-    assert delta_combined(odes, ("a", "b"), {}, early, F(2)) == {"a": F(8), "b": F(8)}
+    assert (predict_a(F(0)), predict_b(F(0))) == (F(8), F(8))
     assert _holds("cont a = 0, b = 0;", ttl) is True
 
 
 def test_combined_prediction_folds_twice():
     odes = (("a", F(1)), ("a", F(1)))
-    delta = delta_combined(odes, ("a",), {"a": "plus"}, {"a": F(0)}, F(2))
-    assert delta == {"a": F(12)}
+    (predict,) = predictors(odes, ("a",), {"a": "plus"}, F(2))
+    assert predict(F(0)) == F(12)
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})") is False
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 12, {a})") is True
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 100, {a})") is True
@@ -59,8 +59,9 @@ def test_combined_prediction_folds_twice():
 
 def test_combined_missing_operator():
     odes = (("a", F(1)), ("a", F(1)))
+    (predict,) = predictors(odes, ("a",), {}, F(2))
     with pytest.raises(KernelError):
-        delta_combined(odes, ("a",), {}, {"a": F(0)}, F(2))
+        predict(F(0))
     with pytest.raises(KernelError) as err:
         _holds("cont a = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})")
     assert err.value.tick == 1
@@ -75,8 +76,8 @@ def test_single_writer_degeneration_randomized():
         value = F(rng.randint(-100, 100), rng.randint(1, 7))
         wcrt = rng.choice([F(1), F(1, 2), F(2), F(3)])
         expected = value + 2 * rate * wcrt
-        delta = delta_combined((("a", rate),), ("a",), {}, {"a": value}, wcrt)
-        assert delta == {"a": expected}
+        (predict,) = predictors((("a", rate),), ("a",), {}, wcrt)
+        assert predict(value) == expected
         ttl = f"TTL([a' = {format_rational(rate)}], a == {format_rational(expected)}, {{a}})"
         assert _holds(f"cont a = {format_rational(value)};", ttl, wcrt) is True
 
@@ -141,22 +142,20 @@ def test_affine_form_matches_the_iterated_definition_randomized():
         for op in ("plus", "times", None):
             form = affine_form(odes, "a", op, wcrt)
             combine = {} if op is None else {"a": op}
+            (predict,) = predictors(odes, ("a",), combine, wcrt)
             if m == 1 or op == "plus":
                 # one rate folds the same under any operator
                 scale, shift = form
                 assert scale > 0 and scale * value + shift == expected
-                assert delta_combined(odes, ("a",), combine, {"a": value}, wcrt) == {
-                    "a": expected
-                }
+                assert predict(value) == expected
             elif op == "times":
                 assert form is None
-                assert delta_combined(odes, ("a",), combine, {"a": value}, wcrt) == {
-                    "a": _iterated(value, rates, "times", wcrt)
-                }
+                assert predict(value) == _iterated(value, rates, "times", wcrt)
             else:
                 assert form is None
                 with pytest.raises(KernelError, match="no combine operator"):
-                    delta_combined(odes, ("a",), combine, {"a": value}, wcrt)
+                    predict(value)
     assert affine_form((("b", F(1)),), "a", "plus", F(1)) is None
+    (predict,) = predictors((("b", F(1)),), ("a",), {}, F(1))
     with pytest.raises(KernelError, match="no rate"):
-        delta_combined((("b", F(1)),), ("a",), {}, {"a": F(0)}, F(1))
+        predict(F(0))

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import random_search_program
-from tickflow import verify
-from tickflow.errors import SearchLimitError, TickflowError
+from tickflow import kernel, verify
+from tickflow.errors import KernelError, SearchLimitError, TickflowError
 from tickflow.kernel import (
     FlowRes,
     IfRes,
@@ -22,6 +22,7 @@ from tickflow.kernel import (
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow.syntax.parser import parse_raw
 from tickflow.verify import (
     InputAlphabet,
     Unreachable,
@@ -231,8 +232,9 @@ def test_malformed_search_arguments_are_rejected():
 
 def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     program = _program("signal S;\npause; pause; pause; pause; pause")
-    calls = {"index": 0, "key": 0}
+    calls = {"index": 0, "key": 0, "settle": 0, "record": 0}
     real_index, real_key = verify._node_index, verify.fingerprint
+    real_settle, real_record = kernel._TickCtx.settle, kernel._TickCtx.record
 
     def counting_index(program):
         calls["index"] += 1
@@ -242,12 +244,70 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
         calls["key"] += 1
         return real_key(state, index)
 
+    def counting_settle(tick):
+        calls["settle"] += 1
+        return real_settle(tick)
+
+    def counting_record(tick):
+        calls["record"] += 1
+        return real_record(tick)
+
     monkeypatch.setattr(verify, "_node_index", counting_index)
     monkeypatch.setattr(verify, "fingerprint", counting_key)
+    monkeypatch.setattr(kernel._TickCtx, "settle", counting_settle)
+    monkeypatch.setattr(kernel._TickCtx, "record", counting_record)
     verdict = check_reachable(program, CFG1, None, bound=3, target="S")
     assert isinstance(verdict, Unreachable) and verdict.states_explored == 3
-    # ticks 1 and 2 are expanded; the tick-3 successor is a leaf
-    assert calls == {"index": 1, "key": 2}
+    # ticks 1 and 2 are expanded; the tick-3 successor is a leaf, stepped
+    # and checked but never settled; with no hit nothing is recorded
+    assert calls == {"index": 1, "key": 2, "settle": 2, "record": 0}
+
+    hit = _program("signal S;\npause; pause; emit S; pause")
+    calls.update(index=0, key=0, settle=0, record=0)
+    verdict = check_reachable(hit, CFG1, None, bound=3, target="S")
+    assert isinstance(verdict, Witness) and verdict.tick == 3
+    # the hit is recorded once, for its snapshot, and never settled
+    assert calls == {"index": 1, "key": 2, "settle": 2, "record": 1}
+    assert replay(hit, CFG1, verdict)
+
+
+def test_target_whose_scope_ends_on_its_tick_is_witnessed():
+    # T's scope ends on tick 2, the tick it is emitted: the record of that
+    # tick still names it, and the tick-2 successor is a leaf at bound 2
+    program = _program("signal HIT;\npause;\n{ signal T; emit T };\npause")
+    for bound in (2, 3):
+        verdict = check_reachable(program, CFG1, None, bound=bound, target="T")
+        assert isinstance(verdict, Witness), bound
+        assert verdict.tick == 2
+        assert ("T", "status", "true") in verdict.snapshot
+        assert replay(program, CFG1, verdict)
+
+
+def test_emitted_shadowing_instance_is_no_witness_for_its_name():
+    # the second branch's T registers after the outer one, so it settles as
+    # `T:2`; only it is ever emitted, and `T` stays absent
+    source = (
+        "signal T;\n"
+        "{ pause; loop { pause } } || { pause; signal T; { emit T; pause } }"
+    )
+    program = _program(source)
+    trace = run(program, CFG1, max_ticks=3)
+    assert trace.status("T:2", 2) and not trace.status("T", 2)
+    for strategy in ("bfs", "dfs"):
+        verdict = check_reachable(
+            program, CFG1, None, bound=4, target="T", strategy=strategy
+        )
+        assert isinstance(verdict, Unreachable), strategy
+
+
+def test_double_write_on_a_leaf_tick_raises_at_that_tick():
+    # the static checks refuse the double write, so the program is parsed
+    # raw; tick 3 sits at the bound, so its successor is a leaf
+    program = parse_raw("signal HIT; cont a;\npause; pause;\n{ {a = 1} || {a = 2} }")
+    with pytest.raises(KernelError) as err:
+        check_reachable(program, CFG1, None, bound=3, target="HIT")
+    assert err.value.tick == 3
+    assert "'a' written 2 times in one tick with no combine operator" in err.value.message
 
 
 def test_search_agrees_with_schedule_enumeration():
