@@ -21,6 +21,8 @@ from .errors import (
     ArgumentError,
     AutomatonError,
     CompileError,
+    DeadlockError,
+    NondeterminismError,
     ScheduleError,
     SearchLimitError,
     TickflowError,
@@ -282,8 +284,9 @@ def _desugar(args) -> int:
 
 
 def _run(args) -> int:
-    from . import kernel, rewrite, trace
+    from . import kernel, rewrite
 
+    export = _exporter(args.out, args.svg_vars)
     wcrt = _wcrt(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
     schedule = load_schedule(args.schedule) if args.schedule else None
@@ -293,22 +296,37 @@ def _run(args) -> int:
     result = kernel.run(
         rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=args.ticks
     )
-    if args.out is None or args.out.endswith(".csv"):
-        text = trace.to_csv(result)
-    elif args.out.endswith(".json"):
-        text = trace.to_json(result)
-    elif args.out.endswith(".svg"):
-        if not args.svg_vars:
-            raise TickflowError("--svg-vars is required for .svg output")
-        text = trace.to_svg_timing(result, args.svg_vars.split(","))
-    else:
-        raise TickflowError(f"unknown trace format for {args.out!r}")
+    text = export(result)
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
+
+
+def _exporter(out, svg_vars):
+    """The trace exporter that `--out`'s extension selects, checked before
+    anything runs. An `--svg-vars` entity the trace lacks is found once the
+    trace is built, and is blamed on the flag too."""
+    from . import trace
+
+    if out is None or out.endswith(".csv"):
+        return trace.to_csv
+    if out.endswith(".json"):
+        return trace.to_json
+    if not out.endswith(".svg"):
+        raise ArgumentError("--out", f"unknown trace format {out!r}: use .csv, .json or .svg")
+    if not svg_vars:
+        raise ArgumentError("--svg-vars", "required for .svg output")
+
+    def svg(result):
+        try:
+            return trace.to_svg_timing(result, svg_vars.split(","))
+        except TickflowError as err:
+            raise ArgumentError("--svg-vars", str(err)) from None
+
+    return svg
 
 
 def _verify(args) -> int:
@@ -390,7 +408,12 @@ def _compare(args) -> int:
     except AutomatonError as err:
         raise ScheduleError(f"{args.map}: {err}") from None
     horizon = _flag_rational("--horizon", args.horizon)
-    report = hybrid.compare(automaton, program, rewrite.RewriteConfig(wcrt), horizon, mapping)
+    try:
+        report = hybrid.compare(automaton, program, rewrite.RewriteConfig(wcrt), horizon, mapping)
+    except (AutomatonError, DeadlockError, NondeterminismError) as err:
+        # the automaton's simulation failed: a livelock, a deadlock or two
+        # edges enabling at once
+        raise ScheduleError(f"{args.ha}: {err}") from None
     sys.stdout.write(report.to_text())
     return 0 if report.first_divergence_tick is None else 1
 

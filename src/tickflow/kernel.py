@@ -31,6 +31,29 @@ integer test. Any other variable's slot holds its prediction, computed
 once every variable is read. So the look-ahead of a rewritten flow does
 no `Fraction` arithmetic: a flow tick's are its steps and the tick's time.
 
+A statement compiled with resume None can never pause, and the compiler
+uses that to emit straight-line code for four shapes:
+
+- an If whose branches cannot pause is one closure with resume None; a
+  `!e` condition compiles `e` and swaps the branches, and a `nothing`
+  branch is not called;
+- a Seq whose statements cannot pause is one closure with resume None,
+  and a Seq whose only pause is its final `pause` runs its other
+  statements and returns one SeqRes built at compile time, with resume
+  `_none`;
+- a Loop whose body resumes with `_none` (a body that pauses whenever it
+  runs and terminates whenever it resumes) re-runs the body directly;
+- `v = w + c`, `w` a continuous variable and `c` a literal (every step of
+  a rewritten flow, and the native flow's step), reads `w` through the
+  same logged read and builds `Fraction(n*q + p*d, d*q)` from integers.
+
+None of them changes a residue's value. An If that cannot pause left no
+residue before either; the shared SeqRes equals the one a tick built
+(same index, and a PauseRes equals every PauseRes); a Loop adds no residue
+of its own. An If that can pause keeps its branches and their numbering,
+`!` or not. Reads, writes and errors happen in the same order, so traces,
+read logs, state keys and verdicts are what the generic code gives.
+
 The machine state between ticks is a residue, an immutable tree of the
 paused points of the program, and a store mapping each live declaration
 instance to its settled (status, value) in registration order. A loop or
@@ -62,6 +85,7 @@ from .syntax.nodes import (
     BoolLit,
     NameRef,
     NumLit,
+    Pause,
     Program,
     SignalDecl,
     Stmt,
@@ -545,6 +569,20 @@ def _none(ctx, res=None):
     return None
 
 
+def _plus(read, c: Fraction):
+    """The code of `v + c` for a read `v` of a continuous variable and a
+    `Fraction` constant `c`: one integer cross-product and one `Fraction`
+    construction, the exact sum without `Fraction.__add__`'s dispatch."""
+    p, q = c.numerator, c.denominator
+
+    def step(ctx):
+        v = read(ctx)
+        d = v.denominator
+        return Fraction(v.numerator * q + p * d, d * q)
+
+    return step
+
+
 def _reader(slot: int, name: str, kind: str, index: int):
     """A read of the previous-tick status (index 0) or value (index 1) of
     the instance in `slot`, logged when the state records reads."""
@@ -625,6 +663,13 @@ class _Compiler:
         kind, slot, _ = scope.get(name, _UNBOUND)
         if kind != "cont":
             return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
+        step = self._literal_step(node.expr, scope)
+        if step is not None:
+
+            def run(ctx):
+                ctx.writes.setdefault(ctx.env[slot], []).append(step(ctx))
+
+            return run, None
         expr = self.expr(node.expr, scope)
 
         def run(ctx):
@@ -637,6 +682,24 @@ class _Compiler:
 
         return run, None
 
+    def _literal_step(self, expr, scope):
+        """The code of `v + c`, `v` a continuous variable and `c` a
+        `Fraction` literal, as `_plus` computes it; None for any other
+        expression."""
+        if (
+            expr.__class__ is not Binary
+            or expr.op != "+"
+            or expr.left.__class__ is not NameRef
+            or expr.right.__class__ is not NumLit
+            or expr.right.value.__class__ is not Fraction
+        ):
+            return None
+        name = expr.left.name
+        kind, slot, _ = scope.get(name, _UNBOUND)
+        if kind != "cont":
+            return None
+        return _plus(_reader(slot, name, "value", 1), expr.right.value)
+
     # -- control --
 
     def block(self, nodes, scope):
@@ -646,6 +709,23 @@ class _Compiler:
     def stmt_Seq(self, node, scope):
         runs, resumes = self.block(node.stmts, scope)
         count = len(runs)
+        last = node.stmts[-1]
+        if all(r is None for r in resumes[:-1]) and (
+            resumes[-1] is None or last.__class__ is Pause
+        ):
+            # straight-line code: no statement but a final pause can pause,
+            # so the residue is None or always the pause's, built once here
+            if resumes[-1] is None:
+                effects, res, resume = runs, None, None
+            else:
+                effects, res, resume = runs[:-1], SeqRes(node, count - 1, PauseRes(last)), _none
+
+            def straight(ctx):
+                for r in effects:
+                    r(ctx)
+                return res
+
+            return straight, resume
 
         def run(ctx, start=0):
             for i in range(start, count):
@@ -680,8 +760,10 @@ class _Compiler:
         return run, resume
 
     def stmt_If(self, node, scope):
-        cond = self.expr(node.cond, scope)
         runs, resumes = self.block((node.then, node.orelse), scope)
+        if resumes == (None, None):
+            return self._choice(node.cond, *runs, scope), None
+        cond = self.expr(node.cond, scope)
 
         def run(ctx):
             branch = 0 if cond(ctx) else 1
@@ -695,8 +777,44 @@ class _Compiler:
 
         return run, resume
 
+    def _choice(self, cond, then, orelse, scope):
+        """An If whose branches cannot pause: no residue, one closure. A
+        `!e` condition is `e` with the branches swapped, and a `nothing`
+        branch is not called."""
+        while cond.__class__ is Unary and cond.op == "!":
+            cond, then, orelse = cond.operand, orelse, then
+        test = self.expr(cond, scope)
+        if then is _none and orelse is _none:
+
+            def run(ctx):
+                test(ctx)
+
+        elif orelse is _none:
+
+            def run(ctx):
+                if test(ctx):
+                    then(ctx)
+
+        elif then is _none:
+
+            def run(ctx):
+                if not test(ctx):
+                    orelse(ctx)
+
+        else:
+
+            def run(ctx):
+                if test(ctx):
+                    then(ctx)
+                else:
+                    orelse(ctx)
+
+        return run
+
     def stmt_Loop(self, node, scope):
         body_run, body_resume = self.stmt(node.body, scope)
+        if body_resume is _none:  # the body pauses whenever it runs
+            return body_run, lambda ctx, res: body_run(ctx)
 
         def run(ctx):
             res = body_run(ctx)
@@ -843,16 +961,15 @@ class _Compiler:
             kind, slot, _ = scope.get(name, _UNBOUND)
             if kind != "cont":
                 return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
-            steps.append((slot, _reader(slot, name, "value", 1), rate * self.wcrt))
+            steps.append((slot, _plus(_reader(slot, name, "value", 1), rate * self.wcrt)))
         going, stopping = FlowRes(node, stop=False), FlowRes(node, stop=True)
         always = isinstance(node.invariant, BoolLit) and node.invariant.value
         lookahead = None if always else self._lookahead(site, node.invariant, scope)
 
         def run(ctx):
             env, writes = ctx.env, ctx.writes
-            for slot, read, step in steps:
-                value = read(ctx) + step
-                writes.setdefault(env[slot], []).append(value)
+            for slot, step in steps:
+                writes.setdefault(env[slot], []).append(step(ctx))
             if lookahead is None or lookahead(ctx):
                 return going
             return stopping

@@ -158,6 +158,32 @@ def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert captured.err == message + "\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "trace.txt"], "--out: unknown trace format 'trace.txt': use .csv, .json or .svg"),
+    (["--out", "trace.svg"], "--svg-vars: required for .svg output"),
+], ids=["extension", "svg-without-vars"])
+def test_output_flag_error_comes_before_the_run(flags, message, tmp_path, capsys):
+    # the program fails at tick 1, so only a check made before the run is
+    # reported; nothing is written
+    prog = tmp_path / "fails.hsj"
+    prog.write_text("cont a;\nemit a")
+    assert main(["run", str(prog), "--wcrt", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == [prog]
+
+
+def test_unknown_svg_entity_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "trace.svg"
+    code = main([
+        "run", str(CORPUS / "programs" / "faulty_reset.hsj"), "--wcrt", "2",
+        "--out", str(out), "--svg-vars", "a,NOPE",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "--svg-vars: unknown entity 'NOPE'\n"
+    assert not out.exists()
+
+
 def test_valued_witness_replays_from_its_output(tmp_path, capsys):
     from tickflow.kernel import InputAssignment
     from tickflow.params import bind_params
@@ -394,6 +420,26 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{bad}:{message}") and CAROUSEL not in err
+
+
+def test_automaton_failing_in_simulation_names_its_file(tmp_path, capsys):
+    text = (CORPUS / "automata" / "carousel.ha").read_text()
+    bad = tmp_path / "carousel.ha"
+    for old, new, message in (
+        ("deliver reset x = 0, y = 0", "deliver", "invariant of 'A' violated on entry"),
+        ("edge B -> D when y >= theta label divert\n", "",
+         "invariant of 'B' expires with no enabled edge"),
+        ("label deliver", "label deliver\nedge A -> D when x >= alpha label skip",
+         "edges 'detect' and 'skip' enable simultaneously at t=3"),
+    ):
+        bad.write_text(text.replace(old, new))
+        code = main([
+            "compare", "--ha", str(bad), "--program", CAROUSEL, "--wcrt", "2",
+            "--horizon", "12", "--map", str(CORPUS / "maps" / "carousel.json"),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2, message
+        assert capsys.readouterr().err == f"{bad}: {message}\n"
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,0 +1,144 @@
+"""Mutation fuzzing of every kind of file the command line reads.
+
+Each role's seed file is mutated at the byte level (replace, insert or
+delete bytes, which also makes text that is not UTF-8) and at the token
+level (delete, repeat, swap or replace tokens), with fixed seeds, and the
+command that reads it runs in process. Whatever the input, `main` must
+return 0, 1 or 2 without raising; 1 only with a verdict line on stdout and
+2 only with a message on stderr that starts with the file or the flag at
+fault.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from tickflow.cli import main
+
+CORPUS = Path(__file__).parent.parent / "corpus"
+CAROUSEL = str(CORPUS / "programs" / "carousel.hsj")
+CAROUSEL_PARAMS = [
+    "--param", "alpha=3", "--param", "beta=10", "--param", "theta=6", "--param", "TAG=1",
+]
+LEVEL = (
+    "input int signal LEVEL; input signal GO; signal HIGH;\n"
+    "loop { if (GO && ?LEVEL >= 3) emit HIGH; pause }\n"
+)
+FILE, PROGRAM = "<mutated>", "<level program>"  # replaced by files in the test
+
+
+def _compare(ha: str, mapping: str) -> list:
+    return [
+        "compare", "--ha", ha, "--program", CAROUSEL, "--wcrt", "2", "--horizon", "12",
+        "--map", mapping, *CAROUSEL_PARAMS,
+    ]
+
+
+# role -> (seed text, the command that reads the mutated file as FILE)
+ROLES = {
+    "program": (
+        (CORPUS / "programs" / "faulty_reset.hsj").read_text(),
+        ["run", FILE, "--wcrt", "2", "--ticks", "8"],
+    ),
+    "program-verify": (
+        LEVEL,
+        ["verify", FILE, "--wcrt", "1", "--bound", "3", "--target", "HIGH"],
+    ),
+    "alphabet": (
+        '{"GO": {"statuses": ["absent", "present"]}, "LEVEL": {"values": ["1", "5"]}}\n',
+        ["verify", PROGRAM, "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+         "--alphabet", FILE],
+    ),
+    "schedule": (
+        '[{"tick": 1, "present": ["FAULT"]}, {"tick": 3, "present": []}]\n',
+        ["run", str(CORPUS / "programs" / "faulty_reset.hsj"), "--wcrt", "2", "--ticks", "4",
+         "--schedule", FILE],
+    ),
+    "map": (
+        (CORPUS / "maps" / "carousel.json").read_text(),
+        _compare(str(CORPUS / "automata" / "carousel.ha"), FILE),
+    ),
+    "automaton": (
+        (CORPUS / "automata" / "carousel.ha").read_text(),
+        _compare(FILE, str(CORPUS / "maps" / "carousel.json")),
+    ),
+    "matrix": (
+        (CORPUS / "matrices" / "controllable.mat").read_text(),
+        ["lti", FILE],
+    ),
+}
+MUTATIONS = 40  # per role and level
+
+_TOKEN = re.compile(r"\w+|\s+|.", re.S)
+_POOL = (
+    "0", "-1", "1/0", "1/3", "99", "{", "}", "(", ")", "[", "]", ",", ";", '"', ":",
+    "||", "&&", "!", "=", "pause", "loop", "abort", "nothing", "null", "true", "x", "A",
+)
+_VERDICT = re.compile(
+    r"^(witness: |first divergence at tick |(observability|controllability) rank .*NOT )",
+    re.M,
+)
+
+
+def _byte_mutant(rng: random.Random, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(out) + 1)
+        kind = rng.randrange(3)
+        # mostly a byte of the file itself, so that most mutants stay text
+        byte = rng.randrange(256) if rng.random() < 0.2 else rng.choice(data)
+        if kind == 0 and at < len(out):
+            out[at] = byte
+        elif kind == 1:
+            out[at:at] = bytes([byte])
+        else:
+            del out[at:at + rng.randint(1, 4)]
+    return bytes(out)
+
+
+def _token_mutant(rng: random.Random, text: str) -> bytes:
+    tokens = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(tokens))
+        kind = rng.randrange(4)
+        if kind == 0:
+            del tokens[at]
+        elif kind == 1:
+            tokens.insert(at, tokens[at])
+        elif kind == 2:
+            other = rng.randrange(len(tokens))
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+        else:
+            tokens[at] = rng.choice(_POOL + tuple(tokens))
+        if not tokens:
+            break
+    return "".join(tokens).encode("utf-8")
+
+
+@pytest.mark.parametrize("role", sorted(ROLES))
+def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
+    seed, argv = ROLES[role]
+    mutated, program = tmp_path / "mutated", tmp_path / "level.hsj"
+    program.write_text(LEVEL)
+    argv = [{FILE: str(mutated), PROGRAM: str(program)}.get(arg, arg) for arg in argv]
+    # only the mutated file can be at fault, or a flag
+    named = (str(mutated), "--")
+    rng = random.Random(sorted(ROLES).index(role))
+    for i in range(2 * MUTATIONS):
+        if i % 2:
+            data = _token_mutant(rng, seed)
+        else:
+            data = _byte_mutant(rng, seed.encode("utf-8"))
+        mutated.write_bytes(data)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        case = f"{role} mutant {i}: {data!r}"
+        assert code in (0, 1, 2), case
+        if code == 1:
+            assert _VERDICT.search(out), case
+        elif code == 2:
+            assert err.startswith(named), f"{case}\n{err}"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tickflow.errors import KernelError
+from tickflow import kernel
 from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
 from tickflow import rewrite
 from tickflow.rational import format_rational
@@ -13,6 +14,7 @@ from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.nodes import Program
 from tickflow.syntax.parser import parse_raw
+from tickflow.trace import to_csv, to_json
 from tickflow.verify import fingerprint
 
 CFG1 = RewriteConfig(F(1))
@@ -494,3 +496,109 @@ def test_lookahead_reads_every_site_variable_in_site_order():
     source = "cont a = 1, b = 2;\nloop { if (TTL([a' = 1, b' = 1], b <= 10, {a, b})) pause else pause }"
     trace = run(parse(source), CFG1, max_ticks=1, record_reads=True)
     assert trace.read_log == [(1, "a", "value", F(1)), (1, "b", "value", F(2))]
+
+
+# --- the step of a rewritten flow -------------------------------------------------
+
+
+def test_literal_step_matches_fraction_addition():
+    # `v + c` with `v` a continuous read and `c` a literal is computed from
+    # integers; it must be exactly the Fraction sum, with the read logged
+    # as any read: integral, non-integral and negative literals, and
+    # snapshots with unit and non-unit denominators
+    starts = (F(0), F(3), F(-5, 4), F(7, 6), F(-2, 9))
+    literals = (F(2), F(-3), F(1, 3), F(-5, 6), F(3, 4), F(9, 2))
+    for v in starts:
+        for c in literals:
+            source = f"cont a = {format_rational(v)};\na = a + {format_rational(c)};\npause"
+            trace = _run(source, max_ticks=1, record_reads=True)
+            got = trace.cont("a", 1)
+            assert got.__class__ is F, source
+            assert (got.numerator, got.denominator) == ((v + c).numerator, (v + c).denominator)
+            assert trace.read_log == [(1, "a", "value", v)], source
+
+
+def test_literal_step_from_another_variable_and_folded_by_op_plus():
+    v, c1, c2 = F(-7, 4), F(5, 6), F(-2)
+    start = format_rational(v)
+    # x = y + c: y is read, x gets the sum
+    trace = _run(f"cont y = {start}, x = 0;\nx = y + 5/6;\npause", max_ticks=1, record_reads=True)
+    assert trace.cont("x", 1) == v + c1 and trace.cont("y", 1) == v
+    assert trace.read_log == [(1, "y", "value", v)]
+    # two steps of one op+ variable in one tick fold to the sum of both
+    trace = _run(
+        f"cont a op+ = {start};\n{{ a = a + 5/6; pause }} || {{ a = a + -2; pause }}",
+        max_ticks=1, record_reads=True,
+    )
+    assert trace.cont("a", 1) == (v + c1) + (v + c2)
+    assert trace.read_log == [(1, "a", "value", v), (1, "a", "value", v)]
+
+
+# --- compiled shapes against spellings they do not match ----------------------------
+
+_SHAPES = (
+    "cont x = 0, y = 1/2;\nsignal S, T;\n"
+    "{{ loop {{ do {{x' = 3/2}} until (x <= 6); x = 0; pause }} }}\n"
+    "|| {{ loop {{ {if}; {step}; pause{tail} }} }}\n"
+    "|| {{ loop {{ {pausing_if}; pause }} }}"
+)
+_SPELLINGS = {  # slot -> (the compiled shape, a spelling it does not match)
+    "if": ("if (!(x >= 3)) emit T else emit S", "if (x >= 3) emit S else emit T"),
+    "step": ("y = y + -1/3", "y = -1/3 + y"),
+    "tail": ("", "; nothing"),
+    # a branch that can pause keeps the generic code and its branch numbers
+    "pausing_if": ("if (!T) { pause } else nothing", "if (T) nothing else { pause }"),
+}
+
+
+def _outputs(source: str) -> tuple:
+    """The CSV, JSON and read log of 30 ticks at wcrt 1 and 1/3, rewritten
+    and native, and the residue after each of those ticks."""
+    traces, residues = [], []
+    for wcrt in (F(1), F(1, 3)):
+        cfg = RewriteConfig(wcrt)
+        for native in (False, True):
+            program = parse(source) if native else rewrite_flows(parse(source), cfg)
+            trace = run(program, cfg, max_ticks=30, native_flows=native, record_reads=True)
+            traces.append((to_csv(trace), to_json(trace), trace.read_log))
+            state = init(program, cfg, native_flows=native)
+            for _ in range(30):
+                state.advance()
+                residues.append(state.residue)
+    return traces, residues
+
+
+def test_compiled_shapes_behave_as_their_generic_spellings():
+    shaped = {slot: pair[0] for slot, pair in _SPELLINGS.items()}
+    traces, residues = _outputs(_SHAPES.format(**shaped))
+    for slot, (_, generic) in _SPELLINGS.items():
+        got_traces, got_residues = _outputs(_SHAPES.format(**{**shaped, slot: generic}))
+        assert got_traces == traces, slot
+        if slot != "pausing_if":  # the one pair whose If branches are numbered apart
+            assert got_residues == residues, slot
+
+
+def test_rewritten_flow_tick_builds_no_seq_or_if_residue(monkeypatch):
+    built = {"SeqRes": 0, "IfRes": 0}
+    for name in built:
+        cls = getattr(kernel, name)
+
+        def counting(self, *args, _init=cls.__init__, _name=name):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def ticks(source: str) -> dict:
+        program = rewrite_flows(parse(source), CFG1)
+        state = init(program, CFG1)
+        built.update(SeqRes=0, IfRes=0)  # compiling may build shared residues
+        for _ in range(10):
+            state.advance()
+        assert not state.terminated
+        return dict(built)
+
+    assert ticks("cont a = 0;\ndo {a' = 1} until (a <= 50)") == {"SeqRes": 0, "IfRes": 0}
+    # the same loop spelled with a trailing `nothing` builds one per tick
+    generic = "cont a = 0;\nloop { a = a + 1; if (a >= 50) pause; pause; nothing }"
+    assert ticks(generic) == {"SeqRes": 10, "IfRes": 0}
