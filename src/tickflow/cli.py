@@ -159,37 +159,53 @@ def _flag_rational(flag: str, text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError:
-        raise CompileError(f"{flag}: bad rational {text!r}") from None
+        raise ArgumentError(flag, f"bad rational {text!r}") from None
 
 
 def _parse_params(pairs) -> dict:
     values = {}
     for pair in pairs or []:
         name, sep, text = pair.partition("=")
-        if not sep:
-            raise CompileError(f"--param needs name=value, got {pair!r}")
+        if not sep or not name:
+            raise ArgumentError("--param", f"needs name=value, got {pair!r}")
+        if name in values:
+            raise ArgumentError("--param", f"{name!r} given twice")
         values[name] = _flag_rational(f"--param {name}", text)
     return values
+
+
+def _bind(program, values: dict):
+    """`program` with `values` bound to its constants. A value for a
+    constant the program does not declare is blamed on `--param`."""
+    from . import params
+
+    unknown = sorted(set(values) - {d.name for d in program.params()})
+    if unknown:
+        raise ArgumentError("--param", f"undefined parameter(s): {', '.join(unknown)}")
+    return params.bind_params(program, values)
 
 
 def _load_program(path: str, values: dict, wcrt: Fraction):
     """The program at `path`, parsed, with `values` bound to its constants
     and its flows rewritten for `wcrt`."""
-    from . import params, rewrite, syntax
+    from . import rewrite, syntax
 
-    bound = params.bind_params(syntax.parse(_read_text(path)), values)
+    bound = _bind(syntax.parse(_read_text(path)), values)
     return rewrite.rewrite_flows(bound, rewrite.RewriteConfig(wcrt))
 
 
 def _wcrt(text: str) -> Fraction:
     value = _flag_rational("--wcrt", text)
     if value <= 0:
-        raise CompileError("wcrt must be strictly positive")
+        raise ArgumentError("--wcrt", f"must be strictly positive, got {format_rational(value)}")
     return value
 
 
 # The flag that supplies each library parameter an `ArgumentError` names.
-_FLAGS = {"max_ticks": "--ticks", "node_limit": "--node-limit", "horizon": "--horizon"}
+_FLAGS = {
+    "max_ticks": "--ticks", "bound": "--bound", "node_limit": "--node-limit",
+    "horizon": "--horizon",
+}
 
 
 def main(argv=None) -> int:
@@ -263,12 +279,12 @@ def main(argv=None) -> int:
 
 
 def _check(args) -> int:
-    from . import params, syntax
+    from . import syntax
 
     program = syntax.parse(_read_text(args.program))
     values = _parse_params(args.param)
     if values or not program.params():
-        syntax.reject_nonlinear_combine(params.bind_params(program, values))
+        syntax.reject_nonlinear_combine(_bind(program, values))
     else:
         syntax.reject_nonlinear_combine(program)
     print("ok")
@@ -349,7 +365,7 @@ def _verify(args) -> int:
             node_limit=args.node_limit,
         )
     except SearchLimitError as err:
-        print(f"resource limit: {err}", file=sys.stderr)
+        print(f"--node-limit: {err}", file=sys.stderr)
         return 2
     if isinstance(verdict, verify.Witness):
         print(f"witness: {args.target} settles present at tick {verdict.tick}")
@@ -393,7 +409,7 @@ def _lti(args) -> int:
 
 
 def _compare(args) -> int:
-    from . import hybrid, params, rewrite, syntax
+    from . import hybrid, rewrite, syntax
 
     wcrt = _wcrt(args.wcrt)
     values = _parse_params(args.param)
@@ -401,7 +417,7 @@ def _compare(args) -> int:
         automaton = hybrid.parse_automaton(_read_text(args.ha), values)
     except AutomatonError as err:
         raise ScheduleError(f"{args.ha}:{err}") from None
-    program = params.bind_params(syntax.parse(_read_text(args.program)), values)
+    program = _bind(syntax.parse(_read_text(args.program)), values)
     mapping = _load_json(args.map, "variable map", dict)
     try:
         hybrid.check_mapping(automaton, program, mapping)

@@ -8,11 +8,14 @@ branches to their next pause or termination while every read observes only
 previous-tick snapshots, then fold the tick's pending writes with the
 declared combine operators and promote them to the visible snapshot.
 
-The program is compiled once per (program, config), when its `TickState`
-is built, and clones share the code. Each statement becomes a pair of
-closures: `run(ctx)` enters it afresh and `resume(ctx, res)` continues it
-from the residue it left. A parent picks the child that resumes a residue
-by its Seq index, If branch or Par slot, so a tick dispatches on nothing.
+A program is compiled once per program object, tick length and flow
+mode, when the first `TickState` of it is built: `Program.derived` keeps
+the code on the object (not on its value, since the code names the
+object's own nodes), so later runs, searches and replays of it, and every
+clone, share it. Each statement becomes a pair of closures: `run(ctx)`
+enters it afresh and `resume(ctx, res)` continues it from the residue it
+left. A parent picks the child that resumes a residue by its Seq index,
+If branch or Par slot, so a tick dispatches on nothing.
 Each expression becomes a closure too. Names resolve to slots at compile
 time: a declaration has at most one live instance, so the per-tick list
 `ctx.env` holds it in the declaration's slot while its scope runs. Misuse,
@@ -64,11 +67,12 @@ records the labels that hold a paused point as it builds the residue, and
 each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
-`TickState.advance` is three parts, which a caller that reads less can
+`TickState.advance` is two parts, which a caller that reads less can
 take apart. `step` runs the tick and folds each instance's writes once;
-`settle` builds the next store from the folded writes; `record` names
-them in a `TickRecord`. The search steps every successor, reads the one
-status it checks, settles only a state it keys and records only a witness.
+`record` names the folded writes in a `TickRecord` and builds the next
+store in the same pass over the instances. `settle` builds the store
+alone. The search steps every successor, reads the one status it checks,
+settles only a state it keys and records only a witness.
 """
 
 from __future__ import annotations
@@ -301,18 +305,11 @@ class TickState:
     the compiled code."""
 
     def __init__(self, program: Program, cfg: RewriteConfig, native_flows: bool = False):
-        if program.params():
-            raise KernelError("named constants must be bound before execution")
-        if not native_flows and program.has_flows():
-            raise KernelError(
-                "program still contains flow actions; rewrite it or enable "
-                "native flow interpretation"
-            )
         self.program = program
         self.cfg = cfg
-        compiler = _Compiler(cfg)
-        run, resume = compiler.stmt(program.root, {})
-        self.code = (run, resume, compiler.slots)
+        self.code, self.input_names = program.derived(
+            ("code", cfg.wcrt, native_flows), lambda: _compile(program, cfg, native_flows)
+        )
         self.residue = None  # None before tick 1 and after termination
         self.tick = 0
         self.terminated = False
@@ -321,7 +318,6 @@ class TickState:
         # None from a `step` until its tick is settled
         self.store: Optional[dict] = {}
         self.initial_conts: dict = {}  # first initial value per cont name
-        self.input_names = {d.name for d in program.inputs()}
         self.read_log: Optional[list] = None
 
     # -- state duplication (for search) --
@@ -335,17 +331,16 @@ class TickState:
     # -- one tick --
 
     def advance(self, inputs: InputAssignment = EMPTY_INPUTS) -> TickRecord:
-        """Run one tick, settle its store and return its record."""
-        tick = self.step(inputs)
-        tick.settle()
-        return tick.record()
+        """Run one tick and return its record; recording it builds the
+        state's next store in the same pass."""
+        return self.step(inputs).record()
 
     def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_TickCtx":
         """Run one tick and fold its writes, but build neither the next
-        store nor the record: the returned tick's `settle` builds the store
-        and its `record` the record, each from what the tick folded. Until
-        the tick is settled the state has no store, so it cannot step again
-        or be keyed."""
+        store nor the record: the returned tick's `settle` builds the store,
+        and its `record` the record and the store, from what the tick
+        folded. Until one of them runs the state has no store, so it cannot
+        step again or be keyed."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         t = self.tick + 1
@@ -487,9 +482,11 @@ class _TickCtx:
         """Name every instance that was live during the tick in
         registration order, the second of a name `S` as `S:2`, and record
         its settled status or value. An instance whose scope ended this
-        tick is recorded too."""
-        t, folded, emitted = self.t, self.folded, self.emitted
-        statuses, values, conts, seen = {}, {}, {}, {}
+        tick is recorded too. The same pass builds the store `settle`
+        builds (a continuous variable is never emitted, so it settles
+        absent)."""
+        t, folded, emitted, ended = self.t, self.folded, self.emitted, self.ended
+        statuses, values, conts, seen, store = {}, {}, {}, {}, {}
         for inst, (_, value) in self.prev.items():
             decl = inst.decl
             name = decl.name
@@ -500,11 +497,15 @@ class _TickCtx:
             if inst in folded:
                 value = folded[inst]
             if decl.__class__ is SignalDecl:
-                statuses[name] = inst in emitted
+                present = statuses[name] = inst in emitted
                 if decl.stype is not None:
                     values[name] = value
             else:
+                present = False
                 conts[name] = value
+            if inst not in ended:
+                store[inst] = (present, value)
+        self.state.store = store
         labels = tuple(sorted(self.labels))
         return TickRecord(t, self.state.cfg.wcrt * t, statuses, values, conts, labels)
 
@@ -535,6 +536,20 @@ def _adapt(value, decl: SignalDecl):
 
 
 # --- compilation -------------------------------------------------------------
+
+
+def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
+    """The code of `program` for `TickState.code`, and its input names."""
+    if program.params():
+        raise KernelError("named constants must be bound before execution")
+    if not native_flows and program.has_flows():
+        raise KernelError(
+            "program still contains flow actions; rewrite it or enable "
+            "native flow interpretation"
+        )
+    compiler = _Compiler(cfg)
+    run, resume = compiler.stmt(program.root, {})
+    return (run, resume, compiler.slots), frozenset(d.name for d in program.inputs())
 
 
 def _fail(message: str, error=KernelError, *args):

@@ -241,6 +241,21 @@ Decl = Union[SignalDecl, ContDecl, ParamDecl]
 class Program(Struct):
     root: Stmt
 
+    def derived(self, key, build):
+        """`build()`, called once per program object and `key` and kept on
+        the object. What is kept belongs to this object, not to its value:
+        compiled code and node indexes name this tree's nodes by identity,
+        so an equal program (re-parsed, re-bound, or copied by `replace`,
+        which copies fields only) derives its own. Nothing is kept when
+        `build` raises, so it raises again on the next call."""
+        memo = self.__dict__.get("_derived")
+        if memo is None:
+            memo = self.__dict__["_derived"] = {}
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
+
     def walk(self):
         """Yield every statement node, preorder."""
         yield from walk_stmt(self.root)

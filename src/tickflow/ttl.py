@@ -36,10 +36,13 @@ from .errors import KernelError
 
 def combine_fold(op: str, values: list) -> Fraction:
     if op == "plus":
-        total = values[0]
-        for v in values[1:]:
-            total = total + v
-        return total
+        # the exact sum from integer cross-products and one Fraction,
+        # without Fraction.__add__'s dispatch per value
+        n, d = 0, 1
+        for v in values:
+            q = v.denominator
+            n, d = n * q + v.numerator * d, d * q
+        return Fraction(n, d)
     if op == "times":
         total = values[0]
         for v in values[1:]:

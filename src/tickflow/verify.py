@@ -4,14 +4,14 @@ Programs are deterministic once their inputs are fixed, so the search tree
 branches only on the per-tick input choice. Verdicts are relative to the
 tick bound. States are keyed by `fingerprint`, an exact tuple of the shared
 residue and the store, with declarations numbered by one preorder index of
-the program built per search. The cache maps each key
+the program, built once per program object. The cache maps each key
 to the earliest tick the state was reached at, and a state is expanded
 again only when reached strictly earlier (it then has more ticks left), so
 depth-first order is as sound as breadth-first. Breadth-first order reaches
 states in tick order, so its first witness is a shortest one. Each
 successor is stepped (`TickState.step`) and checked for the target; a
 leaf, one that terminated or sits at the bound, is never settled or keyed.
-Only a successor that is keyed builds its store, and only a witness builds
+Only a successor that is keyed settles its store, and only a witness builds
 a `TickRecord`, from which its snapshot is read.
 """
 
@@ -123,15 +123,19 @@ def fingerprint(state: TickState, index: Optional[dict] = None) -> tuple:
     instance), settled status and value. Registration order decides which
     of two same-named instances settles as `S` and which as `S:2`. A
     declaration fixes its value's type, so `True` never meets `Fraction(1)`.
-    `index` is `_node_index(state.program)`; the search passes the one it
-    built."""
+    `index` is the program's `_node_index`, built once per program object;
+    the search passes it in."""
     if index is None:
-        index = _node_index(state.program)
+        index = _index(state.program)
     store = tuple([
         (index[id(inst.decl)], status, value)
         for inst, (status, value) in state.store.items()
     ])
     return (state.terminated, state.residue, store)
+
+
+def _index(program: Program) -> dict:
+    return program.derived("node index", lambda: _node_index(program))
 
 
 def _node_index(program: Program) -> dict:
@@ -164,15 +168,15 @@ def check_reachable(
     if strategy not in ("bfs", "dfs"):
         raise TickflowError(f"unknown search strategy {strategy!r} (bfs or dfs)")
     if bound < 0:
-        raise TickflowError(f"search bound must be non-negative, got {bound}")
+        raise ArgumentError("bound", f"must be non-negative, got {bound}")
     if node_limit < 1:
         raise ArgumentError("node_limit", f"must be positive, got {node_limit}")
-    if target not in _declared_signals(program):
+    if target not in program.derived("signals", lambda: _declared_signals(program)):
         raise KernelError(f"target signal {target!r} is not declared")
     if alphabet is None:
         alphabet = InputAlphabet.closed()
     choices = alphabet.choices()
-    index = _node_index(program)
+    index = _index(program)
     take = deque.popleft if strategy == "bfs" else deque.pop
     earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)

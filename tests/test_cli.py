@@ -121,7 +121,7 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
         "--bound", "-3", "--target", "ERROR",
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"{CAROUSEL}:search bound must be non-negative")
+    assert capsys.readouterr().err == "--bound: must be non-negative, got -3\n"
     with pytest.raises(SystemExit) as exit_info:
         main([
             "verify", CAROUSEL, "--wcrt", "1", "--param", "alpha=1", *CAROUSEL_PARAMS,
@@ -151,7 +151,27 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
          "--wcrt", "2", "--horizon", "1", "--map", str(CORPUS / "maps" / "carousel.json")],
         "--horizon: must be at least one tick, 2, got 1",
     ),
-], ids=["ticks", "node-limit", "horizon", "horizon-below-tick"])
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "12", "--target", "ERROR",
+         "--node-limit", "1"],
+        "--node-limit: reachability search exceeded 1 transitions",
+    ),
+    (["run", CAROUSEL, "--wcrt", "0"], "--wcrt: must be strictly positive, got 0"),
+    (["run", CAROUSEL, "--wcrt", "1/0"], "--wcrt: bad rational '1/0'"),
+    # the first --param at fault is reported, before the appended ones
+    (["run", CAROUSEL, "--wcrt", "2", "--param", "alpha=1/0"], "--param alpha: bad rational '1/0'"),
+    (["run", CAROUSEL, "--wcrt", "2", "--param", "alpha"], "--param: needs name=value, got 'alpha'"),
+    (["run", CAROUSEL, "--wcrt", "2", "--param", "=3"], "--param: needs name=value, got '=3'"),
+    (["run", CAROUSEL, "--wcrt", "2", "--param", "alpha=1"], "--param: 'alpha' given twice"),
+    (
+        ["run", CAROUSEL, "--wcrt", "2", "--param", "gamma=1"],
+        "--param: undefined parameter(s): gamma",
+    ),
+], ids=[
+    "ticks", "node-limit", "horizon", "horizon-below-tick", "node-limit-reached", "wcrt",
+    "wcrt-rational", "param-rational", "param-no-value", "param-no-name", "param-twice",
+    "param-undeclared",
+])
 def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Mutation fuzzing of every kind of file the command line reads.
+"""Mutation fuzzing of every kind of file the command line reads, and of
+the values of its flags.
 
 Each role's seed file is mutated at the byte level (replace, insert or
 delete bytes, which also makes text that is not UTF-8) and at the token
@@ -7,6 +8,11 @@ command that reads it runs in process. Whatever the input, `main` must
 return 0, 1 or 2 without raising; 1 only with a verdict line on stdout and
 2 only with a message on stderr that starts with the file or the flag at
 fault.
+
+The flags role mutates one flag's value the same two ways, or puts a
+pool token in its place or beside it, and an exit 2 must name that flag: a
+message that starts with it, or argparse's own rejection of a value it
+cannot take (`error: argument --ticks: ...`).
 """
 
 from __future__ import annotations
@@ -142,3 +148,69 @@ def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
             assert _VERDICT.search(out), case
         elif code == 2:
             assert err.startswith(named), f"{case}\n{err}"
+
+
+VALUE = "<value>"  # replaced by the mutated value of the flag
+FAULTY = str(CORPUS / "programs" / "faulty_reset.hsj")
+# flag -> (seed value, the command that reads the mutated value as VALUE);
+# each command is cheap at any value a mutant of its seed can take
+FLAGS = {
+    "--wcrt": ("2", ["run", FAULTY, "--wcrt", VALUE, "--ticks", "8"]),
+    "--ticks": ("8", ["run", FAULTY, "--wcrt", "2", "--ticks", VALUE]),
+    "--param": (
+        "alpha=3", ["run", CAROUSEL, "--wcrt", "2", "--ticks", "8", "--param", VALUE,
+                    *CAROUSEL_PARAMS[2:]],
+    ),
+    "--bound": ("3", ["verify", PROGRAM, "--wcrt", "1", "--bound", VALUE, "--target", "HIGH"]),
+    # the search makes 2 transitions: the seed's limit is reached, and a
+    # mutant may raise it past them
+    "--node-limit": (
+        "1", ["verify", PROGRAM, "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+              "--node-limit", VALUE],
+    ),
+    "--horizon": (
+        "12", [VALUE if arg == "12" else arg for arg in _compare(
+            str(CORPUS / "automata" / "carousel.ha"), str(CORPUS / "maps" / "carousel.json"),
+        )],
+    ),
+}
+FLAG_MUTATIONS = 5  # per flag and kind of mutant
+
+
+def _flag_mutant(rng: random.Random, seed: str, kind: int) -> str:
+    """A byte mutant of `seed` (kind 0), a token mutant (kind 1), or a token
+    of the pool alone, before `seed` or after it (kind 2). A seed of one or
+    two tokens makes few token mutants, hence the third kind."""
+    if kind == 0:
+        # capsys cannot write the lone surrogates a shell would pass for
+        # bytes that are not UTF-8, so they arrive as U+FFFD
+        return _byte_mutant(rng, seed.encode("utf-8")).decode("utf-8", "replace")
+    if kind == 1:
+        return _token_mutant(rng, seed).decode("utf-8")
+    token = rng.choice(_POOL)
+    return rng.choice((token, token + seed, seed + token))
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_mutated_flag_fails_cleanly(flag, tmp_path, capsys):
+    seed, argv = FLAGS[flag]
+    program = tmp_path / "level.hsj"
+    program.write_text(LEVEL)
+    rng = random.Random(sorted(FLAGS).index(flag))
+    for i in range(3 * FLAG_MUTATIONS):
+        value = _flag_mutant(rng, seed, i % 3)
+        args = [{VALUE: value, PROGRAM: str(program)}.get(arg, arg) for arg in argv]
+        case = f"{flag} mutant {i}: {value!r}"
+        try:
+            code = main(args)
+        except SystemExit as exit_info:  # argparse rejected the value
+            err = capsys.readouterr().err
+            assert exit_info.code == 2, case
+            assert f": error: argument {flag}: " in err.splitlines()[-1], f"{case}\n{err}"
+            continue
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), case
+        if code == 1:
+            assert _VERDICT.search(out), case
+        elif code == 2:
+            assert err.startswith((f"{flag}:", f"{flag} ")), f"{case}\n{err}"

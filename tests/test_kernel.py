@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tickflow.errors import KernelError
 from tickflow import kernel
 from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
+from tickflow.params import bind_params
 from tickflow import rewrite
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
@@ -15,7 +17,10 @@ from tickflow.syntax import parse
 from tickflow.syntax.nodes import Program
 from tickflow.syntax.parser import parse_raw
 from tickflow.trace import to_csv, to_json
-from tickflow.verify import fingerprint
+from tickflow.verify import alphabet_for, fingerprint
+
+from conftest import corpus_sources
+from helpers import random_search_program
 
 CFG1 = RewriteConfig(F(1))
 CFG2 = RewriteConfig(F(2))
@@ -53,16 +58,22 @@ def test_nothing_terminates_first_tick():
 
 
 def test_unbound_constant_refused():
+    # a program that fails a check keeps no code, so it fails every call
     program = parse("param k;\ncont a;\na = k")
-    with pytest.raises(KernelError):
-        init(program, CFG1)
+    for native in (False, False, True, True):
+        with pytest.raises(KernelError):
+            init(program, CFG1, native_flows=native)
 
 
 def test_unrewritten_flow_refused():
     program = parse("cont a;\ndo {a' = 1} until (a <= 2)")
-    with pytest.raises(KernelError):
-        init(program, CFG1)
+    for _ in range(2):
+        with pytest.raises(KernelError):
+            init(program, CFG1)
     init(program, CFG1, native_flows=True)
+    # the native code kept for the program does not serve the other mode
+    with pytest.raises(KernelError):
+        run(program, CFG1)
 
 
 # --- delayed reads ---------------------------------------------------------------
@@ -602,3 +613,80 @@ def test_rewritten_flow_tick_builds_no_seq_or_if_residue(monkeypatch):
     # the same loop spelled with a trailing `nothing` builds one per tick
     generic = "cont a = 0;\nloop { a = a + 1; if (a >= 50) pause; pause; nothing }"
     assert ticks(generic) == {"SeqRes": 10, "IfRes": 0}
+
+
+# --- one compilation per program object ---------------------------------------------
+
+_PARAMS = {"alpha": F(3), "beta": F(10), "theta": F(6), "TAG": F(1)}
+
+
+def _bound(path):
+    """The corpus program at `path`, freshly parsed, its constants bound."""
+    program = parse(path.read_text())
+    return bind_params(program, _PARAMS if program.params() else {})
+
+
+def _schedule(program):
+    """FAULT present at ticks 1 and 4, for a program that reads it."""
+    if "FAULT" not in {d.name for d in program.inputs()}:
+        return None
+    return {t: InputAssignment.make(present=["FAULT"]) for t in (1, 4)}
+
+
+def _texts(trace) -> tuple:
+    return to_csv(trace), to_json(trace), trace.read_log
+
+
+def test_program_run_again_at_other_tick_lengths_runs_like_fresh_copies():
+    # one program object is compiled for wcrt 1, then 1/3, then reused at
+    # 1; every run must equal the run of a freshly parsed copy
+    for path in corpus_sources():
+        kept = _bound(path)
+        schedule = _schedule(kept)
+        for native in (False, True):
+            program = kept if native else rewrite_flows(kept, CFG1)
+            for wcrt in (F(1), F(1, 3), F(1)):
+                cfg = RewriteConfig(wcrt)
+                fresh = _bound(path)
+                fresh = fresh if native else rewrite_flows(fresh, CFG1)
+                kw = dict(max_ticks=30, native_flows=native, record_reads=True)
+                got = run(program, cfg, schedule, **kw)
+                assert _texts(got) == _texts(run(fresh, cfg, schedule, **kw)), (path, native, wcrt)
+
+
+# --- recording builds the store settling builds -------------------------------------
+
+
+def _record_matches_settle(program, cfg, native, choices, rng, ticks=20):
+    """Run `ticks` ticks on random choices; after each, settle the tick and
+    then record it, and require the same store (instances, order, statuses,
+    value types and values) and the same key from both."""
+    state = init(program, cfg, native_flows=native)
+    for _ in range(ticks):
+        tick = state.step(rng.choice(choices))
+        tick.settle()
+        settled, key = state.store, fingerprint(state)
+        state.store = None
+        tick.record()
+        assert [(i, s, v.__class__, v) for i, (s, v) in state.store.items()] == [
+            (i, s, v.__class__, v) for i, (s, v) in settled.items()
+        ]
+        assert fingerprint(state) == key
+        if state.terminated:
+            return
+
+
+def test_record_builds_the_store_settle_builds():
+    rng = random.Random(3)
+    cases = []
+    for path in corpus_sources():
+        for wcrt in (F(1), F(1, 3)):
+            cases.append((_bound(path), RewriteConfig(wcrt)))
+    for seed in range(40):
+        source, wcrt = random_search_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt)))
+    for program, cfg in cases:
+        choices = alphabet_for(program).choices()
+        for native in (False, True):
+            compiled = program if native else rewrite_flows(program, cfg)
+            _record_matches_settle(compiled, cfg, native, choices, rng)

@@ -11,7 +11,7 @@ from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.parser import parse_raw
-from tickflow.ttl import affine_form, predictors
+from tickflow.ttl import affine_form, combine_fold, predictors
 
 
 def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
@@ -159,3 +159,23 @@ def test_affine_form_matches_the_iterated_definition_randomized():
     (predict,) = predictors((("b", F(1)),), ("a",), {}, F(1))
     with pytest.raises(KernelError, match="no rate"):
         predict(F(0))
+
+
+def test_op_plus_fold_is_fraction_addition():
+    # the fold sums from integer cross-products and builds one Fraction: it
+    # must be exactly the Fraction sum, in lowest terms, for 2 to 5 values
+    # with negative values and non-unit denominators, a zero sum included
+    rng = random.Random(7)
+    cases = [[F(1, 2), F(-1, 2)], [F(-3), F(5, 6), F(7, 4)], [F(2, 9)] * 5]
+    for _ in range(200):
+        cases.append([
+            F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 9, 25)))
+            for _ in range(rng.randint(2, 5))
+        ])
+    for values in cases:
+        want = values[0]
+        for v in values[1:]:
+            want = want + v
+        got = combine_fold("plus", values)
+        assert got.__class__ is F, values
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), values

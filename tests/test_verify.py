@@ -22,6 +22,7 @@ from tickflow.kernel import (
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow.syntax.nodes import Program
 from tickflow.syntax.parser import parse_raw
 from tickflow.verify import (
     InputAlphabet,
@@ -269,6 +270,78 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     # the hit is recorded once, for its snapshot, and never settled
     assert calls == {"index": 1, "key": 2, "settle": 2, "record": 1}
     assert replay(hit, CFG1, verdict)
+
+
+_FAULTS = (
+    "input signal A, B;\nsignal HIT;\ncont z = 0;\n"
+    "{ loop { abort (A) { do {z' = 1} until (z <= 3) }; z = 0; pause } }\n"
+    "|| { loop { if (z >= 3 && B) emit HIT; pause } }"
+)
+
+
+def test_second_call_compiles_and_walks_nothing(monkeypatch):
+    program = _program(_FAULTS)
+    alphabet = alphabet_for(program)
+    calls = {"compile": 0, "walk": 0}
+    real_init, real_walk = kernel._Compiler.__init__, Program.walk
+
+    def counting_init(self, cfg):
+        calls["compile"] += 1
+        real_init(self, cfg)
+
+    def counting_walk(self):
+        calls["walk"] += 1
+        return real_walk(self)
+
+    monkeypatch.setattr(kernel._Compiler, "__init__", counting_init)
+    monkeypatch.setattr(Program, "walk", counting_walk)
+
+    def calls_of(work):
+        calls.update(compile=0, walk=0)
+        result = work()
+        return result, dict(calls)
+
+    def search():
+        return check_reachable(program, CFG1, alphabet, bound=6, target="HIT")
+
+    trace, first = calls_of(lambda: run(program, CFG1, max_ticks=12))
+    assert first["compile"] == 1 and first["walk"] > 0
+    # the search reuses the run's code and builds the index once
+    verdict, first = calls_of(search)
+    assert first["compile"] == 0 and first["walk"] > 0
+    assert isinstance(verdict, Witness)
+    assert calls_of(lambda: run(program, CFG1, max_ticks=12)) == (trace, {"compile": 0, "walk": 0})
+    assert calls_of(search) == (verdict, {"compile": 0, "walk": 0})
+    assert calls_of(lambda: replay(program, CFG1, verdict)) == (True, {"compile": 0, "walk": 0})
+    # another tick length is another compilation, once
+    cfg = RewriteConfig(F(1, 2))
+    assert calls_of(lambda: run(program, cfg, max_ticks=3))[1]["compile"] == 1
+    assert calls_of(lambda: run(program, cfg, max_ticks=3))[1]["compile"] == 0
+
+
+def test_equal_programs_keep_their_own_code_and_index():
+    # A and B are equal values but distinct trees: the code compiled for A
+    # registers A's nodes, which B's index does not hold, so each must
+    # derive its own
+    for native in (False, True):
+        a, b = (parse(_FAULTS) for _ in range(2))
+        if not native:
+            a, b = rewrite_flows(a, CFG1), rewrite_flows(b, CFG1)
+        assert a == b and a is not b
+        alphabet = alphabet_for(a)
+        want = check_reachable(
+            parse(_FAULTS) if native else _program(_FAULTS), CFG1, alphabet,
+            bound=6, target="HIT", native_flows=native,
+        )
+        run(a, CFG1, max_ticks=12, native_flows=native)
+        for program in (b, a):
+            verdict = check_reachable(
+                program, CFG1, alphabet, bound=6, target="HIT", native_flows=native
+            )
+            assert verdict == want, native
+            state = init(program, CFG1, native_flows=native)
+            state.advance()
+            assert fingerprint(state) == fingerprint(state, verify._node_index(program))
 
 
 def test_target_whose_scope_ends_on_its_tick_is_witnessed():
