@@ -162,6 +162,14 @@ def _flag_rational(flag: str, text: str) -> Fraction:
         raise ArgumentError(flag, f"bad rational {text!r}") from None
 
 
+def _flag_int(flag: str, text: str) -> int:
+    """A command-line integer; `flag` names the option in errors."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ArgumentError(flag, f"bad integer {text!r}") from None
+
+
 def _parse_params(pairs) -> dict:
     values = {}
     for pair in pairs or []:
@@ -227,7 +235,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="simulate and export the trace")
     p_run.add_argument("program")
     p_run.add_argument("--wcrt", required=True)
-    p_run.add_argument("--ticks", type=int, default=100)
+    p_run.add_argument("--ticks", default="100")
     p_run.add_argument("--schedule", help="JSON input schedule")
     p_run.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_run.add_argument("--out", help="trace file: .csv, .json or .svg by extension")
@@ -238,11 +246,11 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="bounded reachability of an emission")
     p_verify.add_argument("program")
     p_verify.add_argument("--wcrt", required=True)
-    p_verify.add_argument("--bound", type=int, required=True)
+    p_verify.add_argument("--bound", required=True)
     p_verify.add_argument("--target", required=True)
     p_verify.add_argument("--alphabet", help="JSON input alphabet")
     p_verify.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs")
-    p_verify.add_argument("--node-limit", type=int, default=200_000)
+    p_verify.add_argument("--node-limit", default="200000")
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     p_lti = sub.add_parser("lti", help="observability/controllability verdicts")
@@ -302,6 +310,7 @@ def _desugar(args) -> int:
 def _run(args) -> int:
     from . import kernel, rewrite
 
+    ticks = _flag_int("--ticks", args.ticks)
     export = _exporter(args.out, args.svg_vars)
     wcrt = _wcrt(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
@@ -310,7 +319,7 @@ def _run(args) -> int:
         names = inputs.present | {name for name, _ in inputs.values}
         _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
     result = kernel.run(
-        rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=args.ticks
+        rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=ticks
     )
     text = export(result)
     if args.out is None:
@@ -348,6 +357,8 @@ def _exporter(out, svg_vars):
 def _verify(args) -> int:
     from . import rewrite, verify
 
+    bound = _flag_int("--bound", args.bound)
+    node_limit = _flag_int("--node-limit", args.node_limit)
     wcrt = _wcrt(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
     alphabet = load_alphabet(args.alphabet) if args.alphabet else None
@@ -359,10 +370,10 @@ def _verify(args) -> int:
             rewritten,
             rewrite.RewriteConfig(wcrt),
             alphabet,
-            bound=args.bound,
+            bound=bound,
             target=args.target,
             strategy=args.strategy,
-            node_limit=args.node_limit,
+            node_limit=node_limit,
         )
     except SearchLimitError as err:
         print(f"--node-limit: {err}", file=sys.stderr)
@@ -413,11 +424,13 @@ def _compare(args) -> int:
 
     wcrt = _wcrt(args.wcrt)
     values = _parse_params(args.param)
+    # bound first: a value for a constant the program does not declare is
+    # blamed on `--param`, not on the automaton that then misses one
+    program = _bind(syntax.parse(_read_text(args.program)), values)
     try:
         automaton = hybrid.parse_automaton(_read_text(args.ha), values)
     except AutomatonError as err:
         raise ScheduleError(f"{args.ha}:{err}") from None
-    program = _bind(syntax.parse(_read_text(args.program)), values)
     mapping = _load_json(args.map, "variable map", dict)
     try:
         hybrid.check_mapping(automaton, program, mapping)

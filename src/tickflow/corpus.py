@@ -101,7 +101,7 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     rewritten = rewrite_flows(program, cfg)
     trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
     _check_trace(case.expect, trace, result)
-    _check_native(program, rewritten, cfg, case, result)
+    _check_native(program, trace, cfg, case, result)
     reach = case.expect.get("reach")
     if reach is not None:
         _check_reach(rewritten, cfg, reach, result)
@@ -171,14 +171,15 @@ def _check_trace(expect: dict, trace: Trace, result: CaseResult) -> None:
             )
 
 
-def _check_native(program, rewritten, cfg, case: GoldenCase, result: CaseResult) -> None:
-    """The rewritten program and the native flow interpretation must agree
-    tick for tick on every user-visible entity."""
+def _check_native(
+    program, via_rewrite: Trace, cfg, case: GoldenCase, result: CaseResult
+) -> None:
+    """The trace of the rewritten program and the native flow
+    interpretation must agree tick for tick on every user-visible entity."""
     user_names = sorted(program.declared_names())
     native = run(
         program, cfg, schedule=case.schedule, max_ticks=case.max_ticks, native_flows=True
     )
-    via_rewrite = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
     if native.project(user_names) != via_rewrite.project(user_names):
         result.failures.append("native flow interpretation diverges from the rewrite")
     if (native.terminated, native.termination_tick) != (

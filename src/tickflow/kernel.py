@@ -1,34 +1,42 @@
 """Tick-by-tick execution under delayed synchronous semantics.
 
 One tick: latch inputs, evaluate preemption guards of every paused abort
-and suspend against previous-tick snapshots (an abort whose guard holds
-discards its body before the body runs; neither kind evaluates its guard
-on the tick its body was entered unless marked immediate), run all active
-branches to their next pause or termination while every read observes only
-previous-tick snapshots, then fold the tick's pending writes with the
-declared combine operators and promote them to the visible snapshot.
+and suspend against previous-tick settled values (an abort whose guard
+holds discards its body before the body runs; neither kind evaluates its
+guard on the tick its body was entered unless marked immediate), run all
+active branches to their next pause or termination while every read
+observes only previous-tick settled values, then fold the tick's pending
+writes with the declared combine operators and settle them, visible from
+the next tick on.
 
 A program is compiled once per program object, tick length and flow
 mode, when the first `TickState` of it is built: `Program.derived` keeps
 the code on the object (not on its value, since the code names the
 object's own nodes), so later runs, searches and replays of it, and every
-clone, share it. Each statement becomes a pair of closures: `run(ctx)`
-enters it afresh and `resume(ctx, res)` continues it from the residue it
-left. A parent picks the child that resumes a residue by its Seq index,
-If branch or Par slot, so a tick dispatches on nothing.
-Each expression becomes a closure too. Names resolve to slots at compile
-time: a declaration has at most one live instance, so the per-tick list
-`ctx.env` holds it in the declaration's slot while its scope runs. Misuse,
-such as an unbound name or an `emit` of a continuous variable, compiles to
-code that raises the same `KernelError` at the tick that reaches it.
+state they reach, share it. Only a checked program is compiled:
+`_compile` runs `syntax.check_program` on it first, so the code never
+meets an unbound name, a statement used against its declaration's kind or
+a loop body that can complete without pausing. What depends on values
+stays a runtime `KernelError` at the tick that meets it: a value that does
+not fit its signal's type (an `int` signal given `1/2`, or an input of
+the wrong kind), two writes to one instance with no combine operator, and
+several rates of one variable with no operator.
+
+Each statement becomes a pair of closures: `run(ctx)` enters it afresh
+and `resume(ctx, res)` continues it from the residue it left. A parent
+picks the child that resumes a residue by its Seq index, If branch or Par
+slot, so a tick dispatches on nothing. Each expression becomes a closure
+too. Names resolve to slots at compile time: a declaration has at most
+one live instance, so the per-tick list `ctx.env` holds it in the
+declaration's slot while its scope runs.
 
 A look-ahead compiles to reads of its site's variables, in site order,
 into slots of its own that shadow them, then its invariant. A variable
-whose prediction is affine in its snapshot (`ttl.affine_form`; every
-variable of a rewritten flow is) keeps the snapshot in its slot: the
+whose prediction is affine in its settled value (`ttl.affine_form`;
+every variable of a rewritten flow is) keeps that value in its slot: the
 invariant's `name <op> literal` compiles to one integer cross-multiplication
 against the threshold `(literal - shift)/scale`, folded at compile time,
-and any other use of the name computes `scale*snapshot + shift`. A
+and any other use of the name computes `scale*value + shift`. A
 comparison of a continuous variable with a literal compiles to the same
 integer test. Any other variable's slot holds its prediction, computed
 once every variable is read. So the look-ahead of a rewritten flow does
@@ -57,22 +65,28 @@ of its own. An If that can pause keeps its branches and their numbering,
 `!` or not. Reads, writes and errors happen in the same order, so traces,
 read logs, state keys and verdicts are what the generic code gives.
 
-The machine state between ticks is a residue, an immutable tree of the
-paused points of the program, and a store mapping each live declaration
-instance to its settled (status, value) in registration order. A loop or
-an abort resumes its body's residue, so neither adds a node of its own.
-A tick builds a new residue and a new store and never mutates the old ones,
-so states share them and `TickState.clone` copies only fields. The tick
-records the labels that hold a paused point as it builds the residue, and
-each declaration records its scope ending, so settling walks no residue.
+A machine state is a value: a residue, an immutable tree of the paused
+points of the program, a store mapping each live declaration instance to
+its settled (status, value) in registration order, the tick it follows
+and the first initial value of each continuous variable. A loop or an
+abort resumes its body's residue, so neither adds a node of its own.
+`TickState.step` runs one tick from a state and leaves the state as it
+was; the tick's `settle` builds the next state. A tick builds its own
+residue and store and never mutates the old ones, so states share the
+residue subtrees a tick did not rebuild, the initial values (a
+declaration that records one builds a new dict) and the code. A state
+has terminated when a tick left it no residue. The tick records the
+labels that hold a paused point as it builds the residue, and each
+declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
-`TickState.advance` is two parts, which a caller that reads less can
-take apart. `step` runs the tick and folds each instance's writes once;
-`record` names the folded writes in a `TickRecord` and builds the next
-store in the same pass over the instances. `settle` builds the store
-alone. The search steps every successor, reads the one status it checks,
-settles only a state it keys and records only a witness.
+`TickState.advance` is `step` then `record`, which a caller that reads
+less can take apart. `step` runs the tick and folds each instance's
+writes once; `record` names the folded writes in a `TickRecord` and
+builds the next state in the same pass over the instances, and returns
+both. `settle` builds the next state alone. The search steps every
+successor, reads the one status it checks, settles only a state it keys
+and records only a witness.
 """
 
 from __future__ import annotations
@@ -81,9 +95,10 @@ import operator
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ArgumentError, KernelError, NonConstantRateError
+from .errors import ArgumentError, KernelError
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
+from .syntax.checks import check_program
 from .syntax.nodes import (
     Binary,
     BoolLit,
@@ -93,7 +108,6 @@ from .syntax.nodes import (
     Program,
     SignalDecl,
     Stmt,
-    TtlCall,
     Unary,
     ValueRef,
 )
@@ -300,47 +314,46 @@ def _live_in(res, labels: list, instances: list):
 
 
 class TickState:
-    """Full machine state at a tick boundary. Its residue and store are
-    never mutated once a tick has built them, so clones share both, and
-    the compiled code."""
+    """Machine state at a tick boundary, a value: `step` leaves it as it
+    was, and the tick it returns builds the next state. Every state of one
+    run shares the compiled code and `read_log`, the list reads are logged
+    to, or None."""
 
-    def __init__(self, program: Program, cfg: RewriteConfig, native_flows: bool = False):
+    __slots__ = (
+        "program", "cfg", "code", "input_names", "read_log",
+        "tick", "residue", "store", "initial_conts",
+    )
+
+    def __init__(
+        self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
+        read_log: Optional[list] = None,
+    ):
         self.program = program
         self.cfg = cfg
         self.code, self.input_names = program.derived(
             ("code", cfg.wcrt, native_flows), lambda: _compile(program, cfg, native_flows)
         )
-        self.residue = None  # None before tick 1 and after termination
+        self.read_log = read_log
         self.tick = 0
-        self.terminated = False
-        self.termination_tick: Optional[int] = None
-        # live instance -> settled (status, value), in registration order;
-        # None from a `step` until its tick is settled
-        self.store: Optional[dict] = {}
+        self.residue = None  # None before tick 1 and after termination
+        # live instance -> settled (status, value), in registration order
+        self.store: dict = {}
         self.initial_conts: dict = {}  # first initial value per cont name
-        self.read_log: Optional[list] = None
 
-    # -- state duplication (for search) --
-
-    def clone(self) -> "TickState":
-        dup = TickState.__new__(TickState)
-        dup.__dict__.update(self.__dict__)
-        dup.read_log = None
-        return dup
+    @property
+    def terminated(self) -> bool:
+        return self.residue is None and self.tick > 0
 
     # -- one tick --
 
-    def advance(self, inputs: InputAssignment = EMPTY_INPUTS) -> TickRecord:
-        """Run one tick and return its record; recording it builds the
-        state's next store in the same pass."""
+    def advance(self, inputs: InputAssignment = EMPTY_INPUTS) -> tuple:
+        """Run one tick: the next state and the tick's record."""
         return self.step(inputs).record()
 
     def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_TickCtx":
         """Run one tick and fold its writes, but build neither the next
-        store nor the record: the returned tick's `settle` builds the store,
-        and its `record` the record and the store, from what the tick
-        folded. Until one of them runs the state has no store, so it cannot
-        step again or be keyed."""
+        state nor the record: the returned tick's `settle` builds the state,
+        and its `record` the state and the record, from what it folded."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         t = self.tick + 1
@@ -349,20 +362,12 @@ class TickState:
         run, resume, slots = self.code
         try:
             ctx = _TickCtx(self, inputs, t, slots)
-            if self.tick == 0:
-                self.residue = run(ctx)
-            else:
-                self.residue = resume(ctx, self.residue)
+            ctx.residue = run(ctx) if self.tick == 0 else resume(ctx, self.residue)
         except KernelError as err:
             if err.tick is None:
                 raise KernelError(err.message, t) from None
             raise
         ctx.fold()
-        self.store = None
-        self.tick = t
-        if self.residue is None:
-            self.terminated = True
-            self.termination_tick = t
         return ctx
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
@@ -373,33 +378,31 @@ class TickState:
             if name not in self.input_names:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
-    def snapshot(self) -> dict:
-        """Settled previous-tick values of every live instance, named in
-        registration order as the tick's record names them."""
-        out = {}
-        seen: dict = {}
-        for inst, (status, value) in self.store.items():
-            name = _disambiguate(inst.decl.name, seen)
-            out[name] = (status, value) if inst.decl.__class__ is SignalDecl else value
-        return out
-
-
-def _disambiguate(name: str, seen: dict) -> str:
-    count = seen.get(name, 0) + 1
-    seen[name] = count
-    return name if count == 1 else f"{name}:{count}"
+    def _after(self, ctx: "_TickCtx", store: dict) -> "TickState":
+        """The state the tick `ctx` ran from this one leads to."""
+        state = object.__new__(TickState)
+        state.program = self.program
+        state.cfg = self.cfg
+        state.code = self.code
+        state.input_names = self.input_names
+        state.read_log = self.read_log
+        state.tick = ctx.t
+        state.residue = ctx.residue
+        state.store = store
+        state.initial_conts = ctx.initial_conts
+        return state
 
 
 class _TickCtx:
-    """Per-tick scratch that compiled code reads and writes: the slot
-    environment, the settled values reads observe, pending emissions and
-    writes, and what the tick records. Once the tick has run, `fold` turns
-    the writes into settled values, and `settle`, `record` and
-    `settles_present` read them."""
+    """One tick from `state`, which it never writes: the slot environment,
+    the settled values reads observe, pending emissions and writes, the
+    initial values, and what the tick records. Once the tick has run,
+    `residue` is what it left, `fold` has turned the writes into settled
+    values, and `settle`, `record` and `settles_present` read them."""
 
     __slots__ = (
         "state", "t", "env", "prev", "emitted", "writes", "labels", "ended",
-        "log", "present", "input_values", "folded",
+        "log", "present", "input_values", "folded", "residue", "initial_conts",
     )
 
     def __init__(self, state: TickState, inputs: InputAssignment, t: int, slots: int):
@@ -413,6 +416,7 @@ class _TickCtx:
         self.labels: list = []  # names of the labels holding a paused point
         self.ended: set = set()  # instances whose scope ended this tick
         self.log = state.read_log
+        self.initial_conts = state.initial_conts  # replaced, never written
         if inputs.is_empty():
             self.present = None  # nothing to latch
             return
@@ -467,31 +471,32 @@ class _TickCtx:
                     self.t,
                 )
 
-    def settle(self):
-        """Build the state's next store: every instance whose scope did not
-        end this tick, in registration order, with its settled status and
-        value."""
+    def settle(self) -> TickState:
+        """The next state. Its store holds every instance whose scope did
+        not end this tick, in registration order, with its settled status
+        and value."""
         folded, emitted, ended = self.folded, self.emitted, self.ended
-        self.state.store = {
+        return self.state._after(self, {
             inst: (inst in emitted, folded.get(inst, value))
             for inst, (_, value) in self.prev.items()
             if inst not in ended
-        }
+        })
 
-    def record(self) -> TickRecord:
-        """Name every instance that was live during the tick in
-        registration order, the second of a name `S` as `S:2`, and record
-        its settled status or value. An instance whose scope ended this
-        tick is recorded too. The same pass builds the store `settle`
-        builds (a continuous variable is never emitted, so it settles
-        absent)."""
+    def record(self) -> tuple:
+        """The next state and the tick's record. The record names every
+        instance that was live during the tick in registration order, the
+        second of a name `S` as `S:2`, with its settled status or value; an
+        instance whose scope ended this tick is recorded too. The same pass
+        builds the store `settle` builds (a continuous variable is never
+        emitted, so it settles absent)."""
         t, folded, emitted, ended = self.t, self.folded, self.emitted, self.ended
         statuses, values, conts, seen, store = {}, {}, {}, {}, {}
         for inst, (_, value) in self.prev.items():
             decl = inst.decl
             name = decl.name
             if name in seen:
-                name = _disambiguate(name, seen)
+                count = seen[name] = seen[name] + 1
+                name = f"{name}:{count}"
             else:
                 seen[name] = 1
             if inst in folded:
@@ -505,9 +510,11 @@ class _TickCtx:
                 conts[name] = value
             if inst not in ended:
                 store[inst] = (present, value)
-        self.state.store = store
+        state = self.state
         labels = tuple(sorted(self.labels))
-        return TickRecord(t, self.state.cfg.wcrt * t, statuses, values, conts, labels)
+        return state._after(self, store), TickRecord(
+            t, state.cfg.wcrt * t, statuses, values, conts, labels
+        )
 
     def settles_present(self, name: str) -> bool:
         """Whether the record shows `name` present: the record names the
@@ -539,7 +546,9 @@ def _adapt(value, decl: SignalDecl):
 
 
 def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
-    """The code of `program` for `TickState.code`, and its input names."""
+    """The code of `program` for `TickState.code`, and its input names. The
+    program must pass the static checks, which raise their located error
+    when it does not."""
     if program.params():
         raise KernelError("named constants must be bound before execution")
     if not native_flows and program.has_flows():
@@ -547,36 +556,10 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
             "program still contains flow actions; rewrite it or enable "
             "native flow interpretation"
         )
+    check_program(program)
     compiler = _Compiler(cfg)
     run, resume = compiler.stmt(program.root, {})
     return (run, resume, compiler.slots), frozenset(d.name for d in program.inputs())
-
-
-def _fail(message: str, error=KernelError, *args):
-    """Code for a misuse: raises when reached, at the tick that reaches it."""
-
-    def fail(ctx, res=None):
-        raise error(message, *args)
-
-    return fail
-
-
-def _folded_site(odes):
-    """The flow site of `odes`, or the code that raises when its rates do
-    not fold to constants."""
-    try:
-        return flow_site(odes), None
-    except NonConstantRateError as err:
-        return None, _fail(err.message, NonConstantRateError, err.line, err.col)
-
-
-def _misuse(kind, name: str, message: str):
-    """Code for a name that is unbound (`kind` None) or used against the
-    kind of its declaration (`message`)."""
-    return _fail(f"unbound name {name!r}" if kind is None else message)
-
-
-_UNBOUND = (None, None, None)  # the scope entry of a name no declaration binds
 
 
 def _none(ctx, res=None):
@@ -637,10 +620,7 @@ class _Compiler:
         return self.slots - 1
 
     def stmt(self, node: Stmt, scope: dict):
-        build = getattr(self, "stmt_" + node.__class__.__name__, None)
-        if build is None:
-            return _fail(f"unhandled statement {node!r}"), None
-        return build(node, scope)
+        return getattr(self, "stmt_" + node.__class__.__name__)(node, scope)
 
     # -- leaves --
 
@@ -652,9 +632,7 @@ class _Compiler:
         return (lambda ctx: res), _none
 
     def stmt_Emit(self, node, scope):
-        kind, slot, _ = scope.get(node.name, _UNBOUND)
-        if kind != "signal":
-            return _misuse(kind, node.name, f"cannot emit {node.name!r}"), None
+        slot = scope[node.name][1]
 
         def run(ctx):
             ctx.emitted.add(ctx.env[slot])
@@ -662,9 +640,7 @@ class _Compiler:
         return run, None
 
     def stmt_ValueWrite(self, node, scope):
-        kind, slot, decl = scope.get(node.name, _UNBOUND)
-        if kind != "signal" or decl.pure:
-            return _misuse(kind, node.name, f"{node.name!r} is not a valued signal"), None
+        _, slot, decl = scope[node.name]
         expr = self.expr(node.expr, scope)
 
         def run(ctx):
@@ -674,10 +650,7 @@ class _Compiler:
         return run, None
 
     def stmt_ContAssign(self, node, scope):
-        name = node.name
-        kind, slot, _ = scope.get(name, _UNBOUND)
-        if kind != "cont":
-            return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
+        slot = scope[node.name][1]
         step = self._literal_step(node.expr, scope)
         if step is not None:
 
@@ -690,17 +663,15 @@ class _Compiler:
         def run(ctx):
             value = expr(ctx)
             if value.__class__ is not Fraction:
-                if value.__class__ is bool:
-                    raise KernelError(f"boolean written to {name!r}")
                 value = Fraction(value)
             ctx.writes.setdefault(ctx.env[slot], []).append(value)
 
         return run, None
 
     def _literal_step(self, expr, scope):
-        """The code of `v + c`, `v` a continuous variable and `c` a
-        `Fraction` literal, as `_plus` computes it; None for any other
-        expression."""
+        """The code of `v + c`, `c` a `Fraction` literal, as `_plus`
+        computes it; None for any other expression. `v` is a continuous
+        variable: the checks type a signal's name boolean."""
         if (
             expr.__class__ is not Binary
             or expr.op != "+"
@@ -710,10 +681,7 @@ class _Compiler:
         ):
             return None
         name = expr.left.name
-        kind, slot, _ = scope.get(name, _UNBOUND)
-        if kind != "cont":
-            return None
-        return _plus(_reader(slot, name, "value", 1), expr.right.value)
+        return _plus(_reader(scope[name][1], name, "value", 1), expr.right.value)
 
     # -- control --
 
@@ -831,17 +799,11 @@ class _Compiler:
         if body_resume is _none:  # the body pauses whenever it runs
             return body_run, lambda ctx, res: body_run(ctx)
 
-        def run(ctx):
-            res = body_run(ctx)
-            if res is None:
-                raise KernelError("loop body completed without pausing")
-            return res
-
-        def resume(ctx, res):
+        def resume(ctx, res):  # the checks ensure a fresh body run pauses
             child = body_resume(ctx, res)
-            return child if child is not None else run(ctx)
+            return child if child is not None else body_run(ctx)
 
-        return run, resume
+        return body_run, resume
 
     def stmt_Abort(self, node, scope):
         guard = self.expr(node.guard, scope)
@@ -941,9 +903,8 @@ class _Compiler:
             value = init(ctx)
             inst = Instance(node)
             ctx.prev[inst] = (False, value)
-            if is_cont and name not in ctx.state.initial_conts:
-                # copy on write: clones share the dict
-                ctx.state.initial_conts = {**ctx.state.initial_conts, name: value}
+            if is_cont and name not in ctx.initial_conts:
+                ctx.initial_conts = {**ctx.initial_conts, name: value}
             if is_input and ctx.present is not None:
                 ctx.latch(inst)
             ctx.env[slot] = inst
@@ -968,14 +929,10 @@ class _Compiler:
         source order, then the look-ahead; a failed look-ahead terminates
         the flow on the next resume, exactly like the rewritten form. Only
         a state built with native flows holds one."""
-        site, fail = _folded_site(node.odes)
-        if fail is not None:
-            return fail, None
+        site = flow_site(node.odes)
         steps = []
         for name, rate in site.odes:
-            kind, slot, _ = scope.get(name, _UNBOUND)
-            if kind != "cont":
-                return _misuse(kind, name, f"{name!r} is not a continuous variable"), None
+            slot = scope[name][1]
             steps.append((slot, _plus(_reader(slot, name, "value", 1), rate * self.wcrt)))
         going, stopping = FlowRes(node, stop=False), FlowRes(node, stop=True)
         always = isinstance(node.invariant, BoolLit) and node.invariant.value
@@ -998,20 +955,16 @@ class _Compiler:
         """The two-tick look-ahead: reads the site's variables in site order
         into slots of its own that shadow them for the whole invariant, and
         evaluates the invariant. A variable with an affine prediction keeps
-        its snapshot in the slot, and the invariant applies the form where
-        it uses the name; any other variable's slot holds its prediction,
-        computed once every variable is read."""
+        its settled value in the slot, and the invariant applies the form
+        where it uses the name; any other variable's slot holds its
+        prediction, computed once every variable is read."""
         reads, predicted, combine = [], [], {}
         inner = dict(scope)
         for name in site.vars:
-            kind, slot, decl = scope.get(name, _UNBOUND)
-            if kind == "cont":
-                read = _reader(slot, name, "value", 1)
-                if decl.combine is not None:
-                    combine[name] = decl.combine
-            else:
-                read = _misuse(kind, name, f"{name!r} is not a continuous variable")
-            reads.append((self.slot(), read))
+            _, slot, decl = scope[name]
+            if decl.combine is not None:
+                combine[name] = decl.combine
+            reads.append((self.slot(), _reader(slot, name, "value", 1)))
         predicts = ttl_mod.predictors(site.odes, site.vars, combine, self.wcrt)
         for name, (slot, _), predict in zip(site.vars, reads, predicts):
             form = ttl_mod.affine_form(site.odes, name, combine.get(name), self.wcrt)
@@ -1026,14 +979,11 @@ class _Compiler:
                 env[slot] = read(ctx)
             for slot, predict in predicted:
                 env[slot] = predict(env[slot])
-            result = check(ctx)
-            if result.__class__ is not bool:
-                raise KernelError("invariant did not evaluate to a boolean")
-            return result
+            return check(ctx)
 
         return lookahead
 
-    # -- expressions (previous-tick snapshots only) --
+    # -- expressions (previous-tick settled values only) --
 
     def expr(self, node, scope):
         cls = node.__class__
@@ -1041,9 +991,7 @@ class _Compiler:
             value = node.value
             return lambda ctx: value
         if cls is NameRef:
-            kind, slot, form = scope.get(node.name, _UNBOUND)
-            if kind is None:
-                return _fail(f"unbound name {node.name!r}")
+            kind, slot, form = scope[node.name]
             if kind == "signal":
                 return _reader(slot, node.name, "status", 0)
             if kind == "cont":
@@ -1053,10 +1001,7 @@ class _Compiler:
             scale, shift = form
             return lambda ctx: scale * ctx.env[slot] + shift
         if cls is ValueRef:
-            kind, slot, decl = scope.get(node.name, _UNBOUND)
-            if kind != "signal" or decl.pure:
-                return _misuse(kind, node.name, f"{node.name!r} has no value")
-            return _reader(slot, node.name, "value", 1)
+            return _reader(scope[node.name][1], node.name, "value", 1)
         if cls is Unary:
             operand = self.expr(node.operand, scope)
             if node.op == "!":
@@ -1079,10 +1024,8 @@ class _Compiler:
                 return lambda ctx: fn(left(ctx), constant)
             right = self.expr(node.right, scope)
             return lambda ctx: fn(left(ctx), right(ctx))
-        if cls is TtlCall:
-            site, fail = _folded_site(node.odes)
-            return fail or self._lookahead(site, node.invariant, scope)
-        return _fail(f"cannot evaluate {node!r}")
+        # a TtlCall, the one kind of expression left
+        return self._lookahead(flow_site(node.odes), node.invariant, scope)
 
     def _bound_test(self, node, scope):
         """`name <op> literal` on a continuous variable or an affine
@@ -1091,7 +1034,7 @@ class _Compiler:
         the threshold `(c - shift)/scale`; both denominators are positive,
         so `v <op> p/q` is `v.numerator*q <op> p*v.denominator`."""
         name, bound = node.left.name, node.right.value
-        kind, slot, form = scope.get(name, _UNBOUND)
+        kind, slot, form = scope[name]
         if kind == "cont":
             read = _reader(slot, name, "value", 1)
         elif kind == "pred" and form is not None:
@@ -1145,20 +1088,19 @@ def run(
     see all inputs absent."""
     if max_ticks < 0:
         raise ArgumentError("max_ticks", f"must be non-negative, got {max_ticks}")
-    state = init(program, cfg, native_flows=native_flows)
+    state = TickState(program, cfg, native_flows, [] if record_reads else None)
     by_tick = normalize_schedule(schedule)
-    if record_reads:
-        state.read_log = []
     records = []
     for t in range(1, max_ticks + 1):
-        records.append(state.advance(by_tick.get(t, EMPTY_INPUTS)))
+        state, record = state.advance(by_tick.get(t, EMPTY_INPUTS))
+        records.append(record)
         if state.terminated:
             break
     return Trace(
         wcrt=cfg.wcrt,
         records=records,
         terminated=state.terminated,
-        termination_tick=state.termination_tick,
+        termination_tick=state.tick if state.terminated else None,
         initial_conts=dict(state.initial_conts),
         read_log=state.read_log,
     )

@@ -8,11 +8,12 @@ the program, built once per program object. The cache maps each key
 to the earliest tick the state was reached at, and a state is expanded
 again only when reached strictly earlier (it then has more ticks left), so
 depth-first order is as sound as breadth-first. Breadth-first order reaches
-states in tick order, so its first witness is a shortest one. Each
-successor is stepped (`TickState.step`) and checked for the target; a
-leaf, one that terminated or sits at the bound, is never settled or keyed.
-Only a successor that is keyed settles its store, and only a witness builds
-a `TickRecord`, from which its snapshot is read.
+states in tick order, so its first witness is a shortest one. A state is
+a value, so each input choice steps the expanded state itself
+(`TickState.step`) and the tick is checked for the target; a leaf, a tick
+that terminated or sits at the bound, builds no state and is never keyed.
+Only a successor that is keyed is settled into a state, and only a witness
+builds a `TickRecord`, from which its snapshot is read.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Witness(Struct):
 
 class Unreachable(Struct):
     """No schedule makes the target settle present within `bound` ticks.
-    `states_explored` counts transitions (one clone stepped by one input
+    `states_explored` counts transitions (one state stepped by one input
     choice), not distinct states."""
 
     bound: int
@@ -190,23 +191,23 @@ def check_reachable(
                 raise SearchLimitError(
                     f"reachability search exceeded {node_limit} transitions"
                 )
-            successor = state.clone()
-            tick = successor.step(assignment)
+            tick = state.step(assignment)
             if tick.settles_present(target):
-                record = tick.record()
+                _, record = tick.record()
                 return Witness(
                     schedule=prefix + (assignment,),
                     tick=record.tick,
                     snapshot=_snapshot_rows(record),
                 )
-            if successor.terminated or successor.tick >= bound:
+            t = tick.t
+            if tick.residue is None or t >= bound:
                 continue  # a leaf: never expanded, so never settled or keyed
-            tick.settle()
+            successor = tick.settle()
             key = fingerprint(successor, index)
             reached = earliest.get(key)
-            if reached is not None and reached <= successor.tick:
+            if reached is not None and reached <= t:
                 continue
-            earliest[key] = successor.tick
+            earliest[key] = t
             frontier.append((successor, prefix + (assignment,)))
     return Unreachable(bound=bound, states_explored=explored)
 
@@ -227,5 +228,5 @@ def replay(program: Program, cfg: RewriteConfig, witness: Witness) -> bool:
     state = init(program, cfg)
     last = None
     for assignment in witness.schedule:
-        last = state.advance(assignment)
+        state, last = state.advance(assignment)
     return last is not None and _snapshot_rows(last) == witness.snapshot and last.tick == witness.tick

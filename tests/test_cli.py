@@ -167,10 +167,20 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
         ["run", CAROUSEL, "--wcrt", "2", "--param", "gamma=1"],
         "--param: undefined parameter(s): gamma",
     ),
+    (["run", CAROUSEL, "--wcrt", "2", "--ticks", "8.5"], "--ticks: bad integer '8.5'"),
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "", "--target", "ERROR"],
+        "--bound: bad integer ''",
+    ),
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "3", "--target", "ERROR",
+         "--node-limit", "1/2"],
+        "--node-limit: bad integer '1/2'",
+    ),
 ], ids=[
     "ticks", "node-limit", "horizon", "horizon-below-tick", "node-limit-reached", "wcrt",
     "wcrt-rational", "param-rational", "param-no-value", "param-no-name", "param-twice",
-    "param-undeclared",
+    "param-undeclared", "ticks-integer", "bound-integer", "node-limit-integer",
 ])
 def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
@@ -268,6 +278,22 @@ def test_compare_reports_divergence(tmp_path, capsys):
     assert "first divergence at tick 2" in out
     assert "ideal switch B->D at t=9 x=9" in out
     assert "delayed switch B->D at t=11 x=11" in out
+
+
+def test_compare_blames_a_misspelled_param_on_the_flag(capsys):
+    # the automaton reads `alpha` too, but the program is bound first, so
+    # the misspelling is reported, not the automaton's missing constant
+    code = main([
+        "compare",
+        "--ha", str(CORPUS / "automata" / "carousel.ha"),
+        "--program", CAROUSEL,
+        "--wcrt", "2", "--horizon", "12",
+        "--map", str(CORPUS / "maps" / "carousel.json"),
+        "--param", "alphx=3", *CAROUSEL_PARAMS,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--param: undefined parameter(s): alphx\n" and captured.out == ""
 
 
 def test_schedule_loader_errors(tmp_path):

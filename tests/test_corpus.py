@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from tickflow import corpus
 from tickflow.corpus import load_cases, run_corpus
 
 from conftest import corpus_sources
@@ -19,3 +20,17 @@ def test_every_program_has_a_case(corpus_dir):
 def test_known_divergence_is_marked(corpus_dir):
     cases = {case.name: case for case in load_cases(corpus_dir)}
     assert "divergence" in cases["read-write-parallel"].note
+
+
+def test_each_case_runs_the_rewritten_and_the_native_program_once(corpus_dir, monkeypatch):
+    runs = {False: 0, True: 0}  # native_flows -> runs
+    real = corpus.run
+
+    def counting(*args, native_flows=False, **kw):
+        runs[native_flows] += 1
+        return real(*args, native_flows=native_flows, **kw)
+
+    monkeypatch.setattr(corpus, "run", counting)
+    cases = len(load_cases(corpus_dir))
+    assert run_corpus(corpus_dir).ok
+    assert runs == {False: cases, True: cases}

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import KernelError
+from tickflow.errors import CompileError, KernelError
 from tickflow import kernel
-from tickflow.kernel import EMPTY_INPUTS, InputAssignment, init, run
+from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
 from tickflow import rewrite
 from tickflow.rational import format_rational
@@ -39,11 +39,10 @@ def test_init_defaults():
     program = parse("signal S; int signal V = 7; cont a;\npause")
     state = init(program, CFG1)
     assert state.tick == 0 and not state.terminated
-    state.advance()
-    snap = state.snapshot()
-    assert snap["S"] == (False, None)
-    assert snap["V"] == (False, F(7))
-    assert snap["a"] == F(0)
+    state, record = state.advance()
+    assert record.statuses == {"S": False, "V": False}
+    assert record.values == {"V": F(7)} and record.conts == {"a": F(0)}
+    assert list(state.store.values()) == [(False, None), (False, F(7)), (False, F(0))]
 
 
 def test_init_declared_value():
@@ -163,17 +162,36 @@ def test_int_signal_rejects_fractional_write():
 
 # --- runtime errors ----------------------------------------------------------------
 
-# (source, message substring, tick): programs the static checks would
-# reject, run unchecked, rewritten and native
-RUNTIME_ERRORS = (
-    ("signal S; pause; emit X", "unbound name 'X'", 2),
-    ("signal S; pause; pause; if (Y) emit S", "unbound name 'Y'", 3),
-    ("cont a; pause; emit a", "cannot emit 'a'", 2),
-    ("signal S; ?S = 1", "'S' is not a valued signal", 1),
-    ("signal S; pause; S = 1", "'S' is not a continuous variable", 2),
-    ("cont a; a = true", "boolean written to 'a'", 1),
+# (source, the located error): programs the static checks reject, parsed
+# unchecked; the kernel runs the checks when it first compiles a program
+CHECKED_ERRORS = (
+    ("signal S; pause; emit X", "1:18: undefined name 'X'"),
+    ("signal S; pause; pause; if (Y) emit S", "1:29: undefined name 'Y'"),
+    ("cont a; pause; emit a", "1:16: emit target 'a' is not a signal"),
+    ("signal S; ?S = 1", "1:11: 'S' is not a valued signal"),
+    ("signal S; pause; S = 1", "1:18: assignment target 'S' is not a continuous variable"),
+    ("cont a; a = true", "1:9: cannot assign a bool value to 'a'"),
     ("signal S; loop { emit S; if (S) nothing else pause }",
-     "loop body completed without pausing", 2),
+     "1:11: loop body has a path that consumes no tick"),
+    ("cont a; pause; do {a' = 1} until (a + 1)", "1:16: until expression must be boolean"),
+)
+
+
+@pytest.mark.parametrize("source,located", CHECKED_ERRORS)
+def test_unchecked_program_fails_its_check(source, located):
+    program = parse_raw(source)
+    # the kernel refuses a flow it does not interpret before it checks
+    modes = (True,) if program.has_flows() else (False, True)
+    for native in modes:
+        for _ in range(2):  # a program that fails a check keeps no code
+            with pytest.raises(CompileError) as err:
+                init(program, CFG1, native_flows=native)
+            assert str(err.value) == located, (source, native)
+
+
+# (source, message substring, tick): programs that pass the static checks
+# and fail on a value, run rewritten and native
+RUNTIME_ERRORS = (
     ("int signal S = 0; pause; ?S = 1/2", "'S' holds an integer value", 2),
     ("cont a; pause; { {a = 1} || {a = 2} }",
      "'a' written 2 times in one tick with no combine operator", 2),
@@ -183,8 +201,6 @@ RUNTIME_ERRORS = (
     # c, declared first, is written once and folds before a's two writes
     ("cont c; cont a; pause; { {c = 1} || {a = 1} || {a = 2} }",
      "'a' written 2 times in one tick with no combine operator", 2),
-    ("cont a; pause; do {a' = 1} until (a + 1)",
-     "invariant did not evaluate to a boolean", 2),
     ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",
      "variable 'a' has simultaneous rates but no combine operator", 2),
 )
@@ -192,8 +208,8 @@ RUNTIME_ERRORS = (
 
 @pytest.mark.parametrize("source,message,tick", RUNTIME_ERRORS)
 def test_runtime_error_message_and_tick(source, message, tick):
-    program = parse_raw(source)
-    # the rewrite minus its static check, which refuses the last two rows
+    program = parse(source)
+    # the rewrite minus its static check, which refuses the last row
     rewritten = Program(rewrite._rewrite(program.root, CFG1, rewrite._StopNames(program)))
     runs = ((rewritten, False), (program, True))
     for prog, native in runs:
@@ -333,18 +349,18 @@ def test_input_declared_in_a_killed_and_reentered_scope():
 
 def test_terminated_state_refuses_ticks():
     program = rewrite_flows(parse("nothing"), CFG1)
-    state = init(program, CFG1)
-    state.advance()
+    state, _ = init(program, CFG1).advance()
+    assert state.terminated and state.tick == 1
     with pytest.raises(KernelError):
         state.advance()
 
 
-# --- clones ----------------------------------------------------------------------
+# --- states are values ------------------------------------------------------------
 
 # S is declared again in the tick its old scope ends, so S and S:2 both
 # settle from tick 2; GO kills the abort body, which holds T and c; d is
 # declared only after the kill, so its initial value is recorded then
-CLONED = """
+KILLS = """
 input signal GO; input int signal LEVEL = 0;
 int signal ACC = 0;
 { loop { signal S; emit S; ?ACC = ?ACC + ?LEVEL; pause } }
@@ -353,47 +369,55 @@ int signal ACC = 0;
 """
 
 
-def _level(n):
-    return InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(n)})
+def _value_of(state) -> tuple:
+    """What a state holds: its key, its store in order, its residue, its
+    initial values."""
+    return fingerprint(state), list(state.store.items()), state.residue, dict(state.initial_conts)
 
 
-GO = InputAssignment.make(present=["GO"])
+def _replay(program, cfg, native, schedule):
+    state = init(program, cfg, native_flows=native)
+    for inputs in schedule:
+        state, _ = state.advance(inputs)
+    return state
 
 
-def test_clone_is_independent_of_its_origin():
-    program = parse(CLONED)
-    # (ticks before the clone, the clone's own inputs, the origin's next)
-    cases = (
-        # the clone kills the abort body and declares d; the origin keeps both
-        ([_level(2), _level(3)], [GO, _level(5), EMPTY_INPUTS, _level(1)], _level(4)),
-        # both kill on their next tick
-        ([_level(2), GO], [_level(7), EMPTY_INPUTS, _level(1)], GO),
-        # after the kill, with d live in both
-        ([_level(2), GO, EMPTY_INPUTS], [_level(7), GO, _level(1)], _level(4)),
-    )
-    for prefix, drive, probe in cases:
-        origin, twin = init(program, CFG1), init(program, CFG1)
-        for inputs in prefix:
-            origin.advance(inputs)
-            twin.advance(inputs)
-        snap, key = origin.snapshot(), fingerprint(origin)
-        initial = dict(origin.initial_conts)
-        clone = origin.clone()
-        for inputs in drive:
-            clone.advance(inputs)
-        assert fingerprint(clone) != key
-        assert origin.snapshot() == snap and fingerprint(origin) == key
-        assert origin.initial_conts == initial
-        record = origin.advance(probe)
-        assert record == twin.advance(probe) and "S:2" in record.statuses
-        # the origin moving on leaves the clone as it was
-        snap, key = clone.snapshot(), fingerprint(clone)
-        origin.advance(GO)
-        assert clone.snapshot() == snap and fingerprint(clone) == key
+def test_step_leaves_its_state_unchanged():
+    # every state reached within 3 ticks on every alphabet choice: stepping
+    # it with each choice, and settling and recording the tick, leaves it
+    # as it was, and each successor is the state a fresh replay of its
+    # schedule reaches
+    cases = [(parse(KILLS), CFG1)]
+    cases += [(_bound(path), CFG1) for path in corpus_sources()]
+    for seed in range(20):
+        source, wcrt = random_search_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt)))
+    for program, cfg in cases:
+        choices = alphabet_for(program, {"LEVEL": (F(2), F(5))}).choices()
+        for native in (False, True):
+            compiled = program if native else rewrite_flows(program, cfg)
+            frontier = [((), init(compiled, cfg, native_flows=native))]
+            for _ in range(3):
+                reached = {}
+                for schedule, state in frontier:
+                    before = _value_of(state)
+                    for inputs in choices:
+                        tick = state.step(inputs)
+                        tick.settle()
+                        successor, _ = tick.record()
+                        after = schedule + (inputs,)
+                        fresh = _replay(compiled, cfg, native, after)
+                        assert fingerprint(successor) == fingerprint(fresh), after
+                        assert successor.initial_conts == fresh.initial_conts, after
+                        if not successor.terminated:
+                            reached.setdefault(fingerprint(successor), (after, successor))
+                    assert _value_of(state) == before, schedule
+                frontier = list(reached.values())
 
 
 def test_snapshot_names_instances_like_the_record():
-    # the second branch declares its S first, so it settles as `S`
+    # the second branch declares its S first, so it settles as `S`; the
+    # state's store, its settled snapshot, lists it first too
     source = """
     signal T;
     { pause; pause; signal S; { pause; emit S; emit T; pause } }
@@ -401,10 +425,10 @@ def test_snapshot_names_instances_like_the_record():
     """
     state = init(parse(source), CFG1)
     for _ in range(4):
-        record = state.advance()
+        state, record = state.advance()
     assert record.statuses["S"] is False and record.statuses["S:2"] is True
-    snap = state.snapshot()
-    assert snap["S"] == (False, None) and snap["S:2"] == (True, None)
+    settled = [status for inst, (status, _) in state.store.items() if inst.decl.name == "S"]
+    assert settled == [False, True]
 
 
 # --- labels -------------------------------------------------------------------------
@@ -574,7 +598,7 @@ def _outputs(source: str) -> tuple:
             traces.append((to_csv(trace), to_json(trace), trace.read_log))
             state = init(program, cfg, native_flows=native)
             for _ in range(30):
-                state.advance()
+                state, _ = state.advance()
                 residues.append(state.residue)
     return traces, residues
 
@@ -605,7 +629,7 @@ def test_rewritten_flow_tick_builds_no_seq_or_if_residue(monkeypatch):
         state = init(program, CFG1)
         built.update(SeqRes=0, IfRes=0)  # compiling may build shared residues
         for _ in range(10):
-            state.advance()
+            state, _ = state.advance()
         assert not state.terminated
         return dict(built)
 
@@ -658,20 +682,19 @@ def test_program_run_again_at_other_tick_lengths_runs_like_fresh_copies():
 
 
 def _record_matches_settle(program, cfg, native, choices, rng, ticks=20):
-    """Run `ticks` ticks on random choices; after each, settle the tick and
-    then record it, and require the same store (instances, order, statuses,
-    value types and values) and the same key from both."""
+    """Run `ticks` ticks on random choices; settle and record each tick,
+    and require the same store (instances, order, statuses, value types
+    and values), the same key and the same initial values from both."""
     state = init(program, cfg, native_flows=native)
     for _ in range(ticks):
         tick = state.step(rng.choice(choices))
-        tick.settle()
-        settled, key = state.store, fingerprint(state)
-        state.store = None
-        tick.record()
+        settled = tick.settle()
+        state, _ = tick.record()
         assert [(i, s, v.__class__, v) for i, (s, v) in state.store.items()] == [
-            (i, s, v.__class__, v) for i, (s, v) in settled.items()
+            (i, s, v.__class__, v) for i, (s, v) in settled.store.items()
         ]
-        assert fingerprint(state) == key
+        assert fingerprint(state) == fingerprint(settled)
+        assert state.initial_conts == settled.initial_conts
         if state.terminated:
             return
 

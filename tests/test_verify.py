@@ -339,8 +339,7 @@ def test_equal_programs_keep_their_own_code_and_index():
                 program, CFG1, alphabet, bound=6, target="HIT", native_flows=native
             )
             assert verdict == want, native
-            state = init(program, CFG1, native_flows=native)
-            state.advance()
+            state, _ = init(program, CFG1, native_flows=native).advance()
             assert fingerprint(state) == fingerprint(state, verify._node_index(program))
 
 
@@ -424,19 +423,16 @@ def test_fingerprint_equal_for_fresh_states():
 def test_fingerprint_differs_on_one_value():
     source = "input int signal LEVEL = 0;\nloop { pause }"
     program = _program(source)
-    a = init(program, CFG1)
-    b = init(program, CFG1)
-    a.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(1)}))
-    b.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(2)}))
+    state = init(program, CFG1)
+    a, _ = state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(1)}))
+    b, _ = state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(2)}))
     assert fingerprint(a) != fingerprint(b)
 
 
 def test_fingerprint_ignores_write_order():
     left = _program("cont a op+ = 0;\n{a = 1; pause} || {a = 2; pause};\npause")
     right = _program("cont a op+ = 0;\n{a = 2; pause} || {a = 1; pause};\npause")
-    sl, sr = init(left, CFG1), init(right, CFG1)
-    sl.advance()
-    sr.advance()
+    (sl, _), (sr, _) = init(left, CFG1).advance(), init(right, CFG1).advance()
     assert fingerprint(sl) == fingerprint(sr)
 
 
@@ -444,19 +440,18 @@ def test_fingerprint_tracks_control_position():
     program = _program("signal S;\npause; pause; pause")
     state = init(program, CFG1)
     prints = [fingerprint(state)]
-    state.advance()
-    prints.append(fingerprint(state))
-    state.advance()
-    prints.append(fingerprint(state))
+    for _ in range(2):
+        state, _ = state.advance()
+        prints.append(fingerprint(state))
     assert len(set(prints)) == 3
 
 
 def test_fingerprint_with_a_shared_index_is_the_same_key():
     program = _program("input int signal LEVEL = 0;\nsignal S;\nloop { emit S; pause }")
-    state = init(program, CFG1)
-    state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(3)}))
+    state, _ = init(program, CFG1).advance(
+        InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(3)})
+    )
     assert fingerprint(state, verify._node_index(program)) == fingerprint(state)
-    assert fingerprint(state.clone()) == fingerprint(state)
 
 
 def _oracle_key(state, index):
@@ -510,8 +505,7 @@ def test_fingerprint_equality_is_node_position_equality():
                 successors = []
                 for state in frontier:
                     for assignment in choices:
-                        successor = state.clone()
-                        successor.advance(assignment)
+                        successor, _ = state.advance(assignment)
                         reached.append(successor)
                         key = _oracle_key(successor, index)
                         if not successor.terminated and key not in seen:
