@@ -22,6 +22,7 @@ from .errors import (
     AutomatonError,
     CompileError,
     DeadlockError,
+    KernelError,
     NondeterminismError,
     ScheduleError,
     SearchLimitError,
@@ -146,6 +147,28 @@ def _require_inputs(path: str, where: str, names, program) -> None:
     undeclared = sorted(set(names) - {d.name for d in program.inputs()})
     if undeclared:
         raise ScheduleError(f"{path}: {where}{undeclared[0]!r} is not a declared input")
+
+
+def _require_values(path: str, where: str, values, program) -> None:
+    """Reject a (name, value) pair of an input file that no input
+    declaration of that name can hold, before anything runs; `where` says
+    where in the file the values sit. The names are declared inputs."""
+    from . import kernel
+
+    inputs = program.inputs()
+    for name, value in values:
+        errors = []
+        for decl in inputs:
+            if decl.name == name:
+                try:
+                    kernel.input_value(value, decl)
+                    break
+                except KernelError as err:
+                    errors.append(err.message)
+        else:
+            raise ScheduleError(
+                f"{path}: {where}value {format_rational(value)}: {errors[0]}"
+            )
 
 
 def _known_keys(path: str, where: str, entry: dict, keys: tuple):
@@ -318,6 +341,7 @@ def _run(args) -> int:
     for tick, inputs in (schedule or {}).items():
         names = inputs.present | {name for name, _ in inputs.values}
         _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
+        _require_values(args.schedule, f"tick {tick}: ", inputs.values, rewritten)
     result = kernel.run(
         rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=ticks
     )
@@ -365,6 +389,9 @@ def _verify(args) -> int:
     if alphabet is not None:
         names = [name for name, _ in alphabet.statuses]
         _require_inputs(args.alphabet, "alphabet entry ", names, rewritten)
+        for name, picks in alphabet.values:
+            where = f"alphabet entry {name!r}: "
+            _require_values(args.alphabet, where, [(name, v) for v in picks], rewritten)
     try:
         verdict = verify.check_reachable(
             rewritten,

@@ -1,13 +1,27 @@
 """Tick-by-tick execution under delayed synchronous semantics.
 
-One tick: latch inputs, evaluate preemption guards of every paused abort
-and suspend against previous-tick settled values (an abort whose guard
-holds discards its body before the body runs; neither kind evaluates its
-guard on the tick its body was entered unless marked immediate), run all
-active branches to their next pause or termination while every read
-observes only previous-tick settled values, then fold the tick's pending
-writes with the declared combine operators and settle them, visible from
-the next tick on.
+One tick: evaluate preemption guards of every paused abort and suspend
+against previous-tick settled values (an abort whose guard holds discards
+its body before the body runs; neither kind evaluates its guard on the
+tick its body was entered unless marked immediate), run all active
+branches to their next pause or termination while every read observes
+only previous-tick settled values, fold the tick's pending writes with
+the declared combine operators, latch the tick's inputs, and settle, so
+that all of it is visible from the next tick on.
+
+Since no read sees the tick's own inputs, the code of a tick, the residue
+it leaves, its labels, the scopes it ends and every write but an input's
+are the same under every input choice. So the code runs once, latching
+nothing (a declaration of an input only notes the instance it registers),
+and the inputs are latched after it: a present input instance is
+emitted, and a supplied value is folded in as the instance's first write.
+The instances latched are those live at the tick's start and those the
+code registered; one the tick killed is checked but not latched. A tick
+with no inputs is the run itself. Otherwise the choice is a light view of
+the run (`_Latched`) with its own emissions and folded values, and the
+search latches every choice of its alphabet onto one run of each state's
+tick. Errors are raised per choice, in the order a tick that latched
+before its code would meet them (`_TickCtx.latch`).
 
 A program is compiled once per program object, tick length and flow
 mode, when the first `TickState` of it is built: `Program.derived` keeps
@@ -81,12 +95,13 @@ declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
 `TickState.advance` is `step` then `record`, which a caller that reads
-less can take apart. `step` runs the tick and folds each instance's
-writes once; `record` names the folded writes in a `TickRecord` and
-builds the next state in the same pass over the instances, and returns
-both. `settle` builds the next state alone. The search steps every
-successor, reads the one status it checks, settles only a state it keys
-and records only a witness.
+less can take apart. `step` runs the tick, folds each instance's writes
+once and latches its inputs; `record` names the folded writes in a
+`TickRecord` and builds the next state in the same pass over the
+instances, and returns both. `settle` builds the next state alone. The
+search steps each state it expands on its first choice, latches every
+other choice onto that tick (`latch`), reads the one status it checks,
+settles only a state it keys and records only a witness.
 """
 
 from __future__ import annotations
@@ -350,25 +365,26 @@ class TickState:
         """Run one tick: the next state and the tick's record."""
         return self.step(inputs).record()
 
-    def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_TickCtx":
+    def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_Tick":
         """Run one tick and fold its writes, but build neither the next
         state nor the record: the returned tick's `settle` builds the state,
-        and its `record` the state and the record, from what it folded."""
+        and its `record` the state and the record, from what it folded. The
+        code runs once, whatever the inputs; `inputs` are latched onto the
+        tick after it (`_TickCtx.latch`), and the tick's `latch` latches any
+        other choice onto the same run."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
-        t = self.tick + 1
-        if inputs is not EMPTY_INPUTS:
-            self._validate_inputs(inputs, t)
         run, resume, slots = self.code
+        ctx = _TickCtx(self, self.tick + 1, slots)
         try:
-            ctx = _TickCtx(self, inputs, t, slots)
             ctx.residue = run(ctx) if self.tick == 0 else resume(ctx, self.residue)
         except KernelError as err:
-            if err.tick is None:
-                raise KernelError(err.message, t) from None
-            raise
-        ctx.fold()
-        return ctx
+            ctx.error = err if err.tick is not None else KernelError(err.message, ctx.t)
+        else:
+            ctx.fold()
+            if inputs is EMPTY_INPUTS and ctx.offender is None:
+                return ctx
+        return ctx.latch(inputs)
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
         for name in inputs.present:
@@ -378,98 +394,32 @@ class TickState:
             if name not in self.input_names:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
-    def _after(self, ctx: "_TickCtx", store: dict) -> "TickState":
-        """The state the tick `ctx` ran from this one leads to."""
+    def _after(self, tick: "_Tick", store: dict) -> "TickState":
+        """The state the tick `tick` ran from this one leads to."""
         state = object.__new__(TickState)
         state.program = self.program
         state.cfg = self.cfg
         state.code = self.code
         state.input_names = self.input_names
         state.read_log = self.read_log
-        state.tick = ctx.t
-        state.residue = ctx.residue
+        state.tick = tick.t
+        state.residue = tick.residue
         state.store = store
-        state.initial_conts = ctx.initial_conts
+        state.initial_conts = tick.initial_conts
         return state
 
 
-class _TickCtx:
-    """One tick from `state`, which it never writes: the slot environment,
-    the settled values reads observe, pending emissions and writes, the
-    initial values, and what the tick records. Once the tick has run,
-    `residue` is what it left, `fold` has turned the writes into settled
-    values, and `settle`, `record` and `settles_present` read them."""
+class _Tick:
+    """A tick that has run and folded its writes: `residue` is what it
+    left, `prev` maps every instance live during it, in registration order,
+    to its previous-tick (status, value), `emitted` holds the instances it
+    made present and `folded` the value each written instance settles to.
+    `settle`, `record` and `settles_present` read only these."""
 
     __slots__ = (
-        "state", "t", "env", "prev", "emitted", "writes", "labels", "ended",
-        "log", "present", "input_values", "folded", "residue", "initial_conts",
+        "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels",
+        "initial_conts",
     )
-
-    def __init__(self, state: TickState, inputs: InputAssignment, t: int, slots: int):
-        self.state = state
-        self.t = t
-        self.env = [None] * slots  # declaration slot -> instance; TTL slot -> prediction
-        # instance -> previous-tick (status, value), plus this tick's registrations
-        self.prev: dict = dict(state.store)
-        self.emitted: set = set()  # instances
-        self.writes: dict = {}  # instance -> [value, ...]
-        self.labels: list = []  # names of the labels holding a paused point
-        self.ended: set = set()  # instances whose scope ended this tick
-        self.log = state.read_log
-        self.initial_conts = state.initial_conts  # replaced, never written
-        if inputs.is_empty():
-            self.present = None  # nothing to latch
-            return
-        self.present = inputs.present
-        self.input_values = inputs.value_map()
-        for inst in state.store:
-            decl = inst.decl
-            if decl.__class__ is SignalDecl and decl.direction == "input":
-                self.latch(inst)
-
-    def latch(self, inst):
-        decl = inst.decl
-        name = decl.name
-        if name in self.present:
-            self.emitted.add(inst)
-        if name in self.input_values:
-            if decl.pure:
-                raise KernelError(f"value supplied for pure input {name!r}")
-            value = _adapt(self.input_values[name], decl)
-            self.writes.setdefault(inst, []).append(value)
-
-    def kill(self, res):
-        """Discard a residue subtree: its instances vanish unsettled. A
-        killed subtree has not run this tick (guards are evaluated top-down
-        before bodies), so it holds no pending effects."""
-        gone: list = []
-        _live_in(res, [], gone)
-        for inst in gone:
-            self.prev.pop(inst, None)
-            self.writes.pop(inst, None)
-            self.emitted.discard(inst)
-
-    def fold(self):
-        """Fold each written instance's writes, once, into the value it
-        settles to (`folded`). Two writes with no combine operator raise
-        for the first such instance in registration order."""
-        writes = self.writes
-        self.folded = folded = {}
-        for inst, pending in writes.items():
-            if len(pending) == 1:
-                folded[inst] = pending[0]
-            elif inst.decl.combine is not None:
-                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
-            else:
-                first = next(
-                    i for i in self.prev
-                    if i.decl.combine is None and len(writes.get(i, ())) > 1
-                )
-                raise KernelError(
-                    f"{first.decl.name!r} written {len(writes[first])} times in one "
-                    "tick with no combine operator",
-                    self.t,
-                )
 
     def settle(self) -> TickState:
         """The next state. Its store holds every instance whose scope did
@@ -524,6 +474,174 @@ class _TickCtx:
             if inst.decl.name == name:
                 return inst in self.emitted
         return False
+
+
+class _TickCtx(_Tick):
+    """One run of a tick's code from `state`, which it never writes: the
+    slot environment, the settled values reads observe, pending emissions
+    and writes, the initial values, and what the tick records. Every read
+    sees the previous tick, so the run is the same for every input choice:
+    it latches no input. `fold` turns the code's writes into settled
+    values, and `latch` lays one input choice over the result.
+
+    A run that raised keeps its error in `error` and the input instances
+    registered before it in `fresh`; a double write with no combine
+    operator is kept as its first offender in `offender`. Either is raised
+    by `latch`, after the checks of the choice's own values."""
+
+    __slots__ = ("env", "writes", "log", "fresh", "latchable", "error", "offender")
+
+    def __init__(self, state: TickState, t: int, slots: int):
+        self.state = state
+        self.t = t
+        self.env = [None] * slots  # declaration slot -> instance; TTL slot -> prediction
+        # instance -> previous-tick (status, value), plus this tick's registrations
+        self.prev: dict = dict(state.store)
+        self.emitted: set = set()  # instances
+        self.writes: dict = {}  # instance -> [value, ...]
+        self.labels: list = []  # names of the labels holding a paused point
+        self.ended: set = set()  # instances whose scope ended this tick
+        self.log = state.read_log
+        self.initial_conts = state.initial_conts  # replaced, never written
+        self.fresh: list = []  # input instances registered this tick
+        self.latchable = None  # every input instance a choice is latched onto
+        self.error = None
+
+    def kill(self, res):
+        """Discard a residue subtree: its instances vanish unsettled. A
+        killed subtree has not run this tick (guards are evaluated top-down
+        before bodies), so it holds no pending effects."""
+        gone: list = []
+        _live_in(res, [], gone)
+        for inst in gone:
+            self.prev.pop(inst, None)
+            self.writes.pop(inst, None)
+            self.emitted.discard(inst)
+
+    def fold(self):
+        """Fold each written instance's writes, once, into the value it
+        settles to (`folded`). The first instance in registration order
+        written twice with no combine operator is kept in `offender`."""
+        writes = self.writes
+        self.folded = folded = {}
+        self.offender = None
+        for inst, pending in writes.items():
+            if len(pending) == 1:
+                folded[inst] = pending[0]
+            elif inst.decl.combine is not None:
+                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
+            elif self.offender is None:
+                self.offender = next(
+                    i for i in self.prev
+                    if i.decl.combine is None and len(writes.get(i, ())) > 1
+                )
+
+    def latch(self, inputs: InputAssignment) -> _Tick:
+        """This tick under the input choice `inputs`: the tick itself when
+        the choice is empty, else a `_Latched` view of it. Errors come in
+        the order a tick that latched before its code would meet them: an
+        input the program does not declare; the value of each input
+        instance live at the tick's start, in registration order (`value
+        supplied for pure input`, `_adapt`); those of the instances the
+        code registered before it raised, if it did; the code's error; and
+        last a double write with no combine operator, naming the first
+        offender in registration order whether its second write came from
+        the choice or from the code."""
+        if inputs.is_empty():
+            if self.error is not None:
+                raise self.error
+            self.fold_in(())  # folds nothing in, but raises a double write
+            return self
+        self.state._validate_inputs(inputs, self.t)
+        return _Latched(self, inputs)
+
+    def input_instances(self) -> list:
+        """The input instances live at the tick's start, then those the
+        code registered, each in registration order; kept once built."""
+        if self.latchable is None:
+            self.latchable = [
+                inst for inst in self.state.store
+                if inst.decl.__class__ is SignalDecl and inst.decl.direction == "input"
+            ] + self.fresh
+        return self.latchable
+
+    def fold_in(self, latched) -> dict:
+        """`folded` with each latched (instance, value) folded in as the
+        first of its instance's writes. Raises for the first instance in
+        registration order written twice with no combine operator, the
+        code's offender or a latched one."""
+        folded, writes, offenders = self.folded, self.writes, []
+        if self.offender is not None:
+            offenders.append(self.offender)
+        if latched:
+            folded = dict(folded)
+        for inst, value in latched:
+            pending = writes.get(inst)
+            if pending is None:
+                folded[inst] = value
+            elif inst.decl.combine is not None:
+                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, [value, *pending])
+            else:
+                offenders.append(inst)
+        if offenders:
+            order = list(self.prev)
+            first = min(offenders, key=order.index)
+            count = len(writes[first]) + any(inst is first for inst, _ in latched)
+            raise KernelError(
+                f"{first.decl.name!r} written {count} times in one tick with no "
+                "combine operator",
+                self.t,
+            )
+        return folded
+
+
+class _Latched(_Tick):
+    """One input choice latched onto a tick that has run: the tick's
+    residue, labels, ended scopes and instances, with its own `emitted`
+    and `folded`. An input instance the choice names is made present or
+    given its value unless the tick killed it; a killed one is checked all
+    the same."""
+
+    __slots__ = ("tick",)
+
+    def __init__(self, tick: _TickCtx, inputs: InputAssignment):
+        present, values = inputs.present, inputs.value_map()
+        live, emitted, latched = tick.prev, tick.emitted, []
+        try:
+            for inst in tick.input_instances():
+                decl = inst.decl
+                name = decl.name
+                if name in values:
+                    value = input_value(values[name], decl)
+                    if inst in live:
+                        latched.append((inst, value))
+                if name in present and inst in live:
+                    if emitted is tick.emitted:
+                        emitted = set(emitted)
+                    emitted.add(inst)
+        except KernelError as err:
+            raise KernelError(err.message, tick.t) from None
+        if tick.error is not None:
+            raise tick.error
+        self.folded = tick.fold_in(latched)
+        self.emitted = emitted
+        self.tick = tick
+        self.state, self.t, self.residue = tick.state, tick.t, tick.residue
+        self.prev, self.ended, self.labels = live, tick.ended, tick.labels
+        self.initial_conts = tick.initial_conts
+
+    def latch(self, inputs: InputAssignment) -> _Tick:
+        """Another input choice, latched onto the same run."""
+        return self.tick.latch(inputs)
+
+
+def input_value(value, decl: SignalDecl):
+    """`value`, supplied by the environment for the input `decl`, checked
+    and converted as its latch does: a pure input holds no value, and a
+    valued one holds only a value of its type."""
+    if decl.pure:
+        raise KernelError(f"value supplied for pure input {decl.name!r}")
+    return _adapt(value, decl)
 
 
 def _adapt(value, decl: SignalDecl):
@@ -892,7 +1010,8 @@ class _Compiler:
     def _declare(self, node, scope, kind, init):
         """A declaration's code: a new instance in a fresh slot, registered
         with its initial value (read in the outer scope) before the body
-        runs; the instance ends with the body."""
+        runs; the instance ends with the body. An input's instance is noted
+        in `fresh`, for the latch after the tick."""
         slot = self.slot()
         body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
         name = node.name
@@ -905,8 +1024,8 @@ class _Compiler:
             ctx.prev[inst] = (False, value)
             if is_cont and name not in ctx.initial_conts:
                 ctx.initial_conts = {**ctx.initial_conts, name: value}
-            if is_input and ctx.present is not None:
-                ctx.latch(inst)
+            if is_input:
+                ctx.fresh.append(inst)
             ctx.env[slot] = inst
             child = body_run(ctx)
             return DeclRes(node, inst, child) if child is not None else end(ctx, inst)

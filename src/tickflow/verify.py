@@ -9,11 +9,14 @@ to the earliest tick the state was reached at, and a state is expanded
 again only when reached strictly earlier (it then has more ticks left), so
 depth-first order is as sound as breadth-first. Breadth-first order reaches
 states in tick order, so its first witness is a shortest one. A state is
-a value, so each input choice steps the expanded state itself
-(`TickState.step`) and the tick is checked for the target; a leaf, a tick
-that terminated or sits at the bound, builds no state and is never keyed.
-Only a successor that is keyed is settled into a state, and only a witness
-builds a `TickRecord`, from which its snapshot is read.
+a value, and no read in a tick sees that tick's inputs, so the expanded
+state's tick runs once, on the first input choice (`TickState.step`), and
+each later choice is latched onto that run (the tick's `latch`); each
+choice's tick is checked for the target. A leaf, a tick that terminated or
+sits at the bound, builds no state and is never keyed. Only a successor
+that is keyed is settled into a state, and only a witness builds a
+`TickRecord`, from which its snapshot is read. A transition is one state
+under one choice, whether the choice ran the tick or was latched onto it.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class Witness(Struct):
 
 class Unreachable(Struct):
     """No schedule makes the target settle present within `bound` ticks.
-    `states_explored` counts transitions (one state stepped by one input
+    `states_explored` counts transitions (one state under one input
     choice), not distinct states."""
 
     bound: int
@@ -185,13 +188,16 @@ def check_reachable(
     explored = 0
     while frontier:
         state, prefix = take(frontier)  # never a leaf
+        tick = None
         for assignment in choices:
             explored += 1
             if explored > node_limit:
                 raise SearchLimitError(
                     f"reachability search exceeded {node_limit} transitions"
                 )
-            tick = state.step(assignment)
+            # the state's tick runs once, on the first choice; each later
+            # choice is latched onto that run
+            tick = state.step(assignment) if tick is None else tick.latch(assignment)
             if tick.settles_present(target):
                 _, record = tick.record()
                 return Witness(

@@ -160,6 +160,39 @@ def random_search_program(rng: random.Random) -> tuple:
     return "input signal A, B;\nsignal HIT;\n" + body, wcrt
 
 
+# values the alphabet offers the valued inputs of `random_valued_program`
+VALUED_INPUTS = {"ACC": (F(1), F(2)), "LEVEL": (F(3),)}
+
+
+def random_valued_program(rng: random.Random) -> tuple:
+    """(source, wcrt) of a small program with the free pure inputs A and B
+    of `random_search_program`, a valued `op+` input ACC and an `int` input
+    LEVEL, and the target HIT. One branch emits and writes ACC, so a latched
+    value folds with the tick's own write. LEVEL is declared at the top, or
+    inside an abort in a loop, so that its instances are registered during
+    ticks, killed and registered again."""
+    writer = (
+        f"loop {{ if ({_guard(rng)}) {{ emit ACC; ?ACC = ?ACC + {rng.randint(1, 2)} }}; "
+        "pause }"
+    )
+    watch = f"if (?LEVEL >= {rng.choice((2, 4))}) emit HIT"
+    if rng.random() < 0.5:
+        level = "input int signal LEVEL = 0;\n"
+        reader = f"loop {{ {watch}; pause }}"
+    else:
+        level = ""
+        reader = (
+            f"loop {{ abort ({_guard(rng)}) {{ input int signal LEVEL = 0; "
+            f"loop {{ {watch}; pause }} }}; pause }}"
+        )
+    alarm = f"loop {{ if (?ACC >= {rng.randint(2, 6)}) emit HIT; pause }}"
+    branches = " || ".join(
+        f"{{ {branch} }}" for branch in (writer, reader, alarm, _search_stmt(rng, 2))
+    )
+    source = "input signal A, B; input int signal ACC op+ = 0;\n" + level + "signal HIT;\n"
+    return source + branches, F(1)
+
+
 def _guard(rng: random.Random) -> str:
     return rng.choice(("A", "B", "!A", "A && B", "A || B"))
 

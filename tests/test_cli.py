@@ -577,3 +577,64 @@ def test_value_on_pure_signal_in_schedule(tmp_path, capsys):
         "--wcrt", "2", "--ticks", "2", "--schedule", str(sched),
     ])
     assert code == 2
+
+
+LEVEL_PROGRAM = (
+    "input int signal LEVEL = 0; input signal GO; signal HIGH;\n"
+    "loop { if (GO && ?LEVEL >= 3) emit HIGH; pause }\n"
+)
+
+
+def test_alphabet_value_no_input_can_hold_names_the_alphabet(tmp_path, capsys):
+    prog = tmp_path / "level.hsj"
+    prog.write_text(LEVEL_PROGRAM)
+    alpha = tmp_path / "alpha.json"
+    for text, message in (
+        ('{"LEVEL": {"values": ["3", "1/2"]}}',
+         "alphabet entry 'LEVEL': value 1/2: 'LEVEL' holds an integer value"),
+        ('{"GO": {"values": ["1"]}}',
+         "alphabet entry 'GO': value 1: value supplied for pure input 'GO'"),
+    ):
+        alpha.write_text(text)
+        code = main([
+            "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+            "--alphabet", str(alpha),
+        ])
+        assert code == 2, text
+        assert capsys.readouterr().err == f"{alpha}: {message}\n"
+
+
+def test_schedule_value_no_input_can_hold_names_the_schedule(tmp_path, capsys):
+    prog = tmp_path / "level.hsj"
+    prog.write_text(LEVEL_PROGRAM)
+    sched = tmp_path / "sched.json"
+    for text, message in (
+        ('[{"tick": 1, "present": ["LEVEL"], "values": {"LEVEL": "4"}},'
+         ' {"tick": 2, "present": ["LEVEL"], "values": {"LEVEL": "1/2"}}]',
+         "tick 2: value 1/2: 'LEVEL' holds an integer value"),
+        ('[{"tick": 3, "present": ["GO"], "values": {"GO": "1"}}]',
+         "tick 3: value 1: value supplied for pure input 'GO'"),
+    ):
+        sched.write_text(text)
+        code = main(["run", str(prog), "--wcrt", "1", "--ticks", "4", "--schedule", str(sched)])
+        assert code == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"{sched}: {message}\n"
+
+
+def test_value_one_input_of_the_name_can_hold_reaches_the_kernel(tmp_path, capsys):
+    # a value that some declaration of its name can hold passes the file
+    # check; the kernel still checks it against each live instance
+    prog = tmp_path / "two.hsj"
+    prog.write_text(
+        "input signal GO; signal HIGH;\n"
+        "{ input ratio signal L = 0; loop { if (?L > 1) emit HIGH; pause } }\n"
+        "|| { pause; input int signal L = 0; loop { pause } }\n"
+    )
+    sched = tmp_path / "sched.json"
+    sched.write_text('[{"tick": 1, "present": ["L"], "values": {"L": "3/2"}}]')
+    assert main(["run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched)]) == 0
+    assert "HIGH" in capsys.readouterr().out
+    sched.write_text('[{"tick": 2, "present": ["L"], "values": {"L": "3/2"}}]')
+    assert main(["run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched)]) == 2
+    assert capsys.readouterr().err == f"{prog}:tick 2: 'L' holds an integer value\n"

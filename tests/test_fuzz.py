@@ -75,6 +75,24 @@ ROLES = {
         (CORPUS / "matrices" / "controllable.mat").read_text(),
         ["lti", FILE],
     ),
+    # seeds that carry values, integers written as fractions, so that many
+    # mutants reach the value checks: a value that is not an integer, or
+    # one given to a pure input
+    "alphabet-values": (
+        '{"GO": {}, "LEVEL": {"statuses": ["present"], "values": ["4/2", "10/2"]}}\n',
+        ["verify", PROGRAM, "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+         "--alphabet", FILE],
+    ),
+    "schedule-values": (
+        '[{"tick": 1, "present": ["LEVEL"], "values": {"LEVEL": "12/4"}}]\n',
+        ["run", PROGRAM, "--wcrt", "1", "--ticks", "3", "--schedule", FILE],
+    ),
+}
+# each role's random seed; a new role takes the next number, so that the
+# mutants of the older roles stay what they were
+SEEDS = {
+    "alphabet": 0, "automaton": 1, "map": 2, "matrix": 3, "program": 4,
+    "program-verify": 5, "schedule": 6, "alphabet-values": 7, "schedule-values": 8,
 }
 MUTATIONS = 40  # per role and level
 
@@ -132,7 +150,7 @@ def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
     argv = [{FILE: str(mutated), PROGRAM: str(program)}.get(arg, arg) for arg in argv]
     # only the mutated file can be at fault, or a flag
     named = (str(mutated), "--")
-    rng = random.Random(sorted(ROLES).index(role))
+    rng = random.Random(SEEDS[role])
     for i in range(2 * MUTATIONS):
         if i % 2:
             data = _token_mutant(rng, seed)

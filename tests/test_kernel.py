@@ -14,13 +14,13 @@ from tickflow import rewrite
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.syntax.nodes import Program
+from tickflow.syntax.nodes import Program, SignalDecl
 from tickflow.syntax.parser import parse_raw
 from tickflow.trace import to_csv, to_json
 from tickflow.verify import alphabet_for, fingerprint
 
 from conftest import corpus_sources
-from helpers import random_search_program
+from helpers import VALUED_INPUTS, random_search_program, random_valued_program
 
 CFG1 = RewriteConfig(F(1))
 CFG2 = RewriteConfig(F(2))
@@ -413,6 +413,54 @@ def test_step_leaves_its_state_unchanged():
                             reached.setdefault(fingerprint(successor), (after, successor))
                     assert _value_of(state) == before, schedule
                 frontier = list(reached.values())
+
+
+def _code_decides(tick) -> tuple:
+    """What a tick's code decides: its residue, its labels, the scopes it
+    ended and each instance that is not an input, by registration position
+    and declaration, with its settled status and value (and value type)."""
+    order = list(tick.prev)
+    settled = tuple(
+        (at, id(inst.decl), inst in tick.emitted, value.__class__, value)
+        for at, inst in enumerate(order)
+        if inst.decl.__class__ is not SignalDecl or inst.decl.direction != "input"
+        for value in [tick.folded.get(inst, tick.prev[inst][1])]
+    )
+    ended = sorted(order.index(inst) for inst in tick.ended)
+    return tick.residue, list(tick.labels), ended, settled
+
+
+def test_tick_runs_the_same_code_whatever_its_inputs():
+    # every read sees the previous tick, so no input choice can change
+    # what a tick's code decides: for every state reached within 3 ticks,
+    # every choice's tick agrees with the all-absent choice's
+    cases = [
+        (_bound(path), CFG1) for path in corpus_sources() if _bound(path).inputs()
+    ]
+    for seed in range(40):
+        source, wcrt = random_search_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt)))
+    for seed in range(8):
+        source, wcrt = random_valued_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt)))
+    for program, cfg in cases:
+        choices = alphabet_for(program, VALUED_INPUTS).choices()
+        absent = InputAssignment.make()
+        assert absent in choices
+        compiled = rewrite_flows(program, cfg)
+        frontier = {(): init(compiled, cfg)}
+        for _ in range(3):
+            reached = {}
+            for schedule, state in frontier.items():
+                decided = _code_decides(state.step(absent))
+                for inputs in choices:
+                    tick = state.step(inputs)
+                    assert _code_decides(tick) == decided, (schedule, inputs)
+                    successor = tick.settle()
+                    if not successor.terminated:
+                        after = schedule + (inputs,)
+                        reached.setdefault(fingerprint(successor), (after, successor))
+            frontier = dict(reached.values())
 
 
 def test_snapshot_names_instances_like_the_record():

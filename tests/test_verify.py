@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_search_program
+from helpers import VALUED_INPUTS, random_search_program, random_valued_program
 from tickflow import kernel, verify
 from tickflow.errors import KernelError, SearchLimitError, TickflowError
 from tickflow.kernel import (
@@ -382,6 +382,35 @@ def test_double_write_on_a_leaf_tick_raises_at_that_tick():
     assert "'a' written 2 times in one tick with no combine operator" in err.value.message
 
 
+# a tick with two faults: an input check, or a double write of the input,
+# and the code's own double write of `a`; both the search and a run with
+# a schedule must name the input, as a tick that latched first did
+TWO_FAULTS = [
+    (
+        "input int signal L = 0; cont a = 0;\n{ a = 1 || a = 2 }; pause",
+        F(1, 2), "'L' holds an integer value",
+    ),
+    (
+        "input int signal L = 0; cont a = 0; signal HIT;\n{ a = 1 || a = 2 || ?L = 1 }; pause",
+        F(1), "'L' written 2 times in one tick with no combine operator",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, value, message", TWO_FAULTS, ids=("value", "double-write"))
+def test_tick_with_two_faults_names_the_input(source, value, message):
+    # the static checks refuse the double write, so the program is parsed raw
+    program = parse_raw(source)
+    with pytest.raises(KernelError) as err:
+        run(program, CFG1, {1: InputAssignment.make(present=["L"], values={"L": value})})
+    assert (err.value.tick, err.value.message) == (1, message)
+    # "present" first: the search's first choice latches L
+    alphabet = InputAlphabet.make({"L": ("present", "absent")}, {"L": (value,)})
+    with pytest.raises(KernelError) as err:
+        check_reachable(program, CFG1, alphabet, bound=3, target="L")
+    assert (err.value.tick, err.value.message) == (1, message)
+
+
 def test_search_agrees_with_schedule_enumeration():
     # every schedule up to the bound, replayed with `run`, is the oracle:
     # both strategies must match its verdict, BFS also its earliest tick
@@ -392,6 +421,37 @@ def test_search_agrees_with_schedule_enumeration():
         cfg = RewriteConfig(wcrt)
         program = rewrite_flows(parse(source), cfg)
         alphabet = alphabet_for(program)
+        earliest = None
+        for schedule in itertools.product(alphabet.choices(), repeat=bound):
+            trace = run(program, cfg, schedule=list(schedule), max_ticks=bound)
+            ticks = [r.tick for r in trace.records if r.statuses.get("HIT", False)]
+            if ticks and (earliest is None or ticks[0] < earliest):
+                earliest = ticks[0]
+        for strategy in ("bfs", "dfs"):
+            verdict = check_reachable(
+                program, cfg, alphabet, bound=bound, target="HIT", strategy=strategy
+            )
+            where = (seed, strategy, source)
+            if earliest is None:
+                assert isinstance(verdict, Unreachable), where
+                continue
+            assert isinstance(verdict, Witness), where
+            assert replay(program, cfg, verdict), where
+            if strategy == "bfs":
+                assert verdict.tick == earliest, where
+
+
+def test_search_agrees_with_schedule_enumeration_on_valued_inputs():
+    # the same oracle over programs with a valued op+ input that the code
+    # also writes and an int input whose scope may be killed: every choice
+    # is latched onto one run of each expanded state's tick
+    for seed in range(12):
+        rng = random.Random(seed)
+        source, wcrt = random_valued_program(rng)
+        bound = 2
+        cfg = RewriteConfig(wcrt)
+        program = rewrite_flows(parse(source), cfg)
+        alphabet = alphabet_for(program, VALUED_INPUTS)
         earliest = None
         for schedule in itertools.product(alphabet.choices(), repeat=bound):
             trace = run(program, cfg, schedule=list(schedule), max_ticks=bound)
