@@ -49,11 +49,20 @@ def _read_text(path: str) -> str:
 
 def _load_json(path: str, what: str, shape: type):
     """The parsed JSON document in `path`, whose top level must be a
-    `shape` (list or dict); `what` names the file's role in errors."""
+    `shape` (list or dict); `what` names the file's role in errors. An
+    object that repeats a key is an error, never read as its last value."""
     import json
 
+    def object_of(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScheduleError(f"{path}: key {key!r} repeated in an object")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(_read_text(path), object_pairs_hook=object_of)
     except json.JSONDecodeError as exc:
         raise ScheduleError(f"{path}: {exc}") from exc
     if not isinstance(doc, shape):
@@ -89,6 +98,7 @@ def load_schedule(path: str) -> dict:
         present = entry.get("present", [])
         if not isinstance(present, list) or not all(isinstance(n, str) for n in present):
             raise ScheduleError(f"{path}: tick {tick}: 'present' must be a list of names")
+        _distinct(path, f"tick {tick}", "present", present)
         texts = entry.get("values", {})
         if not isinstance(texts, dict):
             raise ScheduleError(f"{path}: tick {tick}: 'values' must be a JSON object")
@@ -122,22 +132,23 @@ def load_alphabet(path: str):
                 f"{path}: alphabet entry {name!r}: 'statuses' must be a non-empty "
                 "list of 'absent' and 'present'"
             )
-        statuses[name] = _distinct(path, name, "statuses", chosen)
+        statuses[name] = _distinct(path, f"alphabet entry {name!r}", "statuses", chosen)
         if "values" in spec:
             if not isinstance(spec["values"], list):
                 raise ScheduleError(
                     f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"
                 )
             picked = [_rational(path, v) for v in spec["values"]]
-            values[name] = _distinct(path, name, "values", picked)
+            values[name] = _distinct(path, f"alphabet entry {name!r}", "values", picked)
     return verify.InputAlphabet.make(statuses, values)
 
 
-def _distinct(path: str, name: str, key: str, items: list) -> tuple:
-    """`items` as a tuple; a repeat would make the search advance the same
-    choice twice, so it is an error."""
+def _distinct(path: str, where: str, key: str, items: list) -> tuple:
+    """`items`, the list under `key` at `where` in the file, as a tuple. A
+    repeat is an error, never merged: in an alphabet it would make the
+    search advance the same choice twice."""
     if len(set(items)) < len(items):
-        raise ScheduleError(f"{path}: alphabet entry {name!r}: {key!r} repeats an entry")
+        raise ScheduleError(f"{path}: {where}: {key!r} repeats an entry")
     return tuple(items)
 
 

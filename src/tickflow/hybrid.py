@@ -20,12 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ArgumentError, AutomatonError, DeadlockError, NondeterminismError
+from .errors import (
+    ArgumentError, AutomatonError, CompileError, DeadlockError, NondeterminismError,
+)
 from .kernel import run as kernel_run
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .rewrite import RewriteConfig, rewrite_flows
 from .struct import Struct, replace
-from .syntax.nodes import ContDecl, Program
+from .syntax.lexer import lex
+from .syntax.nodes import Binary, ContDecl, NameRef, NumLit, Program, Unary
+from .syntax.parser import _Parser
+from .syntax.printer import print_expr
 
 _INF = None  # open upper bound
 
@@ -45,6 +50,15 @@ class LinExpr(Struct):
             sorted((v, Fraction(c)) for v, c in (coeffs or {}).items() if c != 0)
         )
         return LinExpr(Fraction(const), pairs)
+
+    def plus(self, other: "LinExpr") -> "LinExpr":
+        coeffs = dict(self.coeffs)
+        for var, coeff in other.coeffs:
+            coeffs[var] = coeffs.get(var, 0) + coeff
+        return LinExpr.make(self.const + other.const, coeffs)
+
+    def times(self, factor: Fraction) -> "LinExpr":
+        return LinExpr.make(self.const * factor, {v: c * factor for v, c in self.coeffs})
 
     def value(self, valuation: dict) -> Fraction:
         total = self.const
@@ -484,221 +498,201 @@ def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
 #     edge A -> B when x >= alpha label detect delay wcrt
 #     edge B -> D when y >= theta label divert reset y = 0
 #
-# Comparisons are `expr OP expr` over variables, rationals and bound
-# parameter names; `delay wcrt` marks a controller-delayed edge, `delay Q`
-# a fixed one (Q >= 0). Every variable a line names must be listed by
-# `var` before it, and every edge must join declared locations. '#' starts
-# a comment.
+# Lines are read with the program's lexer and parser: names and numbers are
+# the program's (docs/language.md, "Numeric literals"; no exponent, and a
+# keyword is no name), and an expression is its arithmetic over variables
+# and bound parameter names, linear in the variables. Rates, `init` values
+# and delays are constants. A guard or invariant is a `&&` chain of
+# `expr OP expr`, OP in <= < >= > ==. `delay wcrt` marks a controller-delayed
+# edge, `delay Q` a fixed one (Q >= 0). Every variable a line names must be
+# listed by `var` before it, and every edge must join declared locations.
+# A variable, location, rate, initial value, reset or edge field given
+# twice is an error, as is a second `init` line. '#' starts a comment.
+
+_COMPARISONS = ("<=", "<", ">=", ">", "==")
 
 
 def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton:
     params = {k: Fraction(v) for k, v in (params or {}).items()}
-    variables: list = []
-    locations: dict = {}
-    edges: list = []
-    initial_location = None
-    initial_valuation: dict = {}
-    current: Optional[dict] = None
-
-    def close_location():
-        nonlocal current
-        if current is not None:
-            locations[current["name"]] = Location(
-                current["name"], current["rates"], tuple(current["inv"])
-            )
-            current = None
-
-    init_line = None
-    edge_lines: list = []
+    variables: dict = {}  # name -> None, in declaration order
+    blocks: dict = {}  # location name -> (rates, invariant)
+    block = None  # the block that `rate` and `inv` lines add to
+    edges: list = []  # (line number, Edge)
+    init = None  # (line number, location name, valuation)
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         try:
-            parts = line.split()
-            head = parts[0]
+            reader = _LineReader(line, variables, params)
+            head = reader.take().text
             if head == "var":
-                variables.extend(parts[1:])
+                while not reader.at_end():
+                    _put(variables, reader.expect_name().text, None, "variable")
             elif head == "location":
-                close_location()
-                if len(parts) != 2:
-                    raise AutomatonError(f"bad location line: {line!r}")
-                if parts[1] in locations:
-                    raise AutomatonError(f"location {parts[1]!r} defined twice")
-                current = {"name": parts[1], "rates": {}, "inv": []}
-            elif head == "rate":
-                if current is None or len(parts) != 3:
-                    raise AutomatonError(f"bad rate line: {line!r}")
-                var = _variable(parts[1], variables)
-                current["rates"][var] = _rate_value(parts[2], params)
-            elif head == "inv":
-                if current is None:
-                    raise AutomatonError(f"invariant outside a location: {line!r}")
-                current["inv"].append(_parse_comparison(" ".join(parts[1:]), variables, params))
+                block = _put(blocks, reader.expect_name().text, ({}, []), "location")
+            elif head in ("rate", "inv"):
+                if block is None:
+                    raise AutomatonError(f"{head} line outside a location")
+                if head == "rate":
+                    _put(block[0], reader.variable(), reader.constant(), "rate of")
+                else:
+                    block[1].extend(reader.conjunction())
             elif head == "init":
-                close_location()
-                if len(parts) < 2:
-                    raise AutomatonError(f"bad init line: {line!r}")
-                initial_location = parts[1]
-                init_line = number
-                rest = " ".join(parts[2:])
-                for assign in rest.split(","):
-                    assign = assign.strip()
-                    if not assign:
-                        continue
-                    var, _, value = assign.partition("=")
-                    var = _variable(var.strip(), variables)
-                    initial_valuation[var] = _rate_value(value.strip(), params)
+                if init is not None:
+                    raise AutomatonError(f"second init line, the first is line {init[0]}")
+                block = None
+                name = reader.expect_name().text
+                valuation = {}
+                if not reader.at_end():
+                    valuation = reader.assignments(reader.constant, "initial value of")
+                init = (number, name, valuation)
             elif head == "edge":
-                close_location()
-                edges.append(_parse_edge(line, variables, params))
-                edge_lines.append(number)
+                block = None
+                edges.append((number, reader.edge()))
             else:
                 raise AutomatonError(f"unrecognized line: {line!r}")
-        except AutomatonError as err:
+            if not reader.at_end():
+                raise AutomatonError(f"unexpected {reader.peek().text!r}")
+        except (AutomatonError, CompileError) as err:
             raise AutomatonError(err.message, number) from None
-    close_location()
-    for edge, number in zip(edges, edge_lines):
+    for number, edge in edges:
         for name in (edge.source, edge.target):
-            if name not in locations:
+            if name not in blocks:
                 raise AutomatonError(f"unknown location {name!r} in edge", number)
-    if initial_location is None:
+    if init is None:
         raise AutomatonError("no init line")
+    number, initial_location, valuation = init
     for var in variables:
-        initial_valuation.setdefault(var, Fraction(0))
+        valuation.setdefault(var, Fraction(0))
+    locations = {
+        name: Location(name, rates, tuple(inv)) for name, (rates, inv) in blocks.items()
+    }
     try:
         return HybridAutomaton(
-            tuple(variables), locations, tuple(edges), initial_location, initial_valuation
+            tuple(variables), locations, tuple(edge for _, edge in edges),
+            initial_location, valuation,
         )
     except AutomatonError as err:  # the initial location and valuation
-        raise AutomatonError(err.message, init_line) from None
+        raise AutomatonError(err.message, number) from None
 
 
-def _rate_value(token: str, params: dict) -> Fraction:
-    if token in params:
-        return params[token]
-    try:
-        return parse_rational(token)
-    except ValueError as exc:
-        raise AutomatonError(f"unknown constant {token!r}") from exc
+def _put(table: dict, key: str, value, what: str):
+    """Enter `value` under `key`, which `table` must not hold yet; `what`
+    names the key in the error."""
+    if key in table:
+        raise AutomatonError(f"{what} {key!r} defined twice")
+    table[key] = value
+    return value
 
 
-def _variable(name: str, variables) -> str:
-    if name not in variables:
-        raise AutomatonError(f"unknown variable {name!r}")
-    return name
+class _LineReader(_Parser):
+    """One line of an automaton file, read with the program's parser; its
+    expressions fold to `LinExpr`s over `variables`, and every other name
+    in them must be one of the bound `params`."""
 
+    def __init__(self, line: str, variables: dict, params: dict):
+        if "//" in line:  # the program lexer would drop the rest as a comment
+            raise AutomatonError("unexpected '//'")
+        super().__init__(lex(line))
+        self.variables = variables
+        self.params = params
 
-def _parse_edge(line: str, variables, params) -> Edge:
-    parts = line.split()
-    # edge SRC -> DST [when CMP [&& CMP ...]] [label L] [reset v = expr[, ...]]
-    #      [delay Q|wcrt] [priority N]
-    if len(parts) < 4 or parts[2] != "->":
-        raise AutomatonError(f"bad edge line: {line!r}")
-    source, target = parts[1], parts[3]
-    rest = " ".join(parts[4:])
-    guard: list = []
-    resets: list = []
-    label = ""
-    delay = Fraction(0)
-    delay_wcrt = False
-    priority = 0
-    fields = _split_fields(rest, ("when", "label", "reset", "delay", "priority"))
-    for key, value in fields:
-        if key == "when":
-            for clause in value.split("&&"):
-                guard.append(_parse_comparison(clause.strip(), variables, params))
-        elif key == "label":
-            label = value.strip()
-        elif key == "reset":
-            for assign in value.split(","):
-                var, _, expr = assign.partition("=")
-                resets.append((
-                    _variable(var.strip(), variables),
-                    _parse_linexpr(expr.strip(), variables, params),
-                ))
-        elif key == "delay":
-            token = value.strip()
-            if token == "wcrt":
-                delay_wcrt = True
+    def at_end(self) -> bool:
+        return self.peek().kind == "eof"
+
+    def variable(self) -> str:
+        name = self.expect_name().text
+        if name not in self.variables:
+            raise AutomatonError(f"unknown variable {name!r}")
+        return name
+
+    def linear(self) -> LinExpr:
+        return self._fold(self.parse_add(), self.variables)
+
+    def constant(self) -> Fraction:
+        return self._fold(self.parse_add(), ()).const
+
+    def _fold(self, expr, variables) -> LinExpr:
+        if isinstance(expr, NumLit):
+            return LinExpr.make(expr.value)
+        if isinstance(expr, NameRef):
+            if expr.name in variables:
+                return LinExpr.make(0, {expr.name: 1})
+            if expr.name in self.params:
+                return LinExpr.make(self.params[expr.name])
+            raise AutomatonError(f"unknown constant {expr.name!r}")
+        if isinstance(expr, Unary) and expr.op == "-":
+            return self._fold(expr.operand, variables).times(-1)
+        if isinstance(expr, Binary) and expr.op in ("+", "-", "*"):
+            left = self._fold(expr.left, variables)
+            right = self._fold(expr.right, variables)
+            if expr.op != "*":
+                return left.plus(right if expr.op == "+" else right.times(-1))
+            if not right.coeffs:
+                return left.times(right.const)
+            if not left.coeffs:
+                return right.times(left.const)
+        raise AutomatonError(f"not a linear expression: {print_expr(expr)!r}")
+
+    def conjunction(self) -> tuple:
+        """`e OP e && ...` as a tuple of Comparisons."""
+        comparisons = []
+        while True:
+            left = self.linear()
+            op = self.take().text
+            if op not in _COMPARISONS:
+                raise AutomatonError(f"expected a comparison, found {op or 'end of input'!r}")
+            comparisons.append(Comparison(left.plus(self.linear().times(-1)), op))
+            if not self.at("&&"):
+                return tuple(comparisons)
+            self.take()
+
+    def assignments(self, read, what: str) -> dict:
+        """`v = e, ...` as {v: read()}, each variable once."""
+        values: dict = {}
+        while True:
+            var = self.variable()
+            self.expect("=")
+            _put(values, var, read(), what)
+            if not self.at(","):
+                return values
+            self.take()
+
+    def edge(self) -> Edge:
+        """`SRC -> DST` and then fields, each at most once: `when CMP && ...`,
+        `label L`, `reset v = e, ...`, `delay Q|wcrt`, `priority N`."""
+        source = self.expect_name().text
+        self.expect("-")
+        self.expect(">")
+        target = self.expect_name().text
+        fields: dict = {"guard": (), "resets": ()}  # keyword arguments of Edge
+        seen: dict = {}
+        while not self.at_end():
+            key = self.take().text
+            _put(seen, key, None, "edge field")
+            if key == "when":
+                fields["guard"] = self.conjunction()
+            elif key == "label":
+                fields["label"] = self.expect_name().text
+            elif key == "reset":
+                fields["resets"] = tuple(self.assignments(self.linear, "reset of").items())
+            elif key == "delay" and self.peek().text == "wcrt":
+                self.take()
+                fields["delay_wcrt"] = True
+            elif key == "delay":
+                fields["delay"] = self.constant()
+            elif key == "priority":
+                fields["priority"] = self.priority()
             else:
-                delay = _rate_value(token, params)
-        elif key == "priority":
-            token = value.strip()
-            try:
-                priority = int(token)
-            except ValueError as exc:
-                raise AutomatonError(f"bad priority {token!r} in edge: {line!r}") from exc
-    return Edge(
-        source, target, tuple(guard), tuple(resets), label, delay, priority, delay_wcrt
-    )
+                raise AutomatonError(f"unexpected {key!r} in edge")
+        return Edge(source, target, **fields)
 
-
-def _split_fields(text: str, keys) -> list:
-    tokens = text.split()
-    fields = []
-    current_key = None
-    buf: list = []
-    for token in tokens:
-        if token in keys:
-            if current_key is not None:
-                fields.append((current_key, " ".join(buf)))
-            current_key = token
-            buf = []
-        else:
-            buf.append(token)
-    if current_key is not None:
-        fields.append((current_key, " ".join(buf)))
-    elif buf:
-        raise AutomatonError(f"stray tokens in edge: {' '.join(buf)!r}")
-    return fields
-
-
-def _parse_comparison(text: str, variables, params) -> Comparison:
-    for op in ("<=", ">=", "==", "<", ">"):
-        if op in text:
-            left, right = text.split(op, 1)
-            lhs = _parse_linexpr(left.strip(), variables, params)
-            rhs = _parse_linexpr(right.strip(), variables, params)
-            diff = LinExpr.make(
-                lhs.const - rhs.const,
-                _merge_coeffs(lhs.coeffs, rhs.coeffs),
-            )
-            return Comparison(diff, op)
-    raise AutomatonError(f"no comparison operator in {text!r}")
-
-
-def _merge_coeffs(left, right) -> dict:
-    merged: dict = {}
-    for var, coeff in left:
-        merged[var] = merged.get(var, Fraction(0)) + coeff
-    for var, coeff in right:
-        merged[var] = merged.get(var, Fraction(0)) - coeff
-    return merged
-
-
-def _parse_linexpr(text: str, variables, params) -> LinExpr:
-    """Sums of terms: `2*x + y - 3` with rational or parameter constants."""
-    text = text.replace("-", "+-")
-    const = Fraction(0)
-    coeffs: dict = {}
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        negative = term.startswith("-")
+    def priority(self) -> int:
+        negative = self.at("-")
         if negative:
-            term = term[1:].strip()
-        if "*" in term:
-            factor, _, var = term.partition("*")
-            coeff = _rate_value(factor.strip(), params)
-            var = _variable(var.strip(), variables)
-            coeffs[var] = coeffs.get(var, Fraction(0)) + (-coeff if negative else coeff)
-        elif term in variables:
-            coeffs[term] = coeffs.get(term, Fraction(0)) + (
-                Fraction(-1) if negative else Fraction(1)
-            )
-        else:
-            value = _rate_value(term, params)
-            const += -value if negative else value
-    return LinExpr.make(const, coeffs)
+            self.take()
+        tok = self.take()
+        if tok.kind != "number" or "." in tok.text:
+            raise AutomatonError(f"bad priority {tok.text!r}")
+        return -int(tok.text) if negative else int(tok.text)

@@ -35,6 +35,10 @@ KEYWORDS = {
     "TTL",
 }
 
+# ASCII only: `str.isdigit` also holds for digits such as '²' that `int`
+# cannot read
+DIGITS = frozenset("0123456789")
+
 PUNCT = [
     "op+",
     "op*",
@@ -99,13 +103,13 @@ def lex(source: str) -> list[Token]:
             advance(source[i:j])
             i = j
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in DIGITS:
                     j += 1
             text = source[i:j]
             tokens.append(Token("number", text, line, col))

@@ -400,7 +400,11 @@ class _Parser:
             if self.at("/") and self.peek(1).kind == "number":
                 self.take()
                 den = self.take()
-                value = value / _number_value(den.text)
+                divisor = _number_value(den.text)
+                if divisor == 0:
+                    text = f"{tok.text}/{den.text}"
+                    raise ParseError(f"zero denominator in {text!r}", tok.line, tok.col)
+                value = value / divisor
             return NumLit(value, pos=pos)
         if self.at("true"):
             self.take()

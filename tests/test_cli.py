@@ -404,6 +404,36 @@ def test_malformed_map_exits_2(tmp_path, capsys):
         assert str(bad) in capsys.readouterr().err
 
 
+def test_repeated_json_key_or_name_exits_2(tmp_path, capsys):
+    # JSON leaves a repeated key to the reader; the last value must not
+    # quietly win, nor may a schedule name one input twice
+    prog = tmp_path / "level.hsj"
+    prog.write_text("input int signal LEVEL; input signal GO;\nloop { pause }\n")
+    bad = tmp_path / "file.json"
+    run = ["run", str(prog), "--wcrt", "1", "--ticks", "2", "--schedule", str(bad)]
+    verify = ["verify", str(prog), "--wcrt", "1", "--bound", "2", "--target", "GO",
+              "--alphabet", str(bad)]
+    compare = [
+        "compare", "--ha", str(CORPUS / "automata" / "carousel.ha"), "--program", CAROUSEL,
+        "--wcrt", "2", "--horizon", "12", "--map", str(bad), "--param", "alpha=3",
+        *CAROUSEL_PARAMS,
+    ]
+    for argv, text, message in (
+        (run, '[{"tick": 1, "tick": 2}]', "key 'tick' repeated in an object"),
+        (run, '[{"tick": 1, "present": ["GO", "GO"]}]', "tick 1: 'present' repeats an entry"),
+        (verify, '{"GO": {}, "LEVEL": {"values": ["1"]}, "GO": {"statuses": ["present"]}}',
+         "key 'GO' repeated in an object"),
+        (verify, '{"LEVEL": {"values": ["1"], "values": ["2"]}}',
+         "key 'values' repeated in an object"),
+        (compare, '{"x": "x", "y": "y", "x": "y"}', "key 'x' repeated in an object"),
+    ):
+        bad.write_text(text)
+        code = main(argv)
+        assert code == 2, text
+        captured = capsys.readouterr()
+        assert captured.err == f"{bad}: {message}\n" and captured.out == "", text
+
+
 def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
     bad = tmp_path / "map.json"
     for text, message in (
@@ -444,7 +474,7 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         ("delay wcrt", "delay wcrt priority x", "19: bad priority 'x'"),
         ("location D", "bogus line", "14: unrecognized line: 'bogus line'"),
         ("inv y <= theta", "inv y <= gamma", "13: unknown constant 'gamma'"),
-        ("inv y <= theta", "inv y <= 1/0", "13: unknown constant '1/0'"),
+        ("inv y <= theta", "inv y <= 1/0", "13: zero denominator in '1/0'"),
         ("init A", "init Z", "18: unknown initial location 'Z'"),
         ("init A x = 0, y = 0", "", "no init line"),
         ("edge D -> A", "edge D -> Q", "21: unknown location 'Q' in edge"),
@@ -453,6 +483,18 @@ def test_malformed_automaton_exits_2(tmp_path, capsys):
         ("reset x = 0, y = 0", "reset x = 0, w = 0", "21: unknown variable 'w'"),
         ("deliver reset x = 0, y = 0\n", "deliver reset x = 0, y = 0\nlocation A\n  rate x 2\n",
          "22: location 'A' defined twice"),
+        ("init A x = 0, y = 0", "init A x = 0, y = 0\ninit B x = 1",
+         "19: second init line, the first is line 18"),
+        ("var x y", "var x y x", "5: variable 'x' defined twice"),
+        ("rate y 0\n  inv x <= alpha", "rate y 0\n  rate x 2\n  inv x <= alpha",
+         "9: rate of 'x' defined twice"),
+        ("label detect", "label a label b", "19: edge field 'label' defined twice"),
+        ("when x >= alpha", "when x >= alpha when x >= 1", "19: edge field 'when' defined twice"),
+        ("reset x = 0, y = 0", "reset x = 0 reset y = 0", "21: edge field 'reset' defined twice"),
+        ("delay wcrt", "delay wcrt delay 1", "19: edge field 'delay' defined twice"),
+        ("delay wcrt", "priority 1 priority 2", "19: edge field 'priority' defined twice"),
+        ("reset x = 0, y = 0", "reset x = 0, x = 5", "21: reset of 'x' defined twice"),
+        ("init A x = 0, y = 0", "init A x = 0, x = 3", "18: initial value of 'x' defined twice"),
     ):
         bad.write_text(text.replace(old, new))
         code = main([

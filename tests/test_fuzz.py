@@ -87,12 +87,25 @@ ROLES = {
         '[{"tick": 1, "present": ["LEVEL"], "values": {"LEVEL": "12/4"}}]\n',
         ["run", PROGRAM, "--wcrt", "1", "--ticks", "3", "--schedule", FILE],
     ),
+    # an automaton whose lines use every form of expression the reader
+    # folds and every edge field, so that mutants reach the linearity fold
+    # and the checks for a field given twice
+    "automaton-expr": (
+        "var x y\n"
+        "location A\n  rate x 1\n  rate y 0\n  inv x <= beta && y <= 1\n"
+        "location B\n  rate x -1/2\n  rate y 1\n  inv y <= theta\n"
+        "init A x = 0, y = 0\n"
+        "edge A -> B when 2*x >= alpha && y >= 0 label go delay 1/2 priority 1\n"
+        "edge B -> A when y >= 1 label back reset x = x - 1, y = 0\n",
+        _compare(FILE, str(CORPUS / "maps" / "carousel.json")),
+    ),
 }
 # each role's random seed; a new role takes the next number, so that the
 # mutants of the older roles stay what they were
 SEEDS = {
     "alphabet": 0, "automaton": 1, "map": 2, "matrix": 3, "program": 4,
     "program-verify": 5, "schedule": 6, "alphabet-values": 7, "schedule-values": 8,
+    "automaton-expr": 9,
 }
 MUTATIONS = 40  # per role and level
 

@@ -7,6 +7,8 @@ import pytest
 
 from tickflow.errors import ArgumentError, AutomatonError, DeadlockError, NondeterminismError
 from tickflow.hybrid import (
+    Comparison,
+    LinExpr,
     _with_wcrt_delays,
     compare,
     ha_simulate,
@@ -120,6 +122,42 @@ def test_bad_files():
         parse_automaton("var x\ninit L x = 0\n")  # unknown location
     with pytest.raises(AutomatonError):
         parse_automaton("var x\nlocation L\n  inv x <= beta\ninit L x = 0\n")
+
+
+def _guard(expr: str, params=None):
+    """The guard `x >= expr`, read as an edge of a one-variable automaton."""
+    text = f"var x\nlocation L\ninit L\nedge L -> L when x >= {expr}\n"
+    return parse_automaton(text, params).edges[0].guard
+
+
+def test_expressions_fold_as_in_the_program_grammar():
+    params = {"beta": 10}
+    for expr, canonical in (
+        ("beta - -1", "beta + 1"),
+        ("x*2", "2*x"),
+        ("2*(x + 1)", "2*x + 2"),
+        ("-1/2", "0 - 1/2"),
+    ):
+        assert _guard(expr, params) == _guard(canonical, params), expr
+    # x >= 2*(x + 1) is -x - 2 >= 0
+    assert _guard("2*(x + 1)") == (Comparison(LinExpr.make(-2, {"x": -1}), ">="),)
+
+
+def test_expressions_outside_the_grammar_are_rejected_with_their_line():
+    base = "var x\nlocation L\ninit L\n"
+    for text, message in (
+        ("edge L -> L when x*x >= 1\n", "4: not a linear expression: 'x * x'"),
+        ("edge L -> L when x != 1\n", "4: expected a comparison, found '!='"),
+        ("edge L -> L when x >= 1e3\n", "4: unexpected 'e3' in edge"),
+        ("edge L -> L delay 1e3\n", "4: unexpected 'e3' in edge"),
+        ("var if\n", "4: expected a name, found 'if'"),
+    ):
+        with pytest.raises(AutomatonError) as err:
+            parse_automaton(base + text)
+        assert str(err.value) == message, text
+    with pytest.raises(AutomatonError) as err:
+        parse_automaton("var x\nlocation L\n  rate x 1e3\ninit L\n")
+    assert str(err.value) == "3: unexpected 'e3'"
 
 
 def test_edge_delays_and_priorities():

@@ -184,6 +184,19 @@ def test_lex_error_position():
     assert err.value.line == 2
 
 
+def test_zero_denominator_is_a_located_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("cont x = 1/0; x = x + 1; pause")
+    assert str(err.value) == "1:10: zero denominator in '1/0'"
+
+
+def test_only_ascii_digits_make_a_number():
+    # '²' passes str.isdigit, but int() cannot read it
+    with pytest.raises(LexError) as err:
+        parse("cont x = \u00b2; pause")
+    assert str(err.value) == "1:10: unexpected character '\u00b2'"
+
+
 def test_parse_error_expected_found():
     with pytest.raises(ParseError):
         parse("do {a' = 1}")
