@@ -28,7 +28,7 @@ from .errors import (
     SearchLimitError,
     TickflowError,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 
 # Each subcommand imports the modules it runs when it runs (`json` too, for
 # the input files), so `check` and `desugar` never load the kernel, `lti`
@@ -92,7 +92,7 @@ def load_schedule(path: str) -> dict:
         if not isinstance(entry, dict) or "tick" not in entry:
             raise ScheduleError(f"{path}: each entry needs a 'tick' field")
         tick = entry["tick"]
-        if not isinstance(tick, int) or tick < 1:
+        if type(tick) is not int or tick < 1:
             raise ScheduleError(f"{path}: bad tick {tick!r}")
         _known_keys(path, f"tick {tick}", entry, ("tick", "present", "values"))
         present = entry.get("present", [])
@@ -199,7 +199,7 @@ def _flag_rational(flag: str, text: str) -> Fraction:
 def _flag_int(flag: str, text: str) -> int:
     """A command-line integer; `flag` names the option in errors."""
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise ArgumentError(flag, f"bad integer {text!r}") from None
 

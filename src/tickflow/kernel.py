@@ -38,11 +38,11 @@ several rates of one variable with no operator.
 
 Each statement becomes a pair of closures: `run(ctx)` enters it afresh
 and `resume(ctx, res)` continues it from the residue it left. A parent
-picks the child that resumes a residue by its Seq index, If branch or Par
-slot, so a tick dispatches on nothing. Each expression becomes a closure
-too. Names resolve to slots at compile time: a declaration has at most
-one live instance, so the per-tick list `ctx.env` holds it in the
-declaration's slot while its scope runs.
+picks the child that resumes a residue by its index (a Seq's statement or
+an If's branch) or Par slot, so a tick dispatches on nothing. Each
+expression becomes a closure too. Names resolve to slots at compile time:
+a declaration has at most one live instance, so the per-tick list
+`ctx.env` holds it in the declaration's slot while its scope runs.
 
 A look-ahead compiles to reads of its site's variables, in site order,
 into slots of its own that shadow them, then its invariant. A variable
@@ -54,7 +54,7 @@ and any other use of the name computes `scale*value + shift`. A
 comparison of a continuous variable with a literal compiles to the same
 integer test. Any other variable's slot holds its prediction, computed
 once every variable is read. So the look-ahead of a rewritten flow does
-no `Fraction` arithmetic: a flow tick's are its steps and the tick's time.
+no `Fraction` arithmetic: a flow tick's only `Fraction`s are its steps.
 
 A statement compiled with resume None can never pause, and the compiler
 uses that to emit straight-line code for four shapes:
@@ -64,7 +64,7 @@ uses that to emit straight-line code for four shapes:
   branch is not called;
 - a Seq whose statements cannot pause is one closure with resume None,
   and a Seq whose only pause is its final `pause` runs its other
-  statements and returns one SeqRes built at compile time, with resume
+  statements and returns one IndexRes built at compile time, with resume
   `_none`;
 - a Loop whose body resumes with `_none` (a body that pauses whenever it
   runs and terminates whenever it resumes) re-runs the body directly;
@@ -73,25 +73,29 @@ uses that to emit straight-line code for four shapes:
   same logged read and builds `Fraction(n*q + p*d, d*q)` from integers.
 
 None of them changes a residue's value. An If that cannot pause left no
-residue before either; the shared SeqRes equals the one a tick built
-(same index, and a PauseRes equals every PauseRes); a Loop adds no residue
-of its own. An If that can pause keeps its branches and their numbering,
-`!` or not. Reads, writes and errors happen in the same order, so traces,
-read logs, state keys and verdicts are what the generic code gives.
+residue before either; the shared IndexRes equals the one a tick built
+(same index, and a pause's leaf equals every pause's); a Loop adds no
+residue of its own. An If that can pause keeps its branches and their
+numbering, `!` or not. Reads, writes and errors happen in the same order,
+so traces, read logs, state keys and verdicts are what the generic code
+gives.
 
-A machine state is a value: a residue, an immutable tree of the paused
-points of the program, a store mapping each live declaration instance to
-its settled (status, value) in registration order, the tick it follows
-and the first initial value of each continuous variable. A loop or an
-abort resumes its body's residue, so neither adds a node of its own.
-`TickState.step` runs one tick from a state and leaves the state as it
-was; the tick's `settle` builds the next state. A tick builds its own
-residue and store and never mutates the old ones, so states share the
-residue subtrees a tick did not rebuild, the initial values (a
-declaration that records one builds a new dict) and the code. A state
-has terminated when a tick left it no residue. The tick records the
-labels that hold a paused point as it builds the residue, and each
-declaration records its scope ending, so settling walks no residue.
+A machine state is a value, and holds only what a tick reads or decides:
+the code, the input names and the read log it shares with its run, a
+residue (an immutable tree of the paused points of the program), a store
+mapping each live declaration instance to its settled (status, value) in
+registration order, and the tick it follows. A loop or an abort resumes
+its body's residue, so neither adds a node of its own. `TickState.step`
+runs one tick from a state and leaves the state as it was; the tick's
+`settle` builds the next state. A tick builds its own residue and store
+and never mutates the old ones, so states share the residue subtrees a
+tick did not rebuild and the code. A state has terminated when a tick
+left it no residue. The first initial value of each continuous variable
+belongs to the run, not to a state: each tick lists the instances it
+registered (`fresh`), and `run` keeps the first value of each name. A
+record's time, `wcrt × tick`, is computed where it is printed. The tick
+records the labels that hold a paused point as it builds the residue, and
+each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
 `TickState.advance` is `step` then `record`, which a caller that reads
@@ -117,6 +121,7 @@ from .syntax.checks import check_program
 from .syntax.nodes import (
     Binary,
     BoolLit,
+    Label,
     NameRef,
     NumLit,
     Pause,
@@ -160,32 +165,37 @@ EMPTY_INPUTS = InputAssignment()
 class Instance:
     """One entry of a declaration's scope: an identity token whose settled
     (status, value) lives in `TickState.store`. `decl` tells a signal from
-    a continuous variable, whose settled status is always False."""
+    a continuous variable, whose settled status is always False; `slot`,
+    the declaration's environment slot, names it in a state key."""
 
-    __slots__ = ("decl",)
+    __slots__ = ("decl", "slot")
 
-    def __init__(self, decl):
+    def __init__(self, decl, slot):
         self.decl = decl
+        self.slot = slot
 
 
 # --- residues ----------------------------------------------------------------
 #
 # Residues are values: built once by `run` or `resume`, never mutated, and
-# shared between states. A loop's or an abort's residue is its body's; a
-# suspend keeps a SuspendRes, since its None child (an immediate guard held
-# the body before entry) differs from a body that terminated. Each class
-# writes its own `==` and `hash` over its compared slots, which leave out
-# `node`: that is exact within one program, since walking down from the
-# root, the statements passed on the way and each residue's Seq index, If
-# branch or Par slot fix its node. A declaration has at most one live
-# instance, so a DeclRes is fixed by its node too, and its `instance` is
-# left out as well. A tick builds many residues and the search keys states
-# by them, so each class keeps `__slots__` and writes its own `__init__`.
+# shared between states. There are five kinds: a leaf (a pause, or a native
+# flow), the index of the Seq statement or If branch that paused, a Par's
+# branches, the one body of a suspend or a label, and a declaration. A
+# loop's or an abort's residue is its body's; a suspend keeps a BodyRes,
+# since its None child (an immediate guard held the body before entry)
+# differs from a body that terminated. Each class writes its own `==` and
+# `hash` over its compared slots, which leave out `node`: that is exact
+# within one program, since walking down from the root, the statements
+# passed on the way and each residue's index or Par slot fix its node. A
+# declaration has at most one live instance, so a DeclRes is fixed by its
+# node too, and its `instance` is left out as well. A tick builds many
+# residues and the search keys states by them, so each class keeps
+# `__slots__` and writes its own `__init__`.
 
 
 class _Res(Struct, frozen=False):
-    """The base of the residues that compare one slot, `child`: Suspend,
-    Decl and Label residues."""
+    """The base of the residues that compare one slot, `child`: Body and
+    Decl residues."""
 
     __slots__ = ("node",)
     node: Stmt
@@ -197,20 +207,27 @@ class _Res(Struct, frozen=False):
         return hash(self.child)
 
 
-class PauseRes(_Res):
-    __slots__ = ()
+class LeafRes(_Res):
+    """A paused leaf. `stop`: terminate on resume without running; always
+    true for a pause, computed last tick by a native flow's look-ahead."""
 
-    def __init__(self, node):
+    __slots__ = ("stop",)
+    stop: bool
+
+    def __init__(self, node, stop):
         self.node = node
+        self.stop = stop
 
     def __eq__(self, other):
-        return other.__class__ is PauseRes
+        return other.__class__ is LeafRes and self.stop == other.stop
 
     def __hash__(self):
-        return 0
+        return hash(self.stop)
 
 
-class SeqRes(_Res):
+class IndexRes(_Res):
+    """A Seq or an If: the index of the statement or branch that paused."""
+
     __slots__ = ("index", "child")
     index: int
     child: "_Res"
@@ -222,7 +239,8 @@ class SeqRes(_Res):
 
     def __eq__(self, other):
         return (
-            other.__class__ is SeqRes and self.index == other.index and self.child == other.child
+            other.__class__ is IndexRes and self.index == other.index
+            and self.child == other.child
         )
 
     def __hash__(self):
@@ -244,28 +262,11 @@ class ParRes(_Res):
         return hash(self.children)
 
 
-class IfRes(_Res):
-    __slots__ = ("branch", "child")
-    branch: int
-    child: "_Res"
+class BodyRes(_Res):
+    """A suspend or a label, continuing its one body."""
 
-    def __init__(self, node, branch, child):
-        self.node = node
-        self.branch = branch
-        self.child = child
-
-    def __eq__(self, other):
-        return (
-            other.__class__ is IfRes and self.branch == other.branch and self.child == other.child
-        )
-
-    def __hash__(self):
-        return hash((self.branch, self.child))
-
-
-class SuspendRes(_Res):
     __slots__ = ("child",)
-    child: Optional["_Res"]  # None: immediate guard froze it before entry
+    child: Optional["_Res"]  # None: a suspend's immediate guard froze it before entry
 
     def __init__(self, node, child):
         self.node = node
@@ -283,30 +284,6 @@ class DeclRes(_Res):
         self.child = child
 
 
-class LabelRes(_Res):
-    __slots__ = ("child",)
-    child: "_Res"
-
-    def __init__(self, node, child):
-        self.node = node
-        self.child = child
-
-
-class FlowRes(_Res):
-    __slots__ = ("stop",)
-    stop: bool  # computed last tick: terminate on resume without running
-
-    def __init__(self, node, stop):
-        self.node = node
-        self.stop = stop
-
-    def __eq__(self, other):
-        return other.__class__ is FlowRes and self.stop == other.stop
-
-    def __hash__(self):
-        return hash(self.stop)
-
-
 def _live_in(res, labels: list, instances: list):
     """Collect the names of the labels and the instances a residue holds."""
     if res is None:
@@ -316,12 +293,12 @@ def _live_in(res, labels: list, instances: list):
         for child in res.children:
             _live_in(child, labels, instances)
         return
+    if cls is LeafRes:
+        return
     if cls is DeclRes:
         instances.append(res.instance)
-    elif cls is LabelRes:
+    elif res.node.__class__ is Label:
         labels.append(res.node.name)
-    elif cls is PauseRes or cls is FlowRes:
-        return
     _live_in(res.child, labels, instances)
 
 
@@ -334,17 +311,12 @@ class TickState:
     run shares the compiled code and `read_log`, the list reads are logged
     to, or None."""
 
-    __slots__ = (
-        "program", "cfg", "code", "input_names", "read_log",
-        "tick", "residue", "store", "initial_conts",
-    )
+    __slots__ = ("code", "input_names", "read_log", "tick", "residue", "store")
 
     def __init__(
         self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
         read_log: Optional[list] = None,
     ):
-        self.program = program
-        self.cfg = cfg
         self.code, self.input_names = program.derived(
             ("code", cfg.wcrt, native_flows), lambda: _compile(program, cfg, native_flows)
         )
@@ -353,7 +325,6 @@ class TickState:
         self.residue = None  # None before tick 1 and after termination
         # live instance -> settled (status, value), in registration order
         self.store: dict = {}
-        self.initial_conts: dict = {}  # first initial value per cont name
 
     @property
     def terminated(self) -> bool:
@@ -397,15 +368,12 @@ class TickState:
     def _after(self, tick: "_Tick", store: dict) -> "TickState":
         """The state the tick `tick` ran from this one leads to."""
         state = object.__new__(TickState)
-        state.program = self.program
-        state.cfg = self.cfg
         state.code = self.code
         state.input_names = self.input_names
         state.read_log = self.read_log
         state.tick = tick.t
         state.residue = tick.residue
         state.store = store
-        state.initial_conts = tick.initial_conts
         return state
 
 
@@ -413,12 +381,13 @@ class _Tick:
     """A tick that has run and folded its writes: `residue` is what it
     left, `prev` maps every instance live during it, in registration order,
     to its previous-tick (status, value), `emitted` holds the instances it
-    made present and `folded` the value each written instance settles to.
-    `settle`, `record` and `settles_present` read only these."""
+    made present, `folded` the value each written instance settles to and
+    `fresh` the instances it registered, in registration order (their
+    `prev` entries hold their initial values). `settle`, `record` and
+    `settles_present` read only these."""
 
     __slots__ = (
-        "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels",
-        "initial_conts",
+        "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels", "fresh",
     )
 
     def settle(self) -> TickState:
@@ -460,11 +429,8 @@ class _Tick:
                 conts[name] = value
             if inst not in ended:
                 store[inst] = (present, value)
-        state = self.state
         labels = tuple(sorted(self.labels))
-        return state._after(self, store), TickRecord(
-            t, state.cfg.wcrt * t, statuses, values, conts, labels
-        )
+        return self.state._after(self, store), TickRecord(t, statuses, values, conts, labels)
 
     def settles_present(self, name: str) -> bool:
         """Whether the record shows `name` present: the record names the
@@ -479,17 +445,17 @@ class _Tick:
 class _TickCtx(_Tick):
     """One run of a tick's code from `state`, which it never writes: the
     slot environment, the settled values reads observe, pending emissions
-    and writes, the initial values, and what the tick records. Every read
-    sees the previous tick, so the run is the same for every input choice:
-    it latches no input. `fold` turns the code's writes into settled
-    values, and `latch` lays one input choice over the result.
+    and writes, and what the tick records. Every read sees the previous
+    tick, so the run is the same for every input choice: it latches no
+    input. `fold` turns the code's writes into settled values, and `latch`
+    lays one input choice over the result.
 
-    A run that raised keeps its error in `error` and the input instances
+    A run that raised keeps its error in `error` and the instances
     registered before it in `fresh`; a double write with no combine
     operator is kept as its first offender in `offender`. Either is raised
     by `latch`, after the checks of the choice's own values."""
 
-    __slots__ = ("env", "writes", "log", "fresh", "latchable", "error", "offender")
+    __slots__ = ("env", "writes", "log", "latchable", "error", "offender")
 
     def __init__(self, state: TickState, t: int, slots: int):
         self.state = state
@@ -502,8 +468,7 @@ class _TickCtx(_Tick):
         self.labels: list = []  # names of the labels holding a paused point
         self.ended: set = set()  # instances whose scope ended this tick
         self.log = state.read_log
-        self.initial_conts = state.initial_conts  # replaced, never written
-        self.fresh: list = []  # input instances registered this tick
+        self.fresh: list = []  # instances registered this tick
         self.latchable = None  # every input instance a choice is latched onto
         self.error = None
 
@@ -560,9 +525,9 @@ class _TickCtx(_Tick):
         code registered, each in registration order; kept once built."""
         if self.latchable is None:
             self.latchable = [
-                inst for inst in self.state.store
+                inst for inst in [*self.state.store, *self.fresh]
                 if inst.decl.__class__ is SignalDecl and inst.decl.direction == "input"
-            ] + self.fresh
+            ]
         return self.latchable
 
     def fold_in(self, latched) -> dict:
@@ -628,7 +593,7 @@ class _Latched(_Tick):
         self.tick = tick
         self.state, self.t, self.residue = tick.state, tick.t, tick.residue
         self.prev, self.ended, self.labels = live, tick.ended, tick.labels
-        self.initial_conts = tick.initial_conts
+        self.fresh = tick.fresh
 
     def latch(self, inputs: InputAssignment) -> _Tick:
         """Another input choice, latched onto the same run."""
@@ -746,7 +711,7 @@ class _Compiler:
         return _none, None
 
     def stmt_Pause(self, node, scope):
-        res = PauseRes(node)
+        res = LeafRes(node, True)
         return (lambda ctx: res), _none
 
     def stmt_Emit(self, node, scope):
@@ -819,7 +784,8 @@ class _Compiler:
             if resumes[-1] is None:
                 effects, res, resume = runs, None, None
             else:
-                effects, res, resume = runs[:-1], SeqRes(node, count - 1, PauseRes(last)), _none
+                res = IndexRes(node, count - 1, LeafRes(last, True))
+                effects, resume = runs[:-1], _none
 
             def straight(ctx):
                 for r in effects:
@@ -832,14 +798,14 @@ class _Compiler:
             for i in range(start, count):
                 res = runs[i](ctx)
                 if res is not None:
-                    return SeqRes(node, i, res)
+                    return IndexRes(node, i, res)
             return None
 
         def resume(ctx, res):
             i = res.index
             child = resumes[i](ctx, res.child)
             if child is not None:
-                return SeqRes(node, i, child)
+                return IndexRes(node, i, child)
             return run(ctx, i + 1)
 
         return run, resume
@@ -869,12 +835,12 @@ class _Compiler:
         def run(ctx):
             branch = 0 if cond(ctx) else 1
             res = runs[branch](ctx)
-            return IfRes(node, branch, res) if res is not None else None
+            return IndexRes(node, branch, res) if res is not None else None
 
         def resume(ctx, res):
-            branch = res.branch
+            branch = res.index
             child = resumes[branch](ctx, res.child)
-            return IfRes(node, branch, child) if child is not None else None
+            return IndexRes(node, branch, child) if child is not None else None
 
         return run, resume
 
@@ -948,9 +914,9 @@ class _Compiler:
 
         def run(ctx):
             if immediate and guard(ctx):
-                return SuspendRes(node, None)
+                return BodyRes(node, None)
             res = body_run(ctx)
-            return SuspendRes(node, res) if res is not None else None
+            return BodyRes(node, res) if res is not None else None
 
         def resume(ctx, res):
             if guard(ctx):
@@ -961,7 +927,7 @@ class _Compiler:
                 child = body_run(ctx)
             else:
                 child = body_resume(ctx, res.child)
-            return SuspendRes(node, child) if child is not None else None
+            return BodyRes(node, child) if child is not None else None
 
         return run, resume
 
@@ -974,14 +940,14 @@ class _Compiler:
             if res is None:
                 return None
             ctx.labels.append(name)
-            return LabelRes(node, res)
+            return BodyRes(node, res)
 
         def resume(ctx, res):
             child = body_resume(ctx, res.child)
             if child is None:
                 return None
             ctx.labels.append(name)
-            return LabelRes(node, child)
+            return BodyRes(node, child)
 
         return run, resume
 
@@ -1010,22 +976,17 @@ class _Compiler:
     def _declare(self, node, scope, kind, init):
         """A declaration's code: a new instance in a fresh slot, registered
         with its initial value (read in the outer scope) before the body
-        runs; the instance ends with the body. An input's instance is noted
-        in `fresh`, for the latch after the tick."""
+        runs; the instance ends with the body. The instance is noted in
+        `fresh`: the latch after the tick reads the inputs there, and `run`
+        the initial values."""
         slot = self.slot()
         body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
-        name = node.name
-        is_cont = kind == "cont"
-        is_input = not is_cont and node.direction == "input"
 
         def run(ctx):
             value = init(ctx)
-            inst = Instance(node)
+            inst = Instance(node, slot)
             ctx.prev[inst] = (False, value)
-            if is_cont and name not in ctx.initial_conts:
-                ctx.initial_conts = {**ctx.initial_conts, name: value}
-            if is_input:
-                ctx.fresh.append(inst)
+            ctx.fresh.append(inst)
             ctx.env[slot] = inst
             child = body_run(ctx)
             return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
@@ -1053,7 +1014,7 @@ class _Compiler:
         for name, rate in site.odes:
             slot = scope[name][1]
             steps.append((slot, _plus(_reader(slot, name, "value", 1), rate * self.wcrt)))
-        going, stopping = FlowRes(node, stop=False), FlowRes(node, stop=True)
+        going, stopping = LeafRes(node, False), LeafRes(node, True)
         always = isinstance(node.invariant, BoolLit) and node.invariant.value
         lookahead = None if always else self._lookahead(site, node.invariant, scope)
 
@@ -1204,14 +1165,20 @@ def run(
     record_reads: bool = False,
 ) -> Trace:
     """Run to termination or max_ticks; ticks past the end of the schedule
-    see all inputs absent."""
+    see all inputs absent. The trace keeps the first initial value of each
+    continuous variable's name, in registration order."""
     if max_ticks < 0:
         raise ArgumentError("max_ticks", f"must be non-negative, got {max_ticks}")
     state = TickState(program, cfg, native_flows, [] if record_reads else None)
     by_tick = normalize_schedule(schedule)
-    records = []
+    records, initial_conts = [], {}
     for t in range(1, max_ticks + 1):
-        state, record = state.advance(by_tick.get(t, EMPTY_INPUTS))
+        tick = state.step(by_tick.get(t, EMPTY_INPUTS))
+        for inst in tick.fresh:
+            decl = inst.decl
+            if decl.__class__ is not SignalDecl and decl.name not in initial_conts:
+                initial_conts[decl.name] = tick.prev[inst][1]
+        state, record = tick.record()
         records.append(record)
         if state.terminated:
             break
@@ -1219,7 +1186,6 @@ def run(
         wcrt=cfg.wcrt,
         records=records,
         terminated=state.terminated,
-        termination_tick=state.tick if state.terminated else None,
-        initial_conts=dict(state.initial_conts),
+        initial_conts=initial_conts,
         read_log=state.read_log,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import MatrixError
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 from .struct import Struct
 
 
@@ -199,7 +199,7 @@ def parse_matrix_file(text: str) -> dict:
         if name in matrices:
             raise MatrixError(f"matrix {name!r} is defined twice", i + 1)
         try:
-            rows, cols = int(header[1]), int(header[2])
+            rows, cols = parse_int(header[1]), parse_int(header[2])
         except ValueError as exc:
             raise MatrixError(f"bad dimensions in {lines[i]!r}", i + 1) from exc
         i += 1

@@ -2,29 +2,61 @@
 
 All continuous quantities, signal values, matrix entries and times in this
 package are `fractions.Fraction`. Nothing is ever converted to float.
+
+Every number a user writes, in a program, a flag, a JSON file or a matrix
+file, is read with the one grammar of the language's numeric literals: a
+NUMBER is ASCII digits with an optional `.digits` part, a rational is a
+NUMBER with an optional `/` NUMBER denominator, and outside a program a
+leading `-` negates. There is no exponent, `_`, `+` or inner space, all of
+which `int()` and `Fraction()` would take.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+# ASCII only: `str.isdigit` also holds for digits such as '²' or '٣'
+DIGITS = frozenset("0123456789")
+
+
+def _is_digits(text: str) -> bool:
+    return text != "" and DIGITS.issuperset(text)
+
+
+def parse_number(text: str) -> Fraction:
+    """Parse a NUMBER, 'digits' or 'digits.digits', exactly. Raises
+    ValueError on anything else."""
+    whole, dot, frac = text.partition(".")
+    if not _is_digits(whole) or (dot and not _is_digits(frac)):
+        raise ValueError(f"not a number: {text!r}")
+    return Fraction(int(whole + frac), 10 ** len(frac))
+
+
+def parse_int(text: str) -> int:
+    """Parse ASCII digits with an optional leading '-'. Raises ValueError
+    on anything else."""
+    if not _is_digits(text[1:] if text[:1] == "-" else text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p', 'p/q' or an exact decimal like '0.25' into a Fraction.
+    """Parse 'p', 'p/q' or '-' and either, p and q NUMBERs such as '3' or
+    '0.25', into a Fraction.
 
     Raises ValueError on anything else, a zero denominator included.
     """
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        num, den = int(num), int(den)
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    if "." in text or "e" in text or "E" in text:
-        # Fraction(str) parses decimals exactly; floats never enter.
-        return Fraction(text)
-    return Fraction(int(text))
+    negative = text[:1] == "-"
+    num, slash, den = (text[1:] if negative else text).partition("/")
+    try:
+        value = parse_number(num)
+        divisor = parse_number(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not a rational: {text!r}") from None
+    if divisor == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    value /= divisor
+    return -value if negative else value
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,6 +8,7 @@ the derivative marker and is produced as its own PRIME token.
 from __future__ import annotations
 
 from ..errors import LexError
+from ..rational import DIGITS
 from ..struct import Struct
 
 KEYWORDS = {
@@ -34,10 +35,6 @@ KEYWORDS = {
     "boolean",
     "TTL",
 }
-
-# ASCII only: `str.isdigit` also holds for digits such as '²' that `int`
-# cannot read
-DIGITS = frozenset("0123456789")
 
 PUNCT = [
     "op+",

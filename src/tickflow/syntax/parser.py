@@ -25,10 +25,10 @@ parentheses for boolean operators there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from ..errors import ParseError
+from ..rational import parse_number
 from ..struct import Struct
 from .lexer import Token, lex
 from .nodes import (
@@ -396,11 +396,11 @@ class _Parser:
         pos = (tok.line, tok.col)
         if tok.kind == "number":
             self.take()
-            value = _number_value(tok.text)
+            value = parse_number(tok.text)
             if self.at("/") and self.peek(1).kind == "number":
                 self.take()
                 den = self.take()
-                divisor = _number_value(den.text)
+                divisor = parse_number(den.text)
                 if divisor == 0:
                     text = f"{tok.text}/{den.text}"
                     raise ParseError(f"zero denominator in {text!r}", tok.line, tok.col)
@@ -447,10 +447,6 @@ class _Parser:
         self.expect("}")
         self.expect(")")
         return TtlCall(tuple(odes), invariant, tuple(names), pos=pos)
-
-
-def _number_value(text: str) -> Fraction:
-    return Fraction(text) if "." in text else Fraction(int(text))
 
 
 def _assemble(items: list) -> Stmt:

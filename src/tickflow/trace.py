@@ -2,9 +2,11 @@
 
 A trace is one record per executed tick with the settled status of every
 live signal, the settled value of every valued signal and continuous
-variable, and the names of labels holding a paused control point. Rationals
-are never converted to floating point in any export; CSV, JSON and SVG
-output is byte-deterministic for equal traces.
+variable, and the names of labels holding a paused control point. A
+record's time, `wcrt × tick`, and a trace's termination tick, its record
+count once it has terminated, are derived where they are read, never
+stored. Rationals are never converted to floating point in any export;
+CSV, JSON and SVG output is byte-deterministic for equal traces.
 """
 
 from __future__ import annotations
@@ -20,17 +22,15 @@ from .struct import Struct
 
 class TickRecord(Struct):
     tick: int
-    time: Fraction
     statuses: dict  # name -> bool
     values: dict  # name -> Fraction | bool (valued signals)
     conts: dict  # name -> Fraction
     labels: tuple  # sorted label names with a paused control point
 
-    def __init__(self, tick, time, statuses, values, conts, labels):
+    def __init__(self, tick, statuses, values, conts, labels):
         # one record per tick: set the fields directly, past the generic init
         setattr_ = object.__setattr__
         setattr_(self, "tick", tick)
-        setattr_(self, "time", time)
         setattr_(self, "statuses", statuses)
         setattr_(self, "values", values)
         setattr_(self, "conts", conts)
@@ -41,21 +41,23 @@ class Trace(Struct, frozen=False):
     wcrt: Fraction
     records: list
     terminated: bool
-    termination_tick: Optional[int]
     initial_conts: dict
     read_log: Optional[list]
 
-    def __init__(
-        self, wcrt, records, terminated, termination_tick, initial_conts=None, read_log=None
-    ):
+    def __init__(self, wcrt, records, terminated, initial_conts=None, read_log=None):
         self.wcrt = wcrt
         self.records = records
         self.terminated = terminated
-        self.termination_tick = termination_tick
         self.initial_conts = {} if initial_conts is None else initial_conts
         self.read_log = read_log
 
     # -- queries --
+
+    @property
+    def termination_tick(self) -> Optional[int]:
+        """The tick the program terminated at, its last record's; None
+        while it has not terminated."""
+        return len(self.records) if self.terminated else None
 
     def record(self, tick: int) -> TickRecord:
         """The record of `tick`; records hold ticks 1..n in order."""
@@ -102,11 +104,10 @@ class Trace(Struct, frozen=False):
         collapsed: if the last transition only drained finished control
         (no emission, no value change), termination is attributed to the
         tick before it."""
-        if not self.terminated or self.termination_tick is None:
+        tick = self.termination_tick
+        if tick is None:
             return None
-        if self._quiet(self.termination_tick):
-            return self.termination_tick - 1
-        return self.termination_tick
+        return tick - 1 if self._quiet(tick) else tick
 
     def _quiet(self, tick: int) -> bool:
         rec = self.record(tick)
@@ -162,11 +163,12 @@ def settled_rows(rec: TickRecord) -> list:
 def to_csv(trace: Trace) -> str:
     """One row per settled entity per tick: tick,time,entity,kind,value."""
     lines = ["tick,time,entity,kind,value"]
+    wcrt = trace.wcrt
     for rec in trace.records:
         rows = settled_rows(rec)
         for name in rec.labels:
             rows.append((name, "label", "true"))
-        prefix = f"{rec.tick},{format_rational(rec.time)},"
+        prefix = f"{rec.tick},{format_rational(wcrt * rec.tick)},"
         lines.extend([f"{prefix}{name},{kind},{datum}" for name, kind, datum in sorted(rows)])
     return "\n".join(lines) + "\n"
 
@@ -195,7 +197,7 @@ def to_json(trace: Trace) -> str:
         "ticks": [
             {
                 "tick": rec.tick,
-                "time": format_rational(rec.time),
+                "time": format_rational(trace.wcrt * rec.tick),
                 "statuses": {k: v for k, v in sorted(rec.statuses.items())},
                 "values": {k: _value_to_json(v) for k, v in sorted(rec.values.items())},
                 "conts": {k: format_rational(v) for k, v in sorted(rec.conts.items())},
@@ -208,11 +210,25 @@ def to_json(trace: Trace) -> str:
 
 
 def from_json(text: str) -> Trace:
+    """The trace a `to_json` document holds. Its ticks must run 1..n in
+    order, and each time and the termination tick must be the values they
+    derive from."""
     doc = json.loads(text)
+    wcrt = parse_rational(doc["wcrt"])
+    for expected, entry in enumerate(doc["ticks"], start=1):
+        tick = entry["tick"]
+        if type(tick) is not int or tick != expected:
+            raise TickflowError(
+                f"trace record {expected} is for tick {tick!r}; ticks must run 1..n in order"
+            )
+        if parse_rational(entry["time"]) != wcrt * tick:
+            raise TickflowError(
+                f"trace record {tick} has time {entry['time']!r}; a tick's time is "
+                f"wcrt x tick, {format_rational(wcrt * tick)}"
+            )
     records = [
         TickRecord(
             tick=entry["tick"],
-            time=parse_rational(entry["time"]),
             statuses=dict(entry["statuses"]),
             values={k: _value_from_json(v) for k, v in entry["values"].items()},
             conts={k: parse_rational(v) for k, v in entry["conts"].items()},
@@ -220,18 +236,19 @@ def from_json(text: str) -> Trace:
         )
         for entry in doc["ticks"]
     ]
-    for expected, rec in enumerate(records, start=1):
-        if type(rec.tick) is not int or rec.tick != expected:
-            raise TickflowError(
-                f"trace record {expected} is for tick {rec.tick!r}; ticks must run 1..n in order"
-            )
-    return Trace(
-        wcrt=parse_rational(doc["wcrt"]),
+    trace = Trace(
+        wcrt=wcrt,
         records=records,
         terminated=doc["terminated"],
-        termination_tick=doc["termination_tick"],
         initial_conts={k: parse_rational(v) for k, v in doc["initial"].items()},
     )
+    given = doc["termination_tick"]
+    if given != trace.termination_tick or type(given) is not type(trace.termination_tick):
+        raise TickflowError(
+            f"termination_tick {given!r} disagrees with the trace, which has "
+            f"{len(records)} records and terminated {trace.terminated!r}"
+        )
+    return trace
 
 
 def trace_equal(a: Trace, b: Trace) -> bool:
@@ -240,7 +257,6 @@ def trace_equal(a: Trace, b: Trace) -> bool:
     return (
         a.wcrt == b.wcrt
         and a.terminated == b.terminated
-        and a.termination_tick == b.termination_tick
         and a.initial_conts == b.initial_conts
         and a.records == b.records
     )

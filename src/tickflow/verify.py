@@ -3,20 +3,21 @@
 Programs are deterministic once their inputs are fixed, so the search tree
 branches only on the per-tick input choice. Verdicts are relative to the
 tick bound. States are keyed by `fingerprint`, an exact tuple of the shared
-residue and the store, with declarations numbered by one preorder index of
-the program, built once per program object. The cache maps each key
-to the earliest tick the state was reached at, and a state is expanded
-again only when reached strictly earlier (it then has more ticks left), so
-depth-first order is as sound as breadth-first. Breadth-first order reaches
-states in tick order, so its first witness is a shortest one. A state is
-a value, and no read in a tick sees that tick's inputs, so the expanded
-state's tick runs once, on the first input choice (`TickState.step`), and
-each later choice is latched onto that run (the tick's `latch`); each
-choice's tick is checked for the target. A leaf, a tick that terminated or
-sits at the bound, builds no state and is never keyed. Only a successor
-that is keyed is settled into a state, and only a witness builds a
-`TickRecord`, from which its snapshot is read. A transition is one state
-under one choice, whether the choice ran the tick or was latched onto it.
+residue and the store, each declaration named by its environment slot,
+which the compiler gives it once; the search builds no index of the
+program. The cache maps each key to the earliest tick the state was
+reached at, and a state is expanded again only when reached strictly
+earlier (it then has more ticks left), so depth-first order is as sound
+as breadth-first. Breadth-first order reaches states in tick order, so its
+first witness is a shortest one. A state is a value, and no read in a tick
+sees that tick's inputs, so the expanded state's tick runs once, on the
+first input choice (`TickState.step`), and each later choice is latched
+onto that run (the tick's `latch`); each choice's tick is checked for the
+target. A leaf, a tick that terminated or sits at the bound, builds no
+state and is never keyed. Only a successor that is keyed is settled into
+a state, and only a witness builds a `TickRecord`, from which its snapshot
+is read. A transition is one state under one choice, whether the choice
+ran the tick or was latched onto it.
 """
 
 from __future__ import annotations
@@ -118,36 +119,20 @@ class Unreachable(Struct):
 # --- state keys -----------------------------------------------------------------
 
 
-def fingerprint(state: TickState, index: Optional[dict] = None) -> tuple:
+def fingerprint(state: TickState) -> tuple:
     """Exact key of a settled state: equal keys mean equal states, however
     they were reached. A tuple of the termination flag, the residue (a
     hashable value; see `kernel` on why its equality is exact within one
     program) and the store in registration order, each instance as its
-    declaration's position in `index` (a declaration has at most one live
-    instance), settled status and value. Registration order decides which
-    of two same-named instances settles as `S` and which as `S:2`. A
-    declaration fixes its value's type, so `True` never meets `Fraction(1)`.
-    `index` is the program's `_node_index`, built once per program object;
-    the search passes it in."""
-    if index is None:
-        index = _index(state.program)
+    declaration's slot (a declaration has at most one live instance, and
+    equal programs number their slots alike), settled status and value.
+    Registration order decides which of two same-named instances settles
+    as `S` and which as `S:2`. A declaration fixes its value's type, so
+    `True` never meets `Fraction(1)`."""
     store = tuple([
-        (index[id(inst.decl)], status, value)
-        for inst, (status, value) in state.store.items()
+        (inst.slot, status, value) for inst, (status, value) in state.store.items()
     ])
     return (state.terminated, state.residue, store)
-
-
-def _index(program: Program) -> dict:
-    return program.derived("node index", lambda: _node_index(program))
-
-
-def _node_index(program: Program) -> dict:
-    """id of every statement node -> its preorder position."""
-    index = {}
-    for stmt in program.walk():
-        index[id(stmt)] = len(index)
-    return index
 
 
 # --- the search -----------------------------------------------------------------
@@ -180,7 +165,6 @@ def check_reachable(
     if alphabet is None:
         alphabet = InputAlphabet.closed()
     choices = alphabet.choices()
-    index = _index(program)
     take = deque.popleft if strategy == "bfs" else deque.pop
     earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)
@@ -209,7 +193,7 @@ def check_reachable(
             if tick.residue is None or t >= bound:
                 continue  # a leaf: never expanded, so never settled or keyed
             successor = tick.settle()
-            key = fingerprint(successor, index)
+            key = fingerprint(successor)
             reached = earliest.get(key)
             if reached is not None and reached <= t:
                 continue

@@ -168,6 +168,9 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
         "--param: undefined parameter(s): gamma",
     ),
     (["run", CAROUSEL, "--wcrt", "2", "--ticks", "8.5"], "--ticks: bad integer '8.5'"),
+    # digits are ASCII, with no `_`: `int()` reads both
+    (["run", CAROUSEL, "--wcrt", "2", "--ticks", "1_0"], "--ticks: bad integer '1_0'"),
+    (["run", CAROUSEL, "--wcrt", "2", "--ticks", "\u0663"], "--ticks: bad integer '\u0663'"),
     (
         ["verify", CAROUSEL, "--wcrt", "2", "--bound", "", "--target", "ERROR"],
         "--bound: bad integer ''",
@@ -180,7 +183,8 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
 ], ids=[
     "ticks", "node-limit", "horizon", "horizon-below-tick", "node-limit-reached", "wcrt",
     "wcrt-rational", "param-rational", "param-no-value", "param-no-name", "param-twice",
-    "param-undeclared", "ticks-integer", "bound-integer", "node-limit-integer",
+    "param-undeclared", "ticks-integer", "ticks-underscore", "ticks-arabic-digit",
+    "bound-integer", "node-limit-integer",
 ])
 def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
@@ -315,6 +319,7 @@ def test_schedule_loader_errors(tmp_path):
         '[{"tick": 1, "present": ["A", 5]}]',
         '[{"tick": 1, "values": ["A", "1"]}]',
         '[{"tick": 1, "presnt": ["A"]}]',
+        '[{"tick": 1, "values": {"S": "1_0"}}]',
     ):
         bad.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(bad))):
@@ -325,6 +330,7 @@ def test_schedule_error_names_only_the_schedule(tmp_path, capsys):
     bad = tmp_path / "sched.json"
     for text, message in (
         ('[{"tick": 0}]', "bad tick 0"),
+        ('[{"tick": true, "present": ["FAULT"]}]', "bad tick True"),
         ('[{"tick": 1, "present": ["NOPE"]}]', "tick 1: 'NOPE' is not a declared input"),
         ('[{"tick": 3, "values": {"LEVEL": "1"}}]', "tick 3: 'LEVEL' is not a declared input"),
     ):
@@ -368,6 +374,7 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         '{"GO": {"statuses": ["present", "absent", "present"]}}',
         '{"GO": {"values": ["1", "2", "1"]}}',
         '{"GO": {"values": ["1/2", "0.5"]}}',
+        '{"GO": {"values": ["1e3"]}}',
     ):
         alpha.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
@@ -457,7 +464,9 @@ def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
 
 def test_bad_matrix_entry_exits_2_with_its_line(tmp_path, capsys):
     bad = tmp_path / "m.mat"
-    for entry, reason in (("1/0", "zero denominator in '1/0'"), ("x", "")):
+    for entry, reason in (
+        ("1/0", "zero denominator in '1/0'"), ("x", ""), ("1_0", "not a rational: '1_0'"),
+    ):
         bad.write_text(f"A 2 2\n{entry} 1\n0 1\nC 1 2\n1 0\n")
         assert main(["lti", str(bad)]) == 2, entry
         captured = capsys.readouterr()
@@ -573,7 +582,11 @@ def test_bad_param_rational_exits_2(capsys):
 
 def test_bad_wcrt_rational_exits_2(capsys):
     flow = str(CORPUS / "programs" / "flow_single.hsj")
-    for text in ("abc", "1/0", "2/x"):
+    # the literal grammar of programs: no exponent, `_`, `+`, inner space,
+    # bare point or signed denominator, and ASCII digits only
+    for text in (
+        "abc", "1/0", "2/x", "1_0", "1e3", ".5", "5.", "+3", "1 /2", "1/-2", "\u0662",
+    ):
         assert main(["run", flow, "--wcrt", text]) == 2, text
         assert f"--wcrt: bad rational {text!r}" in capsys.readouterr().err
 

@@ -12,10 +12,20 @@ fault.
 The flags role mutates one flag's value the same two ways, or puts a
 pool token in its place or beside it, and an exit 2 must name that flag:
 a message that starts with it.
+
+The duplicate role repeats, in turn, each item of a seed file that must
+not be given twice: a JSON object's key, an entry of a `present`,
+`statuses` or `values` list, a name of an automaton's `var` line, a
+`location`, `rate` or `init` line, a field of an `edge`, an `init` or a
+`reset`, or a matrix block. Each such file must exit 2 with a message that
+starts with the file, and with its line for an automaton or a matrix.
+Repeats that are legal, such as a second `inv` or `edge` line, are left
+out.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from pathlib import Path
@@ -178,6 +188,121 @@ def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
             assert _VERDICT.search(out), case
         elif code == 2:
             assert err.startswith(named), f"{case}\n{err}"
+
+
+class _Object(list):
+    """A JSON object as its (key, value) pairs, so that a key can repeat."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Object):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def _json_copies(value, key=None):
+    """Copies of a JSON value with one object key, or one entry of a list
+    under `present`, `statuses` or `values`, repeated."""
+    if isinstance(value, _Object):
+        for i, (k, v) in enumerate(value):
+            yield _Object(value[:i + 1] + value[i:])
+            for inner in _json_copies(v, k):
+                yield _Object(value[:i] + [(k, inner)] + value[i + 1:])
+    elif isinstance(value, list):
+        if key in ("present", "statuses", "values"):
+            for i in range(len(value)):
+                yield value[:i + 1] + value[i:]
+        for i, v in enumerate(value):
+            for inner in _json_copies(v):
+                yield value[:i] + [inner] + value[i + 1:]
+
+
+def _json_repeats(text: str) -> list:
+    """(mutant, None) per repeat of the JSON document `text`: a JSON error
+    gives no line."""
+    doc = json.loads(text, object_pairs_hook=_Object)
+    return [(_dump(copy), None) for copy in _json_copies(doc)]
+
+
+def _repeat_each(parts: list, sep: str) -> list:
+    """`parts` joined by `sep`, once per part, with that part given twice."""
+    return [sep.join(parts[:i + 1] + parts[i:]) for i in range(len(parts))]
+
+
+_FIELD = re.compile(r" (?=(?:when|label|reset|delay|priority) )")
+
+
+def _automaton_repeats(text: str) -> list:
+    """(mutant, line of the repeat) per repeat of the automaton `text`."""
+    lines = text.splitlines(keepends=True)
+    out = []
+
+    def put(at: int, new: str, line: int):
+        out.append(("".join(lines[:at] + [new] + lines[at + 1:]), line))
+
+    for at, line in enumerate(lines):
+        words = line.split()
+        head = words[0] if words else ""
+        if head in ("location", "rate", "init"):
+            put(at, line + line, at + 2)  # the second copy is at fault
+        if head == "var":
+            for new in _repeat_each(words[1:], " "):
+                put(at, f"var {new}\n", at + 1)
+        if head == "init":
+            start = f"init {words[1]} "
+            for new in _repeat_each(line.strip()[len(start):].split(", "), ", "):
+                put(at, f"{start}{new}\n", at + 1)
+        if head == "edge":
+            fields = _FIELD.split(line.strip())
+            for new in _repeat_each(fields[1:], " "):
+                put(at, f"{fields[0]} {new}\n", at + 1)
+            for i, field in enumerate(fields):
+                if field.startswith("reset "):
+                    for new in _repeat_each(field[len("reset "):].split(", "), ", "):
+                        edited = fields[:i] + [f"reset {new}"] + fields[i + 1:]
+                        put(at, " ".join(edited) + "\n", at + 1)
+    return out
+
+
+def _matrix_repeats(text: str) -> list:
+    """(mutant, line of the second header) per matrix block given twice.
+    The seed's blocks are a header and their rows, with no blank line."""
+    lines = text.splitlines(keepends=True)
+    out = []
+    for at, line in enumerate(lines):
+        words = line.split()
+        if len(words) == 3 and words[0].isalpha():
+            end = at + 1 + int(words[1])
+            out.append(("".join(lines[:end] + lines[at:end] + lines[end:]), end + 1))
+    return out
+
+
+# role -> the repeats of its seed; the program roles have none
+REPEATS = {
+    "alphabet": _json_repeats, "alphabet-values": _json_repeats, "map": _json_repeats,
+    "schedule": _json_repeats, "schedule-values": _json_repeats,
+    "automaton": _automaton_repeats, "automaton-expr": _automaton_repeats,
+    "matrix": _matrix_repeats,
+}
+
+
+@pytest.mark.parametrize("role", sorted(REPEATS))
+def test_duplicate_item_fails_naming_its_file(role, tmp_path, capsys):
+    seed, argv = ROLES[role]
+    mutated, program = tmp_path / "mutated", tmp_path / "level.hsj"
+    program.write_text(LEVEL)
+    argv = [{FILE: str(mutated), PROGRAM: str(program)}.get(arg, arg) for arg in argv]
+    mutants = REPEATS[role](seed)
+    assert mutants, role
+    for text, line in mutants:
+        mutated.write_text(text)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        case = f"{role} repeat: {text!r}\n{err}"
+        named = f"{mutated}: " if line is None else f"{mutated}:{line}: "
+        assert code == 2 and out == "" and err.startswith(named), case
 
 
 VALUE = "<value>"  # replaced by the mutated value of the flag

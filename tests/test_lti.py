@@ -201,5 +201,7 @@ def test_matrix_file_errors():
         parse_matrix_file("A 1 2\n1\n")  # short row
     with pytest.raises(MatrixError):
         system_from_file("C 1 1\n1\n")  # no A
+    with pytest.raises(MatrixError, match="bad dimensions"):
+        parse_matrix_file("A \u0662 2\n1 0\n0 1\n")  # an Arabic-Indic 2
     with pytest.raises(MatrixError, match="matrix 'A' is defined twice"):
         parse_matrix_file("A 2 2\n1 0\n0 1\nA 1 1\n1\nC 1 1\n1\n")

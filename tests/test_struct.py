@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.kernel import DeclRes, Instance, PauseRes, SeqRes
+from tickflow.kernel import DeclRes, IndexRes, Instance, LeafRes
 from tickflow.struct import Struct, replace
 from tickflow.syntax.nodes import Binary, Emit, NameRef, NumLit, Pause, Seq
 
@@ -29,11 +29,13 @@ def test_nodes_that_differ_only_in_pos_are_equal_and_hash_equal():
 
 def test_residues_that_differ_only_in_node_or_instance_are_equal():
     first, second = Pause((1, 1)), Emit("S", (2, 1))
-    assert PauseRes(first) == PauseRes(second)
-    assert hash(SeqRes(first, 0, PauseRes(first))) == hash(SeqRes(second, 0, PauseRes(second)))
-    assert SeqRes(first, 0, PauseRes(first)) != SeqRes(first, 1, PauseRes(first))
-    a = DeclRes(first, Instance(first), PauseRes(first))
-    b = DeclRes(second, Instance(second), PauseRes(second))
+    assert LeafRes(first, True) == LeafRes(second, True)
+    assert hash(IndexRes(first, 0, LeafRes(first, True))) == hash(
+        IndexRes(second, 0, LeafRes(second, True))
+    )
+    assert IndexRes(first, 0, LeafRes(first, True)) != IndexRes(first, 1, LeafRes(first, True))
+    a = DeclRes(first, Instance(first, 0), LeafRes(first, True))
+    b = DeclRes(second, Instance(second, 1), LeafRes(second, True))
     assert a == b and hash(a) == hash(b)
 
 
@@ -62,7 +64,7 @@ def test_replace_keeps_the_class_and_the_uncompared_fields():
     changed = replace(seq, stmts=(Emit("T", (4, 1)), Pause((5, 1))))
     assert type(changed) is Seq and changed.pos == (2, 1)
     assert changed.stmts[0] == Emit("T") and seq.stmts[0] == Pause()
-    res = DeclRes(seq, Instance(seq), PauseRes(seq))
+    res = DeclRes(seq, Instance(seq, 0), LeafRes(seq, True))
     moved = replace(res, child=None)
     assert type(moved) is DeclRes and moved.node is seq and moved.instance is res.instance
     with pytest.raises(TypeError):
@@ -75,4 +77,4 @@ def test_repr_names_the_class_and_every_field():
         "Binary(op='*', left=NumLit(value=Fraction(1, 2), pos=None), "
         "right=NameRef(name='y', pos=None), pos=None)"
     )
-    assert repr(PauseRes(Pause())) == "PauseRes(node=Pause(pos=None))"
+    assert repr(LeafRes(Pause(), True)) == "LeafRes(node=Pause(pos=None), stop=True)"

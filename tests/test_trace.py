@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -91,6 +92,27 @@ def test_json_rejects_ticks_out_of_order():
         edit(edited["ticks"])
         with pytest.raises(TickflowError, match=bad):
             from_json(json.dumps(edited))
+
+
+def test_json_rejects_a_time_or_termination_tick_it_does_not_derive():
+    # a record's time is wcrt x tick, and the termination tick is the record
+    # count of a terminated trace and null otherwise; a file that says
+    # anything else is refused, never trusted
+    done, cut = _trace(PAIR_FLOW), _trace(PAIR_FLOW, max_ticks=2)
+    assert done.terminated and len(done.records) == 6 and not cut.terminated
+    for trace, edit, bad in (
+        (done, lambda doc: doc["ticks"][0].update(time="7"), "record 1 has time '7'"),
+        (done, lambda doc: doc["ticks"][2].update(time="4"), "record 3 has time '4'"),
+        (done, lambda doc: doc.update(termination_tick=99), "termination_tick 99"),
+        (done, lambda doc: doc.update(termination_tick=None), "termination_tick None"),
+        (done, lambda doc: doc.update(terminated=False), "termination_tick 6"),
+        (cut, lambda doc: doc.update(termination_tick=2), "termination_tick 2"),
+        (cut, lambda doc: doc.update(terminated=True), "termination_tick None"),
+    ):
+        doc = json.loads(to_json(trace))
+        edit(doc)
+        with pytest.raises(TickflowError, match=re.escape(bad)):
+            from_json(json.dumps(doc))
 
 
 def test_record_by_tick():

@@ -10,12 +10,10 @@ from helpers import VALUED_INPUTS, random_search_program, random_valued_program
 from tickflow import kernel, verify
 from tickflow.errors import KernelError, SearchLimitError, TickflowError
 from tickflow.kernel import (
-    FlowRes,
-    IfRes,
+    IndexRes,
     InputAssignment,
+    LeafRes,
     ParRes,
-    PauseRes,
-    SeqRes,
     init,
     run,
 )
@@ -233,17 +231,13 @@ def test_malformed_search_arguments_are_rejected():
 
 def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     program = _program("signal S;\npause; pause; pause; pause; pause")
-    calls = {"index": 0, "key": 0, "settle": 0, "record": 0}
-    real_index, real_key = verify._node_index, verify.fingerprint
+    calls = {"key": 0, "settle": 0, "record": 0}
+    real_key = verify.fingerprint
     real_settle, real_record = kernel._TickCtx.settle, kernel._TickCtx.record
 
-    def counting_index(program):
-        calls["index"] += 1
-        return real_index(program)
-
-    def counting_key(state, index=None):
+    def counting_key(state):
         calls["key"] += 1
-        return real_key(state, index)
+        return real_key(state)
 
     def counting_settle(tick):
         calls["settle"] += 1
@@ -253,7 +247,6 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
         calls["record"] += 1
         return real_record(tick)
 
-    monkeypatch.setattr(verify, "_node_index", counting_index)
     monkeypatch.setattr(verify, "fingerprint", counting_key)
     monkeypatch.setattr(kernel._TickCtx, "settle", counting_settle)
     monkeypatch.setattr(kernel._TickCtx, "record", counting_record)
@@ -261,14 +254,14 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     assert isinstance(verdict, Unreachable) and verdict.states_explored == 3
     # ticks 1 and 2 are expanded; the tick-3 successor is a leaf, stepped
     # and checked but never settled; with no hit nothing is recorded
-    assert calls == {"index": 1, "key": 2, "settle": 2, "record": 0}
+    assert calls == {"key": 2, "settle": 2, "record": 0}
 
     hit = _program("signal S;\npause; pause; emit S; pause")
-    calls.update(index=0, key=0, settle=0, record=0)
+    calls.update(key=0, settle=0, record=0)
     verdict = check_reachable(hit, CFG1, None, bound=3, target="S")
     assert isinstance(verdict, Witness) and verdict.tick == 3
     # the hit is recorded once, for its snapshot, and never settled
-    assert calls == {"index": 1, "key": 2, "settle": 2, "record": 1}
+    assert calls == {"key": 2, "settle": 2, "record": 1}
     assert replay(hit, CFG1, verdict)
 
 
@@ -321,8 +314,8 @@ def test_second_call_compiles_and_walks_nothing(monkeypatch):
 
 def test_equal_programs_keep_their_own_code_and_index():
     # A and B are equal values but distinct trees: the code compiled for A
-    # registers A's nodes, which B's index does not hold, so each must
-    # derive its own
+    # registers A's nodes, so each must derive its own; equal trees number
+    # their declarations' slots alike, so their states' keys agree
     for native in (False, True):
         a, b = (parse(_FAULTS) for _ in range(2))
         if not native:
@@ -334,13 +327,15 @@ def test_equal_programs_keep_their_own_code_and_index():
             bound=6, target="HIT", native_flows=native,
         )
         run(a, CFG1, max_ticks=12, native_flows=native)
+        keys = []
         for program in (b, a):
             verdict = check_reachable(
                 program, CFG1, alphabet, bound=6, target="HIT", native_flows=native
             )
             assert verdict == want, native
             state, _ = init(program, CFG1, native_flows=native).advance()
-            assert fingerprint(state) == fingerprint(state, verify._node_index(program))
+            keys.append(fingerprint(state))
+        assert keys[0] == keys[1], native
 
 
 def test_target_whose_scope_ends_on_its_tick_is_witnessed():
@@ -506,17 +501,15 @@ def test_fingerprint_tracks_control_position():
     assert len(set(prints)) == 3
 
 
-def test_fingerprint_with_a_shared_index_is_the_same_key():
-    program = _program("input int signal LEVEL = 0;\nsignal S;\nloop { emit S; pause }")
-    state, _ = init(program, CFG1).advance(
-        InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(3)})
-    )
-    assert fingerprint(state, verify._node_index(program)) == fingerprint(state)
+def _preorder(program) -> dict:
+    """id of every statement node -> its preorder position."""
+    return {id(stmt): i for i, stmt in enumerate(program.walk())}
 
 
 def _oracle_key(state, index):
-    """An independent state key: each residue by its node's preorder
-    position, so it does not rest on residue equality."""
+    """An independent state key: each residue and each declaration by its
+    node's preorder position in `index`, so it does not rest on residue
+    equality or on the compiler's slots."""
     store = tuple(
         (index[id(inst.decl)], status, value)
         for inst, (status, value) in state.store.items()
@@ -529,17 +522,13 @@ def _res_key(res, index):
         return None
     cls = res.__class__
     node = index[id(res.node)]
-    if cls is PauseRes:
-        return node
-    if cls is SeqRes:
+    if cls is LeafRes:
+        return (node, res.stop)
+    if cls is IndexRes:
         return (node, res.index, _res_key(res.child, index))
-    if cls is IfRes:
-        return (node, res.branch, _res_key(res.child, index))
     if cls is ParRes:
         return (node, tuple([_res_key(c, index) for c in res.children]))
-    if cls is FlowRes:
-        return (node, res.stop)
-    # Suspend, Label and Decl residues: a node and one child
+    # Body and Decl residues: a node and one child
     return (node, _res_key(res.child, index))
 
 
@@ -555,7 +544,7 @@ def test_fingerprint_equality_is_node_position_equality():
         cfg = RewriteConfig(wcrt)
         parsed = parse(source)
         for program, native in ((rewrite_flows(parsed, cfg), False), (parsed, True)):
-            index = verify._node_index(program)
+            index = _preorder(program)
             choices = alphabet_for(program).choices()
             start = init(program, cfg, native_flows=native)
             reached = [start]
@@ -572,7 +561,7 @@ def test_fingerprint_equality_is_node_position_equality():
                             seen.add(key)
                             successors.append(successor)
                 frontier = successors
-            keys = [(fingerprint(state, index), _oracle_key(state, index)) for state in reached]
+            keys = [(fingerprint(state), _oracle_key(state, index)) for state in reached]
             prints = {key for key, _ in keys}
             oracle = {key for _, key in keys}
             assert len(prints) == len(oracle) == len(set(keys)), (native, source)
