@@ -111,7 +111,8 @@ def load_schedule(path: str) -> dict:
 
 def load_alphabet(path: str):
     """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
-    listed input may be present or absent; valued ones pick from `values`.
+    listed input may be present or absent; valued ones pick from `values`,
+    which only an entry that may be present can give.
     Returns a `verify.InputAlphabet`."""
     from . import verify
 
@@ -134,6 +135,11 @@ def load_alphabet(path: str):
             )
         statuses[name] = _distinct(path, f"alphabet entry {name!r}", "statuses", chosen)
         if "values" in spec:
+            if "present" not in chosen:
+                raise ScheduleError(
+                    f"{path}: alphabet entry {name!r}: 'values' given but 'present' "
+                    "is not among its statuses"
+                )
             if not isinstance(spec["values"], list):
                 raise ScheduleError(
                     f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"

@@ -182,12 +182,6 @@ def _value_to_json(value):
     return format_rational(value)
 
 
-def _value_from_json(value):
-    if isinstance(value, bool):
-        return value
-    return parse_rational(value)
-
-
 def to_json(trace: Trace) -> str:
     doc = {
         "wcrt": format_rational(trace.wcrt),
@@ -209,39 +203,94 @@ def to_json(trace: Trace) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """`obj[key]`, which must be there and be of the JSON type `kind`."""
+    if key not in obj:
+        raise TickflowError(f"{where}: {key!r} is missing")
+    value = obj[key]
+    if type(value) is not kind:
+        raise TickflowError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _rational_field(obj: dict, key: str, where: str) -> Fraction:
+    text = _field(obj, key, str, where)
+    try:
+        return parse_rational(text)
+    except ValueError as err:
+        raise TickflowError(f"{where}: {key!r}: {err}") from None
+
+
+def _value_field(obj: dict, key: str, where: str):
+    """A valued signal's value: a boolean, or a rational as a string."""
+    value = obj[key]
+    if type(value) is bool:
+        return value
+    if type(value) is not str:
+        raise TickflowError(f"{where}: {key!r} must be a boolean or a string, got {value!r}")
+    return _rational_field(obj, key, where)
+
+
+def _map_field(obj: dict, key: str, where: str, read) -> dict:
+    """The object `obj[key]`, each of its entries read by `read`."""
+    entries = _field(obj, key, dict, where)
+    return {name: read(entries, name, f"{where} {key}") for name in entries}
+
+
 def from_json(text: str) -> Trace:
-    """The trace a `to_json` document holds. Its ticks must run 1..n in
-    order, and each time and the termination tick must be the values they
-    derive from."""
-    doc = json.loads(text)
-    wcrt = parse_rational(doc["wcrt"])
-    for expected, entry in enumerate(doc["ticks"], start=1):
-        tick = entry["tick"]
+    """The trace a `to_json` document holds. Every field must be there with
+    its JSON type, a terminated trace must hold a record, its ticks must
+    run 1..n in order, and each time and the termination tick must be the
+    values they derive from; anything else is a TickflowError naming the
+    field."""
+    try:
+        doc = json.loads(text)
+    except ValueError as err:
+        raise TickflowError(f"trace is not JSON: {err}") from None
+    if type(doc) is not dict:
+        raise TickflowError(f"trace must be a JSON object, got {doc!r}")
+    wcrt = _rational_field(doc, "wcrt", "trace")
+    terminated = _field(doc, "terminated", bool, "trace")
+    records = []
+    for expected, entry in enumerate(_field(doc, "ticks", list, "trace"), start=1):
+        where = f"trace record {expected}"
+        if type(entry) is not dict:
+            raise TickflowError(f"{where} must be a JSON object, got {entry!r}")
+        tick = entry.get("tick")
         if type(tick) is not int or tick != expected:
             raise TickflowError(
-                f"trace record {expected} is for tick {tick!r}; ticks must run 1..n in order"
+                f"{where} is for tick {tick!r}; ticks must run 1..n in order"
             )
-        if parse_rational(entry["time"]) != wcrt * tick:
+        time = _rational_field(entry, "time", where)
+        if time != wcrt * tick:
             raise TickflowError(
                 f"trace record {tick} has time {entry['time']!r}; a tick's time is "
                 f"wcrt x tick, {format_rational(wcrt * tick)}"
             )
-    records = [
-        TickRecord(
-            tick=entry["tick"],
-            statuses=dict(entry["statuses"]),
-            values={k: _value_from_json(v) for k, v in entry["values"].items()},
-            conts={k: parse_rational(v) for k, v in entry["conts"].items()},
-            labels=tuple(entry["labels"]),
-        )
-        for entry in doc["ticks"]
-    ]
+        labels = _field(entry, "labels", list, where)
+        for label in labels:
+            if type(label) is not str:
+                raise TickflowError(f"{where}: 'labels' must list names, got {label!r}")
+        records.append(TickRecord(
+            tick=tick,
+            statuses=_map_field(entry, "statuses", where, lambda o, k, w: _field(o, k, bool, w)),
+            values=_map_field(entry, "values", where, _value_field),
+            conts=_map_field(entry, "conts", where, _rational_field),
+            labels=tuple(labels),
+        ))
+    if terminated and not records:
+        raise TickflowError("trace: 'terminated' is true, but a terminated trace holds a record")
     trace = Trace(
         wcrt=wcrt,
         records=records,
-        terminated=doc["terminated"],
-        initial_conts={k: parse_rational(v) for k, v in doc["initial"].items()},
+        terminated=terminated,
+        initial_conts=_map_field(doc, "initial", "trace", _rational_field),
     )
+    if "termination_tick" not in doc:
+        raise TickflowError("trace: 'termination_tick' is missing")
     given = doc["termination_tick"]
     if given != trace.termination_tick or type(given) is not type(trace.termination_tick):
         raise TickflowError(

@@ -12,12 +12,17 @@ as breadth-first. Breadth-first order reaches states in tick order, so its
 first witness is a shortest one. A state is a value, and no read in a tick
 sees that tick's inputs, so the expanded state's tick runs once, on the
 first input choice (`TickState.step`), and each later choice is latched
-onto that run (the tick's `latch`); each choice's tick is checked for the
-target. A leaf, a tick that terminated or sits at the bound, builds no
-state and is never keyed. Only a successor that is keyed is settled into
-a state, and only a witness builds a `TickRecord`, from which its snapshot
-is read. A transition is one state under one choice, whether the choice
-ran the tick or was latched onto it.
+onto that run (the tick's `latch`). A choice changes only input
+instances, so the target is read once per tick, on the first choice,
+unless it is an input, which is read under every choice. A leaf, a tick
+that terminated or sits at the bound, builds no state and is never keyed;
+a later choice at a leaf that carries no values, with a target that is
+not an input, is not latched either: the first choice raised the code's
+errors, so it can fail only by naming an undeclared input, and it is
+checked for that and counted. Only a successor that is keyed is settled
+into a state, and only a witness builds a `TickRecord`, from which its
+snapshot is read. A transition is one state under one choice, whether the
+choice ran the tick, was latched onto it or was only counted.
 """
 
 from __future__ import annotations
@@ -168,6 +173,9 @@ def check_reachable(
     take = deque.popleft if strategy == "bfs" else deque.pop
     earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)
+    # a choice changes only input instances, so a target that names no
+    # input settles alike under every choice of one tick
+    per_choice = target in start.input_names
     frontier = deque([(start, ())] if bound > 0 else [])
     explored = 0
     while frontier:
@@ -179,19 +187,30 @@ def check_reachable(
                 raise SearchLimitError(
                     f"reachability search exceeded {node_limit} transitions"
                 )
-            # the state's tick runs once, on the first choice; each later
-            # choice is latched onto that run
-            tick = state.step(assignment) if tick is None else tick.latch(assignment)
-            if tick.settles_present(target):
+            if tick is None:
+                # the state's tick runs once, on the first choice; each
+                # later choice is latched onto that run
+                tick = state.step(assignment)
+                t = tick.t
+                leaf = tick.residue is None or t >= bound
+                hit = tick.settles_present(target)
+            elif leaf and not per_choice and not assignment.values:
+                # the first choice raised the code's errors, so a choice
+                # with no values can raise only for a name it gives
+                state._validate_inputs(assignment, t)
+                continue
+            else:
+                tick = tick.latch(assignment)
+                hit = per_choice and tick.settles_present(target)
+            if hit:
                 _, record = tick.record()
                 return Witness(
                     schedule=prefix + (assignment,),
                     tick=record.tick,
                     snapshot=_snapshot_rows(record),
                 )
-            t = tick.t
-            if tick.residue is None or t >= bound:
-                continue  # a leaf: never expanded, so never settled or keyed
+            if leaf:
+                continue  # never expanded, so never settled or keyed
             successor = tick.settle()
             key = fingerprint(successor)
             reached = earliest.get(key)

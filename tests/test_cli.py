@@ -375,6 +375,7 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         '{"GO": {"values": ["1", "2", "1"]}}',
         '{"GO": {"values": ["1/2", "0.5"]}}',
         '{"GO": {"values": ["1e3"]}}',
+        '{"GO": {"statuses": ["absent"], "values": ["5"]}}',
     ):
         alpha.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
@@ -386,6 +387,12 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{alpha}: ") and str(prog) not in err
+    alpha.write_text('{"LEVEL": {"statuses": ["absent"], "values": ["5"]}}')
+    with pytest.raises(ScheduleError) as err:
+        load_alphabet(str(alpha))
+    assert str(err.value) == (
+        f"{alpha}: alphabet entry 'LEVEL': 'values' given but 'present' is not among its statuses"
+    )
     alpha.write_text('{"NOPE": {}}')
     code = main([
         "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",

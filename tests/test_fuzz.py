@@ -13,6 +13,9 @@ The flags role mutates one flag's value the same two ways, or puts a
 pool token in its place or beside it, and an exit 2 must name that flag:
 a message that starts with it.
 
+The environment variable TICKFLOW_FUZZ_SCALE multiplies the mutants of
+each file role (see `_fuzz_scale`).
+
 The duplicate role repeats, in turn, each item of a seed file that must
 not be given twice: a JSON object's key, an entry of a `present`,
 `statuses` or `values` list, a name of an automaton's `var` line, a
@@ -26,6 +29,7 @@ out.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -117,7 +121,19 @@ SEEDS = {
     "program-verify": 5, "schedule": 6, "alphabet-values": 7, "schedule-values": 8,
     "automaton-expr": 9,
 }
-MUTATIONS = 40  # per role and level
+
+
+def _fuzz_scale() -> int:
+    """TICKFLOW_FUZZ_SCALE, a positive integer, 1 if unset: it multiplies
+    the mutants per role. Each role's mutants come from one seeded stream,
+    so a larger scale runs the default mutants first and then more."""
+    text = os.environ.get("TICKFLOW_FUZZ_SCALE", "1")
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise pytest.UsageError(f"TICKFLOW_FUZZ_SCALE must be a positive integer, got {text!r}")
+    return int(text)
+
+
+MUTATIONS = 40 * _fuzz_scale()  # per role and level
 
 _TOKEN = re.compile(r"\w+|\s+|.", re.S)
 _POOL = (

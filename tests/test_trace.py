@@ -74,8 +74,9 @@ def test_json_roundtrip_preserves_exact_rationals():
 
 
 def test_json_roundtrip_empty():
-    trace = _trace(SINGLE_FLOW)
-    trace.records = []
+    # a run cut before its first tick: a terminated trace holds a record
+    trace = _trace(SINGLE_FLOW, max_ticks=0)
+    assert not trace.terminated and trace.records == []
     assert trace_equal(from_json(to_json(trace)), trace)
 
 
@@ -113,6 +114,53 @@ def test_json_rejects_a_time_or_termination_tick_it_does_not_derive():
         edit(doc)
         with pytest.raises(TickflowError, match=re.escape(bad)):
             from_json(json.dumps(doc))
+
+
+# a record with a status, a value, a continuous variable and a label
+LABELLED = "int signal V = 0; signal S; cont a = 0;\nemit S; ?V = 2; a = 1/2; L: pause"
+
+
+def _edit_ticks(doc, field, key, value):
+    doc["ticks"][0][field][key] = value
+
+
+@pytest.mark.parametrize("edit, bad", [
+    (lambda doc: doc.update(terminated="no"), "trace: 'terminated' must be a boolean, got 'no'"),
+    (lambda doc: doc.update(ticks=[]), "'terminated' is true, but a terminated trace holds a record"),
+    (lambda doc: doc.clear(), "trace: 'wcrt' is missing"),
+    (lambda doc: doc.pop("termination_tick"), "trace: 'termination_tick' is missing"),
+    (lambda doc: doc.update(wcrt=2), "trace: 'wcrt' must be a string, got 2"),
+    (lambda doc: doc.update(wcrt="2.x"), "trace: 'wcrt': not a rational: '2.x'"),
+    (lambda doc: doc["ticks"].append(3), "trace record 3 must be a JSON object, got 3"),
+    (lambda doc: _edit_ticks(doc, "statuses", "S", "yes"),
+     "trace record 1 statuses: 'S' must be a boolean, got 'yes'"),
+    (lambda doc: doc["ticks"][0].update(labels=[3]),
+     "trace record 1: 'labels' must list names, got 3"),
+    (lambda doc: _edit_ticks(doc, "values", "V", 3),
+     "trace record 1 values: 'V' must be a boolean or a string, got 3"),
+    (lambda doc: _edit_ticks(doc, "conts", "a", None),
+     "trace record 1 conts: 'a' must be a string, got None"),
+    (lambda doc: doc["ticks"][0].pop("time"), "trace record 1: 'time' is missing"),
+    (lambda doc: doc.update(initial=[]), "trace: 'initial' must be an object, got []"),
+], ids=[
+    "terminated-string", "terminated-no-record", "empty", "no-termination-tick",
+    "wcrt-number", "wcrt-text", "record-number", "status-string", "label-number",
+    "value-number", "cont-null", "no-time", "initial-list",
+])
+def test_json_rejects_a_malformed_field_naming_it(edit, bad):
+    trace = _trace(LABELLED)
+    assert trace.terminated and len(trace.records) == 2
+    assert trace.records[0].labels == ("L",) and trace.records[0].values == {"V": 2}
+    doc = json.loads(to_json(trace))
+    edit(doc)
+    with pytest.raises(TickflowError, match=re.escape(bad)):
+        from_json(json.dumps(doc))
+
+
+def test_json_that_is_no_object_is_refused():
+    for text in ("[]", "{", "3"):
+        with pytest.raises(TickflowError, match="trace"):
+            from_json(text)
 
 
 def test_record_by_tick():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import CORPUS
 from helpers import VALUED_INPUTS, random_search_program, random_valued_program
 from tickflow import kernel, verify
 from tickflow.errors import KernelError, SearchLimitError, TickflowError
@@ -390,6 +391,86 @@ TWO_FAULTS = [
         F(1), "'L' written 2 times in one tick with no combine operator",
     ),
 ]
+
+
+def test_leaf_choice_with_an_undeclared_name_raises_at_its_tick():
+    # at bound 1 every choice is a leaf; the second names an input the
+    # program does not declare and carries no value
+    program = _program("input signal GO; signal HIT;\nloop { pause }")
+    alphabet = InputAlphabet.make({"GO": ("absent", "present"), "NOPE": ("absent", "present")})
+    with pytest.raises(KernelError) as err:
+        check_reachable(program, CFG1, alphabet, bound=1, target="HIT")
+    assert (err.value.tick, err.value.message) == (1, "'NOPE' is not a declared input")
+
+
+def test_leaf_choice_with_a_value_its_input_cannot_hold_raises_at_its_tick():
+    # L is registered on tick 2, so tick 1 checks no value of it; tick 2
+    # sits at the bound, and its second choice gives L a value its `int`
+    # declaration cannot hold
+    program = _program("signal HIT;\npause;\n{ input int signal L = 0; pause }")
+    alphabet = InputAlphabet.make({"L": ("absent", "present")}, {"L": (F(1, 2),)})
+    with pytest.raises(KernelError) as err:
+        check_reachable(program, CFG1, alphabet, bound=2, target="HIT")
+    assert (err.value.tick, err.value.message) == (2, "'L' holds an integer value")
+
+
+def test_input_target_is_read_under_each_choice():
+    # the target is an input, so the choice decides whether it is present
+    cfg, bound = RewriteConfig(F(2)), 3
+    program = rewrite_flows(parse((CORPUS / "programs" / "faulty_reset.hsj").read_text()), cfg)
+    alphabet = alphabet_for(program)
+    earliest = None
+    for schedule in itertools.product(alphabet.choices(), repeat=bound):
+        trace = run(program, cfg, schedule=list(schedule), max_ticks=bound)
+        ticks = [r.tick for r in trace.records if r.statuses["FAULT"]]
+        if ticks and (earliest is None or ticks[0] < earliest):
+            earliest = ticks[0]
+    assert earliest == 1
+    for strategy in ("bfs", "dfs"):
+        verdict = check_reachable(
+            program, cfg, alphabet, bound=bound, target="FAULT", strategy=strategy
+        )
+        assert isinstance(verdict, Witness), strategy
+        assert verdict.tick == earliest
+        assert verdict.schedule == (InputAssignment.make(present=["FAULT"]),)
+        assert replay(program, cfg, verdict)
+
+
+# the benchmark's bound-3 `fault_search` program on seed 1: three free
+# faults, each resetting its own flow, and an alarm no schedule reaches
+_FAULT_SEARCH = (
+    "input signal F0; cont z0 = 0; input signal F1; cont z1 = 0;\n"
+    "input signal F2; cont z2 = 0; signal ALARM;\n"
+    "{ loop { abort (F0) { do {z0' = 3} until (z0 <= 36/5) }; z0 = 0; pause } }\n"
+    "|| { loop { abort (F1) { do {z1' = 1/2} until (z1 <= 37/20) }; z1 = 0; pause } }\n"
+    "|| { loop { abort (F2) { do {z2' = 2} until (z2 <= 43/5) }; z2 = 0; pause } }\n"
+    "|| { loop { if (z0 >= 12 || z1 >= 2 || z2 >= 8) emit ALARM; pause } }"
+)
+
+
+def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypatch):
+    program = _program(_FAULT_SEARCH)
+    calls = {"step": 0, "latched": 0, "settles_present": 0, "settle": 0}
+
+    def counting(cls, name, key):
+        real = getattr(cls, name)
+
+        def count(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, count)
+
+    counting(kernel.TickState, "step", "step")
+    counting(kernel._Latched, "__init__", "latched")
+    counting(kernel._Tick, "settles_present", "settles_present")
+    counting(kernel._Tick, "settle", "settle")
+    verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
+    assert verdict == Unreachable(bound=3, states_explored=584)
+    # 73 expanded states, 8 choices each: the target is read once per tick,
+    # and of the 511 later choices only the 63 of interior ticks are
+    # latched; the 448 of leaf ticks carry no value and are only counted
+    assert calls == {"step": 73, "latched": 63, "settles_present": 73, "settle": 72}
 
 
 @pytest.mark.parametrize("source, value, message", TWO_FAULTS, ids=("value", "double-write"))
