@@ -373,8 +373,8 @@ def _run(args) -> int:
 
 def _exporter(out, svg_vars):
     """The trace exporter that `--out`'s extension selects, checked before
-    anything runs. An `--svg-vars` entity the trace lacks is found once the
-    trace is built, and is blamed on the flag too."""
+    anything runs. An `--svg-vars` entity the trace lacks, or one given
+    twice, is found once the trace is built, and is blamed on the flag too."""
     from . import trace
 
     if out is None or out.endswith(".csv"):

@@ -5,14 +5,21 @@ live signal, the settled value of every valued signal and continuous
 variable, and the names of labels holding a paused control point. A
 record's time, `wcrt × tick`, and a trace's termination tick, its record
 count once it has terminated, are derived where they are read, never
-stored. Rationals are never converted to floating point in any export;
-CSV, JSON and SVG output is byte-deterministic for equal traces.
+stored; the time is printed from the integers of `wcrt` (`_time`).
+Rationals are never converted to floating point in any export; CSV, JSON
+and SVG output is byte-deterministic for equal traces.
+
+The CSV export does once per export what each tick would repeat: a plan
+of each record shape's rows in printed order, built the first time the
+shape is met, and each rational's text, memoised by the identity of the
+value object (the trace keeps every value alive while it is exported).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import TickflowError
@@ -151,25 +158,80 @@ def _datum(value) -> str:
     return format_rational(value)
 
 
+def _time(wcrt: Fraction, tick: int) -> str:
+    """`wcrt × tick` printed as `format_rational` prints it, from integers:
+    `p*tick / q` reduced by one gcd."""
+    p, q = wcrt.numerator, wcrt.denominator
+    num = p * tick
+    g = gcd(num, q)
+    return str(num // g) if g == q else f"{num // g}/{q // g}"
+
+
+# The kind of each row, by the index of the table its datum is read from: a
+# record's (statuses, values, conts), and in a row plan its labels.
+_KINDS = ("status", "value", "cont", "label")
+
+
+def _settled(rec: TickRecord) -> list:
+    """(table, entity, kind) for every settled status, signal value and
+    continuous variable of a record, unsorted; `table` indexes
+    `(rec.statuses, rec.values, rec.conts)`."""
+    tables = (rec.statuses, rec.values, rec.conts)
+    return [(index, name, _KINDS[index]) for index, table in enumerate(tables) for name in table]
+
+
 def settled_rows(rec: TickRecord) -> list:
     """(entity, kind, printed datum) for every settled status, signal value
     and continuous variable of a record, unsorted."""
-    rows = [(name, "status", _datum(status)) for name, status in rec.statuses.items()]
-    rows += [(name, "value", _datum(value)) for name, value in rec.values.items()]
-    rows += [(name, "cont", _datum(value)) for name, value in rec.conts.items()]
-    return rows
+    tables = (rec.statuses, rec.values, rec.conts)
+    return [(name, kind, _datum(tables[index][name])) for index, name, kind in _settled(rec)]
+
+
+def _row_plan(rec: TickRecord) -> list:
+    """(table, entity, "entity,kind,") for each CSV row of a record, in
+    printed order: by entity, then kind. A record holds one row per
+    (entity, kind), but for a label held twice, whose rows print alike, so
+    the datum never decides the order. A label's row reads table 3, which
+    maps each of the record's labels to True."""
+    rows = [(name, kind, index) for index, name, kind in _settled(rec)]
+    rows += [(name, "label", 3) for name in rec.labels]
+    rows.sort()
+    return [(index, name, f"{name},{kind},") for name, kind, index in rows]
 
 
 def to_csv(trace: Trace) -> str:
-    """One row per settled entity per tick: tick,time,entity,kind,value."""
+    """One row per settled entity per tick: tick,time,entity,kind,value,
+    each tick's rows sorted by entity, then kind.
+
+    The work a tick would repeat is done once per export:
+    - the row order is planned once per record shape, the keys of its
+      tables in order and its labels (`_row_plan`), and reused by every
+      record of that shape;
+    - each datum is printed once, memoised by the identity of its object,
+      which the trace keeps alive for the call; `True` and `False` are
+      seeded as `true` and `false`, so a boolean never shares an entry with
+      an equal rational;
+    - the time `wcrt × tick` is printed from integers (`_time`)."""
     lines = ["tick,time,entity,kind,value"]
+    append = lines.append
+    printed = {id(True): "true", id(False): "false"}
     wcrt = trace.wcrt
+    plans = {}
     for rec in trace.records:
-        rows = settled_rows(rec)
-        for name in rec.labels:
-            rows.append((name, "label", "true"))
-        prefix = f"{rec.tick},{format_rational(wcrt * rec.tick)},"
-        lines.extend([f"{prefix}{name},{kind},{datum}" for name, kind, datum in sorted(rows)])
+        statuses, values, conts, labels = rec.statuses, rec.values, rec.conts, rec.labels
+        shape = (tuple(statuses), tuple(values), tuple(conts), labels)
+        entry = plans.get(shape)
+        if entry is None:
+            entry = plans[shape] = (_row_plan(rec), dict.fromkeys(labels, True))
+        plan, marks = entry
+        tables = (statuses, values, conts, marks)
+        prefix = f"{rec.tick},{_time(wcrt, rec.tick)},"
+        for index, name, head in plan:
+            value = tables[index][name]
+            text = printed.get(id(value))
+            if text is None:
+                text = printed[id(value)] = format_rational(value)
+            append(f"{prefix}{head}{text}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +253,7 @@ def to_json(trace: Trace) -> str:
         "ticks": [
             {
                 "tick": rec.tick,
-                "time": format_rational(trace.wcrt * rec.tick),
+                "time": _time(trace.wcrt, rec.tick),
                 "statuses": {k: v for k, v in sorted(rec.statuses.items())},
                 "values": {k: _value_to_json(v) for k, v in sorted(rec.values.items())},
                 "conts": {k: format_rational(v) for k, v in sorted(rec.conts.items())},
@@ -268,7 +330,7 @@ def from_json(text: str) -> Trace:
         if time != wcrt * tick:
             raise TickflowError(
                 f"trace record {tick} has time {entry['time']!r}; a tick's time is "
-                f"wcrt x tick, {format_rational(wcrt * tick)}"
+                f"wcrt x tick, {_time(wcrt, tick)}"
             )
         labels = _field(entry, "labels", list, where)
         for label in labels:
@@ -321,14 +383,18 @@ _TOP = 24
 
 
 def to_svg_timing(trace: Trace, vars: list) -> str:
-    """Step-plot timing diagram, one lane per entity. Boolean entities draw
-    as low/high pulses; numeric entities as a step line with value labels."""
+    """Step-plot timing diagram, one lane per entity, each named once.
+    Boolean entities draw as low/high pulses; numeric entities as a step
+    line with value labels."""
     if not vars:
         raise TickflowError("no entities selected for the timing diagram")
     known = set(trace.entities())
-    for name in vars:
+    for row, name in enumerate(vars):
         if name not in known:
             raise TickflowError(f"unknown entity {name!r}")
+        if name in vars[:row]:
+            # each lane's group is identified by its entity
+            raise TickflowError(f"{name!r} given twice")
     ticks = [rec.tick for rec in trace.records]
     last = ticks[-1] if ticks else 0
     width = _LEFT + _TICK_W * (last + 1) + 20

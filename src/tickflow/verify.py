@@ -9,13 +9,16 @@ program. The cache maps each key to the earliest tick the state was
 reached at, and a state is expanded again only when reached strictly
 earlier (it then has more ticks left), so depth-first order is as sound
 as breadth-first. Breadth-first order reaches states in tick order, so its
-first witness is a shortest one. A state is a value, and no read in a tick
-sees that tick's inputs, so the expanded state's tick runs once, on the
-first input choice (`TickState.step`), and each later choice is latched
-onto that run (the tick's `latch`). A choice changes only input
-instances, so the target is read once per tick, on the first choice,
-unless it is an input, which is read under every choice. A leaf, a tick
-that terminated or sits at the bound, builds no state and is never keyed;
+first witness is a shortest one among the alphabet's choices: a schedule
+can give a valued input a value while it is absent, which no alphabet
+choice does (`InputAlphabet.choices`), and so reach a target sooner. A
+state is a value, and no read in a tick sees that tick's inputs, so the
+expanded state's tick runs once, on the first input choice
+(`TickState.step`), and each later choice is latched onto that run (the
+tick's `latch`). A choice changes only input instances, so the target is
+read once per tick, on the first choice, unless it is an input, which is
+read under every choice. A leaf, a tick that terminated or sits at the
+bound, builds no state and is never keyed;
 a later choice at a leaf that carries no values, with a target that is
 not an input, is not latched either: the first choice raised the code's
 errors, so it can fail only by naming an undeclared input, and it is
@@ -62,7 +65,10 @@ class InputAlphabet(Struct):
     def choices(self) -> list:
         """Every admissible InputAssignment for one tick, in a canonical
         order: the first input varies slowest, each through its statuses in
-        the order given (all-absent first)."""
+        the order given (all-absent first). A valued input carries a value
+        only when present; a schedule may also give it a value while it is
+        absent, which no choice here does, so a shortest witness is
+        shortest among these choices only."""
         value_map = dict(self.values)
         per_input = []
         for name, statuses in self.statuses:

@@ -218,6 +218,17 @@ def test_unknown_svg_entity_names_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_svg_entity_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "trace.svg"
+    code = main([
+        "run", str(CORPUS / "programs" / "faulty_reset.hsj"), "--wcrt", "2",
+        "--out", str(out), "--svg-vars", "a,a",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "--svg-vars: 'a' given twice\n"
+    assert not out.exists()
+
+
 def test_valued_witness_replays_from_its_output(tmp_path, capsys):
     from tickflow.kernel import InputAssignment
     from tickflow.params import bind_params

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from helpers import random_program
 from tickflow.errors import TickflowError
 from tickflow.kernel import run
+from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.trace import from_json, to_csv, to_json, to_svg_timing, trace_equal
+from tickflow.trace import (
+    TickRecord, Trace, from_json, to_csv, to_json, to_svg_timing, trace_equal,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +64,72 @@ def test_csv_rationals_never_floats():
     text = to_csv(trace)
     assert "0.3" not in text
     assert "1/3" in text
+
+
+def _sorted_rows_csv(trace) -> str:
+    """The CSV export as a sort of each tick's (entity, kind, datum) rows,
+    with the time a `Fraction` product: the reference `to_csv` must match."""
+
+    def datum(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_rational(value)
+
+    lines = ["tick,time,entity,kind,value"]
+    for rec in trace.records:
+        rows = [(name, "status", datum(v)) for name, v in rec.statuses.items()]
+        rows += [(name, "value", datum(v)) for name, v in rec.values.items()]
+        rows += [(name, "cont", datum(v)) for name, v in rec.conts.items()]
+        rows += [(name, "label", "true") for name in rec.labels]
+        prefix = f"{rec.tick},{format_rational(trace.wcrt * rec.tick)},"
+        lines += [prefix + ",".join(row) for row in sorted(rows)]
+    return "\n".join(lines) + "\n"
+
+
+# Each tick changes the record's shape: `L` and a second `A` label come and
+# go, `__stop1` is registered and ended, `S:2` and `S:3` name later
+# instances of `S`. `B` holds `true` and `N` holds 1 on every tick, and the
+# wcrt of 2/3 prints times as p/q that reduce on every third tick.
+SHAPE_CHANGING = (
+    "boolean signal B; int signal N; cont a = 0;\n"
+    "{ loop { signal S; emit S; ?B = true; ?N = 1; A: pause } ||\n"
+    "  loop { do {a' = 1} until (a <= 2); L: pause; a = 0; signal S; emit S; A: pause } }"
+)
+
+
+def _hand_built_trace():
+    # `U` and `V` share one Fraction object; `x` holds an equal, distinct one
+    shared = F(1, 3)
+    return Trace(F(3, 4), [
+        TickRecord(1, {"P": True, "U": False, "V": False},
+                   {"U": shared, "V": shared}, {"x": F(1, 3)}, ()),
+        TickRecord(2, {"P": False, "U": True, "V": False},
+                   {"U": F(0), "V": shared}, {"x": shared}, ("K",)),
+        TickRecord(3, {"V": True, "P": False, "U": False},
+                   {"V": True, "U": F(1)}, {"x": F(0)}, ("K", "K")),
+    ], True)
+
+
+def _differential_traces():
+    traces = {"shape-changing": _trace(SHAPE_CHANGING, wcrt=F(2, 3), max_ticks=12)}
+    traces["hand-built"] = _hand_built_trace()
+    for seed in range(40):
+        source, wcrt, schedule = random_program(random.Random(seed))
+        traces[f"random-{seed}"] = _trace(source, wcrt=wcrt, schedule=schedule, max_ticks=40)
+    traces["empty"] = Trace(F(2), [], False)
+    return traces
+
+
+@pytest.mark.parametrize(
+    "trace", [pytest.param(trace, id=name) for name, trace in _differential_traces().items()]
+)
+def test_csv_matches_a_per_tick_sort_of_its_rows(trace):
+    expected = _sorted_rows_csv(trace)
+    assert to_csv(trace) == expected
+    # read back, each record's tables come in sorted key order
+    back = from_json(to_json(trace))
+    assert _sorted_rows_csv(back) == expected
+    assert to_csv(back) == expected
 
 
 def test_json_roundtrip_single():
@@ -208,6 +279,12 @@ def test_svg_empty_vars_error():
 def test_svg_unknown_entity_error():
     with pytest.raises(TickflowError):
         to_svg_timing(_trace(SINGLE_FLOW), ["nope"])
+
+
+def test_svg_repeated_entity_error():
+    # a repeated entity would give two lanes the same `lane-a` id
+    with pytest.raises(TickflowError, match="^'a' given twice$"):
+        to_svg_timing(_trace(SINGLE_FLOW), ["a", "a"])
 
 
 def test_stepping_lane_values():
