@@ -28,7 +28,7 @@ from .errors import (
     SearchLimitError,
     TickflowError,
 )
-from .rational import format_rational, parse_int, parse_rational
+from .rational import format_rational, format_value, parse_int, parse_rational
 
 # Each subcommand imports the modules it runs when it runs (`json` too, for
 # the input files), so `check` and `desugar` never load the kernel, `lti`
@@ -71,19 +71,24 @@ def _load_json(path: str, what: str, shape: type):
     return doc
 
 
-def _rational(path: str, text) -> Fraction:
-    if isinstance(text, str):
+def _value(path: str, datum):
+    """A value a file gives an input: a JSON boolean as itself, for a
+    boolean input, or a rational written as a string."""
+    if datum.__class__ is bool:
+        return datum
+    if isinstance(datum, str):
         try:
-            return parse_rational(text)
+            return parse_rational(datum)
         except ValueError:
             pass
-    raise ScheduleError(f"{path}: bad rational {text!r}")
+    raise ScheduleError(f"{path}: bad rational {datum!r}")
 
 
 def load_schedule(path: str) -> dict:
     """JSON array of per-tick input objects:
-    [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2"}}, ...].
-    Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
+    [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2", "B": true}}, ...];
+    a value is a rational as a string, or a JSON boolean for a boolean
+    input. Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
     from . import kernel
 
     doc = _load_json(path, "schedule", list)
@@ -102,7 +107,7 @@ def load_schedule(path: str) -> dict:
         texts = entry.get("values", {})
         if not isinstance(texts, dict):
             raise ScheduleError(f"{path}: tick {tick}: 'values' must be a JSON object")
-        values = {name: _rational(path, text) for name, text in texts.items()}
+        values = {name: _value(path, text) for name, text in texts.items()}
         if tick in schedule:
             raise ScheduleError(f"{path}: duplicate tick {tick}")
         schedule[tick] = kernel.InputAssignment.make(present=present, values=values)
@@ -111,8 +116,9 @@ def load_schedule(path: str) -> dict:
 
 def load_alphabet(path: str):
     """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
-    listed input may be present or absent; valued ones pick from `values`,
-    which only an entry that may be present can give.
+    listed input may be present or absent; valued ones pick from `values`
+    (JSON booleans for a boolean input), which only an entry that may be
+    present can give.
     Returns a `verify.InputAlphabet`."""
     from . import verify
 
@@ -144,7 +150,7 @@ def load_alphabet(path: str):
                 raise ScheduleError(
                     f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"
                 )
-            picked = [_rational(path, v) for v in spec["values"]]
+            picked = [_value(path, v) for v in spec["values"]]
             values[name] = _distinct(path, f"alphabet entry {name!r}", "values", picked)
     return verify.InputAlphabet.make(statuses, values)
 
@@ -152,8 +158,9 @@ def load_alphabet(path: str):
 def _distinct(path: str, where: str, key: str, items: list) -> tuple:
     """`items`, the list under `key` at `where` in the file, as a tuple. A
     repeat is an error, never merged: in an alphabet it would make the
-    search advance the same choice twice."""
-    if len(set(items)) < len(items):
+    search advance the same choice twice. `true` and `1` are two entries:
+    only one of them fits the input."""
+    if len({(item.__class__, item) for item in items}) < len(items):
         raise ScheduleError(f"{path}: {where}: {key!r} repeats an entry")
     return tuple(items)
 
@@ -184,7 +191,7 @@ def _require_values(path: str, where: str, values, program) -> None:
                     errors.append(err.message)
         else:
             raise ScheduleError(
-                f"{path}: {where}value {format_rational(value)}: {errors[0]}"
+                f"{path}: {where}value {format_value(value)}: {errors[0]}"
             )
 
 
@@ -252,7 +259,7 @@ def _wcrt(text: str) -> Fraction:
 # The flag that supplies each library parameter an `ArgumentError` names.
 _FLAGS = {
     "max_ticks": "--ticks", "bound": "--bound", "node_limit": "--node-limit",
-    "horizon": "--horizon",
+    "horizon": "--horizon", "target": "--target",
 }
 
 
@@ -288,7 +295,10 @@ def main(argv=None) -> int:
     p_verify.add_argument("--wcrt", required=True)
     p_verify.add_argument("--bound", required=True)
     p_verify.add_argument("--target", required=True)
-    p_verify.add_argument("--alphabet", help="JSON input alphabet")
+    p_verify.add_argument(
+        "--alphabet",
+        help="JSON input alphabet; without it every input stays absent at every tick",
+    )
     p_verify.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs")
     p_verify.add_argument("--node-limit", default="200000")
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
@@ -428,7 +438,7 @@ def _verify(args) -> int:
             if not assignment.is_empty():
                 values = assignment.value_map()
                 present = ",".join(
-                    f"{name}={format_rational(values[name])}" if name in values else name
+                    f"{name}={format_value(values[name])}" if name in values else name
                     for name in sorted(assignment.present)
                 )
                 print(f"  tick {i}: present [{present}]")

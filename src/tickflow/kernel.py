@@ -102,10 +102,11 @@ Identical (program, config, schedule) triples produce identical traces.
 less can take apart. `step` runs the tick, folds each instance's writes
 once and latches its inputs; `record` names the folded writes in a
 `TickRecord` and builds the next state in the same pass over the
-instances, and returns both. `settle` builds the next state alone. The
-search steps each state it expands on its first choice, latches every
-other choice onto that tick (`latch`), reads the one status it checks,
-settles only a state it keys and records only a witness.
+instances, and returns both. `settle` returns the next state and its
+key, the tuple `verify.fingerprint` gives it, both built in one pass.
+The search steps each state it expands on its first choice, latches
+every other choice onto that tick (`latch`), reads the one status it
+checks, settles only a state it keys and records only a witness.
 """
 
 from __future__ import annotations
@@ -338,11 +339,11 @@ class TickState:
 
     def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_Tick":
         """Run one tick and fold its writes, but build neither the next
-        state nor the record: the returned tick's `settle` builds the state,
-        and its `record` the state and the record, from what it folded. The
-        code runs once, whatever the inputs; `inputs` are latched onto the
-        tick after it (`_TickCtx.latch`), and the tick's `latch` latches any
-        other choice onto the same run."""
+        state nor the record: the returned tick's `settle` builds the state
+        and its key, and its `record` the state and the record, from what it
+        folded. The code runs once, whatever the inputs; `inputs` are
+        latched onto the tick after it (`_TickCtx.latch`), and the tick's
+        `latch` latches any other choice onto the same run."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         run, resume, slots = self.code
@@ -390,16 +391,23 @@ class _Tick:
         "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels", "fresh",
     )
 
-    def settle(self) -> TickState:
-        """The next state. Its store holds every instance whose scope did
-        not end this tick, in registration order, with its settled status
-        and value."""
+    def settle(self) -> tuple:
+        """The next state and its key, `verify.fingerprint` of it. Its
+        store holds every instance whose scope did not end this tick, in
+        registration order, with its settled status and value; the same
+        pass lays each out in the key as its slot, status and value."""
         folded, emitted, ended = self.folded, self.emitted, self.ended
-        return self.state._after(self, {
-            inst: (inst in emitted, folded.get(inst, value))
-            for inst, (_, value) in self.prev.items()
-            if inst not in ended
-        })
+        store, flat = {}, []
+        for inst, (_, value) in self.prev.items():
+            if inst in ended:
+                continue
+            present = inst in emitted
+            if inst in folded:
+                value = folded[inst]
+            store[inst] = (present, value)
+            flat += (inst.slot, present, value)
+        residue = self.residue
+        return self.state._after(self, store), (residue is None, residue, tuple(flat))
 
     def record(self) -> tuple:
         """The next state and the tick's record. The record names every

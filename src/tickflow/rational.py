@@ -64,3 +64,11 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_value(value) -> str:
+    """Render a signal's value: `true` or `false` for a boolean, else as
+    `format_rational` does."""
+    if value.__class__ is bool:
+        return "true" if value else "false"
+    return format_rational(value)

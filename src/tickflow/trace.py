@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import TickflowError
-from .rational import format_rational, parse_rational
+from .rational import format_rational, format_value, parse_rational
 from .struct import Struct
 
 
@@ -152,12 +152,6 @@ class Trace(Struct, frozen=False):
 # --- CSV ----------------------------------------------------------------------
 
 
-def _datum(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format_rational(value)
-
-
 def _time(wcrt: Fraction, tick: int) -> str:
     """`wcrt × tick` printed as `format_rational` prints it, from integers:
     `p*tick / q` reduced by one gcd."""
@@ -184,7 +178,7 @@ def settled_rows(rec: TickRecord) -> list:
     """(entity, kind, printed datum) for every settled status, signal value
     and continuous variable of a record, unsorted."""
     tables = (rec.statuses, rec.values, rec.conts)
-    return [(name, kind, _datum(tables[index][name])) for index, name, kind in _settled(rec)]
+    return [(name, kind, format_value(tables[index][name])) for index, name, kind in _settled(rec)]
 
 
 def _row_plan(rec: TickRecord) -> list:
@@ -482,7 +476,7 @@ def _num_lane(pts: list, y0: int, last: int) -> str:
                 'stroke="black" stroke-width="1"/>'
             )
         parts.append(
-            f'<text x="{x + 4}" y="{mid - 4}">{_datum(value)}</text>'
+            f'<text x="{x + 4}" y="{mid - 4}">{format_value(value)}</text>'
         )
         x_prev = x
     if x_prev is not None:

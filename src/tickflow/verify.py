@@ -26,6 +26,15 @@ checked for that and counted. Only a successor that is keyed is settled
 into a state, and only a witness builds a `TickRecord`, from which its
 snapshot is read. A transition is one state under one choice, whether the
 choice ran the tick, was latched onto it or was only counted.
+
+A kept successor costs one pass and one hash: the tick's `settle` returns
+the state and its key, built in the pass over the instances that builds
+the store, and the search never calls `fingerprint`, which builds the
+same key from a state; one `setdefault` probes the cache, and only a
+known key reached strictly earlier is stored again. The names of each
+alphabet choice are checked against the declared inputs once per
+search, so a choice that is only counted at a leaf is checked again
+(`TickState._validate_inputs`) only when it names an undeclared input.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from collections import deque
 from itertools import product
 from typing import Optional
 
-from .errors import ArgumentError, KernelError, ScheduleError, SearchLimitError, TickflowError
+from .errors import ArgumentError, ScheduleError, SearchLimitError, TickflowError
 from .kernel import InputAssignment, TickState, init
 from .rewrite import RewriteConfig
 from .struct import Struct
@@ -134,16 +143,17 @@ def fingerprint(state: TickState) -> tuple:
     """Exact key of a settled state: equal keys mean equal states, however
     they were reached. A tuple of the termination flag, the residue (a
     hashable value; see `kernel` on why its equality is exact within one
-    program) and the store in registration order, each instance as its
-    declaration's slot (a declaration has at most one live instance, and
-    equal programs number their slots alike), settled status and value.
-    Registration order decides which of two same-named instances settles
-    as `S` and which as `S:2`. A declaration fixes its value's type, so
-    `True` never meets `Fraction(1)`."""
-    store = tuple([
-        (inst.slot, status, value) for inst, (status, value) in state.store.items()
-    ])
-    return (state.terminated, state.residue, store)
+    program) and the store in registration order, one flat tuple that
+    gives each instance three entries: its declaration's slot (a
+    declaration has at most one live instance, and equal programs number
+    their slots alike), settled status and value. Registration order
+    decides which of two same-named instances settles as `S` and which as
+    `S:2`. A declaration fixes its value's type, so `True` never meets
+    `Fraction(1)`. A tick's `settle` builds this key beside the state."""
+    flat = []
+    for inst, (status, value) in state.store.items():
+        flat += (inst.slot, status, value)
+    return (state.terminated, state.residue, tuple(flat))
 
 
 # --- the search -----------------------------------------------------------------
@@ -171,23 +181,32 @@ def check_reachable(
         raise ArgumentError("bound", f"must be non-negative, got {bound}")
     if node_limit < 1:
         raise ArgumentError("node_limit", f"must be positive, got {node_limit}")
-    if target not in program.derived("signals", lambda: _declared_signals(program)):
-        raise KernelError(f"target signal {target!r} is not declared")
+    signals, conts = program.derived("declared names", lambda: _declared_names(program))
+    if target not in signals:
+        if target in conts:
+            raise ArgumentError("target", f"{target!r} is a continuous variable, not a signal")
+        raise ArgumentError("target", f"{target!r} is not a declared signal")
     if alphabet is None:
         alphabet = InputAlphabet.closed()
-    choices = alphabet.choices()
     take = deque.popleft if strategy == "bfs" else deque.pop
     earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)
+    names = start.input_names
+    # each choice, and whether every name it gives is a declared input
+    choices = [
+        (choice, names.issuperset(choice.present)
+         and names.issuperset(name for name, _ in choice.values))
+        for choice in alphabet.choices()
+    ]
     # a choice changes only input instances, so a target that names no
     # input settles alike under every choice of one tick
-    per_choice = target in start.input_names
+    per_choice = target in names
     frontier = deque([(start, ())] if bound > 0 else [])
     explored = 0
     while frontier:
         state, prefix = take(frontier)  # never a leaf
         tick = None
-        for assignment in choices:
+        for assignment, declared in choices:
             explored += 1
             if explored > node_limit:
                 raise SearchLimitError(
@@ -203,7 +222,8 @@ def check_reachable(
             elif leaf and not per_choice and not assignment.values:
                 # the first choice raised the code's errors, so a choice
                 # with no values can raise only for a name it gives
-                state._validate_inputs(assignment, t)
+                if not declared:
+                    state._validate_inputs(assignment, t)
                 continue
             else:
                 tick = tick.latch(assignment)
@@ -217,20 +237,29 @@ def check_reachable(
                 )
             if leaf:
                 continue  # never expanded, so never settled or keyed
-            successor = tick.settle()
-            key = fingerprint(successor)
-            reached = earliest.get(key)
-            if reached is not None and reached <= t:
-                continue
-            earliest[key] = t
+            successor, key = tick.settle()
+            # one probe: a new key is stored with its tick; a known one is
+            # kept only when reached strictly earlier
+            known = len(earliest)
+            reached = earliest.setdefault(key, t)
+            if len(earliest) == known:
+                if reached <= t:
+                    continue
+                earliest[key] = t
             frontier.append((successor, prefix + (assignment,)))
     return Unreachable(bound=bound, states_explored=explored)
 
 
-def _declared_signals(program: Program) -> set:
-    from .syntax.nodes import SignalDecl
+def _declared_names(program: Program) -> tuple:
+    """The names the program declares as signals, and those it declares
+    as continuous variables."""
+    from .syntax.nodes import ContDecl, SignalDecl
 
-    return {d.name for d in program.declarations() if isinstance(d, SignalDecl)}
+    decls = list(program.declarations())
+    return (
+        {d.name for d in decls if isinstance(d, SignalDecl)},
+        {d.name for d in decls if isinstance(d, ContDecl)},
+    )
 
 
 def _snapshot_rows(record) -> tuple:

@@ -180,11 +180,19 @@ def test_verify_malformed_search_arguments_exit_2(capsys):
          "--node-limit", "1/2"],
         "--node-limit: bad integer '1/2'",
     ),
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "3", "--target", "NOPE"],
+        "--target: 'NOPE' is not a declared signal",
+    ),
+    (
+        ["verify", CAROUSEL, "--wcrt", "2", "--bound", "3", "--target", "x"],
+        "--target: 'x' is a continuous variable, not a signal",
+    ),
 ], ids=[
     "ticks", "node-limit", "horizon", "horizon-below-tick", "node-limit-reached", "wcrt",
     "wcrt-rational", "param-rational", "param-no-value", "param-no-name", "param-twice",
     "param-undeclared", "ticks-integer", "ticks-underscore", "ticks-arabic-digit",
-    "bound-integer", "node-limit-integer",
+    "bound-integer", "node-limit-integer", "target-undeclared", "target-cont",
 ])
 def test_out_of_range_flag_exits_2(argv, message, capsys):
     assert main([*argv, "--param", "alpha=3", *CAROUSEL_PARAMS]) == 2
@@ -711,3 +719,73 @@ def test_value_one_input_of_the_name_can_hold_reaches_the_kernel(tmp_path, capsy
     sched.write_text('[{"tick": 2, "present": ["L"], "values": {"L": "3/2"}}]')
     assert main(["run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched)]) == 2
     assert capsys.readouterr().err == f"{prog}:tick 2: 'L' holds an integer value\n"
+
+
+SWITCH_PROGRAM = (
+    "input int signal LEVEL = 0; input boolean signal ON; signal HIGH;\n"
+    "loop { if (?ON && ?LEVEL >= 3) emit HIGH; pause }\n"
+)
+
+
+def test_boolean_input_values_are_read_from_files(tmp_path, capsys):
+    # a boolean input's value is a JSON boolean in a schedule and in an
+    # alphabet, and a witness prints it as the schedule gives it
+    prog = tmp_path / "switch.hsj"
+    prog.write_text(SWITCH_PROGRAM)
+    sched = tmp_path / "sched.json"
+    sched.write_text(
+        '[{"tick": 1, "present": ["ON", "LEVEL"], "values": {"ON": true, "LEVEL": "4"}},'
+        ' {"tick": 2, "values": {"ON": false}}]'
+    )
+    assert main(["run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "1,1,ON,value,true" in out and "2,2,ON,value,false" in out
+    assert "2,2,HIGH,status,true" in out and "3,3,HIGH,status,false" in out
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text('{"ON": {"values": [false, true]}, "LEVEL": {"values": ["5"]}}')
+    code = main([
+        "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+        "--alphabet", str(alpha),
+    ])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "witness: HIGH settles present at tick 2", "  tick 1: present [LEVEL=5,ON=true]",
+    ]
+    # the printed schedule replays
+    sched.write_text(
+        '[{"tick": 1, "present": ["LEVEL", "ON"], "values": {"LEVEL": "5", "ON": true}}]'
+    )
+    assert main(["run", str(prog), "--wcrt", "1", "--ticks", "2", "--schedule", str(sched)]) == 0
+    assert "2,2,HIGH,status,true" in capsys.readouterr().out.splitlines()
+
+
+def test_boolean_value_an_input_cannot_hold_names_its_file(tmp_path, capsys):
+    # `true` and "1" are two entries, not a repeat: one of them does not fit
+    prog = tmp_path / "switch.hsj"
+    prog.write_text(SWITCH_PROGRAM)
+    alpha = tmp_path / "alpha.json"
+    for text, message in (
+        ('{"ON": {"values": [true, "1"]}}',
+         "alphabet entry 'ON': value 1: 'ON' holds a boolean value"),
+        ('{"LEVEL": {"values": ["1", true]}}',
+         "alphabet entry 'LEVEL': value true: 'LEVEL' holds a numeric value"),
+        ('{"ON": {"values": [true, true]}}', "alphabet entry 'ON': 'values' repeats an entry"),
+    ):
+        alpha.write_text(text)
+        code = main([
+            "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+            "--alphabet", str(alpha),
+        ])
+        assert code == 2, text
+        assert capsys.readouterr().err == f"{alpha}: {message}\n"
+    sched = tmp_path / "sched.json"
+    for text, message in (
+        ('[{"tick": 2, "present": ["LEVEL"], "values": {"LEVEL": false}}]',
+         "tick 2: value false: 'LEVEL' holds a numeric value"),
+        ('[{"tick": 1, "values": {"ON": "0"}}]', "tick 1: value 0: 'ON' holds a boolean value"),
+    ):
+        sched.write_text(text)
+        code = main(["run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched)])
+        assert code == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"{sched}: {message}\n"

@@ -47,7 +47,14 @@ LEVEL = (
     "input int signal LEVEL; input signal GO; signal HIGH;\n"
     "loop { if (GO && ?LEVEL >= 3) emit HIGH; pause }\n"
 )
-FILE, PROGRAM = "<mutated>", "<level program>"  # replaced by files in the test
+# LEVEL with a boolean input, for the roles whose seeds give values
+SWITCH = (
+    "input int signal LEVEL; input signal GO; input boolean signal ON; signal HIGH;\n"
+    "loop { if (GO && ?LEVEL >= 3 || ?ON) emit HIGH; pause }\n"
+)
+FILE, PROGRAM, SWITCHED = "<mutated>", "<level program>", "<switch program>"
+# each program placeholder, replaced by a file holding the program
+PROGRAMS = {PROGRAM: LEVEL, SWITCHED: SWITCH}
 
 
 def _compare(ha: str, mapping: str) -> list:
@@ -89,17 +96,19 @@ ROLES = {
         (CORPUS / "matrices" / "controllable.mat").read_text(),
         ["lti", FILE],
     ),
-    # seeds that carry values, integers written as fractions, so that many
-    # mutants reach the value checks: a value that is not an integer, or
-    # one given to a pure input
+    # seeds that carry values, integers written as fractions and booleans,
+    # so that many mutants reach the value checks: a value that is not an
+    # integer, a boolean given to a numeric input or the reverse, or a
+    # value given to a pure input
     "alphabet-values": (
-        '{"GO": {}, "LEVEL": {"statuses": ["present"], "values": ["4/2", "10/2"]}}\n',
-        ["verify", PROGRAM, "--wcrt", "1", "--bound", "3", "--target", "HIGH",
+        '{"GO": {}, "LEVEL": {"statuses": ["present"], "values": ["4/2", "10/2"]},'
+        ' "ON": {"values": [true, false]}}\n',
+        ["verify", SWITCHED, "--wcrt", "1", "--bound", "3", "--target", "HIGH",
          "--alphabet", FILE],
     ),
     "schedule-values": (
-        '[{"tick": 1, "present": ["LEVEL"], "values": {"LEVEL": "12/4"}}]\n',
-        ["run", PROGRAM, "--wcrt", "1", "--ticks", "3", "--schedule", FILE],
+        '[{"tick": 1, "present": ["LEVEL", "ON"], "values": {"LEVEL": "12/4", "ON": true}}]\n',
+        ["run", SWITCHED, "--wcrt", "1", "--ticks", "3", "--schedule", FILE],
     ),
     # an automaton whose lines use every form of expression the reader
     # folds and every edge field, so that mutants reach the linearity fold
@@ -181,12 +190,22 @@ def _token_mutant(rng: random.Random, text: str) -> bytes:
     return "".join(tokens).encode("utf-8")
 
 
+def _files_for(argv: list, tmp_path: Path, mutated: Path) -> list:
+    """`argv` with FILE replaced by `mutated` and each program placeholder
+    by a file in `tmp_path` holding its program."""
+    paths = {FILE: str(mutated)}
+    for at, (mark, text) in enumerate(PROGRAMS.items()):
+        path = tmp_path / f"program{at}.hsj"
+        path.write_text(text)
+        paths[mark] = str(path)
+    return [paths.get(arg, arg) for arg in argv]
+
+
 @pytest.mark.parametrize("role", sorted(ROLES))
 def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
     seed, argv = ROLES[role]
-    mutated, program = tmp_path / "mutated", tmp_path / "level.hsj"
-    program.write_text(LEVEL)
-    argv = [{FILE: str(mutated), PROGRAM: str(program)}.get(arg, arg) for arg in argv]
+    mutated = tmp_path / "mutated"
+    argv = _files_for(argv, tmp_path, mutated)
     # only the mutated file can be at fault, or a flag
     named = (str(mutated), "--")
     rng = random.Random(SEEDS[role])
@@ -307,9 +326,8 @@ REPEATS = {
 @pytest.mark.parametrize("role", sorted(REPEATS))
 def test_duplicate_item_fails_naming_its_file(role, tmp_path, capsys):
     seed, argv = ROLES[role]
-    mutated, program = tmp_path / "mutated", tmp_path / "level.hsj"
-    program.write_text(LEVEL)
-    argv = [{FILE: str(mutated), PROGRAM: str(program)}.get(arg, arg) for arg in argv]
+    mutated = tmp_path / "mutated"
+    argv = _files_for(argv, tmp_path, mutated)
     mutants = REPEATS[role](seed)
     assert mutants, role
     for text, line in mutants:
@@ -344,6 +362,14 @@ FLAGS = {
             str(CORPUS / "automata" / "carousel.ha"), str(CORPUS / "maps" / "carousel.json"),
         )],
     ),
+    # a name that is no signal of the program is blamed on the flag
+    "--target": ("HIGH", ["verify", PROGRAM, "--wcrt", "1", "--bound", "3", "--target", VALUE]),
+}
+# each flag's random seed; a new flag takes the next number, so that the
+# mutants of the older flags stay what they were
+FLAG_SEEDS = {
+    "--bound": 0, "--horizon": 1, "--node-limit": 2, "--param": 3, "--ticks": 4, "--wcrt": 5,
+    "--target": 6,
 }
 FLAG_MUTATIONS = 5  # per flag and kind of mutant
 
@@ -367,7 +393,7 @@ def test_mutated_flag_fails_cleanly(flag, tmp_path, capsys):
     seed, argv = FLAGS[flag]
     program = tmp_path / "level.hsj"
     program.write_text(LEVEL)
-    rng = random.Random(sorted(FLAGS).index(flag))
+    rng = random.Random(FLAG_SEEDS[flag])
     for i in range(3 * FLAG_MUTATIONS):
         value = _flag_mutant(rng, seed, i % 3)
         args = [{VALUE: value, PROGRAM: str(program)}.get(arg, arg) for arg in argv]

@@ -394,11 +394,9 @@ def _replay(program, cfg, native, schedule):
     return state
 
 
-def test_step_leaves_its_state_unchanged():
-    # every state reached within 3 ticks on every alphabet choice: stepping
-    # it with each choice, and settling and recording the tick, leaves it
-    # as it was, and each successor is the state a fresh replay of its
-    # schedule reaches
+def _stepped_cases():
+    """(program, cfg, native, choices) for KILLS, the corpus and 20 seeded
+    search programs, each rewritten and native."""
     cases = [(parse(KILLS), CFG1)]
     cases += [(_bound(path), CFG1) for path in corpus_sources()]
     for seed in range(20):
@@ -408,22 +406,50 @@ def test_step_leaves_its_state_unchanged():
         choices = alphabet_for(program, {"LEVEL": (F(2), F(5))}).choices()
         for native in (False, True):
             compiled = program if native else rewrite_flows(program, cfg)
-            frontier = [((), init(compiled, cfg, native_flows=native))]
-            for _ in range(3):
-                reached = {}
-                for schedule, state in frontier:
-                    before = _value_of(state)
-                    for inputs in choices:
-                        tick = state.step(inputs)
-                        tick.settle()
-                        successor, _ = tick.record()
-                        after = schedule + (inputs,)
-                        fresh = _replay(compiled, cfg, native, after)
-                        assert fingerprint(successor) == fingerprint(fresh), after
-                        if not successor.terminated:
-                            reached.setdefault(fingerprint(successor), (after, successor))
-                    assert _value_of(state) == before, schedule
-                frontier = list(reached.values())
+            yield compiled, cfg, native, choices
+
+
+def test_step_leaves_its_state_unchanged():
+    # every state reached within 3 ticks on every alphabet choice: stepping
+    # it with each choice, and settling and recording the tick, leaves it
+    # as it was, and each successor is the state a fresh replay of its
+    # schedule reaches
+    for compiled, cfg, native, choices in _stepped_cases():
+        frontier = [((), init(compiled, cfg, native_flows=native))]
+        for _ in range(3):
+            reached = {}
+            for schedule, state in frontier:
+                before = _value_of(state)
+                for inputs in choices:
+                    tick = state.step(inputs)
+                    tick.settle()
+                    successor, _ = tick.record()
+                    after = schedule + (inputs,)
+                    fresh = _replay(compiled, cfg, native, after)
+                    assert fingerprint(successor) == fingerprint(fresh), after
+                    if not successor.terminated:
+                        reached.setdefault(fingerprint(successor), (after, successor))
+                assert _value_of(state) == before, schedule
+            frontier = list(reached.values())
+
+
+def test_settle_keys_its_state_as_fingerprint_does():
+    # differential: every successor of every state the test above reaches
+    # is keyed by `settle`, in the pass that builds its store, exactly as
+    # `verify.fingerprint` keys the state, down to each entry's type
+    for compiled, cfg, native, choices in _stepped_cases():
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(3):
+            reached = {}
+            for state in frontier:
+                for inputs in choices:
+                    successor, key = state.step(inputs).settle()
+                    want = fingerprint(successor)
+                    assert key == want, (compiled, inputs)
+                    assert [v.__class__ for v in key[2]] == [v.__class__ for v in want[2]]
+                    if not successor.terminated:
+                        reached.setdefault(key, successor)
+            frontier = list(reached.values())
 
 
 def _code_decides(tick) -> tuple:
@@ -467,7 +493,7 @@ def test_tick_runs_the_same_code_whatever_its_inputs():
                 for inputs in choices:
                     tick = state.step(inputs)
                     assert _code_decides(tick) == decided, (schedule, inputs)
-                    successor = tick.settle()
+                    successor, _ = tick.settle()
                     if not successor.terminated:
                         after = schedule + (inputs,)
                         reached.setdefault(fingerprint(successor), (after, successor))
@@ -748,12 +774,12 @@ def _record_matches_settle(program, cfg, native, choices, rng, ticks=20):
     state = init(program, cfg, native_flows=native)
     for _ in range(ticks):
         tick = state.step(rng.choice(choices))
-        settled = tick.settle()
+        settled, key = tick.settle()
         state, _ = tick.record()
         assert [(i, s, v.__class__, v) for i, (s, v) in state.store.items()] == [
             (i, s, v.__class__, v) for i, (s, v) in settled.store.items()
         ]
-        assert fingerprint(state) == fingerprint(settled)
+        assert fingerprint(state) == fingerprint(settled) == key
         if state.terminated:
             return
 

@@ -232,17 +232,20 @@ def test_malformed_search_arguments_are_rejected():
 
 def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     program = _program("signal S;\npause; pause; pause; pause; pause")
-    calls = {"key": 0, "settle": 0, "record": 0}
+    calls = {"fingerprint": 0, "settle": 0, "record": 0}
     real_key = verify.fingerprint
     real_settle, real_record = kernel._TickCtx.settle, kernel._TickCtx.record
 
     def counting_key(state):
-        calls["key"] += 1
+        calls["fingerprint"] += 1
         return real_key(state)
 
     def counting_settle(tick):
+        # a settled successor comes with its key
         calls["settle"] += 1
-        return real_settle(tick)
+        state, key = real_settle(tick)
+        assert key == real_key(state)
+        return state, key
 
     def counting_record(tick):
         calls["record"] += 1
@@ -254,15 +257,16 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     verdict = check_reachable(program, CFG1, None, bound=3, target="S")
     assert isinstance(verdict, Unreachable) and verdict.states_explored == 3
     # ticks 1 and 2 are expanded; the tick-3 successor is a leaf, stepped
-    # and checked but never settled; with no hit nothing is recorded
-    assert calls == {"key": 2, "settle": 2, "record": 0}
+    # and checked but never settled or keyed; with no hit nothing is
+    # recorded; the keys come from `settle`, so `fingerprint` never runs
+    assert calls == {"fingerprint": 0, "settle": 2, "record": 0}
 
     hit = _program("signal S;\npause; pause; emit S; pause")
-    calls.update(key=0, settle=0, record=0)
+    calls.update(fingerprint=0, settle=0, record=0)
     verdict = check_reachable(hit, CFG1, None, bound=3, target="S")
     assert isinstance(verdict, Witness) and verdict.tick == 3
     # the hit is recorded once, for its snapshot, and never settled
-    assert calls == {"key": 2, "settle": 2, "record": 1}
+    assert calls == {"fingerprint": 0, "settle": 2, "record": 1}
     assert replay(hit, CFG1, verdict)
 
 
@@ -450,7 +454,7 @@ _FAULT_SEARCH = (
 
 def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypatch):
     program = _program(_FAULT_SEARCH)
-    calls = {"step": 0, "latched": 0, "settles_present": 0, "settle": 0}
+    calls = {"step": 0, "latched": 0, "settles_present": 0, "settle": 0, "validate": 0}
 
     def counting(cls, name, key):
         real = getattr(cls, name)
@@ -465,12 +469,35 @@ def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypa
     counting(kernel._Latched, "__init__", "latched")
     counting(kernel._Tick, "settles_present", "settles_present")
     counting(kernel._Tick, "settle", "settle")
+    counting(kernel.TickState, "_validate_inputs", "validate")
     verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
     assert verdict == Unreachable(bound=3, states_explored=584)
     # 73 expanded states, 8 choices each: the target is read once per tick,
     # and of the 511 later choices only the 63 of interior ticks are
-    # latched; the 448 of leaf ticks carry no value and are only counted
-    assert calls == {"step": 73, "latched": 63, "settles_present": 73, "settle": 72}
+    # latched, each checking its names; the 448 of leaf ticks carry no
+    # value and are only counted, their names known to be declared
+    assert calls == {
+        "step": 73, "latched": 63, "settles_present": 73, "settle": 72, "validate": 63,
+    }
+
+
+def test_search_hashes_each_kept_successor_once(monkeypatch):
+    # the bound-3 search keeps 72 successors, each under a new key; one
+    # `setdefault` probes the visited map, so the key's residue, the
+    # program's one Par, is hashed once per successor
+    program = _program(_FAULT_SEARCH)
+    calls = 0
+    real = kernel.ParRes.__hash__
+
+    def counting_hash(res):
+        nonlocal calls
+        calls += 1
+        return real(res)
+
+    monkeypatch.setattr(kernel.ParRes, "__hash__", counting_hash)
+    verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
+    assert verdict == Unreachable(bound=3, states_explored=584)
+    assert calls == 72
 
 
 @pytest.mark.parametrize("source, value, message", TWO_FAULTS, ids=("value", "double-write"))
