@@ -13,16 +13,15 @@ stderr as file:line:col: message.
 from __future__ import annotations
 
 import argparse
-import errno
 import sys
 from fractions import Fraction
 
+from . import files
 from .errors import (
     ArgumentError,
     AutomatonError,
     CompileError,
     DeadlockError,
-    KernelError,
     NondeterminismError,
     ScheduleError,
     SearchLimitError,
@@ -30,175 +29,10 @@ from .errors import (
 )
 from .rational import format_rational, format_value, parse_int, parse_rational
 
-# Each subcommand imports the modules it runs when it runs (`json` too, for
-# the input files), so `check` and `desugar` never load the kernel, `lti`
-# never loads the parser, and a cold command pays only for its own chain.
-# Calls go through module attributes, read at call time.
-
-
-def _read_text(path: str) -> str:
-    """The text of the file at `path`. A file that is not UTF-8 raises an
-    `OSError` naming it, like a file that cannot be opened."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
-            raise OSError(errno.EILSEQ, reason, path) from None
-
-
-def _load_json(path: str, what: str, shape: type):
-    """The parsed JSON document in `path`, whose top level must be a
-    `shape` (list or dict); `what` names the file's role in errors. An
-    object that repeats a key is an error, never read as its last value."""
-    import json
-
-    def object_of(pairs: list) -> dict:
-        obj: dict = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ScheduleError(f"{path}: key {key!r} repeated in an object")
-            obj[key] = value
-        return obj
-
-    try:
-        doc = json.loads(_read_text(path), object_pairs_hook=object_of)
-    except json.JSONDecodeError as exc:
-        raise ScheduleError(f"{path}: {exc}") from exc
-    if not isinstance(doc, shape):
-        kind = "array" if shape is list else "object"
-        raise ScheduleError(f"{path}: {what} must be a JSON {kind}")
-    return doc
-
-
-def _value(path: str, datum):
-    """A value a file gives an input: a JSON boolean as itself, for a
-    boolean input, or a rational written as a string."""
-    if datum.__class__ is bool:
-        return datum
-    if isinstance(datum, str):
-        try:
-            return parse_rational(datum)
-        except ValueError:
-            pass
-    raise ScheduleError(f"{path}: bad rational {datum!r}")
-
-
-def load_schedule(path: str) -> dict:
-    """JSON array of per-tick input objects:
-    [{"tick": 1, "present": ["FAULT"], "values": {"S": "3/2", "B": true}}, ...];
-    a value is a rational as a string, or a JSON boolean for a boolean
-    input. Ticks not mentioned see no inputs. Returns {tick: InputAssignment}."""
-    from . import kernel
-
-    doc = _load_json(path, "schedule", list)
-    schedule: dict = {}
-    for entry in doc:
-        if not isinstance(entry, dict) or "tick" not in entry:
-            raise ScheduleError(f"{path}: each entry needs a 'tick' field")
-        tick = entry["tick"]
-        if type(tick) is not int or tick < 1:
-            raise ScheduleError(f"{path}: bad tick {tick!r}")
-        _known_keys(path, f"tick {tick}", entry, ("tick", "present", "values"))
-        present = entry.get("present", [])
-        if not isinstance(present, list) or not all(isinstance(n, str) for n in present):
-            raise ScheduleError(f"{path}: tick {tick}: 'present' must be a list of names")
-        _distinct(path, f"tick {tick}", "present", present)
-        texts = entry.get("values", {})
-        if not isinstance(texts, dict):
-            raise ScheduleError(f"{path}: tick {tick}: 'values' must be a JSON object")
-        values = {name: _value(path, text) for name, text in texts.items()}
-        if tick in schedule:
-            raise ScheduleError(f"{path}: duplicate tick {tick}")
-        schedule[tick] = kernel.InputAssignment.make(present=present, values=values)
-    return schedule
-
-
-def load_alphabet(path: str):
-    """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
-    listed input may be present or absent; valued ones pick from `values`
-    (JSON booleans for a boolean input), which only an entry that may be
-    present can give.
-    Returns a `verify.InputAlphabet`."""
-    from . import verify
-
-    doc = _load_json(path, "alphabet", dict)
-    statuses = {}
-    values = {}
-    for name, spec in doc.items():
-        if not isinstance(spec, dict):
-            raise ScheduleError(f"{path}: alphabet entry {name!r} must be a JSON object")
-        _known_keys(path, f"alphabet entry {name!r}", spec, ("statuses", "values"))
-        chosen = spec.get("statuses", ["absent", "present"])
-        if (
-            not isinstance(chosen, list)
-            or not chosen
-            or not all(c in ("absent", "present") for c in chosen)
-        ):
-            raise ScheduleError(
-                f"{path}: alphabet entry {name!r}: 'statuses' must be a non-empty "
-                "list of 'absent' and 'present'"
-            )
-        statuses[name] = _distinct(path, f"alphabet entry {name!r}", "statuses", chosen)
-        if "values" in spec:
-            if "present" not in chosen:
-                raise ScheduleError(
-                    f"{path}: alphabet entry {name!r}: 'values' given but 'present' "
-                    "is not among its statuses"
-                )
-            if not isinstance(spec["values"], list):
-                raise ScheduleError(
-                    f"{path}: alphabet entry {name!r}: 'values' must be a JSON array"
-                )
-            picked = [_value(path, v) for v in spec["values"]]
-            values[name] = _distinct(path, f"alphabet entry {name!r}", "values", picked)
-    return verify.InputAlphabet.make(statuses, values)
-
-
-def _distinct(path: str, where: str, key: str, items: list) -> tuple:
-    """`items`, the list under `key` at `where` in the file, as a tuple. A
-    repeat is an error, never merged: in an alphabet it would make the
-    search advance the same choice twice. `true` and `1` are two entries:
-    only one of them fits the input."""
-    if len({(item.__class__, item) for item in items}) < len(items):
-        raise ScheduleError(f"{path}: {where}: {key!r} repeats an entry")
-    return tuple(items)
-
-
-def _require_inputs(path: str, where: str, names, program) -> None:
-    """Reject a name in an input file that names no input of `program`;
-    `where` says where in the file the names sit."""
-    undeclared = sorted(set(names) - {d.name for d in program.inputs()})
-    if undeclared:
-        raise ScheduleError(f"{path}: {where}{undeclared[0]!r} is not a declared input")
-
-
-def _require_values(path: str, where: str, values, program) -> None:
-    """Reject a (name, value) pair of an input file that no input
-    declaration of that name can hold, before anything runs; `where` says
-    where in the file the values sit. The names are declared inputs."""
-    from . import kernel
-
-    inputs = program.inputs()
-    for name, value in values:
-        errors = []
-        for decl in inputs:
-            if decl.name == name:
-                try:
-                    kernel.input_value(value, decl)
-                    break
-                except KernelError as err:
-                    errors.append(err.message)
-        else:
-            raise ScheduleError(
-                f"{path}: {where}value {format_value(value)}: {errors[0]}"
-            )
-
-
-def _known_keys(path: str, where: str, entry: dict, keys: tuple):
-    unknown = sorted(set(entry) - set(keys))
-    if unknown:
-        raise ScheduleError(f"{path}: {where}: unknown key {unknown[0]!r}")
+# Each subcommand imports the modules it runs when it runs (`files` loads
+# `json` only to parse a JSON file), so `check` and `desugar` never load the
+# kernel, `lti` never loads the parser, and a cold command pays only for its
+# own chain. Calls go through module attributes, read at call time.
 
 
 def _flag_rational(flag: str, text: str) -> Fraction:
@@ -245,7 +79,7 @@ def _load_program(path: str, values: dict, wcrt: Fraction):
     and its flows rewritten for `wcrt`."""
     from . import rewrite, syntax
 
-    bound = _bind(syntax.parse(_read_text(path)), values)
+    bound = _bind(syntax.parse(files.read_text(path)), values)
     return rewrite.rewrite_flows(bound, rewrite.RewriteConfig(wcrt))
 
 
@@ -339,7 +173,7 @@ def main(argv=None) -> int:
 def _check(args) -> int:
     from . import syntax
 
-    program = syntax.parse(_read_text(args.program))
+    program = syntax.parse(files.read_text(args.program))
     values = _parse_params(args.param)
     if values or not program.params():
         syntax.reject_nonlinear_combine(_bind(program, values))
@@ -364,11 +198,10 @@ def _run(args) -> int:
     export = _exporter(args.out, args.svg_vars)
     wcrt = _wcrt(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
-    schedule = load_schedule(args.schedule) if args.schedule else None
+    schedule = files.load_schedule(args.schedule) if args.schedule else None
     for tick, inputs in (schedule or {}).items():
-        names = inputs.present | {name for name, _ in inputs.values}
-        _require_inputs(args.schedule, f"tick {tick}: ", names, rewritten)
-        _require_values(args.schedule, f"tick {tick}: ", inputs.values, rewritten)
+        where = f"{args.schedule}: tick {tick}: "
+        files.require_inputs(where, inputs.present, inputs.values, rewritten)
     result = kernel.run(
         rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=ticks
     )
@@ -412,13 +245,12 @@ def _verify(args) -> int:
     node_limit = _flag_int("--node-limit", args.node_limit)
     wcrt = _wcrt(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
-    alphabet = load_alphabet(args.alphabet) if args.alphabet else None
+    alphabet = files.load_alphabet(args.alphabet) if args.alphabet else None
     if alphabet is not None:
-        names = [name for name, _ in alphabet.statuses]
-        _require_inputs(args.alphabet, "alphabet entry ", names, rewritten)
+        where = f"{args.alphabet}: alphabet entry "
+        files.require_inputs(where, [name for name, _ in alphabet.statuses], (), rewritten)
         for name, picks in alphabet.values:
-            where = f"alphabet entry {name!r}: "
-            _require_values(args.alphabet, where, [(name, v) for v in picks], rewritten)
+            files.require_inputs(f"{where}{name!r}: ", (), [(name, v) for v in picks], rewritten)
     try:
         verdict = verify.check_reachable(
             rewritten,
@@ -456,7 +288,7 @@ def _verify(args) -> int:
 def _lti(args) -> int:
     from . import lti
 
-    system = lti.system_from_file(_read_text(args.matrices))
+    system = lti.system_from_file(files.read_text(args.matrices))
     ok = True
     if system.c is not None:
         r = lti.rank(lti.observability_matrix(system))
@@ -480,12 +312,12 @@ def _compare(args) -> int:
     values = _parse_params(args.param)
     # bound first: a value for a constant the program does not declare is
     # blamed on `--param`, not on the automaton that then misses one
-    program = _bind(syntax.parse(_read_text(args.program)), values)
+    program = _bind(syntax.parse(files.read_text(args.program)), values)
     try:
-        automaton = hybrid.parse_automaton(_read_text(args.ha), values)
+        automaton = hybrid.parse_automaton(files.read_text(args.ha), values)
     except AutomatonError as err:
         raise ScheduleError(f"{args.ha}:{err}") from None
-    mapping = _load_json(args.map, "variable map", dict)
+    mapping = files.load_json(args.map, "variable map", dict)
     try:
         hybrid.check_mapping(automaton, program, mapping)
     except AutomatonError as err:

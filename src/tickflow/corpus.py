@@ -9,18 +9,18 @@ interpretation tick for tick.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 
-from .kernel import InputAssignment, run
+from . import files
+from .kernel import run
 from .params import bind_params
-from .rational import format_rational, parse_rational
+from .rational import format_value
 from .rewrite import STOP_PREFIX, RewriteConfig, rewrite_flows
 from .struct import Struct
 from .syntax import parse
 from .trace import Trace
-from .verify import Unreachable, Witness, check_reachable
+from .verify import Witness, check_reachable
 
 
 class GoldenCase(Struct, frozen=False):
@@ -38,10 +38,6 @@ class CaseResult(Struct, frozen=False):
     name: str
     failures: list
 
-    def __init__(self, name, failures=None):
-        self.name = name
-        self.failures = [] if failures is None else failures
-
     @property
     def ok(self) -> bool:
         return not self.failures
@@ -57,46 +53,83 @@ class CorpusReport(Struct, frozen=False):
     def summary(self) -> str:
         lines = []
         for result in self.results:
-            mark = "pass" if result.ok else "FAIL"
-            lines.append(f"{mark}  {result.name}")
-            for failure in result.failures:
-                lines.append(f"      {failure}")
+            lines.append(f"{'pass' if result.ok else 'FAIL'}  {result.name}")
+            lines.extend(f"      {failure}" for failure in result.failures)
         good = sum(1 for r in self.results if r.ok)
         lines.append(f"{good}/{len(self.results)} cases pass")
         return "\n".join(lines)
 
 
+# the JSON type of each field of a case, and of each expectation key
+_CASE = {"name": str, "program": str, "wcrt": str, "params": dict, "schedule": list,
+         "max_ticks": int, "expect": dict, "note": str}
+_EXPECT = {"statuses": list, "values": list, "conts": list, "emissions": dict,
+           "stop_ticks": list, "final_conts": dict, "terminated": bool, "termination_tick": int,
+           "effective_termination_tick": int, "reach": dict}
+# each list of [name, tick, wanted] expectations: the reader of its wanted
+# datum and the trace query it is compared with
+_AT_TICK = {
+    "statuses": (files.boolean, Trace.status),
+    "values": (files.value, Trace.value),
+    "conts": (files.rational, Trace.cont),
+}
+
+
 def load_cases(corpus_dir) -> list:
-    corpus_dir = Path(corpus_dir)
-    doc = json.loads((corpus_dir / "cases.json").read_text())
-    cases = []
-    for entry in doc["cases"]:
-        schedule = {}
-        for item in entry.get("schedule", []):
-            schedule[item["tick"]] = InputAssignment.make(
-                present=item.get("present", []),
-                values={k: parse_rational(v) for k, v in item.get("values", {}).items()},
-            )
-        cases.append(
-            GoldenCase(
-                name=entry["name"],
-                program=entry["program"],
-                wcrt=parse_rational(entry["wcrt"]),
-                params={k: parse_rational(v) for k, v in entry.get("params", {}).items()},
-                schedule=schedule,
-                max_ticks=entry.get("max_ticks", 50),
-                expect=entry["expect"],
-                note=entry.get("note", ""),
-            )
-        )
+    """The golden cases of `corpus_dir/cases.json`, {"cases": [case, ...]},
+    each read exactly (see README); an error names the file and the case."""
+    path = str(Path(corpus_dir) / "cases.json")
+    doc = files.parse(files.read_text(path), path)
+    files.fields(doc, path, {"cases": list})
+    cases = [_case(path, at, entry) for at, entry in enumerate(doc["cases"], start=1)]
+    files.refuse_repeats(path, doc)  # the top level's keys, once each case's were
     return cases
 
 
+def _case(path: str, at: int, entry) -> GoldenCase:
+    """Case number `at` of the file `path`, which errors name by its name."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    where = f"{path}: case {name!r}" if type(name) is str else f"{path}: case {at}"
+    files.refuse_repeats(where, entry)
+    files.fields(entry, where, _CASE, ("params", "schedule", "max_ticks", "note"))
+    return GoldenCase(
+        name=name,
+        program=entry["program"],
+        wcrt=files.rational(entry["wcrt"], f"{where}: 'wcrt'"),
+        params=files.entries(entry.get("params", {}), f"{where}: params", files.rational),
+        schedule=files.schedule(where, entry.get("schedule", [])),
+        max_ticks=entry.get("max_ticks", 50),
+        expect=_expect(entry["expect"], f"{where}: expect"),
+        note=entry.get("note", ""),
+    )
+
+
+def _expect(expect: dict, where: str) -> dict:
+    """The expectations `expect` at `where`, each wanted datum read."""
+    files.fields(expect, where, _EXPECT, _EXPECT)
+    get = expect.get
+    read = dict(expect)
+    for key, (reader, _) in _AT_TICK.items():
+        read[key] = [files.at_tick(item, f"{where} {key}", reader) for item in get(key, ())]
+    read["emissions"] = files.entries(get("emissions", {}), f"{where} emissions", files.ticks)
+    files.ticks(get("stop_ticks", []), f"{where}: 'stop_ticks'")
+    conts = get("final_conts", {})
+    read["final_conts"] = files.entries(conts, f"{where} final_conts", files.rational)
+    if "reach" in expect:
+        kinds = {"target": str, "bound": int, "reachable": bool, "witness_tick": int}
+        files.fields(expect["reach"], f"{where} reach", kinds, ("witness_tick",))
+    return read
+
+
 def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
+    """Run `case` and check it. A schedule input the program does not
+    declare, or a value it cannot hold, is an error naming the case."""
     corpus_dir = Path(corpus_dir)
-    result = CaseResult(case.name)
-    source = (corpus_dir / case.program).read_text()
-    program = bind_params(parse(source), case.params)
+    result = CaseResult(case.name, [])
+    program = bind_params(parse(files.read_text(str(corpus_dir / case.program))), case.params)
+    where = f"{corpus_dir / 'cases.json'}: case {case.name!r}: "
+    for tick, inputs in case.schedule.items():
+        files.require_inputs(f"{where}tick {tick}: ", inputs.present, inputs.values, program)
     cfg = RewriteConfig(case.wcrt)
     rewritten = rewrite_flows(program, cfg)
     trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
@@ -104,7 +137,12 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     _check_native(program, trace, cfg, case, result)
     reach = case.expect.get("reach")
     if reach is not None:
-        _check_reach(rewritten, cfg, reach, result)
+        target, bound = reach["target"], reach["bound"]
+        verdict = check_reachable(rewritten, cfg, alphabet=None, bound=bound, target=target)
+        found = isinstance(verdict, Witness)
+        _compare(result, f"reach {target} within {bound}", reach["reachable"], found)
+        if found and "witness_tick" in reach:
+            _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
     return result
 
 
@@ -113,101 +151,41 @@ def run_corpus(corpus_dir) -> CorpusReport:
     return CorpusReport([run_case(corpus_dir, case) for case in cases])
 
 
+def _compare(result: CaseResult, label: str, want, got) -> None:
+    """A failure unless `got` is `want`, compared by type and value; a
+    value prints as `format_value` prints it."""
+    if (want.__class__, want) != (got.__class__, got):
+        show = [format_value(v) if isinstance(v, (bool, Fraction)) else str(v) for v in (want, got)]
+        result.failures.append(f"{label}: wanted {show[0]}, got {show[1]}")
+
+
 def _check_trace(expect: dict, trace: Trace, result: CaseResult) -> None:
-    for name, tick, want in expect.get("statuses", []):
-        got = trace.status(name, tick)
-        if got != want:
-            result.failures.append(f"status {name}@{tick}: wanted {want}, got {got}")
-    for name, tick, want in expect.get("values", []):
-        got = trace.value(name, tick)
-        if got != parse_rational(want):
-            result.failures.append(
-                f"value {name}@{tick}: wanted {want}, got {format_rational(got)}"
-            )
-    for name, tick, want in expect.get("conts", []):
-        got = trace.cont(name, tick)
-        if got != parse_rational(want):
-            result.failures.append(
-                f"cont {name}@{tick}: wanted {want}, got {format_rational(got)}"
-            )
-    for name, ticks in expect.get("emissions", {}).items():
-        got = trace.emission_ticks(name)
-        if got != list(ticks):
-            result.failures.append(f"emissions of {name}: wanted {ticks}, got {got}")
+    """Each expectation against the trace; a failure names its key."""
+    for key, (_, query) in _AT_TICK.items():
+        for name, tick, want in expect[key]:
+            _compare(result, f"{key} {name}@{tick}", want, query(trace, name, tick))
+    for name, ticks in expect["emissions"].items():
+        _compare(result, f"emissions {name}", ticks, trace.emission_ticks(name))
+    for name, want in expect["final_conts"].items():
+        _compare(result, f"final_conts {name}", want, trace.final_cont(name))
     if "stop_ticks" in expect:
-        stops = sorted(
-            {
-                rec.tick
-                for rec in trace.records
-                for name, present in rec.statuses.items()
-                if present and name.startswith(STOP_PREFIX)
-            }
-        )
-        if stops != list(expect["stop_ticks"]):
-            result.failures.append(
-                f"generated stop emissions: wanted {expect['stop_ticks']}, got {stops}"
-            )
-    for name, want in expect.get("final_conts", {}).items():
-        got = trace.final_cont(name)
-        if got != parse_rational(want):
-            result.failures.append(
-                f"final {name}: wanted {want}, got {format_rational(got)}"
-            )
-    if "terminated" in expect and trace.terminated != expect["terminated"]:
-        result.failures.append(
-            f"terminated: wanted {expect['terminated']}, got {trace.terminated}"
-        )
-    if "termination_tick" in expect and trace.termination_tick != expect["termination_tick"]:
-        result.failures.append(
-            f"termination tick: wanted {expect['termination_tick']}, "
-            f"got {trace.termination_tick}"
-        )
-    if "effective_termination_tick" in expect:
-        got = trace.effective_termination_tick
-        if got != expect["effective_termination_tick"]:
-            result.failures.append(
-                f"effective termination: wanted "
-                f"{expect['effective_termination_tick']}, got {got}"
-            )
+        stops = {
+            rec.tick for rec in trace.records for name, present in rec.statuses.items()
+            if present and name.startswith(STOP_PREFIX)
+        }
+        _compare(result, "stop_ticks", expect["stop_ticks"], sorted(stops))
+    for key in ("terminated", "termination_tick", "effective_termination_tick"):
+        if key in expect:
+            _compare(result, key, expect[key], getattr(trace, key))
 
 
-def _check_native(
-    program, via_rewrite: Trace, cfg, case: GoldenCase, result: CaseResult
-) -> None:
+def _check_native(program, via_rewrite: Trace, cfg, case: GoldenCase, result: CaseResult) -> None:
     """The trace of the rewritten program and the native flow
     interpretation must agree tick for tick on every user-visible entity."""
     user_names = sorted(program.declared_names())
-    native = run(
-        program, cfg, schedule=case.schedule, max_ticks=case.max_ticks, native_flows=True
-    )
+    native = run(program, cfg, schedule=case.schedule, max_ticks=case.max_ticks, native_flows=True)
     if native.project(user_names) != via_rewrite.project(user_names):
         result.failures.append("native flow interpretation diverges from the rewrite")
-    if (native.terminated, native.termination_tick) != (
-        via_rewrite.terminated,
-        via_rewrite.termination_tick,
-    ):
+    # the termination tick is None exactly while a trace has not terminated
+    if native.termination_tick != via_rewrite.termination_tick:
         result.failures.append("native and rewritten termination differ")
-
-
-def _check_reach(rewritten, cfg, reach: dict, result: CaseResult) -> None:
-    verdict = check_reachable(
-        rewritten,
-        cfg,
-        alphabet=None,
-        bound=reach["bound"],
-        target=reach["target"],
-    )
-    if reach["reachable"]:
-        if not isinstance(verdict, Witness):
-            result.failures.append(
-                f"expected a witness for {reach['target']} within {reach['bound']}"
-            )
-        elif "witness_tick" in reach and verdict.tick != reach["witness_tick"]:
-            result.failures.append(
-                f"witness tick: wanted {reach['witness_tick']}, got {verdict.tick}"
-            )
-    else:
-        if not isinstance(verdict, Unreachable):
-            result.failures.append(
-                f"{reach['target']} unexpectedly reachable within {reach['bound']}"
-            )

@@ -70,9 +70,9 @@ class KernelError(TickflowError):
 
 
 class ScheduleError(TickflowError):
-    """An input schedule, input alphabet, variable map or command-line
-    automaton file is malformed, and the message names it; or an alphabet
-    lacks the values a valued input needs."""
+    """An input schedule, input alphabet, variable map, corpus case, trace
+    JSON or command-line automaton file is malformed, and the message names
+    it; or an alphabet lacks the values a valued input needs."""
 
 
 class MatrixError(TickflowError):

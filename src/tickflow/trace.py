@@ -22,8 +22,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import TickflowError
-from .rational import format_rational, format_value, parse_rational
+from . import files
+from .errors import ScheduleError, TickflowError
+from .rational import format_rational, format_value
 from .struct import Struct
 
 
@@ -232,12 +233,6 @@ def to_csv(trace: Trace) -> str:
 # --- JSON ---------------------------------------------------------------------
 
 
-def _value_to_json(value):
-    if isinstance(value, bool):
-        return value
-    return format_rational(value)
-
-
 def to_json(trace: Trace) -> str:
     doc = {
         "wcrt": format_rational(trace.wcrt),
@@ -249,7 +244,10 @@ def to_json(trace: Trace) -> str:
                 "tick": rec.tick,
                 "time": _time(trace.wcrt, rec.tick),
                 "statuses": {k: v for k, v in sorted(rec.statuses.items())},
-                "values": {k: _value_to_json(v) for k, v in sorted(rec.values.items())},
+                "values": {
+                    k: v if v.__class__ is bool else format_rational(v)
+                    for k, v in sorted(rec.values.items())
+                },
                 "conts": {k: format_rational(v) for k, v in sorted(rec.conts.items())},
                 "labels": list(rec.labels),
             }
@@ -259,97 +257,47 @@ def to_json(trace: Trace) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
-
-
-def _field(obj: dict, key: str, kind: type, where: str):
-    """`obj[key]`, which must be there and be of the JSON type `kind`."""
-    if key not in obj:
-        raise TickflowError(f"{where}: {key!r} is missing")
-    value = obj[key]
-    if type(value) is not kind:
-        raise TickflowError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _rational_field(obj: dict, key: str, where: str) -> Fraction:
-    text = _field(obj, key, str, where)
-    try:
-        return parse_rational(text)
-    except ValueError as err:
-        raise TickflowError(f"{where}: {key!r}: {err}") from None
-
-
-def _value_field(obj: dict, key: str, where: str):
-    """A valued signal's value: a boolean, or a rational as a string."""
-    value = obj[key]
-    if type(value) is bool:
-        return value
-    if type(value) is not str:
-        raise TickflowError(f"{where}: {key!r} must be a boolean or a string, got {value!r}")
-    return _rational_field(obj, key, where)
-
-
-def _map_field(obj: dict, key: str, where: str, read) -> dict:
-    """The object `obj[key]`, each of its entries read by `read`."""
-    entries = _field(obj, key, dict, where)
-    return {name: read(entries, name, f"{where} {key}") for name in entries}
-
-
 def from_json(text: str) -> Trace:
     """The trace a `to_json` document holds. Every field must be there with
-    its JSON type, a terminated trace must hold a record, its ticks must
-    run 1..n in order, and each time and the termination tick must be the
-    values they derive from; anything else is a TickflowError naming the
-    field."""
-    try:
-        doc = json.loads(text)
-    except ValueError as err:
-        raise TickflowError(f"trace is not JSON: {err}") from None
-    if type(doc) is not dict:
-        raise TickflowError(f"trace must be a JSON object, got {doc!r}")
-    wcrt = _rational_field(doc, "wcrt", "trace")
-    terminated = _field(doc, "terminated", bool, "trace")
+    its JSON type and no other, a terminated trace must hold a record, its
+    ticks must run 1..n in order, and each time and the termination tick
+    must be the values they derive from; anything else is a ScheduleError
+    naming the field."""
+    doc = files.parse(text, "trace")
+    files.refuse_repeats("trace", doc)
+    files.fields(doc, "trace", {"wcrt": str, "terminated": bool, "termination_tick": object,
+                                "initial": dict, "ticks": list})
+    wcrt = files.rational(doc["wcrt"], "trace: 'wcrt'")
     records = []
-    for expected, entry in enumerate(_field(doc, "ticks", list, "trace"), start=1):
+    for expected, entry in enumerate(doc["ticks"], start=1):
         where = f"trace record {expected}"
-        if type(entry) is not dict:
-            raise TickflowError(f"{where} must be a JSON object, got {entry!r}")
-        tick = entry.get("tick")
+        files.fields(entry, where, {"tick": object, "time": str, "statuses": dict,
+                                    "values": dict, "conts": dict, "labels": list})
+        tick = entry["tick"]
         if type(tick) is not int or tick != expected:
-            raise TickflowError(
-                f"{where} is for tick {tick!r}; ticks must run 1..n in order"
-            )
-        time = _rational_field(entry, "time", where)
-        if time != wcrt * tick:
-            raise TickflowError(
+            raise ScheduleError(f"{where} is for tick {tick!r}; ticks must run 1..n in order")
+        if files.rational(entry["time"], f"{where}: 'time'") != wcrt * tick:
+            raise ScheduleError(
                 f"trace record {tick} has time {entry['time']!r}; a tick's time is "
                 f"wcrt x tick, {_time(wcrt, tick)}"
             )
-        labels = _field(entry, "labels", list, where)
-        for label in labels:
+        for label in entry["labels"]:
             if type(label) is not str:
-                raise TickflowError(f"{where}: 'labels' must list names, got {label!r}")
+                raise ScheduleError(f"{where}: 'labels' must list names, got {label!r}")
         records.append(TickRecord(
             tick=tick,
-            statuses=_map_field(entry, "statuses", where, lambda o, k, w: _field(o, k, bool, w)),
-            values=_map_field(entry, "values", where, _value_field),
-            conts=_map_field(entry, "conts", where, _rational_field),
-            labels=tuple(labels),
+            statuses=files.entries(entry["statuses"], f"{where} statuses", files.boolean),
+            values=files.entries(entry["values"], f"{where} values", files.value),
+            conts=files.entries(entry["conts"], f"{where} conts", files.rational),
+            labels=tuple(entry["labels"]),
         ))
-    if terminated and not records:
-        raise TickflowError("trace: 'terminated' is true, but a terminated trace holds a record")
-    trace = Trace(
-        wcrt=wcrt,
-        records=records,
-        terminated=terminated,
-        initial_conts=_map_field(doc, "initial", "trace", _rational_field),
-    )
-    if "termination_tick" not in doc:
-        raise TickflowError("trace: 'termination_tick' is missing")
+    if doc["terminated"] and not records:
+        raise ScheduleError("trace: 'terminated' is true, but a terminated trace holds a record")
+    initial = files.entries(doc["initial"], "trace initial", files.rational)
+    trace = Trace(wcrt, records, doc["terminated"], initial)
     given = doc["termination_tick"]
     if given != trace.termination_tick or type(given) is not type(trace.termination_tick):
-        raise TickflowError(
+        raise ScheduleError(
             f"termination_tick {given!r} disagrees with the trace, which has "
             f"{len(records)} records and terminated {trace.terminated!r}"
         )

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tickflow.cli import load_alphabet, load_schedule, main
+from tickflow.cli import main
+from tickflow.files import load_alphabet, load_schedule
 from tickflow.errors import ScheduleError
 
 CORPUS = Path(__file__).parent.parent / "corpus"

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from tickflow import corpus
 from tickflow.corpus import load_cases, run_corpus
+from tickflow.errors import ScheduleError
 
 from conftest import corpus_sources
 
@@ -34,3 +39,53 @@ def test_each_case_runs_the_rewritten_and_the_native_program_once(corpus_dir, mo
     cases = len(load_cases(corpus_dir))
     assert run_corpus(corpus_dir).ok
     assert runs == {False: cases, True: cases}
+
+
+# one-case corpora, each with a file fault or a boolean input value
+DATA = Path(__file__).parent / "data" / "corpora"
+
+
+# corpus -> the message after its file's name
+MALFORMED = {
+    "typo_key": "case 'typo-key': expect: unknown key 'emisions'",
+    "repeated_expect": "case 'repeated-expect': key 'expect' repeated in an object",
+    "repeated_tick": "case 'repeated-tick': duplicate tick 1",
+    "missing_name": "case 1: 'name' is missing",
+}
+UNFIT_INPUTS = {
+    "undeclared_input": "case 'undeclared-input': tick 2: 'OFF' is not a declared input",
+    "mistyped_input": "case 'mistyped-input': tick 1: value 1: 'ON' holds a boolean value",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_case_is_refused_naming_its_file_and_case(name):
+    # a typo, a repeated key or tick is never read as something else: the
+    # expectation ignored, or the last one given winning
+    corpus_dir = DATA / name
+    with pytest.raises(ScheduleError) as err:
+        load_cases(corpus_dir)
+    assert str(err.value) == f"{corpus_dir / 'cases.json'}: {MALFORMED[name]}"
+
+
+@pytest.mark.parametrize("name", sorted(UNFIT_INPUTS))
+def test_schedule_input_the_program_cannot_take_names_the_case(name):
+    corpus_dir = DATA / name
+    with pytest.raises(ScheduleError) as err:
+        run_corpus(corpus_dir)
+    assert str(err.value) == f"{corpus_dir / 'cases.json'}: {UNFIT_INPUTS[name]}"
+
+
+@pytest.mark.parametrize("name", ["boolean_schedule", "boolean_expected"])
+def test_boolean_input_values_are_given_and_expected_as_json_booleans(name):
+    report = run_corpus(DATA / name)
+    assert report.ok, "\n" + report.summary()
+
+
+def test_boolean_expected_value_is_compared_by_type_and_printed_as_a_boolean():
+    report = run_corpus(DATA / "boolean_expected_wrong")
+    assert report.summary().splitlines() == [
+        "FAIL  boolean-expected-wrong",
+        "      values ON@3: wanted true, got false",
+        "0/1 cases pass",
+    ]

@@ -13,6 +13,10 @@ The flags role mutates one flag's value the same two ways, or puts a
 pool token in its place or beside it, and an exit 2 must name that flag:
 a message that starts with it.
 
+The cases role mutates a small corpus `cases.json` the same two ways and
+reads it with `load_cases`: each mutant must load, or raise a
+`ScheduleError` or an `OSError` naming the file.
+
 The environment variable TICKFLOW_FUZZ_SCALE multiplies the mutants of
 each file role (see `_fuzz_scale`).
 
@@ -37,6 +41,8 @@ from pathlib import Path
 import pytest
 
 from tickflow.cli import main
+from tickflow.corpus import load_cases
+from tickflow.errors import ScheduleError
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 CAROUSEL = str(CORPUS / "programs" / "carousel.hsj")
@@ -128,7 +134,7 @@ ROLES = {
 SEEDS = {
     "alphabet": 0, "automaton": 1, "map": 2, "matrix": 3, "program": 4,
     "program-verify": 5, "schedule": 6, "alphabet-values": 7, "schedule-values": 8,
-    "automaton-expr": 9,
+    "automaton-expr": 9, "cases": 10,
 }
 
 
@@ -223,6 +229,40 @@ def test_mutated_file_fails_cleanly(role, tmp_path, capsys):
             assert _VERDICT.search(out), case
         elif code == 2:
             assert err.startswith(named), f"{case}\n{err}"
+
+
+# a corpus file with every field of a case and every expectation key, read
+# by `load_cases`, not by a command
+CASES = (
+    '{"cases": [{"name": "switch", "program": "switch.hsj", "wcrt": "1", "params": {},'
+    ' "max_ticks": 3, "schedule": [{"tick": 1, "present": ["ON"], "values": {"ON": true}}],'
+    ' "expect": {"statuses": [["HIGH", 2, true]], "values": [["ON", 1, true]],'
+    ' "conts": [["a", 1, "1/2"]], "emissions": {"HIGH": [2]}, "stop_ticks": [1],'
+    ' "final_conts": {"a": "1"}, "terminated": false, "termination_tick": 3,'
+    ' "effective_termination_tick": 3,'
+    ' "reach": {"target": "HIGH", "bound": 2, "reachable": true, "witness_tick": 2}},'
+    ' "note": "n"}]}\n'
+)
+
+
+def test_mutated_cases_file_loads_or_fails_naming_it(tmp_path):
+    mutated = tmp_path / "cases.json"
+    rng = random.Random(SEEDS["cases"])
+    for i in range(2 * MUTATIONS):
+        if i % 2:
+            data = _token_mutant(rng, CASES)
+        else:
+            data = _byte_mutant(rng, CASES.encode("utf-8"))
+        mutated.write_bytes(data)
+        case = f"cases mutant {i}: {data!r}"
+        try:
+            load_cases(tmp_path)
+        except ScheduleError as err:
+            assert str(err).startswith(f"{mutated}: "), f"{case}\n{err}"
+        except OSError as err:
+            assert err.filename == str(mutated), f"{case}\n{err}"
+        except Exception as err:  # any other exception is the fault: name the mutant
+            pytest.fail(f"{case}\n{err!r}")
 
 
 class _Object(list):

@@ -67,6 +67,11 @@ def test_cli_import_check_and_desugar_load_no_engine(name):
     assert not _tickflow(modules) & ENGINE, sorted(_tickflow(modules))
 
 
+@pytest.mark.parametrize("name", ["check", "desugar", "lti"])
+def test_commands_that_read_no_json_file_do_not_load_json(name):
+    assert "json" not in _command(name)
+
+
 def test_lti_loads_no_parser():
     modules = _command("lti")
     assert not any(m == "syntax" or m.startswith("syntax.") for m in _tickflow(modules))

@@ -228,6 +228,21 @@ def test_json_rejects_a_malformed_field_naming_it(edit, bad):
         from_json(json.dumps(doc))
 
 
+def test_json_that_repeats_a_key_is_refused():
+    # each last value given makes a valid trace: the earlier one must not be
+    # quietly dropped
+    text = to_json(_trace(LABELLED))
+    for old, new, key in (
+        ('"wcrt": ', '"wcrt": "1",\n  "wcrt": ', "wcrt"),
+        ('"time": ', '"time": "99",\n      "time": ', "time"),
+        ('"S": ', '"S": false,\n        "S": ', "S"),
+    ):
+        edited = text.replace(old, new, 1)
+        assert edited != text and json.loads(edited) == json.loads(text), key
+        with pytest.raises(TickflowError, match=f"^trace: key '{key}' repeated in an object$"):
+            from_json(edited)
+
+
 def test_json_that_is_no_object_is_refused():
     for text in ("[]", "{", "3"):
         with pytest.raises(TickflowError, match="trace"):
