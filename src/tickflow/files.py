@@ -46,7 +46,7 @@ def parse(text: str, origin: str):
 
     try:
         return json.loads(text, object_pairs_hook=object_of)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScheduleError(f"{origin}: {exc}") from exc
 
 

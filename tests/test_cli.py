@@ -468,6 +468,14 @@ def test_repeated_json_key_or_name_exits_2(tmp_path, capsys):
         assert captured.err == f"{bad}: {message}\n" and captured.out == "", text
 
 
+def test_deeply_nested_json_exits_2_naming_its_file(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 5000 + "]" * 5000)
+    faulty = str(CORPUS / "programs" / "faulty_reset.hsj")
+    assert main(["run", faulty, "--wcrt", "2", "--schedule", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}: ")
+
+
 def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
     bad = tmp_path / "map.json"
     for text, message in (
