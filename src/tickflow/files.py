@@ -46,7 +46,7 @@ def parse(text: str, origin: str):
 
     try:
         return json.loads(text, object_pairs_hook=object_of)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the parser's limit
         raise ScheduleError(f"{origin}: {exc}") from exc
 
 
@@ -62,8 +62,8 @@ def refuse_repeats(origin: str, datum) -> None:
             refuse_repeats(origin, item)
     elif datum.__class__ is _Repeated:
         keys = [key for key, _ in datum.pairs]
-        for item in datum.pairs:
-            refuse_repeats(origin, item[1])
+        for _, item in datum.pairs:
+            refuse_repeats(origin, item)
         key = next(key for at, key in enumerate(keys) if key in keys[:at])
         raise ScheduleError(f"{origin}: key {key!r} repeated in an object")
 
