@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import files
+from .errors import ArgumentError, ScheduleError, TickflowError
 from .kernel import run
 from .params import bind_params
 from .rational import format_value
@@ -66,6 +67,9 @@ _CASE = {"name": str, "program": str, "wcrt": str, "params": dict, "schedule": l
 _EXPECT = {"statuses": list, "values": list, "conts": list, "emissions": dict,
            "stop_ticks": list, "final_conts": dict, "terminated": bool, "termination_tick": int,
            "effective_termination_tick": int, "reach": dict}
+# the field of a case that gives each library parameter an `ArgumentError` names
+_FIELDS = {"max_ticks": "'max_ticks'", "bound": "expect reach: 'bound'",
+           "target": "expect reach: 'target'"}
 # each list of [name, tick, wanted] expectations: the reader of its wanted
 # datum and the trace query it is compared with
 _AT_TICK = {
@@ -123,7 +127,9 @@ def _expect(expect: dict, where: str) -> dict:
 
 def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     """Run `case` and check it. A schedule input the program does not
-    declare, or a value it cannot hold, is an error naming the case."""
+    declare, or a value it cannot hold, is an error naming the case, and
+    so is a negative `max_ticks` or reach `bound` and a reach `target`
+    that is not a declared signal."""
     corpus_dir = Path(corpus_dir)
     result = CaseResult(case.name, [])
     program = bind_params(parse(files.read_text(str(corpus_dir / case.program))), case.params)
@@ -132,17 +138,20 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
         files.require_inputs(f"{where}tick {tick}: ", inputs.present, inputs.values, program)
     cfg = RewriteConfig(case.wcrt)
     rewritten = rewrite_flows(program, cfg)
-    trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
-    _check_trace(case.expect, trace, result)
-    _check_native(program, trace, cfg, case, result)
-    reach = case.expect.get("reach")
-    if reach is not None:
-        target, bound = reach["target"], reach["bound"]
-        verdict = check_reachable(rewritten, cfg, alphabet=None, bound=bound, target=target)
-        found = isinstance(verdict, Witness)
-        _compare(result, f"reach {target} within {bound}", reach["reachable"], found)
-        if found and "witness_tick" in reach:
-            _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
+    try:
+        trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
+        _check_trace(case.expect, trace, result)
+        _check_native(program, trace, cfg, case, result)
+        reach = case.expect.get("reach")
+        if reach is not None:
+            target, bound = reach["target"], reach["bound"]
+            verdict = check_reachable(rewritten, cfg, alphabet=None, bound=bound, target=target)
+            found = isinstance(verdict, Witness)
+            _compare(result, f"reach {target} within {bound}", reach["reachable"], found)
+            if found and "witness_tick" in reach:
+                _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
+    except ArgumentError as err:  # names the field at fault
+        raise ScheduleError(f"{where}{_FIELDS[err.name]}: {err.message}") from None
     return result
 
 
@@ -155,19 +164,43 @@ def _compare(result: CaseResult, label: str, want, got) -> None:
     """A failure unless `got` is `want`, compared by type and value; a
     value prints as `format_value` prints it."""
     if (want.__class__, want) != (got.__class__, got):
-        show = [format_value(v) if isinstance(v, (bool, Fraction)) else str(v) for v in (want, got)]
-        result.failures.append(f"{label}: wanted {show[0]}, got {show[1]}")
+        result.failures.append(f"{label}: wanted {_show(want)}, got {_show(got)}")
+
+
+def _lacks(result: CaseResult, label: str, want, what: str) -> None:
+    """A failure: the trace has no `what` to compare `want` with."""
+    result.failures.append(f"{label}: wanted {_show(want)}, but the trace has no {what}")
+
+
+def _show(value) -> str:
+    return format_value(value) if isinstance(value, (bool, Fraction)) else str(value)
 
 
 def _check_trace(expect: dict, trace: Trace, result: CaseResult) -> None:
-    """Each expectation against the trace; a failure names its key."""
+    """Each expectation against the trace; a failure names its key. An
+    expectation of a tick the trace has no record of, or of an entity it
+    does not hold, fails its case and not the run."""
     for key, (_, query) in _AT_TICK.items():
         for name, tick, want in expect[key]:
-            _compare(result, f"{key} {name}@{tick}", want, query(trace, name, tick))
+            label = f"{key} {name}@{tick}"
+            try:
+                got = query(trace, name, tick)
+            except KeyError:
+                _lacks(result, label, want, f"{name!r} at tick {tick}")
+            except TickflowError:  # no record of the tick
+                _lacks(result, label, want, f"tick {tick}")
+            else:
+                _compare(result, label, want, got)
     for name, ticks in expect["emissions"].items():
         _compare(result, f"emissions {name}", ticks, trace.emission_ticks(name))
     for name, want in expect["final_conts"].items():
-        _compare(result, f"final_conts {name}", want, trace.final_cont(name))
+        label = f"final_conts {name}"
+        try:
+            got = trace.final_cont(name)
+        except KeyError:
+            _lacks(result, label, want, repr(name))
+        else:
+            _compare(result, label, want, got)
     if "stop_ticks" in expect:
         stops = {
             rec.tick for rec in trace.records for name, present in rec.statuses.items()

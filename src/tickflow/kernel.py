@@ -41,8 +41,12 @@ and `resume(ctx, res)` continues it from the residue it left. A parent
 picks the child that resumes a residue by its index (a Seq's statement or
 an If's branch) or Par slot, so a tick dispatches on nothing. Each
 expression becomes a closure too. Names resolve to slots at compile time:
-a declaration has at most one live instance, so the per-tick list
-`ctx.env` holds it in the declaration's slot while its scope runs.
+a declaration has at most one live instance across ticks, so the per-tick
+list `ctx.env` holds it in the declaration's slot. A tick fills `env` from
+the store it starts from, a declaration's run puts its new instance there,
+and its resume and its scope's end read it there; an abort that fires
+drops the live instances of the declarations its body declares, a list
+fixed at compile time.
 
 A look-ahead compiles to reads of its site's variables, in site order,
 into slots of its own that shadow them, then its invariant. A variable
@@ -64,7 +68,7 @@ uses that to emit straight-line code for four shapes:
   branch is not called;
 - a Seq whose statements cannot pause is one closure with resume None,
   and a Seq whose only pause is its final `pause` runs its other
-  statements and returns one IndexRes built at compile time, with resume
+  statements and returns one residue built at compile time, with resume
   `_none`;
 - a Loop whose body resumes with `_none` (a body that pauses whenever it
   runs and terminates whenever it resumes) re-runs the body directly;
@@ -73,19 +77,20 @@ uses that to emit straight-line code for four shapes:
   same logged read and builds `Fraction(n*q + p*d, d*q)` from integers.
 
 None of them changes a residue's value. An If that cannot pause left no
-residue before either; the shared IndexRes equals the one a tick built
-(same index, and a pause's leaf equals every pause's); a Loop adds no
-residue of its own. An If that can pause keeps its branches and their
+residue before either; the shared residue equals the one a tick built
+(same index, and a pause's leaf is `True`); a Loop adds no residue of its
+own. An If that can pause keeps its branches and their
 numbering, `!` or not. Reads, writes and errors happen in the same order,
 so traces, read logs, state keys and verdicts are what the generic code
 gives.
 
 A machine state is a value, and holds only what a tick reads or decides:
 the code, the input names and the read log it shares with its run, a
-residue (an immutable tree of the paused points of the program), a store
-mapping each live declaration instance to its settled (status, value) in
-registration order, and the tick it follows. A loop or an abort resumes
-its body's residue, so neither adds a node of its own. `TickState.step`
+residue (a tuple tree of the paused points of the program; see
+"residues" below), a store mapping each live declaration instance to its
+settled (status, value) in registration order, and the tick it follows.
+A loop, an abort or a declaration resumes its body's residue, so none
+adds a node of its own. `TickState.step`
 runs one tick from a state and leaves the state as it was; the tick's
 `settle` builds the next state. A tick builds its own residue and store
 and never mutates the old ones, so states share the residue subtrees a
@@ -122,7 +127,6 @@ from .syntax.checks import check_program
 from .syntax.nodes import (
     Binary,
     BoolLit,
-    Label,
     NameRef,
     NumLit,
     Pause,
@@ -167,7 +171,8 @@ class Instance:
     """One entry of a declaration's scope: an identity token whose settled
     (status, value) lives in `TickState.store`. `decl` tells a signal from
     a continuous variable, whose settled status is always False; `slot`,
-    the declaration's environment slot, names it in a state key."""
+    the declaration's environment slot, finds it at a tick's start and
+    names it in a state key."""
 
     __slots__ = ("decl", "slot")
 
@@ -178,129 +183,37 @@ class Instance:
 
 # --- residues ----------------------------------------------------------------
 #
-# Residues are values: built once by `run` or `resume`, never mutated, and
-# shared between states. There are five kinds: a leaf (a pause, or a native
-# flow), the index of the Seq statement or If branch that paused, a Par's
-# branches, the one body of a suspend or a label, and a declaration. A
-# loop's or an abort's residue is its body's; a suspend keeps a BodyRes,
-# since its None child (an immediate guard held the body before entry)
-# differs from a body that terminated. Each class writes its own `==` and
-# `hash` over its compared slots, which leave out `node`: that is exact
-# within one program, since walking down from the root, the statements
-# passed on the way and each residue's index or Par slot fix its node. A
-# declaration has at most one live instance, so a DeclRes is fixed by its
-# node too, and its `instance` is left out as well. A tick builds many
-# residues and the search keys states by them, so each class keeps
-# `__slots__` and writes its own `__init__`.
+# A residue is a plain value built of tuples, ints, bools and strs, so a
+# state key hashes and compares in C. A leaf (a pause, or a native flow) is
+# its `stop` bool: terminate on resume without running, always true for a
+# pause and computed last tick by a native flow's look-ahead. A Seq or an If
+# leaves `(index, child)`, the index of the statement or branch that paused;
+# a Par the tuple of its branches' residues, None for a finished branch; a
+# label `(name, child)`; and a suspend `(child,)`, whose child is None when
+# an immediate guard froze the body before entry. A loop, an abort and a
+# declaration leave their body's residue and add nothing of their own.
+# Residues name no node, and that is exact within one program: walking down
+# from the root, the statements passed on the way and each residue's index
+# or Par position fix its node. Nor do they name an instance: a declaration
+# has at most one live instance across ticks, so a tick finds it by its
+# slot in the store (`_TickCtx.env`).
 
 
-class _Res(Struct, frozen=False):
-    """The base of the residues that compare one slot, `child`: Body and
-    Decl residues."""
-
-    __slots__ = ("node",)
-    node: Stmt
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.child == other.child
-
-    def __hash__(self):
-        return hash(self.child)
-
-
-class LeafRes(_Res):
-    """A paused leaf. `stop`: terminate on resume without running; always
-    true for a pause, computed last tick by a native flow's look-ahead."""
-
-    __slots__ = ("stop",)
-    stop: bool
-
-    def __init__(self, node, stop):
-        self.node = node
-        self.stop = stop
-
-    def __eq__(self, other):
-        return other.__class__ is LeafRes and self.stop == other.stop
-
-    def __hash__(self):
-        return hash(self.stop)
-
-
-class IndexRes(_Res):
-    """A Seq or an If: the index of the statement or branch that paused."""
-
-    __slots__ = ("index", "child")
-    index: int
-    child: "_Res"
-
-    def __init__(self, node, index, child):
-        self.node = node
-        self.index = index
-        self.child = child
-
-    def __eq__(self, other):
-        return (
-            other.__class__ is IndexRes and self.index == other.index
-            and self.child == other.child
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.child))
-
-
-class ParRes(_Res):
-    __slots__ = ("children",)
-    children: tuple  # per branch: residue, or None once the branch finished
-
-    def __init__(self, node, children):
-        self.node = node
-        self.children = children
-
-    def __eq__(self, other):
-        return other.__class__ is ParRes and self.children == other.children
-
-    def __hash__(self):
-        return hash(self.children)
-
-
-class BodyRes(_Res):
-    """A suspend or a label, continuing its one body."""
-
-    __slots__ = ("child",)
-    child: Optional["_Res"]  # None: a suspend's immediate guard froze it before entry
-
-    def __init__(self, node, child):
-        self.node = node
-        self.child = child
-
-
-class DeclRes(_Res):
-    __slots__ = ("instance", "child")
-    instance: object
-    child: "_Res"
-
-    def __init__(self, node, instance, child):
-        self.node = node
-        self.instance = instance
-        self.child = child
-
-
-def _live_in(res, labels: list, instances: list):
-    """Collect the names of the labels and the instances a residue holds."""
-    if res is None:
+def _labels_in(res, labels: list):
+    """Collect the names of the labels a residue holds. Its shapes tell
+    themselves apart: a label's head is a str, a Seq's or an If's an int,
+    and a Par's or a suspend's a residue or None, never an int."""
+    if res.__class__ is not tuple:
         return
-    cls = res.__class__
-    if cls is ParRes:
-        for child in res.children:
-            _live_in(child, labels, instances)
-        return
-    if cls is LeafRes:
-        return
-    if cls is DeclRes:
-        instances.append(res.instance)
-    elif res.node.__class__ is Label:
-        labels.append(res.node.name)
-    _live_in(res.child, labels, instances)
+    head = res[0]
+    if head.__class__ is str:
+        labels.append(head)
+        _labels_in(res[1], labels)
+    elif head.__class__ is int:
+        _labels_in(res[1], labels)
+    else:
+        for child in res:
+            _labels_in(child, labels)
 
 
 # --- the machine -------------------------------------------------------------
@@ -395,7 +308,8 @@ class _Tick:
         """The next state and its key, `verify.fingerprint` of it. Its
         store holds every instance whose scope did not end this tick, in
         registration order, with its settled status and value; the same
-        pass lays each out in the key as its slot, status and value."""
+        pass lays each out in the key as its slot, status and value, a
+        rational value as its (numerator, denominator)."""
         folded, emitted, ended = self.folded, self.emitted, self.ended
         store, flat = {}, []
         for inst, (_, value) in self.prev.items():
@@ -405,7 +319,10 @@ class _Tick:
             if inst in folded:
                 value = folded[inst]
             store[inst] = (present, value)
-            flat += (inst.slot, present, value)
+            if value.__class__ is Fraction:
+                flat += (inst.slot, present, value.as_integer_ratio())
+            else:
+                flat += (inst.slot, present, value)
         residue = self.residue
         return self.state._after(self, store), (residue is None, residue, tuple(flat))
 
@@ -468,7 +385,10 @@ class _TickCtx(_Tick):
     def __init__(self, state: TickState, t: int, slots: int):
         self.state = state
         self.t = t
-        self.env = [None] * slots  # declaration slot -> instance; TTL slot -> prediction
+        # declaration slot -> instance; TTL slot -> prediction
+        self.env = env = [None] * slots
+        for inst in state.store:  # at most one live instance per slot
+            env[inst.slot] = inst
         # instance -> previous-tick (status, value), plus this tick's registrations
         self.prev: dict = dict(state.store)
         self.emitted: set = set()  # instances
@@ -480,16 +400,19 @@ class _TickCtx(_Tick):
         self.latchable = None  # every input instance a choice is latched onto
         self.error = None
 
-    def kill(self, res):
-        """Discard a residue subtree: its instances vanish unsettled. A
-        killed subtree has not run this tick (guards are evaluated top-down
-        before bodies), so it holds no pending effects."""
-        gone: list = []
-        _live_in(res, [], gone)
-        for inst in gone:
-            self.prev.pop(inst, None)
-            self.writes.pop(inst, None)
-            self.emitted.discard(inst)
+    def kill(self, slots: tuple):
+        """Discard an aborted body, which declares the declarations in
+        `slots`: their live instances vanish unsettled. The body has not
+        run this tick (guards are evaluated top-down before bodies), so
+        each slot holds None or the instance live at the tick's start, and
+        no pending effects."""
+        env, prev, writes, emitted = self.env, self.prev, self.writes, self.emitted
+        for slot in slots:
+            inst = env[slot]
+            if inst is not None:
+                del prev[inst]
+                writes.pop(inst, None)
+                emitted.discard(inst)
 
     def fold(self):
         """Fold each written instance's writes, once, into the value it
@@ -700,11 +623,13 @@ class _Compiler:
     expressions into closures. A scope maps each visible name to
     (kind, slot, declaration), kind being "signal", "cont" or "pred" (a
     look-ahead prediction, whose third entry is its affine form or None);
-    `slots` counts the environment slots."""
+    `slots` counts the environment slots, and `declared` lists the
+    declarations' slots in compile order (a look-ahead's are left out)."""
 
     def __init__(self, cfg: RewriteConfig):
         self.wcrt = cfg.wcrt
         self.slots = 0
+        self.declared: list = []
 
     def slot(self) -> int:
         self.slots += 1
@@ -719,8 +644,7 @@ class _Compiler:
         return _none, None
 
     def stmt_Pause(self, node, scope):
-        res = LeafRes(node, True)
-        return (lambda ctx: res), _none
+        return (lambda ctx: True), _none
 
     def stmt_Emit(self, node, scope):
         slot = scope[node.name][1]
@@ -788,11 +712,11 @@ class _Compiler:
             resumes[-1] is None or last.__class__ is Pause
         ):
             # straight-line code: no statement but a final pause can pause,
-            # so the residue is None or always the pause's, built once here
+            # so the residue is None or always the pause's
             if resumes[-1] is None:
                 effects, res, resume = runs, None, None
             else:
-                res = IndexRes(node, count - 1, LeafRes(last, True))
+                res = (count - 1, True)
                 effects, resume = runs[:-1], _none
 
             def straight(ctx):
@@ -806,14 +730,14 @@ class _Compiler:
             for i in range(start, count):
                 res = runs[i](ctx)
                 if res is not None:
-                    return IndexRes(node, i, res)
+                    return (i, res)
             return None
 
         def resume(ctx, res):
-            i = res.index
-            child = resumes[i](ctx, res.child)
+            i, child = res
+            child = resumes[i](ctx, child)
             if child is not None:
-                return IndexRes(node, i, child)
+                return (i, child)
             return run(ctx, i + 1)
 
         return run, resume
@@ -824,13 +748,11 @@ class _Compiler:
 
         def run(ctx):
             children = tuple([r(ctx) for r in runs])
-            return None if children.count(None) == count else ParRes(node, children)
+            return None if children.count(None) == count else children
 
         def resume(ctx, res):
-            children = tuple([
-                None if c is None else r(ctx, c) for r, c in zip(resumes, res.children)
-            ])
-            return None if children.count(None) == count else ParRes(node, children)
+            children = tuple([None if c is None else r(ctx, c) for r, c in zip(resumes, res)])
+            return None if children.count(None) == count else children
 
         return run, resume
 
@@ -843,12 +765,12 @@ class _Compiler:
         def run(ctx):
             branch = 0 if cond(ctx) else 1
             res = runs[branch](ctx)
-            return IndexRes(node, branch, res) if res is not None else None
+            return (branch, res) if res is not None else None
 
         def resume(ctx, res):
-            branch = res.index
-            child = resumes[branch](ctx, res.child)
-            return IndexRes(node, branch, child) if child is not None else None
+            branch, child = res
+            child = resumes[branch](ctx, child)
+            return (branch, child) if child is not None else None
 
         return run, resume
 
@@ -900,7 +822,9 @@ class _Compiler:
     def stmt_Abort(self, node, scope):
         guard = self.expr(node.guard, scope)
         immediate = node.immediate
+        first = len(self.declared)
         body_run, body_resume = self.stmt(node.body, scope)
+        slots = tuple(self.declared[first:])  # the body's declarations
 
         def run(ctx):
             if immediate and guard(ctx):
@@ -909,7 +833,7 @@ class _Compiler:
 
         def resume(ctx, res):
             if guard(ctx):
-                ctx.kill(res)
+                ctx.kill(slots)
                 return None
             return body_resume(ctx, res)
 
@@ -922,20 +846,18 @@ class _Compiler:
 
         def run(ctx):
             if immediate and guard(ctx):
-                return BodyRes(node, None)
+                return (None,)
             res = body_run(ctx)
-            return BodyRes(node, res) if res is not None else None
+            return (res,) if res is not None else None
 
         def resume(ctx, res):
             if guard(ctx):
                 # frozen: no micro-steps this tick, but its labels still hold
-                _live_in(res.child, ctx.labels, [])
+                _labels_in(res[0], ctx.labels)
                 return res
-            if res.child is None:
-                child = body_run(ctx)
-            else:
-                child = body_resume(ctx, res.child)
-            return BodyRes(node, child) if child is not None else None
+            child = res[0]
+            child = body_run(ctx) if child is None else body_resume(ctx, child)
+            return (child,) if child is not None else None
 
         return run, resume
 
@@ -948,14 +870,14 @@ class _Compiler:
             if res is None:
                 return None
             ctx.labels.append(name)
-            return BodyRes(node, res)
+            return (name, res)
 
         def resume(ctx, res):
-            child = body_resume(ctx, res.child)
+            child = body_resume(ctx, res[1])
             if child is None:
                 return None
             ctx.labels.append(name)
-            return BodyRes(node, child)
+            return (name, child)
 
         return run, resume
 
@@ -986,8 +908,10 @@ class _Compiler:
         with its initial value (read in the outer scope) before the body
         runs; the instance ends with the body. The instance is noted in
         `fresh`: the latch after the tick reads the inputs there, and `run`
-        the initial values."""
+        the initial values. A resume finds the instance in its slot, and
+        the declaration leaves its body's residue."""
         slot = self.slot()
+        self.declared.append(slot)
         body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
 
         def run(ctx):
@@ -997,16 +921,15 @@ class _Compiler:
             ctx.fresh.append(inst)
             ctx.env[slot] = inst
             child = body_run(ctx)
-            return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
+            if child is None:
+                ctx.ended.add(inst)
+            return child
 
         def resume(ctx, res):
-            inst = res.instance
-            ctx.env[slot] = inst
-            child = body_resume(ctx, res.child)
-            return DeclRes(node, inst, child) if child is not None else end(ctx, inst)
-
-        def end(ctx, inst):
-            ctx.ended.add(inst)
+            child = body_resume(ctx, res)
+            if child is None:
+                ctx.ended.add(ctx.env[slot])
+            return child
 
         return run, resume
 
@@ -1022,7 +945,6 @@ class _Compiler:
         for name, rate in site.odes:
             slot = scope[name][1]
             steps.append((slot, _plus(_reader(slot, name, "value", 1), rate * self.wcrt)))
-        going, stopping = LeafRes(node, False), LeafRes(node, True)
         always = isinstance(node.invariant, BoolLit) and node.invariant.value
         lookahead = None if always else self._lookahead(site, node.invariant, scope)
 
@@ -1031,11 +953,11 @@ class _Compiler:
             for slot, step in steps:
                 writes.setdefault(env[slot], []).append(step(ctx))
             if lookahead is None or lookahead(ctx):
-                return going
-            return stopping
+                return False  # going on
+            return True  # stopping on the next resume
 
         def resume(ctx, res):
-            return None if res.stop else run(ctx)
+            return None if res else run(ctx)
 
         return run, resume
 

@@ -15,7 +15,7 @@ as much to define as a plain one:
   or one of its bases is declared with `frozen=False`.
 
 A mutable struct still hashes by its fields, so it must not change while it
-is a set member or a dict key. A class built many times per tick writes its
+is a set member or a dict key. A class built on every tick writes its
 own `__init__`, which skips the generic argument handling.
 """
 

@@ -4,8 +4,10 @@ Programs are deterministic once their inputs are fixed, so the search tree
 branches only on the per-tick input choice. Verdicts are relative to the
 tick bound. States are keyed by `fingerprint`, an exact tuple of the shared
 residue and the store, each declaration named by its environment slot,
-which the compiler gives it once; the search builds no index of the
-program. The cache maps each key to the earliest tick the state was
+which the compiler gives it once, and each rational value by its
+(numerator, denominator); the search builds no index of the program. A
+residue is itself a tuple tree, so a key holds only tuples, ints, bools,
+strs and None, and CPython hashes and compares it in C. The cache maps each key to the earliest tick the state was
 reached at, and a state is expanded again only when reached strictly
 earlier (it then has more ticks left), so depth-first order is as sound
 as breadth-first. Breadth-first order reaches states in tick order, so its
@@ -40,6 +42,7 @@ search, so a choice that is only counted at a leaf is checked again
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -142,16 +145,21 @@ class Unreachable(Struct):
 def fingerprint(state: TickState) -> tuple:
     """Exact key of a settled state: equal keys mean equal states, however
     they were reached. A tuple of the termination flag, the residue (a
-    hashable value; see `kernel` on why its equality is exact within one
-    program) and the store in registration order, one flat tuple that
-    gives each instance three entries: its declaration's slot (a
-    declaration has at most one live instance, and equal programs number
-    their slots alike), settled status and value. Registration order
+    value of tuples, ints, bools and strs; see `kernel` on why its
+    equality is exact within one program) and the store in registration
+    order, one flat tuple that gives each instance three entries: its
+    declaration's slot (a declaration has at most one live instance, and
+    equal programs number their slots alike), settled status and value, a
+    rational value as its (numerator, denominator). Registration order
     decides which of two same-named instances settles as `S` and which as
-    `S:2`. A declaration fixes its value's type, so `True` never meets
-    `Fraction(1)`. A tick's `settle` builds this key beside the state."""
+    `S:2`. A declaration fixes its value's type (boolean, rational or
+    none), so a pair never meets a bool. The key holds only tuples, ints,
+    bools, strs and None, which CPython hashes and compares in C. A tick's
+    `settle` builds this key beside the state."""
     flat = []
     for inst, (status, value) in state.store.items():
+        if value.__class__ is Fraction:
+            value = value.as_integer_ratio()
         flat += (inst.slot, status, value)
     return (state.terminated, state.residue, tuple(flat))
 

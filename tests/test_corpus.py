@@ -89,3 +89,46 @@ def test_boolean_expected_value_is_compared_by_type_and_printed_as_a_boolean():
         "      values ON@3: wanted true, got false",
         "0/1 cases pass",
     ]
+
+
+# corpus -> its summary: an expectation the trace cannot answer fails its
+# case, labelled by its key, and the run goes on
+UNANSWERED = {
+    "missing_entity": [
+        "FAIL  missing-entity",
+        "      values NOPE@1: wanted 1, but the trace has no 'NOPE' at tick 1",
+        "      conts x@0: wanted 0, but the trace has no 'x' at tick 0",
+        "      conts x@2: wanted 0, but the trace has no 'x' at tick 2",
+        "      final_conts x: wanted 0, but the trace has no 'x'",
+        "0/1 cases pass",
+    ],
+    "tick_past_end": [
+        "FAIL  tick-past-end",
+        "      statuses HIGH@9: wanted true, but the trace has no tick 9",
+        "      statuses HIGH@0: wanted false, but the trace has no tick 0",
+        "      values ON@4: wanted false, but the trace has no tick 4",
+        "0/1 cases pass",
+    ],
+}
+# corpus -> the message after its file's name: an argument out of range is
+# named by the case's field, not by the library parameter it is passed as
+OUT_OF_RANGE = {
+    "negative_ticks": "case 'negative-ticks': 'max_ticks': must be non-negative, got -2",
+    "negative_bound": "case 'negative-bound': expect reach: 'bound': must be non-negative, got -1",
+    "undeclared_target": (
+        "case 'undeclared-target': expect reach: 'target': 'NOPE' is not a declared signal"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNANSWERED))
+def test_expectation_the_trace_cannot_answer_fails_its_case(name):
+    assert run_corpus(DATA / name).summary().splitlines() == UNANSWERED[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_argument_out_of_range_names_the_case_and_its_field(name):
+    corpus_dir = DATA / name
+    with pytest.raises(ScheduleError) as err:
+        run_corpus(corpus_dir)
+    assert str(err.value) == f"{corpus_dir / 'cases.json'}: {OUT_OF_RANGE[name]}"

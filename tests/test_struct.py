@@ -1,5 +1,5 @@
 """The record base class: fields, equality, hashing, immutability, replace
-and repr, on syntax nodes and kernel residues."""
+and repr, on syntax nodes and records of its own."""
 
 from __future__ import annotations
 
@@ -7,14 +7,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.kernel import DeclRes, IndexRes, Instance, LeafRes
 from tickflow.struct import Struct, replace
 from tickflow.syntax.nodes import Binary, Emit, NameRef, NumLit, Pause, Seq
 
 
+class _Base(Struct, frozen=False):
+    UNCOMPARED = ("note",)
+    note: str
+
+
+class _Derived(_Base):
+    left: int
+    right: int = 0
+
+
 def test_fields_are_read_in_order_bases_first():
     assert Binary.FIELDS == ("op", "left", "right", "pos")
-    assert DeclRes.FIELDS == ("node", "instance", "child")
+    assert _Derived.FIELDS == ("note", "left", "right")
     assert Struct.FIELDS == ()
 
 
@@ -27,16 +36,12 @@ def test_nodes_that_differ_only_in_pos_are_equal_and_hash_equal():
     assert NameRef("x") != Emit("x")  # another class is never equal
 
 
-def test_residues_that_differ_only_in_node_or_instance_are_equal():
-    first, second = Pause((1, 1)), Emit("S", (2, 1))
-    assert LeafRes(first, True) == LeafRes(second, True)
-    assert hash(IndexRes(first, 0, LeafRes(first, True))) == hash(
-        IndexRes(second, 0, LeafRes(second, True))
-    )
-    assert IndexRes(first, 0, LeafRes(first, True)) != IndexRes(first, 1, LeafRes(first, True))
-    a = DeclRes(first, Instance(first, 0), LeafRes(first, True))
-    b = DeclRes(second, Instance(second, 1), LeafRes(second, True))
+def test_records_that_differ_only_in_uncompared_fields_are_equal():
+    a, b = _Derived("first", 1), _Derived("second", 1, right=0)
     assert a == b and hash(a) == hash(b)
+    assert a != _Derived("first", 1, 2)
+    b.note = "changed"  # a mutable record's base is mutable too
+    assert b.note == "changed" and a == b
 
 
 def test_assigning_or_deleting_a_node_field_raises():
@@ -64,9 +69,9 @@ def test_replace_keeps_the_class_and_the_uncompared_fields():
     changed = replace(seq, stmts=(Emit("T", (4, 1)), Pause((5, 1))))
     assert type(changed) is Seq and changed.pos == (2, 1)
     assert changed.stmts[0] == Emit("T") and seq.stmts[0] == Pause()
-    res = DeclRes(seq, Instance(seq, 0), LeafRes(seq, True))
-    moved = replace(res, child=None)
-    assert type(moved) is DeclRes and moved.node is seq and moved.instance is res.instance
+    record = _Derived("kept", 1, 2)
+    moved = replace(record, right=3)
+    assert type(moved) is _Derived and moved.note is record.note and moved.right == 3
     with pytest.raises(TypeError):
         replace(seq, colour=3)
 
@@ -77,4 +82,4 @@ def test_repr_names_the_class_and_every_field():
         "Binary(op='*', left=NumLit(value=Fraction(1, 2), pos=None), "
         "right=NameRef(name='y', pos=None), pos=None)"
     )
-    assert repr(LeafRes(Pause(), True)) == "LeafRes(node=Pause(pos=None), stop=True)"
+    assert repr(_Derived("n", 1)) == "_Derived(note='n', left=1, right=0)"

@@ -10,18 +10,23 @@ from conftest import CORPUS
 from helpers import VALUED_INPUTS, random_search_program, random_valued_program
 from tickflow import kernel, verify
 from tickflow.errors import KernelError, SearchLimitError, TickflowError
-from tickflow.kernel import (
-    IndexRes,
-    InputAssignment,
-    LeafRes,
-    ParRes,
-    init,
-    run,
-)
+from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.syntax.nodes import Program
+from tickflow.syntax.nodes import (
+    Abort,
+    ContDecl,
+    DoUntil,
+    If,
+    Label,
+    Loop,
+    Parallel,
+    Pause,
+    Program,
+    Seq,
+    SignalDecl,
+)
 from tickflow.syntax.parser import parse_raw
 from tickflow.verify import (
     InputAlphabet,
@@ -483,18 +488,22 @@ def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypa
 
 def test_search_hashes_each_kept_successor_once(monkeypatch):
     # the bound-3 search keeps 72 successors, each under a new key; one
-    # `setdefault` probes the visited map, so the key's residue, the
-    # program's one Par, is hashed once per successor
+    # `setdefault` probes the visited map, so each key is hashed once
     program = _program(_FAULT_SEARCH)
     calls = 0
-    real = kernel.ParRes.__hash__
+    real_settle = kernel._Tick.settle
 
-    def counting_hash(res):
-        nonlocal calls
-        calls += 1
-        return real(res)
+    class CountedKey(tuple):
+        def __hash__(self):
+            nonlocal calls
+            calls += 1
+            return tuple.__hash__(self)
 
-    monkeypatch.setattr(kernel.ParRes, "__hash__", counting_hash)
+    def settle(tick):
+        state, key = real_settle(tick)
+        return state, CountedKey(key)
+
+    monkeypatch.setattr(kernel._Tick, "settle", settle)
     verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
     assert verdict == Unreachable(bound=3, states_explored=584)
     assert calls == 72
@@ -614,30 +623,42 @@ def _preorder(program) -> dict:
     return {id(stmt): i for i, stmt in enumerate(program.walk())}
 
 
-def _oracle_key(state, index):
-    """An independent state key: each residue and each declaration by its
-    node's preorder position in `index`, so it does not rest on residue
-    equality or on the compiler's slots."""
+def _oracle_key(program, state, index):
+    """An independent state key: each paused point and each declaration by
+    its node's preorder position in `index`, so it does not rest on the
+    residue's own equality or on the compiler's slots."""
     store = tuple(
         (index[id(inst.decl)], status, value)
         for inst, (status, value) in state.store.items()
     )
-    return (state.terminated, _res_key(state.residue, index), store)
+    return (state.terminated, _res_key(state.residue, program.root, index), store)
 
 
-def _res_key(res, index):
+def _res_key(res, node, index):
+    """The residue `res` that `node` left, read along the program's own
+    statements: each statement holding a paused point by its preorder
+    position, with the index of a Seq's statement or an If's branch and a
+    leaf's stop flag."""
     if res is None:
         return None
-    cls = res.__class__
-    node = index[id(res.node)]
-    if cls is LeafRes:
-        return (node, res.stop)
-    if cls is IndexRes:
-        return (node, res.index, _res_key(res.child, index))
-    if cls is ParRes:
-        return (node, tuple([_res_key(c, index) for c in res.children]))
-    # Body and Decl residues: a node and one child
-    return (node, _res_key(res.child, index))
+    while isinstance(node, (Loop, Abort, SignalDecl, ContDecl)):
+        node = node.body  # they leave their body's residue
+    at = index[id(node)]
+    if isinstance(node, (Pause, DoUntil)):
+        assert res is True or (res is False and isinstance(node, DoUntil))
+        return (at, res)
+    if isinstance(node, (Seq, If)):
+        i, child = res
+        stmts = node.stmts if isinstance(node, Seq) else (node.then, node.orelse)
+        return (at, i, _res_key(child, stmts[i], index))
+    if isinstance(node, Parallel):
+        assert len(res) == len(node.branches)
+        return (at, tuple([_res_key(c, b, index) for c, b in zip(res, node.branches)]))
+    if isinstance(node, Label):
+        assert res[0] == node.name
+        return (at, _res_key(res[1], node.body, index))
+    (child,) = res  # a suspend, its child None when frozen before entry
+    return (at, _res_key(child, node.body, index))
 
 
 def test_fingerprint_equality_is_node_position_equality():
@@ -657,19 +678,21 @@ def test_fingerprint_equality_is_node_position_equality():
             start = init(program, cfg, native_flows=native)
             reached = [start]
             frontier = [start]
-            seen = {_oracle_key(start, index)}
+            seen = {_oracle_key(program, start, index)}
             for _ in range(4):
                 successors = []
                 for state in frontier:
                     for assignment in choices:
                         successor, _ = state.advance(assignment)
                         reached.append(successor)
-                        key = _oracle_key(successor, index)
+                        key = _oracle_key(program, successor, index)
                         if not successor.terminated and key not in seen:
                             seen.add(key)
                             successors.append(successor)
                 frontier = successors
-            keys = [(fingerprint(state), _oracle_key(state, index)) for state in reached]
+            keys = [
+                (fingerprint(state), _oracle_key(program, state, index)) for state in reached
+            ]
             prints = {key for key, _ in keys}
             oracle = {key for _, key in keys}
             assert len(prints) == len(oracle) == len(set(keys)), (native, source)
