@@ -20,6 +20,7 @@ from .rational import format_value
 from .rewrite import STOP_PREFIX, RewriteConfig, rewrite_flows
 from .struct import Struct
 from .syntax import parse
+from .syntax.nodes import SignalDecl
 from .trace import Trace
 from .verify import Witness, check_reachable
 
@@ -140,7 +141,8 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     rewritten = rewrite_flows(program, cfg)
     try:
         trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
-        _check_trace(case.expect, trace, result)
+        signals = {d.name for d in rewritten.declarations() if d.__class__ is SignalDecl}
+        _check_trace(case.expect, trace, result, signals)
         _check_native(program, trace, cfg, case, result)
         reach = case.expect.get("reach")
         if reach is not None:
@@ -167,38 +169,48 @@ def _compare(result: CaseResult, label: str, want, got) -> None:
         result.failures.append(f"{label}: wanted {_show(want)}, got {_show(got)}")
 
 
-def _lacks(result: CaseResult, label: str, want, what: str) -> None:
-    """A failure: the trace has no `what` to compare `want` with."""
-    result.failures.append(f"{label}: wanted {_show(want)}, but the trace has no {what}")
+def _lacks(result: CaseResult, label: str, want, why: str) -> None:
+    """A failure: `want` has nothing to be compared with, for the reason `why`."""
+    result.failures.append(f"{label}: wanted {_show(want)}, but {why}")
 
 
 def _show(value) -> str:
     return format_value(value) if isinstance(value, (bool, Fraction)) else str(value)
 
 
-def _check_trace(expect: dict, trace: Trace, result: CaseResult) -> None:
+def _check_trace(expect: dict, trace: Trace, result: CaseResult, signals: set) -> None:
     """Each expectation against the trace; a failure names its key. An
     expectation of a tick the trace has no record of, or of an entity it
-    does not hold, fails its case and not the run."""
+    does not hold, fails its case and not the run. A record reads a signal
+    out of scope as absent, so a status or an emission expectation is
+    first checked to name a signal of `signals`, those the program
+    declares."""
     for key, (_, query) in _AT_TICK.items():
         for name, tick, want in expect[key]:
             label = f"{key} {name}@{tick}"
+            if key == "statuses" and not _names_signal(name, signals):
+                _lacks(result, label, want, f"the program declares no signal {name!r}")
+                continue
             try:
                 got = query(trace, name, tick)
             except KeyError:
-                _lacks(result, label, want, f"{name!r} at tick {tick}")
+                _lacks(result, label, want, f"the trace has no {name!r} at tick {tick}")
             except TickflowError:  # no record of the tick
-                _lacks(result, label, want, f"tick {tick}")
+                _lacks(result, label, want, f"the trace has no tick {tick}")
             else:
                 _compare(result, label, want, got)
     for name, ticks in expect["emissions"].items():
-        _compare(result, f"emissions {name}", ticks, trace.emission_ticks(name))
+        label = f"emissions {name}"
+        if _names_signal(name, signals):
+            _compare(result, label, ticks, trace.emission_ticks(name))
+        else:
+            _lacks(result, label, ticks, f"the program declares no signal {name!r}")
     for name, want in expect["final_conts"].items():
         label = f"final_conts {name}"
         try:
             got = trace.final_cont(name)
         except KeyError:
-            _lacks(result, label, want, repr(name))
+            _lacks(result, label, want, f"the trace has no {name!r}")
         else:
             _compare(result, label, want, got)
     if "stop_ticks" in expect:
@@ -210,6 +222,13 @@ def _check_trace(expect: dict, trace: Trace, result: CaseResult) -> None:
     for key in ("terminated", "termination_tick", "effective_termination_tick"):
         if key in expect:
             _compare(result, key, expect[key], getattr(trace, key))
+
+
+def _names_signal(name: str, signals: set) -> bool:
+    """Whether a record may name a signal of `signals` `name`: a signal
+    `S`, whose later instances a record names `S:2`, `S:3`, ..."""
+    base, colon, count = name.partition(":")
+    return base in signals and (not colon or count.isdigit())
 
 
 def _check_native(program, via_rewrite: Trace, cfg, case: GoldenCase, result: CaseResult) -> None:

@@ -58,10 +58,11 @@ and any other use of the name computes `scale*value + shift`. A
 comparison of a continuous variable with a literal compiles to the same
 integer test. Any other variable's slot holds its prediction, computed
 once every variable is read. So the look-ahead of a rewritten flow does
-no `Fraction` arithmetic: a flow tick's only `Fraction`s are its steps.
+no `Fraction` arithmetic: a flow tick's only `Fraction`s are its steps,
+one per variable (see the fused run below).
 
 A statement compiled with resume None can never pause, and the compiler
-uses that to emit straight-line code for four shapes:
+uses that to emit straight-line code for five shapes:
 
 - an If whose branches cannot pause is one closure with resume None; a
   `!e` condition compiles `e` and swaps the branches, and a `nothing`
@@ -74,15 +75,22 @@ uses that to emit straight-line code for four shapes:
   runs and terminates whenever it resumes) re-runs the body directly;
 - `v = w + c`, `w` a continuous variable and `c` a literal (every step of
   a rewritten flow, and the native flow's step), reads `w` through the
-  same logged read and builds `Fraction(n*q + p*d, d*q)` from integers.
+  same logged read and builds `Fraction(n*q + p*d, d*q)` from integers;
+- a run of such steps on one `op+` variable, consecutive in a
+  straight-line Seq or in a native flow's rates (a flow with two rates on
+  `v` has the body `v = v + c1; v = v + c2; if (!TTL..) emit; pause`), is
+  one closure: it reads each `w` in order and writes one `Fraction`, the
+  exact sum its writes fold to under `op+`, from integer cross-products.
+  With no other writer of `v` in the tick, that write settles as it is.
 
 None of them changes a residue's value. An If that cannot pause left no
 residue before either; the shared residue equals the one a tick built
 (same index, and a pause's leaf is `True`); a Loop adds no residue of its
-own. An If that can pause keeps its branches and their
-numbering, `!` or not. Reads, writes and errors happen in the same order,
-so traces, read logs, state keys and verdicts are what the generic code
-gives.
+own; a Seq's residue indexes its source statements, fused or not. An If
+that can pause keeps its branches and their numbering, `!` or not. Reads
+happen in the same order, and writes fold to the same values and raise
+the same errors, so traces, read logs, state keys and verdicts are what
+the generic code gives.
 
 A machine state is a value, and holds only what a tick reads or decides:
 the code, the input names and the read log it shares with its run, a
@@ -127,6 +135,7 @@ from .syntax.checks import check_program
 from .syntax.nodes import (
     Binary,
     BoolLit,
+    ContAssign,
     NameRef,
     NumLit,
     Pause,
@@ -581,18 +590,61 @@ def _none(ctx, res=None):
     return None
 
 
-def _plus(read, c: Fraction):
-    """The code of `v + c` for a read `v` of a continuous variable and a
-    `Fraction` constant `c`: one integer cross-product and one `Fraction`
-    construction, the exact sum without `Fraction.__add__`'s dispatch."""
+def _plus(reads: list, c: Fraction):
+    """The code of `w1 + .. + wk + c` for reads `wi` of continuous variables
+    and a `Fraction` constant `c`: the exact sum from integer cross-products
+    and one `Fraction` construction, without `Fraction.__add__`'s dispatch.
+    The reads run, and are logged, in order. The one-read form is the step
+    `v + c`. With `c = c1 + .. + ck`, the k-read form is the value
+    `(w1 + c1) + .. + (wk + ck)` that the k writes of a run of steps on one
+    `op+` variable fold to."""
     p, q = c.numerator, c.denominator
+    if len(reads) == 1:
+        (read,) = reads
 
-    def step(ctx):
-        v = read(ctx)
-        d = v.denominator
-        return Fraction(v.numerator * q + p * d, d * q)
+        def step(ctx):
+            v = read(ctx)
+            d = v.denominator
+            return Fraction(v.numerator * q + p * d, d * q)
 
-    return step
+        return step
+
+    def fused(ctx):
+        n, d = p, q
+        for read in reads:
+            v = read(ctx)
+            e = v.denominator
+            n, d = n * e + v.numerator * d, d * e
+        return Fraction(n, d)
+
+    return fused
+
+
+def _literal_step(node):
+    """`(v, w, c)` for a statement `v = w + c`, `w` a name and `c` a
+    `Fraction` literal (every step of a rewritten flow), else None. `w` is
+    a continuous variable: the checks type a signal's name boolean."""
+    if node.__class__ is not ContAssign:
+        return None
+    expr = node.expr
+    if (
+        expr.__class__ is not Binary
+        or expr.op != "+"
+        or expr.left.__class__ is not NameRef
+        or expr.right.__class__ is not NumLit
+        or expr.right.value.__class__ is not Fraction
+    ):
+        return None
+    return node.name, expr.left.name, expr.right.value
+
+
+def _write(slot: int, value):
+    """The code of a write of `value`'s result to the instance in `slot`."""
+
+    def run(ctx):
+        ctx.writes.setdefault(ctx.env[slot], []).append(value(ctx))
+
+    return run
 
 
 def _reader(slot: int, name: str, kind: str, index: int):
@@ -665,14 +717,11 @@ class _Compiler:
         return run, None
 
     def stmt_ContAssign(self, node, scope):
-        slot = scope[node.name][1]
-        step = self._literal_step(node.expr, scope)
+        step = _literal_step(node)
         if step is not None:
-
-            def run(ctx):
-                ctx.writes.setdefault(ctx.env[slot], []).append(step(ctx))
-
-            return run, None
+            ((slot, value),) = self._steps([step], scope)
+            return _write(slot, value), None
+        slot = scope[node.name][1]
         expr = self.expr(node.expr, scope)
 
         def run(ctx):
@@ -683,20 +732,38 @@ class _Compiler:
 
         return run, None
 
-    def _literal_step(self, expr, scope):
-        """The code of `v + c`, `c` a `Fraction` literal, as `_plus`
-        computes it; None for any other expression. `v` is a continuous
-        variable: the checks type a signal's name boolean."""
-        if (
-            expr.__class__ is not Binary
-            or expr.op != "+"
-            or expr.left.__class__ is not NameRef
-            or expr.right.__class__ is not NumLit
-            or expr.right.value.__class__ is not Fraction
-        ):
-            return None
-        name = expr.left.name
-        return _plus(_reader(scope[name][1], name, "value", 1), expr.right.value)
+    def _steps(self, steps, scope) -> list:
+        """The code of the steps `v = w + c`, given as `(v, w, c)` in source
+        order, as (slot of `v`, code of the value written) pairs: one per
+        step, but one per run of consecutive steps on one `op+` variable,
+        which writes the sum the run's writes fold to (`_plus`)."""
+        runs = []
+        for target, name, c in steps:
+            _, slot, decl = scope[target]
+            read = _reader(scope[name][1], name, "value", 1)
+            if runs and runs[-1][0] == slot and decl.combine == "plus":
+                runs[-1][1].append(read)
+                runs[-1][2] += c
+            else:
+                runs.append([slot, [read], c])
+        return [(slot, _plus(reads, c)) for slot, reads, c in runs]
+
+    def _fuse(self, stmts, runs, scope) -> list:
+        """`runs`, the code of the straight-line statements `stmts`, with
+        each run of consecutive steps `v = w + c` compiled together by
+        `_steps`, so that a run on one `op+` variable is one closure."""
+        fused, steps = [], []
+        for stmt, run in zip(stmts, runs):
+            step = _literal_step(stmt)
+            if step is not None:
+                steps.append(step)
+                continue
+            if steps:
+                fused += [_write(slot, value) for slot, value in self._steps(steps, scope)]
+                steps = []
+            fused.append(run)
+        fused += [_write(slot, value) for slot, value in self._steps(steps, scope)]
+        return fused
 
     # -- control --
 
@@ -718,6 +785,7 @@ class _Compiler:
             else:
                 res = (count - 1, True)
                 effects, resume = runs[:-1], _none
+            effects = self._fuse(node.stmts, effects, scope)
 
             def straight(ctx):
                 for r in effects:
@@ -936,15 +1004,13 @@ class _Compiler:
     # -- flows --
 
     def stmt_DoUntil(self, node, scope):
-        """A natively interpreted flow: per iteration the assignments in
-        source order, then the look-ahead; a failed look-ahead terminates
-        the flow on the next resume, exactly like the rewritten form. Only
-        a state built with native flows holds one."""
+        """A natively interpreted flow: per iteration the steps in source
+        order, built by `_steps` as the rewritten form's are, then the
+        look-ahead; a failed look-ahead terminates the flow on the next
+        resume, exactly like the rewritten form. Only a state built with
+        native flows holds one."""
         site = flow_site(node.odes)
-        steps = []
-        for name, rate in site.odes:
-            slot = scope[name][1]
-            steps.append((slot, _plus(_reader(slot, name, "value", 1), rate * self.wcrt)))
+        steps = self._steps([(name, name, rate * self.wcrt) for name, rate in site.odes], scope)
         always = isinstance(node.invariant, BoolLit) and node.invariant.value
         lookahead = None if always else self._lookahead(site, node.invariant, scope)
 

@@ -1,8 +1,14 @@
-"""Regenerate `behaviour.json`, the digests `tests/test_behaviour.py` checks.
+"""Regenerate `behaviour.json`, the digests `tests/test_behaviour.py` checks:
+the `programs`, `carousel`, `search` and `multirate` suites of its
+`compute`.
 
 Run from the repository root, only when behaviour changes on purpose:
 
     PYTHONPATH=src python tests/data/make_behaviour.py
+
+A change that adds a suite and must not change behaviour takes the new
+digests from the kernel it started from: point `PYTHONPATH` at a checkout
+of that commit's `src`, and check that every existing entry is unchanged.
 """
 
 import json

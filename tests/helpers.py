@@ -116,6 +116,99 @@ def random_program(rng: random.Random) -> tuple:
     return source, wcrt, schedule
 
 
+# --- flows with several op+ rates on one variable -----------------------------
+
+
+@dataclass
+class MultiRateCase:
+    """A flow that gives the `op+` variable `a` 2 or 3 rates, and in the
+    interleaved variant also the variable `b` one rate placed between two
+    of them (`a' = r1 || b' = r2 || a' = r3`), stopped by `a <= bound`.
+    The start and the rates of `a` are non-negative and its rates not all
+    0, so `a` grows each flow tick and the flow stops."""
+
+    start: F
+    b_start: F
+    odes: tuple  # ((name, rate), ...) in source order
+    wcrt: F
+    bound: F
+
+    @property
+    def rates(self) -> list:
+        return [rate for name, rate in self.odes if name == "a"]
+
+    @property
+    def names(self) -> list:
+        """The flow's variables, in first-occurrence order."""
+        return list(dict.fromkeys(name for name, _ in self.odes))
+
+    @property
+    def flow(self) -> str:
+        rates = " || ".join(f"{name}' = {format_rational(rate)}" for name, rate in self.odes)
+        return f"do {{{rates}}} until (a <= {format_rational(self.bound)})"
+
+    @property
+    def decls(self) -> str:
+        return (
+            f"cont a op+ = {format_rational(self.start)}, "
+            f"b = {format_rational(self.b_start)};\n"
+        )
+
+    @property
+    def source(self) -> str:
+        """The flow alone."""
+        return self.decls + self.flow
+
+    @property
+    def looped(self) -> str:
+        """The flow restarted from the start after it stops or the free
+        input A preempts it, as a `flow_bank` branch is, beside a branch
+        that emits HIT once `a` passes half the bound."""
+        alarm = format_rational(self.bound / 2)
+        return (
+            "input signal A;\nsignal HIT;\n" + self.decls
+            + f"{{ loop {{ abort (A) {{ {self.flow} }}; a = {format_rational(self.start)}; pause }} }}\n"
+            + f"|| {{ loop {{ if (a >= {alarm}) emit HIT; pause }} }}"
+        )
+
+
+def random_multirate_flow(rng: random.Random, interleaved: bool) -> MultiRateCase:
+    """A `MultiRateCase` with rates of `a` drawn from [0, 6] in halves and
+    thirds (not all 0), a tick length from `WCRT_CHOICES` and a bound that
+    `a`, which grows about m-fold a tick, passes within a few ticks."""
+    rates = [F(rng.randint(0, 12), rng.choice((2, 3))) for _ in range(rng.choice((2, 3)))]
+    if not any(rates):
+        rates[0] = F(1)
+    odes = [("a", rate) for rate in rates]
+    if interleaved:
+        odes.insert(rng.randint(1, len(odes) - 1), ("b", F(rng.randint(-6, 6), 2)))
+    start = random_rational(rng, 0, 3)
+    wcrt = rng.choice(WCRT_CHOICES)
+    bound = (start + sum(rates) * wcrt) * len(rates) ** rng.randint(1, 6)
+    return MultiRateCase(start, random_rational(rng, -3, 3), tuple(odes), wcrt, bound)
+
+
+# the shape of the `flow_bank` benchmark: looping bounded flows in parallel,
+# two of them with two `op+` rates, at wcrt 1/3
+FLOW_BANK = (
+    "cont x0 = 0;\ncont x1 op+ = 0;\ncont x2 op+ = 0;\n"
+    "{ loop { do {x0' = 3} until (x0 <= 42/5); x0 = 0; pause } }\n"
+    "|| { loop { do {x1' = 1/2 || x1' = 2} until (x1 <= 251/6); x1 = 0; pause } }\n"
+    "|| { loop { do {x2' = 1/4 || x2' = 7} until (x2 <= 15631/60); x2 = 0; pause } }",
+    F(1, 3),
+)
+
+
+def multirate_programs() -> list:
+    """(source, wcrt) of `FLOW_BANK` and of the looped flows of six seeded
+    `MultiRateCase`s, three of them interleaved."""
+    cases = [FLOW_BANK]
+    for seed in range(6):
+        case = random_multirate_flow(random.Random(seed), interleaved=seed % 2 == 1)
+        cases.append((case.looped, case.wcrt))
+    return cases
+
+
 # --- small programs for search-vs-enumeration checks ---------------------------
 
 

@@ -16,9 +16,9 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-from helpers import random_program, random_search_program
+from helpers import random_multirate_flow, random_program, random_search_program
 from tickflow.errors import KernelError
-from tickflow.kernel import run
+from tickflow.kernel import InputAssignment, run
 from tickflow.params import bind_params
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
@@ -31,6 +31,7 @@ CAROUSEL = Path(__file__).parent.parent / "corpus" / "programs" / "carousel.hsj"
 
 PROGRAM_SEEDS = range(300)
 SEARCH_SEEDS = range(200)
+MULTIRATE_SEEDS = range(60)
 PROGRAM_TICKS = 40
 CAROUSEL_TICKS = 500
 
@@ -129,11 +130,40 @@ def search_digests() -> dict:
     return out
 
 
+def multirate_digests() -> dict:
+    """Per seed, a flow with several `op+` rates on one variable (every
+    other seed with another variable's rate between two of them): the run
+    of the flow alone and of the flow looped under a free input A, each
+    rewritten and native, and BFS for HIT in the looped program."""
+    out = {}
+    for seed in MULTIRATE_SEEDS:
+        rng = random.Random(seed)
+        case = random_multirate_flow(rng, interleaved=seed % 2 == 1)
+        cfg = RewriteConfig(case.wcrt)
+        schedule = {rng.randint(2, 9): InputAssignment.make(present=["A"])}
+        flow, looped = parse(case.source), parse(case.looped)
+        alphabet = alphabet_for(looped)
+        row = {}
+        for native, side in ((False, "rewritten"), (True, "native")):
+            flow_code, looped_code = (p if native else rewrite_flows(p, cfg) for p in (flow, looped))
+            row[f"flow,{side}"] = _digest(_run_text(flow_code, cfg, None, PROGRAM_TICKS, native))
+            row[f"looped,{side}"] = _digest(
+                _run_text(looped_code, cfg, schedule, PROGRAM_TICKS, native)
+            )
+            verdict = check_reachable(
+                looped_code, cfg, alphabet, bound=6, target="HIT", native_flows=native
+            )
+            row[f"bfs,{side}"] = _digest(_verdict_text(verdict))
+        out[str(seed)] = row
+    return out
+
+
 def compute() -> dict:
     return {
         "programs": program_digests(),
         "carousel": carousel_digests(),
         "search": search_digests(),
+        "multirate": multirate_digests(),
     }
 
 

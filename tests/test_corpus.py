@@ -109,6 +109,19 @@ UNANSWERED = {
         "      values ON@4: wanted false, but the trace has no tick 4",
         "0/1 cases pass",
     ],
+    # a record reads a signal out of scope as absent, so a name the
+    # program does not declare is caught before the trace is asked; a
+    # later instance's name (`HIGH:2`) is a declared signal's
+    "undeclared_status": [
+        "FAIL  undeclared-status",
+        "      statuses NOPE@1: wanted false, but the program declares no signal 'NOPE'",
+        "0/1 cases pass",
+    ],
+    "undeclared_emission": [
+        "FAIL  undeclared-emission",
+        "      emissions GHOST: wanted [], but the program declares no signal 'GHOST'",
+        "0/1 cases pass",
+    ],
 }
 # corpus -> the message after its file's name: an argument out of range is
 # named by the case's field, not by the library parameter it is passed as

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import CompileError, KernelError
+from tickflow.errors import CombineError, CompileError, KernelError
 from tickflow import kernel
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
@@ -21,7 +21,12 @@ from tickflow.trace import to_csv, to_json
 from tickflow.verify import alphabet_for, fingerprint
 
 from conftest import corpus_sources
-from helpers import VALUED_INPUTS, random_search_program, random_valued_program
+from helpers import (
+    VALUED_INPUTS,
+    multirate_programs,
+    random_search_program,
+    random_valued_program,
+)
 
 CFG1 = RewriteConfig(F(1))
 CFG2 = RewriteConfig(F(2))
@@ -204,6 +209,11 @@ RUNTIME_ERRORS = (
      "'a' written 2 times in one tick with no combine operator", 2),
     ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",
      "variable 'a' has simultaneous rates but no combine operator", 2),
+    ("cont a = 0; do {a' = 1 || a' = 1} until (a <= 5)",
+     "variable 'a' has simultaneous rates but no combine operator", 1),
+    # two steps in a row on a variable with no operator are two writes
+    ("cont a = 0; a = a + 1; a = a + 2; pause",
+     "'a' written 2 times in one tick with no combine operator", 1),
 )
 
 
@@ -444,13 +454,15 @@ def _replay(program, cfg, native, schedule):
 
 
 def _stepped_cases():
-    """(program, cfg, native, choices) for KILLS, the corpus and 20 seeded
-    search programs, each rewritten and native."""
+    """(program, cfg, native, choices) for KILLS, the corpus, 20 seeded
+    search programs and the multi-rate `op+` programs, each rewritten and
+    native."""
     cases = [(parse(KILLS), CFG1)]
     cases += [(_bound(path), CFG1) for path in corpus_sources()]
     for seed in range(20):
         source, wcrt = random_search_program(random.Random(seed))
         cases.append((parse(source), RewriteConfig(wcrt)))
+    cases += [(parse(source), RewriteConfig(wcrt)) for source, wcrt in multirate_programs()]
     for program, cfg in cases:
         choices = alphabet_for(program, {"LEVEL": (F(2), F(5))}).choices()
         for native in (False, True):
@@ -726,6 +738,38 @@ def test_literal_step_from_another_variable_and_folded_by_op_plus():
     )
     assert trace.cont("a", 1) == (v + c1) + (v + c2)
     assert trace.read_log == [(1, "a", "value", v), (1, "a", "value", v)]
+
+
+# --- runs of steps that are, and are not, written as one sum ----------------------
+
+
+def test_rewrite_refuses_simultaneous_rates_with_no_operator():
+    # run unrewritten, they raise on tick 1 (RUNTIME_ERRORS): no step of a
+    # variable with no operator is summed with another
+    with pytest.raises(CombineError) as err:
+        rewrite_flows(parse("cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 5)"), CFG1)
+    assert "simultaneous writers but no combine operator" in str(err.value)
+
+
+def test_native_op_times_rates_fold_as_a_product():
+    source = "cont a op* = 1;\ndo {a' = 1 || a' = 2} until (a <= 400)"
+    trace = run(parse(source), CFG1, max_ticks=10, native_flows=True)
+    assert [trace.cont("a", t) for t in (1, 2)] == [F(6), F(56)]
+
+
+def test_steps_split_by_another_statement_fold_as_the_unsplit_run():
+    # `a + 1` and `a + 2` both read the settled value: 0 -> 3 -> 9 -> 21,
+    # whether an emission sits between the steps or not
+    split = _run(
+        "cont a op+ = 0; signal T;\nloop { a = a + 1; emit T; a = a + 2; pause }",
+        max_ticks=3, record_reads=True,
+    )
+    unsplit = _run(
+        "cont a op+ = 0; signal T;\nloop { a = a + 1; a = a + 2; emit T; pause }",
+        max_ticks=3, record_reads=True,
+    )
+    assert [split.cont("a", t) for t in (1, 2, 3)] == [F(3), F(9), F(21)]
+    assert to_csv(split) == to_csv(unsplit) and split.read_log == unsplit.read_log
 
 
 # --- compiled shapes against spellings they do not match ----------------------------

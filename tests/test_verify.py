@@ -7,7 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import CORPUS
-from helpers import VALUED_INPUTS, random_search_program, random_valued_program
+from helpers import (
+    VALUED_INPUTS,
+    multirate_programs,
+    random_search_program,
+    random_valued_program,
+)
 from tickflow import kernel, verify
 from tickflow.errors import KernelError, SearchLimitError, TickflowError
 from tickflow.kernel import InputAssignment, init, run
@@ -662,13 +667,16 @@ def _res_key(res, node, index):
 
 
 def test_fingerprint_equality_is_node_position_equality():
-    # the last program's flow stops on a status the store no longer holds
+    # the first extra program's flow stops on a status the store no longer
+    # holds; the multi-rate `op+` programs' straight-line flow bodies keep
+    # one residue per statement position, however their steps compile
     cases = [random_search_program(random.Random(seed)) for seed in range(60)]
     cases.append((
         "input signal A, B; signal HIT; cont z = 0;\n"
         "loop { abort (A) { do {z' = 1} until (z <= 3 && !B) }; z = 0; pause }",
         F(1),
     ))
+    cases += multirate_programs()
     for source, wcrt in cases:
         cfg = RewriteConfig(wcrt)
         parsed = parse(source)
