@@ -151,6 +151,7 @@ def main(argv=None) -> int:
     p_compare.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     args = parser.parse_args(argv)
+    source = getattr(args, "program", None) or getattr(args, "matrices", "")
     try:
         return _COMMANDS[args.command](args)
     except ScheduleError as err:  # names the file beside the program at fault
@@ -160,13 +161,15 @@ def main(argv=None) -> int:
         print(f"{_FLAGS.get(err.name, err.name)}: {err.message}", file=sys.stderr)
         return 2
     except (CompileError, TickflowError) as err:
-        prog_path = getattr(args, "program", None) or getattr(args, "matrices", "")
-        print(f"{prog_path}:{err}", file=sys.stderr)
+        print(f"{source}:{err}", file=sys.stderr)
         return 2
     except OSError as err:  # a named file that cannot be opened
         if err.filename is None:
             raise
         print(f"{err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a program nested past a later pass's recursion
+        print(f"{source}: nested too deep to process", file=sys.stderr)
         return 2
 
 

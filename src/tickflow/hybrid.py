@@ -80,16 +80,9 @@ class Comparison(Struct):
     op: str
 
     def holds(self, valuation: dict) -> bool:
-        v = self.lhs.value(valuation)
-        if self.op == "<=":
-            return v <= 0
-        if self.op == "<":
-            return v < 0
-        if self.op == ">=":
-            return v >= 0
-        if self.op == ">":
-            return v > 0
-        return v == 0
+        """Whether the comparison holds at `valuation`: at rest, its window
+        is empty or unbounded."""
+        return self.satisfaction_window(valuation, {}) is not None
 
     def satisfaction_window(self, valuation: dict, rates: dict):
         """Interval of t >= 0 where the comparison holds along the flow;
@@ -556,6 +549,8 @@ def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton
                 raise AutomatonError(f"unexpected {reader.peek().text!r}")
         except (AutomatonError, CompileError) as err:
             raise AutomatonError(err.message, number) from None
+        except RecursionError:
+            raise AutomatonError("nested too deep to parse", number) from None
     for number, edge in edges:
         for name in (edge.source, edge.target):
             if name not in blocks:

@@ -13,15 +13,17 @@ Since no read sees the tick's own inputs, the code of a tick, the residue
 it leaves, its labels, the scopes it ends and every write but an input's
 are the same under every input choice. So the code runs once, latching
 nothing (a declaration of an input only notes the instance it registers),
-and the inputs are latched after it: a present input instance is
-emitted, and a supplied value is folded in as the instance's first write.
-The instances latched are those live at the tick's start and those the
-code registered; one the tick killed is checked but not latched. A tick
-with no inputs is the run itself. Otherwise the choice is a light view of
-the run (`_Latched`) with its own emissions and folded values, and the
-search latches every choice of its alphabet onto one run of each state's
-tick. Errors are raised per choice, in the order a tick that latched
-before its code would meet them (`_TickCtx.latch`).
+and every choice, the empty one included, is latched after it by one
+path (`_TickCtx.latch`): a present input instance is emitted, and a
+supplied value is the first write of its instance, folded with the
+code's writes by the one `fold`. The instances latched are those live at
+the tick's start and those the code registered; one the tick killed is
+checked but not latched. The empty choice's tick is the run itself, with
+the code's writes folded once; any other choice is a plain `_Tick` view
+of the run with its own emissions and folded values, and the search
+latches every choice of its alphabet onto one run of each state's tick.
+Errors are raised per choice, in the order a tick that latched before
+its code would meet them.
 
 A program is compiled once per program object, tick length and flow
 mode, when the first `TickState` of it is built: `Program.derived` keeps
@@ -112,8 +114,8 @@ each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
 `TickState.advance` is `step` then `record`, which a caller that reads
-less can take apart. `step` runs the tick, folds each instance's writes
-once and latches its inputs; `record` names the folded writes in a
+less can take apart. `step` runs the tick and latches its inputs, which
+folds each instance's writes once; `record` names the folded writes in a
 `TickRecord` and builds the next state in the same pass over the
 instances, and returns both. `settle` returns the next state and its
 key, the tuple `verify.fingerprint` gives it, both built in one pass.
@@ -260,12 +262,12 @@ class TickState:
         return self.step(inputs).record()
 
     def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_Tick":
-        """Run one tick and fold its writes, but build neither the next
-        state nor the record: the returned tick's `settle` builds the state
-        and its key, and its `record` the state and the record, from what it
-        folded. The code runs once, whatever the inputs; `inputs` are
-        latched onto the tick after it (`_TickCtx.latch`), and the tick's
-        `latch` latches any other choice onto the same run."""
+        """Run one tick and latch `inputs` onto it, but build neither the
+        next state nor the record: the returned tick's `settle` builds the
+        state and its key, and its `record` the state and the record, from
+        what it folded. The code runs once, whatever the inputs; `inputs`
+        are latched onto the run after it (`_TickCtx.latch`), and the
+        tick's `latch` latches any other choice onto the same run."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         run, resume, slots = self.code
@@ -274,10 +276,6 @@ class TickState:
             ctx.residue = run(ctx) if self.tick == 0 else resume(ctx, self.residue)
         except KernelError as err:
             ctx.error = err if err.tick is not None else KernelError(err.message, ctx.t)
-        else:
-            ctx.fold()
-            if inputs is EMPTY_INPUTS and ctx.offender is None:
-                return ctx
         return ctx.latch(inputs)
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
@@ -307,10 +305,14 @@ class _Tick:
     made present, `folded` the value each written instance settles to and
     `fresh` the instances it registered, in registration order (their
     `prev` entries hold their initial values). `settle`, `record` and
-    `settles_present` read only these."""
+    `settles_present` read only these. The run itself is a `_TickCtx`; one
+    input choice latched onto it is a plain `_Tick`, a view that shares the
+    run's residue, labels, ended scopes and instances, keeps its own
+    `emitted` and `folded`, and holds the run in `run`."""
 
     __slots__ = (
         "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels", "fresh",
+        "run",
     )
 
     def settle(self) -> tuple:
@@ -375,21 +377,25 @@ class _Tick:
                 return inst in self.emitted
         return False
 
+    def latch(self, inputs: InputAssignment) -> _Tick:
+        """Another input choice, latched onto the same run."""
+        return self.run.latch(inputs)
+
 
 class _TickCtx(_Tick):
     """One run of a tick's code from `state`, which it never writes: the
     slot environment, the settled values reads observe, pending emissions
     and writes, and what the tick records. Every read sees the previous
     tick, so the run is the same for every input choice: it latches no
-    input. `fold` turns the code's writes into settled values, and `latch`
-    lays one input choice over the result.
+    input. `latch` lays one input choice over it, and `fold` turns its
+    writes, with the choice's values first, into settled values.
 
     A run that raised keeps its error in `error` and the instances
-    registered before it in `fresh`; a double write with no combine
-    operator is kept as its first offender in `offender`. Either is raised
-    by `latch`, after the checks of the choice's own values."""
+    registered before it in `fresh`; `latch` raises it after the checks of
+    the choice's own values. `folded` holds the code's own writes folded,
+    once the first choice that latches no value needs them."""
 
-    __slots__ = ("env", "writes", "log", "latchable", "error", "offender")
+    __slots__ = ("env", "writes", "log", "latchable", "error")
 
     def __init__(self, state: TickState, t: int, slots: int):
         self.state = state
@@ -408,6 +414,7 @@ class _TickCtx(_Tick):
         self.fresh: list = []  # instances registered this tick
         self.latchable = None  # every input instance a choice is latched onto
         self.error = None
+        self.folded = None
 
     def kill(self, slots: tuple):
         """Discard an aborted body, which declares the declarations in
@@ -423,42 +430,55 @@ class _TickCtx(_Tick):
                 writes.pop(inst, None)
                 emitted.discard(inst)
 
-    def fold(self):
-        """Fold each written instance's writes, once, into the value it
-        settles to (`folded`). The first instance in registration order
-        written twice with no combine operator is kept in `offender`."""
-        writes = self.writes
-        self.folded = folded = {}
-        self.offender = None
-        for inst, pending in writes.items():
-            if len(pending) == 1:
-                folded[inst] = pending[0]
-            elif inst.decl.combine is not None:
-                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
-            elif self.offender is None:
-                self.offender = next(
-                    i for i in self.prev
-                    if i.decl.combine is None and len(writes.get(i, ())) > 1
-                )
-
     def latch(self, inputs: InputAssignment) -> _Tick:
-        """This tick under the input choice `inputs`: the tick itself when
-        the choice is empty, else a `_Latched` view of it. Errors come in
-        the order a tick that latched before its code would meet them: an
-        input the program does not declare; the value of each input
-        instance live at the tick's start, in registration order (`value
-        supplied for pure input`, `_adapt`); those of the instances the
-        code registered before it raised, if it did; the code's error; and
-        last a double write with no combine operator, naming the first
-        offender in registration order whether its second write came from
-        the choice or from the code."""
-        if inputs.is_empty():
+        """This tick under the input choice `inputs`: the run itself when
+        the choice is empty, else a `_Tick` view of it. An input instance
+        the choice names is made present or given its value unless the tick
+        killed it; a killed one is checked all the same. Errors come in the
+        order a tick that latched before its code would meet them: an input
+        the program does not declare; the value of each input instance live
+        at the tick's start, in registration order (`value supplied for
+        pure input`, `_adapt`); those of the instances the code registered
+        before it raised, if it did; the code's error; and last a double
+        write with no combine operator (`fold`)."""
+        if not inputs.present and not inputs.values:
             if self.error is not None:
                 raise self.error
-            self.fold_in(())  # folds nothing in, but raises a double write
+            if self.folded is None:
+                self.folded = self.fold()
             return self
         self.state._validate_inputs(inputs, self.t)
-        return _Latched(self, inputs)
+        present, values = inputs.present, dict(inputs.values)
+        live, emitted, latched = self.prev, self.emitted, []
+        try:
+            for inst in self.input_instances():
+                decl = inst.decl
+                name = decl.name
+                if name in values:
+                    value = input_value(values[name], decl)
+                    if inst in live:
+                        latched.append((inst, value))
+                if name in present and inst in live:
+                    if emitted is self.emitted:
+                        emitted = set(emitted)
+                    emitted.add(inst)
+        except KernelError as err:
+            raise KernelError(err.message, self.t) from None
+        if self.error is not None:
+            raise self.error
+        view = _Tick()
+        if latched:
+            view.folded = self.fold(latched)
+        elif self.folded is None:
+            view.folded = self.folded = self.fold()
+        else:
+            view.folded = self.folded
+        view.emitted = emitted
+        view.run = self
+        view.state, view.t, view.residue = self.state, self.t, self.residue
+        view.prev, view.ended, view.labels = live, self.ended, self.labels
+        view.fresh = self.fresh
+        return view
 
     def input_instances(self) -> list:
         """The input instances live at the tick's start, then those the
@@ -470,74 +490,34 @@ class _TickCtx(_Tick):
             ]
         return self.latchable
 
-    def fold_in(self, latched) -> dict:
-        """`folded` with each latched (instance, value) folded in as the
-        first of its instance's writes. Raises for the first instance in
-        registration order written twice with no combine operator, the
-        code's offender or a latched one."""
-        folded, writes, offenders = self.folded, self.writes, []
-        if self.offender is not None:
-            offenders.append(self.offender)
+    def fold(self, latched=()) -> dict:
+        """The value each written instance settles to: its writes folded
+        with its combine operator, each latched (instance, value) as the
+        first write of its instance. Raises for the first instance in
+        registration order written twice with no combine operator, whether
+        its second write came from the code or its first from a latch."""
+        writes = self.writes
         if latched:
-            folded = dict(folded)
-        for inst, value in latched:
-            pending = writes.get(inst)
-            if pending is None:
-                folded[inst] = value
+            writes = dict(writes)
+            for inst, value in latched:
+                writes[inst] = [value, *writes.get(inst, ())]
+        folded = {}
+        for inst, pending in writes.items():
+            if len(pending) == 1:
+                folded[inst] = pending[0]
             elif inst.decl.combine is not None:
-                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, [value, *pending])
+                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
             else:
-                offenders.append(inst)
-        if offenders:
-            order = list(self.prev)
-            first = min(offenders, key=order.index)
-            count = len(writes[first]) + any(inst is first for inst, _ in latched)
-            raise KernelError(
-                f"{first.decl.name!r} written {count} times in one tick with no "
-                "combine operator",
-                self.t,
-            )
+                first = next(
+                    i for i in self.prev
+                    if i.decl.combine is None and len(writes.get(i, ())) > 1
+                )
+                raise KernelError(
+                    f"{first.decl.name!r} written {len(writes[first])} times in one "
+                    "tick with no combine operator",
+                    self.t,
+                )
         return folded
-
-
-class _Latched(_Tick):
-    """One input choice latched onto a tick that has run: the tick's
-    residue, labels, ended scopes and instances, with its own `emitted`
-    and `folded`. An input instance the choice names is made present or
-    given its value unless the tick killed it; a killed one is checked all
-    the same."""
-
-    __slots__ = ("tick",)
-
-    def __init__(self, tick: _TickCtx, inputs: InputAssignment):
-        present, values = inputs.present, inputs.value_map()
-        live, emitted, latched = tick.prev, tick.emitted, []
-        try:
-            for inst in tick.input_instances():
-                decl = inst.decl
-                name = decl.name
-                if name in values:
-                    value = input_value(values[name], decl)
-                    if inst in live:
-                        latched.append((inst, value))
-                if name in present and inst in live:
-                    if emitted is tick.emitted:
-                        emitted = set(emitted)
-                    emitted.add(inst)
-        except KernelError as err:
-            raise KernelError(err.message, tick.t) from None
-        if tick.error is not None:
-            raise tick.error
-        self.folded = tick.fold_in(latched)
-        self.emitted = emitted
-        self.tick = tick
-        self.state, self.t, self.residue = tick.state, tick.t, tick.residue
-        self.prev, self.ended, self.labels = live, tick.ended, tick.labels
-        self.fresh = tick.fresh
-
-    def latch(self, inputs: InputAssignment) -> _Tick:
-        """Another input choice, latched onto the same run."""
-        return self.tick.latch(inputs)
 
 
 def input_value(value, decl: SignalDecl):

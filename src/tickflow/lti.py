@@ -202,11 +202,14 @@ def parse_matrix_file(text: str) -> dict:
             rows, cols = parse_int(header[1]), parse_int(header[2])
         except ValueError as exc:
             raise MatrixError(f"bad dimensions in {lines[i]!r}", i + 1) from exc
+        if rows < 1 or cols < 1:
+            raise MatrixError(f"bad dimensions in {lines[i]!r}", i + 1)
+        header_line = i + 1
         i += 1
         data = []
         while len(data) < rows:
             if i >= len(lines):
-                raise MatrixError(f"matrix {name!r} is truncated")
+                raise MatrixError(f"matrix {name!r} is truncated", header_line)
             if not lines[i]:
                 i += 1
                 continue

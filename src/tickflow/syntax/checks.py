@@ -71,21 +71,21 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
     if isinstance(stmt, (Nothing, Pause)):
         return
     if isinstance(stmt, Emit):
-        decl = _resolve(stmt.name, env, stmt.pos)
+        decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, SignalDecl):
             raise TypeError_(f"emit target {stmt.name!r} is not a signal", *_p(stmt))
         return
     if isinstance(stmt, ValueWrite):
-        decl = _resolve(stmt.name, env, stmt.pos)
+        decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, SignalDecl) or decl.pure:
             raise TypeError_(
                 f"{stmt.name!r} is not a valued signal", *_p(stmt)
             )
         t = _check_expr(stmt.expr, env)
-        _require_assignable(t, _value_type(decl.stype), stmt.name, stmt.pos)
+        _require_assignable(t, _value_type(decl.stype), stmt.name, stmt)
         return
     if isinstance(stmt, ContAssign):
-        decl = _resolve(stmt.name, env, stmt.pos)
+        decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, ContDecl):
             raise TypeError_(
                 f"assignment target {stmt.name!r} is not a continuous variable",
@@ -109,7 +109,7 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
         _check_stmt(stmt.orelse, env, set())
         return
     if isinstance(stmt, SignalDecl):
-        _check_duplicate(stmt.name, block, stmt.pos)
+        _check_duplicate(stmt.name, block, stmt)
         if stmt.pure:
             if stmt.combine is not None:
                 raise TypeError_(
@@ -129,11 +129,11 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
                 )
             if stmt.init is not None:
                 t = _check_expr(stmt.init, env)
-                _require_assignable(t, vt, stmt.name, stmt.pos)
+                _require_assignable(t, vt, stmt.name, stmt)
         _check_stmt(stmt.body, {**env, stmt.name: stmt}, block | {stmt.name})
         return
     if isinstance(stmt, ContDecl):
-        _check_duplicate(stmt.name, block, stmt.pos)
+        _check_duplicate(stmt.name, block, stmt)
         if stmt.init is not None:
             t = _check_expr(stmt.init, env)
             if t not in _NUMERIC:
@@ -144,7 +144,7 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
         _check_stmt(stmt.body, {**env, stmt.name: stmt}, block | {stmt.name})
         return
     if isinstance(stmt, ParamDecl):
-        _check_duplicate(stmt.name, block, stmt.pos)
+        _check_duplicate(stmt.name, block, stmt)
         if stmt.default is not None:
             if not _is_constant(stmt.default, env):
                 raise TypeError_(
@@ -166,7 +166,7 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
         return
     if isinstance(stmt, DoUntil):
         for name, rate in stmt.odes:
-            decl = _resolve(name, env, stmt.pos)
+            decl = _resolve(name, env, stmt)
             if not isinstance(decl, ContDecl):
                 raise TypeError_(
                     f"flow target {name!r} is not a continuous variable", *_p(stmt)
@@ -187,16 +187,15 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
     raise AssertionError(f"unhandled statement {stmt!r}")
 
 
-def _check_duplicate(name: str, block: set, pos) -> None:
+def _check_duplicate(name: str, block: set, node) -> None:
     if name in block:
-        line, col = pos if pos else (None, None)
-        raise ResolveError(f"duplicate declaration of {name!r} in this scope", line, col)
+        raise ResolveError(f"duplicate declaration of {name!r} in this scope", *_p(node))
 
 
-def _require_assignable(actual: str, target: str, name: str, pos) -> None:
+def _require_assignable(actual: str, target: str, name: str, node) -> None:
     # the type discipline separates boolean from numeric; integrality of
     # writes to int signals is enforced when the write settles
-    line, col = pos if pos else (None, None)
+    line, col = _p(node)
     if target == "bool":
         if actual != "bool":
             raise TypeError_(f"{name!r} holds a boolean value", line, col)
@@ -205,11 +204,10 @@ def _require_assignable(actual: str, target: str, name: str, pos) -> None:
             raise TypeError_(f"{name!r} holds a numeric value", line, col)
 
 
-def _resolve(name: str, env: dict, pos):
+def _resolve(name: str, env: dict, node):
     decl = env.get(name)
     if decl is None:
-        line, col = pos if pos else (None, None)
-        raise ResolveError(f"undefined name {name!r}", line, col)
+        raise ResolveError(f"undefined name {name!r}", *_p(node))
     return decl
 
 
@@ -219,21 +217,20 @@ def _check_expr(expr: Expr, env: dict) -> str:
     if isinstance(expr, BoolLit):
         return "bool"
     if isinstance(expr, NameRef):
-        decl = _resolve(expr.name, env, expr.pos)
+        decl = _resolve(expr.name, env, expr)
         if isinstance(decl, SignalDecl):
             return "bool"  # status reference
         if isinstance(decl, ContDecl):
             return "ratio"
         return "ratio"  # named constant
     if isinstance(expr, ValueRef):
-        decl = _resolve(expr.name, env, expr.pos)
+        decl = _resolve(expr.name, env, expr)
         if not isinstance(decl, SignalDecl) or decl.pure:
-            line, col = expr.pos if expr.pos else (None, None)
-            raise TypeError_(f"{expr.name!r} has no value to read", line, col)
+            raise TypeError_(f"{expr.name!r} has no value to read", *_p(expr))
         return _value_type(decl.stype)
     if isinstance(expr, Unary):
         t = _check_expr(expr.operand, env)
-        line, col = expr.pos if expr.pos else (None, None)
+        line, col = _p(expr)
         if expr.op == "!":
             if t != "bool":
                 raise TypeError_("'!' needs a boolean operand", line, col)
@@ -244,7 +241,7 @@ def _check_expr(expr: Expr, env: dict) -> str:
     if isinstance(expr, Binary):
         lt = _check_expr(expr.left, env)
         rt = _check_expr(expr.right, env)
-        line, col = expr.pos if expr.pos else (None, None)
+        line, col = _p(expr)
         if expr.op in ("&&", "||"):
             if lt != "bool" or rt != "bool":
                 raise TypeError_(f"{expr.op!r} needs boolean operands", line, col)
@@ -265,29 +262,24 @@ def _check_expr(expr: Expr, env: dict) -> str:
         return "int" if lt == rt == "int" else "ratio"
     if isinstance(expr, TtlCall):
         for name, rate in expr.odes:
-            decl = _resolve(name, env, expr.pos)
+            decl = _resolve(name, env, expr)
             if not isinstance(decl, ContDecl):
-                line, col = expr.pos if expr.pos else (None, None)
-                raise TypeError_(f"TTL target {name!r} is not continuous", line, col)
+                raise TypeError_(f"TTL target {name!r} is not continuous", *_p(expr))
             if not _is_constant(rate, env):
-                line, col = expr.pos if expr.pos else (None, None)
                 raise NonConstantRateError(
-                    f"TTL rate for {name!r} is not constant", line, col
+                    f"TTL rate for {name!r} is not constant", *_p(expr)
                 )
         targets = {name for name, _ in expr.odes}
         if set(expr.vars) != targets:
-            line, col = expr.pos if expr.pos else (None, None)
             raise TypeError_(
                 f"TTL variable set {{{', '.join(expr.vars)}}} must name exactly "
                 f"its rate targets {{{', '.join(sorted(targets))}}}",
-                line,
-                col,
+                *_p(expr),
             )
         _reject_nested_ttl(expr.invariant)
         t = _check_expr(expr.invariant, env)
         if t != "bool":
-            line, col = expr.pos if expr.pos else (None, None)
-            raise TypeError_("TTL invariant must be boolean", line, col)
+            raise TypeError_("TTL invariant must be boolean", *_p(expr))
         return "bool"
     raise AssertionError(f"unhandled expression {expr!r}")
 
@@ -297,8 +289,7 @@ def _reject_nested_ttl(invariant: Expr) -> None:
     so neither may contain a TTL of its own."""
     for sub in sub_exprs(invariant):
         if isinstance(sub, TtlCall):
-            line, col = sub.pos if sub.pos else (None, None)
-            raise TypeError_("TTL cannot appear inside a flow or TTL invariant", line, col)
+            raise TypeError_("TTL cannot appear inside a flow or TTL invariant", *_p(sub))
 
 
 def _is_constant(expr: Expr, env: dict) -> bool:
@@ -439,4 +430,5 @@ def _writes(stmt: Stmt, env: dict, offenders: list) -> dict:
 
 
 def _p(node) -> tuple:
+    """The (line, col) a node was parsed at, or (None, None)."""
     return node.pos if node.pos else (None, None)

@@ -473,8 +473,15 @@ def _seq_of(stmts: list[Stmt]) -> Stmt:
 
 
 def parse_raw(source: str) -> Program:
-    """Parse without running the static checks. Mostly for internal use."""
-    return Program(_Parser(lex(source)).parse_program())
+    """Parse without running the static checks. Mostly for internal use.
+    Text nested past the interpreter's recursion limit is refused at the
+    token the parser was reading."""
+    parser = _Parser(lex(source))
+    try:
+        return Program(parser.parse_program())
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("nested too deep to parse", tok.line, tok.col) from None
 
 
 def parse(source: str) -> Program:

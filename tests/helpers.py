@@ -286,6 +286,22 @@ def random_valued_program(rng: random.Random) -> tuple:
     return source + branches, F(1)
 
 
+# a tick with two faults: an input check, or a double write of the input,
+# and the code's own double write of `a`; both the search and a run with
+# a schedule must name the input, as a tick that latched first did; the
+# static checks refuse the double write, so each is parsed raw
+TWO_FAULTS = [
+    (
+        "input int signal L = 0; cont a = 0;\n{ a = 1 || a = 2 }; pause",
+        F(1, 2), "'L' holds an integer value",
+    ),
+    (
+        "input int signal L = 0; cont a = 0; signal HIT;\n{ a = 1 || a = 2 || ?L = 1 }; pause",
+        F(1), "'L' written 2 times in one tick with no combine operator",
+    ),
+]
+
+
 def _guard(rng: random.Random) -> str:
     return rng.choice(("A", "B", "!A", "A && B", "A || B"))
 

@@ -476,6 +476,45 @@ def test_deeply_nested_json_exits_2_naming_its_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"{bad}: ")
 
 
+# programs nested past the interpreter's recursion limit: the parser
+# refuses the first two at the token it was reading, and a later pass
+# meets the last two, which parse
+DEEP_PROGRAMS = (
+    ("cont a = 0;\na = " + "(" * 200 + "1" + ")" * 200 + ";\npause",
+     r":2:\d+: nested too deep to parse"),
+    ("signal S;\n" + "{" * 250 + "emit S" + "}" * 250, r":2:\d+: nested too deep to parse"),
+    ("cont a = 0;\na = " + " + ".join(["1"] * 500) + ";\npause", ": nested too deep to process"),
+    ("".join(f"signal S{i};\n" for i in range(600)) + "pause", ": nested too deep to process"),
+)
+
+
+@pytest.mark.parametrize("source, message", DEEP_PROGRAMS, ids=("parens", "braces", "sum", "decls"))
+def test_program_nested_too_deep_exits_2(source, message, tmp_path, capsys):
+    bad = tmp_path / "deep.hsj"
+    bad.write_text(source)
+    for argv in (["check"], ["desugar", "--wcrt", "1"], ["run", "--wcrt", "1", "--ticks", "2"]):
+        assert main([argv[0], str(bad), *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert re.fullmatch(re.escape(str(bad)) + message + "\n", captured.err), argv
+        assert captured.out == "", argv
+
+
+def test_automaton_guard_nested_too_deep_exits_2(tmp_path, capsys):
+    text = (CORPUS / "automata" / "carousel.ha").read_text()
+    bad = tmp_path / "carousel.ha"
+    bad.write_text(text.replace("when x >= alpha", "when x >= " + "(" * 300 + "alpha" + ")" * 300))
+    code = main([
+        "compare",
+        "--ha", str(bad),
+        "--program", CAROUSEL,
+        "--wcrt", "2", "--horizon", "12",
+        "--map", str(CORPUS / "maps" / "carousel.json"),
+        "--param", "alpha=3", *CAROUSEL_PARAMS,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"{bad}:19: nested too deep to parse\n"
+
+
 def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
     bad = tmp_path / "map.json"
     for text, message in (

@@ -22,6 +22,7 @@ from tickflow.verify import alphabet_for, fingerprint
 
 from conftest import corpus_sources
 from helpers import (
+    TWO_FAULTS,
     VALUED_INPUTS,
     multirate_programs,
     random_search_program,
@@ -583,6 +584,58 @@ def test_tick_runs_the_same_code_whatever_its_inputs():
                         after = schedule + (inputs,)
                         reached.setdefault(fingerprint(successor), (after, successor))
             frontier = dict(reached.values())
+
+
+def _outcome(make) -> tuple:
+    """The (message, tick) of the `KernelError` a tick raises, else its
+    `settle` key and its record."""
+    try:
+        tick = make()
+    except KernelError as err:
+        return err.message, err.tick
+    return tick.settle()[1], tick.record()[1]
+
+
+def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
+    # an input is the first write of its instance, and a tick's errors come
+    # in the order a tick that latched first would meet them: so latching
+    # any choice onto the run another choice stepped raises what stepping
+    # it raises, or settles and records as it does. A valued program has
+    # 25 choices, so its pairs are checked within 2 ticks, the others' 3
+    cases = [
+        (rewrite_flows(_bound(path), CFG1), CFG1, VALUED_INPUTS, 3)
+        for path in corpus_sources() if _bound(path).inputs()
+    ]
+    for generate, seeds, ticks in ((random_search_program, 40, 3), (random_valued_program, 8, 2)):
+        for seed in range(seeds):
+            source, wcrt = generate(random.Random(seed))
+            cfg = RewriteConfig(wcrt)
+            cases.append((rewrite_flows(parse(source), cfg), cfg, VALUED_INPUTS, ticks))
+    for source, value, _ in TWO_FAULTS:
+        cases.append((parse_raw(source), CFG1, {"L": (value,)}, 3))
+    undeclared = InputAssignment.make(present=["NOPE"])
+    for program, cfg, values, ticks in cases:
+        choices = [*alphabet_for(program, values).choices(), undeclared]
+        frontier = [init(program, cfg)]
+        for _ in range(ticks):
+            reached = {}
+            for state in frontier:
+                alone = [_outcome(lambda: state.step(inputs)) for inputs in choices]
+                for first, first_alone in zip(choices, alone):
+                    try:
+                        tick = state.step(first)
+                    except KernelError as err:
+                        # no run to latch onto: both TWO_FAULTS programs
+                        # raise at tick 1 under every choice
+                        assert (err.message, err.tick) == first_alone, first
+                        continue
+                    for other, other_alone in zip(choices, alone):
+                        latched = _outcome(lambda: tick.latch(other))
+                        assert latched == other_alone, (state.tick, first, other)
+                    successor, key = tick.settle()
+                    if not successor.terminated:
+                        reached.setdefault(key, successor)
+            frontier = list(reached.values())
 
 
 def test_snapshot_names_instances_like_the_record():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -205,3 +206,13 @@ def test_matrix_file_errors():
         parse_matrix_file("A \u0662 2\n1 0\n0 1\n")  # an Arabic-Indic 2
     with pytest.raises(MatrixError, match="matrix 'A' is defined twice"):
         parse_matrix_file("A 2 2\n1 0\n0 1\nA 1 1\n1\nC 1 1\n1\n")
+    # a dimension below 1 is refused at its header, which a truncated
+    # matrix names too
+    for text, message in (
+        ("A -1 2\n", "1: bad dimensions in 'A -1 2'"),
+        ("A 0 0\n", "1: bad dimensions in 'A 0 0'"),
+        ("A 1 1\n1\nC 1 0\n\n", "3: bad dimensions in 'C 1 0'"),
+        ("A 1 1\n1\n\nC 2 1\n1\n", "4: matrix 'C' is truncated"),
+    ):
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            parse_matrix_file(text)

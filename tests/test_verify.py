@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CORPUS
 from helpers import (
+    TWO_FAULTS,
     VALUED_INPUTS,
     multirate_programs,
     random_search_program,
@@ -392,21 +393,6 @@ def test_double_write_on_a_leaf_tick_raises_at_that_tick():
     assert "'a' written 2 times in one tick with no combine operator" in err.value.message
 
 
-# a tick with two faults: an input check, or a double write of the input,
-# and the code's own double write of `a`; both the search and a run with
-# a schedule must name the input, as a tick that latched first did
-TWO_FAULTS = [
-    (
-        "input int signal L = 0; cont a = 0;\n{ a = 1 || a = 2 }; pause",
-        F(1, 2), "'L' holds an integer value",
-    ),
-    (
-        "input int signal L = 0; cont a = 0; signal HIT;\n{ a = 1 || a = 2 || ?L = 1 }; pause",
-        F(1), "'L' written 2 times in one tick with no combine operator",
-    ),
-]
-
-
 def test_leaf_choice_with_an_undeclared_name_raises_at_its_tick():
     # at bound 1 every choice is a leaf; the second names an input the
     # program does not declare and carries no value
@@ -476,7 +462,14 @@ def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypa
         monkeypatch.setattr(cls, name, count)
 
     counting(kernel.TickState, "step", "step")
-    counting(kernel._Latched, "__init__", "latched")
+    real_latch = kernel._TickCtx.latch
+
+    def latch(tick, inputs):
+        # a choice that carries a status or a value is latched as a view
+        calls["latched"] += bool(inputs.present or inputs.values)
+        return real_latch(tick, inputs)
+
+    monkeypatch.setattr(kernel._TickCtx, "latch", latch)
     counting(kernel._Tick, "settles_present", "settles_present")
     counting(kernel._Tick, "settle", "settle")
     counting(kernel.TickState, "_validate_inputs", "validate")
