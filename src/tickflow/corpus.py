@@ -130,16 +130,19 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     """Run `case` and check it. A schedule input the program does not
     declare, or a value it cannot hold, is an error naming the case, and
     so is a negative `max_ticks` or reach `bound` and a reach `target`
-    that is not a declared signal."""
+    that is not a declared signal. A program nested past a later pass's
+    recursion limit is a `TickflowError` naming the program's file, with
+    the message `tickflow check` prints for it."""
     corpus_dir = Path(corpus_dir)
     result = CaseResult(case.name, [])
-    program = bind_params(parse(files.read_text(str(corpus_dir / case.program))), case.params)
+    path = str(corpus_dir / case.program)
     where = f"{corpus_dir / 'cases.json'}: case {case.name!r}: "
-    for tick, inputs in case.schedule.items():
-        files.require_inputs(f"{where}tick {tick}: ", inputs.present, inputs.values, program)
-    cfg = RewriteConfig(case.wcrt)
-    rewritten = rewrite_flows(program, cfg)
     try:
+        program = bind_params(parse(files.read_text(path)), case.params)
+        for tick, inputs in case.schedule.items():
+            files.require_inputs(f"{where}tick {tick}: ", inputs.present, inputs.values, program)
+        cfg = RewriteConfig(case.wcrt)
+        rewritten = rewrite_flows(program, cfg)
         trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
         signals = {d.name for d in rewritten.declarations() if d.__class__ is SignalDecl}
         _check_trace(case.expect, trace, result, signals)
@@ -154,6 +157,8 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
                 _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
     except ArgumentError as err:  # names the field at fault
         raise ScheduleError(f"{where}{_FIELDS[err.name]}: {err.message}") from None
+    except RecursionError:  # a program nested past a later pass's recursion
+        raise TickflowError(f"{path}: nested too deep to process") from None
     return result
 
 

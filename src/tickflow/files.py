@@ -34,7 +34,9 @@ class _Repeated(dict):
 
 def parse(text: str, origin: str):
     """The JSON document `text`, read from `origin`, which errors name. An
-    object that gives a key twice is kept, for `refuse_repeats` to refuse."""
+    object that gives a key twice is kept, for `refuse_repeats` to refuse.
+    A document nested past the parser's limit is refused as `nested too
+    deep to parse`, as a program or an automaton is."""
     import json
 
     def object_of(pairs: list) -> dict:
@@ -46,8 +48,10 @@ def parse(text: str, origin: str):
 
     try:
         return json.loads(text, object_pairs_hook=object_of)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the parser's limit
+    except json.JSONDecodeError as exc:
         raise ScheduleError(f"{origin}: {exc}") from exc
+    except RecursionError:  # nested past the parser's limit
+        raise ScheduleError(f"{origin}: nested too deep to parse") from None
 
 
 def refuse_repeats(origin: str, datum) -> None:

@@ -77,11 +77,12 @@ uses that to emit straight-line code for five shapes:
   runs and terminates whenever it resumes) re-runs the body directly;
 - `v = w + c`, `w` a continuous variable and `c` a literal (every step of
   a rewritten flow, and the native flow's step), reads `w` through the
-  same logged read and builds `Fraction(n*q + p*d, d*q)` from integers;
+  same logged read and builds `ratio(n*q + p*d, d*q)` from integers, where
+  `n/d` and `p/q` are `w`'s and `c`'s `as_integer_ratio()`;
 - a run of such steps on one `op+` variable, consecutive in a
   straight-line Seq or in a native flow's rates (a flow with two rates on
   `v` has the body `v = v + c1; v = v + c2; if (!TTL..) emit; pause`), is
-  one closure: it reads each `w` in order and writes one `Fraction`, the
+  one closure: it reads each `w` in order and writes one `ratio`, the
   exact sum its writes fold to under `op+`, from integer cross-products.
   With no other writer of `v` in the tick, that write settles as it is.
 
@@ -131,6 +132,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ArgumentError, KernelError
+from .rational import ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.checks import check_program
@@ -540,7 +542,7 @@ def _adapt(value, decl: SignalDecl):
         if value.__class__ is bool:
             raise KernelError(f"{decl.name!r} holds a numeric value")
         value = Fraction(value)
-    if kind == "int" and value.denominator != 1:
+    if kind == "int" and value.as_integer_ratio()[1] != 1:
         raise KernelError(f"{decl.name!r} holds an integer value")
     return value
 
@@ -572,30 +574,30 @@ def _none(ctx, res=None):
 
 def _plus(reads: list, c: Fraction):
     """The code of `w1 + .. + wk + c` for reads `wi` of continuous variables
-    and a `Fraction` constant `c`: the exact sum from integer cross-products
-    and one `Fraction` construction, without `Fraction.__add__`'s dispatch.
+    and a `Fraction` constant `c`: the exact sum from integer cross-products,
+    each value's integers read by one `as_integer_ratio()` and the result
+    built by one `ratio` (its denominator, a product of denominators, is
+    positive), without `Fraction.__add__`'s dispatch or `Fraction.__new__`.
     The reads run, and are logged, in order. The one-read form is the step
     `v + c`. With `c = c1 + .. + ck`, the k-read form is the value
     `(w1 + c1) + .. + (wk + ck)` that the k writes of a run of steps on one
     `op+` variable fold to."""
-    p, q = c.numerator, c.denominator
+    p, q = c.as_integer_ratio()
     if len(reads) == 1:
         (read,) = reads
 
         def step(ctx):
-            v = read(ctx)
-            d = v.denominator
-            return Fraction(v.numerator * q + p * d, d * q)
+            n, d = read(ctx).as_integer_ratio()
+            return ratio(n * q + p * d, d * q)
 
         return step
 
     def fused(ctx):
         n, d = p, q
         for read in reads:
-            v = read(ctx)
-            e = v.denominator
-            n, d = n * e + v.numerator * d, d * e
-        return Fraction(n, d)
+            m, e = read(ctx).as_integer_ratio()
+            n, d = n * e + m * d, d * e
+        return ratio(n, d)
 
     return fused
 
@@ -1088,7 +1090,8 @@ class _Compiler:
         prediction, as one integer cross-multiplication, or None for any
         other name. For a prediction `scale*v + shift` the literal becomes
         the threshold `(c - shift)/scale`; both denominators are positive,
-        so `v <op> p/q` is `v.numerator*q <op> p*v.denominator`."""
+        so with `n, d = v.as_integer_ratio()`, `v <op> p/q` is
+        `n*q <op> p*d`."""
         name, bound = node.left.name, node.right.value
         kind, slot, form = scope[name]
         if kind == "cont":
@@ -1099,17 +1102,17 @@ class _Compiler:
             read = None
         else:
             return None
-        p, q, cmp = bound.numerator, bound.denominator, _BINARY[node.op]
+        (p, q), cmp = bound.as_integer_ratio(), _BINARY[node.op]
         if read is None:
 
             def test(ctx):
-                v = ctx.env[slot]
-                return cmp(v.numerator * q, p * v.denominator)
+                n, d = ctx.env[slot].as_integer_ratio()
+                return cmp(n * q, p * d)
         else:
 
             def test(ctx):
-                v = read(ctx)
-                return cmp(v.numerator * q, p * v.denominator)
+                n, d = read(ctx).as_integer_ratio()
+                return cmp(n * q, p * d)
 
         return test
 

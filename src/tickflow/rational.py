@@ -9,11 +9,20 @@ NUMBER is ASCII digits with an optional `.digits` part, a rational is a
 NUMBER with an optional `/` NUMBER denominator, and outside a program a
 leading `-` negates. There is no exponent, `_`, `+` or inner space, all of
 which `int()` and `Fraction()` would take.
+
+A rational computed from integers, such as a flow step's exact sum, is
+built by `ratio`, and its integers are read with `as_integer_ratio()`.
+`ratio` reduces `n/d` by one gcd and writes the two integers into the
+`Fraction`'s slots, without `Fraction.__new__`'s argument handling; it is
+exact because a fraction divided through by the gcd of its terms is its
+reduced form. It assumes `d > 0`, which holds for every product of
+`Fraction` denominators. This module is the only one that knows the slots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 # ASCII only: `str.isdigit` also holds for digits such as '²' or '٣'
 DIGITS = frozenset("0123456789")
@@ -59,11 +68,25 @@ def parse_rational(text: str) -> Fraction:
     return -value if negative else value
 
 
+_new = object.__new__  # bound once: its lookup is a share of `ratio`'s cost
+
+
+def ratio(n: int, d: int) -> Fraction:
+    """The `Fraction` n/d for integers `n` and `d > 0`, reduced by one gcd
+    and written directly into the class's slots, as
+    `Fraction._from_coprime_ints` does from Python 3.12 on. A `d` of 0 or
+    below gives a value no `Fraction` operation expects."""
+    g = gcd(n, d)
+    value = _new(Fraction)
+    value._numerator = n // g
+    value._denominator = d // g
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render p/q, or just p when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    n, d = value.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_value(value) -> str:

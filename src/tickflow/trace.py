@@ -153,10 +153,10 @@ class Trace(Struct, frozen=False):
 # --- CSV ----------------------------------------------------------------------
 
 
-def _time(wcrt: Fraction, tick: int) -> str:
-    """`wcrt × tick` printed as `format_rational` prints it, from integers:
-    `p*tick / q` reduced by one gcd."""
-    p, q = wcrt.numerator, wcrt.denominator
+def _time(p: int, q: int, tick: int) -> str:
+    """`wcrt × tick`, for `p, q = wcrt.as_integer_ratio()`, printed as
+    `format_rational` prints it, from integers: `p*tick / q` reduced by one
+    gcd."""
     num = p * tick
     g = gcd(num, q)
     return str(num // g) if g == q else f"{num // g}/{q // g}"
@@ -210,7 +210,7 @@ def to_csv(trace: Trace) -> str:
     lines = ["tick,time,entity,kind,value"]
     append = lines.append
     printed = {id(True): "true", id(False): "false"}
-    wcrt = trace.wcrt
+    p, q = trace.wcrt.as_integer_ratio()
     plans = {}
     for rec in trace.records:
         statuses, values, conts, labels = rec.statuses, rec.values, rec.conts, rec.labels
@@ -220,7 +220,7 @@ def to_csv(trace: Trace) -> str:
             entry = plans[shape] = (_row_plan(rec), dict.fromkeys(labels, True))
         plan, marks = entry
         tables = (statuses, values, conts, marks)
-        prefix = f"{rec.tick},{_time(wcrt, rec.tick)},"
+        prefix = f"{rec.tick},{_time(p, q, rec.tick)},"
         for index, name, head in plan:
             value = tables[index][name]
             text = printed.get(id(value))
@@ -234,6 +234,7 @@ def to_csv(trace: Trace) -> str:
 
 
 def to_json(trace: Trace) -> str:
+    p, q = trace.wcrt.as_integer_ratio()
     doc = {
         "wcrt": format_rational(trace.wcrt),
         "terminated": trace.terminated,
@@ -242,7 +243,7 @@ def to_json(trace: Trace) -> str:
         "ticks": [
             {
                 "tick": rec.tick,
-                "time": _time(trace.wcrt, rec.tick),
+                "time": _time(p, q, rec.tick),
                 "statuses": {k: v for k, v in sorted(rec.statuses.items())},
                 "values": {
                     k: v if v.__class__ is bool else format_rational(v)
@@ -279,7 +280,7 @@ def from_json(text: str) -> Trace:
         if files.rational(entry["time"], f"{where}: 'time'") != wcrt * tick:
             raise ScheduleError(
                 f"trace record {tick} has time {entry['time']!r}; a tick's time is "
-                f"wcrt x tick, {_time(wcrt, tick)}"
+                f"wcrt x tick, {_time(*wcrt.as_integer_ratio(), tick)}"
             )
         for label in entry["labels"]:
             if type(label) is not str:

@@ -32,17 +32,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KernelError
+from .rational import ratio
 
 
 def combine_fold(op: str, values: list) -> Fraction:
     if op == "plus":
-        # the exact sum from integer cross-products and one Fraction,
-        # without Fraction.__add__'s dispatch per value
+        # the exact sum from integer cross-products, each value read by
+        # one as_integer_ratio() and the sum built by one ratio (d, a
+        # product of denominators, is positive), without
+        # Fraction.__add__'s dispatch per value or Fraction.__new__
         n, d = 0, 1
         for v in values:
-            q = v.denominator
-            n, d = n * q + v.numerator * d, d * q
-        return Fraction(n, d)
+            m, q = v.as_integer_ratio()
+            n, d = n * q + m * d, d * q
+        return ratio(n, d)
     if op == "times":
         total = values[0]
         for v in values[1:]:

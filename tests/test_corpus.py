@@ -6,7 +6,7 @@ import pytest
 
 from tickflow import corpus
 from tickflow.corpus import load_cases, run_corpus
-from tickflow.errors import ScheduleError
+from tickflow.errors import ScheduleError, TickflowError
 
 from conftest import corpus_sources
 
@@ -145,3 +145,22 @@ def test_argument_out_of_range_names_the_case_and_its_field(name):
     with pytest.raises(ScheduleError) as err:
         run_corpus(corpus_dir)
     assert str(err.value) == f"{corpus_dir / 'cases.json'}: {OUT_OF_RANGE[name]}"
+
+
+# programs the parser reads, nested past the recursion limit of a later pass
+DEEP_PROGRAMS = {
+    "sum": "cont a = 0;\na = " + " + ".join(["1"] * 500) + ";\npause",
+    "decls": "".join(f"signal S{i};\n" for i in range(600)) + "pause",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PROGRAMS))
+def test_program_nested_too_deep_names_its_file(name, tmp_path):
+    # the message `tickflow check` prints for the same file
+    (tmp_path / "deep.hsj").write_text(DEEP_PROGRAMS[name])
+    (tmp_path / "cases.json").write_text(
+        '{"cases": [{"name": "deep", "program": "deep.hsj", "wcrt": "1", "expect": {}}]}'
+    )
+    with pytest.raises(TickflowError) as err:
+        run_corpus(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'deep.hsj'}: nested too deep to process"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import cProfile
 import json
 import operator
+import pstats
 import random
 from fractions import Fraction as F
 
@@ -20,8 +22,9 @@ from tickflow.syntax.parser import parse_raw
 from tickflow.trace import to_csv, to_json
 from tickflow.verify import alphabet_for, fingerprint
 
-from conftest import corpus_sources
+from conftest import CORPUS, corpus_sources
 from helpers import (
+    FLOW_BANK,
     TWO_FAULTS,
     VALUED_INPUTS,
     multirate_programs,
@@ -961,3 +964,39 @@ def test_record_builds_the_store_settle_builds():
         for native in (False, True):
             compiled = program if native else rewrite_flows(program, cfg)
             _record_matches_settle(compiled, cfg, native, choices, rng)
+
+
+# --- a tick's rationals are built and read from integers ----------------------------
+
+
+def _fraction_calls(program, cfg, ticks) -> dict:
+    """(method, caller module) -> calls of `Fraction.__new__` and of the
+    `numerator` and `denominator` properties, made by the second `run` of
+    `program` (the first compiles it) and the `to_csv` of its trace."""
+    run(program, cfg, max_ticks=ticks)
+    profile = cProfile.Profile()
+    profile.enable()
+    to_csv(run(program, cfg, max_ticks=ticks))
+    profile.disable()
+    calls = {}
+    for (path, _, name), (*_, callers) in pstats.Stats(profile).stats.items():
+        if path.endswith("fractions.py") and name in ("__new__", "numerator", "denominator"):
+            for (caller, _, _), (count, *_) in callers.items():
+                module = caller.rpartition("/")[2]
+                calls[name, module] = calls.get((name, module), 0) + count
+    return calls
+
+
+def test_a_run_builds_no_fraction_through_its_constructor_and_reads_no_property():
+    # every rational a tick computes is built by `rational.ratio` and read
+    # by `as_integer_ratio()`; the carousel's `?S1 == 1` is `Fraction.__eq__`,
+    # which reads the properties itself
+    source, wcrt = FLOW_BANK
+    cfg = RewriteConfig(wcrt)
+    assert _fraction_calls(rewrite_flows(parse(source), cfg), cfg, 60) == {}
+    carousel = bind_params(
+        parse((CORPUS / "programs" / "carousel.hsj").read_text()),
+        {"alpha": F(1), "beta": F(10), "theta": F(6), "TAG": F(1)},
+    )
+    calls = _fraction_calls(rewrite_flows(carousel, CFG1), CFG1, 44)
+    assert calls == {("numerator", "fractions.py"): 4, ("denominator", "fractions.py"): 4}

@@ -1,0 +1,42 @@
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+from tickflow.rational import format_rational, ratio
+
+
+def _pairs() -> list:
+    """Seeded integer pairs (n, d), d >= 1: negative and zero numerators,
+    numerators and denominators past 10**30, pairs with a common factor
+    and pairs already in lowest terms."""
+    rng = random.Random(25)
+    pairs = [(0, 1), (0, 7), (1, 1), (-1, 1), (6, 4), (-6, 4), (10**31, 10**30), (-(3**70), 3**65)]
+    for _ in range(400):
+        n = rng.choice((rng.randint(-50, 50), rng.randint(-(10**40), 10**40)))
+        d = rng.choice((rng.randint(1, 60), rng.randint(1, 10**35)))
+        common = rng.choice((1, 1, rng.randint(2, 10**12)))
+        pairs.append((n * common, d * common))
+    return pairs
+
+
+def test_ratio_is_the_fraction_of_its_integers():
+    # `ratio` writes the two slots of a `Fraction` itself; if a later
+    # Python lays the class out differently, or a change skips the gcd,
+    # this test is where it shows
+    pairs = _pairs()
+    built = [(ratio(n, d), F(n, d)) for n, d in pairs]
+    for (n, d), (got, want) in zip(pairs, built):
+        assert type(got) is F, (n, d)
+        assert got == want and want == got, (n, d)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (n, d)
+        assert got.as_integer_ratio() == want.as_integer_ratio(), (n, d)
+        assert hash(got) == hash(want) and repr(got) == repr(want), (n, d)
+        assert str(got) == str(want) and format_rational(got) == format_rational(want), (n, d)
+        assert -got == -want and abs(got) == abs(want), (n, d)
+    for (got, want), (other, its) in zip(built, built[1:] + built[:1]):
+        assert got + other == want + its and got - other == want - its
+        assert got * other == want * its and got + 1 == want + 1
+        for compare in (F.__lt__, F.__le__, F.__gt__, F.__ge__, F.__eq__):
+            assert compare(got, other) == compare(want, its), (got, other)
+            assert compare(got, 0) == compare(want, 0), got
