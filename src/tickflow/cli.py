@@ -22,6 +22,7 @@ from .errors import (
     AutomatonError,
     CompileError,
     DeadlockError,
+    NestingError,
     NondeterminismError,
     ScheduleError,
     SearchLimitError,
@@ -160,6 +161,9 @@ def main(argv=None) -> int:
     except ArgumentError as err:  # names the flag at fault
         print(f"{_FLAGS.get(err.name, err.name)}: {err.message}", file=sys.stderr)
         return 2
+    except (NestingError, RecursionError):  # a program nested past a later pass's recursion
+        print(f"{source}: nested too deep to process", file=sys.stderr)
+        return 2
     except (CompileError, TickflowError) as err:
         print(f"{source}:{err}", file=sys.stderr)
         return 2
@@ -167,9 +171,6 @@ def main(argv=None) -> int:
         if err.filename is None:
             raise
         print(f"{err.filename}: {err.strerror}", file=sys.stderr)
-        return 2
-    except RecursionError:  # a program nested past a later pass's recursion
-        print(f"{source}: nested too deep to process", file=sys.stderr)
         return 2
 
 

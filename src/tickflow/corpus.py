@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import files
-from .errors import ArgumentError, ScheduleError, TickflowError
+from .errors import ArgumentError, NestingError, ScheduleError, TickflowError
 from .kernel import run
 from .params import bind_params
 from .rational import format_value
@@ -157,7 +157,7 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
                 _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
     except ArgumentError as err:  # names the field at fault
         raise ScheduleError(f"{where}{_FIELDS[err.name]}: {err.message}") from None
-    except RecursionError:  # a program nested past a later pass's recursion
+    except (NestingError, RecursionError):  # a program nested past a later pass's recursion
         raise TickflowError(f"{path}: nested too deep to process") from None
     return result
 

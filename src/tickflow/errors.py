@@ -118,3 +118,8 @@ class ArgumentError(TickflowError):
 
 class SearchLimitError(TickflowError):
     """The reachability search hit its configured node limit."""
+
+
+class NestingError(TickflowError):
+    """A program the parser reads is nested past the recursion limit of a
+    later pass: binding, rewriting, checking or compiling."""

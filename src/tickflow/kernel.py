@@ -38,62 +38,52 @@ not fit its signal's type (an `int` signal given `1/2`, or an input of
 the wrong kind), two writes to one instance with no combine operator, and
 several rates of one variable with no operator.
 
-Each statement becomes a pair of closures: `run(ctx)` enters it afresh
-and `resume(ctx, res)` continues it from the residue it left. A parent
-picks the child that resumes a residue by its index (a Seq's statement or
-an If's branch) or Par slot, so a tick dispatches on nothing. Each
-expression becomes a closure too. Names resolve to slots at compile time:
-a declaration has at most one live instance across ticks, so the per-tick
-list `ctx.env` holds it in the declaration's slot. A tick fills `env` from
-the store it starts from, a declaration's run puts its new instance there,
-and its resume and its scope's end read it there; an abort that fires
-drops the live instances of the declarations its body declares, a list
-fixed at compile time.
+A statement that can pause (a pause, loop, Par, abort, suspend, label or
+declaration, or a Seq or If around one) becomes a pair of closures:
+`run(ctx)` enters it afresh and `resume(ctx, res)` continues it from the
+residue it left. A parent picks the child that resumes a residue by its
+index (a Seq's statement or an If's branch) or Par slot, so a tick
+dispatches on nothing. Each maximal region that cannot pause (a Seq or a
+run of a Seq's statements, an If whose branches cannot pause, a Seq
+whose only pause is a final `pause`, returning a residue built at
+compile time), each expression a closure evaluates (a guard, an If's
+condition, an initial value) and each native flow (its own run and
+resume) is Python source, one line per read, write, emission, `_adapt`
+check or operation, that `compile()` turns into one function. Its file
+name is `kernel.generated` beside this module, so a profile counts it as
+the kernel's. An If's branch indented past 50 levels is a function of
+its own, since Python refuses 100. A loop whose body pauses whenever it
+runs resumes by running the body again.
 
-A look-ahead compiles to reads of its site's variables, in site order,
-into slots of its own that shadow them, then its invariant. A variable
-whose prediction is affine in its settled value (`ttl.affine_form`;
-every variable of a rewritten flow is) keeps that value in its slot: the
+Names resolve to slots at compile time: a declaration has at most one
+live instance across ticks, so the per-tick list `ctx.env` holds it at a
+literal index, the declaration's slot. A tick fills `env` from the store
+it starts from, a declaration's run puts its new instance there, and its
+resume and its scope's end read it there; an abort that fires drops the
+live instances of the declarations its body declares, a list fixed at
+compile time. Program text reaches the source only as the `repr` of a str
+or a number, or as a constant bound into the functions' globals.
+
+A look-ahead reads its site's variables, in site order, into slots of its
+own that shadow them, then evaluates its invariant. A variable whose
+prediction is affine in its settled value (`ttl.affine_form`; every
+variable of a rewritten flow is) keeps that value in its slot: the
 invariant's `name <op> literal` compiles to one integer cross-multiplication
 against the threshold `(literal - shift)/scale`, folded at compile time,
 and any other use of the name computes `scale*value + shift`. A
-comparison of a continuous variable with a literal compiles to the same
-integer test. Any other variable's slot holds its prediction, computed
-once every variable is read. So the look-ahead of a rewritten flow does
-no `Fraction` arithmetic: a flow tick's only `Fraction`s are its steps,
-one per variable (see the fused run below).
+comparison of a continuous variable with a literal is the same integer
+test. Any other variable's slot holds its prediction, computed once every
+variable is read. A step `v = w + c` (every step of a rewritten or native
+flow), `w` a continuous variable and `c` a literal, builds
+`ratio(p*d + n*q, q*d)` from `w`'s and `c`'s `as_integer_ratio()`, `n/d`
+and `p/q`; a run of such steps on one `op+` variable, consecutive in
+straight-line code or in a native flow's rates, writes once, the exact sum
+its writes fold to. So a flow tick's only `Fraction`s are its steps.
 
-A statement compiled with resume None can never pause, and the compiler
-uses that to emit straight-line code for five shapes:
-
-- an If whose branches cannot pause is one closure with resume None; a
-  `!e` condition compiles `e` and swaps the branches, and a `nothing`
-  branch is not called;
-- a Seq whose statements cannot pause is one closure with resume None,
-  and a Seq whose only pause is its final `pause` runs its other
-  statements and returns one residue built at compile time, with resume
-  `_none`;
-- a Loop whose body resumes with `_none` (a body that pauses whenever it
-  runs and terminates whenever it resumes) re-runs the body directly;
-- `v = w + c`, `w` a continuous variable and `c` a literal (every step of
-  a rewritten flow, and the native flow's step), reads `w` through the
-  same logged read and builds `ratio(n*q + p*d, d*q)` from integers, where
-  `n/d` and `p/q` are `w`'s and `c`'s `as_integer_ratio()`;
-- a run of such steps on one `op+` variable, consecutive in a
-  straight-line Seq or in a native flow's rates (a flow with two rates on
-  `v` has the body `v = v + c1; v = v + c2; if (!TTL..) emit; pause`), is
-  one closure: it reads each `w` in order and writes one `ratio`, the
-  exact sum its writes fold to under `op+`, from integer cross-products.
-  With no other writer of `v` in the tick, that write settles as it is.
-
-None of them changes a residue's value. An If that cannot pause left no
-residue before either; the shared residue equals the one a tick built
-(same index, and a pause's leaf is `True`); a Loop adds no residue of its
-own; a Seq's residue indexes its source statements, fused or not. An If
-that can pause keeps its branches and their numbering, `!` or not. Reads
-happen in the same order, and writes fold to the same values and raise
-the same errors, so traces, read logs, state keys and verdicts are what
-the generic code gives.
+None of this changes a residue: a region that cannot pause leaves none,
+and a Seq's residue indexes its source statements. Reads, writes and
+errors come in the same order, so traces, read logs, state keys and
+verdicts are what evaluating one statement at a time gives.
 
 A machine state is a value, and holds only what a tick reads or decides:
 the code, the input names and the read log it shares with its run, a
@@ -127,11 +117,13 @@ checks, settles only a state it keys and records only a witness.
 
 from __future__ import annotations
 
-import operator
+import os
 from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from typing import Optional
 
-from .errors import ArgumentError, KernelError
+from .errors import ArgumentError, KernelError, NestingError
 from .rational import ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
@@ -549,22 +541,55 @@ def _adapt(value, decl: SignalDecl):
 
 # --- compilation -------------------------------------------------------------
 
+# The file name of generated code: a profile counts its time as the kernel's.
+_GENERATED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.generated")
+
+_DEEPEST = " " * 50  # a branch indented this deep is a function of its own
+
+# the tick's fields, each loaded once by a function whose source names it
+_FIELDS = ("env", "prev", "writes", "emitted", "log")
+
+_WRITE = "writes.setdefault(env[{0}], []).append({1})"  # of {1} to the instance in slot {0}
+
+_COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+# Python's spelling of each binary operator but `*`, which any other is
+_OPERATORS = {"&&": "and", "||": "or", "+": "+", "-": "-", **{op: op for op in _COMPARE}}
+
+# per signal type, the values `_adapt` passes unchanged; it sees only others
+_ADAPTED = {
+    "boolean": "{0}.__class__ is bool",
+    "int": "{0}.__class__ is Fraction and {0}.as_integer_ratio()[1] == 1",
+    "ratio": "{0}.__class__ is Fraction",
+}
+
 
 def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
     """The code of `program` for `TickState.code`, and its input names. The
     program must pass the static checks, which raise their located error
-    when it does not."""
-    if program.params():
-        raise KernelError("named constants must be bound before execution")
-    if not native_flows and program.has_flows():
-        raise KernelError(
-            "program still contains flow actions; rewrite it or enable "
-            "native flow interpretation"
-        )
-    check_program(program)
-    compiler = _Compiler(cfg)
-    run, resume = compiler.stmt(program.root, {})
+    when it does not, and one nested past the recursion limit raises
+    NestingError."""
+    try:
+        if program.params():
+            raise KernelError("named constants must be bound before execution")
+        if not native_flows and program.has_flows():
+            raise KernelError(
+                "program still contains flow actions; rewrite it or enable "
+                "native flow interpretation"
+            )
+        check_program(program)
+        compiler = _Compiler(cfg)
+        run, resume = compiler.stmt(program.root, {})
+        run = compiler.runner(run)
+    except RecursionError:
+        raise NestingError("nested too deep to process") from None
     return (run, resume, compiler.slots), frozenset(d.name for d in program.inputs())
+
+
+@lru_cache(maxsize=512)
+def _code(source: str, mode: str = "exec"):
+    """`source` compiled: programs alike in shape share their code."""
+    return compile(source, _GENERATED, mode)
 
 
 def _none(ctx, res=None):
@@ -572,34 +597,9 @@ def _none(ctx, res=None):
     return None
 
 
-def _plus(reads: list, c: Fraction):
-    """The code of `w1 + .. + wk + c` for reads `wi` of continuous variables
-    and a `Fraction` constant `c`: the exact sum from integer cross-products,
-    each value's integers read by one `as_integer_ratio()` and the result
-    built by one `ratio` (its denominator, a product of denominators, is
-    positive), without `Fraction.__add__`'s dispatch or `Fraction.__new__`.
-    The reads run, and are logged, in order. The one-read form is the step
-    `v + c`. With `c = c1 + .. + ck`, the k-read form is the value
-    `(w1 + c1) + .. + (wk + ck)` that the k writes of a run of steps on one
-    `op+` variable fold to."""
-    p, q = c.as_integer_ratio()
-    if len(reads) == 1:
-        (read,) = reads
-
-        def step(ctx):
-            n, d = read(ctx).as_integer_ratio()
-            return ratio(n * q + p * d, d * q)
-
-        return step
-
-    def fused(ctx):
-        n, d = p, q
-        for read in reads:
-            m, e = read(ctx).as_integer_ratio()
-            n, d = n * e + m * d, d * e
-        return ratio(n, d)
-
-    return fused
+def _times(a: str, b: str) -> str:
+    """The source of `a * b`, a factor `1` left out."""
+    return b if a == "1" else a if b == "1" else f"{a} * {b}"
 
 
 def _literal_step(node):
@@ -620,54 +620,97 @@ def _literal_step(node):
     return node.name, expr.left.name, expr.right.value
 
 
-def _write(slot: int, value):
-    """The code of a write of `value`'s result to the instance in `slot`."""
-
-    def run(ctx):
-        ctx.writes.setdefault(ctx.env[slot], []).append(value(ctx))
-
-    return run
-
-
-def _reader(slot: int, name: str, kind: str, index: int):
-    """A read of the previous-tick status (index 0) or value (index 1) of
-    the instance in `slot`, logged when the state records reads."""
-
-    def read(ctx):
-        value = ctx.prev[ctx.env[slot]][index]
-        if ctx.log is not None:
-            ctx.log.append((ctx.t, name, kind, value))
-        return value
-
-    return read
-
-
-_BINARY = {  # any other operator multiplies
-    "&&": lambda a, b: a and b,  # both operands are evaluated first
-    "||": lambda a, b: a or b,
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
-}
-
-_COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
-
-
 class _Compiler:
-    """Translates statements into (run, resume) closure pairs and
-    expressions into closures. A scope maps each visible name to
-    (kind, slot, declaration), kind being "signal", "cont" or "pred" (a
-    look-ahead prediction, whose third entry is its affine form or None);
-    `slots` counts the environment slots, and `declared` lists the
-    declarations' slots in compile order (a look-ahead's are left out)."""
+    """Translates statements and expressions into code (see the module
+    docstring). A statement becomes `(run, resume)`: one that cannot pause
+    gives its source lines and None, which a parent inlines or compiles
+    (`runner`); one that can gives closures. An expression appends its
+    lines to a list and returns the local, global or literal holding its
+    value (`expr`). A scope maps each visible name to (kind, slot,
+    declaration), kind being "signal", "cont" or "pred" (a look-ahead
+    prediction, whose third entry is its affine form or None); `slots`
+    counts the environment slots, `declared` lists the declarations' slots
+    in compile order, and `names` holds the generated code's globals."""
 
     def __init__(self, cfg: RewriteConfig):
         self.wcrt = cfg.wcrt
         self.slots = 0
         self.declared: list = []
+        self.count = 0
+        self.names = {"Fraction": Fraction, "adapt": _adapt, "ratio": ratio}
 
     def slot(self) -> int:
         self.slots += 1
         return self.slots - 1
+
+    # -- generated code --
+
+    def fresh(self, prefix: str) -> str:
+        """A new name in generated code: `v` a value, `n` and `d` its
+        integers, `k` a bound constant, `f` a function."""
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def bind(self, value) -> str:
+        """A global of the generated code bound to `value`."""
+        name = self.fresh("k")
+        self.names[name] = value
+        return name
+
+    def function(self, lines: list, result: str = "None"):
+        """`lines`, then `return result`, as a function of `ctx` (and of a
+        residue, which only `lines` may read, so that it can be a resume)
+        that first loads the fields of the tick its source names."""
+        if not lines and (result == "None" or result in self.names):  # a constant
+            value = self.names.get(result)
+            return lambda ctx, res=None: value
+        if result != "None":
+            lines = [*lines, f"return {result}"]
+        name = self.fresh("f")
+        text = "\n".join(lines)
+        head = [f"{field} = ctx.{field}" for field in _FIELDS if field in text]
+        source = "\n ".join([f"def {name}(ctx, res=None):", *head, *lines])
+        exec(_code(source), self.names)
+        return self.names[name]
+
+    def runner(self, run):
+        """A statement's run as a function: its lines compiled, or itself."""
+        return self.function(run) if run.__class__ is list else run
+
+    def nest(self, lines: list) -> list:
+        """`lines` as an If's branch, one level in; a call of a function of
+        them if they nest too deep."""
+        if any(line.startswith(_DEEPEST) for line in lines):
+            lines = [f"{self.function(lines).__name__}(ctx)"]
+        return [" " + line for line in lines]
+
+    def let(self, lines: list, source: str) -> str:
+        value = self.fresh("v")
+        lines.append(f"{value} = {source}")
+        return value
+
+    def read(self, lines: list, slot: int, name: str, kind: str) -> str:
+        """A read of the previous-tick status or value in `slot`, logged."""
+        value = self.let(lines, f"prev[env[{slot}]][{0 if kind == 'status' else 1}]")
+        lines.append(f"if log is not None: log.append((ctx.t, {name!r}, {kind!r}, {value}))")
+        return value
+
+    def passes(self, lines: list, value: str, test: str, otherwise: str) -> str:
+        """`value` if it passes `test`, a test of `{0}`, else `otherwise`,
+        tested at compile time if `value` is a bound constant."""
+        if value not in self.names:
+            return self.let(lines, f"{value} if {test.format(value)} else {otherwise}")
+        scope = {"Fraction": Fraction, "x": self.names[value]}
+        return value if eval(_code(test.format("x"), "eval"), scope) else self.let(lines, otherwise)
+
+    def fraction(self, lines: list, value: str) -> str:
+        """`value` as a `Fraction`."""
+        return self.passes(lines, value, _ADAPTED["ratio"], f"Fraction({value})")
+
+    def condition(self, node, scope):
+        """An expression as a function of `ctx`."""
+        lines: list = []
+        return self.function(lines, self.expr(node, scope, lines))
 
     def stmt(self, node: Stmt, scope: dict):
         return getattr(self, "stmt_" + node.__class__.__name__)(node, scope)
@@ -675,77 +718,57 @@ class _Compiler:
     # -- leaves --
 
     def stmt_Nothing(self, node, scope):
-        return _none, None
+        return [], None
 
     def stmt_Pause(self, node, scope):
-        return (lambda ctx: True), _none
+        return (lambda ctx, res=None: True), _none
 
     def stmt_Emit(self, node, scope):
-        slot = scope[node.name][1]
-
-        def run(ctx):
-            ctx.emitted.add(ctx.env[slot])
-
-        return run, None
+        return [f"emitted.add(env[{scope[node.name][1]}])"], None
 
     def stmt_ValueWrite(self, node, scope):
         _, slot, decl = scope[node.name]
-        expr = self.expr(node.expr, scope)
+        lines: list = []
+        value = self.adapt(lines, self.expr(node.expr, scope, lines), decl)
+        return [*lines, _WRITE.format(slot, value)], None
 
-        def run(ctx):
-            inst = ctx.env[slot]
-            ctx.writes.setdefault(inst, []).append(_adapt(expr(ctx), decl))
-
-        return run, None
+    def adapt(self, lines: list, value: str, decl: SignalDecl) -> str:
+        """`value`, written to `decl`, unless `_adapt` passes it unchanged."""
+        otherwise = f"adapt({value}, {self.bind(decl)})"
+        return self.passes(lines, value, _ADAPTED[decl.stype], otherwise)
 
     def stmt_ContAssign(self, node, scope):
         step = _literal_step(node)
         if step is not None:
-            ((slot, value),) = self._steps([step], scope)
-            return _write(slot, value), None
-        slot = scope[node.name][1]
-        expr = self.expr(node.expr, scope)
+            return self.steps([step], scope), None
+        lines: list = []
+        value = self.fraction(lines, self.expr(node.expr, scope, lines))
+        return [*lines, _WRITE.format(scope[node.name][1], value)], None
 
-        def run(ctx):
-            value = expr(ctx)
-            if value.__class__ is not Fraction:
-                value = Fraction(value)
-            ctx.writes.setdefault(ctx.env[slot], []).append(value)
-
-        return run, None
-
-    def _steps(self, steps, scope) -> list:
-        """The code of the steps `v = w + c`, given as `(v, w, c)` in source
-        order, as (slot of `v`, code of the value written) pairs: one per
-        step, but one per run of consecutive steps on one `op+` variable,
-        which writes the sum the run's writes fold to (`_plus`)."""
-        runs = []
+    def steps(self, steps, scope) -> list:
+        """The lines of the steps `v = w + c`, given as `(v, w, c)`: a write
+        per step, or per run of consecutive steps on one `op+` variable, of
+        the sum its writes fold to, by integer cross-products."""
+        runs: list = []
         for target, name, c in steps:
             _, slot, decl = scope[target]
-            read = _reader(scope[name][1], name, "value", 1)
             if runs and runs[-1][0] == slot and decl.combine == "plus":
-                runs[-1][1].append(read)
+                runs[-1][1].append(name)
                 runs[-1][2] += c
             else:
-                runs.append([slot, [read], c])
-        return [(slot, _plus(reads, c)) for slot, reads, c in runs]
-
-    def _fuse(self, stmts, runs, scope) -> list:
-        """`runs`, the code of the straight-line statements `stmts`, with
-        each run of consecutive steps `v = w + c` compiled together by
-        `_steps`, so that a run on one `op+` variable is one closure."""
-        fused, steps = [], []
-        for stmt, run in zip(stmts, runs):
-            step = _literal_step(stmt)
-            if step is not None:
-                steps.append(step)
-                continue
-            if steps:
-                fused += [_write(slot, value) for slot, value in self._steps(steps, scope)]
-                steps = []
-            fused.append(run)
-        fused += [_write(slot, value) for slot, value in self._steps(steps, scope)]
-        return fused
+                runs.append([slot, [name], c])
+        lines: list = []
+        for slot, names, c in runs:
+            num, den = map(str, c.as_integer_ratio())
+            for k, name in enumerate(names):
+                if k:
+                    num, den = self.let(lines, num), self.let(lines, den)
+                n, d = self.fresh("n"), self.fresh("d")
+                value = self.read(lines, scope[name][1], name, "value")
+                lines.append(f"{n}, {d} = {value}.as_integer_ratio()")
+                num, den = f"{_times(num, d)} + {_times(n, den)}", _times(den, d)
+            lines.append(_WRITE.format(slot, f"ratio({num}, {den})"))
+        return lines
 
     # -- control --
 
@@ -753,32 +776,48 @@ class _Compiler:
         """The run and the resume code of each statement of `nodes`."""
         return tuple(zip(*[self.stmt(node, scope) for node in nodes]))
 
+    def straight(self, stmts, codes, scope) -> list:
+        """The lines `codes` of statements that cannot pause, each run of
+        consecutive steps `v = w + c` compiled together by `steps`."""
+        lines, steps = [], []
+        for stmt, code in zip(stmts, codes):
+            step = _literal_step(stmt)
+            if step is not None:
+                steps.append(step)
+                continue
+            lines += self.steps(steps, scope) + code
+            steps = []
+        return lines + self.steps(steps, scope)
+
     def stmt_Seq(self, node, scope):
-        runs, resumes = self.block(node.stmts, scope)
-        count = len(runs)
-        last = node.stmts[-1]
-        if all(r is None for r in resumes[:-1]) and (
-            resumes[-1] is None or last.__class__ is Pause
-        ):
-            # straight-line code: no statement but a final pause can pause,
-            # so the residue is None or always the pause's
+        stmts = node.stmts
+        runs, resumes = self.block(stmts, scope)
+        if all(r is None for r in resumes[:-1]):
             if resumes[-1] is None:
-                effects, res, resume = runs, None, None
+                return self.straight(stmts, runs, scope), None
+            if stmts[-1].__class__ is Pause:  # the residue is always the pause's
+                lines = self.straight(stmts[:-1], runs[:-1], scope)
+                return self.function(lines, repr((len(stmts) - 1, True))), _none
+        # each run of consecutive statements that cannot pause is one
+        # function, called at its first statement's index; after the
+        # statement i that can pause, the run goes on at call `after[i]`
+        calls, after = [], [None] * len(stmts)
+        members = zip(range(len(stmts)), stmts, runs, resumes)
+        for pauses, group in groupby(members, lambda member: member[3] is not None):
+            indices, group_stmts, group_runs, _ = zip(*group)
+            if pauses:
+                for i, run in zip(indices, group_runs):
+                    calls.append((i, run))
+                    after[i] = len(calls)
             else:
-                res = (count - 1, True)
-                effects, resume = runs[:-1], _none
-            effects = self._fuse(node.stmts, effects, scope)
-
-            def straight(ctx):
-                for r in effects:
-                    r(ctx)
-                return res
-
-            return straight, resume
+                code = self.function(self.straight(group_stmts, group_runs, scope))
+                calls.append((indices[0], code))
+        count = len(calls)
 
         def run(ctx, start=0):
-            for i in range(start, count):
-                res = runs[i](ctx)
+            for k in range(start, count):
+                i, code = calls[k]
+                res = code(ctx)
                 if res is not None:
                     return (i, res)
             return None
@@ -788,12 +827,13 @@ class _Compiler:
             child = resumes[i](ctx, child)
             if child is not None:
                 return (i, child)
-            return run(ctx, i + 1)
+            return run(ctx, after[i])
 
         return run, resume
 
     def stmt_Parallel(self, node, scope):
         runs, resumes = self.block(node.branches, scope)
+        runs = [self.runner(run) for run in runs]
         count = len(runs)
 
         def run(ctx):
@@ -809,8 +849,9 @@ class _Compiler:
     def stmt_If(self, node, scope):
         runs, resumes = self.block((node.then, node.orelse), scope)
         if resumes == (None, None):
-            return self._choice(node.cond, *runs, scope), None
-        cond = self.expr(node.cond, scope)
+            return self.choice(node.cond, *runs, scope), None
+        cond = self.condition(node.cond, scope)
+        runs = [self.runner(run) for run in runs]
 
         def run(ctx):
             branch = 0 if cond(ctx) else 1
@@ -824,44 +865,28 @@ class _Compiler:
 
         return run, resume
 
-    def _choice(self, cond, then, orelse, scope):
-        """An If whose branches cannot pause: no residue, one closure. A
-        `!e` condition is `e` with the branches swapped, and a `nothing`
-        branch is not called."""
+    def choice(self, cond, then: list, orelse: list, scope) -> list:
+        """The lines of an If whose branches cannot pause, which leaves no
+        residue. A `!e` condition is `e` with the branches swapped, and an
+        empty branch is left out."""
         while cond.__class__ is Unary and cond.op == "!":
             cond, then, orelse = cond.operand, orelse, then
-        test = self.expr(cond, scope)
-        if then is _none and orelse is _none:
-
-            def run(ctx):
-                test(ctx)
-
-        elif orelse is _none:
-
-            def run(ctx):
-                if test(ctx):
-                    then(ctx)
-
-        elif then is _none:
-
-            def run(ctx):
-                if not test(ctx):
-                    orelse(ctx)
-
-        else:
-
-            def run(ctx):
-                if test(ctx):
-                    then(ctx)
-                else:
-                    orelse(ctx)
-
-        return run
+        lines: list = []
+        test = self.expr(cond, scope, lines)
+        if then:
+            lines += [f"if {test}:", *self.nest(then)]
+            if orelse:
+                lines += ["else:", *self.nest(orelse)]
+        elif orelse:
+            lines += [f"if not {test}:", *self.nest(orelse)]
+        return lines
 
     def stmt_Loop(self, node, scope):
         body_run, body_resume = self.stmt(node.body, scope)
-        if body_resume is _none:  # the body pauses whenever it runs
-            return body_run, lambda ctx, res: body_run(ctx)
+        if body_resume is _none:
+            # the body pauses whenever it runs: a pause, or a function
+            # that ends in one, whose run takes and ignores a residue
+            return body_run, body_run
 
         def resume(ctx, res):  # the checks ensure a fresh body run pauses
             child = body_resume(ctx, res)
@@ -870,10 +895,11 @@ class _Compiler:
         return body_run, resume
 
     def stmt_Abort(self, node, scope):
-        guard = self.expr(node.guard, scope)
+        guard = self.condition(node.guard, scope)
         immediate = node.immediate
         first = len(self.declared)
         body_run, body_resume = self.stmt(node.body, scope)
+        body_run = self.runner(body_run)
         slots = tuple(self.declared[first:])  # the body's declarations
 
         def run(ctx):
@@ -890,9 +916,10 @@ class _Compiler:
         return run, resume
 
     def stmt_Suspend(self, node, scope):
-        guard = self.expr(node.guard, scope)
+        guard = self.condition(node.guard, scope)
         immediate = node.immediate
         body_run, body_resume = self.stmt(node.body, scope)
+        body_run = self.runner(body_run)
 
         def run(ctx):
             if immediate and guard(ctx):
@@ -913,6 +940,7 @@ class _Compiler:
 
     def stmt_Label(self, node, scope):
         body_run, body_resume = self.stmt(node.body, scope)
+        body_run = self.runner(body_run)
         name = node.name
 
         def run(ctx):
@@ -937,21 +965,17 @@ class _Compiler:
         if node.pure:
             init = _none
         elif node.init is not None:
-            expr = self.expr(node.init, scope)
-            init = lambda ctx: _adapt(expr(ctx), node)  # noqa: E731
+            lines: list = []
+            init = self.function(lines, self.adapt(lines, self.expr(node.init, scope, lines), node))
         else:
             default = False if node.stype == "boolean" else Fraction(0)
             init = lambda ctx: default  # noqa: E731
         return self._declare(node, scope, "signal", init)
 
     def stmt_ContDecl(self, node, scope):
-        expr = self.expr(NumLit(Fraction(0)) if node.init is None else node.init, scope)
-
-        def init(ctx):
-            value = expr(ctx)
-            return value if value.__class__ is Fraction else Fraction(value)
-
-        return self._declare(node, scope, "cont", init)
+        lines: list = []
+        value = self.expr(NumLit(Fraction(0)) if node.init is None else node.init, scope, lines)
+        return self._declare(node, scope, "cont", self.function(lines, self.fraction(lines, value)))
 
     def _declare(self, node, scope, kind, init):
         """A declaration's code: a new instance in a fresh slot, registered
@@ -963,6 +987,7 @@ class _Compiler:
         slot = self.slot()
         self.declared.append(slot)
         body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
+        body_run = self.runner(body_run)
 
         def run(ctx):
             value = init(ctx)
@@ -987,84 +1012,64 @@ class _Compiler:
 
     def stmt_DoUntil(self, node, scope):
         """A natively interpreted flow: per iteration the steps in source
-        order, built by `_steps` as the rewritten form's are, then the
+        order, compiled by `steps` as the rewritten form's are, then the
         look-ahead; a failed look-ahead terminates the flow on the next
         resume, exactly like the rewritten form. Only a state built with
         native flows holds one."""
         site = flow_site(node.odes)
-        steps = self._steps([(name, name, rate * self.wcrt) for name, rate in site.odes], scope)
-        always = isinstance(node.invariant, BoolLit) and node.invariant.value
-        lookahead = None if always else self._lookahead(site, node.invariant, scope)
+        lines = ["if res: return None"]  # resuming a stopped flow
+        lines += self.steps([(name, name, rate * self.wcrt) for name, rate in site.odes], scope)
+        if isinstance(node.invariant, BoolLit) and node.invariant.value:
+            stop = "False"  # going on
+        else:  # stopping on the next resume when the look-ahead fails
+            stop = f"not {self.lookahead(site, node.invariant, scope, lines)}"
+        run = self.function(lines, stop)
+        return run, run
 
-        def run(ctx):
-            env, writes = ctx.env, ctx.writes
-            for slot, step in steps:
-                writes.setdefault(env[slot], []).append(step(ctx))
-            if lookahead is None or lookahead(ctx):
-                return False  # going on
-            return True  # stopping on the next resume
-
-        def resume(ctx, res):
-            return None if res else run(ctx)
-
-        return run, resume
-
-    def _lookahead(self, site, invariant, scope):
-        """The two-tick look-ahead: reads the site's variables in site order
-        into slots of its own that shadow them for the whole invariant, and
-        evaluates the invariant. A variable with an affine prediction keeps
-        its settled value in the slot, and the invariant applies the form
-        where it uses the name; any other variable's slot holds its
-        prediction, computed once every variable is read."""
-        reads, predicted, combine = [], [], {}
-        inner = dict(scope)
+    def lookahead(self, site, invariant, scope, lines: list) -> str:
+        """The two-tick look-ahead (see the module docstring): the site's
+        variables read into slots of their own, then the invariant."""
+        inner, combine, slots = dict(scope), {}, []
         for name in site.vars:
             _, slot, decl = scope[name]
             if decl.combine is not None:
                 combine[name] = decl.combine
-            reads.append((self.slot(), _reader(slot, name, "value", 1)))
+            slots.append(self.slot())
+            value = self.read(lines, slot, name, "value")
+            lines.append(f"env[{slots[-1]}] = {value}")
         predicts = ttl_mod.predictors(site.odes, site.vars, combine, self.wcrt)
-        for name, (slot, _), predict in zip(site.vars, reads, predicts):
+        for name, slot, predict in zip(site.vars, slots, predicts):
             form = ttl_mod.affine_form(site.odes, name, combine.get(name), self.wcrt)
             if form is None:
-                predicted.append((slot, predict))
+                lines.append(f"env[{slot}] = {self.bind(predict)}(env[{slot}])")
             inner[name] = ("pred", slot, form)
-        check = self.expr(invariant, inner)
-
-        def lookahead(ctx):
-            env = ctx.env
-            for slot, read in reads:
-                env[slot] = read(ctx)
-            for slot, predict in predicted:
-                env[slot] = predict(env[slot])
-            return check(ctx)
-
-        return lookahead
+        return self.expr(invariant, inner, lines)
 
     # -- expressions (previous-tick settled values only) --
 
-    def expr(self, node, scope):
+    def expr(self, node, scope, lines: list) -> str:
+        """Appends to `lines` the lines that evaluate `node`, one operation
+        each, so that no expression nests in the source; returns what holds
+        its value. Every operand is evaluated, and every read logged, in
+        the order of the source, `&&` and `||` included."""
         cls = node.__class__
         if cls is NumLit or cls is BoolLit:
-            value = node.value
-            return lambda ctx: value
+            return self.bind(node.value)
         if cls is NameRef:
             kind, slot, form = scope[node.name]
             if kind == "signal":
-                return _reader(slot, node.name, "status", 0)
+                return self.read(lines, slot, node.name, "status")
             if kind == "cont":
-                return _reader(slot, node.name, "value", 1)
+                return self.read(lines, slot, node.name, "value")
             if form is None:  # a look-ahead prediction, not a read
-                return lambda ctx: ctx.env[slot]
+                return f"env[{slot}]"
             scale, shift = form
-            return lambda ctx: scale * ctx.env[slot] + shift
+            return self.let(lines, f"{scale!r} * env[{slot}] + {self.bind(shift)}")
         if cls is ValueRef:
-            return _reader(scope[node.name][1], node.name, "value", 1)
+            return self.read(lines, scope[node.name][1], node.name, "value")
         if cls is Unary:
-            operand = self.expr(node.operand, scope)
-            if node.op == "!":
-                return lambda ctx: not operand(ctx)
-            return lambda ctx: -operand(ctx)
+            operand = self.expr(node.operand, scope, lines)
+            return self.let(lines, f"{'not ' if node.op == '!' else '-'}{operand}")
         if cls is Binary:
             if (
                 node.op in _COMPARE
@@ -1072,49 +1077,34 @@ class _Compiler:
                 and node.right.__class__ is NumLit
                 and node.right.value.__class__ is Fraction
             ):
-                test = self._bound_test(node, scope)
+                test = self.bound(node, scope, lines)
                 if test is not None:
                     return test
-            fn = _BINARY.get(node.op, operator.mul)
-            left = self.expr(node.left, scope)
-            if node.right.__class__ in (NumLit, BoolLit):
-                constant = node.right.value
-                return lambda ctx: fn(left(ctx), constant)
-            right = self.expr(node.right, scope)
-            return lambda ctx: fn(left(ctx), right(ctx))
+            left = self.expr(node.left, scope, lines)
+            right = self.expr(node.right, scope, lines)
+            return self.let(lines, f"{left} {_OPERATORS.get(node.op, '*')} {right}")
         # a TtlCall, the one kind of expression left
-        return self._lookahead(flow_site(node.odes), node.invariant, scope)
+        return self.lookahead(flow_site(node.odes), node.invariant, scope, lines)
 
-    def _bound_test(self, node, scope):
-        """`name <op> literal` on a continuous variable or an affine
-        prediction, as one integer cross-multiplication, or None for any
-        other name. For a prediction `scale*v + shift` the literal becomes
-        the threshold `(c - shift)/scale`; both denominators are positive,
-        so with `n, d = v.as_integer_ratio()`, `v <op> p/q` is
-        `n*q <op> p*d`."""
+    def bound(self, node, scope, lines: list):
+        """`name <op> p/q` on a continuous variable, or on an affine
+        prediction with `p/q` the threshold, as `n*q <op> p*d` for
+        `n, d = v.as_integer_ratio()` (both denominators are positive), or
+        None for any other name."""
         name, bound = node.left.name, node.right.value
         kind, slot, form = scope[name]
         if kind == "cont":
-            read = _reader(slot, name, "value", 1)
+            value = self.read(lines, slot, name, "value")
         elif kind == "pred" and form is not None:
             scale, shift = form
             bound = (bound - shift) / scale
-            read = None
+            value = f"env[{slot}]"
         else:
             return None
-        (p, q), cmp = bound.as_integer_ratio(), _BINARY[node.op]
-        if read is None:
-
-            def test(ctx):
-                n, d = ctx.env[slot].as_integer_ratio()
-                return cmp(n * q, p * d)
-        else:
-
-            def test(ctx):
-                n, d = read(ctx).as_integer_ratio()
-                return cmp(n * q, p * d)
-
-        return test
+        p, q = map(str, bound.as_integer_ratio())
+        n, d = self.fresh("n"), self.fresh("d")
+        lines.append(f"{n}, {d} = {value}.as_integer_ratio()")
+        return self.let(lines, f"{_times(n, q)} {node.op} {_times(p, d)}")
 
 
 # --- module-level operations -------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParamError
+from .errors import NestingError, ParamError
 from .syntax.checks import fold_constant
 from .syntax.nodes import (
     ContDecl,
@@ -30,15 +30,17 @@ def bind_params(program: Program, values: dict | None = None) -> Program:
     """Return a program with all named constants substituted away.
 
     `values` maps constant names to Fractions; declared defaults fill the
-    gaps. Raises ParamError on unknown or unresolved names.
+    gaps. Raises ParamError on unknown or unresolved names, and
+    NestingError on a program nested past the recursion limit.
     """
     values = dict(values or {})
-    declared = {d.name for d in program.params()}
-    unknown = sorted(set(values) - declared)
-    if unknown:
-        raise ParamError(f"undefined parameter(s): {', '.join(unknown)}")
-    root = _subst_stmt(program.root, {}, values)
-    return Program(root)
+    try:
+        unknown = sorted(set(values) - {d.name for d in program.params()})
+        if unknown:
+            raise ParamError(f"undefined parameter(s): {', '.join(unknown)}")
+        return Program(_subst_stmt(program.root, {}, values))
+    except RecursionError:
+        raise NestingError("nested too deep to process") from None
 
 
 def _subst_stmt(stmt: Stmt, env: dict, given: dict) -> Stmt:

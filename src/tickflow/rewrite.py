@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CompileError
+from .errors import CompileError, NestingError
 from .struct import Struct
 from .syntax.checks import fold_constant, reject_nonlinear_combine
 from .syntax.nodes import (
@@ -83,12 +83,14 @@ def rewrite_flows(program: Program, cfg: RewriteConfig) -> Program:
 
     The program must already have its named constants bound; rewriting a
     program with no flow actions returns it unchanged (so the pass is
-    idempotent).
+    idempotent). A program nested past the recursion limit raises
+    NestingError.
     """
-    reject_nonlinear_combine(program)
-    gensym = _StopNames(program)
-    root = _rewrite(program.root, cfg, gensym)
-    return Program(root)
+    try:
+        reject_nonlinear_combine(program)
+        return Program(_rewrite(program.root, cfg, _StopNames(program)))
+    except RecursionError:
+        raise NestingError("nested too deep to process") from None
 
 
 class _StopNames:

@@ -807,6 +807,24 @@ def test_boolean_input_values_are_read_from_files(tmp_path, capsys):
     assert "2,2,HIGH,status,true" in capsys.readouterr().out.splitlines()
 
 
+def test_witness_lists_a_pure_input_present_with_no_value(tmp_path, capsys):
+    # a tick whose choice makes a pure input present, and gives no value,
+    # is printed; a tick whose choice is empty is not
+    prog = tmp_path / "p.hsj"
+    prog.write_text("input signal A;\nsignal HIT;\npause; if (A) emit HIT\n")
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text('{"A": {}}')
+    code = main([
+        "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "HIT",
+        "--alphabet", str(alpha),
+    ])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "witness: HIT settles present at tick 2", "  tick 1: present [A]",
+        "  A status = false", "  HIT status = true",
+    ]
+
+
 def test_boolean_value_an_input_cannot_hold_names_its_file(tmp_path, capsys):
     # `true` and "1" are two entries, not a repeat: one of them does not fit
     prog = tmp_path / "switch.hsj"

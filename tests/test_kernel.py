@@ -1000,3 +1000,25 @@ def test_a_run_builds_no_fraction_through_its_constructor_and_reads_no_property(
     )
     calls = _fraction_calls(rewrite_flows(carousel, CFG1), CFG1, 44)
     assert calls == {("numerator", "fractions.py"): 4, ("denominator", "fractions.py"): 4}
+
+
+def test_library_refuses_a_program_nested_past_the_recursion_limit():
+    # 600 declarations in one block parse, and every later pass a library
+    # caller reaches says so in a `TickflowError` of its own, as the command
+    # line and the corpus runner do
+    from tickflow.errors import NestingError, TickflowError
+    from tickflow.verify import check_reachable
+
+    program = parse("".join(f"signal S{i};\n" for i in range(600)) + "pause")
+    calls = (
+        lambda: bind_params(program),
+        lambda: rewrite_flows(program, CFG1),
+        lambda: run(program, CFG1),
+        lambda: init(program, CFG1),
+        lambda: check_reachable(program, CFG1, None, bound=2, target="S0"),
+    )
+    for call in calls:
+        with pytest.raises(NestingError) as err:
+            call()
+        assert isinstance(err.value, TickflowError)
+        assert str(err.value) == "nested too deep to process"

@@ -325,3 +325,32 @@ def test_effective_termination_keeps_active_final_tick():
     trace = _trace("signal E;\nemit E", wcrt=F(1))
     assert trace.termination_tick == 1
     assert trace.effective_termination_tick == 1
+
+
+@pytest.mark.parametrize("source, effective", [
+    # a continuous variable or a signal's value that changes at the
+    # termination tick makes it active
+    ("cont a = 0;\na = 1; pause; a = 2", 2),
+    ("int signal V = 1;\npause; ?V = 2", 2),
+    # one that keeps its value, or first appears there, does not
+    ("int signal V = 1;\npause; ?V = 1", 1),
+    ("cont a = 0;\npause; { cont b = 3; nothing }", 1),
+    ("cont a = 0;\npause; { int signal V = 3; nothing }", 1),
+])
+def test_effective_termination_reads_values_at_the_termination_tick(source, effective):
+    trace = _trace(source, wcrt=F(1))
+    assert trace.termination_tick == 2
+    assert trace.effective_termination_tick == effective
+
+
+def test_trace_equal_tells_every_field_apart():
+    trace = _trace(SINGLE_FLOW)
+    same = Trace(trace.wcrt, list(trace.records), True, dict(trace.initial_conts), read_log=[])
+    assert trace_equal(trace, same)  # the read log is ignored
+    for other in (
+        Trace(F(3), trace.records, trace.terminated, trace.initial_conts),
+        Trace(trace.wcrt, trace.records, not trace.terminated, trace.initial_conts),
+        Trace(trace.wcrt, trace.records, trace.terminated, {"a": F(1)}),
+        Trace(trace.wcrt, trace.records[:-1], trace.terminated, trace.initial_conts),
+    ):
+        assert not trace_equal(trace, other) and not trace_equal(other, trace)
