@@ -25,35 +25,38 @@ latches every choice of its alphabet onto one run of each state's tick.
 Errors are raised per choice, in the order a tick that latched before
 its code would meet them.
 
-A program is compiled once per program object, tick length and flow
-mode, when the first `TickState` of it is built: `Program.derived` keeps
-the code on the object (not on its value, since the code names the
-object's own nodes), so later runs, searches and replays of it, and every
-state they reach, share it. Only a checked program is compiled:
-`_compile` runs `syntax.check_program` on it first, so the code never
-meets an unbound name, a statement used against its declaration's kind or
-a loop body that can complete without pausing. What depends on values
+A program is compiled once per program object, tick length, flow mode
+and read logging, when the first `TickState` of it is built:
+`Program.derived` keeps the code on the object (not on its value, since
+the code names the object's own nodes), so later runs, searches and
+replays of it, and every state they reach, share it. Only a checked
+program is compiled: `_compile` runs `syntax.check_program` on it first,
+so the code never meets an unbound name, a statement used against its
+declaration's kind or a loop body that can complete without pausing. What depends on values
 stays a runtime `KernelError` at the tick that meets it: a value that does
 not fit its signal's type (an `int` signal given `1/2`, or an input of
 the wrong kind), two writes to one instance with no combine operator, and
 several rates of one variable with no operator.
 
-A statement that can pause (a pause, loop, Par, abort, suspend, label or
-declaration, or a Seq or If around one) becomes a pair of closures:
-`run(ctx)` enters it afresh and `resume(ctx, res)` continues it from the
-residue it left. A parent picks the child that resumes a residue by its
-index (a Seq's statement or an If's branch) or Par slot, so a tick
-dispatches on nothing. Each maximal region that cannot pause (a Seq or a
-run of a Seq's statements, an If whose branches cannot pause, a Seq
-whose only pause is a final `pause`, returning a residue built at
-compile time), each expression a closure evaluates (a guard, an If's
-condition, an initial value) and each native flow (its own run and
-resume) is Python source, one line per read, write, emission, `_adapt`
-check or operation, that `compile()` turns into one function. Its file
-name is `kernel.generated` beside this module, so a profile counts it as
-the kernel's. An If's branch indented past 50 levels is a function of
-its own, since Python refuses 100. A loop whose body pauses whenever it
-runs resumes by running the body again.
+A program compiles to Python source that `compile()` turns into two
+functions: `run(ctx)` enters the program afresh and `resume(ctx, res)`
+continues it from the residue it left. Each statement gives a part of
+each, one line per read, write, emission, `_adapt` check, operation or
+residue it builds, and a part leaves its residue in the local `r`. A Seq's
+resume dispatches on its residue's index and goes on into the statements
+after the one it resumed; a Par resumes each live branch in turn; an
+abort's or a suspend's guard is tested in place; a declaration registers
+its instance in four lines; a label appends its name. Run code that two
+sites need is one function that both call: a loop's body, restarted when
+it ends, and a Seq's statements after its first that can pause, a
+function of the index they start after, which the Seq's run and the
+resume of each of its statements that ends call. So is a statement whose
+code would be indented past 50 levels, since Python refuses 100: the
+source grows linearly with the program. A Seq whose only pause is a final `pause`
+leaves a residue built at compile time. The functions' file name is
+`kernel.generated` beside this module, so a profile counts them as the
+kernel's. Only the code of a state that logs reads logs them: a program
+is compiled apart for that.
 
 Names resolve to slots at compile time: a declaration has at most one
 live instance across ticks, so the per-tick list `ctx.env` holds it at a
@@ -120,7 +123,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from typing import Optional
 
 from .errors import ArgumentError, KernelError, NestingError
@@ -236,8 +238,10 @@ class TickState:
         self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
         read_log: Optional[list] = None,
     ):
+        logged = read_log is not None
         self.code, self.input_names = program.derived(
-            ("code", cfg.wcrt, native_flows), lambda: _compile(program, cfg, native_flows)
+            ("code", cfg.wcrt, native_flows, logged),
+            lambda: _compile(program, cfg, native_flows, logged),
         )
         self.read_log = read_log
         self.tick = 0
@@ -544,10 +548,10 @@ def _adapt(value, decl: SignalDecl):
 # The file name of generated code: a profile counts its time as the kernel's.
 _GENERATED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.generated")
 
-_DEEPEST = " " * 50  # a branch indented this deep is a function of its own
+_DEEPEST = " " * 50  # code indented this deep is a function of its own
 
 # the tick's fields, each loaded once by a function whose source names it
-_FIELDS = ("env", "prev", "writes", "emitted", "log")
+_FIELDS = ("env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh")
 
 _WRITE = "writes.setdefault(env[{0}], []).append({1})"  # of {1} to the instance in slot {0}
 
@@ -563,12 +567,14 @@ _ADAPTED = {
     "ratio": "{0}.__class__ is Fraction",
 }
 
+_ENDED = ([], "None", True)  # the code of a statement that does nothing
 
-def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
-    """The code of `program` for `TickState.code`, and its input names. The
-    program must pass the static checks, which raise their located error
-    when it does not, and one nested past the recursion limit raises
-    NestingError."""
+
+def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: bool):
+    """The code of `program` for `TickState.code`, and its input names; the
+    code logs its reads if `logged`. The program must pass the static
+    checks, which raise their located error when it does not, and one
+    nested past the recursion limit raises NestingError."""
     try:
         if program.params():
             raise KernelError("named constants must be bound before execution")
@@ -578,9 +584,9 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
                 "native flow interpretation"
             )
         check_program(program)
-        compiler = _Compiler(cfg)
+        compiler = _Compiler(cfg, logged)
         run, resume = compiler.stmt(program.root, {})
-        run = compiler.runner(run)
+        run, resume = (compiler.function(*code[:2]) for code in (run, resume or _ENDED))
     except RecursionError:
         raise NestingError("nested too deep to process") from None
     return (run, resume, compiler.slots), frozenset(d.name for d in program.inputs())
@@ -590,11 +596,6 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool):
 def _code(source: str, mode: str = "exec"):
     """`source` compiled: programs alike in shape share their code."""
     return compile(source, _GENERATED, mode)
-
-
-def _none(ctx, res=None):
-    """Code that leaves no residue, as a run or as a resume."""
-    return None
 
 
 def _times(a: str, b: str) -> str:
@@ -620,11 +621,79 @@ def _literal_step(node):
     return node.name, expr.left.name, expr.right.value
 
 
+# A code (see `_Compiler`) is `(lines, result, ends)`: what holds the residue
+# after `lines` is `result`, "None" for none, "r" for the local `r`, or any
+# other expression, never None; `ends` tells whether it can be None.
+
+
+def _indent(lines: list) -> list:
+    return [" " + line for line in lines]
+
+
+def _prefix(lines: list, code) -> tuple:
+    return [*lines, *code[0]], code[1], code[2]
+
+
+def _into(code, target: str = "r") -> list:
+    """The lines of `code`, then its residue put in `target`."""
+    return code[0] if code[1] == target else [*code[0], f"{target} = {code[1]}"]
+
+
+def _either(test: str, then, orelse) -> tuple:
+    """The code that runs `then` if `test` holds, else `orelse`."""
+    lines = [f"if {test}:", *_indent(_into(then)), "else:", *_indent(_into(orelse))]
+    return lines, "r", then[2] or orelse[2]
+
+
+def _wrap(code, residue: str, marks=()) -> tuple:
+    """`code`, its residue made `residue` (a tuple of `r`) after the lines
+    `marks` when it leaves one."""
+    lines, result, ends = code
+    if result == "None":
+        return code
+    if result != "r":
+        lines = [*lines, f"r = {result}"]
+    if not ends:
+        return [*lines, *marks, f"r = {residue}"], "r", False
+    return [*lines, "if r is not None:", *_indent([*marks, f"r = {residue}"])], "r", True
+
+
+def _then(code, index: int, tail) -> tuple:
+    """The code of a Seq's statement `index` that can pause, then `tail`,
+    the code that runs the statements after it (a call, or none), if it
+    ended."""
+    lines, result, ends = code
+    if result == "None":
+        return _prefix(lines, tail)
+    if not ends or tail == _ENDED:
+        return _wrap(code, f"({index}, r)")
+    return [*lines, "if r is None:", *_indent(tail[0]), "else:", f" r = ({index}, r)"], "r", tail[2]
+
+
+def _par(lines: list, values: list, maybe: list) -> tuple:
+    """`lines`, then the residue of a Par whose branches left `values`:
+    None if each of `maybe`, the values that can be None, is, unless it
+    holds None for a branch that cannot end."""
+    residue = f"({', '.join(values)})"
+    if None in maybe:
+        return [*lines, f"r = {residue}"], "r", False
+    test = " and ".join(f"{value} is None" for value in maybe)
+    return [*lines, f"r = None if {test} else {residue}"], "r", True
+
+
+def _end(code, inst: str) -> list:
+    """The line that ends the scope of the instance `inst` if `code` ended."""
+    if code[1] == "None":
+        return [f"ended.add({inst})"]
+    return [f"if r is None: ended.add({inst})"] if code[2] else []
+
+
 class _Compiler:
-    """Translates statements and expressions into code (see the module
-    docstring). A statement becomes `(run, resume)`: one that cannot pause
-    gives its source lines and None, which a parent inlines or compiles
-    (`runner`); one that can gives closures. An expression appends its
+    """Translates statements and expressions into generated source (see the
+    module docstring). A statement becomes a run and a resume code: the run
+    enters it afresh, the resume continues it from the residue in the local
+    `res`, which it may rebind, and each leaves its residue in its result.
+    One that cannot pause has the resume None. An expression appends its
     lines to a list and returns the local, global or literal holding its
     value (`expr`). A scope maps each visible name to (kind, slot,
     declaration), kind being "signal", "cont" or "pred" (a look-ahead
@@ -632,12 +701,16 @@ class _Compiler:
     counts the environment slots, `declared` lists the declarations' slots
     in compile order, and `names` holds the generated code's globals."""
 
-    def __init__(self, cfg: RewriteConfig):
+    def __init__(self, cfg: RewriteConfig, logged: bool):
         self.wcrt = cfg.wcrt
+        self.logged = logged
         self.slots = 0
         self.declared: list = []
         self.count = 0
-        self.names = {"Fraction": Fraction, "adapt": _adapt, "ratio": ratio}
+        self.names = {
+            "Fraction": Fraction, "adapt": _adapt, "ratio": ratio, "Instance": Instance,
+            "labels_in": _labels_in,
+        }
 
     def slot(self) -> int:
         self.slots += 1
@@ -658,31 +731,26 @@ class _Compiler:
         return name
 
     def function(self, lines: list, result: str = "None"):
-        """`lines`, then `return result`, as a function of `ctx` (and of a
-        residue, which only `lines` may read, so that it can be a resume)
-        that first loads the fields of the tick its source names."""
-        if not lines and (result == "None" or result in self.names):  # a constant
-            value = self.names.get(result)
-            return lambda ctx, res=None: value
-        if result != "None":
-            lines = [*lines, f"return {result}"]
+        """`lines`, then `return result`, as a function of `ctx` and of a
+        residue `res` that first loads the fields of the tick its source
+        names."""
         name = self.fresh("f")
         text = "\n".join(lines)
         head = [f"{field} = ctx.{field}" for field in _FIELDS if field in text]
-        source = "\n ".join([f"def {name}(ctx, res=None):", *head, *lines])
+        source = "\n ".join([f"def {name}(ctx, res=None):", *head, *lines, f"return {result}"])
         exec(_code(source), self.names)
         return self.names[name]
 
-    def runner(self, run):
-        """A statement's run as a function: its lines compiled, or itself."""
-        return self.function(run) if run.__class__ is list else run
-
-    def nest(self, lines: list) -> list:
-        """`lines` as an If's branch, one level in; a call of a function of
-        them if they nest too deep."""
-        if any(line.startswith(_DEEPEST) for line in lines):
-            lines = [f"{self.function(lines).__name__}(ctx)"]
-        return [" " + line for line in lines]
+    def call(self, code, args: str = "ctx") -> tuple:
+        """`code` as one call of a function of it, made by every site that
+        needs the code; a code of at most one line is left as it is."""
+        lines, result, ends = code
+        if len(lines) < 2:
+            return code
+        call = f"{self.function(lines, result).__name__}({args})"
+        if result == "None" or result in self.names or result in ("True", "False"):
+            return [call], result, ends
+        return [f"r = {call}"], "r", ends
 
     def let(self, lines: list, source: str) -> str:
         value = self.fresh("v")
@@ -690,9 +758,11 @@ class _Compiler:
         return value
 
     def read(self, lines: list, slot: int, name: str, kind: str) -> str:
-        """A read of the previous-tick status or value in `slot`, logged."""
+        """A read of the previous-tick status or value in `slot`, logged if
+        the code logs reads."""
         value = self.let(lines, f"prev[env[{slot}]][{0 if kind == 'status' else 1}]")
-        lines.append(f"if log is not None: log.append((ctx.t, {name!r}, {kind!r}, {value}))")
+        if self.logged:
+            lines.append(f"log.append((ctx.t, {name!r}, {kind!r}, {value}))")
         return value
 
     def passes(self, lines: list, value: str, test: str, otherwise: str) -> str:
@@ -707,30 +777,32 @@ class _Compiler:
         """`value` as a `Fraction`."""
         return self.passes(lines, value, _ADAPTED["ratio"], f"Fraction({value})")
 
-    def condition(self, node, scope):
-        """An expression as a function of `ctx`."""
-        lines: list = []
-        return self.function(lines, self.expr(node, scope, lines))
-
     def stmt(self, node: Stmt, scope: dict):
-        return getattr(self, "stmt_" + node.__class__.__name__)(node, scope)
+        """The run and the resume code of `node`, each a call of a function
+        of it if it nests too deep."""
+        run, resume = getattr(self, "stmt_" + node.__class__.__name__)(node, scope)
+        if any(line.startswith(_DEEPEST) for line in run[0]):
+            run = self.call(run)
+        if resume is not None and any(line.startswith(_DEEPEST) for line in resume[0]):
+            resume = self.call(resume, "ctx, res")
+        return run, resume
 
     # -- leaves --
 
     def stmt_Nothing(self, node, scope):
-        return [], None
+        return _ENDED, None
 
     def stmt_Pause(self, node, scope):
-        return (lambda ctx, res=None: True), _none
+        return ([], "True", False), _ENDED
 
     def stmt_Emit(self, node, scope):
-        return [f"emitted.add(env[{scope[node.name][1]}])"], None
+        return ([f"emitted.add(env[{scope[node.name][1]}])"], "None", True), None
 
     def stmt_ValueWrite(self, node, scope):
         _, slot, decl = scope[node.name]
         lines: list = []
         value = self.adapt(lines, self.expr(node.expr, scope, lines), decl)
-        return [*lines, _WRITE.format(slot, value)], None
+        return ([*lines, _WRITE.format(slot, value)], "None", True), None
 
     def adapt(self, lines: list, value: str, decl: SignalDecl) -> str:
         """`value`, written to `decl`, unless `_adapt` passes it unchanged."""
@@ -740,10 +812,10 @@ class _Compiler:
     def stmt_ContAssign(self, node, scope):
         step = _literal_step(node)
         if step is not None:
-            return self.steps([step], scope), None
+            return (self.steps([step], scope), "None", True), None
         lines: list = []
         value = self.fraction(lines, self.expr(node.expr, scope, lines))
-        return [*lines, _WRITE.format(scope[node.name][1], value)], None
+        return ([*lines, _WRITE.format(scope[node.name][1], value)], "None", True), None
 
     def steps(self, steps, scope) -> list:
         """The lines of the steps `v = w + c`, given as `(v, w, c)`: a write
@@ -777,93 +849,96 @@ class _Compiler:
         return tuple(zip(*[self.stmt(node, scope) for node in nodes]))
 
     def straight(self, stmts, codes, scope) -> list:
-        """The lines `codes` of statements that cannot pause, each run of
-        consecutive steps `v = w + c` compiled together by `steps`."""
+        """The lines of the run codes `codes` of statements that cannot
+        pause, each run of consecutive steps `v = w + c` compiled together
+        by `steps`."""
         lines, steps = [], []
         for stmt, code in zip(stmts, codes):
             step = _literal_step(stmt)
             if step is not None:
                 steps.append(step)
                 continue
-            lines += self.steps(steps, scope) + code
+            lines += [*self.steps(steps, scope), *code[0]]
             steps = []
         return lines + self.steps(steps, scope)
+
+    def dispatch(self, branches: list) -> tuple:
+        """The resume of a Seq or an If: of its `(index, code)` branches,
+        the code of the one the residue's index names, on its child."""
+        if len(branches) == 1:
+            return _prefix(["res = res[1]"], branches[0][1])
+        index = self.fresh("v")
+        lines = [f"{index}, res = res"]
+        for k, (i, code) in enumerate(branches):  # chains of 8, since Python nests `elif`s
+            alone = k == len(branches) - 1 < 8  # the last test of the one chain
+            test = "else" if alone else f"{'el' if k % 8 else ''}if {index} == {i}"
+            lines += [f"{test}:", *_indent(_into(code))]
+        return lines, "r", any(code[2] for _, code in branches)
 
     def stmt_Seq(self, node, scope):
         stmts = node.stmts
         runs, resumes = self.block(stmts, scope)
-        if all(r is None for r in resumes[:-1]):
-            if resumes[-1] is None:
-                return self.straight(stmts, runs, scope), None
-            if stmts[-1].__class__ is Pause:  # the residue is always the pause's
-                lines = self.straight(stmts[:-1], runs[:-1], scope)
-                return self.function(lines, repr((len(stmts) - 1, True))), _none
-        # each run of consecutive statements that cannot pause is one
-        # function, called at its first statement's index; after the
-        # statement i that can pause, the run goes on at call `after[i]`
-        calls, after = [], [None] * len(stmts)
-        members = zip(range(len(stmts)), stmts, runs, resumes)
-        for pauses, group in groupby(members, lambda member: member[3] is not None):
-            indices, group_stmts, group_runs, _ = zip(*group)
-            if pauses:
-                for i, run in zip(indices, group_runs):
-                    calls.append((i, run))
-                    after[i] = len(calls)
-            else:
-                code = self.function(self.straight(group_stmts, group_runs, scope))
-                calls.append((indices[0], code))
-        count = len(calls)
+        pausing = [i for i, resume in enumerate(resumes) if resume is not None]
+        if not pausing:
+            return (self.straight(stmts, runs, scope), "None", True), None
+        last = len(stmts) - 1
+        if pausing == [last] and stmts[-1].__class__ is Pause:  # the residue is always the pause's
+            lines = self.straight(stmts[:-1], runs[:-1], scope)
+            return (lines, self.bind((last, True)), False), _ENDED
+        # the statements after the first that can pause are one function of
+        # the index of the one after which they start, passed as `res`: the
+        # run calls it after that one ends, and so does the resume of each
+        # one that ends. It runs each that can pause, after the statements
+        # before it, while none has paused
+        lines, start, first = ["r = None"], pausing[0] + 1, pausing[0]
+        for k, i in enumerate(pausing[1:]):
+            block = self.straight(stmts[start:i], runs[start:i], scope)
+            block += _into(_wrap(runs[i], f"({i}, r)"))
+            lines += [f"if {'r is None and ' if k else ''}res < {i}:", *_indent(block)]
+            start = i + 1
+        rest = self.straight(stmts[start:], runs[start:], scope)
+        lines += ["if r is None:", *_indent(rest)] if rest and len(pausing) > 1 else rest
+        go = self.function(lines, "r").__name__ if first < last else None
 
-        def run(ctx, start=0):
-            for k in range(start, count):
-                i, code = calls[k]
-                res = code(ctx)
-                if res is not None:
-                    return (i, res)
-            return None
+        def tail(i: int) -> tuple:
+            if i == last:
+                return _ENDED
+            return [f"r = {go}(ctx, {i})"], "r", all(runs[j][2] for j in pausing if j > i)
 
-        def resume(ctx, res):
-            i, child = res
-            child = resumes[i](ctx, child)
-            if child is not None:
-                return (i, child)
-            return run(ctx, after[i])
-
-        return run, resume
+        lines = self.straight(stmts[:first], runs[:first], scope)
+        run = _prefix(lines, _then(runs[first], first, tail(first)))
+        return run, self.dispatch([(i, _then(resumes[i], i, tail(i))) for i in pausing])
 
     def stmt_Parallel(self, node, scope):
         runs, resumes = self.block(node.branches, scope)
-        runs = [self.runner(run) for run in runs]
-        count = len(runs)
-
-        def run(ctx):
-            children = tuple([r(ctx) for r in runs])
-            return None if children.count(None) == count else children
-
-        def resume(ctx, res):
-            children = tuple([None if c is None else r(ctx, c) for r, c in zip(resumes, res)])
-            return None if children.count(None) == count else children
-
-        return run, resume
+        if resumes.count(None) == len(resumes):
+            return ([line for run in runs for line in run[0]], "None", True), None
+        names = [self.fresh("v") for _ in runs]
+        lines, values, maybe = [], [], []
+        for name, run in zip(names, runs):
+            lines += _into(run, name) if run[1] == "r" else run[0]
+            values.append(name if run[1] == "r" else run[1])
+            if run[1] != "None":
+                maybe.append(name if run[2] else None)
+        code = _par(lines, values, maybe)
+        lines, values, maybe = [f"{', '.join(names)} = res"], [], []
+        for name, run, resume in zip(names, runs, resumes):
+            values.append("None" if resume is None else name)
+            if resume is not None:  # None after a resume if it can end at all
+                lines += [f"if {name} is not None:", f" res = {name}"]
+                lines += _indent(_into(resume, name))
+                maybe.append(name if run[2] or resume[1] == "None" or resume[2] else None)
+        return code, _par(lines, values, maybe)
 
     def stmt_If(self, node, scope):
         runs, resumes = self.block((node.then, node.orelse), scope)
         if resumes == (None, None):
-            return self.choice(node.cond, *runs, scope), None
-        cond = self.condition(node.cond, scope)
-        runs = [self.runner(run) for run in runs]
-
-        def run(ctx):
-            branch = 0 if cond(ctx) else 1
-            res = runs[branch](ctx)
-            return (branch, res) if res is not None else None
-
-        def resume(ctx, res):
-            branch, child = res
-            child = resumes[branch](ctx, child)
-            return (branch, child) if child is not None else None
-
-        return run, resume
+            return (self.choice(node.cond, runs[0][0], runs[1][0], scope), "None", True), None
+        lines: list = []
+        test = self.expr(node.cond, scope, lines)
+        then, orelse = (_wrap(run, f"({b}, r)") for b, run in enumerate(runs))
+        branches = [(b, _wrap(code, f"({b}, r)")) for b, code in enumerate(resumes) if code]
+        return _prefix(lines, _either(test, then, orelse)), self.dispatch(branches)
 
     def choice(self, cond, then: list, orelse: list, scope) -> list:
         """The lines of an If whose branches cannot pause, which leaves no
@@ -874,139 +949,103 @@ class _Compiler:
         lines: list = []
         test = self.expr(cond, scope, lines)
         if then:
-            lines += [f"if {test}:", *self.nest(then)]
+            lines += [f"if {test}:", *_indent(then)]
             if orelse:
-                lines += ["else:", *self.nest(orelse)]
+                lines += ["else:", *_indent(orelse)]
         elif orelse:
-            lines += [f"if not {test}:", *self.nest(orelse)]
+            lines += [f"if not {test}:", *_indent(orelse)]
         return lines
 
     def stmt_Loop(self, node, scope):
-        body_run, body_resume = self.stmt(node.body, scope)
-        if body_resume is _none:
-            # the body pauses whenever it runs: a pause, or a function
-            # that ends in one, whose run takes and ignores a residue
-            return body_run, body_run
-
-        def resume(ctx, res):  # the checks ensure a fresh body run pauses
-            child = body_resume(ctx, res)
-            return child if child is not None else body_run(ctx)
-
-        return body_run, resume
+        run, resume = self.stmt(node.body, scope)
+        lines, result, ends = resume
+        if result == "None" or ends:  # restarted: the run at a second site
+            run = self.call(run)
+        run = run[0], run[1], False  # the checks ensure a fresh body run pauses
+        if result == "None":
+            return run, _prefix(lines, run)
+        if ends:
+            return run, ([*lines, "if r is None:", *_indent(_into(run))], "r", False)
+        return run, resume
 
     def stmt_Abort(self, node, scope):
-        guard = self.condition(node.guard, scope)
-        immediate = node.immediate
+        guard: list = []
+        test = self.expr(node.guard, scope, guard)
         first = len(self.declared)
-        body_run, body_resume = self.stmt(node.body, scope)
-        body_run = self.runner(body_run)
+        run, resume = self.stmt(node.body, scope)
         slots = tuple(self.declared[first:])  # the body's declarations
-
-        def run(ctx):
-            if immediate and guard(ctx):
-                return None
-            return body_run(ctx)
-
-        def resume(ctx, res):
-            if guard(ctx):
-                ctx.kill(slots)
-                return None
-            return body_resume(ctx, res)
-
-        return run, resume
+        if node.immediate:
+            run = _prefix(guard, _either(test, _ENDED, run))
+        if resume is None:
+            return run, None
+        kill = [f"ctx.kill({self.bind(slots)})"] if slots else []
+        return run, _prefix(guard, _either(test, (kill, "None", True), resume))
 
     def stmt_Suspend(self, node, scope):
-        guard = self.condition(node.guard, scope)
-        immediate = node.immediate
-        body_run, body_resume = self.stmt(node.body, scope)
-        body_run = self.runner(body_run)
-
-        def run(ctx):
-            if immediate and guard(ctx):
-                return (None,)
-            res = body_run(ctx)
-            return (res,) if res is not None else None
-
-        def resume(ctx, res):
-            if guard(ctx):
-                # frozen: no micro-steps this tick, but its labels still hold
-                _labels_in(res[0], ctx.labels)
-                return res
-            child = res[0]
-            child = body_run(ctx) if child is None else body_resume(ctx, child)
-            return (child,) if child is not None else None
-
-        return run, resume
+        guard: list = []
+        test = self.expr(node.guard, scope, guard)
+        run, resume = self.stmt(node.body, scope)
+        if not node.immediate:
+            if resume is None:
+                return run, None
+            body = resume
+        else:  # a body frozen before entry runs on resume
+            run = self.call(run)
+            body = run if resume is None else _either("res is None", run, resume)
+        run = _wrap(run, "(r,)")
+        if node.immediate:
+            run = _prefix(guard, _either(test, ([], "(None,)", False), run))
+        # frozen: no micro-steps this tick, but its labels still hold
+        frozen = (["labels_in(res[0], labels)"], "res", False)
+        thawed = _prefix(["res = res[0]"], _wrap(body, "(r,)"))
+        return run, _prefix(guard, _either(test, frozen, thawed))
 
     def stmt_Label(self, node, scope):
-        body_run, body_resume = self.stmt(node.body, scope)
-        body_run = self.runner(body_run)
-        name = node.name
-
-        def run(ctx):
-            res = body_run(ctx)
-            if res is None:
-                return None
-            ctx.labels.append(name)
-            return (name, res)
-
-        def resume(ctx, res):
-            child = body_resume(ctx, res[1])
-            if child is None:
-                return None
-            ctx.labels.append(name)
-            return (name, child)
-
-        return run, resume
+        run, resume = self.stmt(node.body, scope)
+        if resume is None:
+            return run, None
+        name = self.bind(node.name)
+        marks = [f"labels.append({name})"]
+        resume = _prefix(["res = res[1]"], _wrap(resume, f"({name}, r)", marks))
+        return _wrap(run, f"({name}, r)", marks), resume
 
     # -- declarations --
 
     def stmt_SignalDecl(self, node, scope):
+        lines: list = []
         if node.pure:
-            init = _none
+            value = "None"
         elif node.init is not None:
-            lines: list = []
-            init = self.function(lines, self.adapt(lines, self.expr(node.init, scope, lines), node))
+            value = self.adapt(lines, self.expr(node.init, scope, lines), node)
         else:
-            default = False if node.stype == "boolean" else Fraction(0)
-            init = lambda ctx: default  # noqa: E731
-        return self._declare(node, scope, "signal", init)
+            value = self.bind(False if node.stype == "boolean" else Fraction(0))
+        return self._declare(node, scope, "signal", lines, value)
 
     def stmt_ContDecl(self, node, scope):
         lines: list = []
         value = self.expr(NumLit(Fraction(0)) if node.init is None else node.init, scope, lines)
-        return self._declare(node, scope, "cont", self.function(lines, self.fraction(lines, value)))
+        return self._declare(node, scope, "cont", lines, self.fraction(lines, value))
 
-    def _declare(self, node, scope, kind, init):
-        """A declaration's code: a new instance in a fresh slot, registered
-        with its initial value (read in the outer scope) before the body
-        runs; the instance ends with the body. The instance is noted in
-        `fresh`: the latch after the tick reads the inputs there, and `run`
-        the initial values. A resume finds the instance in its slot, and
-        the declaration leaves its body's residue."""
+    def _declare(self, node, scope, kind, lines, value):
+        """A declaration's code: after `lines`, a new instance in a fresh
+        slot, registered with its initial value `value` (read in the outer
+        scope) before the body runs; the instance ends with the body. The
+        instance is noted in `fresh`: the latch after the tick reads the
+        inputs there, and `run` the initial values. A resume finds the
+        instance in its slot, and the declaration leaves its body's
+        residue."""
         slot = self.slot()
         self.declared.append(slot)
-        body_run, body_resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
-        body_run = self.runner(body_run)
-
-        def run(ctx):
-            value = init(ctx)
-            inst = Instance(node, slot)
-            ctx.prev[inst] = (False, value)
-            ctx.fresh.append(inst)
-            ctx.env[slot] = inst
-            child = body_run(ctx)
-            if child is None:
-                ctx.ended.add(inst)
-            return child
-
-        def resume(ctx, res):
-            child = body_resume(ctx, res)
-            if child is None:
-                ctx.ended.add(ctx.env[slot])
-            return child
-
-        return run, resume
+        run, resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
+        inst = self.fresh("v")
+        lines = [
+            *lines, f"{inst} = Instance({self.bind(node)}, {slot})",
+            f"prev[{inst}] = (False, {value})", f"fresh.append({inst})", f"env[{slot}] = {inst}",
+            *run[0], *_end(run, inst),
+        ]
+        if resume is not None:
+            resume = [*resume[0], *_end(resume, f"env[{slot}]")], resume[1], resume[2]
+        return (lines, run[1], run[2]), resume
 
     # -- flows --
 
@@ -1017,14 +1056,13 @@ class _Compiler:
         resume, exactly like the rewritten form. Only a state built with
         native flows holds one."""
         site = flow_site(node.odes)
-        lines = ["if res: return None"]  # resuming a stopped flow
-        lines += self.steps([(name, name, rate * self.wcrt) for name, rate in site.odes], scope)
+        lines = self.steps([(name, name, rate * self.wcrt) for name, rate in site.odes], scope)
         if isinstance(node.invariant, BoolLit) and node.invariant.value:
             stop = "False"  # going on
         else:  # stopping on the next resume when the look-ahead fails
             stop = f"not {self.lookahead(site, node.invariant, scope, lines)}"
-        run = self.function(lines, stop)
-        return run, run
+        run = self.call((lines, stop, False))  # its run and its resume's
+        return run, _either("res", _ENDED, run)  # a stopped flow resumes to its end
 
     def lookahead(self, site, invariant, scope, lines: list) -> str:
         """The two-tick look-ahead (see the module docstring): the site's

@@ -325,9 +325,13 @@ def rebuild(node, on_stmt, on_expr):
 
 
 def walk_stmt(stmt: Stmt):
-    yield stmt
-    for child in children(stmt):
-        yield from walk_stmt(child)
+    """Yield every statement node under (and including) `stmt`, preorder,
+    with a stack of its own, so that a long declaration chain walks."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
 
 
 def sub_exprs(expr: Expr):

@@ -1,8 +1,9 @@
-"""The code the kernel generates for regions that cannot pause: programs
-whose names, nesting or expressions stress the generated source give the
-traces and read logs statement-by-statement evaluation gave, pinned as
-sha256 digests (first 16 hex digits) of the CSV and of the read log; and
-program text reaches the source only as literals or bound constants."""
+"""The code the kernel generates: programs whose names, nesting or
+expressions stress the generated source give the traces and read logs
+statement-by-statement evaluation gave, pinned as sha256 digests (first 16
+hex digits) of the CSV and of the read log; pausing statements nested deep
+also give the residues and state keys it gave; and program text reaches
+the source only as literals or bound constants."""
 
 from __future__ import annotations
 
@@ -86,18 +87,24 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_generated_code_gives_the_pinned_trace_and_read_log(name):
-    # in a fresh interpreter, whose stack starts as a script's does: under
-    # the test runner's frames the parser refuses the deep cases
+def _fresh_interpreter(function: str, args: str) -> tuple:
+    """The words this module's `function` returns for `args` in a fresh
+    interpreter, whose stack starts as a script's does: under the test
+    runner's frames the parser refuses the deep cases."""
     here = Path(__file__).resolve().parent
-    code = f"from test_generated import CASES, _digests\nprint(*_digests(*CASES[{name!r}][:3]))"
+    code = f"from test_generated import *\nfrom test_generated import {function}\n"
+    code += f"print(*{function}({args}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here), str(here.parent / "src")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert tuple(proc.stdout.split()) == CASES[name][3]
+    return tuple(proc.stdout.split())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_generated_code_gives_the_pinned_trace_and_read_log(name):
+    assert _fresh_interpreter("_digests", f"*CASES[{name!r}][:3]") == CASES[name][3]
 
 
 def _digests(source, schedule, ticks) -> tuple:
@@ -115,12 +122,160 @@ def _digests(source, schedule, ticks) -> tuple:
     return tuple(got)
 
 
+# Statements that can pause, each kind nested `n` deep in a loop: Ifs with a
+# pausing `else`; aborts (every other one immediate) whose bodies declare,
+# each fired by the valued input `I` giving its level; suspends (every
+# other one immediate) around labels; Pars whose branches end on different
+# ticks; and labels. A level `k` of a multiple of 10 also opens a block, so
+# that the code spans Seqs.
+_INPUTS = "input signal A, B;\ninput int signal I;\nsignal S, T, U;\n"
+
+
+def _level(k: int, open_: str) -> str:
+    return open_ if k % 10 == 0 else ""
+
+
+def _ifs(n: int) -> str:
+    return (
+        _INPUTS + "loop { "
+        + "".join(f"if ({'A' if k % 2 == 0 else '!B'}) " for k in range(n))
+        + "{ emit T; pause; emit S; pause }"
+        + "".join(" else { emit T; pause }" if k % 2 else " else pause" for k in reversed(range(n)))
+        + "; pause }\n"
+    )
+
+
+def _aborts(n: int) -> str:
+    return (
+        _INPUTS + "loop { "
+        + "".join(
+            f"abort ({'' if k % 2 == 0 else 'immediate '}I && ?I == {k}) "
+            + _level(k, f"{{ signal L{k}; emit L{k}; pause; ")
+            for k in range(n)
+        )
+        + "{ emit S; pause; pause }" + "".join(_level(k, "; pause }") for k in range(n))
+        + "; pause }\n"
+    )
+
+
+def _suspends(n: int) -> str:
+    return (
+        _INPUTS + "loop { "
+        + "".join(
+            f"suspend ({'A' if k % 2 == 0 else 'immediate B'}) "
+            + _level(k, f"{{ L{k}: pause; emit S; ")
+            for k in range(n)
+        )
+        + "T: pause" + "".join(_level(k, " }") for k in range(n)) + "; pause }\n"
+    )
+
+
+def _pars(n: int) -> str:
+    return (
+        _INPUTS + "loop { { "
+        + "".join(
+            f"{{ if ({'B' if k % 2 else 'A'}) pause; emit S; pause }} || {{ " for k in range(n)
+        )
+        + "emit T; pause" + " }" * n + " }; emit U; pause }\n"
+    )
+
+
+def _labels(n: int) -> str:
+    return (
+        _INPUTS + "loop { "
+        + "".join(f"L{k}: " + _level(k, "{ if (A) pause; emit S; ") for k in range(n))
+        + "T: pause" + "".join(_level(k, " }") for k in range(n)) + "; pause }\n"
+    )
+
+
+# a loop of `n` statements in sequence, most of which can pause, and which
+# mostly end on the tick they start
+def _sequence(n: int) -> str:
+    kinds = ("if (A) pause", "emit S", "abort (B) pause", "L: if (!B) pause else emit T")
+    return _INPUTS + "loop { " + "; ".join(kinds[k % 4] for k in range(n)) + "; pause }\n"
+
+
+CONTROL_PROGRAMS = {
+    "ifs": _ifs, "aborts": _aborts, "suspends": _suspends, "pars": _pars, "labels": _labels,
+    "sequence": _sequence,
+}
+CONTROL_SCHEDULE = {
+    t: InputAssignment.make(
+        {name for name, k in (("A", 3), ("B", 5)) if t % k in (0, 1)} | {"I"},
+        {"I": F({6: 1, 9: 8, 13: 41, 19: 3, 26: 150, 33: 170, 37: 55}.get(t, 999))},
+    )
+    for t in range(1, 41)
+}
+
+# (program, depth) -> (CSV, read log, per-tick residues, per-tick settle keys)
+CONTROL = {
+    ("aborts", 60): (
+        "4963471c4fa08b66", "4b39fef88b970186", "b441b0e21369e078", "e3f509d28424a614",
+    ),
+    ("aborts", 180): (
+        "ae9eb1dd6aaf3261", "06cd0f9389f0c3c1", "ec8032b416a6fecb", "a7d31da8b6fd0946",
+    ),
+    ("ifs", 60): (
+        "6c92050e7ec01941", "0f09c969e0fc904d", "7b4101eae3b62755", "caea322172a07d73",
+    ),
+    ("ifs", 180): (
+        "6c92050e7ec01941", "a5aecf5bc7853903", "224f99fa0130b23b", "6b83616766ccc830",
+    ),
+    ("labels", 60): (
+        "5483cb8566c58585", "167ef88c0344ba3d", "38034fd096fc9f73", "ad044bc72600fcf5",
+    ),
+    ("labels", 180): (
+        "93754c45bc691fe5", "ec29694283f0d2dd", "2ece00a6db718357", "d9eebdb9ce5d6f77",
+    ),
+    ("pars", 60): (
+        "413b5e0a3de1d13d", "5d3a8e68b8a296a0", "6fa120e536a37301", "92d0764a00c28e1f",
+    ),
+    ("pars", 180): (
+        "413b5e0a3de1d13d", "f6f1af001342b4a0", "1868a9636804008f", "7c371e6d15be77d2",
+    ),
+    ("sequence", 17): (
+        "21eb38bfb3cff86b", "3fdfd5677c06afdf", "ffbb0bfdb8604d2a", "9cf85be238954f46",
+    ),
+    ("sequence", 1000): (
+        "ac9a971203c0a230", "0afda7fbe32f1c09", "56d2b42c6b1b22a7", "6385af0e199f08f4",
+    ),
+    ("suspends", 60): (
+        "fef18287c980ef39", "69ca431ac7dc7589", "76e1634fc2c26ad3", "19ff928a8e26fea5",
+    ),
+    ("suspends", 180): (
+        "ad495d9ff673a414", "051cff8c841cff64", "6924422e7c8f8507", "e370c45d10825d9e",
+    ),
+}
+
+
+def _control_digests(name: str, depth: int) -> tuple:
+    program = parse(CONTROL_PROGRAMS[name](depth))
+    trace = run(program, CFG, schedule=CONTROL_SCHEDULE, max_ticks=40, record_reads=True)
+    reads = "".join(f"{t},{n},{k},{v}\n" for t, n, k, v in trace.read_log)
+    state, residues, keys = TickState(program, CFG), [], []
+    for t in range(1, 41):
+        state, key = state.step(CONTROL_SCHEDULE[t]).settle()
+        residues.append(repr(state.residue))
+        keys.append(repr(key))
+    assert len(trace.records) == 40 and not state.terminated
+    texts = (to_csv(trace), reads, "\n".join(residues), "\n".join(keys))
+    return tuple(_digest(text) for text in texts)
+
+
+@pytest.mark.parametrize("name, depth", sorted(CONTROL))
+def test_nested_pausing_statements_give_the_pinned_trace_residues_and_keys(name, depth):
+    assert _fresh_interpreter("_control_digests", f"{name!r}, {depth}") == CONTROL[name, depth]
+
+
 # what generated code may name: its own locals, globals and functions, and
 # the fields and methods it uses
-_NAME = re.compile(r"[vkfnd]\d+|ctx|res|env|prev|writes|emitted|log|Fraction|adapt|ratio")
+_NAME = re.compile(
+    r"[vkfnd]\d+|ctx|res|r|env|prev|writes|emitted|log|labels|ended|fresh|Fraction|adapt|ratio"
+    r"|Instance|labels_in"
+)
 _ATTRIBUTES = {
-    "env", "prev", "writes", "emitted", "log", "t", "__class__", "as_integer_ratio",
-    "setdefault", "append", "add",
+    "env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh", "t", "kill",
+    "__class__", "as_integer_ratio", "setdefault", "append", "add",
 }
 
 
@@ -137,6 +292,7 @@ def _generated_sources(monkeypatch, program, cfg, native=False) -> list:
     monkeypatch.setattr(kernel, "compile", spy, raising=False)
     kernel._code.cache_clear()  # code compiled for an equal program is shared
     TickState(program, cfg, native)
+    TickState(program, cfg, native, [])  # the code that logs reads
     monkeypatch.undo()
     return sources
 

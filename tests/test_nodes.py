@@ -8,7 +8,10 @@ from fractions import Fraction as F
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.syntax.nodes import EXPR, ODES, STMT, STMTS, Expr, Stmt, rebuild
+from tickflow.syntax.nodes import (
+    EXPR, ODES, STMT, STMTS, ContDecl, Emit, Expr, ParamDecl, Pause, Program, Seq, SignalDecl,
+    Stmt, rebuild,
+)
 
 from conftest import corpus_sources
 
@@ -80,3 +83,24 @@ def test_rebuild_with_identities_returns_an_equal_node():
     for name, root in _trees():
         for node in _nodes(root):
             assert rebuild(node, same, same) == node, (name, node)
+
+
+def test_walk_follows_a_declaration_chain_past_the_recursion_limit():
+    # 5,000 declarations, built without the parser: an input signal, a
+    # continuous variable and a named constant in turn, around a Seq
+    root = Seq((Emit("S0"), Pause()))
+    for i in reversed(range(5000)):
+        if i % 3 == 0:
+            root = SignalDecl("input", None, f"S{i}", None, None, root)
+        elif i % 3 == 1:
+            root = ContDecl(f"c{i}", None, None, root)
+        else:
+            root = ParamDecl(f"p{i}", None, root)
+    program = Program(root)
+    walked = list(program.walk())
+    assert len(walked) == 5003
+    assert [node.name for node in walked[:4]] == ["S0", "c1", "p2", "S3"]  # preorder
+    assert [type(node) for node in walked[-3:]] == [Seq, Emit, Pause]
+    assert len(list(program.declarations())) == 5000
+    assert len(program.params()) == 1666
+    assert len(program.inputs()) == 1667

@@ -294,9 +294,9 @@ def test_second_call_compiles_and_walks_nothing(monkeypatch):
     calls = {"compile": 0, "walk": 0}
     real_init, real_walk = kernel._Compiler.__init__, Program.walk
 
-    def counting_init(self, cfg):
+    def counting_init(self, cfg, logged):
         calls["compile"] += 1
-        real_init(self, cfg)
+        real_init(self, cfg, logged)
 
     def counting_walk(self):
         calls["walk"] += 1
