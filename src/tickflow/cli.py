@@ -20,15 +20,14 @@ from . import files
 from .errors import (
     ArgumentError,
     AutomatonError,
-    CompileError,
     DeadlockError,
-    NestingError,
     NondeterminismError,
     ScheduleError,
     SearchLimitError,
     TickflowError,
+    locate,
 )
-from .rational import format_rational, format_value, parse_int, parse_rational
+from .rational import format_value, parse_int, parse_rational
 
 # Each subcommand imports the modules it runs when it runs (`files` loads
 # `json` only to parse a JSON file), so `check` and `desugar` never load the
@@ -64,37 +63,26 @@ def _parse_params(pairs) -> dict:
     return values
 
 
-def _bind(program, values: dict):
-    """`program` with `values` bound to its constants. A value for a
-    constant the program does not declare is blamed on `--param`."""
-    from . import params
-
-    unknown = sorted(set(values) - {d.name for d in program.params()})
-    if unknown:
-        raise ArgumentError("--param", f"undefined parameter(s): {', '.join(unknown)}")
-    return params.bind_params(program, values)
-
-
-def _load_program(path: str, values: dict, wcrt: Fraction):
+def _load_program(path: str, values: dict, cfg):
     """The program at `path`, parsed, with `values` bound to its constants
-    and its flows rewritten for `wcrt`."""
-    from . import rewrite, syntax
+    and its flows rewritten for `cfg`."""
+    from . import params, rewrite, syntax
 
-    bound = _bind(syntax.parse(files.read_text(path)), values)
-    return rewrite.rewrite_flows(bound, rewrite.RewriteConfig(wcrt))
+    bound = params.bind_params(syntax.parse(files.read_text(path)), values)
+    return rewrite.rewrite_flows(bound, cfg)
 
 
-def _wcrt(text: str) -> Fraction:
-    value = _flag_rational("--wcrt", text)
-    if value <= 0:
-        raise ArgumentError("--wcrt", f"must be strictly positive, got {format_rational(value)}")
-    return value
+def _config(text: str):
+    """The `RewriteConfig` of the tick length `--wcrt` gives."""
+    from . import rewrite
+
+    return rewrite.RewriteConfig(_flag_rational("--wcrt", text))
 
 
 # The flag that supplies each library parameter an `ArgumentError` names.
 _FLAGS = {
     "max_ticks": "--ticks", "bound": "--bound", "node_limit": "--node-limit",
-    "horizon": "--horizon", "target": "--target",
+    "horizon": "--horizon", "target": "--target", "wcrt": "--wcrt", "values": "--param",
 }
 
 
@@ -155,17 +143,8 @@ def main(argv=None) -> int:
     source = getattr(args, "program", None) or getattr(args, "matrices", "")
     try:
         return _COMMANDS[args.command](args)
-    except ScheduleError as err:  # names the file beside the program at fault
-        print(err, file=sys.stderr)
-        return 2
-    except ArgumentError as err:  # names the flag at fault
-        print(f"{_FLAGS.get(err.name, err.name)}: {err.message}", file=sys.stderr)
-        return 2
-    except (NestingError, RecursionError):  # a program nested past a later pass's recursion
-        print(f"{source}: nested too deep to process", file=sys.stderr)
-        return 2
-    except (CompileError, TickflowError) as err:
-        print(f"{source}:{err}", file=sys.stderr)
+    except (TickflowError, RecursionError) as err:
+        print(locate(err, source, _FLAGS), file=sys.stderr)
         return 2
     except OSError as err:  # a named file that cannot be opened
         if err.filename is None:
@@ -175,12 +154,12 @@ def main(argv=None) -> int:
 
 
 def _check(args) -> int:
-    from . import syntax
+    from . import params, syntax
 
     program = syntax.parse(files.read_text(args.program))
     values = _parse_params(args.param)
     if values or not program.params():
-        syntax.reject_nonlinear_combine(_bind(program, values))
+        syntax.reject_nonlinear_combine(params.bind_params(program, values))
     else:
         syntax.reject_nonlinear_combine(program)
     print("ok")
@@ -190,25 +169,23 @@ def _check(args) -> int:
 def _desugar(args) -> int:
     from . import syntax
 
-    rewritten = _load_program(args.program, _parse_params(args.param), _wcrt(args.wcrt))
+    rewritten = _load_program(args.program, _parse_params(args.param), _config(args.wcrt))
     sys.stdout.write(syntax.pretty_print(rewritten))
     return 0
 
 
 def _run(args) -> int:
-    from . import kernel, rewrite
+    from . import kernel
 
     ticks = _flag_int("--ticks", args.ticks)
     export = _exporter(args.out, args.svg_vars)
-    wcrt = _wcrt(args.wcrt)
-    rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
+    cfg = _config(args.wcrt)
+    rewritten = _load_program(args.program, _parse_params(args.param), cfg)
     schedule = files.load_schedule(args.schedule) if args.schedule else None
     for tick, inputs in (schedule or {}).items():
         where = f"{args.schedule}: tick {tick}: "
         files.require_inputs(where, inputs.present, inputs.values, rewritten)
-    result = kernel.run(
-        rewritten, rewrite.RewriteConfig(wcrt), schedule=schedule, max_ticks=ticks
-    )
+    result = kernel.run(rewritten, cfg, schedule=schedule, max_ticks=ticks)
     text = export(result)
     if args.out is None:
         sys.stdout.write(text)
@@ -243,12 +220,12 @@ def _exporter(out, svg_vars):
 
 
 def _verify(args) -> int:
-    from . import rewrite, verify
+    from . import verify
 
     bound = _flag_int("--bound", args.bound)
     node_limit = _flag_int("--node-limit", args.node_limit)
-    wcrt = _wcrt(args.wcrt)
-    rewritten = _load_program(args.program, _parse_params(args.param), wcrt)
+    cfg = _config(args.wcrt)
+    rewritten = _load_program(args.program, _parse_params(args.param), cfg)
     alphabet = files.load_alphabet(args.alphabet) if args.alphabet else None
     if alphabet is not None:
         where = f"{args.alphabet}: alphabet entry "
@@ -258,7 +235,7 @@ def _verify(args) -> int:
     try:
         verdict = verify.check_reachable(
             rewritten,
-            rewrite.RewriteConfig(wcrt),
+            cfg,
             alphabet,
             bound=bound,
             target=args.target,
@@ -272,12 +249,7 @@ def _verify(args) -> int:
         print(f"witness: {args.target} settles present at tick {verdict.tick}")
         for i, assignment in enumerate(verdict.schedule, start=1):
             if not assignment.is_empty():
-                values = assignment.value_map()
-                present = ",".join(
-                    f"{name}={format_value(values[name])}" if name in values else name
-                    for name in sorted(assignment.present)
-                )
-                print(f"  tick {i}: present [{present}]")
+                print(f"  tick {i}: {_inputs(assignment)}")
         for name, kind, value in verdict.snapshot:
             print(f"  {name} {kind} = {value}")
         return 1
@@ -287,6 +259,20 @@ def _verify(args) -> int:
         f"({verdict.states_explored} transitions explored)"
     )
     return 0
+
+
+def _inputs(assignment) -> str:
+    """A witness tick's inputs, as a schedule's entry gives them: `present
+    [GO,LEVEL=5]`, each present input and its value if it has one, then
+    `absent [L=5]`, each input given a value while absent, if any."""
+    values = assignment.value_map()
+    absent = [name for name in values if name not in assignment.present]
+    parts = []
+    for status, names in (("present", sorted(assignment.present)), ("absent", absent)):
+        if names:
+            shown = (f"{n}={format_value(values[n])}" if n in values else n for n in names)
+            parts.append(f"{status} [{','.join(shown)}]")
+    return " ".join(parts)
 
 
 def _lti(args) -> int:
@@ -310,13 +296,13 @@ def _lti(args) -> int:
 
 
 def _compare(args) -> int:
-    from . import hybrid, rewrite, syntax
+    from . import hybrid, params, syntax
 
-    wcrt = _wcrt(args.wcrt)
+    cfg = _config(args.wcrt)
     values = _parse_params(args.param)
     # bound first: a value for a constant the program does not declare is
     # blamed on `--param`, not on the automaton that then misses one
-    program = _bind(syntax.parse(files.read_text(args.program)), values)
+    program = params.bind_params(syntax.parse(files.read_text(args.program)), values)
     try:
         automaton = hybrid.parse_automaton(files.read_text(args.ha), values)
     except AutomatonError as err:
@@ -328,7 +314,7 @@ def _compare(args) -> int:
         raise ScheduleError(f"{args.map}: {err}") from None
     horizon = _flag_rational("--horizon", args.horizon)
     try:
-        report = hybrid.compare(automaton, program, rewrite.RewriteConfig(wcrt), horizon, mapping)
+        report = hybrid.compare(automaton, program, cfg, horizon, mapping)
     except (AutomatonError, DeadlockError, NondeterminismError) as err:
         # the automaton's simulation failed: a livelock, a deadlock or two
         # edges enabling at once

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import files
-from .errors import ArgumentError, NestingError, ScheduleError, TickflowError
+from .errors import ArgumentError, ScheduleError, TickflowError, locate
 from .kernel import run
 from .params import bind_params
 from .rational import format_value
@@ -70,7 +70,7 @@ _EXPECT = {"statuses": list, "values": list, "conts": list, "emissions": dict,
            "effective_termination_tick": int, "reach": dict}
 # the field of a case that gives each library parameter an `ArgumentError` names
 _FIELDS = {"max_ticks": "'max_ticks'", "bound": "expect reach: 'bound'",
-           "target": "expect reach: 'target'"}
+           "target": "expect reach: 'target'", "wcrt": "'wcrt'", "values": "'params'"}
 # each list of [name, tick, wanted] expectations: the reader of its wanted
 # datum and the trace query it is compared with
 _AT_TICK = {
@@ -127,12 +127,14 @@ def _expect(expect: dict, where: str) -> dict:
 
 
 def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
-    """Run `case` and check it. A schedule input the program does not
-    declare, or a value it cannot hold, is an error naming the case, and
-    so is a negative `max_ticks` or reach `bound` and a reach `target`
-    that is not a declared signal. A program nested past a later pass's
-    recursion limit is a `TickflowError` naming the program's file, with
-    the message `tickflow check` prints for it."""
+    """Run `case` and check it. An error is located as `tickflow run`
+    locates it (`errors.locate`). A case's field at fault is a
+    `ScheduleError` naming the case and the field: a schedule input the
+    program does not declare or a value it cannot hold, a `wcrt` that is
+    not positive, a `params` name the program does not declare, a
+    negative `max_ticks` or reach `bound`, and a reach `target` that is
+    not a declared signal. The program at fault, failing to compile or to
+    run, is a `TickflowError` naming the program's file."""
     corpus_dir = Path(corpus_dir)
     result = CaseResult(case.name, [])
     path = str(corpus_dir / case.program)
@@ -155,10 +157,10 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
             _compare(result, f"reach {target} within {bound}", reach["reachable"], found)
             if found and "witness_tick" in reach:
                 _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
-    except ArgumentError as err:  # names the field at fault
-        raise ScheduleError(f"{where}{_FIELDS[err.name]}: {err.message}") from None
-    except (NestingError, RecursionError):  # a program nested past a later pass's recursion
-        raise TickflowError(f"{path}: nested too deep to process") from None
+    except (TickflowError, RecursionError) as err:
+        fields = {name: where + field for name, field in _FIELDS.items()}
+        fault = ScheduleError if isinstance(err, (ScheduleError, ArgumentError)) else TickflowError
+        raise fault(locate(err, path, fields)) from None
     return result
 
 

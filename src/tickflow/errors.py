@@ -123,3 +123,20 @@ class SearchLimitError(TickflowError):
 class NestingError(TickflowError):
     """A program the parser reads is nested past the recursion limit of a
     later pass: binding, rewriting, checking or compiling."""
+
+
+def locate(err: BaseException, path: str, table: dict) -> str:
+    """The message a front end gives for `err`, a library error met on the
+    program at `path` (or a `RecursionError`): a `ScheduleError` names its
+    file already; an `ArgumentError` is named by what supplied its
+    parameter, which `table` maps each parameter name to (a flag, or a
+    corpus case's field); a program nested past a later pass's recursion
+    limit is `path: nested too deep to process`; any other error is
+    located in the program, `path:message`."""
+    if isinstance(err, ScheduleError):
+        return str(err)
+    if isinstance(err, ArgumentError):
+        return f"{table.get(err.name, err.name)}: {err.message}"
+    if isinstance(err, (NestingError, RecursionError)):
+        return f"{path}: nested too deep to process"
+    return f"{path}:{err}"

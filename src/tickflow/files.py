@@ -196,9 +196,10 @@ def load_schedule(path: str) -> dict:
 
 def load_alphabet(path: str):
     """JSON object: {"FAULT": {}, "LEVEL": {"values": ["1", "3/2"]}} — every
-    listed input may be present or absent; valued ones pick from `values`
-    (JSON booleans for a boolean input), which only an entry that may be
-    present can give. Returns a `verify.InputAlphabet`."""
+    listed input may be present or absent, or only take the `statuses` its
+    entry lists; a valued one, under each status, carries no value or one
+    of its `values` (JSON booleans for a boolean input). Returns a
+    `verify.InputAlphabet`."""
     from . import verify
 
     doc = load_json(path, "alphabet", dict)
@@ -213,10 +214,6 @@ def load_alphabet(path: str):
             )
         statuses[name] = distinct(where, "statuses", chosen)
         if "values" in spec:
-            if "present" not in chosen:
-                raise ScheduleError(
-                    f"{where}: 'values' given but 'present' is not among its statuses"
-                )
             picked = [value(v, f"{where} values") for v in spec["values"]]
             values[name] = distinct(where, "values", picked)
     return verify.InputAlphabet.make(statuses, values)

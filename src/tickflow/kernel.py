@@ -107,8 +107,9 @@ records the labels that hold a paused point as it builds the residue, and
 each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
 
-`TickState.advance` is `step` then `record`, which a caller that reads
-less can take apart. `step` runs the tick and latches its inputs, which
+A state stores whether it terminated, set where it is built. One tick
+is `step(inputs)`, then `record()` or `settle()`, so a caller that reads
+less builds less. `step` runs the tick and latches its inputs, which
 folds each instance's writes once; `record` names the folded writes in a
 `TickRecord` and builds the next state in the same pass over the
 instances, and returns both. `settle` returns the next state and its
@@ -232,7 +233,7 @@ class TickState:
     run shares the compiled code and `read_log`, the list reads are logged
     to, or None."""
 
-    __slots__ = ("code", "input_names", "read_log", "tick", "residue", "store")
+    __slots__ = ("code", "input_names", "read_log", "tick", "residue", "store", "terminated")
 
     def __init__(
         self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
@@ -248,16 +249,9 @@ class TickState:
         self.residue = None  # None before tick 1 and after termination
         # live instance -> settled (status, value), in registration order
         self.store: dict = {}
-
-    @property
-    def terminated(self) -> bool:
-        return self.residue is None and self.tick > 0
+        self.terminated = False  # whether a tick left no residue
 
     # -- one tick --
-
-    def advance(self, inputs: InputAssignment = EMPTY_INPUTS) -> tuple:
-        """Run one tick: the next state and the tick's record."""
-        return self.step(inputs).record()
 
     def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_Tick":
         """Run one tick and latch `inputs` onto it, but build neither the
@@ -293,6 +287,7 @@ class TickState:
         state.tick = tick.t
         state.residue = tick.residue
         state.store = store
+        state.terminated = tick.residue is None
         return state
 
 
@@ -1067,19 +1062,17 @@ class _Compiler:
     def lookahead(self, site, invariant, scope, lines: list) -> str:
         """The two-tick look-ahead (see the module docstring): the site's
         variables read into slots of their own, then the invariant."""
-        inner, combine, slots = dict(scope), {}, []
+        inner, read = dict(scope), []
         for name in site.vars:
             _, slot, decl = scope[name]
-            if decl.combine is not None:
-                combine[name] = decl.combine
-            slots.append(self.slot())
+            read.append((name, decl.combine, self.slot()))
             value = self.read(lines, slot, name, "value")
-            lines.append(f"env[{slots[-1]}] = {value}")
-        predicts = ttl_mod.predictors(site.odes, site.vars, combine, self.wcrt)
-        for name, slot, predict in zip(site.vars, slots, predicts):
-            form = ttl_mod.affine_form(site.odes, name, combine.get(name), self.wcrt)
-            if form is None:
-                lines.append(f"env[{slot}] = {self.bind(predict)}(env[{slot}])")
+            lines.append(f"env[{read[-1][2]}] = {value}")
+        for name, op, slot in read:
+            form = ttl_mod.affine_form(site.odes, name, op, self.wcrt)
+            if form is None:  # the only variables that need a function
+                predict = self.bind(ttl_mod.iterated(site.odes, name, op, self.wcrt))
+                lines.append(f"env[{slot}] = {predict}(env[{slot}])")
             inner[name] = ("pred", slot, form)
         return self.expr(invariant, inner, lines)
 

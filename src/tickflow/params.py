@@ -2,15 +2,16 @@
 
 Programs may declare `param name [= default]`. `bind_params` substitutes
 every reference with its rational value and removes the declarations; it
-runs before the rewrite pass. Binding a name the program does not declare,
-or leaving a defaultless one unbound, is a compile error.
+runs before the rewrite pass. Binding a name the program does not declare
+is an `ArgumentError` naming `values`; leaving a defaultless one unbound is
+a compile error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NestingError, ParamError
+from .errors import ArgumentError, NestingError, ParamError
 from .syntax.checks import fold_constant
 from .syntax.nodes import (
     ContDecl,
@@ -30,14 +31,15 @@ def bind_params(program: Program, values: dict | None = None) -> Program:
     """Return a program with all named constants substituted away.
 
     `values` maps constant names to Fractions; declared defaults fill the
-    gaps. Raises ParamError on unknown or unresolved names, and
-    NestingError on a program nested past the recursion limit.
+    gaps. Raises ArgumentError on a name the program does not declare,
+    ParamError on a constant left unbound, and NestingError on a program
+    nested past the recursion limit.
     """
     values = dict(values or {})
     try:
         unknown = sorted(set(values) - {d.name for d in program.params()})
         if unknown:
-            raise ParamError(f"undefined parameter(s): {', '.join(unknown)}")
+            raise ArgumentError("values", f"undefined parameter(s): {', '.join(unknown)}")
         return Program(_subst_stmt(program.root, {}, values))
     except RecursionError:
         raise NestingError("nested too deep to process") from None

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CompileError, NestingError
+from .errors import ArgumentError, NestingError
+from .rational import format_rational
 from .struct import Struct
 from .syntax.checks import fold_constant, reject_nonlinear_combine
 from .syntax.nodes import (
@@ -60,7 +61,9 @@ class RewriteConfig(Struct):
 
     def __post_init__(self):
         if self.wcrt <= 0:
-            raise CompileError("wcrt must be strictly positive")
+            raise ArgumentError(
+                "wcrt", f"must be strictly positive, got {format_rational(self.wcrt)}"
+            )
 
 
 class FlowSite(Struct):

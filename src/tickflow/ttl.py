@@ -22,9 +22,11 @@ Several rates under `op*` (reachable only through natively interpreted
 flows and hand-written `TTL` calls) have no affine form and keep the
 iterated fold; several rates with no operator raise.
 
-`predictors` is the formula's one home. It folds a site's rates with the
-tick length once, when the kernel compiles the site, into one function per
-variable from its snapshot to its prediction.
+`affine_form` is the formula's one home. The kernel compiles each site
+once: it computes each variable's form once, tests the invariant against
+the folded threshold, and builds a function (`iterated`) only for a
+variable that has no affine form. `predictors` gives every variable's
+prediction as a function from its snapshot, either way.
 """
 
 from __future__ import annotations
@@ -73,26 +75,30 @@ def affine_form(odes, v: str, op, wcrt: Fraction):
 
 def predictors(odes, vars, combine: dict, wcrt: Fraction) -> tuple:
     """Per variable of `vars`, a function from its previous-tick snapshot
-    to its value two ticks ahead.
+    to its value two ticks ahead: `scale*value + shift` for a variable with
+    an affine form (see `affine_form`), else `iterated`. `odes` are (name,
+    rational rate) pairs and `combine` the operator of each variable that
+    has one."""
+    out = []
+    for v in vars:
+        op = combine.get(v)
+        form = affine_form(odes, v, op, wcrt)
+        if form is None:
+            out.append(iterated(odes, v, op, wcrt))
+        else:
+            scale, shift = form
+            out.append(lambda value, scale=scale, shift=shift: scale * value + shift)
+    return tuple(out)
 
-    `odes` are (name, rational rate) pairs and `combine` the operator of
-    each variable that has one. A variable with an affine form (see
-    `affine_form`) applies it. A variable with rates (r1..rm), m > 1, and
-    another operator starts from a vector of m copies of its snapshot;
-    twice, every entry advances by its folded step ri*wcrt, the entries
-    fold with the combine operator, and the fold is propagated back into
-    every entry. The second fold is the prediction. A variable with no
-    rate, or with several and no operator, gets a function that raises
-    when called.
-    """
-    return tuple(_predictor(odes, v, combine.get(v), wcrt) for v in vars)
 
-
-def _predictor(odes, v: str, op, wcrt: Fraction):
-    form = affine_form(odes, v, op, wcrt)
-    if form is not None:
-        scale, shift = form
-        return lambda value: scale * value + shift
+def iterated(odes, v: str, op, wcrt: Fraction):
+    """The prediction of `v`, which has no affine form, as a function of
+    its snapshot. With rates (r1..rm), m > 1, and the operator `op`, it
+    starts from a vector of m copies of the snapshot; twice, every entry
+    advances by its folded step ri*wcrt, the entries fold with `op`, and
+    the fold is propagated back into every entry. The second fold is the
+    prediction. A variable with no rate, or with several and no operator,
+    gets a function that raises when called."""
     steps = tuple(rate * wcrt for name, rate in odes if name == v)
     if steps and op is not None:
 

@@ -11,9 +11,9 @@ strs and None, and CPython hashes and compares it in C. The cache maps each key 
 reached at, and a state is expanded again only when reached strictly
 earlier (it then has more ticks left), so depth-first order is as sound
 as breadth-first. Breadth-first order reaches states in tick order, so its
-first witness is a shortest one among the alphabet's choices: a schedule
-can give a valued input a value while it is absent, which no alphabet
-choice does (`InputAlphabet.choices`), and so reach a target sooner. A
+first witness is a shortest one: the alphabet's choices are every
+assignment a schedule can give over its names and values
+(`InputAlphabet.choices`), a value with either status included. A
 state is a value, and no read in a tick sees that tick's inputs, so the
 expanded state's tick runs once, on the first input choice
 (`TickState.step`), and each later choice is latched onto that run (the
@@ -58,8 +58,9 @@ from .trace import settled_rows
 
 
 class InputAlphabet(Struct):
-    """Finite per-signal choices: every declared input may be absent or
-    present; valued inputs carry one of finitely many values when present."""
+    """Finite per-signal choices: each listed input takes one of its
+    statuses, with no value or, for a valued input, one of finitely many
+    values, as a schedule may give it."""
 
     statuses: tuple  # ((name, ("absent","present")), ...) sorted by name
     values: tuple  # ((name, (Fraction, ...)), ...) sorted by name
@@ -75,30 +76,23 @@ class InputAlphabet(Struct):
         return InputAlphabet(st, vl)
 
     def choices(self) -> list:
-        """Every admissible InputAssignment for one tick, in a canonical
-        order: the first input varies slowest, each through its statuses in
-        the order given (all-absent first). A valued input carries a value
-        only when present; a schedule may also give it a value while it is
-        absent, which no choice here does, so a shortest witness is
-        shortest among these choices only."""
+        """Every admissible InputAssignment for one tick: each input's
+        statuses × (no value, then each of its values), which is every
+        assignment a schedule can give over the alphabet's names and
+        values. In a canonical order: the first input varies slowest, each
+        through its statuses in the order given (all-absent first)."""
         value_map = dict(self.values)
-        per_input = []
-        for name, statuses in self.statuses:
-            picks = []  # None for absent, else (name, value or None)
-            for status in statuses:
-                if status == "absent":
-                    picks.append(None)
-                else:
-                    picks.extend((name, v) for v in value_map.get(name, (None,)))
-            per_input.append(picks)
-        options = []
-        for combo in product(*per_input):
-            present = [pick for pick in combo if pick is not None]
-            options.append(InputAssignment.make(
-                present=[name for name, _ in present],
-                values={name: v for name, v in present if v is not None},
-            ))
-        return options
+        per_input = [
+            [(name, status, v) for status in statuses for v in (None, *value_map.get(name, ()))]
+            for name, statuses in self.statuses
+        ]
+        return [
+            InputAssignment.make(
+                present=[name for name, status, _ in combo if status == "present"],
+                values={name: v for name, _, v in combo if v is not None},
+            )
+            for combo in product(*per_input)
+        ]
 
 
 def alphabet_for(program: Program, values_per_input: Optional[dict] = None) -> InputAlphabet:
@@ -280,5 +274,5 @@ def replay(program: Program, cfg: RewriteConfig, witness: Witness) -> bool:
     state = init(program, cfg)
     last = None
     for assignment in witness.schedule:
-        state, last = state.advance(assignment)
+        state, last = state.step(assignment).record()
     return last is not None and _snapshot_rows(last) == witness.snapshot and last.tick == witness.tick

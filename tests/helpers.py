@@ -286,6 +286,27 @@ def random_valued_program(rng: random.Random) -> tuple:
     return source + branches, F(1)
 
 
+def random_status_value_program(rng: random.Random) -> tuple:
+    """(source, wcrt, statuses, values) of a small program with the free
+    pure inputs A and B of `random_search_program` and a valued input L,
+    whose target HIT waits on L's status and its value, each of which a
+    schedule gives on its own, and the alphabet entry of L: the statuses
+    it may take and its values."""
+    status = rng.choice(("L", "!L", "true", "A || L"))
+    value = rng.choice(("?L == 0", "?L == 5", "?L != 0", "?L >= 2"))
+    watch = f"loop {{ if ({status} && {value}) emit HIT; pause }}"
+    if rng.random() < 0.5:
+        watch = f"abort ({rng.choice(('A', 'L', '!B'))}) {{ {watch} }}"
+    if rng.random() < 0.5:
+        watch = f"pause; {watch}"
+    source = (
+        "input signal A, B; input int signal L = 0; signal HIT;\n"
+        f"{{ {watch} }} || {{ {_search_stmt(rng, 2)} }}"
+    )
+    statuses = rng.choice((("absent", "present"), ("absent",), ("present",)))
+    return source, F(1), statuses, rng.choice(((F(5),), (F(0), F(2)), (F(2),)))
+
+
 # a tick with two faults: an input check, or a double write of the input,
 # and the code's own double write of `a`; both the search and a run with
 # a schedule must name the input, as a tick that latched first did; the

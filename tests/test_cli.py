@@ -239,6 +239,7 @@ def test_repeated_svg_entity_names_the_flag(tmp_path, capsys):
 
 
 def test_valued_witness_replays_from_its_output(tmp_path, capsys):
+    from tickflow.files import schedule
     from tickflow.kernel import InputAssignment
     from tickflow.params import bind_params
     from tickflow.rational import parse_rational
@@ -257,27 +258,82 @@ def test_valued_witness_replays_from_its_output(tmp_path, capsys):
     ])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "  tick 1: present [LEVEL=5]" in lines
+    # the value reaches HIGH whatever LEVEL's status: absent comes first
+    assert "  tick 1: absent [LEVEL=5]" in lines
     # rebuild the witness from the printed lines alone
     tick = int(re.fullmatch(r"witness: HIGH settles present at tick (\d+)", lines[0]).group(1))
-    schedule = [InputAssignment()] * tick
+    given = schedule("witness", _witness_schedule(lines))
+    inputs = [given.get(t, InputAssignment()) for t in range(1, tick + 1)]
     snapshot = []
     for line in lines[1:]:
-        shown = re.fullmatch(r"  tick (\d+): present \[(.*)\]", line)
-        if shown:
-            present, values = [], {}
-            for entry in shown.group(2).split(","):
-                name, _, value = entry.partition("=")
-                present.append(name)
-                if value:
-                    values[name] = parse_rational(value)
-            schedule[int(shown.group(1)) - 1] = InputAssignment.make(present, values)
-        else:
+        if not line.startswith("  tick "):
             name, kind, _, value = line.split()
             snapshot.append((name, kind, value))
     cfg = RewriteConfig(parse_rational("1"))
     program = rewrite_flows(bind_params(parse(source), {}), cfg)
-    assert replay(program, cfg, Witness(tuple(schedule), tick, tuple(snapshot)))
+    assert replay(program, cfg, Witness(tuple(inputs), tick, tuple(snapshot)))
+
+
+def _witness_schedule(lines: list) -> list:
+    """The JSON schedule the tick lines of a printed witness give: each
+    `tick N: present [A,L=5] absent [M=1]` line, as `load_schedule` reads it."""
+    entries = []
+    for line in lines:
+        shown = re.fullmatch(r"  tick (\d+): (.*)", line)
+        if not shown:
+            continue
+        entry = {"tick": int(shown.group(1)), "present": [], "values": {}}
+        for status, names in re.findall(r"(present|absent) \[([^]]*)\]", shown.group(2)):
+            for name, _, value in (item.partition("=") for item in names.split(",")):
+                if status == "present":
+                    entry["present"].append(name)
+                if value:  # a boolean as JSON, a rational as a string
+                    boolean = value in ("true", "false")
+                    entry["values"][name] = json.loads(value) if boolean else value
+        entries.append(entry)
+    return entries
+
+
+# a valued input's value may reach the target while the input is absent,
+# and its status with no value: the witness prints either, and running
+# its ticks as a schedule reaches the target at the same tick
+STATUS_VALUE_WITNESSES = {
+    "absent-with-value": (
+        "input int signal LEVEL = 0; signal X;\n"
+        "abort (LEVEL) { loop { if (?LEVEL >= 3) emit X; pause } }\n",
+        '{"LEVEL": {"values": ["5"]}}', "  tick 1: absent [LEVEL=5]",
+    ),
+    "present-without-value": (
+        "input int signal L = 0; signal X; loop { if (L && ?L == 0) emit X; pause }\n",
+        '{"L": {"values": ["5"]}}', "  tick 1: present [L]",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+@pytest.mark.parametrize("name", sorted(STATUS_VALUE_WITNESSES))
+def test_witness_of_a_status_without_its_value_runs_as_a_schedule(
+    name, strategy, tmp_path, capsys
+):
+    source, alphabet, line = STATUS_VALUE_WITNESSES[name]
+    prog, alpha, sched = tmp_path / "p.hsj", tmp_path / "alpha.json", tmp_path / "sched.json"
+    prog.write_text(source)
+    alpha.write_text(alphabet)
+    code = main([
+        "verify", str(prog), "--wcrt", "1", "--bound", "20", "--target", "X",
+        "--alphabet", str(alpha), "--strategy", strategy,
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:2] == ["witness: X settles present at tick 2", line]
+    sched.write_text(json.dumps(_witness_schedule(lines)))
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", str(prog), "--wcrt", "1", "--ticks", "3", "--schedule", str(sched),
+        "--out", str(out),
+    ]) == 0
+    ticks = json.loads(out.read_text())["ticks"]
+    assert [t["tick"] for t in ticks if t["statuses"]["X"]][0] == 2
 
 
 def test_lti_verdicts(capsys):
@@ -374,9 +430,16 @@ def test_alphabet_loader(tmp_path):
     alphabet = load_alphabet(str(path))
     names = [name for name, _ in alphabet.statuses]
     assert names == ["GO", "LEVEL"]
-    assert len(alphabet.choices()) == 2 * 3  # GO x {absent,present@1,present@3/2}
+    # GO x {absent,present} x {no value,1,3/2}
+    assert len(alphabet.choices()) == 2 * 2 * 3
     path.write_text('{"GO": {"statuses": ["present"]}}')
     assert [a.present for a in load_alphabet(str(path)).choices()] == [frozenset({"GO"})]
+    # values apply to each status listed, absent alone included
+    path.write_text('{"LEVEL": {"statuses": ["absent"], "values": ["5"]}}')
+    choices = load_alphabet(str(path)).choices()
+    assert [(a.present, a.value_map()) for a in choices] == [
+        (frozenset(), {}), (frozenset(), {"LEVEL": 5}),
+    ]
 
 
 def test_malformed_alphabet_exits_2(tmp_path, capsys):
@@ -395,7 +458,6 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         '{"GO": {"values": ["1", "2", "1"]}}',
         '{"GO": {"values": ["1/2", "0.5"]}}',
         '{"GO": {"values": ["1e3"]}}',
-        '{"GO": {"statuses": ["absent"], "values": ["5"]}}',
     ):
         alpha.write_text(text)
         with pytest.raises(ScheduleError, match=re.escape(str(alpha))):
@@ -407,12 +469,6 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{alpha}: ") and str(prog) not in err
-    alpha.write_text('{"LEVEL": {"statuses": ["absent"], "values": ["5"]}}')
-    with pytest.raises(ScheduleError) as err:
-        load_alphabet(str(alpha))
-    assert str(err.value) == (
-        f"{alpha}: alphabet entry 'LEVEL': 'values' given but 'present' is not among its statuses"
-    )
     alpha.write_text('{"NOPE": {}}')
     code = main([
         "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",
@@ -796,13 +852,12 @@ def test_boolean_input_values_are_read_from_files(tmp_path, capsys):
         "--alphabet", str(alpha),
     ])
     assert code == 1
+    # the values reach HIGH whatever the statuses: absent comes first
     assert capsys.readouterr().out.splitlines()[:2] == [
-        "witness: HIGH settles present at tick 2", "  tick 1: present [LEVEL=5,ON=true]",
+        "witness: HIGH settles present at tick 2", "  tick 1: absent [LEVEL=5,ON=true]",
     ]
     # the printed schedule replays
-    sched.write_text(
-        '[{"tick": 1, "present": ["LEVEL", "ON"], "values": {"LEVEL": "5", "ON": true}}]'
-    )
+    sched.write_text('[{"tick": 1, "values": {"LEVEL": "5", "ON": true}}]')
     assert main(["run", str(prog), "--wcrt", "1", "--ticks", "2", "--schedule", str(sched)]) == 0
     assert "2,2,HIGH,status,true" in capsys.readouterr().out.splitlines()
 

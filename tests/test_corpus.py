@@ -58,6 +58,30 @@ UNFIT_INPUTS = {
 }
 
 
+# expectation -> the message after the case's name: a list of
+# [name, tick, wanted] entries or of ticks that is not one
+MALFORMED_EXPECTATIONS = {
+    '{"statuses": [["HIGH", "1", true]]}':
+        "expect statuses: each entry must be [name, tick, wanted], got ['HIGH', '1', True]",
+    '{"values": [["ON", 1]]}':
+        "expect values: each entry must be [name, tick, wanted], got ['ON', 1]",
+    '{"emissions": {"HIGH": [1, "2"]}}':
+        "expect emissions: 'HIGH' must be a list of ticks, got [1, '2']",
+    '{"stop_ticks": [1, true]}': "expect: 'stop_ticks' must be a list of ticks, got [1, True]",
+}
+
+
+@pytest.mark.parametrize("expect", sorted(MALFORMED_EXPECTATIONS))
+def test_malformed_expectation_is_refused_naming_its_key(expect, tmp_path):
+    (tmp_path / "cases.json").write_text(
+        '{"cases": [{"name": "bad", "program": "p.hsj", "wcrt": "1", "expect": %s}]}' % expect
+    )
+    with pytest.raises(ScheduleError) as err:
+        load_cases(tmp_path)
+    want = MALFORMED_EXPECTATIONS[expect]
+    assert str(err.value) == f"{tmp_path / 'cases.json'}: case 'bad': {want}"
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_case_is_refused_naming_its_file_and_case(name):
     # a typo, a repeated key or tick is never read as something else: the
@@ -131,6 +155,18 @@ OUT_OF_RANGE = {
     "undeclared_target": (
         "case 'undeclared-target': expect reach: 'target': 'NOPE' is not a declared signal"
     ),
+    "zero_wcrt": "case 'zero-wcrt': 'wcrt': must be strictly positive, got 0",
+    "undeclared_param": "case 'undeclared-param': 'params': undefined parameter(s): nope",
+}
+# corpus -> its program's file and the message after the file's name: a
+# program that fails to compile or to run is located as `tickflow run`
+# locates it
+PROGRAM_FAULTS = {
+    "parse_error": ("bad.hsj", "2:8: unexpected 'S'"),
+    "double_write": (
+        "double.hsj", "tick 1: 'a' written 2 times in one tick with no combine operator"
+    ),
+    "unbound_param": ("unbound.hsj", "constant 'k' is unbound and has no default"),
 }
 
 
@@ -145,6 +181,16 @@ def test_argument_out_of_range_names_the_case_and_its_field(name):
     with pytest.raises(ScheduleError) as err:
         run_corpus(corpus_dir)
     assert str(err.value) == f"{corpus_dir / 'cases.json'}: {OUT_OF_RANGE[name]}"
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_FAULTS))
+def test_program_that_fails_names_its_file(name):
+    corpus_dir = DATA / name
+    program, message = PROGRAM_FAULTS[name]
+    with pytest.raises(TickflowError) as err:
+        run_corpus(corpus_dir)
+    assert not isinstance(err.value, ScheduleError)
+    assert str(err.value) == f"{corpus_dir / program}:{message}"
 
 
 # programs the parser reads, nested past the recursion limit of a later pass

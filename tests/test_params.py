@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import ParamError
+from tickflow.errors import ArgumentError, ParamError
 from tickflow.params import bind_params
 from tickflow.syntax import parse, pretty_print
 from tickflow.syntax.nodes import ContAssign, NumLit, walk_stmt
@@ -44,8 +44,9 @@ def test_unbound_constant_without_default():
 
 def test_undeclared_binding_rejected():
     program = parse("cont a;\na = 1")
-    with pytest.raises(ParamError):
-        bind_params(program, {"k": F(1)})
+    with pytest.raises(ArgumentError) as err:
+        bind_params(program, {"k": F(1), "j": F(2)})
+    assert (err.value.name, err.value.message) == ("values", "undefined parameter(s): j, k")
 
 
 def test_inner_declaration_shadows_constant():

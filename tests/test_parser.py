@@ -6,15 +6,20 @@ import pytest
 
 from tickflow.errors import (
     CombineError,
+    CompileError,
     InstantaneousLoopError,
     LexError,
+    NonConstantRateError,
     ParseError,
     ResolveError,
     TypeError_,
 )
+from tickflow.params import bind_params
 from tickflow.syntax import parse, reject_nonlinear_combine
+from tickflow.syntax.checks import fold_constant
 from tickflow.syntax.nodes import (
     Binary,
+    ContAssign,
     ContDecl,
     DoUntil,
     Label,
@@ -172,10 +177,118 @@ def test_ttl_variable_set_must_equal_rate_targets():
 
 
 def test_non_constant_rate_rejected():
-    from tickflow.errors import NonConstantRateError
+    # a name, and arithmetic on one: the unary and binary branches of
+    # the constancy test
+    for rate in ("b", "-b", "1 + b", "b * 2"):
+        with pytest.raises(NonConstantRateError) as err:
+            parse(f"cont a; cont b;\ndo {{a' = {rate}}} until (a <= 2)")
+        assert str(err.value) == "2:1: rate of 'a' does not fold to a constant"
 
-    with pytest.raises(NonConstantRateError):
-        parse("cont a; cont b;\ndo {a' = b} until (a <= 2)")
+
+@pytest.mark.parametrize("rate, value", [
+    ("2*3", 6), ("-(1 + 1)", -2), ("7 - 3 - 1", 3), ("1/2 + 1/3", Fraction(5, 6)),
+])
+def test_computed_rate_folds_to_its_value(rate, value):
+    program = parse(f"cont a = 0;\ndo {{a' = {rate}}} until (a <= 100)")
+    flow = next(node for node in program.walk() if isinstance(node, DoUntil))
+    ((_, expr),) = flow.odes
+    assert fold_constant(expr) == value
+    # a computed default of a constant folds the same way
+    bound = bind_params(parse(f"param k = {rate};\ncont a;\na = k"))
+    assign = next(node for node in bound.walk() if isinstance(node, ContAssign))
+    assert assign.expr == NumLit(Fraction(value))
+
+
+def test_fold_constant_refuses_a_name():
+    with pytest.raises(NonConstantRateError) as err:
+        fold_constant(Binary("+", NumLit(Fraction(1)), NameRef("b")))
+    assert str(err.value).startswith("expression does not fold to a constant: NameRef(")
+
+
+# (source, error class, the located message): each check of `check_program`
+# that refuses a declaration, a statement or an expression
+CHECK_ERRORS = {
+    "guard-not-boolean": (
+        "cont a;\nabort (a) { pause }", TypeError_, "2:1: preemption guard must be boolean"
+    ),
+    "suspend-guard-not-boolean": (
+        "cont a;\nsuspend (1 + a) { pause }", TypeError_, "2:1: preemption guard must be boolean"
+    ),
+    "pure-signal-combine": (
+        "signal S op+;\npause", TypeError_,
+        "1:1: pure signal 'S' cannot carry a combine operator",
+    ),
+    "pure-signal-initial": (
+        "signal S = 1;\npause", TypeError_, "1:1: pure signal 'S' cannot carry an initial value"
+    ),
+    "boolean-signal-combine": (
+        "boolean signal B op+;\npause", TypeError_, "1:1: combine operator on boolean signal 'B'"
+    ),
+    "cont-boolean-initial": (
+        "cont a = true;\npause", TypeError_,
+        "1:1: continuous variable 'a' needs a numeric initial value",
+    ),
+    "param-default-not-constant": (
+        "cont c;\nparam k = c;\npause", TypeError_,
+        "2:1: default for constant 'k' must itself be constant",
+    ),
+    "flow-target-signal": (
+        "signal S;\ndo {S' = 1} until (true)", TypeError_,
+        "2:1: flow target 'S' is not a continuous variable",
+    ),
+    "boolean-signal-given-number": (
+        "boolean signal B;\n?B = 1", TypeError_, "2:1: 'B' holds a boolean value"
+    ),
+    "int-signal-given-boolean": (
+        "int signal S;\n?S = true", TypeError_, "2:1: 'S' holds a numeric value"
+    ),
+    "value-of-pure-signal": (
+        "signal S; cont a;\na = ?S", TypeError_, "2:5: 'S' has no value to read"
+    ),
+    "not-of-number": ("cont a;\nif (!a) pause", TypeError_, "2:5: '!' needs a boolean operand"),
+    "negation-of-status": (
+        "signal S; cont a;\na = -S", TypeError_, "2:5: negation needs a numeric operand"
+    ),
+    "and-of-number": (
+        "cont a;\nif (a && true) pause", TypeError_, "2:7: '&&' needs boolean operands"
+    ),
+    "or-of-number": (
+        "signal S; cont a;\nif (S || a) pause", TypeError_, "2:7: '||' needs boolean operands"
+    ),
+    "equality-of-two-kinds": (
+        "signal S;\nif (S == 1) pause", TypeError_, "2:7: '==' needs operands of one kind"
+    ),
+    "comparison-of-status": (
+        "signal S;\nif (S < 1) pause", TypeError_, "2:7: '<' needs numeric operands"
+    ),
+    "sum-of-status": (
+        "signal S; cont a;\na = S + 1", TypeError_, "2:7: '+' needs numeric operands"
+    ),
+    "product-of-status": (
+        "signal S; cont a;\na = 1 * S", TypeError_, "2:7: '*' needs numeric operands"
+    ),
+    "ttl-target-signal": (
+        "signal S;\nif (TTL([S' = 1], true, {S})) pause", TypeError_,
+        "2:5: TTL target 'S' is not continuous",
+    ),
+    "ttl-rate-not-constant": (
+        "cont a, b;\nif (TTL([a' = b], a <= 1, {a})) pause", NonConstantRateError,
+        "2:5: TTL rate for 'a' is not constant",
+    ),
+    "ttl-invariant-not-boolean": (
+        "cont a;\nif (TTL([a' = 1], a + 1, {a})) pause", TypeError_,
+        "2:5: TTL invariant must be boolean",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ERRORS))
+def test_check_error_names_its_class_message_and_position(name):
+    source, kind, located = CHECK_ERRORS[name]
+    with pytest.raises(CompileError) as err:
+        parse(source)
+    assert type(err.value) is kind
+    assert str(err.value) == located
 
 
 def test_lex_error_position():

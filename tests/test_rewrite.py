@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import CompileError
+from tickflow.errors import ArgumentError
 from tickflow.params import bind_params
 from tickflow.rewrite import (
     FlowSite,
@@ -38,10 +38,12 @@ def _rewrite(source: str, wcrt=F(2)):
 
 
 def test_wcrt_must_be_positive():
-    with pytest.raises(CompileError):
+    with pytest.raises(ArgumentError) as err:
         RewriteConfig(F(0))
-    with pytest.raises(CompileError):
+    assert (err.value.name, err.value.message) == ("wcrt", "must be strictly positive, got 0")
+    with pytest.raises(ArgumentError) as err:
         RewriteConfig(F(-1))
+    assert err.value.message == "must be strictly positive, got -1"
 
 
 def test_single_flow_becomes_bounded_loop():

@@ -12,12 +12,14 @@ from helpers import (
     VALUED_INPUTS,
     multirate_programs,
     random_search_program,
+    random_status_value_program,
     random_valued_program,
 )
-from tickflow import kernel, verify
-from tickflow.errors import KernelError, SearchLimitError, TickflowError
+from tickflow import files, kernel, verify
+from tickflow.errors import KernelError, ScheduleError, SearchLimitError, TickflowError
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
+from tickflow.rational import format_value
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.nodes import (
@@ -166,11 +168,31 @@ def test_valued_alphabet_choices():
     alphabet = InputAlphabet.make(
         {"P": ("absent", "present")}, {"P": (F(1), F(2))}
     )
-    choices = alphabet.choices()
-    assert InputAssignment.make() in choices
-    assert InputAssignment.make(present=["P"], values={"P": F(1)}) in choices
-    assert InputAssignment.make(present=["P"], values={"P": F(2)}) in choices
-    assert len(choices) == 3
+    # each status with no value and with each value, as a schedule may
+    # give them: 2 + 2*|V| choices, all-absent first
+    assert alphabet.choices() == [
+        InputAssignment.make(),
+        InputAssignment.make(values={"P": F(1)}),
+        InputAssignment.make(values={"P": F(2)}),
+        InputAssignment.make(present=["P"]),
+        InputAssignment.make(present=["P"], values={"P": F(1)}),
+        InputAssignment.make(present=["P"], values={"P": F(2)}),
+    ]
+    # a pure input has no values: absent, then present
+    pure = InputAlphabet.make({"A": ("absent", "present")}).choices()
+    assert pure == [InputAssignment.make(), InputAssignment.make(present=["A"])]
+
+
+def test_default_alphabet_needs_each_valued_inputs_values():
+    program = _program("input int signal LEVEL = 0; input signal GO;\nloop { pause }")
+    for values in (None, {"LEVEL": ()}, {"GO": (F(1),)}):
+        with pytest.raises(ScheduleError) as err:
+            alphabet_for(program, values)
+        assert str(err.value) == "valued input 'LEVEL' needs a finite value set"
+    both = ("absent", "present")
+    assert alphabet_for(program, {"LEVEL": (F(1),)}) == InputAlphabet.make(
+        {"GO": both, "LEVEL": both}, {"LEVEL": (F(1),)}
+    )
 
 
 def test_dfs_finds_witness_behind_a_slow_detour():
@@ -349,7 +371,7 @@ def test_equal_programs_keep_their_own_code_and_index():
                 program, CFG1, alphabet, bound=6, target="HIT", native_flows=native
             )
             assert verdict == want, native
-            state, _ = init(program, CFG1, native_flows=native).advance()
+            state, _ = init(program, CFG1, native_flows=native).step().record()
             keys.append(fingerprint(state))
         assert keys[0] == keys[1], native
 
@@ -514,11 +536,17 @@ def test_tick_with_two_faults_names_the_input(source, value, message):
     with pytest.raises(KernelError) as err:
         run(program, CFG1, {1: InputAssignment.make(present=["L"], values={"L": value})})
     assert (err.value.tick, err.value.message) == (1, message)
-    # "present" first: the search's first choice latches L
+    # the search's first choice gives L no value, so, like a run under that
+    # choice, it meets the code's own double write first
     alphabet = InputAlphabet.make({"L": ("present", "absent")}, {"L": (value,)})
+    first = alphabet.choices()[0]
+    assert first == InputAssignment.make(present=["L"])
+    with pytest.raises(KernelError) as ran:
+        run(program, CFG1, {1: first})
     with pytest.raises(KernelError) as err:
         check_reachable(program, CFG1, alphabet, bound=3, target="L")
-    assert (err.value.tick, err.value.message) == (1, message)
+    code_error = (1, "'a' written 2 times in one tick with no combine operator")
+    assert (err.value.tick, err.value.message) == (ran.value.tick, ran.value.message) == code_error
 
 
 def test_search_agrees_with_schedule_enumeration():
@@ -582,6 +610,63 @@ def test_search_agrees_with_schedule_enumeration_on_valued_inputs():
                 assert verdict.tick == earliest, where
 
 
+def _admitted_entries(alphabet: InputAlphabet) -> list:
+    """Every per-tick JSON schedule entry over the alphabet's names and
+    values that `load_schedule` admits, built without `choices()`: each
+    listed input present or not as its statuses allow, and given no value
+    or one of its values whatever its status."""
+    entries = [{"present": [], "values": {}}]
+    values = dict(alphabet.values)
+    for name, statuses in alphabet.statuses:
+        grown = []
+        for entry in entries:
+            for present in [status == "present" for status in statuses]:
+                for value in (None, *values.get(name, ())):
+                    given = dict(entry["values"])
+                    if value is not None:
+                        given[name] = format_value(value)
+                    named = entry["present"] + ([name] if present else [])
+                    grown.append({"present": named, "values": given})
+        entries = grown
+    return entries
+
+
+def test_search_agrees_with_the_schedules_a_file_may_give():
+    # the oracle enumerates schedules from what `load_schedule` admits, not
+    # from `choices()`: a valued input's value with either status, and its
+    # status with no value, each of which the target may need
+    for seed in range(24):
+        rng = random.Random(seed)
+        source, wcrt, statuses, values = random_status_value_program(rng)
+        bound = rng.randint(2, 3)
+        cfg = RewriteConfig(wcrt)
+        program = rewrite_flows(parse(source), cfg)
+        alphabet = InputAlphabet.make(
+            {"A": ("absent", "present"), "B": ("absent", "present"), "L": statuses},
+            {"L": values},
+        )
+        entries = _admitted_entries(alphabet)
+        earliest = None
+        for ticks in itertools.product(entries, repeat=bound):
+            doc = [{"tick": t, **entry} for t, entry in enumerate(ticks, start=1)]
+            trace = run(program, cfg, schedule=files.schedule("oracle", doc), max_ticks=bound)
+            hits = [r.tick for r in trace.records if r.statuses.get("HIT", False)]
+            if hits and (earliest is None or hits[0] < earliest):
+                earliest = hits[0]
+        for strategy in ("bfs", "dfs"):
+            verdict = check_reachable(
+                program, cfg, alphabet, bound=bound, target="HIT", strategy=strategy
+            )
+            where = (seed, strategy, source, statuses, values)
+            if earliest is None:
+                assert isinstance(verdict, Unreachable), where
+                continue
+            assert isinstance(verdict, Witness), where
+            assert replay(program, cfg, verdict), where
+            if strategy == "bfs":
+                assert verdict.tick == earliest, where
+
+
 # --- fingerprints ---------------------------------------------------------------
 
 
@@ -594,15 +679,15 @@ def test_fingerprint_differs_on_one_value():
     source = "input int signal LEVEL = 0;\nloop { pause }"
     program = _program(source)
     state = init(program, CFG1)
-    a, _ = state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(1)}))
-    b, _ = state.advance(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(2)}))
+    a, _ = state.step(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(1)})).record()
+    b, _ = state.step(InputAssignment.make(present=["LEVEL"], values={"LEVEL": F(2)})).record()
     assert fingerprint(a) != fingerprint(b)
 
 
 def test_fingerprint_ignores_write_order():
     left = _program("cont a op+ = 0;\n{a = 1; pause} || {a = 2; pause};\npause")
     right = _program("cont a op+ = 0;\n{a = 2; pause} || {a = 1; pause};\npause")
-    (sl, _), (sr, _) = init(left, CFG1).advance(), init(right, CFG1).advance()
+    (sl, _), (sr, _) = init(left, CFG1).step().record(), init(right, CFG1).step().record()
     assert fingerprint(sl) == fingerprint(sr)
 
 
@@ -611,7 +696,7 @@ def test_fingerprint_tracks_control_position():
     state = init(program, CFG1)
     prints = [fingerprint(state)]
     for _ in range(2):
-        state, _ = state.advance()
+        state, _ = state.step().record()
         prints.append(fingerprint(state))
     assert len(set(prints)) == 3
 
@@ -684,7 +769,7 @@ def test_fingerprint_equality_is_node_position_equality():
                 successors = []
                 for state in frontier:
                     for assignment in choices:
-                        successor, _ = state.advance(assignment)
+                        successor, _ = state.step(assignment).record()
                         reached.append(successor)
                         key = _oracle_key(program, successor, index)
                         if not successor.terminated and key not in seen:
