@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import files
-from .errors import ArgumentError, ScheduleError, TickflowError, locate
+from .errors import TickflowError, locate
 from .kernel import run
 from .params import bind_params
 from .rational import format_value
@@ -159,8 +159,7 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
                 _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
     except (TickflowError, RecursionError) as err:
         fields = {name: where + field for name, field in _FIELDS.items()}
-        fault = ScheduleError if isinstance(err, (ScheduleError, ArgumentError)) else TickflowError
-        raise fault(locate(err, path, fields)) from None
+        raise locate(err, path, fields) from None
     return result
 
 

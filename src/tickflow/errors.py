@@ -56,7 +56,7 @@ class CombineError(CompileError):
 
 
 class ParamError(CompileError):
-    """A named constant is unbound, bound twice, or not declared."""
+    """A named constant is left unbound and has no default."""
 
 
 class KernelError(TickflowError):
@@ -72,7 +72,9 @@ class KernelError(TickflowError):
 class ScheduleError(TickflowError):
     """An input schedule, input alphabet, variable map, corpus case, trace
     JSON or command-line automaton file is malformed, and the message names
-    it; or an alphabet lacks the values a valued input needs."""
+    it; or an alphabet lacks the values a valued input needs; or, as
+    `locate` names it, a flag or a corpus case's field gives an argument
+    out of range."""
 
 
 class MatrixError(TickflowError):
@@ -125,18 +127,19 @@ class NestingError(TickflowError):
     later pass: binding, rewriting, checking or compiling."""
 
 
-def locate(err: BaseException, path: str, table: dict) -> str:
-    """The message a front end gives for `err`, a library error met on the
-    program at `path` (or a `RecursionError`): a `ScheduleError` names its
-    file already; an `ArgumentError` is named by what supplied its
+def locate(err: BaseException, path: str, table: dict) -> TickflowError:
+    """The located error a front end reports for `err`, a library error met
+    on the program at `path` (or a `RecursionError`). The caller's input at
+    fault is a `ScheduleError`: one that names its file already is
+    returned as is, and an `ArgumentError` is named by what supplied its
     parameter, which `table` maps each parameter name to (a flag, or a
-    corpus case's field); a program nested past a later pass's recursion
-    limit is `path: nested too deep to process`; any other error is
-    located in the program, `path:message`."""
+    corpus case's field). The program at fault is a `TickflowError`: one
+    nested past a later pass's recursion limit is `path: nested too deep
+    to process`, any other is located in the program, `path:message`."""
     if isinstance(err, ScheduleError):
-        return str(err)
+        return err
     if isinstance(err, ArgumentError):
-        return f"{table.get(err.name, err.name)}: {err.message}"
+        return ScheduleError(f"{table.get(err.name, err.name)}: {err.message}")
     if isinstance(err, (NestingError, RecursionError)):
-        return f"{path}: nested too deep to process"
-    return f"{path}:{err}"
+        return TickflowError(f"{path}: nested too deep to process")
+    return TickflowError(f"{path}:{err}")

@@ -25,8 +25,7 @@ iterated fold; several rates with no operator raise.
 `affine_form` is the formula's one home. The kernel compiles each site
 once: it computes each variable's form once, tests the invariant against
 the folded threshold, and builds a function (`iterated`) only for a
-variable that has no affine form. `predictors` gives every variable's
-prediction as a function from its snapshot, either way.
+variable that has no affine form.
 """
 
 from __future__ import annotations
@@ -71,24 +70,6 @@ def affine_form(odes, v: str, op, wcrt: Fraction):
     if m == 1 or (m > 1 and op == "plus"):
         return m * m, (m + 1) * sum(rates) * wcrt
     return None
-
-
-def predictors(odes, vars, combine: dict, wcrt: Fraction) -> tuple:
-    """Per variable of `vars`, a function from its previous-tick snapshot
-    to its value two ticks ahead: `scale*value + shift` for a variable with
-    an affine form (see `affine_form`), else `iterated`. `odes` are (name,
-    rational rate) pairs and `combine` the operator of each variable that
-    has one."""
-    out = []
-    for v in vars:
-        op = combine.get(v)
-        form = affine_form(odes, v, op, wcrt)
-        if form is None:
-            out.append(iterated(odes, v, op, wcrt))
-        else:
-            scale, shift = form
-            out.append(lambda value, scale=scale, shift=shift: scale * value + shift)
-    return tuple(out)
 
 
 def iterated(odes, v: str, op, wcrt: Fraction):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 from tickflow.kernel import InputAssignment
 from tickflow.rational import format_rational
+from tickflow.ttl import affine_form, iterated
 
 WCRT_CHOICES = (F(1), F(1, 2), F(2), F(3))
 
@@ -38,6 +39,18 @@ class FlowCase:
         if self.op == ">=":
             return value >= self.bound
         return value > self.bound
+
+
+def prediction(odes, v: str, op, wcrt: F):
+    """The look-ahead's prediction of `v` two ticks out, as a function of
+    its snapshot, as the kernel compiles it: `scale*value + shift` for a
+    variable with an affine form, else `ttl.iterated`. `odes` are (name,
+    rational rate) pairs and `op` the combine operator of `v`, if any."""
+    form = affine_form(odes, v, op, wcrt)
+    if form is None:
+        return iterated(odes, v, op, wcrt)
+    scale, shift = form
+    return lambda value: scale * value + shift
 
 
 def random_rational(rng: random.Random, lo: int, hi: int, den: int = 6) -> F:
@@ -308,8 +321,9 @@ def random_status_value_program(rng: random.Random) -> tuple:
 
 
 # a tick with two faults: an input check, or a double write of the input,
-# and the code's own double write of `a`; both the search and a run with
-# a schedule must name the input, as a tick that latched first did; the
+# and the code's own double write of `a`; a run whose schedule gives L the
+# value names the input, as a tick that latched first did, and the search
+# raises what a run under its first choice, L with no value, raises; the
 # static checks refuse the double write, so each is parsed raw
 TWO_FAULTS = [
     (

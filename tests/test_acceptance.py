@@ -23,10 +23,9 @@ from tickflow.lti import (
 from tickflow.params import bind_params
 from tickflow.rewrite import STOP_PREFIX, RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.ttl import predictors
 from tickflow.verify import Unreachable, Witness, check_reachable
 
-from helpers import random_flow, random_program
+from helpers import prediction, random_flow, random_program
 from test_lti import naive_rank
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -133,7 +132,7 @@ def test_criterion_06_simultaneous_writes():
     trace = run(program, cfg, max_ticks=6)
     assert trace.terminated and trace.effective_termination_tick == 1
     # the look-ahead folds the two unit rates twice: prediction is 12
-    (predict,) = predictors((("a", F(1)), ("a", F(1))), ("a",), {"a": "plus"}, F(2))
+    predict = prediction((("a", F(1)), ("a", F(1))), "a", "plus", F(2))
     assert predict(F(0)) == F(12)
     _report(6, "write-write folds to 3; double-rate look-ahead predicts 12")
 

@@ -627,10 +627,11 @@ def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
     # an input is the first write of its instance, and a tick's errors come
     # in the order a tick that latched first would meet them: so latching
     # any choice onto the run another choice stepped raises what stepping
-    # it raises, or settles and records as it does. A valued program has
-    # 96 choices, each reaching its own state at tick 2, so its pairs are
-    # checked within 2 ticks on 3 of those states, drawn by a seeded rng;
-    # the others' on every state within 3 ticks
+    # it raises, or settles and records as it does. Every choice is latched
+    # onto the runs of every state reached within 3 ticks, 2 for a valued
+    # program. A valued program has 97 choices and reaches a state per
+    # choice at tick 2, so there only the empty choice and two drawn by a
+    # seeded rng run first; elsewhere every choice does
     cases = [
         (rewrite_flows(_bound(path), CFG1), CFG1, VALUED_INPUTS, 3, None)
         for path in corpus_sources() if _bound(path).inputs()
@@ -639,27 +640,30 @@ def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
         for seed in range(seeds):
             source, wcrt = generate(random.Random(seed))
             cfg = RewriteConfig(wcrt)
-            sample = random.Random(seed) if generate is random_valued_program else None
-            cases.append((rewrite_flows(parse(source), cfg), cfg, VALUED_INPUTS, ticks, sample))
+            rng = random.Random(seed) if generate is random_valued_program else None
+            cases.append((rewrite_flows(parse(source), cfg), cfg, VALUED_INPUTS, ticks, rng))
     for source, value, _ in TWO_FAULTS:
         cases.append((parse_raw(source), CFG1, {"L": (value,)}, 3, None))
     undeclared = InputAssignment.make(present=["NOPE"])
-    for program, cfg, values, ticks, sample in cases:
+    for program, cfg, values, ticks, rng in cases:
         choices = [*alphabet_for(program, values).choices(), undeclared]
+        assert choices[0] == InputAssignment.make()
         frontier = [init(program, cfg)]
-        for _ in range(ticks):
-            if sample is not None and len(frontier) > 3:
-                frontier = sample.sample(frontier, 3)
+        for tick_no in range(1, ticks + 1):
             reached = {}
             for state in frontier:
                 alone = [_outcome(lambda: state.step(inputs)) for inputs in choices]
-                for first, first_alone in zip(choices, alone):
+                firsts = range(len(choices))
+                if rng is not None and tick_no == ticks:
+                    firsts = [0, *rng.sample(range(1, len(choices)), 2)]
+                for i in firsts:
+                    first = choices[i]
                     try:
                         tick = state.step(first)
                     except KernelError as err:
                         # no run to latch onto: both TWO_FAULTS programs
                         # raise at tick 1 under every choice
-                        assert (err.message, err.tick) == first_alone, first
+                        assert (err.message, err.tick) == alone[i], first
                         continue
                     for other, other_alone in zip(choices, alone):
                         latched = _outcome(lambda: tick.latch(other))

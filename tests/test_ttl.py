@@ -11,7 +11,9 @@ from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow.syntax.parser import parse_raw
-from tickflow.ttl import affine_form, combine_fold, predictors
+from tickflow.ttl import affine_form, combine_fold
+
+from helpers import prediction
 
 
 def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
@@ -25,7 +27,7 @@ def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
 def test_lookahead_breaks_small_bound():
     # from 0 at rate 1 with a 2-unit step, two ticks ahead is 4
     odes = (("a", F(1)),)
-    (predict,) = predictors(odes, ("a",), {}, F(2))
+    predict = prediction(odes, "a", None, F(2))
     assert predict(F(0)) == F(4)
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 2, {a})") is False
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 4, {a})") is True
@@ -40,7 +42,7 @@ def test_zero_rate_never_violates():
 
 def test_pair_prediction():
     odes = (("a", F(2)), ("b", F(2)))
-    predict_a, predict_b = predictors(odes, ("a", "b"), {}, F(2))
+    predict_a, predict_b = (prediction(odes, v, None, F(2)) for v in ("a", "b"))
     assert (predict_a(F(4)), predict_b(F(4))) == (F(12), F(12))
     ttl = "TTL([a' = 2, b' = 2], a <= 16 && b <= 10, {a, b})"
     assert _holds("cont a = 4, b = 4;", ttl) is False
@@ -50,7 +52,7 @@ def test_pair_prediction():
 
 def test_combined_prediction_folds_twice():
     odes = (("a", F(1)), ("a", F(1)))
-    (predict,) = predictors(odes, ("a",), {"a": "plus"}, F(2))
+    predict = prediction(odes, "a", "plus", F(2))
     assert predict(F(0)) == F(12)
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})") is False
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 12, {a})") is True
@@ -59,7 +61,7 @@ def test_combined_prediction_folds_twice():
 
 def test_combined_missing_operator():
     odes = (("a", F(1)), ("a", F(1)))
-    (predict,) = predictors(odes, ("a",), {}, F(2))
+    predict = prediction(odes, "a", None, F(2))
     with pytest.raises(KernelError):
         predict(F(0))
     with pytest.raises(KernelError) as err:
@@ -76,7 +78,7 @@ def test_single_writer_degeneration_randomized():
         value = F(rng.randint(-100, 100), rng.randint(1, 7))
         wcrt = rng.choice([F(1), F(1, 2), F(2), F(3)])
         expected = value + 2 * rate * wcrt
-        (predict,) = predictors((("a", rate),), ("a",), {}, wcrt)
+        predict = prediction((("a", rate),), "a", None, wcrt)
         assert predict(value) == expected
         ttl = f"TTL([a' = {format_rational(rate)}], a == {format_rational(expected)}, {{a}})"
         assert _holds(f"cont a = {format_rational(value)};", ttl, wcrt) is True
@@ -142,8 +144,7 @@ def test_affine_form_matches_the_iterated_definition_randomized():
         expected = _iterated(value, rates, "plus", wcrt)
         for op in ("plus", "times", None):
             form = affine_form(odes, "a", op, wcrt)
-            combine = {} if op is None else {"a": op}
-            (predict,) = predictors(odes, ("a",), combine, wcrt)
+            predict = prediction(odes, "a", op, wcrt)
             if m == 1 or op == "plus":
                 # one rate folds the same under any operator
                 scale, shift = form
@@ -157,7 +158,7 @@ def test_affine_form_matches_the_iterated_definition_randomized():
                 with pytest.raises(KernelError, match="no combine operator"):
                     predict(value)
     assert affine_form((("b", F(1)),), "a", "plus", F(1)) is None
-    (predict,) = predictors((("b", F(1)),), ("a",), {}, F(1))
+    predict = prediction((("b", F(1)),), "a", None, F(1))
     with pytest.raises(KernelError, match="no rate"):
         predict(F(0))
 

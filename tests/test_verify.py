@@ -531,7 +531,9 @@ def test_search_hashes_each_kept_successor_once(monkeypatch):
 
 @pytest.mark.parametrize("source, value, message", TWO_FAULTS, ids=("value", "double-write"))
 def test_tick_with_two_faults_names_the_input(source, value, message):
-    # the static checks refuse the double write, so the program is parsed raw
+    # a run given L's value names the input; the search names what a run
+    # under its first choice names. The static checks refuse the double
+    # write, so the program is parsed raw
     program = parse_raw(source)
     with pytest.raises(KernelError) as err:
         run(program, CFG1, {1: InputAssignment.make(present=["L"], values={"L": value})})
