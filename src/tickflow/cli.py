@@ -84,6 +84,8 @@ _FLAGS = {
     "max_ticks": "--ticks", "bound": "--bound", "node_limit": "--node-limit",
     "horizon": "--horizon", "target": "--target", "wcrt": "--wcrt", "values": "--param",
 }
+# the option whose file supplies each library parameter: an error names the file
+_FILES = {"schedule": "schedule", "alphabet": "alphabet", "mapping": "map"}
 
 
 def main(argv=None) -> int:
@@ -141,10 +143,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     source = getattr(args, "program", None) or getattr(args, "matrices", "")
+    table = {**_FLAGS, **{name: getattr(args, flag, None) for name, flag in _FILES.items()}}
     try:
         return _COMMANDS[args.command](args)
     except (TickflowError, RecursionError) as err:
-        print(locate(err, source, _FLAGS), file=sys.stderr)
+        print(locate(err, source, table), file=sys.stderr)
         return 2
     except OSError as err:  # a named file that cannot be opened
         if err.filename is None:
@@ -182,9 +185,6 @@ def _run(args) -> int:
     cfg = _config(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), cfg)
     schedule = files.load_schedule(args.schedule) if args.schedule else None
-    for tick, inputs in (schedule or {}).items():
-        where = f"{args.schedule}: tick {tick}: "
-        files.require_inputs(where, inputs.present, inputs.values, rewritten)
     result = kernel.run(rewritten, cfg, schedule=schedule, max_ticks=ticks)
     text = export(result)
     if args.out is None:
@@ -227,11 +227,6 @@ def _verify(args) -> int:
     cfg = _config(args.wcrt)
     rewritten = _load_program(args.program, _parse_params(args.param), cfg)
     alphabet = files.load_alphabet(args.alphabet) if args.alphabet else None
-    if alphabet is not None:
-        where = f"{args.alphabet}: alphabet entry "
-        files.require_inputs(where, [name for name, _ in alphabet.statuses], (), rewritten)
-        for name, picks in alphabet.values:
-            files.require_inputs(f"{where}{name!r}: ", (), [(name, v) for v in picks], rewritten)
     try:
         verdict = verify.check_reachable(
             rewritten,
@@ -308,10 +303,6 @@ def _compare(args) -> int:
     except AutomatonError as err:
         raise ScheduleError(f"{args.ha}:{err}") from None
     mapping = files.load_json(args.map, "variable map", dict)
-    try:
-        hybrid.check_mapping(automaton, program, mapping)
-    except AutomatonError as err:
-        raise ScheduleError(f"{args.map}: {err}") from None
     horizon = _flag_rational("--horizon", args.horizon)
     try:
         report = hybrid.compare(automaton, program, cfg, horizon, mapping)

@@ -138,11 +138,9 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
     corpus_dir = Path(corpus_dir)
     result = CaseResult(case.name, [])
     path = str(corpus_dir / case.program)
-    where = f"{corpus_dir / 'cases.json'}: case {case.name!r}: "
+    where = f"{corpus_dir / 'cases.json'}: case {case.name!r}"
     try:
         program = bind_params(parse(files.read_text(path)), case.params)
-        for tick, inputs in case.schedule.items():
-            files.require_inputs(f"{where}tick {tick}: ", inputs.present, inputs.values, program)
         cfg = RewriteConfig(case.wcrt)
         rewritten = rewrite_flows(program, cfg)
         trace = run(rewritten, cfg, schedule=case.schedule, max_ticks=case.max_ticks)
@@ -158,7 +156,8 @@ def run_case(corpus_dir, case: GoldenCase) -> CaseResult:
             if found and "witness_tick" in reach:
                 _compare(result, "reach witness_tick", reach["witness_tick"], verdict.tick)
     except (TickflowError, RecursionError) as err:
-        fields = {name: where + field for name, field in _FIELDS.items()}
+        fields = {name: f"{where}: {field}" for name, field in _FIELDS.items()}
+        fields["schedule"] = where
         raise locate(err, path, fields) from None
     return result
 

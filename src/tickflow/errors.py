@@ -73,8 +73,8 @@ class ScheduleError(TickflowError):
     """An input schedule, input alphabet, variable map, corpus case, trace
     JSON or command-line automaton file is malformed, and the message names
     it; or an alphabet lacks the values a valued input needs; or, as
-    `locate` names it, a flag or a corpus case's field gives an argument
-    out of range."""
+    `locate` names it, a flag, an input file or a corpus case's field gives
+    an argument the library refuses."""
 
 
 class MatrixError(TickflowError):
@@ -110,7 +110,9 @@ class NondeterminismError(TickflowError):
 
 
 class ArgumentError(TickflowError):
-    """An argument of a call is out of range; `name` is the parameter."""
+    """An argument of a call is out of range, or is an input (a schedule, an
+    alphabet, a variable map) whose content the program cannot take; `name`
+    is the parameter."""
 
     def __init__(self, name: str, message: str):
         self.name = name
@@ -132,10 +134,11 @@ def locate(err: BaseException, path: str, table: dict) -> TickflowError:
     on the program at `path` (or a `RecursionError`). The caller's input at
     fault is a `ScheduleError`: one that names its file already is
     returned as is, and an `ArgumentError` is named by what supplied its
-    parameter, which `table` maps each parameter name to (a flag, or a
-    corpus case's field). The program at fault is a `TickflowError`: one
-    nested past a later pass's recursion limit is `path: nested too deep
-    to process`, any other is located in the program, `path:message`."""
+    parameter, which `table` maps each parameter name to (a flag, an input
+    file, or a corpus case's field). The program at fault is a
+    `TickflowError`: one nested past a later pass's recursion limit is
+    `path: nested too deep to process`, any other is located in the
+    program, `path:message`."""
     if isinstance(err, ScheduleError):
         return err
     if isinstance(err, ArgumentError):

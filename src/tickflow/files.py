@@ -2,8 +2,10 @@
 maps, corpus cases and traces. An object may not give a key twice, nor hold
 a key its reader does not know; a value is a JSON boolean or a rational
 string. Every error is a `ScheduleError` whose message starts with where
-the datum sits: the file, then the place in it. `json` is imported only
-where a document is parsed, so a command that reads no JSON never loads it.
+the datum sits: the file, then the place in it. Nothing is checked against
+a program: `kernel.run`, `verify.check_reachable` and `hybrid.compare` do
+that. `json` is imported only where a document is parsed, so a command
+that reads no JSON never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import errno
 from fractions import Fraction
 
-from .errors import KernelError, ScheduleError
-from .rational import format_value, parse_rational
+from .errors import ScheduleError
+from .rational import parse_rational
 
 
 def read_text(path: str) -> str:
@@ -156,8 +158,9 @@ def distinct(where: str, key: str, items: list) -> tuple:
     """`items`, the list under `key` at `where` in a file, as a tuple. A
     repeat is an error, never merged: in an alphabet it would make the
     search advance the same choice twice. `true` and `1` are two entries:
-    only one of them fits the input."""
-    if len({(item.__class__, item) for item in items}) < len(items):
+    only one of them fits the input. An item may be any JSON value."""
+    typed = [(item.__class__, item) for item in items]
+    if any(item in typed[:at] for at, item in enumerate(typed)):
         raise ScheduleError(f"{where}: {key!r} repeats an entry")
     return tuple(items)
 
@@ -199,7 +202,7 @@ def load_alphabet(path: str):
     listed input may be present or absent, or only take the `statuses` its
     entry lists; a valued one, under each status, carries no value or one
     of its `values` (JSON booleans for a boolean input). Returns a
-    `verify.InputAlphabet`."""
+    `verify.InputAlphabet`, whose statuses `check_reachable` checks."""
     from . import verify
 
     doc = load_json(path, "alphabet", dict)
@@ -208,35 +211,9 @@ def load_alphabet(path: str):
         where = f"{path}: alphabet entry {name!r}"
         fields(spec, where, {"statuses": list, "values": list}, ("statuses", "values"))
         chosen = spec.get("statuses", ["absent", "present"])
-        if not chosen or not all(c in ("absent", "present") for c in chosen):
-            raise ScheduleError(
-                f"{where}: 'statuses' must be a non-empty list of 'absent' and 'present'"
-            )
         statuses[name] = distinct(where, "statuses", chosen)
         if "values" in spec:
             picked = [value(v, f"{where} values") for v in spec["values"]]
             values[name] = distinct(where, "values", picked)
     return verify.InputAlphabet.make(statuses, values)
 
-
-def require_inputs(where: str, names, values, program) -> None:
-    """Reject, before anything runs, a name among `names` and the (name,
-    value) pairs `values` of an input file that names no input of `program`,
-    or a value no input declaration of its name can hold, at `where`."""
-    from . import kernel
-
-    inputs = program.inputs()
-    undeclared = sorted({*names, *(name for name, _ in values)} - {d.name for d in inputs})
-    if undeclared:
-        raise ScheduleError(f"{where}{undeclared[0]!r} is not a declared input")
-    for name, datum in values:
-        errors = []
-        for decl in inputs:
-            if decl.name == name:
-                try:
-                    kernel.input_value(datum, decl)
-                    break
-                except KernelError as err:
-                    errors.append(err.message)
-        else:
-            raise ScheduleError(f"{where}value {format_value(datum)}: {errors[0]}")

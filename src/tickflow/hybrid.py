@@ -405,8 +405,17 @@ def compare(
     tick grid; report the first diverging tick, the maximum deviation, and
     both switch logs (ideal and WCRT-delayed).
 
-    `mapping` sends automaton variables to program continuous variables.
+    `mapping` sends automaton variables to program continuous variables; an
+    entry that does not is refused first, an `ArgumentError` naming `mapping`.
     """
+    conts = {d.name for d in program.declarations() if isinstance(d, ContDecl)}
+    for var, pvar in mapping.items():
+        if var not in ha.variables:
+            raise ArgumentError("mapping", f"unmapped automaton variable {var!r}")
+        if not isinstance(pvar, str) or pvar not in conts:
+            raise ArgumentError(
+                "mapping", f"map target {pvar!r} is not a continuous variable of the program"
+            )
     if horizon <= 0:
         raise ArgumentError("horizon", f"must be positive, got {format_rational(horizon)}")
     if horizon < cfg.wcrt:
@@ -415,7 +424,6 @@ def compare(
             f"must be at least one tick, {format_rational(cfg.wcrt)}, "
             f"got {format_rational(horizon)}",
         )
-    check_mapping(ha, program, mapping)
     ideal = ha_simulate(ha, horizon)
     delayed = ha_simulate(_with_wcrt_delays(ha, cfg.wcrt), horizon, use_delays=True)
     rewritten = rewrite_flows(program, cfg)
@@ -447,19 +455,6 @@ def compare(
         mode_switches=list(ideal.steps),
         delayed_mode_switches=list(delayed.steps),
     )
-
-
-def check_mapping(ha: HybridAutomaton, program: Program, mapping: dict) -> None:
-    """Reject a map entry whose key is not a variable of `ha` or whose
-    target is not a continuous variable of `program`."""
-    conts = {d.name for d in program.declarations() if isinstance(d, ContDecl)}
-    for var, pvar in mapping.items():
-        if var not in ha.variables:
-            raise AutomatonError(f"unmapped automaton variable {var!r}")
-        if not isinstance(pvar, str) or pvar not in conts:
-            raise AutomatonError(
-                f"map target {pvar!r} is not a continuous variable of the program"
-            )
 
 
 def _program_value(trace, by_tick: dict, pvar: str, k: int) -> Fraction:

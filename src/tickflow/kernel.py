@@ -127,7 +127,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import ArgumentError, KernelError, NestingError
-from .rational import ratio
+from .rational import format_value, ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.checks import check_program
@@ -520,6 +520,27 @@ def input_value(value, decl: SignalDecl):
     if decl.pure:
         raise KernelError(f"value supplied for pure input {decl.name!r}")
     return _adapt(value, decl)
+
+
+def require_inputs(program: Program, param: str, where: str, names=(), values=()) -> None:
+    """Refuse the first name, sorted, of `names` and of the (name, value) pairs
+    `values` that no input of `program` declares, then a value no input of its
+    name can hold: an `ArgumentError` naming `param`, its message after `where`."""
+    inputs = program.derived("inputs", program.inputs)
+    undeclared = sorted({*names, *(name for name, _ in values)} - {d.name for d in inputs})
+    if undeclared:
+        raise ArgumentError(param, f"{where}{undeclared[0]!r} is not a declared input")
+    for name, datum in values:
+        errors = []
+        for decl in inputs:
+            if decl.name == name:
+                try:
+                    input_value(datum, decl)
+                    break
+                except KernelError as err:
+                    errors.append(err.message)
+        else:
+            raise ArgumentError(param, f"{where}value {format_value(datum)}: {errors[0]}")
 
 
 def _adapt(value, decl: SignalDecl):
@@ -1146,16 +1167,6 @@ def init(program: Program, cfg: RewriteConfig, native_flows: bool = False) -> Ti
     return TickState(program, cfg, native_flows=native_flows)
 
 
-def normalize_schedule(schedule) -> dict:
-    """Accept a list (index i = tick i+1), a dict {tick: assignment}, or
-    None; return a dict."""
-    if schedule is None:
-        return {}
-    if isinstance(schedule, dict):
-        return schedule
-    return {i + 1: a for i, a in enumerate(schedule) if a is not None}
-
-
 def run(
     program: Program,
     cfg: RewriteConfig,
@@ -1166,11 +1177,22 @@ def run(
 ) -> Trace:
     """Run to termination or max_ticks; ticks past the end of the schedule
     see all inputs absent. The trace keeps the first initial value of each
-    continuous variable's name, in registration order."""
+    continuous variable's name, in registration order. The schedule is a
+    dict {tick: InputAssignment}, a list (index i for tick i + 1, None for
+    none) or None; each entry is checked first: its tick, its type and its
+    inputs (`require_inputs`)."""
+    by_tick = schedule if isinstance(schedule, dict) else {
+        i + 1: a for i, a in enumerate(schedule or ()) if a is not None
+    }
+    for t, entry in by_tick.items():
+        if t.__class__ is not int or t < 1:
+            raise ArgumentError("schedule", f"bad tick {t!r}")
+        if not isinstance(entry, InputAssignment):
+            raise ArgumentError("schedule", f"tick {t}: {entry!r} is not an InputAssignment")
+        require_inputs(program, "schedule", f"tick {t}: ", entry.present, entry.values)
     if max_ticks < 0:
         raise ArgumentError("max_ticks", f"must be non-negative, got {max_ticks}")
     state = TickState(program, cfg, native_flows, [] if record_reads else None)
-    by_tick = normalize_schedule(schedule)
     records, initial_conts = [], {}
     for t in range(1, max_ticks + 1):
         tick = state.step(by_tick.get(t, EMPTY_INPUTS))

@@ -54,9 +54,10 @@ _NUMERIC = ("int", "ratio")
 
 
 def check_program(program: Program) -> None:
-    """Resolution, typing, loop non-instantaneity, rate constancy,
-    duplicate-declaration checks. Raises on the first violation."""
-    _check_stmt(program.root, {}, set())
+    """Resolution, typing, loop non-instantaneity and rate constancy
+    checks; the parser refuses duplicate declarations. Raises on the first
+    violation."""
+    _check_stmt(program.root, {})
     _check_loops(program.root)
 
 
@@ -64,10 +65,8 @@ def _value_type(stype: str) -> str:
     return {"ratio": "ratio", "int": "int", "boolean": "bool"}[stype]
 
 
-def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
-    """env: name -> declaration node; block: names declared in the current
-    brace-block (duplicates within one block are rejected, shadowing in a
-    nested block is fine)."""
+def _check_stmt(stmt: Stmt, env: dict) -> None:
+    """env: name -> declaration node."""
     if isinstance(stmt, (Nothing, Pause)):
         return
     if isinstance(stmt, Emit):
@@ -99,17 +98,16 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
         t = _check_expr(stmt.guard, env)
         if t != "bool":
             raise TypeError_("preemption guard must be boolean", *_p(stmt))
-        _check_stmt(stmt.body, env, set())
+        _check_stmt(stmt.body, env)
         return
     if isinstance(stmt, If):
         t = _check_expr(stmt.cond, env)
         if t != "bool":
             raise TypeError_("if condition must be boolean", *_p(stmt))
-        _check_stmt(stmt.then, env, set())
-        _check_stmt(stmt.orelse, env, set())
+        _check_stmt(stmt.then, env)
+        _check_stmt(stmt.orelse, env)
         return
     if isinstance(stmt, SignalDecl):
-        _check_duplicate(stmt.name, block, stmt)
         if stmt.pure:
             if stmt.combine is not None:
                 raise TypeError_(
@@ -130,10 +128,9 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
             if stmt.init is not None:
                 t = _check_expr(stmt.init, env)
                 _require_assignable(t, vt, stmt.name, stmt)
-        _check_stmt(stmt.body, {**env, stmt.name: stmt}, block | {stmt.name})
+        _check_stmt(stmt.body, {**env, stmt.name: stmt})
         return
     if isinstance(stmt, ContDecl):
-        _check_duplicate(stmt.name, block, stmt)
         if stmt.init is not None:
             t = _check_expr(stmt.init, env)
             if t not in _NUMERIC:
@@ -141,28 +138,27 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
                     f"continuous variable {stmt.name!r} needs a numeric initial value",
                     *_p(stmt),
                 )
-        _check_stmt(stmt.body, {**env, stmt.name: stmt}, block | {stmt.name})
+        _check_stmt(stmt.body, {**env, stmt.name: stmt})
         return
     if isinstance(stmt, ParamDecl):
-        _check_duplicate(stmt.name, block, stmt)
         if stmt.default is not None:
             if not _is_constant(stmt.default, env):
                 raise TypeError_(
                     f"default for constant {stmt.name!r} must itself be constant",
                     *_p(stmt),
                 )
-        _check_stmt(stmt.body, {**env, stmt.name: stmt}, block | {stmt.name})
+        _check_stmt(stmt.body, {**env, stmt.name: stmt})
         return
     if isinstance(stmt, Loop):
-        _check_stmt(stmt.body, env, set())
+        _check_stmt(stmt.body, env)
         return
     if isinstance(stmt, Seq):
         for s in stmt.stmts:
-            _check_stmt(s, env, block)
+            _check_stmt(s, env)
         return
     if isinstance(stmt, Parallel):
         for b in stmt.branches:
-            _check_stmt(b, env, set())
+            _check_stmt(b, env)
         return
     if isinstance(stmt, DoUntil):
         for name, rate in stmt.odes:
@@ -182,14 +178,9 @@ def _check_stmt(stmt: Stmt, env: dict, block: set) -> None:
             raise TypeError_("until expression must be boolean", *_p(stmt))
         return
     if isinstance(stmt, Label):
-        _check_stmt(stmt.body, env, block)
+        _check_stmt(stmt.body, env)
         return
     raise AssertionError(f"unhandled statement {stmt!r}")
-
-
-def _check_duplicate(name: str, block: set, node) -> None:
-    if name in block:
-        raise ResolveError(f"duplicate declaration of {name!r} in this scope", *_p(node))
 
 
 def _require_assignable(actual: str, target: str, name: str, node) -> None:

@@ -18,16 +18,18 @@ Grammar sketch (see docs/language.md for the full version):
 `a` with the sequence `b; c`. Inside parentheses `||` is boolean or; at
 statement level it is parallel composition. A declaration scopes over the
 remainder of its block: the parser nests the rest of the block into the
-declaration's body. Assignment right-hand sides and ODE rates stop at the
-comparison level, so `||` after them always means composition; use
-parentheses for boolean operators there.
+declaration's body, and refuses a name declared twice in a block, which
+braces, leaving no node, alone tell from a nested block's redeclaration.
+Assignment right-hand sides and ODE rates stop at the comparison level, so
+`||` after them always means composition; use parentheses for boolean
+operators there.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ParseError
+from ..errors import NestingError, ParseError, ResolveError
 from ..rational import parse_number
 from ..struct import Struct
 from .lexer import Token, lex
@@ -183,6 +185,12 @@ class _Parser:
                 items.append(self.parse_item())
             else:
                 break  # trailing semicolon
+        declared: set = set()  # one `||` operand's names: a nested block may redeclare them
+        for spec in (spec for item in items if isinstance(item, list) for spec in item):
+            if spec.name in declared:
+                message = f"duplicate declaration of {spec.name!r} in this scope"
+                raise ResolveError(message, *spec.pos)
+            declared.add(spec.name)
         return items
 
     def _at_stmt_start(self) -> bool:
@@ -488,10 +496,13 @@ def parse(source: str) -> Program:
     """Parse and validate source text into a Program.
 
     Raises LexError / ParseError on malformed text and the check errors
-    from syntax.checks on invalid programs.
+    from syntax.checks on invalid programs, NestingError on a deep one.
     """
     from . import checks
 
     program = parse_raw(source)
-    checks.check_program(program)
+    try:
+        checks.check_program(program)
+    except RecursionError:
+        raise NestingError("nested too deep to process") from None
     return program

@@ -65,8 +65,14 @@ def _indent(depth: int) -> str:
     return "  " * depth
 
 
-def _stmt(stmt: Stmt, depth: int) -> str:
+def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
+    """`stmt` at `depth`; `block` holds the names its printed block declared
+    before it, and a declaration of one of them is braced, as it was parsed."""
     ind = _indent(depth)
+    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
+        if stmt.name in block:
+            return _block(stmt, depth)
+        block |= {stmt.name}
     if isinstance(stmt, Nothing):
         return ind + "nothing"
     if isinstance(stmt, Pause):
@@ -101,19 +107,19 @@ def _stmt(stmt: Stmt, depth: int) -> str:
         if stmt.init is not None:
             parts.append("= " + _expr(stmt.init, 0))
         head = ind + " ".join(parts)
-        return _with_body(head, stmt.body, depth)
+        return _with_body(head, stmt.body, depth, block)
     if isinstance(stmt, ContDecl):
         parts = ["cont", stmt.name]
         if stmt.combine:
             parts.append("op+" if stmt.combine == "plus" else "op*")
         if stmt.init is not None:
             parts.append("= " + _expr(stmt.init, 0))
-        return _with_body(ind + " ".join(parts), stmt.body, depth)
+        return _with_body(ind + " ".join(parts), stmt.body, depth, block)
     if isinstance(stmt, ParamDecl):
         head = ind + f"param {stmt.name}"
         if stmt.default is not None:
             head += " = " + _expr(stmt.default, 0)
-        return _with_body(head, stmt.body, depth)
+        return _with_body(head, stmt.body, depth, block)
     if isinstance(stmt, Loop):
         return ind + "loop\n" + _block(stmt.body, depth)
     if isinstance(stmt, Seq):
@@ -126,7 +132,7 @@ def _stmt(stmt: Stmt, depth: int) -> str:
             needs_braces = isinstance(s, Seq) or (
                 not last and isinstance(s, (SignalDecl, ContDecl, ParamDecl))
             )
-            parts.append(_block(s, depth) if needs_braces else _stmt(s, depth))
+            parts.append(_block(s, depth) if needs_braces else _stmt(s, depth, block))
         return ";\n".join(parts)
     if isinstance(stmt, Parallel):
         # outer braces keep `||` from re-associating with a following `;`
@@ -142,10 +148,10 @@ def _stmt(stmt: Stmt, depth: int) -> str:
     raise AssertionError(f"unhandled statement {stmt!r}")
 
 
-def _with_body(head: str, body: Stmt, depth: int) -> str:
+def _with_body(head: str, body: Stmt, depth: int, block: frozenset) -> str:
     if isinstance(body, Nothing):
         return head
-    return head + ";\n" + _stmt(body, depth)
+    return head + ";\n" + _stmt(body, depth, block)
 
 
 def _block(stmt: Stmt, depth: int) -> str:

@@ -19,24 +19,21 @@ expanded state's tick runs once, on the first input choice
 (`TickState.step`), and each later choice is latched onto that run (the
 tick's `latch`). A choice changes only input instances, so the target is
 read once per tick, on the first choice, unless it is an input, which is
-read under every choice. A leaf, a tick that terminated or sits at the
-bound, builds no state and is never keyed;
-a later choice at a leaf that carries no values, with a target that is
-not an input, is not latched either: the first choice raised the code's
-errors, so it can fail only by naming an undeclared input, and it is
-checked for that and counted. Only a successor that is keyed is settled
-into a state, and only a witness builds a `TickRecord`, from which its
-snapshot is read. A transition is one state under one choice, whether the
-choice ran the tick, was latched onto it or was only counted.
+read under every choice. The alphabet is checked once, before the search
+(`InputAlphabet.require`). A leaf, a tick that terminated or sits at
+the bound, builds no state and is never keyed; a later choice at a leaf
+that carries no values, with a target that is not an input, cannot fail
+once the first choice has run, and is only counted. Only a successor that
+is keyed is settled into a state, and only a witness builds a `TickRecord`,
+from which its snapshot is read. A transition is one state under one
+choice, whether the choice ran the tick, was latched onto it or was only
+counted.
 
 A kept successor costs one pass and one hash: the tick's `settle` returns
 the state and its key, built in the pass over the instances that builds
 the store, and the search never calls `fingerprint`, which builds the
 same key from a state; one `setdefault` probes the cache, and only a
-known key reached strictly earlier is stored again. The names of each
-alphabet choice are checked against the declared inputs once per
-search, so a choice that is only counted at a leaf is checked again
-(`TickState._validate_inputs`) only when it names an undeclared input.
+known key reached strictly earlier is stored again.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import ArgumentError, ScheduleError, SearchLimitError, TickflowError
-from .kernel import InputAssignment, TickState, init
+from .kernel import InputAssignment, TickState, init, require_inputs
 from .rewrite import RewriteConfig
 from .struct import Struct
 from .syntax.nodes import Program
@@ -93,6 +90,18 @@ class InputAlphabet(Struct):
             )
             for combo in product(*per_input)
         ]
+
+    def require(self, program: Program) -> None:
+        """Refuse an entry with no status or one not "absent" or "present",
+        then an input `program` cannot take (`kernel.require_inputs`)."""
+        for name, statuses in self.statuses:
+            if not statuses or not all(s in ("absent", "present") for s in statuses):
+                must = "'statuses' must be a non-empty list of 'absent' and 'present'"
+                raise ArgumentError("alphabet", f"alphabet entry {name!r}: {must}")
+        require_inputs(program, "alphabet", "alphabet entry ", [name for name, _ in self.statuses])
+        for name, picks in self.values:
+            pairs = [(name, value) for value in picks]
+            require_inputs(program, "alphabet", f"alphabet entry {name!r}: ", (), pairs)
 
 
 def alphabet_for(program: Program, values_per_input: Optional[dict] = None) -> InputAlphabet:
@@ -175,10 +184,14 @@ def check_reachable(
     within `bound` ticks? Returns a Witness or an Unreachable verdict.
 
     With an empty alphabet the program is closed and the search degenerates
-    to a single run. Raises SearchLimitError past `node_limit` transitions.
+    to a single run. The alphabet is checked first (`InputAlphabet.require`).
+    Raises SearchLimitError past `node_limit` transitions.
     """
     if strategy not in ("bfs", "dfs"):
         raise TickflowError(f"unknown search strategy {strategy!r} (bfs or dfs)")
+    if alphabet is None:
+        alphabet = InputAlphabet.closed()
+    alphabet.require(program)
     if bound < 0:
         raise ArgumentError("bound", f"must be non-negative, got {bound}")
     if node_limit < 1:
@@ -188,27 +201,19 @@ def check_reachable(
         if target in conts:
             raise ArgumentError("target", f"{target!r} is a continuous variable, not a signal")
         raise ArgumentError("target", f"{target!r} is not a declared signal")
-    if alphabet is None:
-        alphabet = InputAlphabet.closed()
     take = deque.popleft if strategy == "bfs" else deque.pop
     earliest: dict = {}  # state key -> earliest tick it was reached at
     start = init(program, cfg, native_flows=native_flows)
-    names = start.input_names
-    # each choice, and whether every name it gives is a declared input
-    choices = [
-        (choice, names.issuperset(choice.present)
-         and names.issuperset(name for name, _ in choice.values))
-        for choice in alphabet.choices()
-    ]
+    choices = alphabet.choices()
     # a choice changes only input instances, so a target that names no
     # input settles alike under every choice of one tick
-    per_choice = target in names
+    per_choice = target in start.input_names
     frontier = deque([(start, ())] if bound > 0 else [])
     explored = 0
     while frontier:
         state, prefix = take(frontier)  # never a leaf
         tick = None
-        for assignment, declared in choices:
+        for assignment in choices:
             explored += 1
             if explored > node_limit:
                 raise SearchLimitError(
@@ -222,10 +227,8 @@ def check_reachable(
                 leaf = tick.residue is None or t >= bound
                 hit = tick.settles_present(target)
             elif leaf and not per_choice and not assignment.values:
-                # the first choice raised the code's errors, so a choice
-                # with no values can raise only for a name it gives
-                if not declared:
-                    state._validate_inputs(assignment, t)
+                # the first choice raised the code's errors and the alphabet
+                # was checked before the search, so this one is only counted
                 continue
             else:
                 tick = tick.latch(assignment)

@@ -324,10 +324,13 @@ def random_status_value_program(rng: random.Random) -> tuple:
 # and the code's own double write of `a`; a run whose schedule gives L the
 # value names the input, as a tick that latched first did, and the search
 # raises what a run under its first choice, L with no value, raises; the
-# static checks refuse the double write, so each is parsed raw
+# static checks refuse the double write, so each is parsed raw. The `ratio`
+# L of the nested block can hold 1/2, so the value passes the check made
+# before anything runs and is refused only by the tick-1 latch
 TWO_FAULTS = [
     (
-        "input int signal L = 0; cont a = 0;\n{ a = 1 || a = 2 }; pause",
+        "input int signal L = 0; cont a = 0;\n"
+        "{ a = 1 || a = 2 }; pause; { input ratio signal L = 0; pause }",
         F(1, 2), "'L' holds an integer value",
     ),
     (

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -450,8 +452,6 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         '{"GO": {', '["GO"]', '{"GO": 1}', '{"GO": {"values": ["x"]}}',
         '{"GO": {"values": "12"}}',
         '{"GO": {"statuses": "present"}}',
-        '{"GO": {"statuses": ["absent", "bogus"]}}',
-        '{"GO": {"statuses": []}}',
         '{"GO": {"statusses": ["present"]}}',
         '{"GO": {"statuses": ["absent", "absent", "absent"]}}',
         '{"GO": {"statuses": ["present", "absent", "present"]}}',
@@ -469,13 +469,22 @@ def test_malformed_alphabet_exits_2(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{alpha}: ") and str(prog) not in err
-    alpha.write_text('{"NOPE": {}}')
-    code = main([
-        "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",
-        "--alphabet", str(alpha),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == f"{alpha}: alphabet entry 'NOPE' is not a declared input\n"
+    # the file reads; the search refuses what the program cannot take
+    statuses = "alphabet entry 'GO': 'statuses' must be a non-empty list of 'absent' and 'present'"
+    for text, message in (
+        ('{"GO": {"statuses": ["absent", "bogus"]}}', statuses),
+        ('{"GO": {"statuses": []}}', statuses),
+        ('{"GO": {"statuses": ["absent", {}]}}', statuses),
+        ('{"NOPE": {}}', "alphabet entry 'NOPE' is not a declared input"),
+    ):
+        alpha.write_text(text)
+        load_alphabet(str(alpha))
+        code = main([
+            "verify", str(prog), "--wcrt", "1", "--bound", "3", "--target", "FIRED",
+            "--alphabet", str(alpha),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"{alpha}: {message}\n"
 
 
 def test_malformed_map_exits_2(tmp_path, capsys):
@@ -590,6 +599,24 @@ def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
         assert code == 2, text
         captured = capsys.readouterr()
         assert captured.err == f"{bad}: {message}\n" and captured.out == "", text
+
+
+def test_map_is_checked_after_the_horizon_is_read_and_before_its_range(tmp_path, capsys):
+    # the library checks the map, so a horizon that does not read as a
+    # rational is named first; one out of range is checked after the map
+    bad = tmp_path / "map.json"
+    bad.write_text('{"x": "x", "y": "nope"}')
+    for horizon, message in (
+        ("x", "--horizon: bad rational 'x'"),
+        ("0", f"{bad}: map target 'nope' is not a continuous variable of the program"),
+    ):
+        code = main([
+            "compare", "--ha", str(CORPUS / "automata" / "carousel.ha"), "--program", CAROUSEL,
+            "--wcrt", "2", "--horizon", horizon, "--map", str(bad),
+            "--param", "alpha=3", *CAROUSEL_PARAMS,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"{message}\n"
 
 
 def test_bad_matrix_entry_exits_2_with_its_line(tmp_path, capsys):
@@ -910,3 +937,47 @@ def test_boolean_value_an_input_cannot_hold_names_its_file(tmp_path, capsys):
         assert code == 2, text
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"{sched}: {message}\n"
+
+
+# the README's command lines, each with its exit code and the sha256
+# prefixes of its stdout and of its `--out` file
+_README_COMMANDS = {
+    "check corpus/programs/flow_single.hsj": (0, "dc51b8c96c2d", None),
+    "desugar corpus/programs/flow_single.hsj --wcrt 2": (0, "af08c1f4fcd5", None),
+    "run corpus/programs/flow_single.hsj --wcrt 2 --ticks 10 --out trace.csv":
+        (0, "e3b0c44298fc", "daf14b82d8be"),
+    "run corpus/programs/faulty_reset.hsj --wcrt 2 --schedule corpus/schedules/fault_tick1.json":
+        (0, "becf97e2ba0e", None),
+    "verify corpus/programs/carousel.hsj --wcrt 2 --bound 12 --target ERROR"
+    " --param alpha=3 --param beta=10 --param theta=6 --param TAG=1": (1, "cc96f8a256e9", None),
+    "lti corpus/matrices/observable.mat": (0, "f12b4e657dbd", None),
+    "compare --ha corpus/automata/carousel.ha --program corpus/programs/carousel.hsj"
+    " --wcrt 2 --horizon 12 --map corpus/maps/carousel.json"
+    " --param alpha=3 --param beta=10 --param theta=6 --param TAG=1": (1, "992c39ae941b", None),
+}
+
+
+def _readme_commands() -> list:
+    """The argument lists of the README's "Command line" block."""
+    text = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_lines_print_what_they_printed(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(CORPUS.parent)
+    seen = {}
+    for argv in _readme_commands():
+        out = None
+        if "--out" in argv:  # written beside the test, not in the repository
+            at = argv.index("--out") + 1
+            out = tmp_path / argv[at]
+            argv = [*argv[:at], str(out), *argv[at + 1:]]
+        code = main(argv)
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        digest = hashlib.sha256(printed.out.encode()).hexdigest()[:12]
+        written = hashlib.sha256(out.read_bytes()).hexdigest()[:12] if out else None
+        seen[" ".join(argv).replace(str(tmp_path) + "/", "")] = (code, digest, written)
+    assert seen == _README_COMMANDS
+

@@ -100,6 +100,20 @@ def test_schedule_input_the_program_cannot_take_names_the_case(name):
     assert str(err.value) == f"{corpus_dir / 'cases.json'}: {UNFIT_INPUTS[name]}"
 
 
+def test_case_with_a_bad_wcrt_and_a_bad_schedule_names_the_wcrt(tmp_path):
+    # the run checks its schedule, and the tick length is checked before it
+    (tmp_path / "p.hsj").write_text("input signal ON;\npause")
+    (tmp_path / "cases.json").write_text(
+        '{"cases": [{"name": "both", "program": "p.hsj", "wcrt": "0",'
+        ' "schedule": [{"tick": 1, "present": ["OFF"]}], "expect": {}}]}'
+    )
+    with pytest.raises(ScheduleError) as err:
+        run_corpus(tmp_path)
+    assert str(err.value) == (
+        f"{tmp_path / 'cases.json'}: case 'both': 'wcrt': must be strictly positive, got 0"
+    )
+
+
 @pytest.mark.parametrize("name", ["boolean_schedule", "boolean_expected"])
 def test_boolean_input_values_are_given_and_expected_as_json_booleans(name):
     report = run_corpus(DATA / name)

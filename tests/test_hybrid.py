@@ -249,15 +249,32 @@ def test_compare_agreement_until_reset_lag():
 def test_compare_unmapped_variable():
     ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
     program = parse("cont x = 0;\ndo {x' = 1} until (true)")
-    with pytest.raises(AutomatonError):
+    with pytest.raises(ArgumentError) as err:
         compare(ha, program, RewriteConfig(F(2)), F(4), {"z": "x"})
+    assert (err.value.name, err.value.message) == ("mapping", "unmapped automaton variable 'z'")
+
+
+def test_compare_checks_its_map_before_its_horizon():
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = parse("cont x = 0; signal S;\ndo {x' = 1} until (true)")
+    for mapping, message in (
+        ({"x": "S"}, "map target 'S' is not a continuous variable of the program"),
+        ({"x": 1}, "map target 1 is not a continuous variable of the program"),
+        ({"x": "x", "y": "x"}, "unmapped automaton variable 'y'"),
+    ):
+        with pytest.raises(ArgumentError) as err:
+            compare(ha, program, RewriteConfig(F(2)), F(0), mapping)
+        assert (err.value.name, err.value.message) == ("mapping", message)
 
 
 def test_compare_rejects_a_target_and_a_horizon_it_cannot_tabulate():
     ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
     program = parse("cont x = 0;\ndo {x' = 1} until (true)")
-    with pytest.raises(AutomatonError, match="map target 'y'"):
+    with pytest.raises(ArgumentError) as err:
         compare(ha, program, RewriteConfig(F(2)), F(4), {"x": "y"})
+    assert (err.value.name, err.value.message) == (
+        "mapping", "map target 'y' is not a continuous variable of the program"
+    )
     with pytest.raises(ArgumentError, match="at least one tick"):
         compare(ha, program, RewriteConfig(F(2)), F(3, 2), {"x": "x"})
     # one tick exactly: tick 0 and tick 1 are tabulated

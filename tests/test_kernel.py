@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import CombineError, CompileError, KernelError
+from tickflow.errors import ArgumentError, CombineError, CompileError, KernelError
 from tickflow import kernel
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
@@ -333,6 +333,33 @@ def test_code_error_surfaces_under_every_choice():
         with pytest.raises(KernelError) as err:
             state.step(inputs)
         assert (err.value.tick, err.value.message) == (1, "'S' holds an integer value")
+
+
+_GATED = "input signal A; input int signal L = 0; signal X;\nloop { if (A) emit X; pause }"
+
+
+@pytest.mark.parametrize("schedule, message", [
+    # a tick the run never reaches is checked all the same
+    ({5: InputAssignment.make(present=["NOPE"])}, "tick 5: 'NOPE' is not a declared input"),
+    ({2: InputAssignment.make(values={"NOPE": F(1)})}, "tick 2: 'NOPE' is not a declared input"),
+    ({1: InputAssignment.make(present=["B", "A", "NOPE"])}, "tick 1: 'B' is not a declared input"),
+    ({2: InputAssignment.make(values={"L": F(1, 2)})},
+     "tick 2: value 1/2: 'L' holds an integer value"),
+    ({1: InputAssignment.make(values={"A": F(1)})},
+     "tick 1: value 1: value supplied for pure input 'A'"),
+    # a key that is no tick, worded as a schedule file's
+    ({0: InputAssignment.make(present=["A"])}, "bad tick 0"),
+    ({"1": InputAssignment.make(present=["A"])}, "bad tick '1'"),
+    ({True: InputAssignment.make(present=["A"])}, "bad tick True"),
+    ({1: {"A"}}, "tick 1: {'A'} is not an InputAssignment"),
+    ([InputAssignment.make(), "A"], "tick 2: 'A' is not an InputAssignment"),
+])
+def test_run_refuses_a_schedule_before_anything_runs(schedule, message):
+    program = parse(_GATED)
+    for max_ticks in (3, -1):  # the schedule is checked before max_ticks
+        with pytest.raises(ArgumentError) as err:
+            run(program, CFG1, schedule, max_ticks=max_ticks)
+        assert (err.value.name, err.value.message) == ("schedule", message)
 
 
 def test_python_int_input_value_settles_as_a_rational():

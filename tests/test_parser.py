@@ -9,13 +9,16 @@ from tickflow.errors import (
     CompileError,
     InstantaneousLoopError,
     LexError,
+    NestingError,
     NonConstantRateError,
     ParseError,
     ResolveError,
     TypeError_,
 )
 from tickflow.params import bind_params
-from tickflow.syntax import parse, reject_nonlinear_combine
+from tickflow.kernel import run
+from tickflow.rewrite import RewriteConfig
+from tickflow.syntax import parse, pretty_print, reject_nonlinear_combine
 from tickflow.syntax.checks import fold_constant
 from tickflow.syntax.nodes import (
     Binary,
@@ -134,12 +137,60 @@ def test_undefined_name():
 
 
 def test_duplicate_declaration_in_scope():
-    with pytest.raises(ResolveError):
+    with pytest.raises(ResolveError) as err:
         parse("signal S; signal S;\npause")
+    assert str(err.value) == "1:11: duplicate declaration of 'S' in this scope"
+
+
+@pytest.mark.parametrize("source, where", [
+    ("signal S, S;\npause", "1:1"),
+    ("signal S; pause; cont S;\npause", "1:18"),
+    ("{ signal S; emit S; signal S || pause }", "1:21"),
+    ("signal S; { pause; param S; param S }", "1:29"),
+], ids=("declarators", "after-pause", "par-operand", "nested-block"))
+def test_duplicate_declaration_in_one_block_is_refused_where_it_stands(source, where):
+    # the items of one brace-block, the declarations leading a `||` included
+    with pytest.raises(ResolveError) as err:
+        parse(source)
+    assert str(err.value) == f"{where}: duplicate declaration of 'S' in this scope"
 
 
 def test_shadowing_in_nested_scope_is_fine():
     parse("signal S;\nloop { signal S; emit S; pause }")
+
+
+@pytest.mark.parametrize("source", [
+    "signal S; { signal S; pause }",
+    "signal S; pause; { signal S; pause }",
+    "cont a = 1; { cont a = 2; a = a + 1; pause }; a = a + 1; pause",
+    "signal S; { signal S; emit S || pause }",
+    "signal S; { signal S } || signal S; pause",
+], ids=("block", "after-pause", "cont", "par-in-block", "par-operands"))
+def test_block_may_redeclare_a_name_of_its_enclosing_block(source):
+    # a brace-block is a scope of its own, as a loop body is
+    program = parse(source)
+    assert parse(pretty_print(program)) == program
+    assert run(program, RewriteConfig(Fraction(1)), max_ticks=4).terminated
+
+
+def test_inner_declaration_shadows_until_its_block_ends():
+    program = parse("cont a = 1; { cont a = 5; pause; a = a + 1; pause }; a = a + 1; pause")
+    trace = run(program, RewriteConfig(Fraction(1)), max_ticks=4)
+    # the inner `a` is named `a:2`, and a record names it in the tick its
+    # scope ends, when the outer `a = a + 1` reads the outer one
+    assert [rec.conts for rec in trace.records] == [
+        {"a": 1, "a:2": 5}, {"a": 1, "a:2": 6}, {"a": 2, "a:2": 6}, {"a": 2},
+    ]
+
+
+@pytest.mark.parametrize("source", [
+    "cont a;\na = " + " + ".join(["1"] * 1500) + ";\npause",
+    "".join(f"signal S{i};\n" for i in range(1500)) + "pause",
+], ids=("sum", "decls"))
+def test_program_the_checks_cannot_walk_is_a_nesting_error(source):
+    with pytest.raises(NestingError) as err:
+        parse(source)
+    assert str(err.value) == "nested too deep to process"
 
 
 def test_type_errors():

@@ -16,7 +16,13 @@ from helpers import (
     random_valued_program,
 )
 from tickflow import files, kernel, verify
-from tickflow.errors import KernelError, ScheduleError, SearchLimitError, TickflowError
+from tickflow.errors import (
+    ArgumentError,
+    KernelError,
+    ScheduleError,
+    SearchLimitError,
+    TickflowError,
+)
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
 from tickflow.rational import format_value
@@ -415,21 +421,55 @@ def test_double_write_on_a_leaf_tick_raises_at_that_tick():
     assert "'a' written 2 times in one tick with no combine operator" in err.value.message
 
 
-def test_leaf_choice_with_an_undeclared_name_raises_at_its_tick():
-    # at bound 1 every choice is a leaf; the second names an input the
-    # program does not declare and carries no value
-    program = _program("input signal GO; signal HIT;\nloop { pause }")
+def test_alphabet_naming_an_undeclared_input_is_refused_before_the_search():
+    # at bound 1 every choice is a leaf, at bound 0 nothing runs, and the
+    # second program witnesses X at tick 1 whatever the inputs: the
+    # alphabet is refused before any of these searches starts
     alphabet = InputAlphabet.make({"GO": ("absent", "present"), "NOPE": ("absent", "present")})
-    with pytest.raises(KernelError) as err:
-        check_reachable(program, CFG1, alphabet, bound=1, target="HIT")
-    assert (err.value.tick, err.value.message) == (1, "'NOPE' is not a declared input")
+    for source, bound in (("loop { pause }", 1), ("loop { pause }", 0), ("emit X; pause", 3)):
+        program = _program(f"input signal GO; signal X;\n{source}")
+        with pytest.raises(ArgumentError) as err:
+            check_reachable(program, CFG1, alphabet, bound=bound, target="X")
+        assert (err.value.name, err.value.message) == (
+            "alphabet", "alphabet entry 'NOPE' is not a declared input"
+        )
+
+
+@pytest.mark.parametrize("statuses", [("absent", "presnt"), (), ("present", 1)])
+def test_alphabet_status_other_than_absent_or_present_is_refused(statuses):
+    program = _program("input signal A; signal X;\nloop { if (A) emit X; pause }")
+    alphabet = InputAlphabet.make({"A": statuses})
+    message = "alphabet entry 'A': 'statuses' must be a non-empty list of 'absent' and 'present'"
+    with pytest.raises(ArgumentError) as err:
+        check_reachable(program, CFG1, alphabet, bound=3, target="X")
+    assert (err.value.name, err.value.message) == ("alphabet", message)
+    # the statuses it may take witness X at tick 2
+    alphabet = InputAlphabet.make({"A": ("absent", "present")})
+    assert check_reachable(program, CFG1, alphabet, bound=3, target="X").tick == 2
+
+
+def test_alphabet_is_checked_after_the_strategy_and_before_the_other_arguments():
+    program = _program("input int signal L = 0; signal X;\nloop { pause }")
+    alphabet = InputAlphabet.make({"L": ("absent",)}, {"L": (F(1, 2),)})
+    with pytest.raises(TickflowError, match="unknown search strategy"):
+        check_reachable(program, CFG1, alphabet, bound=-1, target="X", strategy="x")
+    for bound, target, node_limit in ((-1, "X", 10), (3, "NOPE", 10), (3, "X", 0)):
+        with pytest.raises(ArgumentError) as err:
+            check_reachable(program, CFG1, alphabet, bound, target, node_limit=node_limit)
+        assert (err.value.name, err.value.message) == (
+            "alphabet", "alphabet entry 'L': value 1/2: 'L' holds an integer value"
+        )
 
 
 def test_leaf_choice_with_a_value_its_input_cannot_hold_raises_at_its_tick():
     # L is registered on tick 2, so tick 1 checks no value of it; tick 2
     # sits at the bound, and its second choice gives L a value its `int`
-    # declaration cannot hold
-    program = _program("signal HIT;\npause;\n{ input int signal L = 0; pause }")
+    # declaration cannot hold. The `ratio` L of a later block can hold it,
+    # so the alphabet passes the check before the search
+    program = _program(
+        "signal HIT;\npause;\n{ input int signal L = 0; pause };\n"
+        "{ input ratio signal L = 0; pause }"
+    )
     alphabet = InputAlphabet.make({"L": ("absent", "present")}, {"L": (F(1, 2),)})
     with pytest.raises(KernelError) as err:
         check_reachable(program, CFG1, alphabet, bound=2, target="HIT")
@@ -533,7 +573,9 @@ def test_search_hashes_each_kept_successor_once(monkeypatch):
 def test_tick_with_two_faults_names_the_input(source, value, message):
     # a run given L's value names the input; the search names what a run
     # under its first choice names. The static checks refuse the double
-    # write, so the program is parsed raw
+    # write, so the program is parsed raw; a later L of the value program
+    # can hold its value, so neither the run nor the search refuses it
+    # before the tick
     program = parse_raw(source)
     with pytest.raises(KernelError) as err:
         run(program, CFG1, {1: InputAssignment.make(present=["L"], values={"L": value})})
