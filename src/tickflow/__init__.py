@@ -28,7 +28,6 @@ _HOME = {
     "stop_signals": "rewrite",
     "parse": "syntax",
     "pretty_print": "syntax",
-    "reject_nonlinear_combine": "syntax",
     "Trace": "trace",
     "from_json": "trace",
     "to_csv": "trace",

@@ -51,8 +51,8 @@ class NonConstantRateError(CompileError):
 
 
 class CombineError(CompileError):
-    """A multi-writer continuous variable has a missing or non-linear
-    combine operator."""
+    """A continuous variable with simultaneous writers, or several rates in
+    one `TTL` call, is not declared `op+`."""
 
 
 class ParamError(CompileError):

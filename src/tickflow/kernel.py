@@ -32,11 +32,12 @@ the code names the object's own nodes), so later runs, searches and
 replays of it, and every state they reach, share it. Only a checked
 program is compiled: `_compile` runs `syntax.check_program` on it first,
 so the code never meets an unbound name, a statement used against its
-declaration's kind or a loop body that can complete without pausing. What depends on values
-stays a runtime `KernelError` at the tick that meets it: a value that does
-not fit its signal's type (an `int` signal given `1/2`, or an input of
-the wrong kind), two writes to one instance with no combine operator, and
-several rates of one variable with no operator.
+declaration's kind, a loop body that can complete without pausing or
+simultaneous rates of a variable not declared `op+`. Only what depends on
+values stays a runtime `KernelError` at the tick that meets it: a value
+that does not fit its signal's type (an `int` signal given `1/2`, or an
+input of the wrong kind) and two writes to one instance with no combine
+operator.
 
 A program compiles to Python source that `compile()` turns into two
 functions: `run(ctx)` enters the program afresh and `resume(ctx, res)`
@@ -68,20 +69,19 @@ compile time. Program text reaches the source only as the `repr` of a str
 or a number, or as a constant bound into the functions' globals.
 
 A look-ahead reads its site's variables, in site order, into slots of its
-own that shadow them, then evaluates its invariant. A variable whose
-prediction is affine in its settled value (`ttl.affine_form`; every
-variable of a rewritten flow is) keeps that value in its slot: the
-invariant's `name <op> literal` compiles to one integer cross-multiplication
-against the threshold `(literal - shift)/scale`, folded at compile time,
-and any other use of the name computes `scale*value + shift`. A
-comparison of a continuous variable with a literal is the same integer
-test. Any other variable's slot holds its prediction, computed once every
-variable is read. A step `v = w + c` (every step of a rewritten or native
-flow), `w` a continuous variable and `c` a literal, builds
-`ratio(p*d + n*q, q*d)` from `w`'s and `c`'s `as_integer_ratio()`, `n/d`
-and `p/q`; a run of such steps on one `op+` variable, consecutive in
-straight-line code or in a native flow's rates, writes once, the exact sum
-its writes fold to. So a flow tick's only `Fraction`s are its steps.
+own that shadow them, then evaluates its invariant. Every prediction is
+affine in its variable's settled value (`ttl.affine_form`), so the slot
+keeps that value: the invariant's `name <op> literal` compiles to one
+integer cross-multiplication against the threshold
+`(literal - shift)/scale`, folded at compile time, and any other use of
+the name computes `scale*value + shift`. A comparison of a continuous
+variable with a literal is the same integer test. A step `v = w + c`
+(every step of a rewritten or native flow), `w` a continuous variable and
+`c` a literal, builds `ratio(p*d + n*q, q*d)` from `w`'s and `c`'s
+`as_integer_ratio()`, `n/d` and `p/q`; a run of such steps on one `op+`
+variable, consecutive in straight-line code or in a native flow's rates,
+writes once, the exact sum its writes fold to. So a flow tick's only
+`Fraction`s are its steps.
 
 None of this changes a residue: a region that cannot pause leaves none,
 and a Seq's residue indexes its source statements. Reads, writes and
@@ -540,18 +540,23 @@ def require_inputs(program: Program, param: str, where: str, names=(), values=()
                 except KernelError as err:
                     errors.append(err.message)
         else:
-            raise ArgumentError(param, f"{where}value {format_value(datum)}: {errors[0]}")
+            # format_value renders only the classes an input can hold
+            exact = datum.__class__ in (bool, int, Fraction)
+            shown = format_value(datum) if exact else repr(datum)
+            raise ArgumentError(param, f"{where}value {shown}: {errors[0]}")
 
 
 def _adapt(value, decl: SignalDecl):
-    """Check and convert a value written to a valued signal."""
+    """Check and convert a value written to a valued signal: a numeric one
+    holds only an exact `Fraction` or `int`, never a float, a string or a
+    bool."""
     kind = decl.stype
     if kind == "boolean":
         if value.__class__ is not bool:
             raise KernelError(f"{decl.name!r} holds a boolean value")
         return value
     if value.__class__ is not Fraction:
-        if value.__class__ is bool:
+        if value.__class__ is not int:
             raise KernelError(f"{decl.name!r} holds a numeric value")
         value = Fraction(value)
     if kind == "int" and value.as_integer_ratio()[1] != 1:
@@ -713,7 +718,7 @@ class _Compiler:
     lines to a list and returns the local, global or literal holding its
     value (`expr`). A scope maps each visible name to (kind, slot,
     declaration), kind being "signal", "cont" or "pred" (a look-ahead
-    prediction, whose third entry is its affine form or None); `slots`
+    prediction, whose third entry is its affine form); `slots`
     counts the environment slots, `declared` lists the declarations' slots
     in compile order, and `names` holds the generated code's globals."""
 
@@ -1083,18 +1088,11 @@ class _Compiler:
     def lookahead(self, site, invariant, scope, lines: list) -> str:
         """The two-tick look-ahead (see the module docstring): the site's
         variables read into slots of their own, then the invariant."""
-        inner, read = dict(scope), []
+        inner = dict(scope)
         for name in site.vars:
-            _, slot, decl = scope[name]
-            read.append((name, decl.combine, self.slot()))
-            value = self.read(lines, slot, name, "value")
-            lines.append(f"env[{read[-1][2]}] = {value}")
-        for name, op, slot in read:
-            form = ttl_mod.affine_form(site.odes, name, op, self.wcrt)
-            if form is None:  # the only variables that need a function
-                predict = self.bind(ttl_mod.iterated(site.odes, name, op, self.wcrt))
-                lines.append(f"env[{slot}] = {predict}(env[{slot}])")
-            inner[name] = ("pred", slot, form)
+            slot = self.slot()
+            lines.append(f"env[{slot}] = {self.read(lines, scope[name][1], name, 'value')}")
+            inner[name] = ("pred", slot, ttl_mod.affine_form(site.odes, name, self.wcrt))
         return self.expr(invariant, inner, lines)
 
     # -- expressions (previous-tick settled values only) --
@@ -1113,9 +1111,7 @@ class _Compiler:
                 return self.read(lines, slot, node.name, "status")
             if kind == "cont":
                 return self.read(lines, slot, node.name, "value")
-            if form is None:  # a look-ahead prediction, not a read
-                return f"env[{slot}]"
-            scale, shift = form
+            scale, shift = form  # a look-ahead prediction, not a read
             return self.let(lines, f"{scale!r} * env[{slot}] + {self.bind(shift)}")
         if cls is ValueRef:
             return self.read(lines, scope[node.name][1], node.name, "value")
@@ -1129,30 +1125,26 @@ class _Compiler:
                 and node.right.__class__ is NumLit
                 and node.right.value.__class__ is Fraction
             ):
-                test = self.bound(node, scope, lines)
-                if test is not None:
-                    return test
+                return self.bound(node, scope, lines)
             left = self.expr(node.left, scope, lines)
             right = self.expr(node.right, scope, lines)
             return self.let(lines, f"{left} {_OPERATORS.get(node.op, '*')} {right}")
         # a TtlCall, the one kind of expression left
         return self.lookahead(flow_site(node.odes), node.invariant, scope, lines)
 
-    def bound(self, node, scope, lines: list):
-        """`name <op> p/q` on a continuous variable, or on an affine
+    def bound(self, node, scope, lines: list) -> str:
+        """`name <op> p/q` on a continuous variable, or on a look-ahead
         prediction with `p/q` the threshold, as `n*q <op> p*d` for
-        `n, d = v.as_integer_ratio()` (both denominators are positive), or
-        None for any other name."""
+        `n, d = v.as_integer_ratio()` (both denominators are positive). A
+        signal's status is never compared with a number (a type error)."""
         name, bound = node.left.name, node.right.value
         kind, slot, form = scope[name]
         if kind == "cont":
             value = self.read(lines, slot, name, "value")
-        elif kind == "pred" and form is not None:
+        else:
             scale, shift = form
             bound = (bound - shift) / scale
             value = f"env[{slot}]"
-        else:
-            return None
         p, q = map(str, bound.as_integer_ratio())
         n, d = self.fresh("n"), self.fresh("d")
         lines.append(f"{n}, {d} = {value}.as_integer_ratio()")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import MatrixError
-from .rational import format_rational, parse_int, parse_rational
+from .rational import parse_int, parse_rational
 from .struct import Struct
 
 
@@ -235,8 +235,3 @@ def system_from_file(text: str) -> LtiSystem:
         raise MatrixError("matrix file must define A")
     return LtiSystem(a=matrices["A"], c=matrices.get("C"), b=matrices.get("B"))
 
-
-def format_matrix(m: RationalMatrix) -> str:
-    return "\n".join(
-        " ".join(format_rational(v) for v in m.row(i)) for i in range(m.rows)
-    )

@@ -15,6 +15,10 @@ program. The rate-times-step products are folded to rational constants at
 rewrite time. The special invariant `true` needs no look-ahead and no stop
 signal: it becomes the non-terminating `loop { assignments; pause }`,
 preemptable only from outside.
+
+The pass refuses what `parse` refuses (`syntax.check_program`). Its output
+would hide a variable with simultaneous rates and no `op+`, since its steps
+are plain writes, so the check runs on its input.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from .errors import ArgumentError, NestingError
 from .rational import format_rational
 from .struct import Struct
-from .syntax.checks import fold_constant, reject_nonlinear_combine
+from .syntax.checks import check_program, fold_constant
 from .syntax.nodes import (
     Abort,
     Binary,
@@ -84,13 +88,13 @@ def flow_site(odes) -> FlowSite:
 def rewrite_flows(program: Program, cfg: RewriteConfig) -> Program:
     """Replace every flow action with its bounded-loop form.
 
-    The program must already have its named constants bound; rewriting a
-    program with no flow actions returns it unchanged (so the pass is
-    idempotent). A program nested past the recursion limit raises
-    NestingError.
+    The program must already have its named constants bound and pass the
+    static checks, whose located error it raises; rewriting a program with
+    no flow actions returns it unchanged (so the pass is idempotent). A
+    program nested past the recursion limit raises NestingError.
     """
     try:
-        reject_nonlinear_combine(program)
+        check_program(program)
         return Program(_rewrite(program.root, cfg, _StopNames(program)))
     except RecursionError:
         raise NestingError("nested too deep to process") from None

@@ -1,7 +1,7 @@
 """Lexing, parsing, static checking and pretty-printing of source programs."""
 
 from . import nodes
-from .checks import check_program, fold_constant, reject_nonlinear_combine
+from .checks import check_program, fold_constant
 from .lexer import lex
 from .parser import parse, parse_raw
 from .printer import pretty_print, print_expr
@@ -13,7 +13,6 @@ __all__ = [
     "parse_raw",
     "check_program",
     "fold_constant",
-    "reject_nonlinear_combine",
     "pretty_print",
     "print_expr",
 ]

@@ -1,9 +1,11 @@
 """Static validation: name resolution, typing, loop and combine checks.
 
-`check_program` runs everything `parse` promises. `reject_nonlinear_combine`
-is the separate gate the rewrite pass requires: a continuous variable with
-more than one simultaneous write site must be declared with the linear
-combine operator `op+`.
+`check_program` is the one definition of a valid program: `parse`, the
+rewrite pass and the kernel's compiler all run it. Its last check is the
+simultaneous-writer gate: a continuous variable with more than one
+simultaneous write site, or with several rates in one `TTL` call, must be
+declared with the linear combine operator `op+`, since the look-ahead
+folds simultaneous rates linearly (`ttl.affine_form`).
 """
 
 from __future__ import annotations
@@ -55,10 +57,14 @@ _NUMERIC = ("int", "ratio")
 
 def check_program(program: Program) -> None:
     """Resolution, typing, loop non-instantaneity and rate constancy
-    checks; the parser refuses duplicate declarations. Raises on the first
-    violation."""
+    checks, then the simultaneous-writer gate; the parser refuses duplicate
+    declarations. Raises on the first violation."""
     _check_stmt(program.root, {})
     _check_loops(program.root)
+    offenders: list = []
+    _writes(program.root, {}, offenders)
+    for decl in offenders:
+        _require_linear(decl, decl)
 
 
 def _value_type(stype: str) -> str:
@@ -271,6 +277,10 @@ def _check_expr(expr: Expr, env: dict) -> str:
         t = _check_expr(expr.invariant, env)
         if t != "bool":
             raise TypeError_("TTL invariant must be boolean", *_p(expr))
+        rated = [name for name, _ in expr.odes]
+        for name in expr.vars:
+            if rated.count(name) > 1:
+                _require_linear(env[name], expr)
         return "bool"
     raise AssertionError(f"unhandled expression {expr!r}")
 
@@ -356,39 +366,33 @@ def _may_be_instantaneous(stmt: Stmt) -> bool:
 # --- write-write legality ----------------------------------------------------
 
 
-def reject_nonlinear_combine(program: Program) -> None:
-    """Reject any continuous variable with more than one simultaneous write
-    site unless it is declared with the linear combine operator.
-
-    Simultaneous write sites are: several ODEs for one variable inside one
-    do-block, or writes to one variable from distinct branches of one
-    parallel composition (do-block or plain assignment). Offenders are
-    judged in preorder, and the first one judged illegal is reported: a
-    parallel composition's own offenders come before those inside its
-    branches, and a do-block's follow its ODE order.
-    """
-    offenders: list = []
-    _writes(program.root, {}, offenders)
-    for decl in offenders:
-        if decl.combine is None:
-            raise CombineError(
-                f"continuous variable {decl.name!r} has simultaneous writers "
-                "but no combine operator",
-                *_p(decl),
-            )
-        if decl.combine != "plus":
-            raise CombineError(
-                f"continuous variable {decl.name!r} combines simultaneous "
-                "writers with a non-linear operator",
-                *_p(decl),
-            )
+def _require_linear(decl: ContDecl, node) -> None:
+    """Refuse the continuous variable `decl`, which has simultaneous writers,
+    at `node`'s position unless it is declared `op+`."""
+    if decl.combine is None:
+        raise CombineError(
+            f"continuous variable {decl.name!r} has simultaneous writers "
+            "but no combine operator",
+            *_p(node),
+        )
+    if decl.combine != "plus":
+        raise CombineError(
+            f"continuous variable {decl.name!r} combines simultaneous "
+            "writers with a non-linear operator",
+            *_p(node),
+        )
 
 
 def _writes(stmt: Stmt, env: dict, offenders: list) -> dict:
     """The continuous variables written inside `stmt`, as id(declaration) ->
     (declaration, written by a flow?), in order of first write. Appends the
-    variables with simultaneous writers inside `stmt` to `offenders`, in the
-    order `reject_nonlinear_combine` states."""
+    variables with simultaneous writers inside `stmt` to `offenders`, in
+    preorder: a parallel composition's own offenders before those inside its
+    branches, and a do-block's in its ODE order.
+
+    Simultaneous write sites are several ODEs for one variable inside one
+    do-block, or writes to one variable from distinct branches of one
+    parallel composition, one of them a do-block."""
     if isinstance(stmt, ContAssign):
         decl = env.get(stmt.name)
         return {id(decl): (decl, False)} if isinstance(decl, ContDecl) else {}

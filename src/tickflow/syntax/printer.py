@@ -144,7 +144,11 @@ def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
         odes = " || ".join(f"{n}' = {_expr(r, 0)}" for n, r in stmt.odes)
         return ind + "do {" + odes + "} until (" + _expr(stmt.invariant, 0) + ")"
     if isinstance(stmt, Label):
-        return ind + f"{stmt.name}: " + _stmt(stmt.body, depth).lstrip()
+        # a sequence or a declaration would re-parse as the label's first
+        # statement only, so it prints braced
+        braced = isinstance(stmt.body, (Seq, SignalDecl, ContDecl, ParamDecl))
+        body = _block(stmt.body, depth) if braced else _stmt(stmt.body, depth)
+        return ind + f"{stmt.name}: " + body.lstrip()
     raise AssertionError(f"unhandled statement {stmt!r}")
 
 

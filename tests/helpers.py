@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 from tickflow.kernel import InputAssignment
 from tickflow.rational import format_rational
-from tickflow.ttl import affine_form, iterated
+from tickflow.ttl import affine_form
 
 WCRT_CHOICES = (F(1), F(1, 2), F(2), F(3))
 
@@ -41,15 +41,11 @@ class FlowCase:
         return value > self.bound
 
 
-def prediction(odes, v: str, op, wcrt: F):
+def prediction(odes, v: str, wcrt: F):
     """The look-ahead's prediction of `v` two ticks out, as a function of
-    its snapshot, as the kernel compiles it: `scale*value + shift` for a
-    variable with an affine form, else `ttl.iterated`. `odes` are (name,
-    rational rate) pairs and `op` the combine operator of `v`, if any."""
-    form = affine_form(odes, v, op, wcrt)
-    if form is None:
-        return iterated(odes, v, op, wcrt)
-    scale, shift = form
+    its snapshot, as the kernel compiles it: `scale*value + shift` from
+    `ttl.affine_form`. `odes` are (name, rational rate) pairs."""
+    scale, shift = affine_form(odes, v, wcrt)
     return lambda value: scale * value + shift
 
 

@@ -132,7 +132,7 @@ def test_criterion_06_simultaneous_writes():
     trace = run(program, cfg, max_ticks=6)
     assert trace.terminated and trace.effective_termination_tick == 1
     # the look-ahead folds the two unit rates twice: prediction is 12
-    predict = prediction((("a", F(1)), ("a", F(1))), "a", "plus", F(2))
+    predict = prediction((("a", F(1)), ("a", F(1))), "a", F(2))
     assert predict(F(0)) == F(12)
     _report(6, "write-write folds to 3; double-rate look-ahead predicts 12")
 

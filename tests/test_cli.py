@@ -47,6 +47,16 @@ def test_check_undeclared_param_exits_2(tmp_path, capsys):
     assert main(["check", str(good), "--param", "nope=1"]) == 2
 
 
+def test_check_reports_a_combine_offence_before_a_binding_error(tmp_path, capsys):
+    # the offence is found by parse, before the constants are bound
+    bad = tmp_path / "p.hsj"
+    bad.write_text("param k; cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
+    assert main(["check", str(bad), "--param", "j=1"]) == 2
+    assert capsys.readouterr().err == (
+        f"{bad}:1:10: continuous variable 'a' has simultaneous writers but no combine operator\n"
+    )
+
+
 def test_desugar_prints_bounded_loop(capsys):
     code = main(["desugar", str(CORPUS / "programs" / "flow_single.hsj"), "--wcrt", "2"])
     assert code == 0

@@ -13,11 +13,10 @@ from tickflow.errors import ArgumentError, CombineError, CompileError, KernelErr
 from tickflow import kernel
 from tickflow.kernel import InputAssignment, init, run
 from tickflow.params import bind_params
-from tickflow import rewrite
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.syntax.nodes import Program, SignalDecl
+from tickflow.syntax.nodes import SignalDecl
 from tickflow.syntax.parser import parse_raw
 from tickflow.trace import to_csv, to_json
 from tickflow.verify import alphabet_for, fingerprint
@@ -184,6 +183,10 @@ CHECKED_ERRORS = (
     ("signal S; loop { emit S; if (S) nothing else pause }",
      "1:11: loop body has a path that consumes no tick"),
     ("cont a; pause; do {a' = 1} until (a + 1)", "1:16: until expression must be boolean"),
+    ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",
+     "1:1: continuous variable 'a' has simultaneous writers but no combine operator"),
+    ("cont a = 0; do {a' = 1 || a' = 1} until (a <= 5)",
+     "1:1: continuous variable 'a' has simultaneous writers but no combine operator"),
 )
 
 
@@ -211,10 +214,6 @@ RUNTIME_ERRORS = (
     # c, declared first, is written once and folds before a's two writes
     ("cont c; cont a; pause; { {c = 1} || {a = 1} || {a = 2} }",
      "'a' written 2 times in one tick with no combine operator", 2),
-    ("cont a; pause; do {a' = 1 || a' = 2} until (a <= 5)",
-     "variable 'a' has simultaneous rates but no combine operator", 2),
-    ("cont a = 0; do {a' = 1 || a' = 1} until (a <= 5)",
-     "variable 'a' has simultaneous rates but no combine operator", 1),
     # two steps in a row on a variable with no operator are two writes
     ("cont a = 0; a = a + 1; a = a + 2; pause",
      "'a' written 2 times in one tick with no combine operator", 1),
@@ -224,10 +223,7 @@ RUNTIME_ERRORS = (
 @pytest.mark.parametrize("source,message,tick", RUNTIME_ERRORS)
 def test_runtime_error_message_and_tick(source, message, tick):
     program = parse(source)
-    # the rewrite minus its static check, which refuses the last row
-    rewritten = Program(rewrite._rewrite(program.root, CFG1, rewrite._StopNames(program)))
-    runs = ((rewritten, False), (program, True))
-    for prog, native in runs:
+    for prog, native in ((rewrite_flows(program, CFG1), False), (program, True)):
         with pytest.raises(KernelError) as err:
             run(prog, CFG1, max_ticks=5, native_flows=native)
         assert message in err.value.message, (source, native)
@@ -366,6 +362,27 @@ def test_python_int_input_value_settles_as_a_rational():
     state = init(parse("input int signal L = 0;\npause; pause"), CFG1)
     _, record = state.step(InputAssignment.make(present=["L"], values={"L": 5})).record()
     assert record.values["L"] == 5 and record.values["L"].__class__ is F
+
+
+@pytest.mark.parametrize("value, shown", [("3/2", "'3/2'"), (0.1, "0.1"), (None, "None"), ([1], "[1]")])
+def test_run_refuses_an_inexact_input_value(value, shown):
+    # only a Fraction or an int is a number: neither a string nor a float
+    # is read as the rational it spells or approximates
+    program = parse("input ratio signal L = 0;\npause; pause")
+    schedule = {1: InputAssignment.make(present=["L"], values={"L": value})}
+    with pytest.raises(ArgumentError) as err:
+        run(program, CFG1, schedule)
+    assert (err.value.name, err.value.message) == (
+        "schedule", f"tick 1: value {shown}: 'L' holds a numeric value"
+    )
+
+
+@pytest.mark.parametrize("value", ["3/2", 0.1, None, [1]])
+def test_step_refuses_an_inexact_input_value(value):
+    state = init(parse("input ratio signal L = 0;\npause; pause"), CFG1)
+    with pytest.raises(KernelError) as err:
+        state.step(InputAssignment.make(present=["L"], values={"L": value}))
+    assert (err.value.message, err.value.tick) == ("'L' holds a numeric value", 1)
 
 
 def test_value_on_pure_input_rejected():
@@ -860,17 +877,21 @@ def test_literal_step_from_another_variable_and_folded_by_op_plus():
 
 
 def test_rewrite_refuses_simultaneous_rates_with_no_operator():
-    # run unrewritten, they raise on tick 1 (RUNTIME_ERRORS): no step of a
-    # variable with no operator is summed with another
+    # no step of a variable with no operator is summed with another
     with pytest.raises(CombineError) as err:
-        rewrite_flows(parse("cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 5)"), CFG1)
+        rewrite_flows(parse_raw("cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 5)"), CFG1)
     assert "simultaneous writers but no combine operator" in str(err.value)
 
 
-def test_native_op_times_rates_fold_as_a_product():
+def test_op_times_rates_are_refused_in_every_mode():
+    # the look-ahead folds simultaneous rates linearly: `op*` rates have no
+    # rewrite, so native mode does not run them either
     source = "cont a op* = 1;\ndo {a' = 1 || a' = 2} until (a <= 400)"
-    trace = run(parse(source), CFG1, max_ticks=10, native_flows=True)
-    assert [trace.cont("a", t) for t in (1, 2)] == [F(6), F(56)]
+    message = "1:1: continuous variable 'a' combines simultaneous writers with a non-linear operator"
+    for refuse in (parse, lambda text: init(parse_raw(text), CFG1, native_flows=True)):
+        with pytest.raises(CombineError) as err:
+            refuse(source)
+        assert str(err.value) == message
 
 
 def test_steps_split_by_another_statement_fold_as_the_unsplit_run():

@@ -18,7 +18,7 @@ from tickflow.errors import (
 from tickflow.params import bind_params
 from tickflow.kernel import run
 from tickflow.rewrite import RewriteConfig
-from tickflow.syntax import parse, pretty_print, reject_nonlinear_combine
+from tickflow.syntax import parse, pretty_print
 from tickflow.syntax.checks import fold_constant
 from tickflow.syntax.nodes import (
     Binary,
@@ -375,33 +375,41 @@ def test_parse_determinism():
 
 
 def test_double_rate_with_plus_accepted():
-    program = parse("cont a op+ = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
-    reject_nonlinear_combine(program)
+    parse("cont a op+ = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
 
 
 def test_double_rate_with_times_rejected():
-    program = parse("cont a op* = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
-    with pytest.raises(CombineError):
-        reject_nonlinear_combine(program)
+    with pytest.raises(CombineError) as err:
+        parse("cont a op* = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
+    assert str(err.value) == (
+        "1:1: continuous variable 'a' combines simultaneous writers with a non-linear operator"
+    )
 
 
 def test_double_rate_without_operator_rejected():
-    program = parse("cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
-    with pytest.raises(CombineError):
-        reject_nonlinear_combine(program)
+    with pytest.raises(CombineError) as err:
+        parse("cont a = 0;\ndo {a' = 1 || a' = 1} until (a <= 4)")
+    assert str(err.value) == (
+        "1:1: continuous variable 'a' has simultaneous writers but no combine operator"
+    )
 
 
 def test_single_writer_without_operator_accepted():
-    program = parse("cont a = 0;\ndo {a' = 1} until (a <= 2)")
-    reject_nonlinear_combine(program)
+    parse("cont a = 0;\ndo {a' = 1} until (a <= 2)")
 
 
 def test_parallel_assignment_plus_flow_needs_operator():
     source = "cont a = 0;\ndo {a' = 1} until (a <= 4) || {a = 1; pause}"
-    program = parse(source)
     with pytest.raises(CombineError):
-        reject_nonlinear_combine(program)
-    reject_nonlinear_combine(parse(source.replace("cont a =", "cont a op+ =")))
+        parse(source)
+    parse(source.replace("cont a =", "cont a op+ ="))
+
+
+def test_combine_offence_comes_after_the_type_checks():
+    # the gate runs last: a program with a type error and an offender
+    # reports the type error
+    with pytest.raises(TypeError_):
+        parse("cont a = 0;\ndo {a' = 1 || a' = 1} until (a + 4)")
 
 
 def test_first_offender_in_preorder_is_reported():
@@ -411,9 +419,9 @@ def test_first_offender_in_preorder_is_reported():
         "|| { x = 2; do { y' = 1 || y' = 2 } until (y <= 4) } }"
     )
     with pytest.raises(CombineError, match="variable 'x'"):
-        reject_nonlinear_combine(parse(source))
+        parse(source)
     with pytest.raises(CombineError, match="variable 'y'"):
-        reject_nonlinear_combine(parse(source.replace("cont x;", "cont x op+;")))
+        parse(source.replace("cont x;", "cont x op+;"))
 
 
 def test_every_corpus_program_parses():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows, stop_signals
 from tickflow.syntax import parse, pretty_print
@@ -63,4 +65,17 @@ def test_mixed_nesting_roundtrip():
         "{ A: pause; if (S) a = a + 1/2 else { a = -3; pause } }\n"
         "|| { suspend (immediate S) loop { emit S; pause } }"
     )
+    _roundtrip(parse(source))
+
+
+@pytest.mark.parametrize("source", [
+    "signal S; L: { emit S; pause }",
+    "signal S; L: M: { emit S; pause }",
+    "signal S; L: { emit S; pause } || pause",
+    "signal S; abort (S) L: { pause; pause }",
+    "signal S; if (S) L: { pause; emit S } else pause",
+    "L: { signal T; pause }",
+])
+def test_label_block_roundtrip(source):
+    # a label's sequence or declaration prints braced, as it was parsed
     _roundtrip(parse(source))

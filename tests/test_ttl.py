@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import KernelError, ResolveError
+from tickflow.errors import CombineError, ResolveError
 from tickflow.kernel import InputAssignment, run
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
@@ -27,7 +27,7 @@ def _holds(decls: str, ttl: str, wcrt=F(2)) -> bool:
 def test_lookahead_breaks_small_bound():
     # from 0 at rate 1 with a 2-unit step, two ticks ahead is 4
     odes = (("a", F(1)),)
-    predict = prediction(odes, "a", None, F(2))
+    predict = prediction(odes, "a", F(2))
     assert predict(F(0)) == F(4)
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 2, {a})") is False
     assert _holds("cont a = 0;", "TTL([a' = 1], a <= 4, {a})") is True
@@ -42,7 +42,7 @@ def test_zero_rate_never_violates():
 
 def test_pair_prediction():
     odes = (("a", F(2)), ("b", F(2)))
-    predict_a, predict_b = (prediction(odes, v, None, F(2)) for v in ("a", "b"))
+    predict_a, predict_b = (prediction(odes, v, F(2)) for v in ("a", "b"))
     assert (predict_a(F(4)), predict_b(F(4))) == (F(12), F(12))
     ttl = "TTL([a' = 2, b' = 2], a <= 16 && b <= 10, {a, b})"
     assert _holds("cont a = 4, b = 4;", ttl) is False
@@ -52,7 +52,7 @@ def test_pair_prediction():
 
 def test_combined_prediction_folds_twice():
     odes = (("a", F(1)), ("a", F(1)))
-    predict = prediction(odes, "a", "plus", F(2))
+    predict = prediction(odes, "a", F(2))
     assert predict(F(0)) == F(12)
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})") is False
     assert _holds("cont a op+ = 0;", "TTL([a' = 1, a' = 1], a <= 12, {a})") is True
@@ -60,13 +60,13 @@ def test_combined_prediction_folds_twice():
 
 
 def test_combined_missing_operator():
-    odes = (("a", F(1)), ("a", F(1)))
-    predict = prediction(odes, "a", None, F(2))
-    with pytest.raises(KernelError):
-        predict(F(0))
-    with pytest.raises(KernelError) as err:
-        _holds("cont a = 0;", "TTL([a' = 1, a' = 1], a <= 4, {a})")
-    assert err.value.tick == 1
+    # several rates of one variable in a TTL call need `op+`, as a flow's do
+    source = "cont a = 0;\nif (TTL([a' = 1, a' = 1], a <= 4, {a})) pause else pause"
+    with pytest.raises(CombineError) as err:
+        parse(source)
+    assert str(err.value) == (
+        "2:5: continuous variable 'a' has simultaneous writers but no combine operator"
+    )
 
 
 def test_single_writer_degeneration_randomized():
@@ -78,7 +78,7 @@ def test_single_writer_degeneration_randomized():
         value = F(rng.randint(-100, 100), rng.randint(1, 7))
         wcrt = rng.choice([F(1), F(1, 2), F(2), F(3)])
         expected = value + 2 * rate * wcrt
-        predict = prediction((("a", rate),), "a", None, wcrt)
+        predict = prediction((("a", rate),), "a", wcrt)
         assert predict(value) == expected
         ttl = f"TTL([a' = {format_rational(rate)}], a == {format_rational(expected)}, {{a}})"
         assert _holds(f"cont a = {format_rational(value)};", ttl, wcrt) is True
@@ -119,17 +119,14 @@ def test_holds_at_delta_signal_lookup():
     ]
 
 
-def _iterated(value, rates, op, wcrt):
+def _iterated(value, rates, wcrt):
     """The look-ahead by its definition: m copies of the snapshot; twice,
-    every entry advances by its own step, the entries fold with `op`, and
+    every entry advances by its own step, the entries fold with `op+`, and
     the fold is propagated back into every entry."""
     entries = [value] * len(rates)
     for _ in range(2):
         entries = [entry + rate * wcrt for entry, rate in zip(entries, rates)]
-        folded = entries[0]
-        for entry in entries[1:]:
-            folded = folded + entry if op == "plus" else folded * entry
-        entries = [folded] * len(rates)
+        entries = [sum(entries)] * len(rates)
     return entries[0]
 
 
@@ -141,26 +138,8 @@ def test_affine_form_matches_the_iterated_definition_randomized():
         value = F(rng.randint(-50, 50), rng.randint(1, 5))
         wcrt = F(rng.randint(1, 4), rng.randint(1, 3))
         odes = tuple(("a", rate) for rate in rates) + (("b", F(1)),)
-        expected = _iterated(value, rates, "plus", wcrt)
-        for op in ("plus", "times", None):
-            form = affine_form(odes, "a", op, wcrt)
-            predict = prediction(odes, "a", op, wcrt)
-            if m == 1 or op == "plus":
-                # one rate folds the same under any operator
-                scale, shift = form
-                assert scale > 0 and scale * value + shift == expected
-                assert predict(value) == expected
-            elif op == "times":
-                assert form is None
-                assert predict(value) == _iterated(value, rates, "times", wcrt)
-            else:
-                assert form is None
-                with pytest.raises(KernelError, match="no combine operator"):
-                    predict(value)
-    assert affine_form((("b", F(1)),), "a", "plus", F(1)) is None
-    predict = prediction((("b", F(1)),), "a", None, F(1))
-    with pytest.raises(KernelError, match="no rate"):
-        predict(F(0))
+        scale, shift = affine_form(odes, "a", wcrt)
+        assert scale > 0 and scale * value + shift == _iterated(value, rates, wcrt)
 
 
 def test_op_plus_fold_is_fraction_addition():

@@ -461,6 +461,17 @@ def test_alphabet_is_checked_after_the_strategy_and_before_the_other_arguments()
         )
 
 
+def test_alphabet_value_must_be_exact():
+    # a string is not read as the number it spells, whatever the input's type
+    program = _program("input int signal L = 0; signal X;\nloop { if (?L == 2) emit X; pause }")
+    alphabet = InputAlphabet.make({"L": ("absent", "present")}, {"L": ("2",)})
+    with pytest.raises(ArgumentError) as err:
+        check_reachable(program, CFG1, alphabet, bound=3, target="X")
+    assert (err.value.name, err.value.message) == (
+        "alphabet", "alphabet entry 'L': value '2': 'L' holds a numeric value"
+    )
+
+
 def test_leaf_choice_with_a_value_its_input_cannot_hold_raises_at_its_tick():
     # L is registered on tick 2, so tick 1 checks no value of it; tick 2
     # sits at the bound, and its second choice gives L a value its `int`
