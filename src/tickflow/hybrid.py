@@ -460,9 +460,9 @@ def compare(
 def _program_value(trace, by_tick: dict, pvar: str, k: int) -> Fraction:
     if k == 0:
         return trace.initial_conts[pvar]
-    rec = by_tick.get(k)
-    if rec is not None and pvar in rec.conts:
-        return rec.conts[pvar]
+    conts = by_tick[k].conts if k in by_tick else {}
+    if pvar in conts:
+        return conts[pvar]
     return trace.final_cont(pvar)  # program ended; the value froze
 
 

@@ -45,9 +45,10 @@ continues it from the residue it left. Each statement gives a part of
 each, one line per read, write, emission, `_adapt` check, operation or
 residue it builds, and a part leaves its residue in the local `r`. A Seq's
 resume dispatches on its residue's index and goes on into the statements
-after the one it resumed; a Par resumes each live branch in turn; an
+after the one it resumed, in O(sqrt k) tests for k statements that can
+pause (`_select`, `_chunks`); a Par resumes each live branch in turn; an
 abort's or a suspend's guard is tested in place; a declaration registers
-its instance in four lines; a label appends its name. Run code that two
+its instance in three lines; a label appends its name. Run code that two
 sites need is one function that both call: a loop's body, restarted when
 it ends, and a Seq's statements after its first that can pause, a
 function of the index they start after, which the Seq's run and the
@@ -60,13 +61,13 @@ kernel's. Only the code of a state that logs reads logs them: a program
 is compiled apart for that.
 
 Names resolve to slots at compile time: a declaration has at most one
-live instance across ticks, so the per-tick list `ctx.env` holds it at a
-literal index, the declaration's slot. A tick fills `env` from the store
-it starts from, a declaration's run puts its new instance there, and its
-resume and its scope's end read it there; an abort that fires drops the
-live instances of the declarations its body declares, a list fixed at
-compile time. Program text reaches the source only as the `repr` of a str
-or a number, or as a constant bound into the functions' globals.
+live instance across ticks, so the store holds it at a literal index,
+the declaration's slot: a read is `prev[slot]` in the tick's copy of the
+store, and `env[slot]` keys the instance for emissions, writes and the
+scope's end (`_TickCtx`). An abort that fires drops the live instances
+of the declarations its body declares, a list fixed at compile time.
+Program text reaches the source only as the `repr` of a str or a number,
+or as a constant bound into the functions' globals.
 
 A look-ahead reads its site's variables, in site order, into slots of its
 own that shadow them, then evaluates its invariant. Every prediction is
@@ -91,18 +92,21 @@ verdicts are what evaluating one statement at a time gives.
 A machine state is a value, and holds only what a tick reads or decides:
 the code, the input names and the read log it shares with its run, a
 residue (a tuple tree of the paused points of the program; see
-"residues" below), a store mapping each live declaration instance to its
-settled (status, value) in registration order, and the tick it follows.
-A loop, an abort or a declaration resumes its body's residue, so none
-adds a node of its own. `TickState.step`
-runs one tick from a state and leaves the state as it was; the tick's
-`settle` builds the next state. A tick builds its own residue and store
-and never mutates the old ones, so states share the residue subtrees a
-tick did not rebuild and the code. A state has terminated when a tick
-left it no residue. The first initial value of each continuous variable
-belongs to the run, not to a state: each tick lists the instances it
-registered (`fresh`), and `run` keeps the first value of each name. A
-record's time, `wcrt × tick`, is computed where it is printed. The tick
+"residues" below), a store, the settled (status, value) of each slot's
+live instance or None, its layout, the live slots in registration order
+(interned, so states share it), and the tick it follows. Registration
+order names instances, the second live one of a name `S` as `S:2`, and
+a re-registered slot moves after the others. A loop, an abort or a
+declaration resumes its body's residue, so none adds a node of its own.
+`TickState.step` runs one tick from a state and leaves the state as it
+was; the tick's `settle` builds the next state. A tick builds its own
+residue and store and never mutates the old ones, so states share the
+code and the residue subtrees and (status, value) pairs a tick did not
+rebuild. A state has terminated when a tick left it no residue. The
+first initial value of each continuous variable belongs to the run, not
+to a state: each tick lists the instances it registered (`fresh`), and
+`run` keeps the first value of each name. A record's time, `wcrt ×
+tick`, is computed where it is printed. The tick
 records the labels that hold a paused point as it builds the residue, and
 each declaration records its scope ending, so settling walks no residue.
 Identical (program, config, schedule) triples produce identical traces.
@@ -110,9 +114,10 @@ Identical (program, config, schedule) triples produce identical traces.
 A state stores whether it terminated, set where it is built. One tick
 is `step(inputs)`, then `record()` or `settle()`, so a caller that reads
 less builds less. `step` runs the tick and latches its inputs, which
-folds each instance's writes once; `record` names the folded writes in a
-`TickRecord` and builds the next state in the same pass over the
-instances, and returns both. `settle` returns the next state and its
+folds each instance's writes once; `record` lays the settled values out
+in one data tuple, read through a layout planned once per order of a
+tick's instances, and builds the next state in the same pass, and
+returns both. `settle` returns the next state and its
 key, the tuple `verify.fingerprint` gives it, both built in one pass.
 The search steps each state it expands on its first choice, latches
 every other choice onto that tick (`latch`), reads the one status it
@@ -124,6 +129,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .errors import ArgumentError, KernelError, NestingError
@@ -145,7 +151,7 @@ from .syntax.nodes import (
     ValueRef,
 )
 from . import ttl as ttl_mod
-from .trace import TickRecord, Trace
+from .trace import Trace, made_record
 
 
 # --- input assignments -------------------------------------------------------
@@ -172,23 +178,6 @@ class InputAssignment(Struct):
 EMPTY_INPUTS = InputAssignment()
 
 
-# --- declaration instances ---------------------------------------------------
-
-
-class Instance:
-    """One entry of a declaration's scope: an identity token whose settled
-    (status, value) lives in `TickState.store`. `decl` tells a signal from
-    a continuous variable, whose settled status is always False; `slot`,
-    the declaration's environment slot, finds it at a tick's start and
-    names it in a state key."""
-
-    __slots__ = ("decl", "slot")
-
-    def __init__(self, decl, slot):
-        self.decl = decl
-        self.slot = slot
-
-
 # --- residues ----------------------------------------------------------------
 #
 # A residue is a plain value built of tuples, ints, bools and strs, so a
@@ -204,7 +193,7 @@ class Instance:
 # from the root, the statements passed on the way and each residue's index
 # or Par position fix its node. Nor do they name an instance: a declaration
 # has at most one live instance across ticks, so a tick finds it by its
-# slot in the store (`_TickCtx.env`).
+# slot in the store.
 
 
 def _labels_in(res, labels: list):
@@ -227,13 +216,51 @@ def _labels_in(res, labels: list):
 # --- the machine -------------------------------------------------------------
 
 
+class _Code:
+    """A program's `run` and `resume` and what its ticks share: each slot's
+    declaration (None for a look-ahead's), the input slots, a tick's first
+    `env`, the store of tick 0, the interned layouts of its states and a
+    record layout per order of a tick's instances."""
+
+    __slots__ = ("run", "resume", "decls", "inputs", "keys", "empty", "layouts", "records")
+
+    def __init__(self, run, resume, decls: list):
+        self.run, self.resume, self.decls = run, resume, tuple(decls)
+        self.inputs = {
+            s for s, d in enumerate(decls) if d.__class__ is SignalDecl and d.direction == "input"
+        }
+        self.keys, self.empty = tuple(range(len(decls))), (None,) * len(decls)
+        self.layouts, self.records = {(): ()}, {}
+
+    def record_layout(self, order: tuple) -> tuple:
+        """The layout (see `trace`) of the data `record` lays out, each
+        instance's status and value, for the instance keys `order`."""
+        layout = self.records.get(order)
+        if layout is None:
+            tables, seen = ([], [], []), {}
+            for at, key in enumerate(order):
+                decl = self.decls[key if key >= 0 else ~key]
+                count = seen[decl.name] = seen.get(decl.name, 0) + 1
+                name = f"{decl.name}:{count}" if count > 1 else decl.name
+                if decl.__class__ is not SignalDecl:  # its status is never read
+                    tables[2].append((name, 2 * at + 1))
+                    continue
+                tables[0].append((name, 2 * at))
+                if decl.stype is not None:
+                    tables[1].append((name, 2 * at + 1))
+            layout = self.records[order] = tuple(map(tuple, tables))
+        return layout
+
+
 class TickState:
     """Machine state at a tick boundary, a value: `step` leaves it as it
     was, and the tick it returns builds the next state. Every state of one
     run shares the compiled code and `read_log`, the list reads are logged
     to, or None."""
 
-    __slots__ = ("code", "input_names", "read_log", "tick", "residue", "store", "terminated")
+    __slots__ = (
+        "code", "input_names", "read_log", "tick", "residue", "store", "layout", "terminated",
+    )
 
     def __init__(
         self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
@@ -247,8 +274,8 @@ class TickState:
         self.read_log = read_log
         self.tick = 0
         self.residue = None  # None before tick 1 and after termination
-        # live instance -> settled (status, value), in registration order
-        self.store: dict = {}
+        self.store = self.code.empty  # per slot, its live instance's settled (status, value)
+        self.layout = ()  # the live slots, in registration order
         self.terminated = False  # whether a tick left no residue
 
     # -- one tick --
@@ -262,10 +289,10 @@ class TickState:
         tick's `latch` latches any other choice onto the same run."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
-        run, resume, slots = self.code
-        ctx = _TickCtx(self, self.tick + 1, slots)
+        ctx = _TickCtx(self, self.tick + 1)
         try:
-            ctx.residue = run(ctx) if self.tick == 0 else resume(ctx, self.residue)
+            code = self.code
+            ctx.residue = code.run(ctx) if self.tick == 0 else code.resume(ctx, self.residue)
         except KernelError as err:
             ctx.error = err if err.tick is not None else KernelError(err.message, ctx.t)
         return ctx.latch(inputs)
@@ -278,7 +305,7 @@ class TickState:
             if name not in self.input_names:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
-    def _after(self, tick: "_Tick", store: dict) -> "TickState":
+    def _after(self, tick: "_TickCtx", store: list, layout: tuple) -> "TickState":
         """The state the tick `tick` ran from this one leads to."""
         state = object.__new__(TickState)
         state.code = self.code
@@ -286,88 +313,83 @@ class TickState:
         state.read_log = self.read_log
         state.tick = tick.t
         state.residue = tick.residue
-        state.store = store
+        state.store = tuple(store)
+        state.layout = layout
         state.terminated = tick.residue is None
         return state
 
 
 class _Tick:
     """A tick that has run and folded its writes: `residue` is what it
-    left, `prev` maps every instance live during it, in registration order,
-    to its previous-tick (status, value), `emitted` holds the instances it
-    made present, `folded` the value each written instance settles to and
-    `fresh` the instances it registered, in registration order (their
-    `prev` entries hold their initial values). `settle`, `record` and
-    `settles_present` read only these. The run itself is a `_TickCtx`; one
-    input choice latched onto it is a plain `_Tick`, a view that shares the
-    run's residue, labels, ended scopes and instances, keeps its own
-    `emitted` and `folded`, and holds the run in `run`."""
+    left, `emitted` holds the keys (see `_TickCtx`) of the instances it
+    made present and `folded` the value each written one settles to. The
+    run itself is a `_TickCtx`; one input choice latched onto it is a
+    plain `_Tick` that keeps its own `emitted` and `folded` and holds the
+    run in `run`."""
 
-    __slots__ = (
-        "state", "t", "residue", "prev", "emitted", "folded", "ended", "labels", "fresh",
-        "run",
-    )
+    __slots__ = ("state", "t", "residue", "emitted", "folded", "run")
 
     def settle(self) -> tuple:
         """The next state and its key, `verify.fingerprint` of it. Its
-        store holds every instance whose scope did not end this tick, in
-        registration order, with its settled status and value; the same
-        pass lays each out in the key as its slot, status and value, a
-        rational value as its (numerator, denominator)."""
-        folded, emitted, ended = self.folded, self.emitted, self.ended
-        store, flat = {}, []
-        for inst, (_, value) in self.prev.items():
-            if inst in ended:
-                continue
-            present = inst in emitted
-            if inst in folded:
-                value = folded[inst]
-            store[inst] = (present, value)
+        store holds each instance whose scope did not end this tick at its
+        slot, with its settled status and value; the same pass lays each
+        out in the key, in registration order, as its slot, status and
+        value, a rational value as its (numerator, denominator)."""
+        run = self.run
+        layout = run.shape()[1]
+        folded, emitted, env, prev = self.folded, self.emitted, run.env, run.prev
+        store, flat = list(run.state.code.empty), []
+        for slot in layout:
+            key = env[slot]  # the slot's instance that outlives the tick
+            present, pair = key in emitted, prev[slot]
+            if key in folded:  # else an unchanged instance keeps its pair
+                pair = (present, folded[key])
+            elif pair[0] is not present:
+                pair = (present, pair[1])
+            store[slot] = pair
+            value = pair[1]
             if value.__class__ is Fraction:
-                flat += (inst.slot, present, value.as_integer_ratio())
+                flat += (slot, present, value.as_integer_ratio())
             else:
-                flat += (inst.slot, present, value)
-        residue = self.residue
-        return self.state._after(self, store), (residue is None, residue, tuple(flat))
+                flat += (slot, present, value)
+        residue = run.residue
+        return self.state._after(run, store, layout), (residue is None, residue, tuple(flat))
 
     def record(self) -> tuple:
-        """The next state and the tick's record. The record names every
-        instance that was live during the tick in registration order, the
-        second of a name `S` as `S:2`, with its settled status or value; an
-        instance whose scope ended this tick is recorded too. The same pass
-        builds the store `settle` builds (a continuous variable is never
-        emitted, so it settles absent)."""
-        t, folded, emitted, ended = self.t, self.folded, self.emitted, self.ended
-        statuses, values, conts, seen, store = {}, {}, {}, {}, {}
-        for inst, (_, value) in self.prev.items():
-            decl = inst.decl
-            name = decl.name
-            if name in seen:
-                count = seen[name] = seen[name] + 1
-                name = f"{name}:{count}"
-            else:
-                seen[name] = 1
-            if inst in folded:
-                value = folded[inst]
-            if decl.__class__ is SignalDecl:
-                present = statuses[name] = inst in emitted
-                if decl.stype is not None:
-                    values[name] = value
-            else:
-                present = False
-                conts[name] = value
-            if inst not in ended:
-                store[inst] = (present, value)
-        labels = tuple(sorted(self.labels))
-        return self.state._after(self, store), TickRecord(t, statuses, values, conts, labels)
+        """The next state and the tick's record, whose data holds the
+        settled status and value of every instance live during the tick,
+        in registration order, one whose scope ended included, in the pass
+        that builds the store `settle` builds."""
+        run = self.run
+        order, layout = run.shape()
+        folded, emitted, ended = self.folded, self.emitted, run.ended
+        old, prev, code = run.state.store, run.prev, run.state.code
+        store, data = list(code.empty), []
+        for key in order:  # one live at the tick's start has its values in the store
+            slot, pair = (key, old[key]) if key >= 0 else (~key, prev[~key])
+            present = key in emitted
+            if key in folded:
+                pair = (present, folded[key])
+            elif pair[0] is not present:
+                pair = (present, pair[1])
+            data += pair
+            if key not in ended:
+                store[slot] = pair
+        labels = tuple(sorted(run.labels))
+        record = made_record(run.t, code.record_layout(order), tuple(data), labels)
+        return self.state._after(run, store, layout), record
 
     def settles_present(self, name: str) -> bool:
         """Whether the record shows `name` present: the record names the
         first instance in registration order whose declaration is `name`
         by that name, whether or not its scope ended this tick."""
-        for inst in self.prev:
-            if inst.decl.name == name:
-                return inst in self.emitted
+        run, decls = self.run, self.state.code.decls
+        for key in run.live:
+            if decls[key].name == name:
+                return key in self.emitted
+        for key in run.fresh:
+            if decls[~key].name == name:
+                return key in self.emitted
         return False
 
     def latch(self, inputs: InputAssignment) -> _Tick:
@@ -376,52 +398,78 @@ class _Tick:
 
 
 class _TickCtx(_Tick):
-    """One run of a tick's code from `state`, which it never writes: the
-    slot environment, the settled values reads observe, pending emissions
-    and writes, and what the tick records. Every read sees the previous
-    tick, so the run is the same for every input choice: it latches no
-    input. `latch` lays one input choice over it, and `fold` turns its
-    writes, with the choice's values first, into settled values.
+    """One run of a tick's code from `state`, which it never writes.
+    Every read sees the previous tick, so the run is the same for every
+    input choice: it latches no input. `latch` lays one input choice over
+    it, and `fold` turns its writes, with the choice's values first, into
+    settled values.
+
+    An instance live at the tick's start is keyed by its slot, one it
+    registers by `~slot`, so a slot may hold one that ended and a new one.
+    Per slot, `env` holds the key of its current instance (or a
+    look-ahead's prediction) and `prev` its previous-tick (status, value);
+    `live` and `fresh` list the keys of the instances live at the start
+    that it did not kill and of those it registered, in registration order.
 
     A run that raised keeps its error in `error` and the instances
     registered before it in `fresh`; `latch` raises it after the checks of
     the choice's own values. `folded` holds the code's own writes folded,
     once the first choice that latches no value needs them."""
 
-    __slots__ = ("env", "writes", "log", "latchable", "error")
+    __slots__ = (
+        "env", "prev", "live", "writes", "labels", "ended", "fresh", "log", "latchable", "error",
+        "shaped",
+    )
 
-    def __init__(self, state: TickState, t: int, slots: int):
+    def __init__(self, state: TickState, t: int):
         self.state = state
         self.t = t
-        # declaration slot -> instance; TTL slot -> prediction
-        self.env = env = [None] * slots
-        for inst in state.store:  # at most one live instance per slot
-            env[inst.slot] = inst
-        # instance -> previous-tick (status, value), plus this tick's registrations
-        self.prev: dict = dict(state.store)
-        self.emitted: set = set()  # instances
-        self.writes: dict = {}  # instance -> [value, ...]
+        self.env = list(state.code.keys)
+        self.prev = list(state.store)
+        self.live = state.layout
+        self.emitted: set = set()
+        self.writes: dict = {}  # key -> [value, ...]
         self.labels: list = []  # names of the labels holding a paused point
-        self.ended: set = set()  # instances whose scope ended this tick
+        self.ended: set = set()  # keys of the instances whose scope ended this tick
+        self.fresh: list = []
         self.log = state.read_log
-        self.fresh: list = []  # instances registered this tick
-        self.latchable = None  # every input instance a choice is latched onto
+        self.latchable = None  # the keys of every input instance a choice is latched onto
         self.error = None
         self.folded = None
+        self.shaped = None
+
+    @property
+    def run(self) -> "_TickCtx":
+        return self  # not a field: a run that held itself would wait for the collector
+
+    def shape(self) -> tuple:
+        """The keys of the instances live during the tick, in registration
+        order, and the next state's layout, interned: the slots of those
+        that outlive the tick, a re-registered one after the others."""
+        if self.shaped is None:
+            state, ended = self.state, self.ended
+            order = self.live + tuple(self.fresh) if self.fresh else self.live
+            layout = state.layout
+            if ended or order is not layout:
+                layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
+                layout = state.code.layouts.setdefault(layout, layout)
+            self.shaped = order, layout
+        return self.shaped
 
     def kill(self, slots: tuple):
         """Discard an aborted body, which declares the declarations in
         `slots`: their live instances vanish unsettled. The body has not
         run this tick (guards are evaluated top-down before bodies), so
-        each slot holds None or the instance live at the tick's start, and
-        no pending effects."""
-        env, prev, writes, emitted = self.env, self.prev, self.writes, self.emitted
+        each slot holds no instance or the one live at the tick's start,
+        keyed by the slot, and no pending effects."""
+        live = self.live
         for slot in slots:
-            inst = env[slot]
-            if inst is not None:
-                del prev[inst]
-                writes.pop(inst, None)
-                emitted.discard(inst)
+            if slot in live:
+                self.writes.pop(slot, None)
+                self.emitted.discard(slot)
+                at = live.index(slot)
+                live = live[:at] + live[at + 1:]
+        self.live = live
 
     def latch(self, inputs: InputAssignment) -> _Tick:
         """This tick under the input choice `inputs`: the run itself when
@@ -442,19 +490,20 @@ class _TickCtx(_Tick):
             return self
         self.state._validate_inputs(inputs, self.t)
         present, values = inputs.present, dict(inputs.values)
-        live, emitted, latched = self.prev, self.emitted, []
+        decls, live, emitted, latched = self.state.code.decls, self.live, self.emitted, []
         try:
-            for inst in self.input_instances():
-                decl = inst.decl
+            for key in self.input_instances():
+                decl = decls[key if key >= 0 else ~key]
                 name = decl.name
+                alive = key < 0 or key in live
                 if name in values:
                     value = input_value(values[name], decl)
-                    if inst in live:
-                        latched.append((inst, value))
-                if name in present and inst in live:
+                    if alive:
+                        latched.append((key, value))
+                if name in present and alive:
                     if emitted is self.emitted:
                         emitted = set(emitted)
-                    emitted.add(inst)
+                    emitted.add(key)
         except KernelError as err:
             raise KernelError(err.message, self.t) from None
         if self.error is not None:
@@ -469,47 +518,47 @@ class _TickCtx(_Tick):
         view.emitted = emitted
         view.run = self
         view.state, view.t, view.residue = self.state, self.t, self.residue
-        view.prev, view.ended, view.labels = live, self.ended, self.labels
-        view.fresh = self.fresh
         return view
 
     def input_instances(self) -> list:
-        """The input instances live at the tick's start, then those the
-        code registered, each in registration order; kept once built."""
+        """The keys of the input instances live at the tick's start, then
+        those the code registered, each in registration order; kept once
+        built."""
         if self.latchable is None:
-            self.latchable = [
-                inst for inst in [*self.state.store, *self.fresh]
-                if inst.decl.__class__ is SignalDecl and inst.decl.direction == "input"
-            ]
+            inputs = self.state.code.inputs
+            self.latchable = [key for key in self.state.layout if key in inputs]
+            self.latchable += [key for key in self.fresh if ~key in inputs]
         return self.latchable
 
     def fold(self, latched=()) -> dict:
-        """The value each written instance settles to: its writes folded
-        with its combine operator, each latched (instance, value) as the
+        """The value each written instance settles to, by key: its writes
+        folded with its combine operator, each latched (key, value) as the
         first write of its instance. Raises for the first instance in
         registration order written twice with no combine operator, whether
         its second write came from the code or its first from a latch."""
         writes = self.writes
         if latched:
             writes = dict(writes)
-            for inst, value in latched:
-                writes[inst] = [value, *writes.get(inst, ())]
+            for key, value in latched:
+                writes[key] = [value, *writes.get(key, ())]
         folded = {}
-        for inst, pending in writes.items():
+        for key, pending in writes.items():
             if len(pending) == 1:
-                folded[inst] = pending[0]
-            elif inst.decl.combine is not None:
-                folded[inst] = ttl_mod.combine_fold(inst.decl.combine, pending)
-            else:
-                first = next(
-                    i for i in self.prev
-                    if i.decl.combine is None and len(writes.get(i, ())) > 1
-                )
-                raise KernelError(
-                    f"{first.decl.name!r} written {len(writes[first])} times in one "
-                    "tick with no combine operator",
-                    self.t,
-                )
+                folded[key] = pending[0]
+                continue
+            decls = self.state.code.decls
+            decl = decls[key if key >= 0 else ~key]
+            if decl.combine is not None:
+                folded[key] = ttl_mod.combine_fold(decl.combine, pending)
+                continue
+            for key in (*self.live, *self.fresh):
+                decl = decls[key if key >= 0 else ~key]
+                if decl.combine is None and len(writes.get(key, ())) > 1:
+                    raise KernelError(
+                        f"{decl.name!r} written {len(writes[key])} times in one "
+                        "tick with no combine operator",
+                        self.t,
+                    )
         return folded
 
 
@@ -610,7 +659,7 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: b
         run, resume = (compiler.function(*code[:2]) for code in (run, resume or _ENDED))
     except RecursionError:
         raise NestingError("nested too deep to process") from None
-    return (run, resume, compiler.slots), frozenset(d.name for d in program.inputs())
+    return _Code(run, resume, compiler.decls), frozenset(d.name for d in program.inputs())
 
 
 @lru_cache(maxsize=512)
@@ -702,11 +751,43 @@ def _par(lines: list, values: list, maybe: list) -> tuple:
     return [*lines, f"r = None if {test} else {residue}"], "r", True
 
 
-def _end(code, inst: str) -> list:
-    """The line that ends the scope of the instance `inst` if `code` ended."""
+def _end(code, key: int) -> list:
+    """The line that ends the scope of the instance keyed `key` if `code`
+    ended."""
     if code[1] == "None":
-        return [f"ended.add({inst})"]
-    return [f"if r is None: ended.add({inst})"] if code[2] else []
+        return [f"ended.add({key})"]
+    return [f"if r is None: ended.add({key})"] if code[2] else []
+
+
+def _select(index: str, branches: list) -> list:
+    """The lines that run the code of the `(i, code)` branch, sorted by `i`,
+    whose `i` the local `index` holds: a tree of `<` tests down to chains of
+    at most 8 `==` tests, since Python nests `elif`s."""
+    if len(branches) > 8:
+        half = len(branches) // 2
+        return [
+            f"if {index} < {branches[half][0]}:", *_indent(_select(index, branches[:half])),
+            "else:", *_indent(_select(index, branches[half:])),
+        ]
+    lines = []
+    for k, (i, code) in enumerate(branches):
+        test = "else" if k == len(branches) - 1 else f"{'el' if k else ''}if {index} == {i}"
+        lines += [f"{test}:", *_indent(_into(code))]
+    return lines
+
+
+def _chunks(blocks: list) -> list:
+    """The lines that run each of the `(i, lines)` blocks with `i > res`
+    while none has paused (left `r` not None): past 8 blocks, in chunks of
+    about the square root of their number, each skipped by one test."""
+    if len(blocks) > 8:
+        size = isqrt(len(blocks) - 1) + 1
+        chunks = [blocks[c:c + size] for c in range(0, len(blocks), size)]
+        blocks = [(chunk[-1][0], _chunks(chunk)) for chunk in chunks]
+    lines = []
+    for k, (i, block) in enumerate(blocks):
+        lines += [f"if {'r is None and ' if k else ''}res < {i}:", *_indent(block)]
+    return lines
 
 
 class _Compiler:
@@ -718,24 +799,22 @@ class _Compiler:
     lines to a list and returns the local, global or literal holding its
     value (`expr`). A scope maps each visible name to (kind, slot,
     declaration), kind being "signal", "cont" or "pred" (a look-ahead
-    prediction, whose third entry is its affine form); `slots`
-    counts the environment slots, `declared` lists the declarations' slots
-    in compile order, and `names` holds the generated code's globals."""
+    prediction, whose third entry is its affine form); `decls` lists the
+    declaration of each slot, None for a look-ahead's, and `names` holds the
+    generated code's globals."""
 
     def __init__(self, cfg: RewriteConfig, logged: bool):
         self.wcrt = cfg.wcrt
         self.logged = logged
-        self.slots = 0
-        self.declared: list = []
+        self.decls: list = []
         self.count = 0
         self.names = {
-            "Fraction": Fraction, "adapt": _adapt, "ratio": ratio, "Instance": Instance,
-            "labels_in": _labels_in,
+            "Fraction": Fraction, "adapt": _adapt, "ratio": ratio, "labels_in": _labels_in,
         }
 
-    def slot(self) -> int:
-        self.slots += 1
-        return self.slots - 1
+    def slot(self, decl=None) -> int:
+        self.decls.append(decl)
+        return len(self.decls) - 1
 
     # -- generated code --
 
@@ -781,7 +860,7 @@ class _Compiler:
     def read(self, lines: list, slot: int, name: str, kind: str) -> str:
         """A read of the previous-tick status or value in `slot`, logged if
         the code logs reads."""
-        value = self.let(lines, f"prev[env[{slot}]][{0 if kind == 'status' else 1}]")
+        value = self.let(lines, f"prev[{slot}][{0 if kind == 'status' else 1}]")
         if self.logged:
             lines.append(f"log.append((ctx.t, {name!r}, {kind!r}, {value}))")
         return value
@@ -889,11 +968,7 @@ class _Compiler:
         if len(branches) == 1:
             return _prefix(["res = res[1]"], branches[0][1])
         index = self.fresh("v")
-        lines = [f"{index}, res = res"]
-        for k, (i, code) in enumerate(branches):  # chains of 8, since Python nests `elif`s
-            alone = k == len(branches) - 1 < 8  # the last test of the one chain
-            test = "else" if alone else f"{'el' if k % 8 else ''}if {index} == {i}"
-            lines += [f"{test}:", *_indent(_into(code))]
+        lines = [f"{index}, res = res", *_select(index, branches)]
         return lines, "r", any(code[2] for _, code in branches)
 
     def stmt_Seq(self, node, scope):
@@ -910,13 +985,13 @@ class _Compiler:
         # the index of the one after which they start, passed as `res`: the
         # run calls it after that one ends, and so does the resume of each
         # one that ends. It runs each that can pause, after the statements
-        # before it, while none has paused
-        lines, start, first = ["r = None"], pausing[0] + 1, pausing[0]
-        for k, i in enumerate(pausing[1:]):
+        # before it, while none has paused (`_chunks`)
+        start, first, blocks = pausing[0] + 1, pausing[0], []
+        for i in pausing[1:]:
             block = self.straight(stmts[start:i], runs[start:i], scope)
-            block += _into(_wrap(runs[i], f"({i}, r)"))
-            lines += [f"if {'r is None and ' if k else ''}res < {i}:", *_indent(block)]
+            blocks.append((i, [*block, *_into(_wrap(runs[i], f"({i}, r)"))]))
             start = i + 1
+        lines = ["r = None", *_chunks(blocks)]
         rest = self.straight(stmts[start:], runs[start:], scope)
         lines += ["if r is None:", *_indent(rest)] if rest and len(pausing) > 1 else rest
         go = self.function(lines, "r").__name__ if first < last else None
@@ -992,9 +1067,10 @@ class _Compiler:
     def stmt_Abort(self, node, scope):
         guard: list = []
         test = self.expr(node.guard, scope, guard)
-        first = len(self.declared)
+        first = len(self.decls)
         run, resume = self.stmt(node.body, scope)
-        slots = tuple(self.declared[first:])  # the body's declarations
+        # the slots of the body's declarations
+        slots = tuple(s for s in range(first, len(self.decls)) if self.decls[s] is not None)
         if node.immediate:
             run = _prefix(guard, _either(test, _ENDED, run))
         if resume is None:
@@ -1050,22 +1126,19 @@ class _Compiler:
     def _declare(self, node, scope, kind, lines, value):
         """A declaration's code: after `lines`, a new instance in a fresh
         slot, registered with its initial value `value` (read in the outer
-        scope) before the body runs; the instance ends with the body. The
-        instance is noted in `fresh`: the latch after the tick reads the
-        inputs there, and `run` the initial values. A resume finds the
-        instance in its slot, and the declaration leaves its body's
-        residue."""
-        slot = self.slot()
-        self.declared.append(slot)
+        scope) before the body runs, under the key `~slot`; the instance
+        ends with the body. The key is noted in `fresh`: the latch after the
+        tick reads the inputs there, and `run` the initial values. A resume
+        continues the instance live at the tick's start, keyed by the slot,
+        and the declaration leaves its body's residue."""
+        slot = self.slot(node)
         run, resume = self.stmt(node.body, {**scope, node.name: (kind, slot, node)})
-        inst = self.fresh("v")
         lines = [
-            *lines, f"{inst} = Instance({self.bind(node)}, {slot})",
-            f"prev[{inst}] = (False, {value})", f"fresh.append({inst})", f"env[{slot}] = {inst}",
-            *run[0], *_end(run, inst),
+            *lines, f"prev[{slot}] = (False, {value})", f"env[{slot}] = {~slot}",
+            f"fresh.append({~slot})", *run[0], *_end(run, ~slot),
         ]
         if resume is not None:
-            resume = [*resume[0], *_end(resume, f"env[{slot}]")], resume[1], resume[2]
+            resume = [*resume[0], *_end(resume, slot)], resume[1], resume[2]
         return (lines, run[1], run[2]), resume
 
     # -- flows --
@@ -1188,10 +1261,11 @@ def run(
     records, initial_conts = [], {}
     for t in range(1, max_ticks + 1):
         tick = state.step(by_tick.get(t, EMPTY_INPUTS))
-        for inst in tick.fresh:
-            decl = inst.decl
+        ran = tick.run
+        for key in ran.fresh:
+            decl = state.code.decls[~key]
             if decl.__class__ is not SignalDecl and decl.name not in initial_conts:
-                initial_conts[decl.name] = tick.prev[inst][1]
+                initial_conts[decl.name] = ran.prev[~key][1]
         state, record = tick.record()
         records.append(record)
         if state.terminated:

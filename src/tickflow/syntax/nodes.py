@@ -279,7 +279,8 @@ class Program(Struct):
         return {d.name for d in self.declarations()}
 
     def has_flows(self) -> bool:
-        return any(isinstance(node, DoUntil) for node in self.walk())
+        """Whether the program holds a flow action; walked once per object."""
+        return self.derived("has flows", lambda: any(isinstance(n, DoUntil) for n in self.walk()))
 
 
 def children(stmt: Stmt) -> tuple:

@@ -9,16 +9,24 @@ stored; the time is printed from the integers of `wcrt` (`_time`).
 Rationals are never converted to floating point in any export; CSV, JSON
 and SVG output is byte-deterministic for equal traces.
 
+A record is read through a layout shared by the records of one shape,
+which places each entity's status or value in the record's one data
+tuple: the kernel's in registration order, one built from tables (as
+`from_json` builds one) in its tables' order.
+
 The CSV export does once per export what each tick would repeat: a plan
-of each record shape's rows in printed order, built the first time the
-shape is met, and each rational's text, memoised by the identity of the
-value object (the trace keeps every value alive while it is exported).
+of each layout's rows in printed order, as positions in the data, built
+the first time the layout and labels are met, and each rational's text,
+memoised by the identity of the value object (the trace keeps every value
+alive while it is exported).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import gcd
 from typing import Optional
 
@@ -28,21 +36,52 @@ from .rational import format_rational, format_value
 from .struct import Struct
 
 
-class TickRecord(Struct):
+@lru_cache(maxsize=256)
+def _tables_layout(statuses: tuple, values: tuple, conts: tuple) -> tuple:
+    """The layout of a record built from tables with these keys: statuses
+    first in its data, then values, then continuous variables."""
+    at = count()  # zip stops at a table's end without drawing from it
+    return tuple(zip(statuses, at)), tuple(zip(values, at)), tuple(zip(conts, at))
+
+
+class TickRecord(Struct, frozen=False):
+    """One tick's settled tables and labels. A record holds its data in one
+    tuple and a `layout`, the (name, position in the data) pairs of each of
+    its three tables in order, shared by the records of one shape. The
+    tables are built when read; records compare and hash by them, whatever
+    their layouts."""
+
+    __slots__ = ("tick", "layout", "data", "labels")
     tick: int
     statuses: dict  # name -> bool
     values: dict  # name -> Fraction | bool (valued signals)
     conts: dict  # name -> Fraction
     labels: tuple  # sorted label names with a paused control point
 
-    def __init__(self, tick, statuses, values, conts, labels):
-        # one record per tick: set the fields directly, past the generic init
-        setattr_ = object.__setattr__
-        setattr_(self, "tick", tick)
-        setattr_(self, "statuses", statuses)
-        setattr_(self, "values", values)
-        setattr_(self, "conts", conts)
-        setattr_(self, "labels", labels)
+    def __init__(self, tick, statuses: dict, values: dict, conts: dict, labels: tuple):
+        self.tick, self.labels = tick, labels
+        self.layout = _tables_layout(tuple(statuses), tuple(values), tuple(conts))
+        self.data = (*statuses.values(), *values.values(), *conts.values())
+
+    def _table(self, which: int) -> dict:
+        data = self.data
+        return {name: data[at] for name, at in self.layout[which]}
+
+    statuses = property(lambda self: self._table(0))
+    values = property(lambda self: self._table(1))
+    conts = property(lambda self: self._table(2))
+
+    def __hash__(self):
+        tables = (self.statuses, self.values, self.conts)
+        return hash((self.tick, *(frozenset(table.items()) for table in tables), self.labels))
+
+
+def made_record(tick: int, layout: tuple, data: tuple, labels: tuple) -> TickRecord:
+    """The record of `data` read through `layout`, as the kernel builds one
+    per tick, past the tables `TickRecord` takes."""
+    record = object.__new__(TickRecord)
+    record.tick, record.layout, record.data, record.labels = tick, layout, data, labels
+    return record
 
 
 class Trace(Struct, frozen=False):
@@ -88,12 +127,13 @@ class Trace(Struct, frozen=False):
 
     def series(self, name: str) -> list:
         """[(tick, settled value)] of a continuous variable, while live."""
-        return [(r.tick, r.conts[name]) for r in self.records if name in r.conts]
+        return [(r.tick, conts[name]) for r in self.records for conts in [r.conts] if name in conts]
 
     def final_cont(self, name: str) -> Fraction:
         for rec in reversed(self.records):
-            if name in rec.conts:
-                return rec.conts[name]
+            conts = rec.conts
+            if name in conts:
+                return conts[name]
         return self.initial_conts[name]
 
     def emission_ticks(self, name: str) -> list:
@@ -162,36 +202,29 @@ def _time(p: int, q: int, tick: int) -> str:
     return str(num // g) if g == q else f"{num // g}/{q // g}"
 
 
-# The kind of each row, by the index of the table its datum is read from: a
-# record's (statuses, values, conts), and in a row plan its labels.
-_KINDS = ("status", "value", "cont", "label")
+_KINDS = ("status", "value", "cont")  # of the rows of each table of a layout
 
-
-def _settled(rec: TickRecord) -> list:
-    """(table, entity, kind) for every settled status, signal value and
-    continuous variable of a record, unsorted; `table` indexes
-    `(rec.statuses, rec.values, rec.conts)`."""
-    tables = (rec.statuses, rec.values, rec.conts)
-    return [(index, name, _KINDS[index]) for index, table in enumerate(tables) for name in table]
+# A label's row reads the datum past a record's data, which holds True.
+_LABEL = (True,)
 
 
 def settled_rows(rec: TickRecord) -> list:
     """(entity, kind, printed datum) for every settled status, signal value
     and continuous variable of a record, unsorted."""
-    tables = (rec.statuses, rec.values, rec.conts)
-    return [(name, kind, format_value(tables[index][name])) for index, name, kind in _settled(rec)]
+    tables = zip(_KINDS, (rec.statuses, rec.values, rec.conts))
+    return [(name, kind, format_value(v)) for kind, table in tables for name, v in table.items()]
 
 
-def _row_plan(rec: TickRecord) -> list:
-    """(table, entity, "entity,kind,") for each CSV row of a record, in
-    printed order: by entity, then kind. A record holds one row per
-    (entity, kind), but for a label held twice, whose rows print alike, so
-    the datum never decides the order. A label's row reads table 3, which
-    maps each of the record's labels to True."""
-    rows = [(name, kind, index) for index, name, kind in _settled(rec)]
-    rows += [(name, "label", 3) for name in rec.labels]
+def _row_plan(layout: tuple, labels: tuple) -> list:
+    """(position, "entity,kind,") for each CSV row of a record with
+    `layout` and `labels`, in printed order: by entity, then kind. A record
+    holds one row per (entity, kind), but for a label held twice, whose rows
+    print alike, so the datum never decides the order. A label's row reads
+    position -1, `_LABEL` past the data."""
+    rows = [(name, kind, at) for kind, table in zip(_KINDS, layout) for name, at in table]
+    rows += [(name, "label", -1) for name in labels]
     rows.sort()
-    return [(index, name, f"{name},{kind},") for name, kind, index in rows]
+    return [(at, f"{name},{kind},") for name, kind, at in rows]
 
 
 def to_csv(trace: Trace) -> str:
@@ -199,9 +232,9 @@ def to_csv(trace: Trace) -> str:
     each tick's rows sorted by entity, then kind.
 
     The work a tick would repeat is done once per export:
-    - the row order is planned once per record shape, the keys of its
-      tables in order and its labels (`_row_plan`), and reused by every
-      record of that shape;
+    - the rows are planned once per record layout and labels, as positions
+      in the record's data in printed order (`_row_plan`), and reused by
+      every record of that shape;
     - each datum is printed once, memoised by the identity of its object,
       which the trace keeps alive for the call; `True` and `False` are
       seeded as `true` and `false`, so a boolean never shares an entry with
@@ -213,16 +246,15 @@ def to_csv(trace: Trace) -> str:
     p, q = trace.wcrt.as_integer_ratio()
     plans = {}
     for rec in trace.records:
-        statuses, values, conts, labels = rec.statuses, rec.values, rec.conts, rec.labels
-        shape = (tuple(statuses), tuple(values), tuple(conts), labels)
-        entry = plans.get(shape)
-        if entry is None:
-            entry = plans[shape] = (_row_plan(rec), dict.fromkeys(labels, True))
-        plan, marks = entry
-        tables = (statuses, values, conts, marks)
+        labels = rec.labels
+        shape = (id(rec.layout), labels)  # the trace keeps each layout alive
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _row_plan(rec.layout, labels)
+        data = rec.data + _LABEL if labels else rec.data
         prefix = f"{rec.tick},{_time(p, q, rec.tick)},"
-        for index, name, head in plan:
-            value = tables[index][name]
+        for at, head in plan:
+            value = data[at]
             text = printed.get(id(value))
             if text is None:
                 text = printed[id(value)] = format_rational(value)

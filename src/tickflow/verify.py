@@ -149,21 +149,23 @@ def fingerprint(state: TickState) -> tuple:
     """Exact key of a settled state: equal keys mean equal states, however
     they were reached. A tuple of the termination flag, the residue (a
     value of tuples, ints, bools and strs; see `kernel` on why its
-    equality is exact within one program) and the store in registration
-    order, one flat tuple that gives each instance three entries: its
-    declaration's slot (a declaration has at most one live instance, and
-    equal programs number their slots alike), settled status and value, a
-    rational value as its (numerator, denominator). Registration order
-    decides which of two same-named instances settles as `S` and which as
-    `S:2`. A declaration fixes its value's type (boolean, rational or
-    none), so a pair never meets a bool. The key holds only tuples, ints,
-    bools, strs and None, which CPython hashes and compares in C. A tick's
-    `settle` builds this key beside the state."""
-    flat = []
-    for inst, (status, value) in state.store.items():
+    equality is exact within one program) and the store read through the
+    state's layout: one flat tuple that gives each live instance, in
+    registration order, its declaration's slot (a declaration has at most
+    one live instance, and equal programs number their slots alike),
+    settled status and value, a rational value as its (numerator,
+    denominator). Registration order decides which of two same-named
+    instances settles as `S` and which as `S:2`. A declaration fixes its
+    value's type (boolean, rational or none), so a pair never meets a bool.
+    The key holds only tuples, ints, bools, strs and None, which CPython
+    hashes and compares in C. A tick's `settle` builds this key beside the
+    state."""
+    store, flat = state.store, []
+    for slot in state.layout:
+        status, value = store[slot]
         if value.__class__ is Fraction:
             value = value.as_integer_ratio()
-        flat += (inst.slot, status, value)
+        flat += (slot, status, value)
     return (state.terminated, state.residue, tuple(flat))
 
 
@@ -273,8 +275,10 @@ def _snapshot_rows(record) -> tuple:
 
 def replay(program: Program, cfg: RewriteConfig, witness: Witness) -> bool:
     """Re-run a witness schedule; True iff the target tick's record is
-    reproduced. Soundness check used by the tests."""
-    state = init(program, cfg)
+    reproduced. A program that still holds flow actions can only have been
+    searched with native flows, so it is replayed so; any other is
+    replayed rewritten."""
+    state = init(program, cfg, native_flows=program.has_flows())
     last = None
     for assignment in witness.schedule:
         state, last = state.step(assignment).record()

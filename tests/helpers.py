@@ -197,6 +197,12 @@ def random_multirate_flow(rng: random.Random, interleaved: bool) -> MultiRateCas
     return MultiRateCase(start, random_rational(rng, -3, 3), tuple(odes), wcrt, bound)
 
 
+# the second branch's S registers after the first branch's S, whose slot
+# comes first, and from tick 3 on the first branch re-registers its S every
+# tick, so registration order and slot order disagree
+REREGISTERED = "loop { signal S; pause } || { pause; signal S; loop { emit S; pause } }"
+
+
 # the shape of the `flow_bank` benchmark: looping bounded flows in parallel,
 # two of them with two `op+` rates, at wcrt 1/3
 FLOW_BANK = (

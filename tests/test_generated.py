@@ -271,7 +271,7 @@ def test_nested_pausing_statements_give_the_pinned_trace_residues_and_keys(name,
 # the fields and methods it uses
 _NAME = re.compile(
     r"[vkfnd]\d+|ctx|res|r|env|prev|writes|emitted|log|labels|ended|fresh|Fraction|adapt|ratio"
-    r"|Instance|labels_in"
+    r"|labels_in"
 )
 _ATTRIBUTES = {
     "env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh", "t", "kill",
@@ -332,3 +332,38 @@ def test_program_text_reaches_generated_source_only_as_literals(monkeypatch):
                     assert value is None or value.__class__ in (bool, int, str), text
                     if value.__class__ is str:
                         assert value in allowed, (value, text)
+
+
+def _lines_per_resumed_tick(k: int, ticks: int = 20) -> float:
+    """Line events in generated code per tick of a loop of `k` statements
+    `if (A) pause` and a `pause`, `A` always present, so each tick resumes
+    one statement and goes on to the next: a dispatch on the residue's
+    index and a continuation from it."""
+    present = InputAssignment.make({"A"})
+    state = TickState(parse("input signal A;\nloop { " + "if (A) pause; " * k + "pause }"), CFG)
+    for _ in range(3):
+        state, _ = state.step(present).settle()
+    events = 0
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        if frame.f_code.co_filename != kernel._GENERATED:
+            return None
+        events += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for _ in range(ticks):
+            state, _ = state.step(present).settle()
+    finally:
+        sys.settrace(previous)
+    return events / ticks
+
+
+def test_a_seq_resumes_in_sublinear_code():
+    # a Seq's resume dispatches on a tree of index tests and its
+    # continuation skips chunks of statements, so 25 times the statements
+    # cost at most 8 times the lines (a test per statement would be 25 times)
+    assert _lines_per_resumed_tick(2500) <= 8 * _lines_per_resumed_tick(100)

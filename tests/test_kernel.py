@@ -16,7 +16,6 @@ from tickflow.params import bind_params
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
-from tickflow.syntax.nodes import SignalDecl
 from tickflow.syntax.parser import parse_raw
 from tickflow.trace import to_csv, to_json
 from tickflow.verify import alphabet_for, fingerprint
@@ -24,6 +23,7 @@ from tickflow.verify import alphabet_for, fingerprint
 from conftest import CORPUS, corpus_sources
 from helpers import (
     FLOW_BANK,
+    REREGISTERED,
     TWO_FAULTS,
     VALUED_INPUTS,
     multirate_programs,
@@ -51,7 +51,8 @@ def test_init_defaults():
     state, record = state.step().record()
     assert record.statuses == {"S": False, "V": False}
     assert record.values == {"V": F(7)} and record.conts == {"a": F(0)}
-    assert list(state.store.values()) == [(False, None), (False, F(7)), (False, F(0))]
+    settled = [state.store[slot] for slot in state.layout]
+    assert settled == [(False, None), (False, F(7)), (False, F(0))]
 
 
 def test_init_declared_value():
@@ -514,8 +515,8 @@ def test_killed_reentered_and_frozen_scopes_are_recorded_and_read_as_pinned():
 
 
 def _value_of(state) -> tuple:
-    """What a state holds: its key, its store in order, its residue."""
-    return fingerprint(state), list(state.store.items()), state.residue
+    """What a state holds: its key, its store, its layout, its residue."""
+    return fingerprint(state), state.store, state.layout, state.residue
 
 
 def _replay(program, cfg, native, schedule):
@@ -612,16 +613,24 @@ def test_settle_keys_hold_only_tuples_ints_bools_strs_and_none():
 def _code_decides(tick) -> tuple:
     """What a tick's code decides: its residue, its labels, the scopes it
     ended and each instance that is not an input, by registration position
-    and declaration, with its settled status and value (and value type)."""
-    order = list(tick.prev)
+    and declaration, with its settled status and value (and value type).
+    An instance live at the tick's start is keyed by its slot and has its
+    previous value in the state's store; one the tick registered is keyed
+    `~slot` and has its initial value in the run's `prev`."""
+    run = tick.run
+    order, _ = run.shape()
+    code = run.state.code
     settled = tuple(
-        (at, id(inst.decl), inst in tick.emitted, value.__class__, value)
-        for at, inst in enumerate(order)
-        if inst.decl.__class__ is not SignalDecl or inst.decl.direction != "input"
-        for value in [tick.folded.get(inst, tick.prev[inst][1])]
+        (at, id(code.decls[slot]), key in tick.emitted, value.__class__, value)
+        for at, key in enumerate(order)
+        for slot in [key if key >= 0 else ~key]
+        if slot not in code.inputs
+        for value in [
+            tick.folded.get(key, (run.state.store if key >= 0 else run.prev)[slot][1])
+        ]
     )
-    ended = sorted(order.index(inst) for inst in tick.ended)
-    return tick.residue, list(tick.labels), ended, settled
+    ended = sorted(order.index(key) for key in run.ended)
+    return tick.residue, list(run.labels), ended, settled
 
 
 def test_tick_runs_the_same_code_whatever_its_inputs():
@@ -730,8 +739,30 @@ def test_snapshot_names_instances_like_the_record():
     for _ in range(4):
         state, record = state.step().record()
     assert record.statuses["S"] is False and record.statuses["S:2"] is True
-    settled = [status for inst, (status, _) in state.store.items() if inst.decl.name == "S"]
+    settled = [
+        state.store[slot][0] for slot in state.layout if state.code.decls[slot].name == "S"
+    ]
     assert settled == [False, True]
+
+
+def test_records_and_keys_follow_registration_order_not_slot_order():
+    state = init(parse(REREGISTERED), CFG1)
+    records, keys = [], []
+    for _ in range(5):
+        tick = state.step()
+        _, key = tick.settle()
+        state, record = tick.record()
+        records.append(record)
+        keys.append(key)
+    # tick 2: the first branch's S ends and registers again, then the
+    # second branch registers its S and emits it
+    assert records[1].statuses == {"S": False, "S:2": False, "S:3": True}
+    # the S the second branch registered at tick 2 is now the first live
+    for record in records[3:]:
+        assert list(record.statuses) == ["S", "S:2", "S:3"]
+        assert record.statuses["S"] is True
+    for key in keys[2:]:
+        assert key[2] == (1, True, None, 0, False, None)
 
 
 # --- labels -------------------------------------------------------------------------
@@ -1016,16 +1047,17 @@ def test_program_run_again_at_other_tick_lengths_runs_like_fresh_copies():
 
 def _record_matches_settle(program, cfg, native, choices, rng, ticks=20):
     """Run `ticks` ticks on random choices; settle and record each tick,
-    and require the same store (instances, order, statuses, value types
-    and values) and the same key from both."""
+    and require the same store (slots, statuses, value types and values),
+    the same layout and the same key from both."""
     state = init(program, cfg, native_flows=native)
     for _ in range(ticks):
         tick = state.step(rng.choice(choices))
         settled, key = tick.settle()
         state, _ = tick.record()
-        assert [(i, s, v.__class__, v) for i, (s, v) in state.store.items()] == [
-            (i, s, v.__class__, v) for i, (s, v) in settled.store.items()
+        assert [pair and (*pair, pair[1].__class__) for pair in state.store] == [
+            pair and (*pair, pair[1].__class__) for pair in settled.store
         ]
+        assert state.layout is settled.layout
         assert fingerprint(state) == fingerprint(settled) == key
         if state.terminated:
             return

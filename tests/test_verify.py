@@ -239,6 +239,22 @@ def test_witness_with_same_named_instances_replays():
     assert replay(program, CFG1, verdict)
 
 
+def test_native_witnesses_replay():
+    # a program that still holds its flows can only be searched, and so
+    # replayed, with native flows; `replay` picks that mode from the program
+    flowing = 0
+    for seed in range(100):
+        source, wcrt = random_search_program(random.Random(seed))
+        program, cfg = parse(source), RewriteConfig(wcrt)
+        verdict = check_reachable(
+            program, cfg, alphabet_for(program), bound=6, target="HIT", native_flows=True
+        )
+        if isinstance(verdict, Witness):
+            flowing += program.has_flows()
+            assert replay(program, cfg, verdict), seed
+    assert flowing >= 10
+
+
 def test_registration_order_is_part_of_the_state():
     # with Y at tick 1 the second branch's HIT is declared first and so
     # settles as `HIT`; without Y the same residue and values arise in the
@@ -766,8 +782,7 @@ def _oracle_key(program, state, index):
     its node's preorder position in `index`, so it does not rest on the
     residue's own equality or on the compiler's slots."""
     store = tuple(
-        (index[id(inst.decl)], status, value)
-        for inst, (status, value) in state.store.items()
+        (index[id(state.code.decls[slot])], *state.store[slot]) for slot in state.layout
     )
     return (state.terminated, _res_key(state.residue, program.root, index), store)
 
