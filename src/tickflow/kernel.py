@@ -9,6 +9,10 @@ only previous-tick settled values, fold the tick's pending writes with
 the declared combine operators, latch the tick's inputs, and settle, so
 that all of it is visible from the next tick on.
 
+A tick's pending writes are one list of (key, value) pairs, which `fold`
+settles with one `dict` call; it groups them by key, to combine or refuse
+an instance's writes, only when that call shows one written twice.
+
 Since no read sees the tick's own inputs, the code of a tick, the residue
 it leaves, its labels, the scopes it ends and every write but an input's
 are the same under every input choice. So the code runs once, latching
@@ -78,11 +82,12 @@ integer cross-multiplication against the threshold
 the name computes `scale*value + shift`. A comparison of a continuous
 variable with a literal is the same integer test. A step `v = w + c`
 (every step of a rewritten or native flow), `w` a continuous variable and
-`c` a literal, builds `ratio(p*d + n*q, q*d)` from `w`'s and `c`'s
-`as_integer_ratio()`, `n/d` and `p/q`; a run of such steps on one `op+`
-variable, consecutive in straight-line code or in a native flow's rates,
-writes once, the exact sum its writes fold to. So a flow tick's only
-`Fraction`s are its steps.
+`c` a literal, builds `ratio(p*d + n*q, q*d)` from `w`'s integers `n/d`,
+read from its slots with no call (`rational.INTEGERS`), and `c`'s `p/q`,
+folded at compile time; the integer test reads them so too. A run of
+such steps on one `op+` variable, consecutive in straight-line code or in
+a native flow's rates, writes once, the exact sum its writes fold to. So
+a flow tick's only `Fraction`s are its steps.
 
 None of this changes a residue: a region that cannot pause leaves none,
 and a Seq's residue indexes its source statements. Reads, writes and
@@ -118,10 +123,11 @@ folds each instance's writes once; `record` lays the settled values out
 in one data tuple, read through a layout planned once per order of a
 tick's instances, and builds the next state in the same pass, and
 returns both. `settle` returns the next state and its
-key, the tuple `verify.fingerprint` gives it, both built in one pass.
-The search steps each state it expands on its first choice, latches
-every other choice onto that tick (`latch`), reads the one status it
-checks, settles only a state it keys and records only a witness.
+key, the tuple `verify.fingerprint` gives it: one pass per run, over the
+next layout, and per other choice a pass over its input instances. The
+search steps each state it expands on its first choice, latches every
+other choice onto that tick (`latch`), reads the one status it checks,
+settles only a state it keys and records only a witness.
 """
 
 from __future__ import annotations
@@ -133,7 +139,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import ArgumentError, KernelError, NestingError
-from .rational import format_value, ratio
+from .rational import INTEGERS, format_value, ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.checks import check_program
@@ -332,15 +338,28 @@ class _Tick:
     def settle(self) -> tuple:
         """The next state and its key, `verify.fingerprint` of it. Its
         store holds each instance whose scope did not end this tick at its
-        slot, with its settled status and value; the same pass lays each
-        out in the key, in registration order, as its slot, status and
-        value, a rational value as its (numerator, denominator)."""
+        slot, with its settled status and value; the key lays each out, in
+        registration order, as its slot, status and value, a rational value
+        as its (numerator, denominator). A choice latched onto the run
+        copies the run's (`_TickCtx.base`) and rewrites only its input
+        instances' entries: the code reads only the previous tick, so
+        every other instance settles alike under every choice."""
         run = self.run
-        layout = run.shape()[1]
+        store, flat, inputs = run._base or run.base()
+        if inputs and self is not run:
+            store, flat = list(store), list(flat)
+            self._settle_into(store, flat, inputs)
+        residue = run.residue
+        return self.state._after(run, store, run.shape()[1]), (residue is None, residue, tuple(flat))
+
+    def _settle_into(self, store: list, flat: list, entries) -> None:
+        """Put the settled (status, value) of the instance that outlives
+        the tick in each slot of the (slot, at) `entries` into `store`, and
+        its status and value into the key entries `flat[at + 1:at + 3]`."""
+        run = self.run
         folded, emitted, env, prev = self.folded, self.emitted, run.env, run.prev
-        store, flat = list(run.state.code.empty), []
-        for slot in layout:
-            key = env[slot]  # the slot's instance that outlives the tick
+        for slot, at in entries:
+            key = env[slot]
             present, pair = key in emitted, prev[slot]
             if key in folded:  # else an unchanged instance keeps its pair
                 pair = (present, folded[key])
@@ -348,12 +367,11 @@ class _Tick:
                 pair = (present, pair[1])
             store[slot] = pair
             value = pair[1]
+            flat[at + 1] = present
             if value.__class__ is Fraction:
-                flat += (slot, present, value.as_integer_ratio())
+                flat[at + 2] = (value._numerator, value._denominator)
             else:
-                flat += (slot, present, value)
-        residue = run.residue
-        return self.state._after(run, store, layout), (residue is None, residue, tuple(flat))
+                flat[at + 2] = value
 
     def record(self) -> tuple:
         """The next state and the tick's record, whose data holds the
@@ -418,7 +436,7 @@ class _TickCtx(_Tick):
 
     __slots__ = (
         "env", "prev", "live", "writes", "labels", "ended", "fresh", "log", "latchable", "error",
-        "shaped",
+        "shaped", "_base",
     )
 
     def __init__(self, state: TickState, t: int):
@@ -428,7 +446,7 @@ class _TickCtx(_Tick):
         self.prev = list(state.store)
         self.live = state.layout
         self.emitted: set = set()
-        self.writes: dict = {}  # key -> [value, ...]
+        self.writes: list = []  # (key, value) per write, in the order made
         self.labels: list = []  # names of the labels holding a paused point
         self.ended: set = set()  # keys of the instances whose scope ended this tick
         self.fresh: list = []
@@ -437,6 +455,7 @@ class _TickCtx(_Tick):
         self.error = None
         self.folded = None
         self.shaped = None
+        self._base = None
 
     @property
     def run(self) -> "_TickCtx":
@@ -456,17 +475,30 @@ class _TickCtx(_Tick):
             self.shaped = order, layout
         return self.shaped
 
+    def base(self) -> tuple:
+        """The empty choice's next store and flat key, as lists, and the
+        (slot, at) of each input instance in them, `at` its entry in the
+        key; built once, for every choice latched onto this run."""
+        if self.folded is None:
+            self.folded = self.fold()
+        layout, inputs = self.shape()[1], self.state.code.inputs
+        entries = [(slot, 3 * at) for at, slot in enumerate(layout)]
+        store, flat = list(self.state.code.empty), [None] * len(entries) * 3
+        flat[::3] = layout
+        self._settle_into(store, flat, entries)
+        self._base = store, flat, [entry for entry in entries if entry[0] in inputs]
+        return self._base
+
     def kill(self, slots: tuple):
         """Discard an aborted body, which declares the declarations in
         `slots`: their live instances vanish unsettled. The body has not
         run this tick (guards are evaluated top-down before bodies), so
         each slot holds no instance or the one live at the tick's start,
-        keyed by the slot, and no pending effects."""
+        keyed by the slot, and no pending effects: only the body names its
+        declarations."""
         live = self.live
         for slot in slots:
             if slot in live:
-                self.writes.pop(slot, None)
-                self.emitted.discard(slot)
                 at = live.index(slot)
                 live = live[:at] + live[at + 1:]
         self.live = live
@@ -533,23 +565,26 @@ class _TickCtx(_Tick):
     def fold(self, latched=()) -> dict:
         """The value each written instance settles to, by key: its writes
         folded with its combine operator, each latched (key, value) as the
-        first write of its instance. Raises for the first instance in
-        registration order written twice with no combine operator, whether
-        its second write came from the code or its first from a latch."""
-        writes = self.writes
-        if latched:
-            writes = dict(writes)
-            for key, value in latched:
-                writes[key] = [value, *writes.get(key, ())]
-        folded = {}
-        for key, pending in writes.items():
-            if len(pending) == 1:
-                folded[key] = pending[0]
+        first write of its instance. The pending writes are (key, value)
+        pairs, so when no instance is written twice one `dict` call folds
+        them; else they are grouped by key. Raises for the first instance
+        in registration order written twice with no combine operator,
+        whether its second write came from the code or its first from a
+        latch."""
+        pending = [*latched, *self.writes] if latched else self.writes
+        folded = dict(pending)
+        if len(folded) == len(pending):
+            return folded
+        writes: dict = {}
+        for key, value in pending:
+            writes.setdefault(key, []).append(value)
+        for key, values in writes.items():
+            if len(values) == 1:  # `dict` folded it
                 continue
             decls = self.state.code.decls
             decl = decls[key if key >= 0 else ~key]
             if decl.combine is not None:
-                folded[key] = ttl_mod.combine_fold(decl.combine, pending)
+                folded[key] = ttl_mod.combine_fold(decl.combine, values)
                 continue
             for key in (*self.live, *self.fresh):
                 decl = decls[key if key >= 0 else ~key]
@@ -623,7 +658,7 @@ _DEEPEST = " " * 50  # code indented this deep is a function of its own
 # the tick's fields, each loaded once by a function whose source names it
 _FIELDS = ("env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh")
 
-_WRITE = "writes.setdefault(env[{0}], []).append({1})"  # of {1} to the instance in slot {0}
+_WRITE = "writes.append((env[{0}], {1}))"  # of {1} to the instance in slot {0}
 
 _COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
 
@@ -937,7 +972,7 @@ class _Compiler:
                     num, den = self.let(lines, num), self.let(lines, den)
                 n, d = self.fresh("n"), self.fresh("d")
                 value = self.read(lines, scope[name][1], name, "value")
-                lines.append(f"{n}, {d} = {value}.as_integer_ratio()")
+                lines.append(f"{n}, {d} = {INTEGERS.format(value)}")
                 num, den = f"{_times(num, d)} + {_times(n, den)}", _times(den, d)
             lines.append(_WRITE.format(slot, f"ratio({num}, {den})"))
         return lines
@@ -1207,9 +1242,10 @@ class _Compiler:
 
     def bound(self, node, scope, lines: list) -> str:
         """`name <op> p/q` on a continuous variable, or on a look-ahead
-        prediction with `p/q` the threshold, as `n*q <op> p*d` for
-        `n, d = v.as_integer_ratio()` (both denominators are positive). A
-        signal's status is never compared with a number (a type error)."""
+        prediction with `p/q` the threshold, as `n*q <op> p*d` for `v`'s
+        integers `n, d`, read from its slots (both denominators are
+        positive). A signal's status is never compared with a number (a
+        type error)."""
         name, bound = node.left.name, node.right.value
         kind, slot, form = scope[name]
         if kind == "cont":
@@ -1220,7 +1256,7 @@ class _Compiler:
             value = f"env[{slot}]"
         p, q = map(str, bound.as_integer_ratio())
         n, d = self.fresh("n"), self.fresh("d")
-        lines.append(f"{n}, {d} = {value}.as_integer_ratio()")
+        lines.append(f"{n}, {d} = {INTEGERS.format(value)}")
         return self.let(lines, f"{_times(n, q)} {node.op} {_times(p, d)}")
 
 

@@ -11,12 +11,16 @@ leading `-` negates. There is no exponent, `_`, `+` or inner space, all of
 which `int()` and `Fraction()` would take.
 
 A rational computed from integers, such as a flow step's exact sum, is
-built by `ratio`, and its integers are read with `as_integer_ratio()`.
-`ratio` reduces `n/d` by one gcd and writes the two integers into the
+built by `ratio`, and its integers are read from the same slots, with no
+call. `ratio` reduces `n/d` by one gcd and writes the two integers into the
 `Fraction`'s slots, without `Fraction.__new__`'s argument handling; it is
 exact because a fraction divided through by the gcd of its terms is its
 reduced form. It assumes `d > 0`, which holds for every product of
-`Fraction` denominators. This module is the only one that knows the slots.
+`Fraction` denominators. This module is the only one that writes the
+slots, and it spells the read that generated code makes (`INTEGERS`); the
+two functions that build a state key, `kernel._Tick.settle` and
+`verify.fingerprint`, read them in place, where a call would cost more
+than the read.
 """
 
 from __future__ import annotations
@@ -83,9 +87,19 @@ def ratio(n: int, d: int) -> Fraction:
     return value
 
 
+# The source that reads the (numerator, denominator) of the `Fraction` whose
+# source is `{0}` from its slots: generated code reads a rational so, with no
+# call, where `as_integer_ratio()` is a Python function in `fractions.py`.
+INTEGERS = "{0}._numerator, {0}._denominator"
+
+
 def format_rational(value: Fraction) -> str:
-    """Render p/q, or just p when the denominator is 1."""
-    n, d = value.as_integer_ratio()
+    """Render p/q, or just p when the denominator is 1. An `int` renders
+    as itself."""
+    if value.__class__ is Fraction:
+        n, d = value._numerator, value._denominator
+    else:
+        n, d = value.as_integer_ratio()
     return str(n) if d == 1 else f"{n}/{d}"
 
 

@@ -5,7 +5,9 @@ needs when the class is defined and runs no `exec`, so a class costs about
 as much to define as a plain one:
 
 - `FIELDS`: the field names in order, bases first, read from the class
-  annotations; a class attribute of the same name is the field's default;
+  annotations; a class attribute of the same name is the field's default
+  when it is a plain value, and no default when it is a descriptor (a
+  property, a slot, a method);
 - an `__init__` that takes the fields by position or by name and then calls
   `__post_init__` if the class has one;
 - `==` and `hash` over the fields not named in `UNCOMPARED`, read through
@@ -22,7 +24,6 @@ own `__init__`, which skips the generic argument handling.
 from __future__ import annotations
 
 from operator import attrgetter
-from types import MemberDescriptorType
 
 
 _MISSING = object()
@@ -58,7 +59,7 @@ class Struct:
         defaults = {}
         for name in cls.FIELDS:
             value = getattr(cls, name, _MISSING)
-            if value is not _MISSING and not isinstance(value, MemberDescriptorType):
+            if value is not _MISSING and not hasattr(type(value), "__get__"):
                 defaults[name] = value
         cls._DEFAULTS = defaults
         compared = [name for name in cls.FIELDS if name not in cls.UNCOMPARED]

@@ -114,30 +114,37 @@ class Trace(Struct, frozen=False):
                 return rec
         raise TickflowError(f"no record for tick {tick}")
 
+    # a one-name read looks the name up through each record's layout and
+    # builds no table (`_column`)
+
     def cont(self, name: str, tick: int) -> Fraction:
         if tick == 0:
             return self.initial_conts[name]
-        return self.record(tick).conts[name]
+        for _, value in _column((self.record(tick),), 2, name):
+            return value
+        raise KeyError(name)
 
     def status(self, name: str, tick: int) -> bool:
-        return self.record(tick).statuses.get(name, False)
+        for _, status in _column((self.record(tick),), 0, name):
+            return status
+        return False
 
     def value(self, name: str, tick: int):
-        return self.record(tick).values[name]
+        for _, value in _column((self.record(tick),), 1, name):
+            return value
+        raise KeyError(name)
 
     def series(self, name: str) -> list:
         """[(tick, settled value)] of a continuous variable, while live."""
-        return [(r.tick, conts[name]) for r in self.records for conts in [r.conts] if name in conts]
+        return [(rec.tick, value) for rec, value in _column(self.records, 2, name)]
 
     def final_cont(self, name: str) -> Fraction:
-        for rec in reversed(self.records):
-            conts = rec.conts
-            if name in conts:
-                return conts[name]
+        for _, value in _column(reversed(self.records), 2, name):
+            return value
         return self.initial_conts[name]
 
     def emission_ticks(self, name: str) -> list:
-        return [r.tick for r in self.records if r.statuses.get(name, False)]
+        return [rec.tick for rec, status in _column(self.records, 0, name) if status]
 
     def entities(self) -> list:
         names = set(self.initial_conts)
@@ -188,6 +195,23 @@ class Trace(Struct, frozen=False):
                 )
             )
         return out
+
+
+def _column(records, which: int, name: str):
+    """(record, datum) for each of `records`, in order, whose table `which`
+    (0 statuses, 1 values, 2 conts) holds `name`: read through the record's
+    layout, whose name-to-position map is planned once per layout met, so
+    no table is built. Layouts are told apart by identity, which is safe
+    while `records` keeps them alive."""
+    plans: dict = {}
+    for rec in records:
+        layout = rec.layout
+        plan = plans.get(id(layout))
+        if plan is None:
+            plan = plans[id(layout)] = dict(layout[which])
+        at = plan.get(name)
+        if at is not None:
+            yield rec, rec.data[at]
 
 
 # --- CSV ----------------------------------------------------------------------

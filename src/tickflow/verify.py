@@ -29,11 +29,12 @@ from which its snapshot is read. A transition is one state under one
 choice, whether the choice ran the tick, was latched onto it or was only
 counted.
 
-A kept successor costs one pass and one hash: the tick's `settle` returns
-the state and its key, built in the pass over the instances that builds
-the store, and the search never calls `fingerprint`, which builds the
-same key from a state; one `setdefault` probes the cache, and only a
-known key reached strictly earlier is stored again.
+A kept successor costs one hash and a pass over its input instances: the
+tick's `settle` returns the state and its key, patched for the choice from
+the store and key the run settled once for the empty choice, and the
+search never calls `fingerprint`, which builds the same key from a state;
+one `setdefault` probes the cache, and only a known key reached strictly
+earlier is stored again.
 """
 
 from __future__ import annotations
@@ -158,13 +159,15 @@ def fingerprint(state: TickState) -> tuple:
     instances settles as `S` and which as `S:2`. A declaration fixes its
     value's type (boolean, rational or none), so a pair never meets a bool.
     The key holds only tuples, ints, bools, strs and None, which CPython
-    hashes and compares in C. A tick's `settle` builds this key beside the
-    state."""
+    hashes and compares in C; a rational's integers are read from its
+    slots, with no call. A tick's `settle` builds the same key beside the
+    state: once per run of a tick, and for each other input choice latched
+    onto the run by rewriting only the entries of its input instances."""
     store, flat = state.store, []
     for slot in state.layout:
         status, value = store[slot]
         if value.__class__ is Fraction:
-            value = value.as_integer_ratio()
+            value = (value._numerator, value._denominator)
         flat += (slot, status, value)
     return (state.terminated, state.residue, tuple(flat))
 

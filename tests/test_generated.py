@@ -275,7 +275,7 @@ _NAME = re.compile(
 )
 _ATTRIBUTES = {
     "env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh", "t", "kill",
-    "__class__", "as_integer_ratio", "setdefault", "append", "add",
+    "__class__", "as_integer_ratio", "setdefault", "append", "add", "_numerator", "_denominator",
 }
 
 

@@ -431,6 +431,22 @@ def test_input_declared_in_a_killed_and_reentered_scope():
     assert trace.emission_ticks("P:2") == [] and trace.emission_ticks("Q") == []
 
 
+def test_an_abort_drops_only_its_body_while_a_sibling_writes_the_outer_name():
+    # the first branch writes and emits the outer S before the abort's
+    # guard kills the body that declares its own S: the kill drops that S,
+    # and the outer S settles present with its write, as on every tick
+    source = (
+        "input signal GO; int signal S = 0;\n"
+        "loop { emit S; ?S = ?S + 1; pause }\n"
+        "|| abort (GO) { int signal S = 10; loop { emit S; ?S = ?S + 1; pause } }"
+    )
+    trace = _run(source, schedule=[InputAssignment.make(present=["GO"])], max_ticks=3)
+    assert trace.record(1).values == {"S": F(1), "S:2": F(11)}
+    for t in (2, 3):
+        assert trace.record(t).statuses == {"GO": False, "S": True}
+        assert trace.record(t).values == {"S": F(t)}
+
+
 def test_terminated_state_refuses_ticks():
     program = rewrite_flows(parse("nothing"), CFG1)
     state, _ = init(program, CFG1).step().record()
@@ -724,6 +740,62 @@ def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
                     successor, key = tick.settle()
                     if not successor.terminated:
                         reached.setdefault(key, successor)
+            frontier = list(reached.values())
+
+
+def _latched_cases():
+    """`_stepped_cases`, then 20 seeded valued programs, each rewritten and
+    native, with a seeded rng that picks 3 states of each tick's frontier
+    to expand (None for all): a valued program's 97 choices reach about as
+    many states per tick."""
+    for case in _stepped_cases():
+        yield (*case, None)
+    for seed in range(20):
+        source, wcrt = random_valued_program(random.Random(seed))
+        program, cfg = parse(source), RewriteConfig(wcrt)
+        choices = alphabet_for(program, VALUED_INPUTS).choices()
+        for native in (False, True):
+            compiled = program if native else rewrite_flows(program, cfg)
+            yield compiled, cfg, native, choices, random.Random(seed)
+
+
+def _stepped(tick) -> tuple:
+    """What a tick settles and records to: the key, the successor's value
+    and the record with its layout and typed data. `record` builds its
+    successor in a pass of its own, so the two successors must agree, and
+    the key must be `fingerprint` of the recorded one."""
+    successor, key = tick.settle()
+    recorded, record = tick.record()
+    assert _value_of(successor) == _value_of(recorded) and fingerprint(recorded) == key
+    typed = tuple((v.__class__, v) for v in record.data)
+    return key, _value_of(successor), record, record.layout, typed
+
+
+def test_every_choice_latched_onto_one_run_settles_as_its_own_step():
+    # the search steps a state on one choice and latches every other onto
+    # that run, settling each as it goes: in list order (the empty choice,
+    # the run itself, settles first) and reversed (a view settles first),
+    # each choice's `settle` and `record` give what a fresh `step` of that
+    # choice gives, for every state reached within 3 ticks (3 of them per
+    # tick for a valued program)
+    for compiled, cfg, native, choices, rng in _latched_cases():
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(3):
+            if rng is not None and len(frontier) > 3:
+                frontier = rng.sample(frontier, 3)
+            reached = {}
+            for state in frontier:
+                fresh = {inputs: _stepped(state.step(inputs)) for inputs in choices}
+                for order in (choices, choices[::-1]):
+                    tick = None
+                    for inputs in order:
+                        tick = state.step(inputs) if tick is None else tick.latch(inputs)
+                        got = _stepped(tick)
+                        assert got == fresh[inputs], (compiled, state.tick, inputs)
+                        successor, key = tick.settle()
+                        assert fingerprint(successor) == key
+                        if not successor.terminated:
+                            reached.setdefault(key, successor)
             frontier = list(reached.values())
 
 

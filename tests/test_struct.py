@@ -9,6 +9,7 @@ import pytest
 
 from tickflow.struct import Struct, replace
 from tickflow.syntax.nodes import Binary, Emit, NameRef, NumLit, Pause, Seq
+from tickflow.trace import TickRecord
 
 
 class _Base(Struct, frozen=False):
@@ -62,6 +63,20 @@ def test_arguments_by_position_name_and_default():
                          ((F(1),), {"colour": 3})):
         with pytest.raises(TypeError):
             NumLit(*args, **kwargs)
+
+
+class _Shown(Struct):
+    name: str
+    shown: str
+    shown = property(lambda self: self.name.upper())
+
+
+def test_a_descriptor_named_like_a_field_is_no_default():
+    # a property named like a field is no plain value: the field has no
+    # default, and a record's table properties give it none either
+    assert _Shown._DEFAULTS == {} and TickRecord._DEFAULTS == {}
+    with pytest.raises(TypeError, match="missing argument 'shown'"):
+        _Shown("a")
 
 
 def test_replace_keeps_the_class_and_the_uncompared_fields():

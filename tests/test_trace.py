@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CORPUS
 from helpers import REREGISTERED, random_program
+from tickflow.corpus import load_cases
 from tickflow.errors import TickflowError
 from tickflow.kernel import run
 from tickflow.params import bind_params
@@ -171,6 +172,69 @@ def test_kernel_built_records_roundtrip_and_compare_by_their_tables():
             assert built == record and hash(built) == hash(record)
         first, second = trace.records[:2]
         assert first != second and second != first
+
+
+def _table_reads(trace: Trace, name: str) -> tuple:
+    """What the one-name reads of `trace` give for `name`, each read from
+    the record's whole table, a `KeyError` as its name."""
+
+    def read(table: dict):
+        return table[name] if name in table else KeyError
+
+    records = trace.records
+    final = [rec.conts[name] for rec in records if name in rec.conts]
+    initial = trace.initial_conts
+    return (
+        [rec.statuses.get(name, False) for rec in records],
+        [read(rec.values) for rec in records],
+        [read(rec.conts) for rec in records],
+        [(rec.tick, rec.conts[name]) for rec in records if name in rec.conts],
+        final[-1] if final else read(initial),
+        [rec.tick for rec in records if rec.statuses.get(name, False)],
+        read(initial),
+    )
+
+
+def _name_reads(trace: Trace, name: str) -> tuple:
+    """The same reads through `Trace`'s one-name methods."""
+
+    def read(method, *args):
+        try:
+            return method(name, *args)
+        except KeyError:
+            return KeyError
+
+    ticks = [rec.tick for rec in trace.records]
+    return (
+        [trace.status(name, t) for t in ticks],
+        [read(trace.value, t) for t in ticks],
+        [read(trace.cont, t) for t in ticks],
+        trace.series(name),
+        read(trace.final_cont),
+        trace.emission_ticks(name),
+        read(trace.cont, 0),
+    )
+
+
+def _corpus_traces():
+    for case in load_cases(CORPUS):
+        program = bind_params(parse((CORPUS / case.program).read_text()), case.params)
+        cfg = RewriteConfig(case.wcrt)
+        try:
+            yield run(rewrite_flows(program, cfg), cfg, case.schedule, case.max_ticks)
+        except TickflowError:  # a case that pins an error has no trace
+            continue
+
+
+def test_one_name_reads_equal_the_table_reads():
+    # every entity of every corpus trace, of the kernel-built traces
+    # (`S:2` names) and of the differential ones, and a name none holds,
+    # read as the kernel built them and as `from_json` reads them back
+    traces = [*_corpus_traces(), *_kernel_built_traces(), *_differential_traces().values()]
+    for trace in traces:
+        for each in (trace, from_json(to_json(trace))):
+            for name in [*each.entities(), "nope"]:
+                assert _name_reads(each, name) == _table_reads(each, name), name
 
 
 def test_json_roundtrip_empty():
