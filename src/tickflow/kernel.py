@@ -17,17 +17,19 @@ Since no read sees the tick's own inputs, the code of a tick, the residue
 it leaves, its labels, the scopes it ends and every write but an input's
 are the same under every input choice. So the code runs once, latching
 nothing (a declaration of an input only notes the instance it registers),
-and every choice, the empty one included, is latched after it by one
-path (`_TickCtx.latch`): a present input instance is emitted, and a
+and every choice, the empty one included, is checked against that run by
+one path (`_TickCtx.check`): a present input instance is emitted, and a
 supplied value is the first write of its instance, folded with the
-code's writes by the one `fold`. The instances latched are those live at
-the tick's start and those the code registered; one the tick killed is
-checked but not latched. The empty choice's tick is the run itself, with
-the code's writes folded once; any other choice is a plain `_Tick` view
-of the run with its own emissions and folded values, and the search
-latches every choice of its alphabet onto one run of each state's tick.
-Errors are raised per choice, in the order a tick that latched before
-its code would meet them.
+code's writes by the one `fold` when the code wrote it. The instances
+given a value are those live at the tick's start and those the code
+registered; one the tick killed is checked but given none. Errors are
+raised per choice, in the order a tick that latched before its code
+would meet them. A choice's next state and key are the empty choice's,
+settled once per run (`_TickCtx.base`), with only the entries of its
+input instances rewritten (`_TickCtx.patch`). The empty choice's tick is
+the run itself; any other choice's is a plain `_Tick` view of the run
+with its own emissions and folded values, built only to record the tick
+or read a status under the choice.
 
 A program is compiled once per program object, tick length, flow mode
 and read logging, when the first `TickState` of it is built:
@@ -122,12 +124,12 @@ less builds less. `step` runs the tick and latches its inputs, which
 folds each instance's writes once; `record` lays the settled values out
 in one data tuple, read through a layout planned once per order of a
 tick's instances, and builds the next state in the same pass, and
-returns both. `settle` returns the next state and its
-key, the tuple `verify.fingerprint` gives it: one pass per run, over the
-next layout, and per other choice a pass over its input instances. The
-search steps each state it expands on its first choice, latches every
-other choice onto that tick (`latch`), reads the one status it checks,
-settles only a state it keys and records only a witness.
+returns both. `settle` returns the next state and its key, the tuple
+`verify.fingerprint` gives it: one pass per run, over the next layout,
+and per choice a pass over its input instances. The search steps each
+state it expands on its first choice, patches every choice from that
+run (`patch`), reads the one status it checks, and records only a
+witness.
 """
 
 from __future__ import annotations
@@ -171,8 +173,14 @@ class InputAssignment(Struct):
 
     @staticmethod
     def make(present=(), values=None) -> "InputAssignment":
-        pairs = tuple(sorted((values or {}).items()))
-        return InputAssignment(frozenset(present), pairs)
+        """The assignment of the names `present` and the {name: value} map
+        `values`, built past the generic constructor, as `trace.made_record`
+        builds a record: a search builds one per choice of its alphabet."""
+        choice = object.__new__(InputAssignment)
+        fields = choice.__dict__
+        fields["present"] = frozenset(present)
+        fields["values"] = tuple(sorted(values.items())) if values else ()
+        return choice
 
     def value_map(self) -> dict:
         return dict(self.values)
@@ -291,8 +299,9 @@ class TickState:
         next state nor the record: the returned tick's `settle` builds the
         state and its key, and its `record` the state and the record, from
         what it folded. The code runs once, whatever the inputs; `inputs`
-        are latched onto the run after it (`_TickCtx.latch`), and the
-        tick's `latch` latches any other choice onto the same run."""
+        are latched onto the run after it (`_TickCtx.latch`), the tick's
+        `latch` latches any other choice onto the same run, and the run's
+        `patch` settles any choice from it."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
         ctx = _TickCtx(self, self.tick + 1)
@@ -326,52 +335,20 @@ class TickState:
 
 
 class _Tick:
-    """A tick that has run and folded its writes: `residue` is what it
-    left, `emitted` holds the keys (see `_TickCtx`) of the instances it
-    made present and `folded` the value each written one settles to. The
-    run itself is a `_TickCtx`; one input choice latched onto it is a
-    plain `_Tick` that keeps its own `emitted` and `folded` and holds the
-    run in `run`."""
+    """A tick that has run and folded its writes under the input choice
+    `inputs`: `residue` is what it left, `emitted` holds the keys (see
+    `_TickCtx`) of the instances it made present and `folded` the value
+    each written one settles to. The run itself is a `_TickCtx`, under the
+    empty choice; another choice latched onto it is a plain `_Tick` view
+    that keeps its own `emitted` and `folded`, for `record` and
+    `settles_present`, and holds the run in `run`."""
 
-    __slots__ = ("state", "t", "residue", "emitted", "folded", "run")
+    __slots__ = ("state", "t", "residue", "emitted", "folded", "inputs", "run")
 
     def settle(self) -> tuple:
-        """The next state and its key, `verify.fingerprint` of it. Its
-        store holds each instance whose scope did not end this tick at its
-        slot, with its settled status and value; the key lays each out, in
-        registration order, as its slot, status and value, a rational value
-        as its (numerator, denominator). A choice latched onto the run
-        copies the run's (`_TickCtx.base`) and rewrites only its input
-        instances' entries: the code reads only the previous tick, so
-        every other instance settles alike under every choice."""
-        run = self.run
-        store, flat, inputs = run._base or run.base()
-        if inputs and self is not run:
-            store, flat = list(store), list(flat)
-            self._settle_into(store, flat, inputs)
-        residue = run.residue
-        return self.state._after(run, store, run.shape()[1]), (residue is None, residue, tuple(flat))
-
-    def _settle_into(self, store: list, flat: list, entries) -> None:
-        """Put the settled (status, value) of the instance that outlives
-        the tick in each slot of the (slot, at) `entries` into `store`, and
-        its status and value into the key entries `flat[at + 1:at + 3]`."""
-        run = self.run
-        folded, emitted, env, prev = self.folded, self.emitted, run.env, run.prev
-        for slot, at in entries:
-            key = env[slot]
-            present, pair = key in emitted, prev[slot]
-            if key in folded:  # else an unchanged instance keeps its pair
-                pair = (present, folded[key])
-            elif pair[0] is not present:
-                pair = (present, pair[1])
-            store[slot] = pair
-            value = pair[1]
-            flat[at + 1] = present
-            if value.__class__ is Fraction:
-                flat[at + 2] = (value._numerator, value._denominator)
-            else:
-                flat[at + 2] = value
+        """The next state and its key, `verify.fingerprint` of it: the
+        run's `patch` under this tick's choice."""
+        return self.run.patch(self.inputs)
 
     def record(self) -> tuple:
         """The next state and the tick's record, whose data holds the
@@ -418,9 +395,10 @@ class _Tick:
 class _TickCtx(_Tick):
     """One run of a tick's code from `state`, which it never writes.
     Every read sees the previous tick, so the run is the same for every
-    input choice: it latches no input. `latch` lays one input choice over
-    it, and `fold` turns its writes, with the choice's values first, into
-    settled values.
+    input choice: it latches no input. `patch` settles one input choice
+    from the run's own settled state (`base`), `latch` lays one over it as
+    a view, and `fold` turns its writes, with the choice's values first,
+    into settled values.
 
     An instance live at the tick's start is keyed by its slot, one it
     registers by `~slot`, so a slot may hold one that ended and a new one.
@@ -430,9 +408,9 @@ class _TickCtx(_Tick):
     that it did not kill and of those it registered, in registration order.
 
     A run that raised keeps its error in `error` and the instances
-    registered before it in `fresh`; `latch` raises it after the checks of
+    registered before it in `fresh`; `check` raises it after the checks of
     the choice's own values. `folded` holds the code's own writes folded,
-    once the first choice that latches no value needs them."""
+    once the first choice that needs them is checked."""
 
     __slots__ = (
         "env", "prev", "live", "writes", "labels", "ended", "fresh", "log", "latchable", "error",
@@ -451,11 +429,13 @@ class _TickCtx(_Tick):
         self.ended: set = set()  # keys of the instances whose scope ended this tick
         self.fresh: list = []
         self.log = state.read_log
-        self.latchable = None  # the keys of every input instance a choice is latched onto
+        self.latchable = None  # the keys of every input instance a choice is checked against
         self.error = None
         self.folded = None
         self.shaped = None
         self._base = None
+
+    inputs = EMPTY_INPUTS  # the run is the empty choice's tick
 
     @property
     def run(self) -> "_TickCtx":
@@ -477,16 +457,29 @@ class _TickCtx(_Tick):
 
     def base(self) -> tuple:
         """The empty choice's next store and flat key, as lists, and the
-        (slot, at) of each input instance in them, `at` its entry in the
-        key; built once, for every choice latched onto this run."""
+        (slot, at, key, name) of each input instance that outlives the tick,
+        `at` its entry in the key; built in one pass over the next layout,
+        once, for every choice patched from this run."""
         if self.folded is None:
             self.folded = self.fold()
-        layout, inputs = self.shape()[1], self.state.code.inputs
-        entries = [(slot, 3 * at) for at, slot in enumerate(layout)]
-        store, flat = list(self.state.code.empty), [None] * len(entries) * 3
-        flat[::3] = layout
-        self._settle_into(store, flat, entries)
-        self._base = store, flat, [entry for entry in entries if entry[0] in inputs]
+        code = self.state.code
+        folded, emitted, env, prev = self.folded, self.emitted, self.env, self.prev
+        store, flat, entries = list(code.empty), [], []
+        for slot in self.shape()[1]:
+            key = env[slot]
+            present, pair = key in emitted, prev[slot]
+            if key in folded:  # else an unchanged instance keeps its pair
+                pair = (present, folded[key])
+            elif pair[0] is not present:
+                pair = (present, pair[1])
+            store[slot] = pair
+            if slot in code.inputs:
+                entries.append((slot, len(flat), key, code.decls[slot].name))
+            value = pair[1]
+            if value.__class__ is Fraction:
+                value = (value._numerator, value._denominator)
+            flat += (slot, present, value)
+        self._base = store, flat, entries
         return self._base
 
     def kill(self, slots: tuple):
@@ -503,52 +496,102 @@ class _TickCtx(_Tick):
                 live = live[:at] + live[at + 1:]
         self.live = live
 
+    def check(self, inputs: InputAssignment) -> dict:
+        """Check the input choice `inputs` against this run, and return the
+        value each input instance the choice gives one settles to, by key:
+        the choice's, folded with the code's writes (`fold`) only when the
+        code wrote the instance. An instance the tick killed is checked but
+        given no value. Errors come in the order a tick that latched before
+        its code would meet them: an input the program does not declare;
+        the value of each input instance live at the tick's start, in
+        registration order (`value supplied for pure input`, `_adapt`);
+        those of the instances the code registered before it raised, if it
+        did; the code's error; and last a double write with no combine
+        operator."""
+        latched = {}
+        if inputs.values:
+            self.state._validate_inputs(inputs, self.t)
+            given, decls, live = dict(inputs.values), self.state.code.decls, self.live
+            try:
+                for key in self.input_instances():
+                    decl = decls[key if key >= 0 else ~key]
+                    if decl.name in given:
+                        value = input_value(given[decl.name], decl)
+                        if key < 0 or key in live:
+                            latched[key] = value
+            except KernelError as err:
+                raise KernelError(err.message, self.t) from None
+        elif inputs.present:
+            self.state._validate_inputs(inputs, self.t)
+        if self.error is not None:
+            raise self.error
+        if self.folded is None:
+            try:
+                self.folded = self.fold()
+            except KernelError:
+                if latched:  # the first double write may be a latched one's
+                    self.fold(latched.items())
+                raise
+        if latched and not latched.keys().isdisjoint(self.folded):
+            folded = self.fold(latched.items())
+            latched = {key: folded[key] for key in latched}
+        return latched
+
+    def patch(self, inputs: InputAssignment) -> tuple:
+        """The next state under the input choice `inputs`, and its key,
+        `verify.fingerprint` of it; raises what `check` raises. Its store
+        holds each instance whose scope did not end this tick at its slot,
+        with its settled status and value; the key lays each out, in
+        registration order, as its slot, status and value, a rational value
+        as its (numerator, denominator). Both are the run's `base` with
+        only its input instances' entries rewritten: the code reads only the
+        previous tick, so every other instance settles alike under every
+        choice. An input instance is present if the code emitted it or the
+        choice names it, and holds the value `check` gives it, else its
+        value in the base; so a choice with no values only flips statuses."""
+        values = self.check(inputs)
+        store, flat, entries = self._base or self.base()
+        present = inputs.present
+        if entries and (present or values):
+            store, flat, emitted = list(store), list(flat), self.emitted
+            for slot, at, key, name in entries:
+                if key in values:
+                    status, value = key in emitted or name in present, values[key]
+                    store[slot] = (status, value)
+                    flat[at + 1] = status
+                    if value.__class__ is Fraction:
+                        value = (value._numerator, value._denominator)
+                    flat[at + 2] = value
+                elif name in present and key not in emitted:
+                    store[slot] = (True, store[slot][1])
+                    flat[at + 1] = True
+        residue = self.residue
+        key = (residue is None, residue, tuple(flat))
+        return self.state._after(self, store, self.shaped[1]), key
+
     def latch(self, inputs: InputAssignment) -> _Tick:
-        """This tick under the input choice `inputs`: the run itself when
-        the choice is empty, else a `_Tick` view of it. An input instance
-        the choice names is made present or given its value unless the tick
-        killed it; a killed one is checked all the same. Errors come in the
-        order a tick that latched before its code would meet them: an input
-        the program does not declare; the value of each input instance live
-        at the tick's start, in registration order (`value supplied for
-        pure input`, `_adapt`); those of the instances the code registered
-        before it raised, if it did; the code's error; and last a double
-        write with no combine operator (`fold`)."""
-        if not inputs.present and not inputs.values:
+        """This tick under the input choice `inputs`, checked (`check`): the
+        run itself when the choice is empty, else a `_Tick` view of it, for
+        its record or a status under the choice. An input instance the
+        choice names is made present, and one it gives a value holds it,
+        unless the tick killed it."""
+        present = inputs.present
+        if not present and not inputs.values:  # `check` of the empty choice, inline
             if self.error is not None:
                 raise self.error
             if self.folded is None:
                 self.folded = self.fold()
             return self
-        self.state._validate_inputs(inputs, self.t)
-        present, values = inputs.present, dict(inputs.values)
-        decls, live, emitted, latched = self.state.code.decls, self.live, self.emitted, []
-        try:
-            for key in self.input_instances():
-                decl = decls[key if key >= 0 else ~key]
-                name = decl.name
-                alive = key < 0 or key in live
-                if name in values:
-                    value = input_value(values[name], decl)
-                    if alive:
-                        latched.append((key, value))
-                if name in present and alive:
-                    if emitted is self.emitted:
-                        emitted = set(emitted)
-                    emitted.add(key)
-        except KernelError as err:
-            raise KernelError(err.message, self.t) from None
-        if self.error is not None:
-            raise self.error
+        values = self.check(inputs)
+        emitted, live, decls = self.emitted, self.live, self.state.code.decls
+        named = [
+            key for key in self.input_instances()
+            if (key < 0 or key in live) and decls[key if key >= 0 else ~key].name in present
+        ]
         view = _Tick()
-        if latched:
-            view.folded = self.fold(latched)
-        elif self.folded is None:
-            view.folded = self.folded = self.fold()
-        else:
-            view.folded = self.folded
-        view.emitted = emitted
-        view.run = self
+        view.emitted = emitted.union(named) if named else emitted
+        view.folded = {**self.folded, **values} if values else self.folded
+        view.inputs, view.run = inputs, self
         view.state, view.t, view.residue = self.state, self.t, self.residue
         return view
 

@@ -120,37 +120,42 @@ class Trace(Struct, frozen=False):
     def cont(self, name: str, tick: int) -> Fraction:
         if tick == 0:
             return self.initial_conts[name]
-        for _, value in _column((self.record(tick),), 2, name):
+        for _, value in _column((self.record(tick),), (2,), name):
             return value
         raise KeyError(name)
 
     def status(self, name: str, tick: int) -> bool:
-        for _, status in _column((self.record(tick),), 0, name):
+        for _, status in _column((self.record(tick),), (0,), name):
             return status
         return False
 
     def value(self, name: str, tick: int):
-        for _, value in _column((self.record(tick),), 1, name):
+        for _, value in _column((self.record(tick),), (1,), name):
             return value
         raise KeyError(name)
 
     def series(self, name: str) -> list:
         """[(tick, settled value)] of a continuous variable, while live."""
-        return [(rec.tick, value) for rec, value in _column(self.records, 2, name)]
+        return [(rec.tick, value) for rec, value in _column(self.records, (2,), name)]
 
     def final_cont(self, name: str) -> Fraction:
-        for _, value in _column(reversed(self.records), 2, name):
+        for _, value in _column(reversed(self.records), (2,), name):
             return value
         return self.initial_conts[name]
 
     def emission_ticks(self, name: str) -> list:
-        return [rec.tick for rec, status in _column(self.records, 0, name) if status]
+        return [rec.tick for rec, status in _column(self.records, (0,), name) if status]
 
     def entities(self) -> list:
-        names = set(self.initial_conts)
+        """The names of every signal status and continuous variable the
+        trace settles, sorted: read from each layout met, by identity."""
+        names, seen = set(self.initial_conts), set()
         for rec in self.records:
-            names.update(rec.statuses)
-            names.update(rec.conts)
+            layout = rec.layout
+            if id(layout) not in seen:
+                seen.add(id(layout))
+                names.update(name for name, _ in layout[0])
+                names.update(name for name, _ in layout[2])
         return sorted(names)
 
     @property
@@ -197,18 +202,21 @@ class Trace(Struct, frozen=False):
         return out
 
 
-def _column(records, which: int, name: str):
-    """(record, datum) for each of `records`, in order, whose table `which`
-    (0 statuses, 1 values, 2 conts) holds `name`: read through the record's
-    layout, whose name-to-position map is planned once per layout met, so
-    no table is built. Layouts are told apart by identity, which is safe
-    while `records` keeps them alive."""
+def _column(records, tables: tuple, name: str):
+    """(record, datum) for each of `records`, in order, whose tables (0
+    statuses, 1 values, 2 conts) hold `name`, the datum from the first of
+    `tables` that does: read through the record's layout, whose
+    name-to-position map is planned once per layout met, so no table is
+    built. Layouts are told apart by identity, which is safe while
+    `records` keeps them alive."""
     plans: dict = {}
     for rec in records:
         layout = rec.layout
         plan = plans.get(id(layout))
         if plan is None:
-            plan = plans[id(layout)] = dict(layout[which])
+            plan = plans[id(layout)] = {}
+            for table in reversed(tables):  # the first table's entry wins
+                plan.update(layout[table])
         at = plan.get(name)
         if at is not None:
             yield rec, rec.data[at]
@@ -432,11 +440,8 @@ def _lane_points(trace: Trace, name: str) -> list:
     pts = []
     if name in trace.initial_conts:
         pts.append((0, trace.initial_conts[name]))
-    for rec in trace.records:
-        if name in rec.conts:
-            pts.append((rec.tick, rec.conts[name]))
-        elif name in rec.statuses:
-            pts.append((rec.tick, rec.statuses[name]))
+    # a record's continuous variable `name`, else its signal's status
+    pts += [(rec.tick, datum) for rec, datum in _column(trace.records, (2, 0), name)]
     if not pts:
         pts = [(0, False)]
     return pts

@@ -16,25 +16,28 @@ assignment a schedule can give over its names and values
 (`InputAlphabet.choices`), a value with either status included. A
 state is a value, and no read in a tick sees that tick's inputs, so the
 expanded state's tick runs once, on the first input choice
-(`TickState.step`), and each later choice is latched onto that run (the
-tick's `latch`). A choice changes only input instances, so the target is
-read once per tick, on the first choice, unless it is an input, which is
-read under every choice. The alphabet is checked once, before the search
-(`InputAlphabet.require`). A leaf, a tick that terminated or sits at
-the bound, builds no state and is never keyed; a later choice at a leaf
-that carries no values, with a target that is not an input, cannot fail
-once the first choice has run, and is only counted. Only a successor that
-is keyed is settled into a state, and only a witness builds a `TickRecord`,
-from which its snapshot is read. A transition is one state under one
-choice, whether the choice ran the tick, was latched onto it or was only
-counted.
+(`TickState.step`), and every choice is settled as a patch of that run
+(`_TickCtx.patch`). A choice changes only input instances, so the target
+is read once per tick, on the first choice, unless it is an input, which
+is read under every choice, on a view of the run that latches it (the
+run's `latch`). The alphabet is checked once, before the search
+(`InputAlphabet.require`). A leaf, a tick that terminated or sits at the
+bound, builds no state and is never keyed. Once a leaf's first choice has
+run, a later choice can fail only for a value it carries, which is
+checked (`_TickCtx.check`); so when no later choice carries one and the
+target is not an input, they are counted in one step. Only a successor
+that is keyed is settled into a state, and only a witness builds a
+`TickRecord`, from which its snapshot is read. A transition is
+one state under one choice, whether the choice ran the tick, was settled
+as a patch of it or was only counted.
 
-A kept successor costs one hash and a pass over its input instances: the
-tick's `settle` returns the state and its key, patched for the choice from
-the store and key the run settled once for the empty choice, and the
-search never calls `fingerprint`, which builds the same key from a state;
-one `setdefault` probes the cache, and only a known key reached strictly
-earlier is stored again.
+A kept successor costs one hash and a pass over the input instances that
+outlive its tick: the run settles the empty choice's store and key once
+(`_TickCtx.base`), and each choice rewrites only its input instances'
+entries of copies of them, so a choice with no values only flips
+statuses. The search never calls `fingerprint`, which builds the same key
+from a state; one `setdefault` probes the cache, and only a known key
+reached strictly earlier is stored again.
 """
 
 from __future__ import annotations
@@ -160,9 +163,9 @@ def fingerprint(state: TickState) -> tuple:
     value's type (boolean, rational or none), so a pair never meets a bool.
     The key holds only tuples, ints, bools, strs and None, which CPython
     hashes and compares in C; a rational's integers are read from its
-    slots, with no call. A tick's `settle` builds the same key beside the
-    state: once per run of a tick, and for each other input choice latched
-    onto the run by rewriting only the entries of its input instances."""
+    slots, with no call. A tick's run builds the same key beside the
+    state (`_TickCtx.patch`): once per run, and for each input choice by
+    rewriting only the entries of its input instances."""
     store, flat = state.store, []
     for slot in state.layout:
         status, value = store[slot]
@@ -213,31 +216,42 @@ def check_reachable(
     # a choice changes only input instances, so a target that names no
     # input settles alike under every choice of one tick
     per_choice = target in start.input_names
+    # at a leaf whose first choice ran, a later choice can raise only for a
+    # value it carries, so when none carries one they are counted at once
+    later = len(choices) - 1 if not per_choice and not any(c.values for c in choices[1:]) else 0
+    too_many = f"reachability search exceeded {node_limit} transitions"
     frontier = deque([(start, ())] if bound > 0 else [])
     explored = 0
     while frontier:
         state, prefix = take(frontier)  # never a leaf
-        tick = None
+        run = None
         for assignment in choices:
             explored += 1
             if explored > node_limit:
-                raise SearchLimitError(
-                    f"reachability search exceeded {node_limit} transitions"
-                )
-            if tick is None:
+                raise SearchLimitError(too_many)
+            if run is None:
                 # the state's tick runs once, on the first choice; each
-                # later choice is latched onto that run
+                # later choice is settled as a patch of that run
                 tick = state.step(assignment)
-                t = tick.t
-                leaf = tick.residue is None or t >= bound
+                run, t = tick.run, tick.t
+                leaf = run.residue is None or t >= bound
                 hit = tick.settles_present(target)
-            elif leaf and not per_choice and not assignment.values:
-                # the first choice raised the code's errors and the alphabet
-                # was checked before the search, so this one is only counted
-                continue
+                if leaf and later and not hit:
+                    explored += later
+                    if explored > node_limit:
+                        raise SearchLimitError(too_many)
+                    break
+            elif per_choice:
+                tick = run.latch(assignment)
+                hit = tick.settles_present(target)
             else:
-                tick = tick.latch(assignment)
-                hit = per_choice and tick.settles_present(target)
+                tick, hit = None, False
+                if leaf:
+                    # the first choice raised the code's errors and the
+                    # alphabet was checked, so only a value can fail here
+                    if assignment.values:
+                        run.check(assignment)
+                    continue
             if hit:
                 _, record = tick.record()
                 return Witness(
@@ -247,7 +261,7 @@ def check_reachable(
                 )
             if leaf:
                 continue  # never expanded, so never settled or keyed
-            successor, key = tick.settle()
+            successor, key = run.patch(assignment) if tick is None else tick.settle()
             # one probe: a new key is stored with its tick; a known one is
             # kept only when reached strictly earlier
             known = len(earliest)

@@ -28,6 +28,7 @@ from helpers import (
     VALUED_INPUTS,
     multirate_programs,
     random_search_program,
+    random_status_value_program,
     random_valued_program,
 )
 
@@ -305,6 +306,33 @@ def test_parallel_terminates_with_slowest_branch():
 
 
 # --- inputs ---------------------------------------------------------------------------
+
+
+def test_make_builds_what_the_generic_constructor_builds():
+    # `make` skips `Struct.__init__`: each assignment it builds, and each
+    # choice of a valued alphabet, has the fields, equality, hash and repr
+    # of the one the generic constructor builds from the same fields
+    made = [
+        InputAssignment.make(),
+        InputAssignment.make(present=["B", "A"]),
+        InputAssignment.make(values={"L": F(1, 2), "ACC": F(2)}),
+        InputAssignment.make({"V"}, {"V": True}),
+        InputAssignment.make((), {}),
+    ]
+    program = parse(
+        "input signal A, B; input int signal ACC op+ = 0; input int signal LEVEL = 0;\npause"
+    )
+    made += alphabet_for(program, VALUED_INPUTS).choices()
+    for choice in made:
+        generic = InputAssignment(choice.present, choice.values)
+        assert (choice.present, choice.values) == (generic.present, generic.values)
+        assert choice.present.__class__ is frozenset and choice.values.__class__ is tuple
+        assert choice == generic and generic == choice
+        assert hash(choice) == hash(generic) and repr(choice) == repr(generic)
+    assert made[0] == InputAssignment() == kernel.EMPTY_INPUTS
+    assert made[2].values == (("ACC", F(2)), ("L", F(1, 2)))
+    with pytest.raises(AttributeError):
+        made[1].present = frozenset()
 
 
 def test_unknown_input_rejected():
@@ -797,6 +825,105 @@ def test_every_choice_latched_onto_one_run_settles_as_its_own_step():
                         if not successor.terminated:
                             reached.setdefault(key, successor)
             frontier = list(reached.values())
+
+
+# the values offered, beside VALUED_INPUTS, to the inputs of `_PATCHED`: 1/2
+# is no value of the `int` L, so a choice that gives it one raises
+_PATCH_VALUES = {**VALUED_INPUTS, "L": (F(2), F(1, 2)), "V": (True,)}
+
+# L_TWICE: code that writes a valued input with no combine operator, so a
+# choice that gives the input a value writes it twice
+_L_TWICE = "'L' written 2 times in one tick with no combine operator"
+_PATCHED = (
+    "input int signal L = 0; signal HIT;\nloop { ?L = 1; if (?L == 2) emit HIT; pause }",
+    # code that emits an input, and code that writes a valued `op+` input
+    "input signal A; input int signal ACC op+ = 0; signal HIT;\n"
+    "loop { ?ACC = ?ACC + 1; if (?ACC >= 4) emit HIT; pause } || loop { emit A; pause }",
+    # input instances an abort kills and its loop registers again, and one
+    # whose scope ends and that registers again every tick
+    "input signal A, B; signal HIT;\n"
+    "loop { abort (A) { input signal C; input int signal L = 0; "
+    "loop { if (C || ?L == 2) emit HIT; pause } }; pause }\n"
+    "|| loop { input boolean signal V = false; if (?V) emit HIT; pause }",
+)
+
+
+def _patched_cases():
+    """`_latched_cases`, then 10 seeded status-value programs and the
+    `_PATCHED` programs, with a seeded rng for the last."""
+    yield from _latched_cases()
+    for seed in range(10):
+        source, wcrt, _, values = random_status_value_program(random.Random(seed))
+        program, cfg = parse(source), RewriteConfig(wcrt)
+        choices = alphabet_for(program, {"L": values}).choices()
+        yield rewrite_flows(program, cfg), cfg, False, choices, None
+    for seed, source in enumerate(_PATCHED):
+        program = parse(source)
+        choices = alphabet_for(program, _PATCH_VALUES).choices()
+        yield program, CFG1, False, choices, random.Random(seed)
+
+
+def _settled(make) -> tuple:
+    """The (message, tick) of the `KernelError` settling a choice raises,
+    else what the successor holds, its key and the key's value types."""
+    try:
+        successor, key = make()
+    except KernelError as err:
+        return err.message, err.tick
+    return _value_of(successor), key, [v.__class__ for v in key[2]]
+
+
+def _fresh(state, inputs) -> tuple:
+    """`_settled` of a fresh step of `inputs` from `state`; the successor
+    `record` builds, in a pass of its own over the tick's instances, must
+    agree with it."""
+    try:
+        tick = state.step(inputs)
+    except KernelError as err:
+        return err.message, err.tick
+    settled = _settled(tick.settle)
+    recorded, _ = tick.record()
+    assert settled[0] == _value_of(recorded), (state.tick, inputs)
+    return settled
+
+
+def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
+    # the search steps a state on its first choice and settles every choice
+    # as a patch of that run (`_TickCtx.patch`): in list order and reversed,
+    # the first choice that steps gives the run, and patching each choice
+    # onto it gives the successor, key, store, layout and residue a fresh
+    # `step` of that choice settles to, or raises the same error at the
+    # same tick, for every state reached within 3 ticks (3 of them per tick
+    # where a seeded rng picks)
+    errors = set()
+    for compiled, cfg, native, choices, rng in _patched_cases():
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(3):
+            if rng is not None and len(frontier) > 3:
+                frontier = rng.sample(frontier, 3)
+            fresh = {}
+            for state in frontier:
+                want = {inputs: _fresh(state, inputs) for inputs in choices}
+                errors.update(outcome[0] for outcome in want.values() if len(outcome) == 2)
+                for order in (choices, choices[::-1]):
+                    for first in order:
+                        try:
+                            run = state.step(first).run
+                        except KernelError:
+                            continue
+                        for inputs in order:
+                            got = _settled(lambda: run.patch(inputs))
+                            assert got == want[inputs], (compiled, state.tick, first, inputs)
+                        break
+                for inputs in choices:
+                    try:
+                        successor, key = state.step(inputs).settle()
+                    except KernelError:
+                        continue
+                    if not successor.terminated:
+                        fresh.setdefault(key, successor)
+            frontier = list(fresh.values())
+    assert {_L_TWICE, "'L' holds an integer value"} <= errors
 
 
 def test_snapshot_names_instances_like_the_record():

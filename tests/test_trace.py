@@ -17,6 +17,7 @@ from tickflow.params import bind_params
 from tickflow.rational import format_rational
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow import trace as trace_mod
 from tickflow.trace import (
     TickRecord, Trace, from_json, to_csv, to_json, to_svg_timing, trace_equal,
 )
@@ -235,6 +236,47 @@ def test_one_name_reads_equal_the_table_reads():
         for each in (trace, from_json(to_json(trace))):
             for name in [*each.entities(), "nope"]:
                 assert _name_reads(each, name) == _table_reads(each, name), name
+
+
+def _table_entities(trace: Trace) -> list:
+    """`Trace.entities` read from each record's whole tables."""
+    names = set(trace.initial_conts)
+    for rec in trace.records:
+        names.update(rec.statuses)
+        names.update(rec.conts)
+    return sorted(names)
+
+
+def _table_lane_points(trace: Trace, name: str) -> list:
+    """The points of `name`'s SVG lane read from each record's whole
+    tables: a continuous variable's value, else a signal's status."""
+    pts = [(0, trace.initial_conts[name])] if name in trace.initial_conts else []
+    for rec in trace.records:
+        if name in rec.conts:
+            pts.append((rec.tick, rec.conts[name]))
+        elif name in rec.statuses:
+            pts.append((rec.tick, rec.statuses[name]))
+    return pts or [(0, False)]
+
+
+def test_entities_and_lanes_read_through_layouts_equal_the_table_reads(monkeypatch):
+    # every corpus trace, the kernel-built ones (`S:2` names and the
+    # carousel) and the differential ones, as built and as `from_json`
+    # reads them back: the names, each lane (and one of a name none holds)
+    # and the SVG of up to three lanes are what the whole tables give
+    traces = [*_corpus_traces(), *_kernel_built_traces(), *_differential_traces().values()]
+    drawn = []
+    for trace in traces:
+        for each in (trace, from_json(to_json(trace))):
+            names = each.entities()
+            assert names == _table_entities(each)
+            for name in [*names, "nope"]:
+                assert trace_mod._lane_points(each, name) == _table_lane_points(each, name), name
+            if names:
+                drawn.append((each, names[:3], to_svg_timing(each, names[:3])))
+    monkeypatch.setattr(trace_mod, "_lane_points", _table_lane_points)
+    for each, names, svg in drawn:
+        assert to_svg_timing(each, names) == svg
 
 
 def test_json_roundtrip_empty():

@@ -539,7 +539,7 @@ _FAULT_SEARCH = (
 
 def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypatch):
     program = _program(_FAULT_SEARCH)
-    calls = {"step": 0, "latched": 0, "settles_present": 0, "settle": 0, "validate": 0}
+    calls = {"step": 0, "views": 0, "settles_present": 0, "base": 0, "patch": 0, "validate": 0}
 
     def counting(cls, name, key):
         real = getattr(cls, name)
@@ -554,22 +554,25 @@ def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypa
     real_latch = kernel._TickCtx.latch
 
     def latch(tick, inputs):
-        # a choice that carries a status or a value is latched as a view
-        calls["latched"] += bool(inputs.present or inputs.values)
-        return real_latch(tick, inputs)
+        # a choice latched as a view of the run, not the run itself
+        latched = real_latch(tick, inputs)
+        calls["views"] += latched is not tick
+        return latched
 
     monkeypatch.setattr(kernel._TickCtx, "latch", latch)
     counting(kernel._Tick, "settles_present", "settles_present")
-    counting(kernel._Tick, "settle", "settle")
+    counting(kernel._TickCtx, "base", "base")
+    counting(kernel._TickCtx, "patch", "patch")
     counting(kernel.TickState, "_validate_inputs", "validate")
     verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
     assert verdict == Unreachable(bound=3, states_explored=584)
     # 73 expanded states, 8 choices each: the target is read once per tick,
-    # and of the 511 later choices only the 63 of interior ticks are
-    # latched, each checking its names; the 448 of leaf ticks carry no
-    # value and are only counted, their names known to be declared
+    # and no choice is latched as a view. The 9 interior ticks settle their
+    # run once (a base pass) and patch it for each of their 8 choices, the
+    # 63 later ones each checking its names; the 7 later choices of each of
+    # the 64 leaf ticks carry no value and are counted at once
     assert calls == {
-        "step": 73, "latched": 63, "settles_present": 73, "settle": 72, "validate": 63,
+        "step": 73, "views": 0, "settles_present": 73, "base": 9, "patch": 72, "validate": 63,
     }
 
 
@@ -578,7 +581,7 @@ def test_search_hashes_each_kept_successor_once(monkeypatch):
     # `setdefault` probes the visited map, so each key is hashed once
     program = _program(_FAULT_SEARCH)
     calls = 0
-    real_settle = kernel._Tick.settle
+    real_patch = kernel._TickCtx.patch
 
     class CountedKey(tuple):
         def __hash__(self):
@@ -586,11 +589,11 @@ def test_search_hashes_each_kept_successor_once(monkeypatch):
             calls += 1
             return tuple.__hash__(self)
 
-    def settle(tick):
-        state, key = real_settle(tick)
+    def patch(run, inputs):
+        state, key = real_patch(run, inputs)
         return state, CountedKey(key)
 
-    monkeypatch.setattr(kernel._Tick, "settle", settle)
+    monkeypatch.setattr(kernel._TickCtx, "patch", patch)
     verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
     assert verdict == Unreachable(bound=3, states_explored=584)
     assert calls == 72
