@@ -17,19 +17,20 @@ Since no read sees the tick's own inputs, the code of a tick, the residue
 it leaves, its labels, the scopes it ends and every write but an input's
 are the same under every input choice. So the code runs once, latching
 nothing (a declaration of an input only notes the instance it registers),
-and every choice, the empty one included, is checked against that run by
-one path (`_TickCtx.check`): a present input instance is emitted, and a
-supplied value is the first write of its instance, folded with the
-code's writes by the one `fold` when the code wrote it. The instances
-given a value are those live at the tick's start and those the code
-registered; one the tick killed is checked but given none. Errors are
-raised per choice, in the order a tick that latched before its code
-would meet them. A choice's next state and key are the empty choice's,
-settled once per run (`_TickCtx.base`), with only the entries of its
-input instances rewritten (`_TickCtx.patch`). The empty choice's tick is
-the run itself; any other choice's is a plain `_Tick` view of the run
-with its own emissions and folded values, built only to record the tick
-or read a status under the choice.
+and that run (`_TickCtx`) is the one tick object: every choice, the empty
+one included, is checked against it by one path (`_TickCtx.check`), and
+settled, recorded or read through its methods that take the choice. A
+present input instance is emitted, and a supplied value is the first
+write of its instance, folded with the code's writes by the one `fold`
+when the code wrote it. The instances given a value are those live at the
+tick's start and those the code registered; one the tick killed is
+checked but given none. Errors are raised per choice, in the order a tick
+that latched before its code would meet them. A choice's names are
+checked where they enter: by `TickState.step`, before the code runs, by
+`run` for its whole schedule (`require_inputs`), and by the search for
+its whole alphabet. A choice's next store, key and record are the empty
+choice's, settled once per run (`_TickCtx.settled`, and `keyed` for the
+key), with only the entries of its input instances rewritten.
 
 A program is compiled once per program object, tick length, flow mode
 and read logging, when the first `TickState` of it is built:
@@ -120,15 +121,17 @@ Identical (program, config, schedule) triples produce identical traces.
 
 A state stores whether it terminated, set where it is built. One tick
 is `step(inputs)`, then `record()` or `settle()`, so a caller that reads
-less builds less. `step` runs the tick and latches its inputs, which
-folds each instance's writes once; `record` lays the settled values out
-in one data tuple, read through a layout planned once per order of a
-tick's instances, and builds the next state in the same pass, and
-returns both. `settle` returns the next state and its key, the tuple
-`verify.fingerprint` gives it: one pass per run, over the next layout,
-and per choice a pass over its input instances. The search steps each
-state it expands on its first choice, patches every choice from that
-run (`patch`), reads the one status it checks, and records only a
+less builds less. `step` runs the tick and checks `inputs` against it,
+which folds each instance's writes once; the run remembers the choice.
+`record` lays the settled values out in one data tuple, read through a
+layout planned once per order of a tick's instances, and builds the next
+state in the same pass, and returns both. `settle` returns the next
+state and its key, the tuple `verify.fingerprint` gives it: a key pass
+per run, over the next layout, that `record` never makes, and per choice
+a pass over its input instances (`patch`, which gives the store first,
+so that the search builds a state only for a key it keeps). The search
+runs each state it expands on its first choice, patches every choice
+from that run, reads the one status it checks, and records only a
 witness.
 """
 
@@ -234,9 +237,9 @@ class _Code:
     """A program's `run` and `resume` and what its ticks share: each slot's
     declaration (None for a look-ahead's), the input slots, a tick's first
     `env`, the store of tick 0, the interned layouts of its states and a
-    record layout per order of a tick's instances."""
+    record plan per order of a tick's instances."""
 
-    __slots__ = ("run", "resume", "decls", "inputs", "keys", "empty", "layouts", "records")
+    __slots__ = ("run", "resume", "decls", "inputs", "keys", "empty", "layouts", "plans")
 
     def __init__(self, run, resume, decls: list):
         self.run, self.resume, self.decls = run, resume, tuple(decls)
@@ -244,16 +247,19 @@ class _Code:
             s for s, d in enumerate(decls) if d.__class__ is SignalDecl and d.direction == "input"
         }
         self.keys, self.empty = tuple(range(len(decls))), (None,) * len(decls)
-        self.layouts, self.records = {(): ()}, {}
+        self.layouts, self.plans = {(): ()}, {}
 
-    def record_layout(self, order: tuple) -> tuple:
-        """The layout (see `trace`) of the data `record` lays out, each
-        instance's status and value, for the instance keys `order`."""
-        layout = self.records.get(order)
-        if layout is None:
-            tables, seen = ([], [], []), {}
+    def plan(self, order: tuple) -> tuple:
+        """For the instance keys `order`, the layout (see `trace`) of the
+        data a record lays out, each instance's status and value, and the
+        (key, at, slot, name) of each input instance, `at` its status's
+        entry in the data."""
+        plan = self.plans.get(order)
+        if plan is None:
+            tables, seen, entries = ([], [], []), {}, []
             for at, key in enumerate(order):
-                decl = self.decls[key if key >= 0 else ~key]
+                slot = key if key >= 0 else ~key
+                decl = self.decls[slot]
                 count = seen[decl.name] = seen.get(decl.name, 0) + 1
                 name = f"{decl.name}:{count}" if count > 1 else decl.name
                 if decl.__class__ is not SignalDecl:  # its status is never read
@@ -262,8 +268,10 @@ class _Code:
                 tables[0].append((name, 2 * at))
                 if decl.stype is not None:
                     tables[1].append((name, 2 * at + 1))
-            layout = self.records[order] = tuple(map(tuple, tables))
-        return layout
+                if slot in self.inputs:
+                    entries.append((key, 2 * at, slot, decl.name))
+            plan = self.plans[order] = tuple(map(tuple, tables)), tuple(entries)
+        return plan
 
 
 class TickState:
@@ -294,23 +302,17 @@ class TickState:
 
     # -- one tick --
 
-    def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_Tick":
-        """Run one tick and latch `inputs` onto it, but build neither the
-        next state nor the record: the returned tick's `settle` builds the
-        state and its key, and its `record` the state and the record, from
-        what it folded. The code runs once, whatever the inputs; `inputs`
-        are latched onto the run after it (`_TickCtx.latch`), the tick's
-        `latch` latches any other choice onto the same run, and the run's
-        `patch` settles any choice from it."""
+    def step(self, inputs: InputAssignment = EMPTY_INPUTS) -> "_TickCtx":
+        """Run one tick under the input choice `inputs`, but build neither
+        the next state nor the record: the returned run's `settle` builds
+        the state and its key, and its `record` the state and the record.
+        The run remembers `inputs`, and settles, records or reads any other
+        choice too. The choice's names are checked here, before the code
+        runs; its values are checked against the run (`_TickCtx.check`)."""
         if self.terminated:
             raise KernelError("program already terminated", self.tick)
-        ctx = _TickCtx(self, self.tick + 1)
-        try:
-            code = self.code
-            ctx.residue = code.run(ctx) if self.tick == 0 else code.resume(ctx, self.residue)
-        except KernelError as err:
-            ctx.error = err if err.tick is not None else KernelError(err.message, ctx.t)
-        return ctx.latch(inputs)
+        self._validate_inputs(inputs, self.tick + 1)
+        return _TickCtx(self, inputs)
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
         for name in inputs.present:
@@ -320,85 +322,15 @@ class TickState:
             if name not in self.input_names:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
-    def _after(self, tick: "_TickCtx", store: list, layout: tuple) -> "TickState":
-        """The state the tick `tick` ran from this one leads to."""
-        state = object.__new__(TickState)
-        state.code = self.code
-        state.input_names = self.input_names
-        state.read_log = self.read_log
-        state.tick = tick.t
-        state.residue = tick.residue
-        state.store = tuple(store)
-        state.layout = layout
-        state.terminated = tick.residue is None
-        return state
 
-
-class _Tick:
-    """A tick that has run and folded its writes under the input choice
-    `inputs`: `residue` is what it left, `emitted` holds the keys (see
-    `_TickCtx`) of the instances it made present and `folded` the value
-    each written one settles to. The run itself is a `_TickCtx`, under the
-    empty choice; another choice latched onto it is a plain `_Tick` view
-    that keeps its own `emitted` and `folded`, for `record` and
-    `settles_present`, and holds the run in `run`."""
-
-    __slots__ = ("state", "t", "residue", "emitted", "folded", "inputs", "run")
-
-    def settle(self) -> tuple:
-        """The next state and its key, `verify.fingerprint` of it: the
-        run's `patch` under this tick's choice."""
-        return self.run.patch(self.inputs)
-
-    def record(self) -> tuple:
-        """The next state and the tick's record, whose data holds the
-        settled status and value of every instance live during the tick,
-        in registration order, one whose scope ended included, in the pass
-        that builds the store `settle` builds."""
-        run = self.run
-        order, layout = run.shape()
-        folded, emitted, ended = self.folded, self.emitted, run.ended
-        old, prev, code = run.state.store, run.prev, run.state.code
-        store, data = list(code.empty), []
-        for key in order:  # one live at the tick's start has its values in the store
-            slot, pair = (key, old[key]) if key >= 0 else (~key, prev[~key])
-            present = key in emitted
-            if key in folded:
-                pair = (present, folded[key])
-            elif pair[0] is not present:
-                pair = (present, pair[1])
-            data += pair
-            if key not in ended:
-                store[slot] = pair
-        labels = tuple(sorted(run.labels))
-        record = made_record(run.t, code.record_layout(order), tuple(data), labels)
-        return self.state._after(run, store, layout), record
-
-    def settles_present(self, name: str) -> bool:
-        """Whether the record shows `name` present: the record names the
-        first instance in registration order whose declaration is `name`
-        by that name, whether or not its scope ended this tick."""
-        run, decls = self.run, self.state.code.decls
-        for key in run.live:
-            if decls[key].name == name:
-                return key in self.emitted
-        for key in run.fresh:
-            if decls[~key].name == name:
-                return key in self.emitted
-        return False
-
-    def latch(self, inputs: InputAssignment) -> _Tick:
-        """Another input choice, latched onto the same run."""
-        return self.run.latch(inputs)
-
-
-class _TickCtx(_Tick):
-    """One run of a tick's code from `state`, which it never writes.
-    Every read sees the previous tick, so the run is the same for every
-    input choice: it latches no input. `patch` settles one input choice
-    from the run's own settled state (`base`), `latch` lays one over it as
-    a view, and `fold` turns its writes, with the choice's values first,
-    into settled values.
+class _TickCtx:
+    """One run of a tick's code from `state`, which it never writes, and
+    the one tick object. Every read sees the previous tick, so the run is
+    the same for every input choice: it latches no input, and settles,
+    records or reads any choice from its own settled pass (`settled`).
+    It is built under the choice it was stepped with, `choice`, checked
+    (`check`) with the values it gives in `values`; `patch`, `settle` and
+    `record` take that one when given none.
 
     An instance live at the tick's start is keyed by its slot, one it
     registers by `~slot`, so a slot may hold one that ended and a new one.
@@ -406,20 +338,23 @@ class _TickCtx(_Tick):
     look-ahead's prediction) and `prev` its previous-tick (status, value);
     `live` and `fresh` list the keys of the instances live at the start
     that it did not kill and of those it registered, in registration order.
+    `residue` is what the code left, `emitted` holds the keys of the
+    instances it made present and `folded` the value each written one
+    settles to.
 
     A run that raised keeps its error in `error` and the instances
     registered before it in `fresh`; `check` raises it after the checks of
-    the choice's own values. `folded` holds the code's own writes folded,
-    once the first choice that needs them is checked."""
+    the choice's own values."""
 
     __slots__ = (
-        "env", "prev", "live", "writes", "labels", "ended", "fresh", "log", "latchable", "error",
-        "shaped", "_base",
+        "state", "t", "residue", "emitted", "folded", "env", "prev", "live", "writes", "labels",
+        "ended", "fresh", "log", "latchable", "error", "shaped", "choice", "values", "_settled",
+        "_keyed",
     )
 
-    def __init__(self, state: TickState, t: int):
+    def __init__(self, state: TickState, inputs: InputAssignment):
         self.state = state
-        self.t = t
+        self.t = state.tick + 1
         self.env = list(state.code.keys)
         self.prev = list(state.store)
         self.live = state.layout
@@ -433,13 +368,14 @@ class _TickCtx(_Tick):
         self.error = None
         self.folded = None
         self.shaped = None
-        self._base = None
-
-    inputs = EMPTY_INPUTS  # the run is the empty choice's tick
-
-    @property
-    def run(self) -> "_TickCtx":
-        return self  # not a field: a run that held itself would wait for the collector
+        self._settled = self._keyed = None
+        try:
+            code = state.code
+            self.residue = code.run(self) if state.tick == 0 else code.resume(self, state.residue)
+        except KernelError as err:
+            self.error = err if err.tick is not None else KernelError(err.message, self.t)
+        self.values = self.check(inputs)
+        self.choice = inputs
 
     def shape(self) -> tuple:
         """The keys of the instances live during the tick, in registration
@@ -455,62 +391,66 @@ class _TickCtx(_Tick):
             self.shaped = order, layout
         return self.shaped
 
-    def base(self) -> tuple:
-        """The empty choice's next store and flat key, as lists, and the
-        (slot, at, key, name) of each input instance that outlives the tick,
-        `at` its entry in the key; built in one pass over the next layout,
-        once, for every choice patched from this run."""
-        if self.folded is None:
-            self.folded = self.fold()
-        code = self.state.code
-        folded, emitted, env, prev = self.folded, self.emitted, self.env, self.prev
-        store, flat, entries = list(code.empty), [], []
-        for slot in self.shape()[1]:
-            key = env[slot]
-            present, pair = key in emitted, prev[slot]
-            if key in folded:  # else an unchanged instance keeps its pair
-                pair = (present, folded[key])
-            elif pair[0] is not present:
-                pair = (present, pair[1])
-            store[slot] = pair
-            if slot in code.inputs:
-                entries.append((slot, len(flat), key, code.decls[slot].name))
-            value = pair[1]
-            if value.__class__ is Fraction:
-                value = (value._numerator, value._denominator)
-            flat += (slot, present, value)
-        self._base = store, flat, entries
-        return self._base
+    def settled(self) -> tuple:
+        """The tick settled under the empty choice, in one pass over its
+        instances in registration order, once per run: the record's data,
+        each instance's status and value, one whose scope ended included;
+        the next store, with each instance that outlives the tick at its
+        slot; and the record's layout and input entries (`_Code.plan`).
+        An instance neither emitted nor written, and not leaving a present
+        status, keeps its pair."""
+        if self._settled is None:
+            code, folded, emitted = self.state.code, self.folded, self.emitted
+            old, prev, ended = self.state.store, self.prev, self.ended
+            store, data = list(code.empty), []
+            order = self.shape()[0]
+            for key in order:  # one live at the tick's start has its pair in the store
+                slot, pair = (key, old[key]) if key >= 0 else (~key, prev[~key])
+                present = key in emitted
+                if key in folded:
+                    pair = (present, folded[key])
+                elif pair[0] is not present:
+                    pair = (present, pair[1])
+                data += pair
+                if key not in ended:
+                    store[slot] = pair
+            self._settled = data, store, code.plan(order)
+        return self._settled
 
-    def kill(self, slots: tuple):
-        """Discard an aborted body, which declares the declarations in
-        `slots`: their live instances vanish unsettled. The body has not
-        run this tick (guards are evaluated top-down before bodies), so
-        each slot holds no instance or the one live at the tick's start,
-        keyed by the slot, and no pending effects: only the body names its
-        declarations."""
-        live = self.live
-        for slot in slots:
-            if slot in live:
-                at = live.index(slot)
-                live = live[:at] + live[at + 1:]
-        self.live = live
+    def keyed(self) -> tuple:
+        """The `settled` store and its flat key, as a list: each instance
+        that outlives the tick, in the next layout's order, as its slot,
+        status and value, a rational value as its (numerator, denominator);
+        and the (key, at, slot, name) of each input instance in it, `at`
+        its status's entry in the key. Built once per run, only for a
+        settle: a record needs no key."""
+        if self._keyed is None:
+            code, store, env = self.state.code, self.settled()[1], self.env
+            flat, entries = [], []
+            for slot in self.shaped[1]:
+                status, value = store[slot]
+                if slot in code.inputs:
+                    entries.append((env[slot], len(flat) + 1, slot, code.decls[slot].name))
+                if value.__class__ is Fraction:
+                    value = (value._numerator, value._denominator)
+                flat += (slot, status, value)
+            self._keyed = store, flat, entries
+        return self._keyed
 
     def check(self, inputs: InputAssignment) -> dict:
-        """Check the input choice `inputs` against this run, and return the
-        value each input instance the choice gives one settles to, by key:
-        the choice's, folded with the code's writes (`fold`) only when the
-        code wrote the instance. An instance the tick killed is checked but
-        given no value. Errors come in the order a tick that latched before
-        its code would meet them: an input the program does not declare;
-        the value of each input instance live at the tick's start, in
+        """Check the input choice `inputs`, whose names are declared
+        inputs, against this run, and return the value each input instance
+        the choice gives one settles to, by key: the choice's, folded with
+        the code's writes (`fold`) only when the code wrote the instance.
+        An instance the tick killed is checked but given no value. Errors
+        come in the order a tick that latched before its code would meet
+        them: the value of each input instance live at the tick's start, in
         registration order (`value supplied for pure input`, `_adapt`);
         those of the instances the code registered before it raised, if it
         did; the code's error; and last a double write with no combine
         operator."""
         latched = {}
         if inputs.values:
-            self.state._validate_inputs(inputs, self.t)
             given, decls, live = dict(inputs.values), self.state.code.decls, self.live
             try:
                 for key in self.input_instances():
@@ -521,8 +461,6 @@ class _TickCtx(_Tick):
                             latched[key] = value
             except KernelError as err:
                 raise KernelError(err.message, self.t) from None
-        elif inputs.present:
-            self.state._validate_inputs(inputs, self.t)
         if self.error is not None:
             raise self.error
         if self.folded is None:
@@ -537,63 +475,114 @@ class _TickCtx(_Tick):
             latched = {key: folded[key] for key in latched}
         return latched
 
-    def patch(self, inputs: InputAssignment) -> tuple:
-        """The next state under the input choice `inputs`, and its key,
-        `verify.fingerprint` of it; raises what `check` raises. Its store
-        holds each instance whose scope did not end this tick at its slot,
-        with its settled status and value; the key lays each out, in
-        registration order, as its slot, status and value, a rational value
-        as its (numerator, denominator). Both are the run's `base` with
-        only its input instances' entries rewritten: the code reads only the
-        previous tick, so every other instance settles alike under every
-        choice. An input instance is present if the code emitted it or the
-        choice names it, and holds the value `check` gives it, else its
-        value in the base; so a choice with no values only flips statuses."""
-        values = self.check(inputs)
-        store, flat, entries = self._base or self.base()
+    def _checked(self, inputs) -> tuple:
+        """`inputs`, or the choice the run was stepped with if None, and
+        the values `check` gives it; the stepped choice was checked once."""
+        if inputs is None or inputs is self.choice:
+            return self.choice, self.values
+        return inputs, self.check(inputs)
+
+    def patch(self, inputs: Optional[InputAssignment] = None) -> tuple:
+        """The next store under the input choice `inputs`, as a list, and
+        its key, `verify.fingerprint` of the state `after` builds from it;
+        raises what `check` raises. Both are the run's `settled` store and
+        its `keyed` key with only the input instances' entries rewritten:
+        the code reads only the previous tick, so every other instance
+        settles alike under every choice. An input instance is present if
+        the code emitted it or the choice names it, and holds the value
+        `check` gives it, else its settled value; so a choice with no values
+        only flips statuses."""
+        inputs, values = self._checked(inputs)
+        store, flat, entries = self._keyed or self.keyed()
         present = inputs.present
         if entries and (present or values):
             store, flat, emitted = list(store), list(flat), self.emitted
-            for slot, at, key, name in entries:
+            for key, at, slot, name in entries:
                 if key in values:
                     status, value = key in emitted or name in present, values[key]
                     store[slot] = (status, value)
-                    flat[at + 1] = status
+                    flat[at] = status
                     if value.__class__ is Fraction:
                         value = (value._numerator, value._denominator)
-                    flat[at + 2] = value
+                    flat[at + 1] = value
                 elif name in present and key not in emitted:
                     store[slot] = (True, store[slot][1])
-                    flat[at + 1] = True
+                    flat[at] = True
         residue = self.residue
-        key = (residue is None, residue, tuple(flat))
-        return self.state._after(self, store, self.shaped[1]), key
+        return store, (residue is None, residue, tuple(flat))
 
-    def latch(self, inputs: InputAssignment) -> _Tick:
-        """This tick under the input choice `inputs`, checked (`check`): the
-        run itself when the choice is empty, else a `_Tick` view of it, for
-        its record or a status under the choice. An input instance the
-        choice names is made present, and one it gives a value holds it,
-        unless the tick killed it."""
+    def settle(self, inputs: Optional[InputAssignment] = None) -> tuple:
+        """The next state under the input choice `inputs` and its key: the
+        state `after` builds from `patch`'s store."""
+        store, key = self.patch(inputs)
+        return self.after(store), key
+
+    def record(self, inputs: Optional[InputAssignment] = None) -> tuple:
+        """The next state under the input choice `inputs` and the tick's
+        record, whose data holds the settled status and value of every
+        instance live during the tick, in registration order, one whose
+        scope ended included: the run's `settled` data and store with only
+        the input instances' entries rewritten, as `patch` rewrites them."""
+        inputs, values = self._checked(inputs)
+        data, store, (layout, entries) = self.settled()
         present = inputs.present
-        if not present and not inputs.values:  # `check` of the empty choice, inline
-            if self.error is not None:
-                raise self.error
-            if self.folded is None:
-                self.folded = self.fold()
-            return self
-        values = self.check(inputs)
-        emitted, live, decls = self.emitted, self.live, self.state.code.decls
-        named = [
-            key for key in self.input_instances()
-            if (key < 0 or key in live) and decls[key if key >= 0 else ~key].name in present
-        ]
-        view = _Tick()
-        view.emitted = emitted.union(named) if named else emitted
-        view.folded = {**self.folded, **values} if values else self.folded
-        view.inputs, view.run = inputs, self
-        view.state, view.t, view.residue = self.state, self.t, self.residue
-        return view
+        if entries and (present or values):
+            data, store, emitted, ended = list(data), list(store), self.emitted, self.ended
+            for key, at, slot, name in entries:
+                if key in values:
+                    pair = (key in emitted or name in present, values[key])
+                elif name in present and key not in emitted:
+                    pair = (True, data[at + 1])
+                else:
+                    continue
+                data[at:at + 2] = pair
+                if key not in ended:
+                    store[slot] = pair
+        record = made_record(self.t, layout, tuple(data), tuple(sorted(self.labels)))
+        return self.after(store), record
+
+    def settles_present(self, name: str, inputs: InputAssignment) -> bool:
+        """Whether the record under the input choice `inputs`, which this
+        does not check, shows `name` present: the record names the first
+        instance in registration order whose declaration is `name` by that
+        name, whether or not its scope ended this tick, and an input
+        instance is present also when the choice names it."""
+        code, named = self.state.code, name in inputs.present
+        for key in self.live:
+            if code.decls[key].name == name:
+                return key in self.emitted or (named and key in code.inputs)
+        for key in self.fresh:
+            if code.decls[~key].name == name:
+                return key in self.emitted or (named and ~key in code.inputs)
+        return False
+
+    def after(self, store: list) -> TickState:
+        """The state this tick leads to, holding `store`."""
+        state = object.__new__(TickState)
+        before = self.state
+        state.code = before.code
+        state.input_names = before.input_names
+        state.read_log = before.read_log
+        state.tick = self.t
+        state.residue = self.residue
+        state.store = tuple(store)
+        state.layout = self.shaped[1]
+        state.terminated = self.residue is None
+        return state
+
+    def kill(self, slots: tuple):
+        """Discard an aborted body, which declares the declarations in
+        `slots`: their live instances vanish unsettled. The body has not
+        run this tick (guards are evaluated top-down before bodies), so
+        each slot holds no instance or the one live at the tick's start,
+        keyed by the slot, and no pending effects: only the body names its
+        declarations."""
+        live = self.live
+        for slot in slots:
+            if slot in live:
+                at = live.index(slot)
+                live = live[:at] + live[at + 1:]
+        self.live = live
 
     def input_instances(self) -> list:
         """The keys of the input instances live at the tick's start, then
@@ -1205,8 +1194,8 @@ class _Compiler:
         """A declaration's code: after `lines`, a new instance in a fresh
         slot, registered with its initial value `value` (read in the outer
         scope) before the body runs, under the key `~slot`; the instance
-        ends with the body. The key is noted in `fresh`: the latch after the
-        tick reads the inputs there, and `run` the initial values. A resume
+        ends with the body. The key is noted in `fresh`: a choice's check
+        after the tick reads the inputs there, and `run` the initial values. A resume
         continues the instance live at the tick's start, keyed by the slot,
         and the declaration leaves its body's residue."""
         slot = self.slot(node)
@@ -1324,7 +1313,7 @@ def run(
     continuous variable's name, in registration order. The schedule is a
     dict {tick: InputAssignment}, a list (index i for tick i + 1, None for
     none) or None; each entry is checked first: its tick, its type and its
-    inputs (`require_inputs`)."""
+    inputs (`require_inputs`), so no tick checks its names again."""
     by_tick = schedule if isinstance(schedule, dict) else {
         i + 1: a for i, a in enumerate(schedule or ()) if a is not None
     }
@@ -1339,12 +1328,11 @@ def run(
     state = TickState(program, cfg, native_flows, [] if record_reads else None)
     records, initial_conts = [], {}
     for t in range(1, max_ticks + 1):
-        tick = state.step(by_tick.get(t, EMPTY_INPUTS))
-        ran = tick.run
-        for key in ran.fresh:
+        tick = _TickCtx(state, by_tick.get(t, EMPTY_INPUTS))
+        for key in tick.fresh:
             decl = state.code.decls[~key]
             if decl.__class__ is not SignalDecl and decl.name not in initial_conts:
-                initial_conts[decl.name] = ran.prev[~key][1]
+                initial_conts[decl.name] = tick.prev[~key][1]
         state, record = tick.record()
         records.append(record)
         if state.terminated:

@@ -18,7 +18,7 @@ exact because a fraction divided through by the gcd of its terms is its
 reduced form. It assumes `d > 0`, which holds for every product of
 `Fraction` denominators. This module is the only one that writes the
 slots, and it spells the read that generated code makes (`INTEGERS`); the
-two functions that build a state key, `kernel._Tick.settle` and
+two functions that build a state key, `kernel._TickCtx.keyed` and
 `verify.fingerprint`, read them in place, where a call would cost more
 than the read.
 """

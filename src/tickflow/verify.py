@@ -15,29 +15,32 @@ first witness is a shortest one: the alphabet's choices are every
 assignment a schedule can give over its names and values
 (`InputAlphabet.choices`), a value with either status included. A
 state is a value, and no read in a tick sees that tick's inputs, so the
-expanded state's tick runs once, on the first input choice
-(`TickState.step`), and every choice is settled as a patch of that run
-(`_TickCtx.patch`). A choice changes only input instances, so the target
+expanded state's tick runs once, on the first input choice (the run,
+`kernel._TickCtx`), and every choice is settled, recorded or read
+through that run. A choice changes only input instances, so the target
 is read once per tick, on the first choice, unless it is an input, which
-is read under every choice, on a view of the run that latches it (the
-run's `latch`). The alphabet is checked once, before the search
-(`InputAlphabet.require`). A leaf, a tick that terminated or sits at the
-bound, builds no state and is never keyed. Once a leaf's first choice has
-run, a later choice can fail only for a value it carries, which is
-checked (`_TickCtx.check`); so when no later choice carries one and the
-target is not an input, they are counted in one step. Only a successor
-that is keyed is settled into a state, and only a witness builds a
-`TickRecord`, from which its snapshot is read. A transition is
+is read under every choice from the run and the choice's names. The
+alphabet's names and values are checked once, before the search
+(`InputAlphabet.require`), and no choice's names are checked again;
+every choice not counted at once (below) is checked against the run
+once (`_TickCtx.check`). A leaf, a
+tick that terminated or sits at the bound, builds no state and is never
+keyed. Once a leaf's first choice has run, a later choice can fail only
+for a value it carries; so when no later choice carries one and the
+target is not an input, they are counted in one step. Only a witness
+builds a `TickRecord`, from which its snapshot is read. A transition is
 one state under one choice, whether the choice ran the tick, was settled
 as a patch of it or was only counted.
 
-A kept successor costs one hash and a pass over the input instances that
-outlive its tick: the run settles the empty choice's store and key once
-(`_TickCtx.base`), and each choice rewrites only its input instances'
-entries of copies of them, so a choice with no values only flips
-statuses. The search never calls `fingerprint`, which builds the same key
-from a state; one `setdefault` probes the cache, and only a known key
-reached strictly earlier is stored again.
+A kept successor costs one hash, a pass over the input instances that
+outlive its tick and the state built for it: the run settles the empty
+choice's store and key once (`_TickCtx.settled` and `keyed`), and each
+choice rewrites only its input instances' entries of copies of them
+(`_TickCtx.patch`), so a choice with no values only flips statuses. The
+key comes first, and only a successor whose key is kept is built into a
+state (`_TickCtx.after`). The search never calls `fingerprint`, which
+builds the same key from a state; one `setdefault` probes the cache, and
+only a known key reached strictly earlier is stored again.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import ArgumentError, ScheduleError, SearchLimitError, TickflowError
-from .kernel import InputAssignment, TickState, init, require_inputs
+from .kernel import InputAssignment, TickState, _TickCtx, init, require_inputs
 from .rewrite import RewriteConfig
 from .struct import Struct
 from .syntax.nodes import Program
@@ -163,9 +166,9 @@ def fingerprint(state: TickState) -> tuple:
     value's type (boolean, rational or none), so a pair never meets a bool.
     The key holds only tuples, ints, bools, strs and None, which CPython
     hashes and compares in C; a rational's integers are read from its
-    slots, with no call. A tick's run builds the same key beside the
-    state (`_TickCtx.patch`): once per run, and for each input choice by
-    rewriting only the entries of its input instances."""
+    slots, with no call. A tick's run builds the same key from the next
+    store (`_TickCtx.keyed`, `_TickCtx.patch`): once per run, and for each
+    input choice by rewriting only the entries of its input instances."""
     store, flat = state.store, []
     for slot in state.layout:
         status, value = store[slot]
@@ -230,30 +233,27 @@ def check_reachable(
             if explored > node_limit:
                 raise SearchLimitError(too_many)
             if run is None:
-                # the state's tick runs once, on the first choice; each
-                # later choice is settled as a patch of that run
-                tick = state.step(assignment)
-                run, t = tick.run, tick.t
+                # the state's tick runs once, on the first choice, and each
+                # choice is settled from that run; the alphabet's names
+                # were checked before the search
+                run = _TickCtx(state, assignment)
+                t = run.t
                 leaf = run.residue is None or t >= bound
-                hit = tick.settles_present(target)
+                hit = run.settles_present(target, assignment)
                 if leaf and later and not hit:
                     explored += later
                     if explored > node_limit:
                         raise SearchLimitError(too_many)
                     break
-            elif per_choice:
-                tick = run.latch(assignment)
-                hit = tick.settles_present(target)
             else:
-                tick, hit = None, False
-                if leaf:
-                    # the first choice raised the code's errors and the
-                    # alphabet was checked, so only a value can fail here
-                    if assignment.values:
-                        run.check(assignment)
+                hit = per_choice and run.settles_present(target, assignment)
+                if leaf and not hit:
+                    # the first choice raised the code's errors, so only a
+                    # value can fail here
+                    run.check(assignment)
                     continue
             if hit:
-                _, record = tick.record()
+                _, record = run.record(assignment)
                 return Witness(
                     schedule=prefix + (assignment,),
                     tick=record.tick,
@@ -261,16 +261,17 @@ def check_reachable(
                 )
             if leaf:
                 continue  # never expanded, so never settled or keyed
-            successor, key = run.patch(assignment) if tick is None else tick.settle()
+            store, key = run.patch(assignment)
             # one probe: a new key is stored with its tick; a known one is
-            # kept only when reached strictly earlier
+            # kept only when reached strictly earlier, and only then is
+            # its state built
             known = len(earliest)
             reached = earliest.setdefault(key, t)
             if len(earliest) == known:
                 if reached <= t:
                     continue
                 earliest[key] = t
-            frontier.append((successor, prefix + (assignment,)))
+            frontier.append((run.after(store), prefix + (assignment,)))
     return Unreachable(bound=bound, states_explored=explored)
 
 

@@ -654,27 +654,26 @@ def test_settle_keys_hold_only_tuples_ints_bools_strs_and_none():
             frontier = list(reached.values())
 
 
-def _code_decides(tick) -> tuple:
+def _code_decides(run) -> tuple:
     """What a tick's code decides: its residue, its labels, the scopes it
     ended and each instance that is not an input, by registration position
     and declaration, with its settled status and value (and value type).
     An instance live at the tick's start is keyed by its slot and has its
     previous value in the state's store; one the tick registered is keyed
     `~slot` and has its initial value in the run's `prev`."""
-    run = tick.run
     order, _ = run.shape()
     code = run.state.code
     settled = tuple(
-        (at, id(code.decls[slot]), key in tick.emitted, value.__class__, value)
+        (at, id(code.decls[slot]), key in run.emitted, value.__class__, value)
         for at, key in enumerate(order)
         for slot in [key if key >= 0 else ~key]
         if slot not in code.inputs
         for value in [
-            tick.folded.get(key, (run.state.store if key >= 0 else run.prev)[slot][1])
+            run.folded.get(key, (run.state.store if key >= 0 else run.prev)[slot][1])
         ]
     )
     ended = sorted(order.index(key) for key in run.ended)
-    return tick.residue, list(run.labels), ended, settled
+    return run.residue, list(run.labels), ended, settled
 
 
 def test_tick_runs_the_same_code_whatever_its_inputs():
@@ -710,65 +709,54 @@ def test_tick_runs_the_same_code_whatever_its_inputs():
             frontier = dict(reached.values())
 
 
-def _outcome(make) -> tuple:
-    """The (message, tick) of the `KernelError` a tick raises, else its
-    `settle` key and its record."""
+def _settles(run, inputs=None) -> tuple:
+    """What `run` settles and records the input choice `inputs` (the one
+    it was stepped with if None) to: the key and its value types, the
+    successor's value, and the record with its layout and typed data; or
+    the (message, tick) of the `KernelError` both raise. `record` builds
+    its successor in a pass of its own, so the two successors must agree,
+    and the key must be `fingerprint` of the recorded one."""
     try:
-        tick = make()
+        successor, key = run.settle(inputs)
+    except KernelError as err:
+        with pytest.raises(KernelError) as again:
+            run.record(inputs)
+        assert (again.value.message, again.value.tick) == (err.message, err.tick)
+        return err.message, err.tick
+    recorded, record = run.record(inputs)
+    assert _value_of(successor) == _value_of(recorded) and fingerprint(recorded) == key
+    typed = tuple((v.__class__, v) for v in record.data)
+    types = [v.__class__ for v in key[2]]
+    return key, types, _value_of(successor), record, record.layout, typed
+
+
+def _stepped(state, inputs, reached: dict) -> tuple:
+    """`_settles` of a fresh step of `inputs` from `state`, or the (message,
+    tick) of the `KernelError` the step raises. A successor that did not
+    terminate is kept in `reached` under its key, unless one is there."""
+    try:
+        run = state.step(inputs)
     except KernelError as err:
         return err.message, err.tick
-    return tick.settle()[1], tick.record()[1]
+    successor, key = run.settle()
+    if not successor.terminated:
+        reached.setdefault(key, successor)
+    return _settles(run)
 
 
-def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
-    # an input is the first write of its instance, and a tick's errors come
-    # in the order a tick that latched first would meet them: so latching
-    # any choice onto the run another choice stepped raises what stepping
-    # it raises, or settles and records as it does. Every choice is latched
-    # onto the runs of every state reached within 3 ticks, 2 for a valued
-    # program. A valued program has 97 choices and reaches a state per
-    # choice at tick 2, so there only the empty choice and two drawn by a
-    # seeded rng run first; elsewhere every choice does
-    cases = [
-        (rewrite_flows(_bound(path), CFG1), CFG1, VALUED_INPUTS, 3, None)
-        for path in corpus_sources() if _bound(path).inputs()
-    ]
-    for generate, seeds, ticks in ((random_search_program, 40, 3), (random_valued_program, 8, 2)):
-        for seed in range(seeds):
-            source, wcrt = generate(random.Random(seed))
-            cfg = RewriteConfig(wcrt)
-            rng = random.Random(seed) if generate is random_valued_program else None
-            cases.append((rewrite_flows(parse(source), cfg), cfg, VALUED_INPUTS, ticks, rng))
-    for source, value, _ in TWO_FAULTS:
-        cases.append((parse_raw(source), CFG1, {"L": (value,)}, 3, None))
-    undeclared = InputAssignment.make(present=["NOPE"])
-    for program, cfg, values, ticks, rng in cases:
-        choices = [*alphabet_for(program, values).choices(), undeclared]
-        assert choices[0] == InputAssignment.make()
-        frontier = [init(program, cfg)]
-        for tick_no in range(1, ticks + 1):
-            reached = {}
-            for state in frontier:
-                alone = [_outcome(lambda: state.step(inputs)) for inputs in choices]
-                firsts = range(len(choices))
-                if rng is not None and tick_no == ticks:
-                    firsts = [0, *rng.sample(range(1, len(choices)), 2)]
-                for i in firsts:
-                    first = choices[i]
-                    try:
-                        tick = state.step(first)
-                    except KernelError as err:
-                        # no run to latch onto: both TWO_FAULTS programs
-                        # raise at tick 1 under every choice
-                        assert (err.message, err.tick) == alone[i], first
-                        continue
-                    for other, other_alone in zip(choices, alone):
-                        latched = _outcome(lambda: tick.latch(other))
-                        assert latched == other_alone, (state.tick, first, other)
-                    successor, key = tick.settle()
-                    if not successor.terminated:
-                        reached.setdefault(key, successor)
-            frontier = list(reached.values())
+def _agree(state, fresh: dict, firsts, order) -> None:
+    """Step `state` on each choice of `firsts` and settle and record every
+    choice of `order` on that run, in that order: each gives what a fresh
+    step of it gives, `fresh[choice]`, and a first choice that raises
+    raises what its fresh step raises."""
+    for first in firsts:
+        try:
+            run = state.step(first)
+        except KernelError as err:
+            assert (err.message, err.tick) == fresh[first], (state.tick, first)
+            continue
+        for inputs in order:
+            assert _settles(run, inputs) == fresh[inputs], (state.tick, first, inputs)
 
 
 def _latched_cases():
@@ -785,46 +773,6 @@ def _latched_cases():
         for native in (False, True):
             compiled = program if native else rewrite_flows(program, cfg)
             yield compiled, cfg, native, choices, random.Random(seed)
-
-
-def _stepped(tick) -> tuple:
-    """What a tick settles and records to: the key, the successor's value
-    and the record with its layout and typed data. `record` builds its
-    successor in a pass of its own, so the two successors must agree, and
-    the key must be `fingerprint` of the recorded one."""
-    successor, key = tick.settle()
-    recorded, record = tick.record()
-    assert _value_of(successor) == _value_of(recorded) and fingerprint(recorded) == key
-    typed = tuple((v.__class__, v) for v in record.data)
-    return key, _value_of(successor), record, record.layout, typed
-
-
-def test_every_choice_latched_onto_one_run_settles_as_its_own_step():
-    # the search steps a state on one choice and latches every other onto
-    # that run, settling each as it goes: in list order (the empty choice,
-    # the run itself, settles first) and reversed (a view settles first),
-    # each choice's `settle` and `record` give what a fresh `step` of that
-    # choice gives, for every state reached within 3 ticks (3 of them per
-    # tick for a valued program)
-    for compiled, cfg, native, choices, rng in _latched_cases():
-        frontier = [init(compiled, cfg, native_flows=native)]
-        for _ in range(3):
-            if rng is not None and len(frontier) > 3:
-                frontier = rng.sample(frontier, 3)
-            reached = {}
-            for state in frontier:
-                fresh = {inputs: _stepped(state.step(inputs)) for inputs in choices}
-                for order in (choices, choices[::-1]):
-                    tick = None
-                    for inputs in order:
-                        tick = state.step(inputs) if tick is None else tick.latch(inputs)
-                        got = _stepped(tick)
-                        assert got == fresh[inputs], (compiled, state.tick, inputs)
-                        successor, key = tick.settle()
-                        assert fingerprint(successor) == key
-                        if not successor.terminated:
-                            reached.setdefault(key, successor)
-            frontier = list(reached.values())
 
 
 # the values offered, beside VALUED_INPUTS, to the inputs of `_PATCHED`: 1/2
@@ -863,66 +811,66 @@ def _patched_cases():
         yield program, CFG1, False, choices, random.Random(seed)
 
 
-def _settled(make) -> tuple:
-    """The (message, tick) of the `KernelError` settling a choice raises,
-    else what the successor holds, its key and the key's value types."""
-    try:
-        successor, key = make()
-    except KernelError as err:
-        return err.message, err.tick
-    return _value_of(successor), key, [v.__class__ for v in key[2]]
-
-
-def _fresh(state, inputs) -> tuple:
-    """`_settled` of a fresh step of `inputs` from `state`; the successor
-    `record` builds, in a pass of its own over the tick's instances, must
-    agree with it."""
-    try:
-        tick = state.step(inputs)
-    except KernelError as err:
-        return err.message, err.tick
-    settled = _settled(tick.settle)
-    recorded, _ = tick.record()
-    assert settled[0] == _value_of(recorded), (state.tick, inputs)
-    return settled
-
-
 def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
-    # the search steps a state on its first choice and settles every choice
-    # as a patch of that run (`_TickCtx.patch`): in list order and reversed,
-    # the first choice that steps gives the run, and patching each choice
-    # onto it gives the successor, key, store, layout and residue a fresh
-    # `step` of that choice settles to, or raises the same error at the
-    # same tick, for every state reached within 3 ticks (3 of them per tick
-    # where a seeded rng picks)
+    # an input is the first write of its instance, and a tick's errors come
+    # in the order a tick that latched first would meet them: so settling
+    # or recording any choice on the run another choice stepped gives the
+    # key, successor and record a fresh `step` of it gives, or raises what
+    # stepping it raises, at the same tick. A choice naming an undeclared
+    # input raises only when stepped: a run checks values, not names.
+    #
+    # First, every choice settles on the run of every first choice, in list
+    # order, for every state reached within 3 ticks, 2 for a valued program.
+    # A valued program has 97 choices and reaches a state per choice at tick
+    # 2, so there only the empty choice and two drawn by a seeded rng run
+    # first; elsewhere every choice does
+    cases = [
+        (rewrite_flows(_bound(path), CFG1), CFG1, VALUED_INPUTS, 3, None)
+        for path in corpus_sources() if _bound(path).inputs()
+    ]
+    for generate, seeds, ticks in ((random_search_program, 40, 3), (random_valued_program, 8, 2)):
+        for seed in range(seeds):
+            source, wcrt = generate(random.Random(seed))
+            cfg = RewriteConfig(wcrt)
+            rng = random.Random(seed) if generate is random_valued_program else None
+            cases.append((rewrite_flows(parse(source), cfg), cfg, VALUED_INPUTS, ticks, rng))
+    for source, value, _ in TWO_FAULTS:
+        cases.append((parse_raw(source), CFG1, {"L": (value,)}, 3, None))
+    undeclared = InputAssignment.make(present=["NOPE"])
+    for program, cfg, values, ticks, rng in cases:
+        choices = alphabet_for(program, values).choices()
+        assert choices[0] == InputAssignment.make()
+        stepped = [*choices, undeclared]
+        frontier = [init(program, cfg)]
+        for tick_no in range(1, ticks + 1):
+            reached = {}
+            for state in frontier:
+                fresh = {inputs: _stepped(state, inputs, reached) for inputs in stepped}
+                assert fresh[undeclared] == ("'NOPE' is not a declared input", state.tick + 1)
+                firsts = stepped
+                if rng is not None and tick_no == ticks:
+                    firsts = [stepped[i] for i in (0, *rng.sample(range(1, len(stepped)), 2))]
+                _agree(state, fresh, firsts, choices)
+            frontier = list(reached.values())
+    # then, as the search does, the first choice that steps runs the tick
+    # and every choice settles on its run, in list order (the stepped
+    # choice first) and reversed, for every state reached within 3 ticks
+    # (3 of them per tick where a seeded rng picks)
     errors = set()
     for compiled, cfg, native, choices, rng in _patched_cases():
         frontier = [init(compiled, cfg, native_flows=native)]
         for _ in range(3):
             if rng is not None and len(frontier) > 3:
                 frontier = rng.sample(frontier, 3)
-            fresh = {}
+            reached = {}
             for state in frontier:
-                want = {inputs: _fresh(state, inputs) for inputs in choices}
-                errors.update(outcome[0] for outcome in want.values() if len(outcome) == 2)
+                fresh = {inputs: _stepped(state, inputs, reached) for inputs in choices}
+                errors.update(outcome[0] for outcome in fresh.values() if len(outcome) == 2)
                 for order in (choices, choices[::-1]):
-                    for first in order:
-                        try:
-                            run = state.step(first).run
-                        except KernelError:
-                            continue
-                        for inputs in order:
-                            got = _settled(lambda: run.patch(inputs))
-                            assert got == want[inputs], (compiled, state.tick, first, inputs)
-                        break
-                for inputs in choices:
-                    try:
-                        successor, key = state.step(inputs).settle()
-                    except KernelError:
-                        continue
-                    if not successor.terminated:
-                        fresh.setdefault(key, successor)
-            frontier = list(fresh.values())
+                    steps = [len(fresh[inputs]) > 2 for inputs in order]
+                    if True in steps:
+                        _agree(state, fresh, order[:steps.index(True) + 1], order)
+            frontier = list(reached.values())
     assert {_L_TWICE, "'L' holds an integer value"} <= errors
 
 

@@ -289,31 +289,31 @@ def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
     program = _program("signal S;\npause; pause; pause; pause; pause")
     calls = {"fingerprint": 0, "settle": 0, "record": 0}
     real_key = verify.fingerprint
-    real_settle, real_record = kernel._TickCtx.settle, kernel._TickCtx.record
+    real_patch, real_record = kernel._TickCtx.patch, kernel._TickCtx.record
 
     def counting_key(state):
         calls["fingerprint"] += 1
         return real_key(state)
 
-    def counting_settle(tick):
-        # a settled successor comes with its key
+    def counting_patch(run, inputs):
+        # a settled successor's store comes with its key
         calls["settle"] += 1
-        state, key = real_settle(tick)
-        assert key == real_key(state)
-        return state, key
+        store, key = real_patch(run, inputs)
+        assert key == real_key(run.after(store))
+        return store, key
 
-    def counting_record(tick):
+    def counting_record(run, inputs=None):
         calls["record"] += 1
-        return real_record(tick)
+        return real_record(run, inputs)
 
     monkeypatch.setattr(verify, "fingerprint", counting_key)
-    monkeypatch.setattr(kernel._TickCtx, "settle", counting_settle)
+    monkeypatch.setattr(kernel._TickCtx, "patch", counting_patch)
     monkeypatch.setattr(kernel._TickCtx, "record", counting_record)
     verdict = check_reachable(program, CFG1, None, bound=3, target="S")
     assert isinstance(verdict, Unreachable) and verdict.states_explored == 3
     # ticks 1 and 2 are expanded; the tick-3 successor is a leaf, stepped
     # and checked but never settled or keyed; with no hit nothing is
-    # recorded; the keys come from `settle`, so `fingerprint` never runs
+    # recorded; the keys come from `patch`, so `fingerprint` never runs
     assert calls == {"fingerprint": 0, "settle": 2, "record": 0}
 
     hit = _program("signal S;\npause; pause; emit S; pause")
@@ -537,43 +537,61 @@ _FAULT_SEARCH = (
 )
 
 
-def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypatch):
-    program = _program(_FAULT_SEARCH)
-    calls = {"step": 0, "views": 0, "settles_present": 0, "base": 0, "patch": 0, "validate": 0}
+def _count_calls(monkeypatch, calls: dict, methods: dict) -> None:
+    """Count in `calls[name]` the calls of each `(class, method)` of
+    `methods`, by name."""
+    for name, (cls, method) in methods.items():
+        real = getattr(cls, method)
 
-    def counting(cls, name, key):
-        real = getattr(cls, name)
-
-        def count(*args):
-            calls[key] += 1
+        def count(*args, name=name, real=real):
+            calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(cls, name, count)
+        calls[name] = 0
+        monkeypatch.setattr(cls, method, count)
 
-    counting(kernel.TickState, "step", "step")
-    real_latch = kernel._TickCtx.latch
 
-    def latch(tick, inputs):
-        # a choice latched as a view of the run, not the run itself
-        latched = real_latch(tick, inputs)
-        calls["views"] += latched is not tick
-        return latched
-
-    monkeypatch.setattr(kernel._TickCtx, "latch", latch)
-    counting(kernel._Tick, "settles_present", "settles_present")
-    counting(kernel._TickCtx, "base", "base")
-    counting(kernel._TickCtx, "patch", "patch")
-    counting(kernel.TickState, "_validate_inputs", "validate")
+def test_search_reads_the_target_once_per_tick_and_latches_no_pure_leaf(monkeypatch):
+    program = _program(_FAULT_SEARCH)
+    calls: dict = {}
+    _count_calls(monkeypatch, calls, {
+        "runs": (kernel._TickCtx, "__init__"),
+        "settles_present": (kernel._TickCtx, "settles_present"),
+        "settled": (kernel._TickCtx, "settled"),
+        "patch": (kernel._TickCtx, "patch"),
+        "validate": (kernel.TickState, "_validate_inputs"),
+        "states": (kernel._TickCtx, "after"),
+    })
     verdict = check_reachable(program, CFG1, alphabet_for(program), bound=3, target="ALARM")
     assert verdict == Unreachable(bound=3, states_explored=584)
-    # 73 expanded states, 8 choices each: the target is read once per tick,
-    # and no choice is latched as a view. The 9 interior ticks settle their
-    # run once (a base pass) and patch it for each of their 8 choices, the
-    # 63 later ones each checking its names; the 7 later choices of each of
-    # the 64 leaf ticks carry no value and are counted at once
+    # 73 expanded states, 8 choices each: each tick runs once and reads the
+    # target once. The 9 interior ticks settle their run once and patch it
+    # for each of their 8 choices, and each of the 72 successors is kept
+    # under a new key and built; the alphabet was checked before the
+    # search, so no choice's names are checked again; the 7 later choices
+    # of each of the 64 leaf ticks carry no value and are counted at once
     assert calls == {
-        "step": 73, "views": 0, "settles_present": 73, "base": 9, "patch": 72, "validate": 63,
+        "runs": 73, "settles_present": 73, "settled": 9, "patch": 72, "validate": 0,
+        "states": 72,
     }
+
+
+def test_an_input_target_search_checks_each_choice_once(monkeypatch):
+    # the target is an input, so it is read under every choice; each
+    # transition's choice is checked once against its tick's run, on the
+    # first choice when the run is built and on a later one when it is
+    # settled or, at a leaf, checked alone, and its names never
+    program = _program("signal NEVER;\n" + _FAULT_SEARCH)
+    free = ("absent", "present")
+    alphabet = InputAlphabet.make({"F0": ("absent",), "F1": free, "F2": free})
+    calls: dict = {}
+    _count_calls(monkeypatch, calls, {
+        "check": (kernel._TickCtx, "check"),
+        "validate": (kernel.TickState, "_validate_inputs"),
+    })
+    verdict = check_reachable(program, CFG1, alphabet, bound=3, target="F0")
+    assert verdict == Unreachable(bound=3, states_explored=84)
+    assert calls == {"check": 84, "validate": 0}
 
 
 def test_search_hashes_each_kept_successor_once(monkeypatch):
