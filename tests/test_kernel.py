@@ -797,9 +797,8 @@ _PATCHED = (
 
 
 def _patched_cases():
-    """`_latched_cases`, then 10 seeded status-value programs and the
-    `_PATCHED` programs, with a seeded rng for the last."""
-    yield from _latched_cases()
+    """10 seeded status-value programs and the `_PATCHED` programs, with a
+    seeded rng for the last."""
     for seed in range(10):
         source, wcrt, _, values = random_status_value_program(random.Random(seed))
         program, cfg = parse(source), RewriteConfig(wcrt)
@@ -811,17 +810,42 @@ def _patched_cases():
         yield program, CFG1, False, choices, random.Random(seed)
 
 
-def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
+def _agree_as_the_search_steps(cases) -> set:
+    """As the search does, the first choice that steps runs the tick and
+    every choice settles on its run, in list order (the stepped choice
+    first) and reversed, for every state reached within 3 ticks (3 of them
+    per tick where a seeded rng picks). Gives the messages of the errors
+    the fresh steps met."""
+    errors = set()
+    for compiled, cfg, native, choices, rng in cases:
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(3):
+            if rng is not None and len(frontier) > 3:
+                frontier = rng.sample(frontier, 3)
+            reached = {}
+            for state in frontier:
+                fresh = {inputs: _stepped(state, inputs, reached) for inputs in choices}
+                errors.update(outcome[0] for outcome in fresh.values() if len(outcome) == 2)
+                for order in (choices, choices[::-1]):
+                    steps = [len(fresh[inputs]) > 2 for inputs in order]
+                    if True in steps:
+                        _agree(state, fresh, order[:steps.index(True) + 1], order)
+            frontier = list(reached.values())
+    return errors
+
+
+def test_a_choice_latched_onto_another_choices_run_is_that_choices_tick():
     # an input is the first write of its instance, and a tick's errors come
-    # in the order a tick that latched first would meet them: so settling
-    # or recording any choice on the run another choice stepped gives the
-    # key, successor and record a fresh `step` of it gives, or raises what
-    # stepping it raises, at the same tick. A choice naming an undeclared
-    # input raises only when stepped: a run checks values, not names.
+    # in the order a tick that took its choice first would meet them: so
+    # settling or recording any choice on the run another choice stepped
+    # gives the key, successor and record a fresh `step` of it gives, or
+    # raises what stepping it raises, at the same tick. A choice naming an
+    # undeclared input raises only when stepped: a run checks values, not
+    # names.
     #
-    # First, every choice settles on the run of every first choice, in list
-    # order, for every state reached within 3 ticks, 2 for a valued program.
-    # A valued program has 97 choices and reaches a state per choice at tick
+    # Every choice settles on the run of every first choice, in list order,
+    # for every state reached within 3 ticks, 2 for a valued program. A
+    # valued program has 97 choices and reaches a state per choice at tick
     # 2, so there only the empty choice and two drawn by a seeded rng run
     # first; elsewhere every choice does
     cases = [
@@ -852,25 +876,21 @@ def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
                     firsts = [stepped[i] for i in (0, *rng.sample(range(1, len(stepped)), 2))]
                 _agree(state, fresh, firsts, choices)
             frontier = list(reached.values())
-    # then, as the search does, the first choice that steps runs the tick
-    # and every choice settles on its run, in list order (the stepped
-    # choice first) and reversed, for every state reached within 3 ticks
-    # (3 of them per tick where a seeded rng picks)
-    errors = set()
-    for compiled, cfg, native, choices, rng in _patched_cases():
-        frontier = [init(compiled, cfg, native_flows=native)]
-        for _ in range(3):
-            if rng is not None and len(frontier) > 3:
-                frontier = rng.sample(frontier, 3)
-            reached = {}
-            for state in frontier:
-                fresh = {inputs: _stepped(state, inputs, reached) for inputs in choices}
-                errors.update(outcome[0] for outcome in fresh.values() if len(outcome) == 2)
-                for order in (choices, choices[::-1]):
-                    steps = [len(fresh[inputs]) > 2 for inputs in order]
-                    if True in steps:
-                        _agree(state, fresh, order[:steps.index(True) + 1], order)
-            frontier = list(reached.values())
+
+
+def test_every_choice_latched_onto_one_run_settles_as_its_own_step():
+    # the search's order on `_latched_cases`: the first choice that steps
+    # runs the tick, and every choice settles and records on its run as a
+    # fresh step of it would
+    _agree_as_the_search_steps(_latched_cases())
+
+
+def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
+    # the search's order on `_patched_cases`: code that emits or writes an
+    # input, valued inputs with and without a combine operator, and input
+    # instances killed, re-registered or ending every tick. The errors a
+    # patched choice must meet are met
+    errors = _agree_as_the_search_steps(_patched_cases())
     assert {_L_TWICE, "'L' holds an integer value"} <= errors
 
 
