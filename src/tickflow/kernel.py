@@ -123,16 +123,16 @@ A state stores whether it terminated, set where it is built. One tick
 is `step(inputs)`, then `record()` or `settle()`, so a caller that reads
 less builds less. `step` runs the tick and checks `inputs` against it,
 which folds each instance's writes once; the run remembers the choice.
-`record` lays the settled values out in one data tuple, read through a
-layout planned once per order of a tick's instances, and builds the next
-state in the same pass, and returns both. `settle` returns the next
-state and its key, the tuple `verify.fingerprint` gives it: a key pass
-per run, over the next layout, that `record` never makes, and per choice
-a pass over its input instances (`patch`, which gives the store first,
-so that the search builds a state only for a key it keeps). The search
-runs each state it expands on its first choice, patches every choice
-from that run, reads the one status it checks, and records only a
-witness.
+`record` returns the next state and the record, whose data tuple and
+store come from straight-line code planned per order of a tick's
+instances and shared by the orders of one kind signature (`_settler`).
+`settle` returns the next state and its key, the tuple
+`verify.fingerprint` gives it: a key pass per run, over the next layout,
+that `record` never makes, and per choice a pass over its input
+instances (`patch`, which gives the store first, so that the search
+builds a state only for a key it keeps). The search runs each state it
+expands on its first choice, patches every choice from that run, reads
+the one status it checks, and records only a witness.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class _Code:
     """A program's `run` and `resume` and what its ticks share: each slot's
     declaration (None for a look-ahead's), the input slots, a tick's first
     `env`, the store of tick 0, the interned layouts of its states and a
-    record plan per order of a tick's instances."""
+    plan per order of a tick's instances, which holds the tick's settle."""
 
     __slots__ = ("run", "resume", "decls", "inputs", "keys", "empty", "layouts", "plans")
 
@@ -251,18 +251,22 @@ class _Code:
 
     def plan(self, order: tuple) -> tuple:
         """For the instance keys `order`, the layout (see `trace`) of the
-        data a record lays out, each instance's status and value, and the
+        data a record lays out, each instance's status and value, the
         (key, at, slot, name) of each input instance, `at` its status's
-        entry in the data."""
+        entry in the data, the order's settle (`_settler`), straight-line
+        code, and the next layout, interned, of a tick where no scope ends."""
         plan = self.plans.get(order)
         if plan is None:
-            tables, seen, entries = ([], [], []), {}, []
+            tables, seen, entries, kinds, bound = ([], [], []), {}, [], [], []
             for at, key in enumerate(order):
                 slot = key if key >= 0 else ~key
                 decl = self.decls[slot]
                 count = seen[decl.name] = seen.get(decl.name, 0) + 1
                 name = f"{decl.name}:{count}" if count > 1 else decl.name
-                if decl.__class__ is not SignalDecl:  # its status is never read
+                bound += (key, slot)
+                kind = decl.stype if decl.__class__ is SignalDecl else "cont"
+                kinds.append((kind, key >= 0 and ~key in order))  # shadowed: slot registered again
+                if kind == "cont":  # its status is never read
                     tables[2].append((name, 2 * at + 1))
                     continue
                 tables[0].append((name, 2 * at))
@@ -270,7 +274,11 @@ class _Code:
                     tables[1].append((name, 2 * at + 1))
                 if slot in self.inputs:
                     entries.append((key, 2 * at, slot, decl.name))
-            plan = self.plans[order] = tuple(map(tuple, tables)), tuple(entries)
+            layout = tuple(bound[1::2])
+            plan = self.plans[order] = (
+                tuple(map(tuple, tables)), tuple(entries), _settler(kinds, (self.empty, *bound)),
+                self.layouts.setdefault(layout, layout),
+            )
         return plan
 
 
@@ -379,42 +387,31 @@ class _TickCtx:
 
     def shape(self) -> tuple:
         """The keys of the instances live during the tick, in registration
-        order, and the next state's layout, interned: the slots of those
-        that outlive the tick, a re-registered one after the others."""
+        order, the next layout, interned: the slots of those that outlive
+        the tick, a re-registered one after the others; and their plan."""
         if self.shaped is None:
-            state, ended = self.state, self.ended
+            code, ended = self.state.code, self.ended
             order = self.live + tuple(self.fresh) if self.fresh else self.live
-            layout = state.layout
-            if ended or order is not layout:
+            plan = code.plan(order)
+            layout = plan[3]
+            if ended:
                 layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
-                layout = state.code.layouts.setdefault(layout, layout)
-            self.shaped = order, layout
+                layout = code.layouts.setdefault(layout, layout)
+            self.shaped = order, layout, plan
         return self.shaped
 
     def settled(self) -> tuple:
-        """The tick settled under the empty choice, in one pass over its
-        instances in registration order, once per run: the record's data,
-        each instance's status and value, one whose scope ended included;
-        the next store, with each instance that outlives the tick at its
-        slot; and the record's layout and input entries (`_Code.plan`).
-        An instance neither emitted nor written, and not leaving a present
+        """The tick settled under the empty choice by its order's settle
+        (`_Code.plan`), once per run: the record's data, each instance's
+        status and value in registration order, one whose scope ended
+        included; the next store, with each instance that outlives the
+        tick at its slot; and the record's layout and input entries. An
+        instance neither emitted nor written, and not leaving a present
         status, keeps its pair."""
         if self._settled is None:
-            code, folded, emitted = self.state.code, self.folded, self.emitted
-            old, prev, ended = self.state.store, self.prev, self.ended
-            store, data = list(code.empty), []
-            order = self.shape()[0]
-            for key in order:  # one live at the tick's start has its pair in the store
-                slot, pair = (key, old[key]) if key >= 0 else (~key, prev[~key])
-                present = key in emitted
-                if key in folded:
-                    pair = (present, folded[key])
-                elif pair[0] is not present:
-                    pair = (present, pair[1])
-                data += pair
-                if key not in ended:
-                    store[slot] = pair
-            self._settled = data, store, code.plan(order)
+            plan = self.shape()[2]
+            data, store = plan[2](self)
+            self._settled = data, store, plan
         return self._settled
 
     def keyed(self) -> tuple:
@@ -524,7 +521,7 @@ class _TickCtx:
         scope ended included: the run's `settled` data and store with only
         the input instances' entries rewritten, as `patch` rewrites them."""
         inputs, values = self._checked(inputs)
-        data, store, (layout, entries) = self.settled()
+        data, store, (layout, entries, _, _) = self.settled()
         present = inputs.present
         if entries and (present or values):
             data, store, emitted, ended = list(data), list(store), self.emitted, self.ended
@@ -733,6 +730,38 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: b
 def _code(source: str, mode: str = "exec"):
     """`source` compiled: programs alike in shape share their code."""
     return compile(source, _GENERATED, mode)
+
+
+def _settler(kinds: list, bound: tuple):
+    """The settle of a tick whose instances have the (kind, shadowed)
+    `kinds` in registration order, a kind "cont" or a signal's type (None
+    if pure): it maps the tick's run `ctx` to its record's data and next
+    store, its other parameters defaulting to `bound`, the empty store and
+    each instance's key and slot, so orders of one kind signature share
+    one code object. A pair is at its slot in `prev`, a shadowed instance's
+    (live at the tick's start, its slot registered again) in the old store."""
+    lines = [f"{name} = ctx.{name}" for name in ("prev", "folded", "emitted", "ended")]
+    for at, (kind, shadowed) in enumerate(kinds):
+        k, p, q = f"k{at}", f"p{at}", f"ctx.state.store[k{at}]" if shadowed else f"prev[s{at}]"
+        if kind == "cont":  # never emitted: its status stays false
+            lines.append(f"{p} = (False, folded[{k}]) if {k} in folded else {q}")
+        elif kind is None:  # a pure signal: never written, its value stays None
+            lines.append(f"{p} = (True, None) if {k} in emitted else (False, None)")
+        else:
+            lines.append(f"e = {k} in emitted")
+            lines.append(f"{p} = (e, folded[{k}]) if {k} in folded else {q}")
+            lines.append(f"if {p}[0] is not e: {p} = (e, {p}[1])")
+    stores = [f"store[s{at}] = p{at}" for at in range(len(kinds))]
+    lines += ["if ended:", " store = list(empty)"]
+    lines += [f" if k{at} not in ended: {line}" for at, line in enumerate(stores)]
+    lines += ["else:", " store = list(empty)", *(f" {line}" for line in stores)]
+    data = "".join(f"p{at}[0], p{at}[1], " for at in range(len(kinds)))
+    params = "".join(f", k{at}, s{at}" for at in range(len(kinds)))
+    body = "\n ".join([*lines, f"return ({data}), store"])
+    scope: dict = {}
+    exec(_code(f"def settle(ctx, empty{params}):\n {body}"), scope)
+    scope["settle"].__defaults__ = bound
+    return scope["settle"]
 
 
 def _times(a: str, b: str) -> str:

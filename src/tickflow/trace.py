@@ -18,7 +18,8 @@ The CSV export does once per export what each tick would repeat: a plan
 of each layout's rows in printed order, as positions in the data, built
 the first time the layout and labels are met, and each rational's text,
 memoised by the identity of the value object (the trace keeps every value
-alive while it is exported).
+alive while it is exported). The JSON export and `Trace.project` read each
+record through its layout's names, sorted once per layout met.
 """
 
 from __future__ import annotations
@@ -186,20 +187,14 @@ class Trace(Struct, frozen=False):
 
     def project(self, names) -> list:
         """Per-tick view restricted to the given entities, for comparing
-        traces that differ only in generated internals."""
+        traces that differ only in generated internals: read through each
+        record's layout (`_by_name`), so no table is built."""
         keep = set(names)
-        out = []
-        for rec in self.records:
-            out.append(
-                (
-                    rec.tick,
-                    tuple(sorted((k, v) for k, v in rec.statuses.items() if k in keep)),
-                    tuple(sorted((k, v) for k, v in rec.values.items() if k in keep)),
-                    tuple(sorted((k, v) for k, v in rec.conts.items() if k in keep)),
-                    rec.labels,
-                )
-            )
-        return out
+        return [
+            (rec.tick, *(tuple([(name, rec.data[at]) for name, at in table]) for table in tables),
+             rec.labels)
+            for rec, tables in _by_name(self.records, keep)
+        ]
 
 
 def _column(records, tables: tuple, name: str):
@@ -220,6 +215,22 @@ def _column(records, tables: tuple, name: str):
         at = plan.get(name)
         if at is not None:
             yield rec, rec.data[at]
+
+
+def _by_name(records, keep=None):
+    """(record, tables) for each of `records`, in order: the (name,
+    position in the data) pairs of each of its layout's three tables,
+    sorted by name, only the names in `keep` if given. Planned once per
+    layout met, told apart by identity as `_column` tells them."""
+    plans: dict = {}
+    for rec in records:
+        tables = plans.get(id(rec.layout))
+        if tables is None:
+            tables = plans[id(rec.layout)] = tuple(
+                sorted(entry for entry in table if keep is None or entry[0] in keep)
+                for table in rec.layout
+            )
+        yield rec, tables
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -298,26 +309,29 @@ def to_csv(trace: Trace) -> str:
 
 
 def to_json(trace: Trace) -> str:
+    """The trace as a JSON document, each record's tables sorted by name
+    and read through its layout (`_by_name`)."""
     p, q = trace.wcrt.as_integer_ratio()
+    ticks = []
+    for rec, (statuses, values, conts) in _by_name(trace.records):
+        data = rec.data
+        ticks.append({
+            "tick": rec.tick,
+            "time": _time(p, q, rec.tick),
+            "statuses": {name: data[at] for name, at in statuses},
+            "values": {
+                name: data[at] if data[at].__class__ is bool else format_rational(data[at])
+                for name, at in values
+            },
+            "conts": {name: format_rational(data[at]) for name, at in conts},
+            "labels": list(rec.labels),
+        })
     doc = {
         "wcrt": format_rational(trace.wcrt),
         "terminated": trace.terminated,
         "termination_tick": trace.termination_tick,
         "initial": {k: format_rational(v) for k, v in sorted(trace.initial_conts.items())},
-        "ticks": [
-            {
-                "tick": rec.tick,
-                "time": _time(p, q, rec.tick),
-                "statuses": {k: v for k, v in sorted(rec.statuses.items())},
-                "values": {
-                    k: v if v.__class__ is bool else format_rational(v)
-                    for k, v in sorted(rec.values.items())
-                },
-                "conts": {k: format_rational(v) for k, v in sorted(rec.conts.items())},
-                "labels": list(rec.labels),
-            }
-            for rec in trace.records
-        ],
+        "ticks": ticks,
     }
     return json.dumps(doc, indent=2) + "\n"
 

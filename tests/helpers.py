@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 from tickflow.kernel import InputAssignment
 from tickflow.rational import format_rational
+from tickflow.syntax.nodes import SignalDecl
 from tickflow.ttl import affine_form
 
 WCRT_CHOICES = (F(1), F(1, 2), F(2), F(3))
@@ -367,3 +368,49 @@ def _search_stmt(rng: random.Random, depth: int) -> str:
     if kind == 6:
         return f"{{ {sub()} }} || {{ {sub()} }}"
     return f"loop {{ {sub()}; pause }}"
+
+
+# --- the settle as a loop over a tick's instances ------------------------------
+
+
+def settled_by_loop(run, choice=InputAssignment()) -> tuple:
+    """The tick of the kernel's run `run` settled under the input choice
+    `choice` by one loop over its instances in registration order, as the
+    kernel settled a tick before its settle was generated code: the
+    record's data, the next store, the next layout (the one the program's
+    code interned, or None), the record's layout and the (key, at, slot,
+    name) of each input instance. An input instance is also present if the
+    choice names it and holds the value `check` gives it, if any."""
+    state, code = run.state, run.state.code
+    folded = {**run.folded, **run.check(choice)}
+    emitted = run.emitted | {
+        key for key in run.input_instances()
+        if code.decls[key if key >= 0 else ~key].name in choice.present
+    }
+    old, prev, ended = state.store, run.prev, run.ended
+    store, data = list(code.empty), []
+    tables, seen, entries = ([], [], []), {}, []
+    order = run.live + tuple(run.fresh)
+    for at, key in enumerate(order):
+        slot, pair = (key, old[key]) if key >= 0 else (~key, prev[~key])
+        present = key in emitted
+        if key in folded:
+            pair = (present, folded[key])
+        elif pair[0] is not present:
+            pair = (present, pair[1])
+        data += pair
+        if key not in ended:
+            store[slot] = pair
+        decl = code.decls[slot]
+        count = seen[decl.name] = seen.get(decl.name, 0) + 1
+        name = f"{decl.name}:{count}" if count > 1 else decl.name
+        if decl.__class__ is not SignalDecl:
+            tables[2].append((name, 2 * at + 1))
+            continue
+        tables[0].append((name, 2 * at))
+        if decl.stype is not None:
+            tables[1].append((name, 2 * at + 1))
+        if slot in code.inputs:
+            entries.append((key, 2 * at, slot, decl.name))
+    layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
+    return tuple(data), store, code.layouts.get(layout), tuple(map(tuple, tables)), tuple(entries)

@@ -367,3 +367,29 @@ def test_a_seq_resumes_in_sublinear_code():
     # continuation skips chunks of statements, so 25 times the statements
     # cost at most 8 times the lines (a test per statement would be 25 times)
     assert _lines_per_resumed_tick(2500) <= 8 * _lines_per_resumed_tick(100)
+
+
+def _flow_bank_program():
+    """The benchmark's `flow_bank` program of seed 1, rewritten, and its
+    configuration, from `bench/gen.py`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import gen
+
+    bank = gen.flow_bank(1)
+    cfg = RewriteConfig(bank.wcrt)
+    return rewrite_flows(parse(bank.source), cfg), cfg
+
+
+def test_a_run_compiles_a_settle_per_kind_signature_not_per_order():
+    # the 250-tick `flow_bank` run meets 171 orders of a tick's instances,
+    # whose settles share at most 5 sources; a second run of the program
+    # object settles through the plans kept on its code and compiles none
+    program, cfg = _flow_bank_program()
+    code = TickState(program, cfg).code  # the program's own code, compiled here
+    misses = kernel._code.cache_info().misses
+    run(program, cfg, max_ticks=250)
+    assert len(code.plans) == 171
+    assert kernel._code.cache_info().misses - misses <= 5
+    misses = kernel._code.cache_info().misses
+    run(program, cfg, max_ticks=250)
+    assert kernel._code.cache_info().misses == misses

@@ -27,9 +27,11 @@ from helpers import (
     TWO_FAULTS,
     VALUED_INPUTS,
     multirate_programs,
+    random_program,
     random_search_program,
     random_status_value_program,
     random_valued_program,
+    settled_by_loop,
 )
 
 CFG1 = RewriteConfig(F(1))
@@ -661,7 +663,7 @@ def _code_decides(run) -> tuple:
     An instance live at the tick's start is keyed by its slot and has its
     previous value in the state's store; one the tick registered is keyed
     `~slot` and has its initial value in the run's `prev`."""
-    order, _ = run.shape()
+    order = run.shape()[0]
     code = run.state.code
     settled = tuple(
         (at, id(code.decls[slot]), key in run.emitted, value.__class__, value)
@@ -892,6 +894,76 @@ def test_every_choice_patched_onto_one_run_settles_as_a_fresh_step():
     # patched choice must meet are met
     errors = _agree_as_the_search_steps(_patched_cases())
     assert {_L_TWICE, "'L' holds an integer value"} <= errors
+
+
+# scopes that end with their slot not registered again, valued and pure
+# ones among them; input instances an abort kills and its loop registers
+# again; and an input and a variable re-registered in their slots every tick
+_SETTLED = (
+    "input signal A; input int signal L = 0; signal S;\n"
+    "{ int signal V = 1; cont c = 2; c = c + 1; ?V = 3; pause; emit V; emit S }; "
+    "{ signal T; emit T; pause }; pause",
+    "input signal A;\n"
+    "loop { abort (A) { input int signal L = 0; cont c = 1; loop { c = c + 1; pause } }; pause }"
+    " || loop { input signal B; cont d op+ = 1; d = d + 1; emit B; pause }",
+)
+
+
+def _settled_cases():
+    """`_stepped_cases`, then `REREGISTERED`, `_SETTLED` and 40 seeds each
+    of the four random program generators, each rewritten and native."""
+    yield from _stepped_cases()
+    cases = [(parse(REREGISTERED), CFG1, None)]
+    cases += [(parse(source), CFG1, {"L": (F(2), F(4))}) for source in _SETTLED]
+    for seed in range(40):
+        source, wcrt, _ = random_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt), None))
+        source, wcrt = random_search_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt), None))
+        source, wcrt = random_valued_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt), VALUED_INPUTS))
+        source, wcrt, _, values = random_status_value_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt), {"L": values}))
+    for program, cfg, values in cases:
+        choices = alphabet_for(program, values).choices()
+        for native in (False, True):
+            yield program if native else rewrite_flows(program, cfg), cfg, native, choices
+
+
+def test_the_generated_settle_is_the_loop_over_the_ticks_instances():
+    # every tick of every state reached within 4 ticks (3 states a tick,
+    # picked by a seeded rng) settles as one loop over its instances
+    # settles it: the data, the store, the next layout (the interned
+    # object), the record's layout and the input entries; and so do 6
+    # drawn choices, through `record` and `patch`, or both raise
+    for compiled, cfg, native, choices in _settled_cases():
+        rng = random.Random(0)
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(4):
+            reached = []
+            for state in rng.sample(frontier, min(3, len(frontier))):
+                try:
+                    run = state.step(choices[0])
+                except KernelError:
+                    continue
+                data, store, (layout, entries, _, _) = run.settled()
+                want = settled_by_loop(run)
+                assert (data, store, layout, entries) == (*want[:2], *want[3:]), compiled
+                assert run.shape()[1] is want[2], compiled
+                for inputs in rng.sample(choices, min(6, len(choices))):
+                    try:
+                        want = settled_by_loop(run, inputs)
+                    except KernelError as err:
+                        with pytest.raises(KernelError, match=err.message):
+                            run.record(inputs)
+                        continue
+                    successor, record = run.record(inputs)
+                    assert (record.data, list(successor.store)) == want[:2], (compiled, inputs)
+                    assert successor.layout is want[2] and record.layout == want[3]
+                    assert run.patch(inputs)[0] == want[1], (compiled, inputs)
+                    if not successor.terminated:
+                        reached.append(successor)
+            frontier = reached
 
 
 def test_snapshot_names_instances_like_the_record():

@@ -279,6 +279,60 @@ def test_entities_and_lanes_read_through_layouts_equal_the_table_reads(monkeypat
         assert to_svg_timing(each, names) == svg
 
 
+def _table_json(trace: Trace) -> str:
+    """`to_json` of `trace` read from each record's whole tables."""
+    p, q = trace.wcrt.as_integer_ratio()
+    doc = {
+        "wcrt": format_rational(trace.wcrt),
+        "terminated": trace.terminated,
+        "termination_tick": trace.termination_tick,
+        "initial": {k: format_rational(v) for k, v in sorted(trace.initial_conts.items())},
+        "ticks": [
+            {
+                "tick": rec.tick,
+                "time": trace_mod._time(p, q, rec.tick),
+                "statuses": dict(sorted(rec.statuses.items())),
+                "values": {
+                    k: v if v.__class__ is bool else format_rational(v)
+                    for k, v in sorted(rec.values.items())
+                },
+                "conts": {k: format_rational(v) for k, v in sorted(rec.conts.items())},
+                "labels": list(rec.labels),
+            }
+            for rec in trace.records
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _table_project(trace: Trace, names) -> list:
+    """`Trace.project` of `trace` read from each record's whole tables."""
+    keep = set(names)
+    return [
+        (
+            rec.tick,
+            *(tuple(sorted((k, v) for k, v in table.items() if k in keep))
+              for table in (rec.statuses, rec.values, rec.conts)),
+            rec.labels,
+        )
+        for rec in trace.records
+    ]
+
+
+def test_json_and_projections_read_through_layouts_equal_the_table_reads():
+    # every corpus trace, the kernel-built ones and the differential ones,
+    # as built and as `from_json` reads them back: the JSON is byte for
+    # byte what the whole tables give, and so is the projection on every
+    # name, on every other name, and on a name none holds
+    traces = [*_corpus_traces(), *_kernel_built_traces(), *_differential_traces().values()]
+    for trace in traces:
+        for each in (trace, from_json(to_json(trace))):
+            assert to_json(each) == _table_json(each)
+            names = each.entities()
+            for kept in (names, names[::2], ["nope"]):
+                assert each.project(kept) == _table_project(each, kept), kept
+
+
 def test_json_roundtrip_empty():
     # a run cut before its first tick: a terminated trace holds a record
     trace = _trace(SINGLE_FLOW, max_ticks=0)
