@@ -87,10 +87,12 @@ variable with a literal is the same integer test. A step `v = w + c`
 (every step of a rewritten or native flow), `w` a continuous variable and
 `c` a literal, builds `ratio(p*d + n*q, q*d)` from `w`'s integers `n/d`,
 read from its slots with no call (`rational.INTEGERS`), and `c`'s `p/q`,
-folded at compile time; the integer test reads them so too. A run of
-such steps on one `op+` variable, consecutive in straight-line code or in
-a native flow's rates, writes once, the exact sum its writes fold to. So
-a flow tick's only `Fraction`s are its steps.
+folded at compile time; the integer test reads them so too. For an
+integer `c` it builds `coprime(c*d + n, d)`, already in lowest terms, with
+no gcd. A run of such steps on one `op+` variable, consecutive in
+straight-line code or in a native flow's rates, writes once, by `ratio`,
+the exact sum its writes fold to. So a flow tick's only `Fraction`s are
+its steps.
 
 None of this changes a residue: a region that cannot pause leaves none,
 and a Seq's residue indexes its source statements. Reads, writes and
@@ -141,10 +143,11 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from types import FunctionType
 from typing import Optional
 
 from .errors import ArgumentError, KernelError, NestingError
-from .rational import INTEGERS, format_value, ratio
+from .rational import INTEGERS, coprime, format_value, ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.checks import check_program
@@ -194,6 +197,8 @@ class InputAssignment(Struct):
 
 EMPTY_INPUTS = InputAssignment()
 
+_NO_VALUES: dict = {}  # the values of every choice that gives none; never written
+
 
 # --- residues ----------------------------------------------------------------
 #
@@ -235,17 +240,24 @@ def _labels_in(res, labels: list):
 
 class _Code:
     """A program's `run` and `resume` and what its ticks share: each slot's
-    declaration (None for a look-ahead's), the input slots, a tick's first
-    `env`, the store of tick 0, the interned layouts of its states and a
-    plan per order of a tick's instances, which holds the tick's settle."""
+    declaration (None for a look-ahead's), the input slots, the slots of
+    each declared name, a tick's first `env`, the store of tick 0, the
+    interned layouts of its states and a plan per order of a tick's
+    instances, which holds the tick's settle."""
 
-    __slots__ = ("run", "resume", "decls", "inputs", "keys", "empty", "layouts", "plans")
+    __slots__ = (
+        "run", "resume", "decls", "inputs", "name_slots", "keys", "empty", "layouts", "plans",
+    )
 
     def __init__(self, run, resume, decls: list):
         self.run, self.resume, self.decls = run, resume, tuple(decls)
         self.inputs = {
             s for s, d in enumerate(decls) if d.__class__ is SignalDecl and d.direction == "input"
         }
+        self.name_slots: dict = {}
+        for s, d in enumerate(decls):
+            if d is not None:
+                self.name_slots.setdefault(d.name, set()).add(s)
         self.keys, self.empty = tuple(range(len(decls))), (None,) * len(decls)
         self.layouts, self.plans = {(): ()}, {}
 
@@ -338,7 +350,7 @@ class _TickCtx:
     records or reads any choice from its own settled pass (`settled`).
     It is built under the choice it was stepped with, `choice`, checked
     (`check`) with the values it gives in `values`; `patch`, `settle` and
-    `record` take that one when given none.
+    `record` take that one when given none, and check any other once.
 
     An instance live at the tick's start is keyed by its slot, one it
     registers by `~slot`, so a slot may hold one that ended and a new one.
@@ -445,7 +457,10 @@ class _TickCtx:
         registration order (`value supplied for pure input`, `_adapt`);
         those of the instances the code registered before it raised, if it
         did; the code's error; and last a double write with no combine
-        operator."""
+        operator. A choice with no values, once the run has folded without
+        error, is given none at once: the shared `_NO_VALUES`."""
+        if not inputs.values and self.folded is not None:
+            return _NO_VALUES
         latched = {}
         if inputs.values:
             given, decls, live = dict(inputs.values), self.state.code.decls, self.live
@@ -472,13 +487,6 @@ class _TickCtx:
             latched = {key: folded[key] for key in latched}
         return latched
 
-    def _checked(self, inputs) -> tuple:
-        """`inputs`, or the choice the run was stepped with if None, and
-        the values `check` gives it; the stepped choice was checked once."""
-        if inputs is None or inputs is self.choice:
-            return self.choice, self.values
-        return inputs, self.check(inputs)
-
     def patch(self, inputs: Optional[InputAssignment] = None) -> tuple:
         """The next store under the input choice `inputs`, as a list, and
         its key, `verify.fingerprint` of the state `after` builds from it;
@@ -489,7 +497,8 @@ class _TickCtx:
         the code emitted it or the choice names it, and holds the value
         `check` gives it, else its settled value; so a choice with no values
         only flips statuses."""
-        inputs, values = self._checked(inputs)
+        inputs = self.choice if inputs is None else inputs
+        values = self.values if inputs is self.choice else self.check(inputs)
         store, flat, entries = self._keyed or self.keyed()
         present = inputs.present
         if entries and (present or values):
@@ -520,7 +529,8 @@ class _TickCtx:
         instance live during the tick, in registration order, one whose
         scope ended included: the run's `settled` data and store with only
         the input instances' entries rewritten, as `patch` rewrites them."""
-        inputs, values = self._checked(inputs)
+        inputs = self.choice if inputs is None else inputs
+        values = self.values if inputs is self.choice else self.check(inputs)
         data, store, (layout, entries, _, _) = self.settled()
         present = inputs.present
         if entries and (present or values):
@@ -543,13 +553,15 @@ class _TickCtx:
         does not check, shows `name` present: the record names the first
         instance in registration order whose declaration is `name` by that
         name, whether or not its scope ended this tick, and an input
-        instance is present also when the choice names it."""
+        instance is present also when the choice names it. The name's
+        slots were resolved once per program (`_Code.name_slots`)."""
         code, named = self.state.code, name in inputs.present
+        slots = code.name_slots.get(name, ())
         for key in self.live:
-            if code.decls[key].name == name:
+            if key in slots:
                 return key in self.emitted or (named and key in code.inputs)
         for key in self.fresh:
-            if code.decls[~key].name == name:
+            if ~key in slots:
                 return key in self.emitted or (named and ~key in code.inputs)
         return False
 
@@ -682,6 +694,8 @@ def _adapt(value, decl: SignalDecl):
 # The file name of generated code: a profile counts its time as the kernel's.
 _GENERATED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.generated")
 
+_SETTLE_GLOBALS: dict = {}  # a settle reads no global; `list` is a builtin
+
 _DEEPEST = " " * 50  # code indented this deep is a function of its own
 
 # the tick's fields, each loaded once by a function whose source names it
@@ -737,9 +751,11 @@ def _settler(kinds: list, bound: tuple):
     `kinds` in registration order, a kind "cont" or a signal's type (None
     if pure): it maps the tick's run `ctx` to its record's data and next
     store, its other parameters defaulting to `bound`, the empty store and
-    each instance's key and slot, so orders of one kind signature share
-    one code object. A pair is at its slot in `prev`, a shadowed instance's
-    (live at the tick's start, its slot registered again) in the old store."""
+    each instance's key and slot. Orders of one kind signature share one
+    code object, the function that the source's compiled module (`_code`)
+    defines, its first constant, and one globals dict. A pair is at its
+    slot in `prev`, a shadowed instance's (live at the tick's start, its
+    slot registered again) in the old store."""
     lines = [f"{name} = ctx.{name}" for name in ("prev", "folded", "emitted", "ended")]
     for at, (kind, shadowed) in enumerate(kinds):
         k, p, q = f"k{at}", f"p{at}", f"ctx.state.store[k{at}]" if shadowed else f"prev[s{at}]"
@@ -758,10 +774,8 @@ def _settler(kinds: list, bound: tuple):
     data = "".join(f"p{at}[0], p{at}[1], " for at in range(len(kinds)))
     params = "".join(f", k{at}, s{at}" for at in range(len(kinds)))
     body = "\n ".join([*lines, f"return ({data}), store"])
-    scope: dict = {}
-    exec(_code(f"def settle(ctx, empty{params}):\n {body}"), scope)
-    scope["settle"].__defaults__ = bound
-    return scope["settle"]
+    code = _code(f"def settle(ctx, empty{params}):\n {body}").co_consts[0]
+    return FunctionType(code, _SETTLE_GLOBALS, "settle", bound)
 
 
 def _times(a: str, b: str) -> str:
@@ -905,7 +919,8 @@ class _Compiler:
         self.decls: list = []
         self.count = 0
         self.names = {
-            "Fraction": Fraction, "adapt": _adapt, "ratio": ratio, "labels_in": _labels_in,
+            "Fraction": Fraction, "adapt": _adapt, "ratio": ratio, "coprime": coprime,
+            "labels_in": _labels_in,
         }
 
     def slot(self, decl=None) -> int:
@@ -1016,7 +1031,9 @@ class _Compiler:
     def steps(self, steps, scope) -> list:
         """The lines of the steps `v = w + c`, given as `(v, w, c)`: a write
         per step, or per run of consecutive steps on one `op+` variable, of
-        the sum its writes fold to, by integer cross-products."""
+        the sum its writes fold to, by integer cross-products. A run of one
+        step with an integer `c` builds `w + c` by `coprime`, with no gcd:
+        its terms `n + c*d` and `d` are coprime as `n` and `d` are."""
         runs: list = []
         for target, name, c in steps:
             _, slot, decl = scope[target]
@@ -1028,6 +1045,7 @@ class _Compiler:
         lines: list = []
         for slot, names, c in runs:
             num, den = map(str, c.as_integer_ratio())
+            build = "coprime" if len(names) == 1 and den == "1" else "ratio"
             for k, name in enumerate(names):
                 if k:
                     num, den = self.let(lines, num), self.let(lines, den)
@@ -1035,7 +1053,7 @@ class _Compiler:
                 value = self.read(lines, scope[name][1], name, "value")
                 lines.append(f"{n}, {d} = {INTEGERS.format(value)}")
                 num, den = f"{_times(num, d)} + {_times(n, den)}", _times(den, d)
-            lines.append(_WRITE.format(slot, f"ratio({num}, {den})"))
+            lines.append(_WRITE.format(slot, f"{build}({num}, {den})"))
         return lines
 
     # -- control --

@@ -16,11 +16,13 @@ call. `ratio` reduces `n/d` by one gcd and writes the two integers into the
 `Fraction`'s slots, without `Fraction.__new__`'s argument handling; it is
 exact because a fraction divided through by the gcd of its terms is its
 reduced form. It assumes `d > 0`, which holds for every product of
-`Fraction` denominators. This module is the only one that writes the
-slots, and it spells the read that generated code makes (`INTEGERS`); the
-two functions that build a state key, `kernel._TickCtx.keyed` and
-`verify.fingerprint`, read them in place, where a call would cost more
-than the read.
+`Fraction` denominators. `coprime` writes the slots with no gcd, for terms
+already in lowest terms, such as those of `w + c` for a `Fraction`
+`w = n/d` and an integer `c`: `gcd(n + c*d, d) = gcd(n, d) = 1`. This
+module is the only one that writes the slots, and it spells the read that
+generated code makes (`INTEGERS`); the two functions that build a state
+key, `kernel._TickCtx.keyed` and `verify.fingerprint`, read them in place,
+where a call would cost more than the read.
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ def ratio(n: int, d: int) -> Fraction:
     value = _new(Fraction)
     value._numerator = n // g
     value._denominator = d // g
+    return value
+
+
+def coprime(n: int, d: int) -> Fraction:
+    """The `Fraction` n/d for coprime integers `n` and `d > 0`, written
+    into the class's slots as `ratio` writes them, with no gcd. Terms with
+    a common factor give an unreduced value, which no `Fraction` operation
+    expects."""
+    value = _new(Fraction)
+    value._numerator = n
+    value._denominator = d
     return value
 
 

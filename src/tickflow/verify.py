@@ -13,17 +13,19 @@ earlier (it then has more ticks left), so depth-first order is as sound
 as breadth-first. Breadth-first order reaches states in tick order, so its
 first witness is a shortest one: the alphabet's choices are every
 assignment a schedule can give over its names and values
-(`InputAlphabet.choices`), a value with either status included. A
-state is a value, and no read in a tick sees that tick's inputs, so the
-expanded state's tick runs once, on the first input choice (the run,
-`kernel._TickCtx`), and every choice is settled, recorded or read
-through that run. A choice changes only input instances, so the target
-is read once per tick, on the first choice, unless it is an input, which
-is read under every choice from the run and the choice's names. The
-alphabet's names and values are checked once, before the search
-(`InputAlphabet.require`), and no choice's names are checked again;
-every choice not counted at once (below) is checked against the run
-once (`_TickCtx.check`). A leaf, a
+(`InputAlphabet.choices`, built once per alphabet), a value with either
+status included. A state is a value, and no read in a tick sees that
+tick's inputs, so the expanded state's tick runs once, on the first
+input choice (the run, `kernel._TickCtx`), and every choice is settled,
+recorded or read through that run. A choice changes only input
+instances, so the target is read once per tick, on the first choice,
+unless it is an input, which is read under every choice from the run and
+the choice's names; a read tests the instances' slots against the
+target's, resolved once per program. The alphabet's names and values are
+checked once, before the search (`InputAlphabet.require`), and no
+choice's names are checked again; every choice not counted at once
+(below) is checked against the run once (`_TickCtx.check`, which returns
+at once for a choice with no values). A leaf, a
 tick that terminated or sits at the bound, builds no state and is never
 keyed. Once a leaf's first choice has run, a later choice can fail only
 for a value it carries; so when no later choice carries one and the
@@ -84,19 +86,25 @@ class InputAlphabet(Struct):
         statuses × (no value, then each of its values), which is every
         assignment a schedule can give over the alphabet's names and
         values. In a canonical order: the first input varies slowest, each
-        through its statuses in the order given (all-absent first)."""
-        value_map = dict(self.values)
-        per_input = [
-            [(name, status, v) for status in statuses for v in (None, *value_map.get(name, ()))]
-            for name, statuses in self.statuses
-        ]
-        return [
-            InputAssignment.make(
-                present=[name for name, status, _ in combo if status == "present"],
-                values={name: v for name, _, v in combo if v is not None},
+        through its statuses in the order given (all-absent first). Built
+        once per alphabet object, kept on it, and returned as a new list.
+        Not once per value: equal alphabets may hold values of different
+        classes (`True == 1 == Fraction(1)`), which a choice keeps."""
+        built = self.__dict__.get("_choices")
+        if built is None:
+            value_map = dict(self.values)
+            per_input = [
+                [(name, status, v) for status in statuses for v in (None, *value_map.get(name, ()))]
+                for name, statuses in self.statuses
+            ]
+            built = self.__dict__["_choices"] = tuple(
+                InputAssignment.make(
+                    present=[name for name, status, _ in combo if status == "present"],
+                    values={name: v for name, _, v in combo if v is not None},
+                )
+                for combo in product(*per_input)
             )
-            for combo in product(*per_input)
-        ]
+        return list(built)
 
     def require(self, program: Program) -> None:
         """Refuse an entry with no status or one not "absent" or "present",

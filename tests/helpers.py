@@ -414,3 +414,21 @@ def settled_by_loop(run, choice=InputAssignment()) -> tuple:
             entries.append((key, 2 * at, slot, decl.name))
     layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
     return tuple(data), store, code.layouts.get(layout), tuple(map(tuple, tables)), tuple(entries)
+
+
+# --- the target read by name --------------------------------------------------
+
+
+def settles_present_by_name(run, name: str, choice: InputAssignment) -> bool:
+    """Whether the record of the kernel's run `run` under the input choice
+    `choice` shows `name` present, read as the kernel read it before it
+    resolved names to slots: the first instance in registration order whose
+    declaration's name is `name`, compared by name at every instance."""
+    code, named = run.state.code, name in choice.present
+    for key in run.live:
+        if code.decls[key].name == name:
+            return key in run.emitted or (named and key in code.inputs)
+    for key in run.fresh:
+        if code.decls[~key].name == name:
+            return key in run.emitted or (named and ~key in code.inputs)
+    return False

@@ -25,6 +25,7 @@ from tickflow.kernel import InputAssignment, TickState, run
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
+from tickflow.syntax.nodes import SignalDecl
 from tickflow.trace import to_csv
 
 CAROUSEL = Path(__file__).parent.parent / "corpus" / "programs" / "carousel.hsj"
@@ -271,7 +272,7 @@ def test_nested_pausing_statements_give_the_pinned_trace_residues_and_keys(name,
 # the fields and methods it uses
 _NAME = re.compile(
     r"[vkfnd]\d+|ctx|res|r|env|prev|writes|emitted|log|labels|ended|fresh|Fraction|adapt|ratio"
-    r"|labels_in"
+    r"|coprime|labels_in"
 )
 _ATTRIBUTES = {
     "env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh", "t", "kill",
@@ -297,14 +298,17 @@ def _generated_sources(monkeypatch, program, cfg, native=False) -> list:
     return sources
 
 
-def _programs():
-    names = parse(NAMES)
-    carousel = bind_params(
+def _carousel():
+    return bind_params(
         parse(CAROUSEL.read_text()),
         {"alpha": F(1), "beta": F(10), "theta": F(6), "TAG": F(1)},
     )
+
+
+def _programs():
+    names = parse(NAMES)
     bank, wcrt = FLOW_BANK
-    for program, cfg in ((names, CFG), (carousel, CFG), (parse(bank), RewriteConfig(wcrt))):
+    for program, cfg in ((names, CFG), (_carousel(), CFG), (parse(bank), RewriteConfig(wcrt))):
         yield rewrite_flows(program, cfg), cfg, False
         yield program, cfg, True
 
@@ -332,6 +336,60 @@ def test_program_text_reaches_generated_source_only_as_literals(monkeypatch):
                     assert value is None or value.__class__ in (bool, int, str), text
                     if value.__class__ is str:
                         assert value in allowed, (value, text)
+
+
+# a step's write, with the slot it writes and the constructor of its value
+_STEP_WRITE = re.compile(r"writes\.append\(\(env\[(\d+)\], (ratio|coprime)\(")
+
+
+def _step_builders(monkeypatch, program, cfg, native) -> dict:
+    """Per constructor of a step's value, the names of the variables whose
+    steps it builds in the code generated for `program`."""
+    sources = _generated_sources(monkeypatch, program, cfg, native)
+    decls = TickState(program, cfg, native).code.decls  # the code just compiled
+    built: dict = {"ratio": set(), "coprime": set()}
+    for text in sources:
+        for slot, builder in _STEP_WRITE.findall(text):
+            built[builder].add(decls[int(slot)].name)
+    return built
+
+
+def test_only_a_whole_step_that_writes_alone_skips_the_gcd(monkeypatch):
+    # `coprime` builds the value of a step `v = w + c` with an integer `c`
+    # that writes alone; a fractional `c`, or a run of steps on one `op+`
+    # variable, builds by `ratio`. In `NAMES` only `v1 = v1 + 1` is whole;
+    # at a tick of 1/2 every carousel step is +-1/2; in `FLOW_BANK` (tick
+    # 1/3) `x0` steps by 3/3 and `x1`, `x2` sum two rates each
+    want = [({"v1"}, {"lambda", "None"}), (set(), {"x", "y"}), ({"x0"}, {"x1", "x2"})]
+    for k, (program, cfg, native) in enumerate(_programs()):
+        coprime, ratio = want[k // 2]
+        built = _step_builders(monkeypatch, program, cfg, native)
+        assert built == {"coprime": coprime, "ratio": ratio}, (k, native)
+    # at the benchmark's tick of 1 every carousel step is whole
+    carousel, cfg = _carousel(), RewriteConfig(F(1))
+    for program, native in ((rewrite_flows(carousel, cfg), False), (carousel, True)):
+        built = _step_builders(monkeypatch, program, cfg, native)
+        assert built == {"coprime": {"x", "y"}, "ratio": set()}, native
+
+
+def test_a_step_leaves_its_value_in_lowest_terms():
+    # a flow of rate `r` steps its variable by `r*tick` each tick, whole or
+    # not; each value it settles to holds the integers of its reduced form,
+    # rewritten and native
+    cases = [
+        ("1/2", "1/2", F(1, 3)), ("-7/3", "2", F(1)), ("0", "-5/2", F(1, 3)),
+        ("5/4", "3", F(1, 3)), ("1/3", "-1", F(1)), ("7/10", "0", F(1)),
+    ]
+    for start, rate, wcrt in cases:
+        program = parse(f"cont w = {start};\ndo {{w' = {rate}}} until (true)")
+        cfg, step = RewriteConfig(wcrt), F(rate) * wcrt
+        for compiled, native in ((rewrite_flows(program, cfg), False), (program, True)):
+            records = run(compiled, cfg, max_ticks=6, native_flows=native).records
+            for t, record in enumerate(records, 1):
+                value, want = record.conts["w"], F(start) + t * step
+                assert (value._numerator, value._denominator) == want.as_integer_ratio(), (
+                    start, rate, wcrt, native, t,
+                )
 
 
 def _lines_per_resumed_tick(k: int, ticks: int = 20) -> float:
@@ -393,3 +451,28 @@ def test_a_run_compiles_a_settle_per_kind_signature_not_per_order():
     misses = kernel._code.cache_info().misses
     run(program, cfg, max_ticks=250)
     assert kernel._code.cache_info().misses == misses
+
+
+def test_orders_of_one_kind_signature_share_their_settles_code_and_globals():
+    # each order's settle is its own function, holding its own keys and
+    # slots, but the orders of one kind signature share the code object of
+    # their source, and every settle one globals dict
+    program, cfg = _flow_bank_program()
+    run(program, cfg, max_ticks=250)
+    code = TickState(program, cfg).code
+    by_signature: dict = {}
+    for order, plan in code.plans.items():
+        kinds = []
+        for key in order:
+            decl = code.decls[key if key >= 0 else ~key]
+            kind = decl.stype if decl.__class__ is SignalDecl else "cont"
+            kinds.append((kind, key >= 0 and ~key in order))
+        by_signature.setdefault(tuple(kinds), []).append(plan[2])
+    shared = [settles for settles in by_signature.values() if len(settles) > 1]
+    assert shared
+    scopes = {id(settle.__globals__) for settles in by_signature.values() for settle in settles}
+    assert len(scopes) == 1
+    for settles in shared:
+        assert len({id(settle.__code__) for settle in settles}) == 1
+        assert len({id(settle) for settle in settles}) == len(settles)
+        assert len({settle.__defaults__ for settle in settles}) == len(settles)

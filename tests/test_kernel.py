@@ -32,6 +32,7 @@ from helpers import (
     random_status_value_program,
     random_valued_program,
     settled_by_loop,
+    settles_present_by_name,
 )
 
 CFG1 = RewriteConfig(F(1))
@@ -964,6 +965,42 @@ def test_the_generated_settle_is_the_loop_over_the_ticks_instances():
                     if not successor.terminated:
                         reached.append(successor)
             frontier = reached
+
+
+# one name declared twice, nested and re-registered every tick, inside the
+# scope of an input of that name
+_NAMED_TWICE = (
+    "input signal S, T;\n"
+    "{ loop { signal S; emit S; pause; loop { signal S; if (T) emit S; pause } } }\n"
+    "|| { loop { if (S) emit T; pause } }"
+)
+
+
+def test_the_target_is_read_by_its_slots_as_by_its_name():
+    # every run of every state reached within 3 ticks, under every choice,
+    # reads each declared name and an undeclared one, each present and
+    # absent in the choice, as a scan comparing each instance's name does
+    programs = [(parse(source), CFG1) for source in (REREGISTERED, _NAMED_TWICE)]
+    extra = [(p, cfg, False, alphabet_for(p).choices()) for p, cfg in programs]
+    for compiled, cfg, native, choices in [*_stepped_cases(), *extra]:
+        names = {d.name for d in compiled.declarations()} | {"UNDECLARED"}
+        frontier = [init(compiled, cfg, native_flows=native)]
+        for _ in range(3):
+            reached = {}
+            for state in frontier:
+                for inputs in choices:
+                    try:
+                        run = state.step(inputs)
+                    except KernelError:
+                        continue
+                    for name in names:
+                        for given in (InputAssignment.make({name}), InputAssignment()):
+                            want = settles_present_by_name(run, name, given)
+                            assert run.settles_present(name, given) is want, (compiled, name)
+                    successor, key = run.settle()
+                    if not successor.terminated:
+                        reached.setdefault(key, successor)
+            frontier = list(reached.values())
 
 
 def test_snapshot_names_instances_like_the_record():

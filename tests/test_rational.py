@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
-from tickflow.rational import format_rational, ratio
+from tickflow.rational import coprime, format_rational, ratio
 
 
 def _pairs() -> list:
@@ -40,3 +40,20 @@ def test_ratio_is_the_fraction_of_its_integers():
         for compare in (F.__lt__, F.__le__, F.__gt__, F.__ge__, F.__eq__):
             assert compare(got, other) == compare(want, its), (got, other)
             assert compare(got, 0) == compare(want, 0), got
+
+
+def test_coprime_builds_a_whole_step_as_ratio_does():
+    # a step `w + c` for a reduced `w = n/d` and an integer `c` has coprime
+    # terms `c*d + n` and `d`, so `coprime` gives the slots `ratio` gives
+    # after its gcd: over the reduced values of `_pairs` (negative, zero and
+    # past 10**30) and integers `c` (zero, negative, small and large)
+    rng = random.Random(26)
+    steps = (0, 1, -1, 2, -3, 10**25, -(10**33))
+    for n, d in _pairs():
+        w = F(n, d)
+        n, d = w._numerator, w._denominator
+        for c in (*steps, rng.randint(-(10**40), 10**40)):
+            got, want = coprime(c * d + n, d), ratio(c * d + n, d)
+            assert type(got) is F, (n, d, c)
+            assert (got._numerator, got._denominator) == (want._numerator, want._denominator)
+            assert got == w + c and hash(got) == hash(w + c), (n, d, c)

@@ -189,6 +189,49 @@ def test_valued_alphabet_choices():
     assert pure == [InputAssignment.make(), InputAssignment.make(present=["A"])]
 
 
+def _choices_by_product(alphabet: InputAlphabet) -> list:
+    """Every choice of `alphabet`, built anew from the product of each
+    input's statuses and (no value, then each of its values)."""
+    value_map = dict(alphabet.values)
+    per_input = [
+        [(name, status, v) for status in statuses for v in (None, *value_map.get(name, ()))]
+        for name, statuses in alphabet.statuses
+    ]
+    return [
+        InputAssignment.make(
+            present=[name for name, status, _ in combo if status == "present"],
+            values={name: v for name, _, v in combo if v is not None},
+        )
+        for combo in itertools.product(*per_input)
+    ]
+
+
+def _classes(choices: list) -> list:
+    return [[value.__class__ for _, value in choice.values] for choice in choices]
+
+
+def test_choices_are_kept_per_alphabet_and_handed_out_as_new_lists():
+    # equal alphabets, one object asked twice or two built apart, give the
+    # product's choices in its order, and a caller that appends to the list
+    # it was given changes no later call's list
+    statuses = {"A": ("absent", "present"), "P": ("present", "absent"), "Q": ("absent",)}
+    values = {"P": (F(1), F(1, 2)), "Q": (F(3),)}
+    first, second = InputAlphabet.make(statuses, values), InputAlphabet.make(statuses, values)
+    want = _choices_by_product(first)
+    assert len(want) == 2 * 6 * 2
+    for alphabet in (first, first, second, second):
+        got = alphabet.choices()
+        assert got == want and _classes(got) == _classes(want)
+        got.append(InputAssignment.make(present=["A"]))
+    # alphabets equal as values may hold values of different classes, and
+    # each keeps its own: the choices are not shared between equal values
+    free = {"X": ("absent", "present")}
+    whole, true = InputAlphabet.make(free, {"X": (1,)}), InputAlphabet.make(free, {"X": (True,)})
+    assert whole == true
+    assert _classes(whole.choices()) == [[], [int], [], [int]]
+    assert _classes(true.choices()) == [[], [bool], [], [bool]]
+
+
 def test_default_alphabet_needs_each_valued_inputs_values():
     program = _program("input int signal LEVEL = 0; input signal GO;\nloop { pause }")
     for values in (None, {"LEVEL": ()}, {"GO": (F(1),)}):
