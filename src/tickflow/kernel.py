@@ -29,8 +29,10 @@ that latched before its code would meet them. A choice's names are
 checked where they enter: by `TickState.step`, before the code runs, by
 `run` for its whole schedule (`require_inputs`), and by the search for
 its whole alphabet. A choice's next store, key and record are the empty
-choice's, settled once per run (`_TickCtx.settled`, and `keyed` for the
-key), with only the entries of its input instances rewritten.
+choice's, with only the entries of its input instances rewritten. A run
+keeps one cache of its settled pass (`_TickCtx.settled`: the data, the
+store, the plan and the next layout) and, for a key, one of that store
+flattened (`keyed`).
 
 A program is compiled once per program object, tick length, flow mode
 and read logging, when the first `TickState` of it is built:
@@ -100,13 +102,13 @@ errors come in the same order, so traces, read logs, state keys and
 verdicts are what evaluating one statement at a time gives.
 
 A machine state is a value, and holds only what a tick reads or decides:
-the code, the input names and the read log it shares with its run, a
-residue (a tuple tree of the paused points of the program; see
-"residues" below), a store, the settled (status, value) of each slot's
-live instance or None, its layout, the live slots in registration order
-(interned, so states share it), and the tick it follows. Registration
-order names instances, the second live one of a name `S` as `S:2`, and
-a re-registered slot moves after the others. A loop, an abort or a
+the code (which holds the program's input names) and the read log it
+shares with its run, a residue (a tuple tree of the paused points of the
+program; see "residues" below), a store, the settled (status, value) of
+each slot's live instance or None, its layout, the live slots in
+registration order (interned, so states share it), and the tick it
+follows. Registration order names instances, the second live one of a
+name `S` as `S:2`, and a re-registered slot moves after the others. A loop, an abort or a
 declaration resumes its body's residue, so none adds a node of its own.
 `TickState.step` runs one tick from a state and leaves the state as it
 was; the tick's `settle` builds the next state. A tick builds its own
@@ -129,12 +131,13 @@ which folds each instance's writes once; the run remembers the choice.
 store come from straight-line code planned per order of a tick's
 instances and shared by the orders of one kind signature (`_settler`).
 `settle` returns the next state and its key, the tuple
-`verify.fingerprint` gives it: a key pass per run, over the next layout,
-that `record` never makes, and per choice a pass over its input
-instances (`patch`, which gives the store first, so that the search
-builds a state only for a key it keeps). The search runs each state it
-expands on its first choice, patches every choice from that run, reads
-the one status it checks, and records only a witness.
+`verify.fingerprint` gives it; both flatten a store by the one
+`flat_key`. That is a key pass per run, over the next layout, that
+`record` never makes, and per choice a pass over its input instances
+(`patch`, which gives the store first, so that the search builds a state
+only for a key it keeps). The search runs each state it expands on its
+first choice, patches every choice from that run, reads the one status
+it checks, and records only a witness.
 """
 
 from __future__ import annotations
@@ -240,13 +243,14 @@ def _labels_in(res, labels: list):
 
 class _Code:
     """A program's `run` and `resume` and what its ticks share: each slot's
-    declaration (None for a look-ahead's), the input slots, the slots of
-    each declared name, a tick's first `env`, the store of tick 0, the
-    interned layouts of its states and a plan per order of a tick's
+    declaration (None for a look-ahead's), the input slots and names, the
+    slots of each declared name, a tick's first `env`, the store of tick 0,
+    the interned layouts of its states and a plan per order of a tick's
     instances, which holds the tick's settle."""
 
     __slots__ = (
-        "run", "resume", "decls", "inputs", "name_slots", "keys", "empty", "layouts", "plans",
+        "run", "resume", "decls", "inputs", "input_names", "name_slots", "keys", "empty",
+        "layouts", "plans",
     )
 
     def __init__(self, run, resume, decls: list):
@@ -254,6 +258,7 @@ class _Code:
         self.inputs = {
             s for s, d in enumerate(decls) if d.__class__ is SignalDecl and d.direction == "input"
         }
+        self.input_names = frozenset(decls[s].name for s in self.inputs)
         self.name_slots: dict = {}
         for s, d in enumerate(decls):
             if d is not None:
@@ -300,16 +305,14 @@ class TickState:
     run shares the compiled code and `read_log`, the list reads are logged
     to, or None."""
 
-    __slots__ = (
-        "code", "input_names", "read_log", "tick", "residue", "store", "layout", "terminated",
-    )
+    __slots__ = ("code", "read_log", "tick", "residue", "store", "layout", "terminated")
 
     def __init__(
         self, program: Program, cfg: RewriteConfig, native_flows: bool = False,
         read_log: Optional[list] = None,
     ):
         logged = read_log is not None
-        self.code, self.input_names = program.derived(
+        self.code = program.derived(
             ("code", cfg.wcrt, native_flows, logged),
             lambda: _compile(program, cfg, native_flows, logged),
         )
@@ -335,11 +338,8 @@ class TickState:
         return _TickCtx(self, inputs)
 
     def _validate_inputs(self, inputs: InputAssignment, t: int):
-        for name in inputs.present:
-            if name not in self.input_names:
-                raise KernelError(f"{name!r} is not a declared input", t)
-        for name, _ in inputs.values:
-            if name not in self.input_names:
+        for name in [*inputs.present, *dict(inputs.values)]:
+            if name not in self.code.input_names:
                 raise KernelError(f"{name!r} is not a declared input", t)
 
 
@@ -368,8 +368,7 @@ class _TickCtx:
 
     __slots__ = (
         "state", "t", "residue", "emitted", "folded", "env", "prev", "live", "writes", "labels",
-        "ended", "fresh", "log", "latchable", "error", "shaped", "choice", "values", "_settled",
-        "_keyed",
+        "ended", "fresh", "log", "error", "choice", "values", "_settled", "_keyed",
     )
 
     def __init__(self, state: TickState, inputs: InputAssignment):
@@ -384,10 +383,8 @@ class _TickCtx:
         self.ended: set = set()  # keys of the instances whose scope ended this tick
         self.fresh: list = []
         self.log = state.read_log
-        self.latchable = None  # the keys of every input instance a choice is checked against
         self.error = None
         self.folded = None
-        self.shaped = None
         self._settled = self._keyed = None
         try:
             code = state.code
@@ -397,11 +394,18 @@ class _TickCtx:
         self.values = self.check(inputs)
         self.choice = inputs
 
-    def shape(self) -> tuple:
-        """The keys of the instances live during the tick, in registration
-        order, the next layout, interned: the slots of those that outlive
-        the tick, a re-registered one after the others; and their plan."""
-        if self.shaped is None:
+    def settled(self) -> tuple:
+        """The tick settled under the empty choice, once per run, by the
+        settle of the order of the instances live during it, in
+        registration order (`_Code.plan`): the record's data, each
+        instance's status and value, one whose scope ended included; the
+        next store, with each instance that outlives the tick at its slot;
+        the order's plan, which holds the record's layout and input
+        entries; and the next layout, interned: the slots of the instances
+        that outlive the tick, a re-registered one after the others. An
+        instance neither emitted nor written, and not leaving a present
+        status, keeps its pair."""
+        if self._settled is None:
             code, ended = self.state.code, self.ended
             order = self.live + tuple(self.fresh) if self.fresh else self.live
             plan = code.plan(order)
@@ -409,40 +413,19 @@ class _TickCtx:
             if ended:
                 layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
                 layout = code.layouts.setdefault(layout, layout)
-            self.shaped = order, layout, plan
-        return self.shaped
-
-    def settled(self) -> tuple:
-        """The tick settled under the empty choice by its order's settle
-        (`_Code.plan`), once per run: the record's data, each instance's
-        status and value in registration order, one whose scope ended
-        included; the next store, with each instance that outlives the
-        tick at its slot; and the record's layout and input entries. An
-        instance neither emitted nor written, and not leaving a present
-        status, keeps its pair."""
-        if self._settled is None:
-            plan = self.shape()[2]
-            data, store = plan[2](self)
-            self._settled = data, store, plan
+            self._settled = (*plan[2](self), plan, layout)
         return self._settled
 
     def keyed(self) -> tuple:
-        """The `settled` store and its flat key, as a list: each instance
-        that outlives the tick, in the next layout's order, as its slot,
-        status and value, a rational value as its (numerator, denominator);
-        and the (key, at, slot, name) of each input instance in it, `at`
-        its status's entry in the key. Built once per run, only for a
+        """The `settled` store, its flat key (`flat_key`) through the next
+        layout, and the (key, at, slot, name) of each input instance in it,
+        `at` its status's entry in the key. Built once per run, only for a
         settle: a record needs no key."""
         if self._keyed is None:
-            code, store, env = self.state.code, self.settled()[1], self.env
-            flat, entries = [], []
-            for slot in self.shaped[1]:
-                status, value = store[slot]
-                if slot in code.inputs:
-                    entries.append((env[slot], len(flat) + 1, slot, code.decls[slot].name))
-                if value.__class__ is Fraction:
-                    value = (value._numerator, value._denominator)
-                flat += (slot, status, value)
+            _, store, _, layout = self.settled()
+            code, env = self.state.code, self.env
+            flat, found = flat_key(store, layout, code.inputs)
+            entries = [(env[slot], at, slot, code.decls[slot].name) for slot, at in found]
             self._keyed = store, flat, entries
         return self._keyed
 
@@ -463,11 +446,12 @@ class _TickCtx:
             return _NO_VALUES
         latched = {}
         if inputs.values:
-            given, decls, live = dict(inputs.values), self.state.code.decls, self.live
+            given, code, live = dict(inputs.values), self.state.code, self.live
             try:
-                for key in self.input_instances():
-                    decl = decls[key if key >= 0 else ~key]
-                    if decl.name in given:
+                for key in (*self.state.layout, *self.fresh):
+                    slot = key if key >= 0 else ~key
+                    decl = code.decls[slot]
+                    if slot in code.inputs and decl.name in given:
                         value = input_value(given[decl.name], decl)
                         if key < 0 or key in live:
                             latched[key] = value
@@ -531,7 +515,7 @@ class _TickCtx:
         the input instances' entries rewritten, as `patch` rewrites them."""
         inputs = self.choice if inputs is None else inputs
         values = self.values if inputs is self.choice else self.check(inputs)
-        data, store, (layout, entries, _, _) = self.settled()
+        data, store, (layout, entries, _, _), _ = self.settled()
         present = inputs.present
         if entries and (present or values):
             data, store, emitted, ended = list(data), list(store), self.emitted, self.ended
@@ -570,12 +554,11 @@ class _TickCtx:
         state = object.__new__(TickState)
         before = self.state
         state.code = before.code
-        state.input_names = before.input_names
         state.read_log = before.read_log
         state.tick = self.t
         state.residue = self.residue
         state.store = tuple(store)
-        state.layout = self.shaped[1]
+        state.layout = self._settled[3]
         state.terminated = self.residue is None
         return state
 
@@ -592,16 +575,6 @@ class _TickCtx:
                 at = live.index(slot)
                 live = live[:at] + live[at + 1:]
         self.live = live
-
-    def input_instances(self) -> list:
-        """The keys of the input instances live at the tick's start, then
-        those the code registered, each in registration order; kept once
-        built."""
-        if self.latchable is None:
-            inputs = self.state.code.inputs
-            self.latchable = [key for key in self.state.layout if key in inputs]
-            self.latchable += [key for key in self.fresh if ~key in inputs]
-        return self.latchable
 
     def fold(self, latched=()) -> dict:
         """The value each written instance settles to, by key: its writes
@@ -636,6 +609,25 @@ class _TickCtx:
                         self.t,
                     )
         return folded
+
+
+def flat_key(store: tuple, layout: tuple, inputs=()) -> tuple:
+    """The store `store` read through the layout `layout` as the flat part
+    of a state key, a list: each live instance, in registration order, as
+    its slot, settled status and value, a rational value as its
+    (numerator, denominator), read from its slots with no call; and the
+    (slot, at) of each slot in `inputs`, `at` its status's entry. The one
+    function that flattens a store into a key: `verify.fingerprint` keys a
+    state by it, and a tick's run the store it settles (`_TickCtx.keyed`)."""
+    flat, found = [], []
+    for slot in layout:
+        status, value = store[slot]
+        if slot in inputs:
+            found.append((slot, len(flat) + 1))
+        if value.__class__ is Fraction:
+            value = (value._numerator, value._denominator)
+        flat += (slot, status, value)
+    return flat, found
 
 
 def input_value(value, decl: SignalDecl):
@@ -719,8 +711,8 @@ _ENDED = ([], "None", True)  # the code of a statement that does nothing
 
 
 def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: bool):
-    """The code of `program` for `TickState.code`, and its input names; the
-    code logs its reads if `logged`. The program must pass the static
+    """The code of `program` for `TickState.code`, which logs its reads if
+    `logged`. The program must pass the static
     checks, which raise their located error when it does not, and one
     nested past the recursion limit raises NestingError."""
     try:
@@ -737,7 +729,7 @@ def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: b
         run, resume = (compiler.function(*code[:2]) for code in (run, resume or _ENDED))
     except RecursionError:
         raise NestingError("nested too deep to process") from None
-    return _Code(run, resume, compiler.decls), frozenset(d.name for d in program.inputs())
+    return _Code(run, resume, compiler.decls)
 
 
 @lru_cache(maxsize=512)

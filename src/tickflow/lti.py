@@ -79,15 +79,6 @@ class RationalMatrix(Struct):
             self.rows + other.rows, self.cols, self.entries + other.entries
         )
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise MatrixError("row mismatch in horizontal stack")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row(i))
-            entries.extend(other.row(i))
-        return RationalMatrix(self.rows, self.cols + other.cols, tuple(entries))
-
 
 class LtiSystem(Struct):
     """x(k+1) = A x(k) [+ B u(k)], y(k) = C x(k); everything rational."""
@@ -122,15 +113,11 @@ def observability_matrix(sys: LtiSystem) -> RationalMatrix:
 
 
 def controllability_matrix(sys: LtiSystem) -> RationalMatrix:
-    """[B, AB, ..., A^(n-1)B], an n x (m*n) strip."""
+    """[B, AB, ..., A^(n-1)B], an n x (m*n) strip: the transpose of the
+    dual system's (A^T, B^T) observability matrix."""
     if sys.b is None:
         raise MatrixError("no input matrix given")
-    block = sys.b
-    strip = block
-    for _ in range(sys.n - 1):
-        block = sys.a.matmul(block)
-        strip = strip.hstack(block)
-    return strip
+    return observability_matrix(LtiSystem(sys.a.transpose(), c=sys.b.transpose())).transpose()
 
 
 def rank(m: RationalMatrix) -> int:

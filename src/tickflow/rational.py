@@ -20,9 +20,9 @@ reduced form. It assumes `d > 0`, which holds for every product of
 already in lowest terms, such as those of `w + c` for a `Fraction`
 `w = n/d` and an integer `c`: `gcd(n + c*d, d) = gcd(n, d) = 1`. This
 module is the only one that writes the slots, and it spells the read that
-generated code makes (`INTEGERS`); the two functions that build a state
-key, `kernel._TickCtx.keyed` and `verify.fingerprint`, read them in place,
-where a call would cost more than the read.
+generated code makes (`INTEGERS`); the one function that flattens a
+store into a state key, `kernel.flat_key`, reads them in place, where a
+call would cost more than the read.
 """
 
 from __future__ import annotations

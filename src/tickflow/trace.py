@@ -24,7 +24,6 @@ record through its layout's names, sorted once per layout met.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -310,7 +309,10 @@ def to_csv(trace: Trace) -> str:
 
 def to_json(trace: Trace) -> str:
     """The trace as a JSON document, each record's tables sorted by name
-    and read through its layout (`_by_name`)."""
+    and read through its layout (`_by_name`). `json` is imported here, so
+    that a command that writes no JSON never loads it (see `files`)."""
+    import json
+
     p, q = trace.wcrt.as_integer_ratio()
     ticks = []
     for rec, (statuses, values, conts) in _by_name(trace.records):

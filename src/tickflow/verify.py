@@ -41,19 +41,19 @@ choice rewrites only its input instances' entries of copies of them
 (`_TickCtx.patch`), so a choice with no values only flips statuses. The
 key comes first, and only a successor whose key is kept is built into a
 state (`_TickCtx.after`). The search never calls `fingerprint`, which
-builds the same key from a state; one `setdefault` probes the cache, and
-only a known key reached strictly earlier is stored again.
+builds the same key from a state; both flatten the store by the one
+`kernel.flat_key`. One `setdefault` probes the cache, and only a known
+key reached strictly earlier is stored again.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .errors import ArgumentError, ScheduleError, SearchLimitError, TickflowError
-from .kernel import InputAssignment, TickState, _TickCtx, init, require_inputs
+from .kernel import InputAssignment, TickState, _TickCtx, flat_key, init, require_inputs
 from .rewrite import RewriteConfig
 from .struct import Struct
 from .syntax.nodes import Program
@@ -169,21 +169,15 @@ def fingerprint(state: TickState) -> tuple:
     registration order, its declaration's slot (a declaration has at most
     one live instance, and equal programs number their slots alike),
     settled status and value, a rational value as its (numerator,
-    denominator). Registration order decides which of two same-named
-    instances settles as `S` and which as `S:2`. A declaration fixes its
-    value's type (boolean, rational or none), so a pair never meets a bool.
-    The key holds only tuples, ints, bools, strs and None, which CPython
-    hashes and compares in C; a rational's integers are read from its
-    slots, with no call. A tick's run builds the same key from the next
-    store (`_TickCtx.keyed`, `_TickCtx.patch`): once per run, and for each
-    input choice by rewriting only the entries of its input instances."""
-    store, flat = state.store, []
-    for slot in state.layout:
-        status, value = store[slot]
-        if value.__class__ is Fraction:
-            value = (value._numerator, value._denominator)
-        flat += (slot, status, value)
-    return (state.terminated, state.residue, tuple(flat))
+    denominator), as `kernel.flat_key` flattens it. Registration order
+    decides which of two same-named instances settles as `S` and which as
+    `S:2`. A declaration fixes its value's type (boolean, rational or
+    none), so a pair never meets a bool. The key holds only tuples, ints,
+    bools, strs and None, which CPython hashes and compares in C. A tick's
+    run builds the same key from the next store by the same `flat_key`
+    (`_TickCtx.keyed`, `_TickCtx.patch`): once per run, and for each input
+    choice by rewriting only the entries of its input instances."""
+    return (state.terminated, state.residue, tuple(flat_key(state.store, state.layout)[0]))
 
 
 # --- the search -----------------------------------------------------------------
@@ -226,7 +220,7 @@ def check_reachable(
     choices = alphabet.choices()
     # a choice changes only input instances, so a target that names no
     # input settles alike under every choice of one tick
-    per_choice = target in start.input_names
+    per_choice = target in start.code.input_names
     # at a leaf whose first choice ran, a later choice can raise only for a
     # value it carries, so when none carries one they are counted at once
     later = len(choices) - 1 if not per_choice and not any(c.values for c in choices[1:]) else 0

@@ -384,8 +384,9 @@ def settled_by_loop(run, choice=InputAssignment()) -> tuple:
     state, code = run.state, run.state.code
     folded = {**run.folded, **run.check(choice)}
     emitted = run.emitted | {
-        key for key in run.input_instances()
-        if code.decls[key if key >= 0 else ~key].name in choice.present
+        key for key in (*state.layout, *run.fresh)
+        for slot in [key if key >= 0 else ~key]
+        if slot in code.inputs and code.decls[slot].name in choice.present
     }
     old, prev, ended = state.store, run.prev, run.ended
     store, data = list(code.empty), []

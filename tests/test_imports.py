@@ -23,6 +23,7 @@ COMMANDS = {
     "desugar": ["desugar", "corpus/programs/flow_single.hsj", "--wcrt", "2"],
     "run": ["run", "corpus/programs/faulty_reset.hsj", "--wcrt", "2",
             "--schedule", "corpus/schedules/fault_tick1.json"],
+    "run-unscheduled": ["run", "corpus/programs/faulty_reset.hsj", "--wcrt", "2"],
     "verify": ["verify", "corpus/programs/carousel.hsj", "--wcrt", "2", "--bound", "4",
                "--target", "ERROR", *CAROUSEL_PARAMS],
     "lti": ["lti", "corpus/matrices/observable.mat"],
@@ -67,7 +68,7 @@ def test_cli_import_check_and_desugar_load_no_engine(name):
     assert not _tickflow(modules) & ENGINE, sorted(_tickflow(modules))
 
 
-@pytest.mark.parametrize("name", ["check", "desugar", "lti"])
+@pytest.mark.parametrize("name", ["check", "desugar", "lti", "verify", "run-unscheduled"])
 def test_commands_that_read_no_json_file_do_not_load_json(name):
     assert "json" not in _command(name)
 

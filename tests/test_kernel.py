@@ -353,6 +353,39 @@ def test_value_for_an_undeclared_name_alone_is_rejected():
     assert (err.value.tick, err.value.message) == (1, "'NOPE' is not a declared input")
 
 
+def test_the_code_holds_the_programs_input_names():
+    # the names a choice is checked against live on the compiled code:
+    # they are the names the compiled program's declarations of inputs
+    # give, for every corpus program and seeded generated programs,
+    # rewritten and native
+    cases = [(_bound(path), CFG1) for path in corpus_sources()]
+    for seed in range(12):
+        source, wcrt, _ = random_program(random.Random(seed))
+        cases.append((parse(source), RewriteConfig(wcrt)))
+        for generate in (random_search_program, random_valued_program):
+            source, wcrt = generate(random.Random(seed))
+            cases.append((parse(source), RewriteConfig(wcrt)))
+    for program, cfg in cases:
+        for native in (False, True):
+            compiled = program if native else rewrite_flows(program, cfg)
+            state = init(compiled, cfg, native_flows=native)
+            assert state.code.input_names == {d.name for d in compiled.inputs()}, compiled
+
+
+def test_step_checks_names_against_every_declared_input():
+    # an undeclared name is refused at the tick it is given, and an input
+    # declared only in a scope the program has not entered yet is accepted
+    program = parse("input signal A; signal X;\npause; { input signal LATE; pause }; pause")
+    state = init(program, CFG1)
+    for name in ("A", "LATE"):
+        assert state.step(InputAssignment.make(present=[name])).record()[1].tick == 1
+    state = state.step().settle()[0]
+    for choice in (InputAssignment.make(["NOPE"]), InputAssignment.make(values={"NOPE": 1})):
+        with pytest.raises(KernelError) as err:
+            state.step(choice)
+        assert (err.value.tick, err.value.message) == (2, "'NOPE' is not a declared input")
+
+
 def test_code_error_surfaces_under_every_choice():
     # the code raises once, before any choice is latched; a choice with an
     # input meets that error after its own checks, as the empty one does
@@ -664,7 +697,7 @@ def _code_decides(run) -> tuple:
     An instance live at the tick's start is keyed by its slot and has its
     previous value in the state's store; one the tick registered is keyed
     `~slot` and has its initial value in the run's `prev`."""
-    order = run.shape()[0]
+    order = run.live + tuple(run.fresh)
     code = run.state.code
     settled = tuple(
         (at, id(code.decls[slot]), key in run.emitted, value.__class__, value)
@@ -947,10 +980,10 @@ def test_the_generated_settle_is_the_loop_over_the_ticks_instances():
                     run = state.step(choices[0])
                 except KernelError:
                     continue
-                data, store, (layout, entries, _, _) = run.settled()
+                data, store, (layout, entries, _, _), following = run.settled()
                 want = settled_by_loop(run)
                 assert (data, store, layout, entries) == (*want[:2], *want[3:]), compiled
-                assert run.shape()[1] is want[2], compiled
+                assert following is want[2], compiled
                 for inputs in rng.sample(choices, min(6, len(choices))):
                     try:
                         want = settled_by_loop(run, inputs)
