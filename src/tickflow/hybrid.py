@@ -28,7 +28,7 @@ from .rational import format_rational
 from .rewrite import RewriteConfig, rewrite_flows
 from .struct import Struct, replace
 from .syntax.lexer import lex
-from .syntax.nodes import Binary, ContDecl, NameRef, NumLit, Program, Unary
+from .syntax.nodes import BINARY, Binary, ContDecl, NameRef, NumLit, Program, Unary
 from .syntax.parser import _Parser
 from .syntax.printer import print_expr
 
@@ -498,6 +498,7 @@ def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
 # twice is an error, as is a second `init` line. '#' starts a comment.
 
 _COMPARISONS = ("<=", "<", ">=", ">", "==")
+_SUM = BINARY.index(("+", "-"))  # an expression is the parser's `+`/`-` level and tighter
 
 
 def parse_automaton(text: str, params: Optional[dict] = None) -> HybridAutomaton:
@@ -598,10 +599,10 @@ class _LineReader(_Parser):
         return name
 
     def linear(self) -> LinExpr:
-        return self._fold(self.parse_add(), self.variables)
+        return self._fold(self.parse_expr(_SUM), self.variables)
 
     def constant(self) -> Fraction:
-        return self._fold(self.parse_add(), ()).const
+        return self._fold(self.parse_expr(_SUM), ()).const
 
     def _fold(self, expr, variables) -> LinExpr:
         if isinstance(expr, NumLit):

@@ -155,6 +155,8 @@ from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
 from .syntax.checks import check_program
 from .syntax.nodes import (
+    BINARY,
+    COMPARISONS,
     Binary,
     BoolLit,
     ContAssign,
@@ -695,10 +697,8 @@ _FIELDS = ("env", "prev", "writes", "emitted", "log", "labels", "ended", "fresh"
 
 _WRITE = "writes.append((env[{0}], {1}))"  # of {1} to the instance in slot {0}
 
-_COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
-
-# Python's spelling of each binary operator but `*`, which any other is
-_OPERATORS = {"&&": "and", "||": "or", "+": "+", "-": "-", **{op: op for op in _COMPARE}}
+# Python's spelling of each binary operator: its own, but for `&&` and `||`
+_OPERATORS = {**{op: op for ops in BINARY for op in ops}, "&&": "and", "||": "or"}
 
 # per signal type, the values `_adapt` passes unchanged; it sees only others
 _ADAPTED = {
@@ -1299,7 +1299,7 @@ class _Compiler:
             return self.let(lines, f"{'not ' if node.op == '!' else '-'}{operand}")
         if cls is Binary:
             if (
-                node.op in _COMPARE
+                node.op in COMPARISONS
                 and node.left.__class__ is NameRef
                 and node.right.__class__ is NumLit
                 and node.right.value.__class__ is Fraction
@@ -1307,7 +1307,7 @@ class _Compiler:
                 return self.bound(node, scope, lines)
             left = self.expr(node.left, scope, lines)
             right = self.expr(node.right, scope, lines)
-            return self.let(lines, f"{left} {_OPERATORS.get(node.op, '*')} {right}")
+            return self.let(lines, f"{left} {_OPERATORS[node.op]} {right}")
         # a TtlCall, the one kind of expression left
         return self.lookahead(flow_site(node.odes), node.invariant, scope, lines)
 

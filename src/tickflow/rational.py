@@ -5,10 +5,11 @@ package are `fractions.Fraction`. Nothing is ever converted to float.
 
 Every number a user writes, in a program, a flag, a JSON file or a matrix
 file, is read with the one grammar of the language's numeric literals: a
-NUMBER is ASCII digits with an optional `.digits` part, a rational is a
-NUMBER with an optional `/` NUMBER denominator, and outside a program a
-leading `-` negates. There is no exponent, `_`, `+` or inner space, all of
-which `int()` and `Fraction()` would take.
+NUMBER (the pattern `NUMBER`, which the lexer's number token is too) is
+ASCII digits with an optional `.digits` part, a rational is a NUMBER with
+an optional `/` NUMBER denominator, and outside a program a leading `-`
+negates. There is no exponent, `_`, `+` or inner space, all of which
+`int()` and `Fraction()` would take.
 
 A rational computed from integers, such as a flow step's exact sum, is
 built by `ratio`, and its integers are read from the same slots, with no
@@ -27,30 +28,29 @@ call would cost more than the read.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
-# ASCII only: `str.isdigit` also holds for digits such as '²' or '٣'
-DIGITS = frozenset("0123456789")
-
-
-def _is_digits(text: str) -> bool:
-    return text != "" and DIGITS.issuperset(text)
+# The NUMBER literal, in ASCII digits only: `\d` and `str.isdigit` also
+# take digits such as '٣' or '²', which `int()` reads or refuses
+NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+_number = re.compile(NUMBER).fullmatch
 
 
 def parse_number(text: str) -> Fraction:
     """Parse a NUMBER, 'digits' or 'digits.digits', exactly. Raises
     ValueError on anything else."""
-    whole, dot, frac = text.partition(".")
-    if not _is_digits(whole) or (dot and not _is_digits(frac)):
+    if _number(text) is None:
         raise ValueError(f"not a number: {text!r}")
+    whole, _, frac = text.partition(".")
     return Fraction(int(whole + frac), 10 ** len(frac))
 
 
 def parse_int(text: str) -> int:
-    """Parse ASCII digits with an optional leading '-'. Raises ValueError
-    on anything else."""
-    if not _is_digits(text[1:] if text[:1] == "-" else text):
+    """Parse a NUMBER with no '.' part and an optional leading '-'. Raises
+    ValueError on anything else."""
+    if _number(text[1:] if text[:1] == "-" else text) is None or "." in text:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

@@ -1,14 +1,18 @@
 """Tokenizer for program source text.
 
-Tokens carry 1-based line/column positions. `//` starts a line comment.
-`op+` and `op*` are single tokens; a trailing apostrophe after a name is
-the derivative marker and is produced as its own PRIME token.
+Tokens carry 1-based line/column positions, a column counting characters.
+`//` starts a line comment. `op+` and `op*` are single tokens; a trailing
+apostrophe after a name is the derivative marker and is produced as its own
+`'` token. One pattern (`_TOKEN`) is tried at each position, and the first
+of its alternatives to match gives the token.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
-from ..rational import DIGITS
+from ..rational import NUMBER
 from ..struct import Struct
 
 KEYWORDS = {
@@ -34,37 +38,20 @@ KEYWORDS = {
     "int",
     "boolean",
     "TTL",
-}
-
-PUNCT = [
     "op+",
     "op*",
-    "||",
-    "&&",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "!",
-    "+",
-    "-",
-    "*",
-    "/",
-    "=",
-    ";",
-    ",",
-    ":",
-    "?",
-    "'",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-]
+}
+
+# Whitespace and comments, a NUMBER, a word (a keyword or a name), or an
+# operator or delimiter, longest first. `\w` is what `str.isalnum` takes and
+# `_`, so a word may start with a digit that is no NUMBER's, such as '²';
+# `lex` refuses it at that character, as a name starts with a letter or `_`.
+_TOKEN = re.compile(
+    r"(?P<space>(?:[ \t\r\n]|//[^\n]*)+)"
+    rf"|(?P<number>{NUMBER})"
+    r"|(?P<name>op[+*]|\w+)"
+    r"|(?P<punct>\|\||&&|[=!<>]=|[<>!+\-*/=;,:?'(){}\[\]])"
+)
 
 
 class Token(Struct):
@@ -76,64 +63,25 @@ class Token(Struct):
 
 def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, start = 1, 0  # the line's number, and the index of its first character
     i, n = 0, len(source)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
+    match = _TOKEN.match
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j == -1 else j
-            advance(source[i:j])
-            i = j
-            continue
-        if ch in DIGITS:
-            j = i
-            while j < n and source[j] in DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in DIGITS:
-                j += 1
-                while j < n and source[j] in DIGITS:
-                    j += 1
-            text = source[i:j]
-            tokens.append(Token("number", text, line, col))
-            advance(text)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            # 'op+' / 'op*' read as one token
-            if text == "op" and j < n and source[j] in "+*":
-                text = source[i : j + 1]
-                j += 1
-            kind = "keyword" if text in KEYWORDS or text in ("op+", "op*") else "name"
-            tokens.append(Token(kind, text, line, col))
-            advance(text)
-            i = j
-            continue
-        for punct in PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col))
-                advance(punct)
-                i += len(punct)
-                break
+        found = match(source, i)
+        if found is None or found.lastgroup == "name" and not (
+            source[i].isalpha() or source[i] == "_"
+        ):
+            raise LexError(f"unexpected character {source[i]!r}", line, i - start + 1)
+        kind, text = found.lastgroup, found.group()
+        if kind == "space":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                start = i + text.rindex("\n") + 1
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            if kind == "name" and text in KEYWORDS:
+                kind = "keyword"
+            tokens.append(Token(kind, text, line, i - start + 1))
+        i = found.end()
+    tokens.append(Token("eof", "", line, n - start + 1))
     return tokens

@@ -69,11 +69,21 @@ class Unary(Expr):
 
 
 class Binary(Expr):
-    op: str  # && || == != < <= > >= + - *
+    op: str  # one of BINARY's operators
     left: Expr
     right: Expr
     pos: Pos = None
     SHAPE = {"left": EXPR, "right": EXPR}
+
+
+# The binary operators by precedence level, loosest first: the one table the
+# parser climbs and the printer brackets by. Each level is left-associative
+# but the comparisons, which take no comparison as an operand unbracketed.
+COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
+BINARY = (("||",), ("&&",), COMPARISONS, ("+", "-"), ("*",))
+# the level a right-hand side, an initializer or a rate starts at, so that a
+# `||` after one always means composition
+ASSIGNED = BINARY.index(COMPARISONS)
 
 
 class TtlCall(Expr):

@@ -7,7 +7,7 @@ Grammar sketch (see docs/language.md for the full version):
     item     := declaration | labeled
     labeled  := NAME ":" labeled | primary
     primary  := "nothing" | "pause" | "emit" NAME
-              | "?" NAME "=" arith | NAME "=" arith
+              | "?" NAME "=" assigned | NAME "=" assigned
               | "abort"/"suspend" "(" ["immediate"] expr ")" labeled
               | "if" "(" expr ")" [labeled] ["else" labeled]
               | "loop" labeled
@@ -20,9 +20,11 @@ statement level it is parallel composition. A declaration scopes over the
 remainder of its block: the parser nests the rest of the block into the
 declaration's body, and refuses a name declared twice in a block, which
 braces, leaving no node, alone tell from a nested block's redeclaration.
-Assignment right-hand sides and ODE rates stop at the comparison level, so
-`||` after them always means composition; use parentheses for boolean
-operators there.
+
+Expressions climb `nodes.BINARY`, one level of it per `parse_expr` level.
+An `assigned` expression, a right-hand side, initializer, default or rate,
+starts at its `ASSIGNED` level, the comparisons, so `||` after one always
+means composition; use parentheses for boolean operators there.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from ..rational import parse_number
 from ..struct import Struct
 from .lexer import Token, lex
 from .nodes import (
+    ASSIGNED,
+    BINARY,
+    COMPARISONS,
     Abort,
     Binary,
     BoolLit,
@@ -63,6 +68,8 @@ from .nodes import (
 )
 
 _TYPE_KEYWORDS = {"ratio", "int", "boolean"}
+
+_UNARY = len(BINARY)  # the level past `BINARY`'s tightest: `!` and `-`
 
 _STMT_STARTERS = {
     "nothing",
@@ -231,7 +238,7 @@ class _Parser:
         init = None
         if self.at("="):
             self.take()
-            init = self.parse_arith()
+            init = self.parse_expr(ASSIGNED)
         return [_DeclSpec("param", None, None, name, None, init, pos)]
 
     def _declarators(self, kind, direction, stype, pos) -> list:
@@ -244,7 +251,7 @@ class _Parser:
             init = None
             if self.at("="):
                 self.take()
-                init = self.parse_arith()
+                init = self.parse_expr(ASSIGNED)
             specs.append(_DeclSpec(kind, direction, stype, name, combine, init, pos))
             if self.at(","):
                 self.take()
@@ -275,7 +282,7 @@ class _Parser:
             self.take()
             name = self.expect_name().text
             self.expect("=")
-            return ValueWrite(name, self.parse_arith(), pos=pos)
+            return ValueWrite(name, self.parse_expr(ASSIGNED), pos=pos)
         if self.at("abort") or self.at("suspend"):
             kw = self.take().text
             self.expect("(")
@@ -303,7 +310,7 @@ class _Parser:
         if self.at_name():
             name = self.take().text
             self.expect("=")
-            return ContAssign(name, self.parse_arith(), pos=pos)
+            return ContAssign(name, self.parse_expr(ASSIGNED), pos=pos)
         found = tok.text or "end of input"
         raise ParseError(f"expected a statement, found {found!r}", tok.line, tok.col)
 
@@ -343,61 +350,30 @@ class _Parser:
         name = self.expect_name().text
         self.expect("'")
         self.expect("=")
-        return (name, self.parse_arith())
+        return (name, self.parse_expr(ASSIGNED))
 
     # -- expressions --
 
-    def parse_expr(self) -> Expr:
-        left = self.parse_and()
-        while self.at("||"):
-            pos = self.pos()
+    def parse_expr(self, level: int = 0) -> Expr:
+        """The expression whose operators are at `level` of `BINARY` or
+        tighter; past the table's last level, a unary one. Each level is one
+        frame, as the depth of text `parse_raw` reads is counted in frames."""
+        if level == _UNARY:
+            if not (self.at("!") or self.at("-")):
+                return self.parse_atom()
+            tok = self.take()
+            operand = self.parse_expr(_UNARY)
+            if tok.text == "-" and isinstance(operand, NumLit):
+                return NumLit(-operand.value, pos=(tok.line, tok.col))
+            return Unary(tok.text, operand, pos=(tok.line, tok.col))
+        ops = BINARY[level]
+        left = self.parse_expr(level + 1)
+        while (tok := self.peek()).kind == "punct" and tok.text in ops:
             self.take()
-            left = Binary("||", left, self.parse_and(), pos=pos)
+            left = Binary(tok.text, left, self.parse_expr(level + 1), pos=(tok.line, tok.col))
+            if ops is COMPARISONS:
+                break
         return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_arith()
-        while self.at("&&"):
-            pos = self.pos()
-            self.take()
-            left = Binary("&&", left, self.parse_arith(), pos=pos)
-        return left
-
-    def parse_arith(self) -> Expr:
-        left = self.parse_add()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.at(op):
-                pos = self.pos()
-                self.take()
-                return Binary(op, left, self.parse_add(), pos=pos)
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while self.at("+") or self.at("-"):
-            pos = self.pos()
-            op = self.take().text
-            left = Binary(op, left, self.parse_mul(), pos=pos)
-        return left
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_unary()
-        while self.at("*"):
-            pos = self.pos()
-            self.take()
-            left = Binary("*", left, self.parse_unary(), pos=pos)
-        return left
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if self.at("!") or self.at("-"):
-            pos = self.pos()
-            op = self.take().text
-            operand = self.parse_unary()
-            if op == "-" and isinstance(operand, NumLit):
-                return NumLit(-operand.value, pos=pos)
-            return Unary(op, operand, pos=pos)
-        return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         tok = self.peek()

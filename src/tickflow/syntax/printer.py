@@ -2,13 +2,18 @@
 
 Declarations print one per statement (multi-declarator sugar is already
 desugared in the AST), bodies of compound statements print braced, and
-expressions re-parenthesize by precedence.
+expressions bracket by the parser's table, `nodes.BINARY`: an operand
+whose operator binds looser than its context's, a comparison beside a
+comparison, and `&&` or `||` where an `ASSIGNED` expression is read.
 """
 
 from __future__ import annotations
 
 from ..rational import format_rational
 from .nodes import (
+    ASSIGNED,
+    BINARY,
+    COMPARISONS,
     Abort,
     Binary,
     BoolLit,
@@ -37,20 +42,10 @@ from .nodes import (
     ValueWrite,
 )
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-}
-_UNARY_PREC = 6
+# each binary operator's precedence, its level in `BINARY`; a unary
+# expression binds tighter than any
+_PREC = {op: level for level, ops in enumerate(BINARY) for op in ops}
+_UNARY_PREC = len(BINARY)
 
 
 def pretty_print(program: Program) -> str:
@@ -80,9 +75,9 @@ def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
     if isinstance(stmt, Emit):
         return ind + f"emit {stmt.name}"
     if isinstance(stmt, ValueWrite):
-        return ind + f"?{stmt.name} = {_expr(stmt.expr, 0)}"
+        return ind + f"?{stmt.name} = {_expr(stmt.expr, ASSIGNED)}"
     if isinstance(stmt, ContAssign):
-        return ind + f"{stmt.name} = {_expr(stmt.expr, 0)}"
+        return ind + f"{stmt.name} = {_expr(stmt.expr, ASSIGNED)}"
     if isinstance(stmt, (Abort, Suspend)):
         kw = "abort" if isinstance(stmt, Abort) else "suspend"
         imm = "immediate " if stmt.immediate else ""
@@ -105,7 +100,7 @@ def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
         if stmt.combine:
             parts.append("op+" if stmt.combine == "plus" else "op*")
         if stmt.init is not None:
-            parts.append("= " + _expr(stmt.init, 0))
+            parts.append("= " + _expr(stmt.init, ASSIGNED))
         head = ind + " ".join(parts)
         return _with_body(head, stmt.body, depth, block)
     if isinstance(stmt, ContDecl):
@@ -113,12 +108,12 @@ def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
         if stmt.combine:
             parts.append("op+" if stmt.combine == "plus" else "op*")
         if stmt.init is not None:
-            parts.append("= " + _expr(stmt.init, 0))
+            parts.append("= " + _expr(stmt.init, ASSIGNED))
         return _with_body(ind + " ".join(parts), stmt.body, depth, block)
     if isinstance(stmt, ParamDecl):
         head = ind + f"param {stmt.name}"
         if stmt.default is not None:
-            head += " = " + _expr(stmt.default, 0)
+            head += " = " + _expr(stmt.default, ASSIGNED)
         return _with_body(head, stmt.body, depth, block)
     if isinstance(stmt, Loop):
         return ind + "loop\n" + _block(stmt.body, depth)
@@ -141,7 +136,7 @@ def _stmt(stmt: Stmt, depth: int, block: frozenset = frozenset()) -> str:
         )
         return ind + "{\n" + inner + "\n" + ind + "}"
     if isinstance(stmt, DoUntil):
-        odes = " || ".join(f"{n}' = {_expr(r, 0)}" for n, r in stmt.odes)
+        odes = " || ".join(f"{n}' = {_expr(r, ASSIGNED)}" for n, r in stmt.odes)
         return ind + "do {" + odes + "} until (" + _expr(stmt.invariant, 0) + ")"
     if isinstance(stmt, Label):
         # a sequence or a declaration would re-parse as the label's first
@@ -180,10 +175,12 @@ def _expr(expr: Expr, parent_prec: int) -> str:
         )
     if isinstance(expr, Binary):
         prec = _PREC[expr.op]
-        text = f"{_expr(expr.left, prec)} {expr.op} {_expr(expr.right, prec + 1)}"
+        # a comparison brackets a comparison on either side
+        left = _expr(expr.left, prec + 1 if expr.op in COMPARISONS else prec)
+        text = f"{left} {expr.op} {_expr(expr.right, prec + 1)}"
         return _paren(text, parent_prec, prec)
     if isinstance(expr, TtlCall):
-        odes = ", ".join(f"{n}' = {_expr(r, 0)}" for n, r in expr.odes)
+        odes = ", ".join(f"{n}' = {_expr(r, ASSIGNED)}" for n, r in expr.odes)
         names = ", ".join(expr.vars)
         return f"TTL([{odes}], {_expr(expr.invariant, 0)}, {{{names}}})"
     raise AssertionError(f"unhandled expression {expr!r}")

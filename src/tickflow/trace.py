@@ -47,9 +47,9 @@ def _tables_layout(statuses: tuple, values: tuple, conts: tuple) -> tuple:
 class TickRecord(Struct, frozen=False):
     """One tick's settled tables and labels. A record holds its data in one
     tuple and a `layout`, the (name, position in the data) pairs of each of
-    its three tables in order, shared by the records of one shape. The
-    tables are built when read; records compare and hash by them, whatever
-    their layouts."""
+    its three tables in order, shared by the records of one shape; it is
+    built by `made_record`. The tables are built when read; records compare
+    and hash by them, whatever their layouts."""
 
     __slots__ = ("tick", "layout", "data", "labels")
     tick: int
@@ -57,11 +57,6 @@ class TickRecord(Struct, frozen=False):
     values: dict  # name -> Fraction | bool (valued signals)
     conts: dict  # name -> Fraction
     labels: tuple  # sorted label names with a paused control point
-
-    def __init__(self, tick, statuses: dict, values: dict, conts: dict, labels: tuple):
-        self.tick, self.labels = tick, labels
-        self.layout = _tables_layout(tuple(statuses), tuple(values), tuple(conts))
-        self.data = (*statuses.values(), *values.values(), *conts.values())
 
     def _table(self, which: int) -> dict:
         data = self.data
@@ -77,8 +72,8 @@ class TickRecord(Struct, frozen=False):
 
 
 def made_record(tick: int, layout: tuple, data: tuple, labels: tuple) -> TickRecord:
-    """The record of `data` read through `layout`, as the kernel builds one
-    per tick, past the tables `TickRecord` takes."""
+    """The record of `data` read through `layout`: the one way to build a
+    record, which the kernel takes once per tick."""
     record = object.__new__(TickRecord)
     record.tick, record.layout, record.data, record.labels = tick, layout, data, labels
     return record
@@ -365,13 +360,14 @@ def from_json(text: str) -> Trace:
         for label in entry["labels"]:
             if type(label) is not str:
                 raise ScheduleError(f"{where}: 'labels' must list names, got {label!r}")
-        records.append(TickRecord(
-            tick=tick,
-            statuses=files.entries(entry["statuses"], f"{where} statuses", files.boolean),
-            values=files.entries(entry["values"], f"{where} values", files.value),
-            conts=files.entries(entry["conts"], f"{where} conts", files.rational),
-            labels=tuple(entry["labels"]),
-        ))
+        tables = (
+            files.entries(entry["statuses"], f"{where} statuses", files.boolean),
+            files.entries(entry["values"], f"{where} values", files.value),
+            files.entries(entry["conts"], f"{where} conts", files.rational),
+        )
+        layout = _tables_layout(*(tuple(table) for table in tables))
+        data = tuple(datum for table in tables for datum in table.values())
+        records.append(made_record(tick, layout, data, tuple(entry["labels"])))
     if doc["terminated"] and not records:
         raise ScheduleError("trace: 'terminated' is true, but a terminated trace holds a record")
     initial = files.entries(doc["initial"], "trace initial", files.rational)

@@ -64,6 +64,18 @@ def test_desugar_prints_bounded_loop(capsys):
     assert "abort (" in out and "TTL(" in out and "do {" not in out
 
 
+def test_desugared_comparison_of_comparisons_passes_check(tmp_path, capsys):
+    # the look-ahead's invariant keeps the left comparison bracketed, so the
+    # printed program reads back
+    source = tmp_path / "p.hsj"
+    source.write_text("cont x = 0; do {x' = 1} until ((x < 1) == (x > 2))")
+    assert main(["desugar", str(source), "--wcrt", "1"]) == 0
+    desugared = tmp_path / "desugared.hsj"
+    desugared.write_text(capsys.readouterr().out)
+    assert main(["check", str(desugared)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
 def test_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main([
@@ -370,6 +382,22 @@ def test_compare_reports_divergence(tmp_path, capsys):
     assert "first divergence at tick 2" in out
     assert "ideal switch B->D at t=9 x=9" in out
     assert "delayed switch B->D at t=11 x=11" in out
+
+
+def test_compare_of_equal_rates_reports_no_divergence(tmp_path, capsys):
+    automaton = tmp_path / "one.ha"
+    automaton.write_text("var x\nlocation L\n  rate x 3/2\ninit L x = 0\n")
+    program = tmp_path / "p.hsj"
+    program.write_text("cont x = 0;\ndo {x' = 3/2} until (true)")
+    mapping = tmp_path / "map.json"
+    mapping.write_text('{"x": "x"}')
+    code = main([
+        "compare", "--ha", str(automaton), "--program", str(program),
+        "--wcrt", "2", "--horizon", "10", "--map", str(mapping),
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["no divergence on the grid", "max deviation 0"]
 
 
 def test_compare_blames_a_misspelled_param_on_the_flag(capsys):

@@ -74,6 +74,24 @@ def test_zero_duration_discrete_steps():
         assert step.time == seg.start  # switches take no time
 
 
+def test_an_equality_guard_fires_at_its_one_instant():
+    # `==` holds along a flow at one instant, at rest always or never
+    def steps(rate, guard):
+        ha = parse_automaton(
+            f"var x\nlocation L\n  rate x {rate}\nlocation M\n"
+            f"edge L -> M when {guard}\ninit L x = 0\n"
+        )
+        return [(s.source, s.target, s.time) for s in ha_simulate(ha, F(5)).steps]
+
+    assert steps(1, "x == 3") == [("L", "M", F(3))]
+    assert steps(1, "x == 0 - 1") == []  # passed before the flow starts
+    assert steps(0, "x == 0 - 1") == []
+    assert steps(0, "x == 0") == [("L", "M", F(0))]
+    assert Comparison(LinExpr.make(-3, {"x": 1}), "==").satisfaction_window(
+        {"x": F(0)}, {"x": F(1)}
+    ) == (F(3), F(3), False, False)
+
+
 def test_urgent_determinism():
     a = ha_simulate(_carousel(), F(12))
     b = ha_simulate(_carousel(), F(12))

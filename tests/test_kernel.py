@@ -299,6 +299,20 @@ def test_suspended_flow_does_not_advance():
     assert [trace.cont("a", t) for t in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 4]
 
 
+def test_a_label_around_a_statement_that_cannot_pause_is_never_recorded():
+    # `L` and `N` hold no control point at any tick end; `M` holds its
+    # pause at the end of each tick that pauses there, in both flow modes
+    program = parse(
+        "signal S; cont a = 0;\n"
+        "loop { L: emit S; N: { a = a + 1; if (S) nothing }; M: pause;"
+        " do {a' = 1} until (a <= 4) }"
+    )
+    for prog, native in ((rewrite_flows(program, CFG1), False), (program, True)):
+        trace = run(prog, CFG1, max_ticks=12, native_flows=native)
+        assert all(rec.labels in ((), ("M",)) for rec in trace.records), native
+        assert [rec.tick for rec in trace.records if rec.labels] == [1, 5, 7, 9, 11], native
+
+
 # --- lockstep ------------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig, rewrite_flows, stop_signals
-from tickflow.syntax import parse, pretty_print
+from tickflow.syntax import parse, parse_raw, pretty_print
 
 from conftest import corpus_sources
 
@@ -79,3 +79,24 @@ def test_mixed_nesting_roundtrip():
 def test_label_block_roundtrip(source):
     # a label's sequence or declaration prints braced, as it was parsed
     _roundtrip(parse(source))
+
+
+@pytest.mark.parametrize("source", [
+    # `&&` and `||` where an assigned expression is read
+    "input signal A, C; boolean signal B; ?B = (A && C)",
+    "input signal A, C; boolean signal B; ?B = (A || C); pause",
+    "cont x = 0; x = (x || 1)",
+    "input signal A, C; boolean signal B = (A && C); pause",
+    "param k = (1 || 2); cont x = k; pause",
+    "cont x = 0; do {x' = (1 && 2)} until (x < 1)",
+    "cont x = 0; if (TTL([x' = (1 || 2)], x < 1, {x})) pause",
+    # a comparison as a comparison's left operand
+    "input signal A, B, C; if ((A == B) == C) pause",
+    "cont x = 0; do {x' = 1} until ((x < 1) == (x > 2))",
+    "cont x = 0; if (TTL([x' = 1], (x < 1) == (x > 2), {x})) pause",
+])
+def test_bracketed_operands_roundtrip(source):
+    # the round trip is syntactic, so shapes the static checks refuse (a
+    # boolean rate, a default that is no constant) are read back unchecked
+    program = parse_raw(source)
+    assert parse_raw(pretty_print(program)).root == program.root

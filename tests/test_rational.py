@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
-from tickflow.rational import coprime, format_rational, ratio
+import pytest
+
+from tickflow.errors import LexError, ParseError
+from tickflow.rational import coprime, format_rational, parse_number, parse_rational, ratio
+from tickflow.syntax import lex, parse
 
 
 def _pairs() -> list:
@@ -57,3 +61,45 @@ def test_coprime_builds_a_whole_step_as_ratio_does():
             assert type(got) is F, (n, d, c)
             assert (got._numerator, got._denominator) == (want._numerator, want._denominator)
             assert got == w + c and hash(got) == hash(w + c), (n, d, c)
+
+
+# spellings of a number that the language takes, with their values, and
+# the exclusions docs/language.md lists
+ACCEPTED = {"0.25": F(1, 4), "007": F(7), "3/4": F(3, 4)}
+REFUSED = ("1e3", ".5", "5.", "1_0", "+1", "\u00b2", "\u0663")
+
+
+def _lexed(text: str):
+    """The (kind, text) of each token of `text` but the end, or `LexError`."""
+    try:
+        return [(tok.kind, tok.text) for tok in lex(text)[:-1]]
+    except LexError:
+        return LexError
+
+
+def _literal(text: str):
+    """The value a program reads `text` as, or the class of the error that
+    refuses it."""
+    try:
+        return parse(f"cont x = {text}; pause").root.init.value
+    except (LexError, ParseError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("text", [*ACCEPTED, *REFUSED])
+def test_program_literals_and_rationals_share_one_number_grammar(text):
+    # the lexer's number token is `rational.NUMBER`, so a spelling is one
+    # number token exactly when `parse_number` reads it, and a program
+    # reads a literal as `parse_rational` reads it outside one
+    whole, _, den = text.partition("/")
+    if text in ACCEPTED:
+        assert parse_rational(text) == _literal(text) == ACCEPTED[text]
+        spelled = [("number", whole)] + ([("punct", "/"), ("number", den)] if den else [])
+        assert _lexed(text) == spelled
+        assert parse_number(whole) / (parse_number(den) if den else 1) == ACCEPTED[text]
+    else:
+        for read in (parse_rational, parse_number):
+            with pytest.raises(ValueError):
+                read(text)
+        assert _lexed(text) != [("number", text)]
+        assert _literal(text) in (LexError, ParseError)

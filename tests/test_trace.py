@@ -19,7 +19,7 @@ from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow import trace as trace_mod
 from tickflow.trace import (
-    TickRecord, Trace, from_json, to_csv, to_json, to_svg_timing, trace_equal,
+    TickRecord, Trace, from_json, made_record, to_csv, to_json, to_svg_timing, trace_equal,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -101,16 +101,23 @@ SHAPE_CHANGING = (
 )
 
 
+def _record(tick, statuses: dict, values: dict, conts: dict, labels: tuple) -> TickRecord:
+    """The record of these tables, built as `from_json` builds one: laid
+    out in their keys' order."""
+    layout = trace_mod._tables_layout(tuple(statuses), tuple(values), tuple(conts))
+    return made_record(tick, layout, (*statuses.values(), *values.values(), *conts.values()), labels)
+
+
 def _hand_built_trace():
     # `U` and `V` share one Fraction object; `x` holds an equal, distinct one
     shared = F(1, 3)
     return Trace(F(3, 4), [
-        TickRecord(1, {"P": True, "U": False, "V": False},
-                   {"U": shared, "V": shared}, {"x": F(1, 3)}, ()),
-        TickRecord(2, {"P": False, "U": True, "V": False},
-                   {"U": F(0), "V": shared}, {"x": shared}, ("K",)),
-        TickRecord(3, {"V": True, "P": False, "U": False},
-                   {"V": True, "U": F(1)}, {"x": F(0)}, ("K", "K")),
+        _record(1, {"P": True, "U": False, "V": False},
+                {"U": shared, "V": shared}, {"x": F(1, 3)}, ()),
+        _record(2, {"P": False, "U": True, "V": False},
+                {"U": F(0), "V": shared}, {"x": shared}, ("K",)),
+        _record(3, {"V": True, "P": False, "U": False},
+                {"V": True, "U": F(1)}, {"x": F(0)}, ("K", "K")),
     ], True)
 
 
@@ -169,7 +176,7 @@ def test_kernel_built_records_roundtrip_and_compare_by_their_tables():
         for record, read in zip(trace.records, back.records):
             assert record == read and read == record
             assert hash(record) == hash(read)
-            built = TickRecord(read.tick, read.statuses, read.values, read.conts, read.labels)
+            built = _record(read.tick, read.statuses, read.values, read.conts, read.labels)
             assert built == record and hash(built) == hash(record)
         first, second = trace.records[:2]
         assert first != second and second != first
