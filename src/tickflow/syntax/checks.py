@@ -1,11 +1,24 @@
 """Static validation: name resolution, typing, loop and combine checks.
 
 `check_program` is the one definition of a valid program: `parse`, the
-rewrite pass and the kernel's compiler all run it. Its last check is the
-simultaneous-writer gate: a continuous variable with more than one
-simultaneous write site, or with several rates in one `TTL` call, must be
-declared with the linear combine operator `op+`, since the look-ahead
-folds simultaneous rates linearly (`ttl.affine_form`).
+rewrite pass and the kernel's compiler all run it. It makes one walk over
+the statement tree (`_check_stmt`, one frame per statement level, children
+in field order). At each statement the walk checks its own names and types,
+and it returns whether the statement may complete in the tick it starts and
+which continuous variables it writes. From these it learns:
+
+- a resolution or type error, raised as the walk meets it;
+- each loop whose body has a path that consumes no tick (Esterel's
+  instantaneous loop), reported after the walk, the first in preorder;
+- each continuous variable with more than one simultaneous write site,
+  reported last. It must be declared with the linear combine operator
+  `op+`, since the look-ahead folds simultaneous rates linearly
+  (`ttl.affine_form`); so must a variable with several rates in one `TTL`
+  call, which the expression check refuses as it meets it.
+
+So a program that breaks several rules is refused for the first type
+error, else the first instantaneous loop, else the first simultaneous
+writer without `op+`.
 """
 
 from __future__ import annotations
@@ -29,16 +42,13 @@ from .nodes import (
     Emit,
     Expr,
     If,
-    Label,
     Loop,
     NameRef,
-    Nothing,
     NumLit,
     ParamDecl,
     Parallel,
     Pause,
     Program,
-    Seq,
     SignalDecl,
     Stmt,
     Suspend,
@@ -48,7 +58,6 @@ from .nodes import (
     ValueWrite,
     children,
     sub_exprs,
-    walk_stmt,
 )
 
 # expression types: 'bool' | 'int' | 'ratio'
@@ -57,12 +66,17 @@ _NUMERIC = ("int", "ratio")
 
 def check_program(program: Program) -> None:
     """Resolution, typing, loop non-instantaneity and rate constancy
-    checks, then the simultaneous-writer gate; the parser refuses duplicate
-    declarations. Raises on the first violation."""
-    _check_stmt(program.root, {})
-    _check_loops(program.root)
+    checks, then the simultaneous-writer gate, all read off one walk; the
+    parser refuses duplicate declarations. Raises on the first violation,
+    in the order the module docstring gives."""
+    loops: list = []
     offenders: list = []
-    _writes(program.root, {}, offenders)
+    _check_stmt(program.root, {}, loops, offenders)
+    for loop in loops:
+        if loop is not None:
+            raise InstantaneousLoopError(
+                "loop body has a path that consumes no tick", *_p(loop)
+            )
     for decl in offenders:
         _require_linear(decl, decl)
 
@@ -71,16 +85,27 @@ def _value_type(stype: str) -> str:
     return {"ratio": "ratio", "int": "int", "boolean": "bool"}[stype]
 
 
-def _check_stmt(stmt: Stmt, env: dict) -> None:
-    """env: name -> declaration node."""
-    if isinstance(stmt, (Nothing, Pause)):
-        return
+def _check_stmt(stmt: Stmt, env: dict, loops: list, offenders: list) -> tuple:
+    """Check `stmt`'s own names and types, then its children's in field
+    order, with env: name -> declaration node. Returns (instant, written):
+    whether `stmt` may complete in the tick it starts, and the continuous
+    variables written inside it as id(declaration) -> (declaration, written
+    by a flow?), in order of first write.
+
+    Appends each loop to `loops` in preorder: a placeholder on entry, the
+    loop itself once its body is known to have a path that consumes no
+    tick. Appends the variables with simultaneous writers to `offenders`,
+    in preorder: a parallel composition's own before those inside its
+    branches, and a do-block's in its ODE order. Simultaneous write sites
+    are several ODEs for one variable inside one do-block, or writes to one
+    variable from distinct branches of one parallel composition, one of
+    them a do-block."""
+    written: dict = {}
     if isinstance(stmt, Emit):
         decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, SignalDecl):
             raise TypeError_(f"emit target {stmt.name!r} is not a signal", *_p(stmt))
-        return
-    if isinstance(stmt, ValueWrite):
+    elif isinstance(stmt, ValueWrite):
         decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, SignalDecl) or decl.pure:
             raise TypeError_(
@@ -88,8 +113,7 @@ def _check_stmt(stmt: Stmt, env: dict) -> None:
             )
         t = _check_expr(stmt.expr, env)
         _require_assignable(t, _value_type(decl.stype), stmt.name, stmt)
-        return
-    if isinstance(stmt, ContAssign):
+    elif isinstance(stmt, ContAssign):
         decl = _resolve(stmt.name, env, stmt)
         if not isinstance(decl, ContDecl):
             raise TypeError_(
@@ -99,21 +123,16 @@ def _check_stmt(stmt: Stmt, env: dict) -> None:
         t = _check_expr(stmt.expr, env)
         if t not in _NUMERIC:
             raise TypeError_(f"cannot assign a {t} value to {stmt.name!r}", *_p(stmt))
-        return
-    if isinstance(stmt, (Abort, Suspend)):
+        written[id(decl)] = (decl, False)
+    elif isinstance(stmt, (Abort, Suspend)):
         t = _check_expr(stmt.guard, env)
         if t != "bool":
             raise TypeError_("preemption guard must be boolean", *_p(stmt))
-        _check_stmt(stmt.body, env)
-        return
-    if isinstance(stmt, If):
+    elif isinstance(stmt, If):
         t = _check_expr(stmt.cond, env)
         if t != "bool":
             raise TypeError_("if condition must be boolean", *_p(stmt))
-        _check_stmt(stmt.then, env)
-        _check_stmt(stmt.orelse, env)
-        return
-    if isinstance(stmt, SignalDecl):
+    elif isinstance(stmt, SignalDecl):
         if stmt.pure:
             if stmt.combine is not None:
                 raise TypeError_(
@@ -134,9 +153,8 @@ def _check_stmt(stmt: Stmt, env: dict) -> None:
             if stmt.init is not None:
                 t = _check_expr(stmt.init, env)
                 _require_assignable(t, vt, stmt.name, stmt)
-        _check_stmt(stmt.body, {**env, stmt.name: stmt})
-        return
-    if isinstance(stmt, ContDecl):
+        env = {**env, stmt.name: stmt}
+    elif isinstance(stmt, ContDecl):
         if stmt.init is not None:
             t = _check_expr(stmt.init, env)
             if t not in _NUMERIC:
@@ -144,29 +162,16 @@ def _check_stmt(stmt: Stmt, env: dict) -> None:
                     f"continuous variable {stmt.name!r} needs a numeric initial value",
                     *_p(stmt),
                 )
-        _check_stmt(stmt.body, {**env, stmt.name: stmt})
-        return
-    if isinstance(stmt, ParamDecl):
+        env = {**env, stmt.name: stmt}
+    elif isinstance(stmt, ParamDecl):
         if stmt.default is not None:
             if not _is_constant(stmt.default, env):
                 raise TypeError_(
                     f"default for constant {stmt.name!r} must itself be constant",
                     *_p(stmt),
                 )
-        _check_stmt(stmt.body, {**env, stmt.name: stmt})
-        return
-    if isinstance(stmt, Loop):
-        _check_stmt(stmt.body, env)
-        return
-    if isinstance(stmt, Seq):
-        for s in stmt.stmts:
-            _check_stmt(s, env)
-        return
-    if isinstance(stmt, Parallel):
-        for b in stmt.branches:
-            _check_stmt(b, env)
-        return
-    if isinstance(stmt, DoUntil):
+        env = {**env, stmt.name: stmt}
+    elif isinstance(stmt, DoUntil):
         for name, rate in stmt.odes:
             decl = _resolve(name, env, stmt)
             if not isinstance(decl, ContDecl):
@@ -178,15 +183,42 @@ def _check_stmt(stmt: Stmt, env: dict) -> None:
                     f"rate of {name!r} does not fold to a constant", *_p(stmt)
                 )
             _check_expr(rate, env)
+            if id(decl) in written:
+                offenders.append(decl)
+            written[id(decl)] = (decl, True)
         _reject_nested_ttl(stmt.invariant)
         t = _check_expr(stmt.invariant, env)
         if t != "bool":
             raise TypeError_("until expression must be boolean", *_p(stmt))
-        return
-    if isinstance(stmt, Label):
-        _check_stmt(stmt.body, env)
-        return
-    raise AssertionError(f"unhandled statement {stmt!r}")
+    elif isinstance(stmt, Loop):
+        slot = len(loops)
+        loops.append(None)
+    mark = len(offenders)
+    instants = []
+    writers: dict = {}  # id(declaration) -> how many children write it
+    for child in children(stmt):
+        instant, inner = _check_stmt(child, env, loops, offenders)
+        instants.append(instant)
+        for key, (decl, via_flow) in inner.items():
+            writers[key] = writers.get(key, 0) + 1
+            written[key] = (decl, via_flow or written.get(key, (decl, False))[1])
+    if isinstance(stmt, Parallel):
+        # flag a variable written from several branches only when a flow
+        # drives it somewhere; simultaneous plain assignments are legal and
+        # resolved (or rejected) when the writes settle
+        offenders[mark:mark] = [
+            decl for key, (decl, via_flow) in written.items() if via_flow and writers[key] > 1
+        ]
+    if isinstance(stmt, Loop):
+        if instants[0]:
+            loops[slot] = stmt
+        return False, written
+    if isinstance(stmt, (Pause, DoUntil)):
+        return False, written
+    if isinstance(stmt, If):
+        return any(instants), written
+    # an immediate abort may terminate on entry if its guard holds
+    return all(instants) or isinstance(stmt, Abort) and stmt.immediate, written
 
 
 def _require_assignable(actual: str, target: str, name: str, node) -> None:
@@ -294,22 +326,18 @@ def _reject_nested_ttl(invariant: Expr) -> None:
 
 
 def _is_constant(expr: Expr, env: dict) -> bool:
-    """Structurally constant: literals, named constants, and arithmetic on
-    those. Signal and continuous references disqualify."""
-    if isinstance(expr, NumLit):
-        return True
-    if isinstance(expr, NameRef):
-        decl = env.get(expr.name)
-        return isinstance(decl, ParamDecl)
-    if isinstance(expr, Unary):
-        return expr.op == "-" and _is_constant(expr.operand, env)
-    if isinstance(expr, Binary):
-        return (
-            expr.op in ("+", "-", "*")
-            and _is_constant(expr.left, env)
-            and _is_constant(expr.right, env)
-        )
-    return False
+    """Structurally constant: literals, named constants, and `+`, `-` and
+    `*` on those. Signal and continuous references disqualify."""
+    for sub in sub_exprs(expr):
+        if isinstance(sub, NameRef):
+            if not isinstance(env.get(sub.name), ParamDecl):
+                return False
+        elif isinstance(sub, (Unary, Binary)):
+            if sub.op not in ("+", "-", "*"):
+                return False
+        elif not isinstance(sub, NumLit):
+            return False
+    return True
 
 
 def fold_constant(expr: Expr) -> Fraction:
@@ -327,40 +355,6 @@ def fold_constant(expr: Expr) -> Fraction:
             return left - right
         return left * right
     raise NonConstantRateError(f"expression does not fold to a constant: {expr!r}")
-
-
-# --- loop non-instantaneity --------------------------------------------------
-
-
-def _check_loops(root: Stmt) -> None:
-    for node in walk_stmt(root):
-        if isinstance(node, Loop) and _may_be_instantaneous(node.body):
-            raise InstantaneousLoopError(
-                "loop body has a path that consumes no tick", *_p(node)
-            )
-
-
-def _may_be_instantaneous(stmt: Stmt) -> bool:
-    if isinstance(stmt, (Nothing, Emit, ValueWrite, ContAssign)):
-        return True
-    if isinstance(stmt, (Pause, DoUntil, Loop)):
-        return False
-    if isinstance(stmt, Abort):
-        # an immediate abort may terminate on entry if its guard holds
-        return True if stmt.immediate else _may_be_instantaneous(stmt.body)
-    if isinstance(stmt, Suspend):
-        return _may_be_instantaneous(stmt.body)
-    if isinstance(stmt, If):
-        return _may_be_instantaneous(stmt.then) or _may_be_instantaneous(stmt.orelse)
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        return _may_be_instantaneous(stmt.body)
-    if isinstance(stmt, Seq):
-        return all(_may_be_instantaneous(s) for s in stmt.stmts)
-    if isinstance(stmt, Parallel):
-        return all(_may_be_instantaneous(b) for b in stmt.branches)
-    if isinstance(stmt, Label):
-        return _may_be_instantaneous(stmt.body)
-    raise AssertionError(f"unhandled statement {stmt!r}")
 
 
 # --- write-write legality ----------------------------------------------------
@@ -381,47 +375,6 @@ def _require_linear(decl: ContDecl, node) -> None:
             "writers with a non-linear operator",
             *_p(node),
         )
-
-
-def _writes(stmt: Stmt, env: dict, offenders: list) -> dict:
-    """The continuous variables written inside `stmt`, as id(declaration) ->
-    (declaration, written by a flow?), in order of first write. Appends the
-    variables with simultaneous writers inside `stmt` to `offenders`, in
-    preorder: a parallel composition's own offenders before those inside its
-    branches, and a do-block's in its ODE order.
-
-    Simultaneous write sites are several ODEs for one variable inside one
-    do-block, or writes to one variable from distinct branches of one
-    parallel composition, one of them a do-block."""
-    if isinstance(stmt, ContAssign):
-        decl = env.get(stmt.name)
-        return {id(decl): (decl, False)} if isinstance(decl, ContDecl) else {}
-    if isinstance(stmt, DoUntil):
-        written: dict = {}
-        for name, _ in stmt.odes:
-            decl = env.get(name)
-            if isinstance(decl, ContDecl):
-                if id(decl) in written:
-                    offenders.append(decl)
-                written[id(decl)] = (decl, True)
-        return written
-    if isinstance(stmt, (SignalDecl, ContDecl, ParamDecl)):
-        env = {**env, stmt.name: stmt}
-    mark = len(offenders)
-    written = {}
-    writers: dict = {}  # id(declaration) -> how many children write it
-    for child in children(stmt):
-        for key, (decl, via_flow) in _writes(child, env, offenders).items():
-            writers[key] = writers.get(key, 0) + 1
-            written[key] = (decl, via_flow or written.get(key, (decl, False))[1])
-    if isinstance(stmt, Parallel):
-        # flag a variable written from several branches only when a flow
-        # drives it somewhere; simultaneous plain assignments are legal and
-        # resolved (or rejected) when the writes settle
-        offenders[mark:mark] = [
-            decl for key, (decl, via_flow) in written.items() if via_flow and writers[key] > 1
-        ]
-    return written
 
 
 def _p(node) -> tuple:

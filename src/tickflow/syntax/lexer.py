@@ -60,12 +60,25 @@ class Token(Struct):
     line: int
     col: int
 
+    @staticmethod
+    def make(kind: str, text: str, line: int, col: int) -> "Token":
+        """The token, built past the generic constructor, as
+        `kernel.InputAssignment.make` builds a choice: a lex builds one
+        per word."""
+        token = object.__new__(Token)
+        fields = token.__dict__
+        fields["kind"] = kind
+        fields["text"] = text
+        fields["line"] = line
+        fields["col"] = col
+        return token
+
 
 def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, start = 1, 0  # the line's number, and the index of its first character
     i, n = 0, len(source)
-    match = _TOKEN.match
+    match, make = _TOKEN.match, Token.make
     while i < n:
         found = match(source, i)
         if found is None or found.lastgroup == "name" and not (
@@ -81,7 +94,7 @@ def lex(source: str) -> list[Token]:
         else:
             if kind == "name" and text in KEYWORDS:
                 kind = "keyword"
-            tokens.append(Token(kind, text, line, i - start + 1))
+            tokens.append(make(kind, text, line, i - start + 1))
         i = found.end()
-    tokens.append(Token("eof", "", line, n - start + 1))
+    tokens.append(make("eof", "", line, n - start + 1))
     return tokens

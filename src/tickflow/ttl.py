@@ -22,27 +22,16 @@ rational comparison, rearranged.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import KernelError
-from .rational import ratio
 
 
 def combine_fold(op: str, values: list) -> Fraction:
     if op == "plus":
-        # the exact sum from integer cross-products, each value read by
-        # one as_integer_ratio() and the sum built by one ratio (d, a
-        # product of denominators, is positive), without
-        # Fraction.__add__'s dispatch per value or Fraction.__new__
-        n, d = 0, 1
-        for v in values:
-            m, q = v.as_integer_ratio()
-            n, d = n * q + m * d, d * q
-        return ratio(n, d)
+        return sum(values)
     if op == "times":
-        total = values[0]
-        for v in values[1:]:
-            total = total * v
-        return total
+        return prod(values)
     raise KernelError(f"unknown combine operator {op!r}")
 
 

@@ -13,6 +13,7 @@ from tickflow.hybrid import (
     compare,
     ha_simulate,
     parse_automaton,
+    window_intersect,
 )
 from tickflow.params import bind_params
 from tickflow.rewrite import RewriteConfig
@@ -90,6 +91,69 @@ def test_an_equality_guard_fires_at_its_one_instant():
     assert Comparison(LinExpr.make(-3, {"x": 1}), "==").satisfaction_window(
         {"x": F(0)}, {"x": F(1)}
     ) == (F(3), F(3), False, False)
+
+
+def _switches(text: str, horizon) -> list:
+    return [(s.source, s.target, s.time) for s in ha_simulate(parse_automaton(text), F(horizon)).steps]
+
+
+# a rate-1 location A and a resting location B, for one edge A -> B
+RISING = "var x\nlocation A\n  rate x 1\nlocation B\n  rate x 0\ninit A x = 0\n"
+
+
+def test_a_guard_enables_at_the_earliest_instant_of_its_window():
+    # the tightest upper bound cuts the window; an empty window never enables
+    assert _switches(RISING + "edge A -> B when x >= 1 && x <= 3 && x <= 5\n", 10) == [
+        ("A", "B", F(1))
+    ]
+    assert _switches(RISING + "edge A -> B when x >= 4 && x <= 3\n", 10) == []
+    closed, wider = (F(1), F(3), False, False), (F(0), F(5), False, False)
+    assert window_intersect(closed, wider) == closed
+    assert window_intersect(wider, closed) == closed
+    # equal upper bounds: the bound is open if either one is
+    assert window_intersect((F(0), F(3), False, True), (F(0), F(3), False, False)) == (
+        F(0), F(3), False, True
+    )
+    # a strict lower bound has no earliest instant, so the edge never fires
+    assert _switches(RISING + "edge A -> B when x > 3\n", 10) == []
+
+
+def test_edges_that_switch_back_and_forth_at_once_are_a_livelock():
+    text = "var x\nlocation A\nlocation B\ninit A\nedge A -> B when x >= 0\nedge B -> A when x >= 0\n"
+    with pytest.raises(AutomatonError) as err:
+        ha_simulate(parse_automaton(text), F(10))
+    assert str(err.value) == "switch livelock: no time passes"
+
+
+def test_an_edge_enabled_only_after_the_invariant_expires_is_skipped():
+    text = RISING.replace("rate x 1\n", "rate x 1\n  inv x <= 2\n", 1)
+    with pytest.raises(DeadlockError) as err:
+        ha_simulate(parse_automaton(text + "edge A -> B when x >= 3\n"), F(10))
+    assert str(err.value) == "invariant of 'A' expires with no enabled edge"
+    assert err.value.time == F(2)
+
+
+def test_an_initial_valuation_outside_the_invariant_is_refused_at_its_line():
+    with pytest.raises(AutomatonError) as err:
+        parse_automaton("var x\nlocation A\n  rate x 1\n  inv x <= 2\ninit A x = 5\n")
+    assert str(err.value) == "5: initial valuation violates the invariant"
+
+
+def test_a_value_past_the_horizon_is_refused():
+    trace = ha_simulate(parse_automaton("var x\nlocation A\n  rate x 1\ninit A x = 0\n"), F(3))
+    assert trace.value_at(F(3), "x") == F(3)
+    with pytest.raises(AutomatonError) as err:
+        trace.value_at(F(4), "x")
+    assert str(err.value) == "time 4 beyond the simulated horizon"
+
+
+def test_automaton_lines_refuse_a_comment_and_read_a_negative_priority():
+    # the program lexer would drop the rest of a line after `//` as a comment
+    with pytest.raises(AutomatonError) as err:
+        parse_automaton("var x // y\nlocation A\ninit A\n")
+    assert str(err.value) == "1: unexpected '//'"
+    ha = parse_automaton(RISING + "edge A -> B when x >= 1 priority -1\n")
+    assert ha.edges[0].priority == -1
 
 
 def test_urgent_determinism():
@@ -245,6 +309,17 @@ def test_compare_identical_constant_systems():
     report = compare(ha, program, RewriteConfig(F(2)), F(10), {"x": "x"})
     assert report.first_divergence_tick is None
     assert report.max_deviation == 0
+
+
+def test_compare_holds_a_terminated_programs_final_value():
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = parse("cont x = 0; do {x' = 1} until (x <= 2)")
+    report = compare(ha, program, RewriteConfig(F(1)), F(6), {"x": "x"})
+    assert report.to_text() == (
+        "tick,time,ha:x,prog:x\n0,0,0,0\n1,1,1,1\n2,2,2,2\n"
+        "3,3,3,2\n4,4,4,2\n5,5,5,2\n6,6,6,2\n"
+        "first divergence at tick 3\nmax deviation 4\n"
+    )
 
 
 def test_compare_agreement_until_reset_lag():

@@ -342,6 +342,43 @@ def test_check_error_names_its_class_message_and_position(name):
     assert str(err.value) == located
 
 
+# (source, error class, the located message) of programs that break several
+# static rules: the first type error wins, then the first instantaneous loop
+# in preorder, then the first simultaneous writer without `op+`
+ERROR_ORDER = {
+    "type-error-before-an-earlier-loop": (
+        "cont x = 0; loop { nothing }; x = true", TypeError_,
+        "1:31: cannot assign a bool value to 'x'",
+    ),
+    "outer-loop-before-inner-loop": (
+        "input signal A; loop { if (A) { loop { nothing } } }", InstantaneousLoopError,
+        "1:17: loop body has a path that consumes no tick",
+    ),
+    "loop-before-an-earlier-offender": (
+        "cont x = 0; { do {x' = 1} until (x <= 1) || x = 2 }; loop { nothing }",
+        InstantaneousLoopError, "1:54: loop body has a path that consumes no tick",
+    ),
+    "parallel-offender-before-its-branches": (
+        "cont x = 0, y = 0; { { do {y' = 1 || y' = 2} until (y <= 9) } "
+        "|| do {x' = 1} until (x <= 9) || x = 1 }", CombineError,
+        "1:1: continuous variable 'x' has simultaneous writers but no combine operator",
+    ),
+    "nested-ttl-before-a-later-loop": (
+        "cont x = 0; do {x' = 1} until (TTL([x' = 1, x' = 2], x <= 3, {x})); loop { nothing }",
+        TypeError_, "1:32: TTL cannot appear inside a flow or TTL invariant",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_ORDER))
+def test_a_program_breaking_several_rules_reports_the_first_in_check_order(name):
+    source, kind, located = ERROR_ORDER[name]
+    with pytest.raises(CompileError) as err:
+        parse(source)
+    assert type(err.value) is kind
+    assert str(err.value) == located
+
+
 def test_lex_error_position():
     with pytest.raises(LexError) as err:
         parse("signal S;\nemit @")
