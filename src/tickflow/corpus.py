@@ -25,7 +25,7 @@ from .trace import Trace
 from .verify import Witness, check_reachable
 
 
-class GoldenCase(Struct, frozen=False):
+class GoldenCase(Struct):
     name: str
     program: str
     wcrt: Fraction
@@ -36,7 +36,7 @@ class GoldenCase(Struct, frozen=False):
     note: str = ""
 
 
-class CaseResult(Struct, frozen=False):
+class CaseResult(Struct):
     name: str
     failures: list
 
@@ -45,7 +45,7 @@ class CaseResult(Struct, frozen=False):
         return not self.failures
 
 
-class CorpusReport(Struct, frozen=False):
+class CorpusReport(Struct):
     results: list
 
     @property

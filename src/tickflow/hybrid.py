@@ -7,12 +7,14 @@ closed-form: advance to the earliest instant an outgoing guard is
 satisfiable, take that edge, apply its resets, repeat.
 
 Switching is urgent (earliest enabled wins); two edges enabling at the same
-instant need explicit priorities. Edges may carry a delay: the switch then
-happens that long after enabling while the source location's activities
-keep driving the variables and the invariant is not enforced during the
-overrun. That mode exists to simulate what a clocked controller actually
-does to the plant, and `compare` uses it to quantify the gap between the
-idealized automaton and the tick-discretized program.
+instant need explicit priorities. Edges may carry a delay, which counts in
+the delayed mode only: the switch then happens that long after enabling
+while the source location's activities keep driving the variables, and no
+invariant is enforced. That mode is chosen by giving the controller's
+reaction time, `wcrt`, which a `delay wcrt` edge waits; it simulates what a
+clocked controller actually does to the plant, and `compare` runs it beside
+the ideal one to quantify the gap between the idealized automaton and the
+tick-discretized program.
 """
 
 from __future__ import annotations
@@ -26,14 +28,11 @@ from .errors import (
 from .kernel import run as kernel_run
 from .rational import format_rational
 from .rewrite import RewriteConfig, rewrite_flows
-from .struct import Struct, replace
+from .struct import Struct
 from .syntax.lexer import lex
 from .syntax.nodes import BINARY, Binary, ContDecl, NameRef, NumLit, Program, Unary
 from .syntax.parser import _Parser
 from .syntax.printer import print_expr
-
-_INF = None  # open upper bound
-
 
 # --- linear expressions over automaton variables --------------------------------
 
@@ -92,7 +91,7 @@ class Comparison(Struct):
         slope = self.lhs.slope(rates)
         if self.op == "==":
             if slope == 0:
-                return (Fraction(0), _INF, False, False) if v0 == 0 else None
+                return (Fraction(0), None, False, False) if v0 == 0 else None
             t = -v0 / slope
             if t < 0:
                 return None
@@ -105,12 +104,12 @@ class Comparison(Struct):
         # window where v + s t (<|<=) 0
         if s == 0:
             ok = v < 0 if strict else v <= 0
-            return (Fraction(0), _INF, False, False) if ok else None
+            return (Fraction(0), None, False, False) if ok else None
         t_cross = -v / s
         if s < 0:
             # becomes satisfied from t_cross onward
             lo = max(t_cross, Fraction(0))
-            return (lo, _INF, strict and lo == t_cross, False)
+            return (lo, None, strict and lo == t_cross, False)
         # satisfied up to t_cross
         if t_cross < 0 or (strict and t_cross == 0):
             return None
@@ -128,9 +127,9 @@ def window_intersect(a, b):
         lo, slo = lo_b, slo_b
     else:
         lo, slo = lo_a, slo_a or slo_b
-    if hi_a is _INF:
+    if hi_a is None:
         hi, shi = hi_b, shi_b
-    elif hi_b is _INF:
+    elif hi_b is None:
         hi, shi = hi_a, shi_a
     elif hi_a < hi_b:
         hi, shi = hi_a, shi_a
@@ -138,7 +137,7 @@ def window_intersect(a, b):
         hi, shi = hi_b, shi_b
     else:
         hi, shi = hi_a, shi_a or shi_b
-    if hi is not _INF:
+    if hi is not None:
         if lo > hi or (lo == hi and (slo or shi)):
             return None
     return (lo, hi, slo, shi)
@@ -161,7 +160,7 @@ class Edge(Struct):
     label: str = ""
     delay: Fraction = Fraction(0)
     priority: int = 0
-    delay_wcrt: bool = False  # `delay wcrt`: one reaction time, set by compare
+    delay_wcrt: bool = False  # `delay wcrt`: the reaction time a delayed run is given
 
     def __post_init__(self):
         if self.delay < 0:
@@ -195,6 +194,10 @@ class TimeSegment(Struct):
     valuation_start: dict  # var -> Fraction at segment start
     rates: dict
 
+    def value(self, var: str, dt: Fraction) -> Fraction:
+        """The value of `var` at `dt` into the segment."""
+        return self.valuation_start[var] + self.rates.get(var, Fraction(0)) * dt
+
 
 class DiscreteStep(Struct):
     time: Fraction
@@ -205,7 +208,7 @@ class DiscreteStep(Struct):
     valuation_after: dict
 
 
-class HaTrace(Struct, frozen=False):
+class HaTrace(Struct):
     segments: list  # TimeSegment
     steps: list  # DiscreteStep
     horizon: Fraction
@@ -216,20 +219,22 @@ class HaTrace(Struct, frozen=False):
         for seg in self.segments:
             end = seg.start + seg.duration
             if seg.start <= t <= end:
-                dt = t - seg.start
-                return seg.valuation_start[var] + seg.rates.get(var, Fraction(0)) * dt
+                return seg.value(var, t - seg.start)
         raise AutomatonError(f"time {t} beyond the simulated horizon")
 
 
 _MAX_SWITCHES = 10_000  # beyond this many switches a run is taken for a livelock
 
 
-def ha_simulate(ha: HybridAutomaton, horizon: Fraction, use_delays: bool = False) -> HaTrace:
+def ha_simulate(
+    ha: HybridAutomaton, horizon: Fraction, wcrt: Optional[Fraction] = None
+) -> HaTrace:
     """Simulate with urgent switching up to the horizon.
 
-    `use_delays` turns on the per-edge delays (the clocked-controller
-    overrun mode); without it every switch is instantaneous at its
-    enabling instant and location invariants are enforced throughout.
+    Without `wcrt` every switch is instantaneous at its enabling instant and
+    location invariants are enforced throughout. With it (the
+    clocked-controller overrun mode) each edge switches its delay after
+    enabling, a `delay wcrt` edge one `wcrt`, and invariants are not enforced.
     """
     loc = ha.locations[ha.initial_location]
     valuation = dict(ha.initial_valuation)
@@ -238,7 +243,7 @@ def ha_simulate(ha: HybridAutomaton, horizon: Fraction, use_delays: bool = False
     switches = 0
     zero_dwell = 0
     while now < horizon:
-        result = _next_switch(ha, loc, valuation, now, horizon, use_delays)
+        result = _next_switch(ha, loc, valuation, now, horizon, wcrt)
         if result is None:
             # dwell to the horizon
             trace.segments.append(
@@ -247,13 +252,9 @@ def ha_simulate(ha: HybridAutomaton, horizon: Fraction, use_delays: bool = False
             return trace
         edge, switch_time = result
         dwell = switch_time - now
-        trace.segments.append(
-            TimeSegment(now, dwell, loc.name, dict(valuation), loc.rates)
-        )
-        before = {
-            v: valuation[v] + loc.rates.get(v, Fraction(0)) * dwell
-            for v in ha.variables
-        }
+        segment = TimeSegment(now, dwell, loc.name, dict(valuation), loc.rates)
+        trace.segments.append(segment)
+        before = {v: segment.value(v, dwell) for v in ha.variables}
         after = dict(before)
         for var, expr in edge.resets:
             after[var] = expr.value(before)
@@ -267,51 +268,48 @@ def ha_simulate(ha: HybridAutomaton, horizon: Fraction, use_delays: bool = False
         loc = ha.locations[edge.target]
         valuation = after
         now = switch_time
-        if not use_delays:
-            for comparison in loc.invariant:
-                if not comparison.holds(valuation):
-                    raise DeadlockError(
-                        f"invariant of {loc.name!r} violated on entry", now
-                    )
     return trace
 
 
-def _next_switch(ha, loc, valuation, now, horizon, use_delays):
-    """Earliest enabled outgoing edge from the current state, or None if
-    the automaton dwells past the horizon. Enforces the invariant (ideal
-    mode) and urgent determinism."""
-    inv_window = (Fraction(0), _INF, False, False)
-    for comparison in loc.invariant:
-        inv_window = window_intersect(
-            inv_window, comparison.satisfaction_window(valuation, loc.rates)
-        )
+def _window(conjunction: tuple, valuation: dict, rates: dict):
+    """The window of t >= 0 where every comparison of `conjunction` holds
+    along the flow, as `Comparison.satisfaction_window` gives one."""
+    window = (Fraction(0), None, False, False)
+    for comparison in conjunction:
+        window = window_intersect(window, comparison.satisfaction_window(valuation, rates))
+    return window
+
+
+def _next_switch(ha, loc, valuation, now, horizon, wcrt):
+    """Earliest enabled outgoing edge from the current state and its switch
+    instant, or None if the automaton dwells past the horizon. Urgent
+    switching must be deterministic. In the ideal mode (no `wcrt`) the
+    location's invariant must hold on entry, and an edge must enable before
+    it expires; one that enables later is no candidate."""
+    expiry = None  # how long the invariant allows a dwell; None for ever
+    if wcrt is None:
+        invariant = _window(loc.invariant, valuation, loc.rates)
+        # the window holds at t = 0 exactly when every comparison holds at rest
+        if invariant is None or invariant[0] > 0 or invariant[2]:
+            raise DeadlockError(f"invariant of {loc.name!r} violated on entry", now)
+        expiry = invariant[1]
     candidates = []
     for edge in ha.edges:
         if edge.source != loc.name:
             continue
-        window = (Fraction(0), _INF, False, False)
-        for comparison in edge.guard:
-            window = window_intersect(
-                window, comparison.satisfaction_window(valuation, loc.rates)
-            )
-        if window is None:
+        window = _window(edge.guard, valuation, loc.rates)
+        # an open enabling instant has no earliest point
+        if window is None or window[2]:
             continue
-        lo, _, lo_strict, _ = window
-        if lo_strict:
-            continue  # an open enabling instant has no earliest point
-        enable = lo
-        if not use_delays and inv_window is not None:
-            inv_hi = inv_window[1]
-            if inv_hi is not _INF and enable > inv_hi:
-                continue  # invariant expires before the guard enables
+        enable = window[0]
+        if expiry is not None and enable > expiry:
+            continue  # invariant expires before the guard enables
         candidates.append((enable, edge))
     if not candidates:
-        if not use_delays and inv_window is not None and inv_window[1] is not _INF:
-            expiry = now + inv_window[1]
-            if expiry < horizon:
-                raise DeadlockError(
-                    f"invariant of {loc.name!r} expires with no enabled edge", expiry
-                )
+        if expiry is not None and now + expiry < horizon:
+            raise DeadlockError(
+                f"invariant of {loc.name!r} expires with no enabled edge", now + expiry
+            )
         return None
     # urgency ranks by enabling instant; an edge delay postpones only the
     # switch itself while the plant keeps flowing
@@ -327,11 +325,11 @@ def _next_switch(ha, loc, valuation, now, horizon, use_delays):
                 f"simultaneously at t={format_rational(now + best_enable)}"
             )
     edge = best[0]
-    if use_delays and edge.delay_wcrt:
-        raise AutomatonError(
-            f"edge {edge.source} -> {edge.target} has delay wcrt but no wcrt was given"
-        )
-    switch_time = now + best_enable + (edge.delay if use_delays else Fraction(0))
+    if wcrt is None:
+        delay = Fraction(0)
+    else:
+        delay = wcrt if edge.delay_wcrt else edge.delay
+    switch_time = now + best_enable + delay
     if switch_time >= horizon:
         return None
     return edge, switch_time
@@ -348,7 +346,7 @@ class GridPoint(Struct):
     diverged: bool
 
 
-class DivergenceReport(Struct, frozen=False):
+class DivergenceReport(Struct):
     mapping: dict  # automaton var -> program cont var
     grid: list  # GridPoint per tick
     first_divergence_tick: Optional[int]
@@ -373,25 +371,18 @@ class DivergenceReport(Struct, frozen=False):
         else:
             lines.append(f"first divergence at tick {self.first_divergence_tick}")
         lines.append(f"max deviation {format_rational(self.max_deviation)}")
-        for step in self.mode_switches:
-            lines.append(
-                f"ideal switch {step.source}->{step.target} at "
-                f"t={format_rational(step.time)} "
-                + _valuation_text(step.valuation_before)
-            )
-        for step in self.delayed_mode_switches:
-            lines.append(
-                f"delayed switch {step.source}->{step.target} at "
-                f"t={format_rational(step.time)} "
-                + _valuation_text(step.valuation_before)
-            )
+        logs = (("ideal", self.mode_switches), ("delayed", self.delayed_mode_switches))
+        for kind, steps in logs:
+            for step in steps:
+                valuation = " ".join(
+                    f"{name}={format_rational(value)}"
+                    for name, value in sorted(step.valuation_before.items())
+                )
+                lines.append(
+                    f"{kind} switch {step.source}->{step.target} at "
+                    f"t={format_rational(step.time)} {valuation}"
+                )
         return "\n".join(lines) + "\n"
-
-
-def _valuation_text(valuation: dict) -> str:
-    return " ".join(
-        f"{name}={format_rational(value)}" for name, value in sorted(valuation.items())
-    )
 
 
 def compare(
@@ -406,7 +397,9 @@ def compare(
     both switch logs (ideal and WCRT-delayed).
 
     `mapping` sends automaton variables to program continuous variables; an
-    entry that does not is refused first, an `ArgumentError` naming `mapping`.
+    entry that does not is refused first, an `ArgumentError` naming `mapping`,
+    and so, once the program has run, is a target that no tick within the
+    horizon declares.
     """
     conts = {d.name for d in program.declarations() if isinstance(d, ContDecl)}
     for var, pvar in mapping.items():
@@ -425,25 +418,31 @@ def compare(
             f"got {format_rational(horizon)}",
         )
     ideal = ha_simulate(ha, horizon)
-    delayed = ha_simulate(_with_wcrt_delays(ha, cfg.wcrt), horizon, use_delays=True)
+    delayed = ha_simulate(ha, horizon, cfg.wcrt)
     rewritten = rewrite_flows(program, cfg)
     n_ticks = int(horizon / cfg.wcrt)
     trace = kernel_run(rewritten, cfg, max_ticks=n_ticks)
-    by_tick = {rec.tick: rec for rec in trace.records}
+    columns = {}  # program variable -> its value at ticks 0..n_ticks
+    for pvar in dict.fromkeys(mapping.values()):
+        if pvar not in trace.initial_conts:
+            raise ArgumentError(
+                "mapping", f"map target {pvar!r} is not declared within the horizon"
+            )
+        settled = dict(trace.series(pvar))
+        final = trace.final_cont(pvar)  # held once the variable's scope has ended
+        columns[pvar] = [trace.initial_conts[pvar]] + [
+            settled.get(k, final) for k in range(1, n_ticks + 1)
+        ]
     grid = []
     first = None
     max_dev = Fraction(0)
     for k in range(n_ticks + 1):
         t = k * cfg.wcrt
         ha_values = {v: ideal.value_at(t, v) for v in mapping}
-        prog_values = {}
-        diverged = False
-        for var, pvar in mapping.items():
-            prog_values[pvar] = _program_value(trace, by_tick, pvar, k)
-            dev = abs(ha_values[var] - prog_values[pvar])
-            max_dev = max(max_dev, dev)
-            if dev != 0:
-                diverged = True
+        prog_values = {pvar: columns[pvar][k] for pvar in mapping.values()}
+        deviations = [abs(ha_values[var] - prog_values[pvar]) for var, pvar in mapping.items()]
+        max_dev = max([max_dev, *deviations])
+        diverged = any(deviations)
         grid.append(GridPoint(k, t, ha_values, prog_values, diverged))
         if diverged and first is None:
             first = k
@@ -455,23 +454,6 @@ def compare(
         mode_switches=list(ideal.steps),
         delayed_mode_switches=list(delayed.steps),
     )
-
-
-def _program_value(trace, by_tick: dict, pvar: str, k: int) -> Fraction:
-    if k == 0:
-        return trace.initial_conts[pvar]
-    conts = by_tick[k].conts if k in by_tick else {}
-    if pvar in conts:
-        return conts[pvar]
-    return trace.final_cont(pvar)  # program ended; the value froze
-
-
-def _with_wcrt_delays(ha: HybridAutomaton, wcrt: Fraction) -> HybridAutomaton:
-    """Give every edge authored with `delay wcrt` a delay of one wcrt."""
-    edges = tuple(
-        replace(e, delay=wcrt, delay_wcrt=False) if e.delay_wcrt else e for e in ha.edges
-    )
-    return replace(ha, edges=edges)
 
 
 # --- automaton description files ---------------------------------------------------

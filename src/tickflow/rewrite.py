@@ -24,6 +24,8 @@ are plain writes, so the check runs on its input.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from .errors import ArgumentError, NestingError
 from .rational import format_rational
@@ -48,9 +50,7 @@ from .syntax.nodes import (
     Stmt,
     TtlCall,
     Unary,
-    direct_exprs,
     rebuild,
-    sub_exprs,
     walk_stmt,
 )
 
@@ -95,38 +95,26 @@ def rewrite_flows(program: Program, cfg: RewriteConfig) -> Program:
     """
     try:
         check_program(program)
-        return Program(_rewrite(program.root, cfg, _StopNames(program)))
+        return Program(_rewrite(program.root, cfg, _stop_names(program)))
     except RecursionError:
         raise NestingError("nested too deep to process") from None
 
 
-class _StopNames:
-    def __init__(self, program: Program):
-        taken = set(program.declared_names())
-        for node in program.walk():
-            for expr in direct_exprs(node):
-                for sub in sub_exprs(expr):
-                    if isinstance(sub, NameRef):
-                        taken.add(sub.name)
-        self.taken = taken
-        self.counter = 0
-
-    def fresh(self) -> str:
-        while True:
-            self.counter += 1
-            name = f"{STOP_PREFIX}{self.counter}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
+def _stop_names(program: Program) -> Iterator[str]:
+    """`__stop1`, `__stop2`, ...: the stop-signal names, skipping the names
+    the program declares, which are all the names it reads."""
+    taken = program.declared_names()
+    names = (f"{STOP_PREFIX}{n}" for n in count(1))
+    return (name for name in names if name not in taken)
 
 
-def _rewrite(stmt: Stmt, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:
+def _rewrite(stmt: Stmt, cfg: RewriteConfig, stops: Iterator[str]) -> Stmt:
     if isinstance(stmt, DoUntil):
-        return _rewrite_site(stmt, cfg, gensym)
-    return rebuild(stmt, lambda child: _rewrite(child, cfg, gensym), lambda expr: expr)
+        return _rewrite_site(stmt, cfg, stops)
+    return rebuild(stmt, lambda child: _rewrite(child, cfg, stops), lambda expr: expr)
 
 
-def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, gensym: _StopNames) -> Stmt:
+def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, stops: Iterator[str]) -> Stmt:
     site = flow_site(stmt.odes)
     assigns = [
         ContAssign(name, Binary("+", NameRef(name), NumLit(rate * cfg.wcrt)))
@@ -134,7 +122,7 @@ def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, gensym: _StopNames) -> Stmt
     ]
     if isinstance(stmt.invariant, BoolLit) and stmt.invariant.value:
         return Loop(_seq(assigns + [Pause()]))
-    stop = gensym.fresh()
+    stop = next(stops)
     ttl = TtlCall(
         tuple((name, NumLit(rate)) for name, rate in site.odes),
         stmt.invariant,

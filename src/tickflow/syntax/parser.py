@@ -91,7 +91,7 @@ _STMT_STARTERS = {
 }
 
 
-class _DeclSpec(Struct, frozen=False):
+class _DeclSpec(Struct):
     """One declarator of a (possibly multi-name) declaration."""
 
     kind: str  # 'signal' | 'cont' | 'param'

@@ -29,9 +29,9 @@ from .errors import KernelError
 
 def combine_fold(op: str, values: list) -> Fraction:
     if op == "plus":
-        return sum(values)
+        return sum(values[1:], values[0])
     if op == "times":
-        return prod(values)
+        return prod(values[1:], start=values[0])
     raise KernelError(f"unknown combine operator {op!r}")
 
 

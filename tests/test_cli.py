@@ -639,6 +639,23 @@ def test_map_naming_no_program_variable_exits_2(tmp_path, capsys):
         assert captured.err == f"{bad}: {message}\n" and captured.out == "", text
 
 
+def test_map_target_declared_after_the_horizon_exits_2(tmp_path, capsys):
+    automaton = tmp_path / "one.ha"
+    automaton.write_text("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = tmp_path / "late.hsj"
+    program.write_text("pause; pause; pause; { cont y = 0; pause }")
+    mapping = tmp_path / "map.json"
+    mapping.write_text('{"x": "y"}')
+    code = main([
+        "compare", "--ha", str(automaton), "--program", str(program),
+        "--wcrt", "1", "--horizon", "2", "--map", str(mapping),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{mapping}: map target 'y' is not declared within the horizon\n"
+    assert captured.out == ""
+
+
 def test_map_is_checked_after_the_horizon_is_read_and_before_its_range(tmp_path, capsys):
     # the library checks the map, so a horizon that does not read as a
     # rational is named first; one out of range is checked after the map

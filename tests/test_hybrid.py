@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from tickflow.errors import ArgumentError, AutomatonError, DeadlockError, Nondet
 from tickflow.hybrid import (
     Comparison,
     LinExpr,
-    _with_wcrt_delays,
     compare,
     ha_simulate,
     parse_automaton,
@@ -45,12 +45,99 @@ def test_single_location_dwell():
 
 
 def test_delayed_switching_overrun():
-    trace = ha_simulate(_with_wcrt_delays(_carousel(), F(2)), F(14), use_delays=True)
+    trace = ha_simulate(_carousel(), F(14), F(2))
     steps = [(s.source, s.target, s.time, s.valuation_before["x"]) for s in trace.steps]
     assert steps[0] == ("A", "B", F(5), F(5))  # reaction time added
     assert steps[1] == ("B", "D", F(11), F(11))  # item already past the belt end
     assert steps[2][0:2] == ("D", "A")
     assert steps[2][2] == F(11)  # bounce back immediately: invariant broken
+
+
+RATES = ("-1", "0", "1/2", "1", "2")
+
+
+def _random_automaton(rng: random.Random, one_switch: bool = False, delay: str = ""):
+    """A seeded automaton over x and y of 1-3 locations with no invariant:
+    random rates, guards, resets and priorities, each edge with `delay`.
+    With `one_switch` every edge leaves L0 for another location, and no
+    edge leaves that one."""
+    n = rng.randint(2 if one_switch else 1, 3)
+    lines = ["var x y"]
+    for i in range(n):
+        lines += [f"location L{i}", *(f"  rate {v} {rng.choice(RATES)}" for v in "xy")]
+    lines.append(f"init L0 x = {rng.randint(0, 2)}, y = {rng.randint(0, 2)}")
+    for e in range(rng.randint(1, 4)):
+        if one_switch:
+            source, target = 0, rng.randrange(1, n)
+        else:
+            source, target = rng.randrange(n), rng.randrange(n)
+        var = rng.choice("xy")
+        line = (
+            f"edge L{source} -> L{target} when {var} {rng.choice(('>=', '<=', '=='))} "
+            f"{rng.randint(-2, 6)} label e{e} priority {rng.randint(0, 2)}"
+        )
+        if rng.random() < 0.5:
+            line += f" reset {var} = {rng.randint(0, 3)}"
+        lines.append(line + delay)
+    return parse_automaton("\n".join(lines) + "\n")
+
+
+def _outcome(ha, horizon, wcrt=None):
+    """The trace's segments and steps, or the class and message of the error."""
+    try:
+        trace = ha_simulate(ha, horizon, wcrt)
+    except (AutomatonError, NondeterminismError) as err:
+        return type(err), str(err)
+    return trace.segments, trace.steps
+
+
+def test_the_two_modes_agree_without_invariants_or_delays():
+    for seed in range(80):
+        ha = _random_automaton(random.Random(seed))
+        ideal = _outcome(ha, F(10))
+        for wcrt in (F(1), F(1, 3), F(5, 2)):
+            assert _outcome(ha, F(10), wcrt) == ideal, (seed, wcrt)
+
+
+def test_a_delay_wcrt_edge_switches_one_reaction_time_after_the_ideal_switch():
+    delayed_switches = 0
+    for seed in range(80):
+        ha = _random_automaton(random.Random(seed), one_switch=True, delay=" delay wcrt")
+        ideal = _outcome(ha, F(10))
+        for wcrt in (F(1), F(1, 3), F(5, 2)):
+            delayed = _outcome(ha, F(10), wcrt)
+            if ideal[0] is NondeterminismError:
+                assert delayed == ideal, (seed, wcrt)
+                continue
+            first = ideal[1][0] if ideal[1] else None
+            if first is None or first.time + wcrt >= 10:
+                assert delayed[1] == [], (seed, wcrt)
+                continue
+            (step,) = delayed[1]
+            assert (step.time, step.label, step.target) == (
+                first.time + wcrt, first.label, first.target
+            ), (seed, wcrt)
+            rates = ha.locations["L0"].rates
+            assert step.valuation_before == {
+                v: ha.initial_valuation[v] + rates[v] * step.time for v in "xy"
+            }, (seed, wcrt)
+            delayed_switches += 1
+    assert delayed_switches >= 60
+
+
+def test_an_invariant_violated_on_entry_is_a_deadlock_at_the_switch():
+    # outside the invariant's window, and on the open boundary of one the
+    # flow then moves into
+    for rate, inv in (("0", "x >= 2"), ("1", "x > 0"), ("-1", "x < 0")):
+        text = RISING.replace("rate x 0", f"rate x {rate}\n  inv {inv}")
+        with pytest.raises(DeadlockError) as err:
+            ha_simulate(parse_automaton(text + "edge A -> B when x >= 1 reset x = 0\n"), F(5))
+        assert str(err.value) == "invariant of 'B' violated on entry", inv
+        assert err.value.time == F(1), inv
+    # the closed boundary holds on entry
+    text = RISING.replace("rate x 0", "rate x 1\n  inv x >= 0")
+    trace = ha_simulate(parse_automaton(text + "edge A -> B when x >= 1 reset x = 0\n"), F(5))
+    assert trace.value_at(F(5), "x") == F(4)
 
 
 def test_time_step_soundness_ideal():
@@ -246,11 +333,7 @@ def test_edge_delays_and_priorities():
     base = "var x\nlocation A\n  rate x 1\nlocation B\ninit A x = 0\n"
     ha = parse_automaton(base + "edge A -> B when x >= 3 delay wcrt\n")
     assert ha.edges[0].delay_wcrt and ha.edges[0].delay == 0
-    with pytest.raises(AutomatonError):
-        ha_simulate(ha, F(10), use_delays=True)  # no wcrt resolved yet
-    resolved = _with_wcrt_delays(ha, F(2))
-    assert not resolved.edges[0].delay_wcrt and resolved.edges[0].delay == 2
-    assert ha_simulate(resolved, F(10), use_delays=True).steps[0].time == F(5)
+    assert ha_simulate(ha, F(10), F(2)).steps[0].time == F(5)
     fixed = parse_automaton(base + "edge A -> B when x >= 3 delay 1/2\n")
     assert not fixed.edges[0].delay_wcrt and fixed.edges[0].delay == F(1, 2)
     # a negative delay used to read as `delay wcrt` (-1) or to switch
@@ -320,6 +403,30 @@ def test_compare_holds_a_terminated_programs_final_value():
         "3,3,3,2\n4,4,4,2\n5,5,5,2\n6,6,6,2\n"
         "first divergence at tick 3\nmax deviation 4\n"
     )
+
+
+def test_compare_holds_a_variable_once_its_scope_has_ended():
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = parse("{ cont y = 0; do {y' = 1} until (y <= 2) }; loop { pause }")
+    report = compare(ha, program, RewriteConfig(F(1)), F(6), {"x": "y"})
+    assert report.to_text() == (
+        "tick,time,ha:x,prog:y\n0,0,0,0\n1,1,1,1\n2,2,2,2\n"
+        "3,3,3,2\n4,4,4,2\n5,5,5,2\n6,6,6,2\n"
+        "first divergence at tick 3\nmax deviation 4\n"
+    )
+
+
+def test_compare_refuses_a_target_declared_after_the_horizon():
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    program = parse("pause; pause; pause; { cont y = 0; pause }")
+    with pytest.raises(ArgumentError) as err:
+        compare(ha, program, RewriteConfig(F(1)), F(2), {"x": "y"})
+    assert (err.value.name, err.value.message) == (
+        "mapping", "map target 'y' is not declared within the horizon"
+    )
+    # a horizon that reaches the declaration at tick 4 is tabulated
+    report = compare(ha, program, RewriteConfig(F(1)), F(4), {"x": "y"})
+    assert [point.tick for point in report.grid] == [0, 1, 2, 3, 4]
 
 
 def test_compare_agreement_until_reset_lag():
