@@ -77,24 +77,24 @@ class ScheduleError(TickflowError):
     an argument the library refuses."""
 
 
-class MatrixError(TickflowError):
+class _LineError(TickflowError):
+    """An error in a file read line by line, at `line` of its text when
+    that is known, which the message then starts with."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.message = message
+        self.line = line
+        super().__init__(message if line is None else f"{line}: {message}")
+
+
+class MatrixError(_LineError):
     """A matrix file is malformed, at `line` of its text when that is
     known, or dimensions are incompatible."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.message = message
-        self.line = line
-        super().__init__(message if line is None else f"{line}: {message}")
 
-
-class AutomatonError(TickflowError):
+class AutomatonError(_LineError):
     """A hybrid-automaton description is malformed, at `line` of its text
     when that is known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.message = message
-        self.line = line
-        super().__init__(message if line is None else f"{line}: {message}")
 
 
 class DeadlockError(TickflowError):

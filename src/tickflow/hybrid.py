@@ -32,7 +32,6 @@ from .struct import Struct
 from .syntax.lexer import lex
 from .syntax.nodes import BINARY, Binary, ContDecl, NameRef, NumLit, Program, Unary
 from .syntax.parser import _Parser
-from .syntax.printer import print_expr
 
 # --- linear expressions over automaton variables --------------------------------
 
@@ -428,11 +427,11 @@ def compare(
             raise ArgumentError(
                 "mapping", f"map target {pvar!r} is not declared within the horizon"
             )
-        settled = dict(trace.series(pvar))
-        final = trace.final_cont(pvar)  # held once the variable's scope has ended
-        columns[pvar] = [trace.initial_conts[pvar]] + [
-            settled.get(k, final) for k in range(1, n_ticks + 1)
-        ]
+        # the value held at tick k: the last settled at or before k, else the first declared
+        settled, column = dict(trace.series(pvar)), [trace.initial_conts[pvar]]
+        for k in range(1, n_ticks + 1):
+            column.append(settled.get(k, column[-1]))
+        columns[pvar] = column
     grid = []
     first = None
     max_dev = Fraction(0)
@@ -606,6 +605,8 @@ class _LineReader(_Parser):
                 return left.times(right.const)
             if not left.coeffs:
                 return right.times(left.const)
+        from .syntax import print_expr  # the printer loads only to word this error
+
         raise AutomatonError(f"not a linear expression: {print_expr(expr)!r}")
 
     def conjunction(self) -> tuple:

@@ -170,7 +170,7 @@ from .syntax.nodes import (
     ValueRef,
 )
 from . import ttl as ttl_mod
-from .trace import Trace, made_record
+from .trace import Layout, Trace, made_record
 
 
 # --- input assignments -------------------------------------------------------
@@ -269,7 +269,7 @@ class _Code:
         self.layouts, self.plans = {(): ()}, {}
 
     def plan(self, order: tuple) -> tuple:
-        """For the instance keys `order`, the layout (see `trace`) of the
+        """For the instance keys `order`, the `trace.Layout` of the
         data a record lays out, each instance's status and value, the
         (key, at, slot, name) of each input instance, `at` its status's
         entry in the data, the order's settle (`_settler`), straight-line
@@ -295,7 +295,7 @@ class _Code:
                     entries.append((key, 2 * at, slot, decl.name))
             layout = tuple(bound[1::2])
             plan = self.plans[order] = (
-                tuple(map(tuple, tables)), tuple(entries), _settler(kinds, (self.empty, *bound)),
+                Layout(tables), tuple(entries), _settler(kinds, (self.empty, *bound)),
                 self.layouts.setdefault(layout, layout),
             )
         return plan

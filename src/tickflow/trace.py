@@ -9,23 +9,20 @@ stored; the time is printed from the integers of `wcrt` (`_time`).
 Rationals are never converted to floating point in any export; CSV, JSON
 and SVG output is byte-deterministic for equal traces.
 
-A record is read through a layout shared by the records of one shape,
+A record is read through a `Layout` shared by the records of one shape,
 which places each entity's status or value in the record's one data
 tuple: the kernel's in registration order, one built from tables (as
-`from_json` builds one) in its tables' order.
-
-The CSV export does once per export what each tick would repeat: a plan
-of each layout's rows in printed order, as positions in the data, built
-the first time the layout and labels are met, and each rational's text,
+`from_json` builds one) in its tables' order. Every reader reads through
+it, and it plans each read once and keeps the plan, so a CSV row plan
+outlives one export. The CSV export also prints each rational once,
 memoised by the identity of the value object (the trace keeps every value
-alive while it is exported). The JSON export and `Trace.project` read each
-record through its layout's names, sorted once per layout met.
+alive while it is exported).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd
 from typing import Optional
@@ -36,20 +33,44 @@ from .rational import format_rational, format_value
 from .struct import Struct
 
 
+_KINDS = ("status", "value", "cont")  # of the rows of each table of a layout
+
+
+class Layout(tuple):
+    """A record's layout: the (name, position in the data) pairs of each of
+    its three tables, statuses, values and continuous variables, in order,
+    so it compares and indexes as the tuple of them. What a reader derives
+    from it is derived on first use and kept: `index`, each table's map
+    from name to position; `rows`, every (name, kind, position), sorted by
+    name, then kind; `entities`, the names of its statuses and continuous
+    variables; and `csv`, the CSV row plan of each labels tuple `to_csv`
+    meets (`_row_plan`)."""
+
+    def __new__(cls, tables):
+        return super().__new__(cls, map(tuple, tables))
+
+    index = cached_property(lambda self: tuple(map(dict, self)))
+    rows = cached_property(lambda self: sorted(
+        (name, kind, at) for kind, table in zip(_KINDS, self) for name, at in table
+    ))
+    entities = cached_property(lambda self: frozenset(name for name, _ in (*self[0], *self[2])))
+    csv = cached_property(lambda self: {})
+
+
 @lru_cache(maxsize=256)
-def _tables_layout(statuses: tuple, values: tuple, conts: tuple) -> tuple:
+def _tables_layout(statuses: tuple, values: tuple, conts: tuple) -> Layout:
     """The layout of a record built from tables with these keys: statuses
     first in its data, then values, then continuous variables."""
     at = count()  # zip stops at a table's end without drawing from it
-    return tuple(zip(statuses, at)), tuple(zip(values, at)), tuple(zip(conts, at))
+    return Layout((zip(statuses, at), zip(values, at), zip(conts, at)))
 
 
 class TickRecord(Struct, frozen=False):
     """One tick's settled tables and labels. A record holds its data in one
     tuple and a `layout`, the (name, position in the data) pairs of each of
-    its three tables in order, shared by the records of one shape; it is
-    built by `made_record`. The tables are built when read; records compare
-    and hash by them, whatever their layouts."""
+    its three tables in order (a `Layout`), shared by the records of one
+    shape; it is built by `made_record`. The tables are built when read;
+    records compare and hash by them, whatever their layouts."""
 
     __slots__ = ("tick", "layout", "data", "labels")
     tick: int
@@ -71,7 +92,7 @@ class TickRecord(Struct, frozen=False):
         return hash((self.tick, *(frozenset(table.items()) for table in tables), self.labels))
 
 
-def made_record(tick: int, layout: tuple, data: tuple, labels: tuple) -> TickRecord:
+def made_record(tick: int, layout: Layout, data: tuple, labels: tuple) -> TickRecord:
     """The record of `data` read through `layout`: the one way to build a
     record, which the kernel takes once per tick."""
     record = object.__new__(TickRecord)
@@ -143,15 +164,8 @@ class Trace(Struct, frozen=False):
 
     def entities(self) -> list:
         """The names of every signal status and continuous variable the
-        trace settles, sorted: read from each layout met, by identity."""
-        names, seen = set(self.initial_conts), set()
-        for rec in self.records:
-            layout = rec.layout
-            if id(layout) not in seen:
-                seen.add(id(layout))
-                names.update(name for name, _ in layout[0])
-                names.update(name for name, _ in layout[2])
-        return sorted(names)
+        trace settles, sorted: read from each record's layout."""
+        return sorted(set(self.initial_conts).union(*(rec.layout.entities for rec in self.records)))
 
     @property
     def effective_termination_tick(self) -> Optional[int]:
@@ -182,49 +196,29 @@ class Trace(Struct, frozen=False):
     def project(self, names) -> list:
         """Per-tick view restricted to the given entities, for comparing
         traces that differ only in generated internals: read through each
-        record's layout (`_by_name`), so no table is built."""
-        keep = set(names)
-        return [
-            (rec.tick, *(tuple([(name, rec.data[at]) for name, at in table]) for table in tables),
-             rec.labels)
-            for rec, tables in _by_name(self.records, keep)
-        ]
+        record's layout's rows, so no table is built."""
+        keep, view = set(names), []
+        for rec in self.records:
+            tables = {kind: [] for kind in _KINDS}
+            for name, kind, at in rec.layout.rows:
+                if name in keep:
+                    tables[kind].append((name, rec.data[at]))
+            view.append((rec.tick, *map(tuple, tables.values()), rec.labels))
+        return view
 
 
 def _column(records, tables: tuple, name: str):
     """(record, datum) for each of `records`, in order, whose tables (0
     statuses, 1 values, 2 conts) hold `name`, the datum from the first of
-    `tables` that does: read through the record's layout, whose
-    name-to-position map is planned once per layout met, so no table is
-    built. Layouts are told apart by identity, which is safe while
-    `records` keeps them alive."""
-    plans: dict = {}
+    `tables` that does: read through the record's layout's `index`, so no
+    table is built."""
     for rec in records:
-        layout = rec.layout
-        plan = plans.get(id(layout))
-        if plan is None:
-            plan = plans[id(layout)] = {}
-            for table in reversed(tables):  # the first table's entry wins
-                plan.update(layout[table])
-        at = plan.get(name)
-        if at is not None:
-            yield rec, rec.data[at]
-
-
-def _by_name(records, keep=None):
-    """(record, tables) for each of `records`, in order: the (name,
-    position in the data) pairs of each of its layout's three tables,
-    sorted by name, only the names in `keep` if given. Planned once per
-    layout met, told apart by identity as `_column` tells them."""
-    plans: dict = {}
-    for rec in records:
-        tables = plans.get(id(rec.layout))
-        if tables is None:
-            tables = plans[id(rec.layout)] = tuple(
-                sorted(entry for entry in table if keep is None or entry[0] in keep)
-                for table in rec.layout
-            )
-        yield rec, tables
+        index = rec.layout.index
+        for table in tables:
+            at = index[table].get(name)
+            if at is not None:
+                yield rec, rec.data[at]
+                break
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -239,28 +233,23 @@ def _time(p: int, q: int, tick: int) -> str:
     return str(num // g) if g == q else f"{num // g}/{q // g}"
 
 
-_KINDS = ("status", "value", "cont")  # of the rows of each table of a layout
-
 # A label's row reads the datum past a record's data, which holds True.
 _LABEL = (True,)
 
 
 def settled_rows(rec: TickRecord) -> list:
     """(entity, kind, printed datum) for every settled status, signal value
-    and continuous variable of a record, unsorted."""
-    tables = zip(_KINDS, (rec.statuses, rec.values, rec.conts))
-    return [(name, kind, format_value(v)) for kind, table in tables for name, v in table.items()]
+    and continuous variable of a record, sorted by entity, then kind."""
+    return [(name, kind, format_value(rec.data[at])) for name, kind, at in rec.layout.rows]
 
 
-def _row_plan(layout: tuple, labels: tuple) -> list:
+def _row_plan(layout: Layout, labels: tuple) -> list:
     """(position, "entity,kind,") for each CSV row of a record with
     `layout` and `labels`, in printed order: by entity, then kind. A record
     holds one row per (entity, kind), but for a label held twice, whose rows
     print alike, so the datum never decides the order. A label's row reads
     position -1, `_LABEL` past the data."""
-    rows = [(name, kind, at) for kind, table in zip(_KINDS, layout) for name, at in table]
-    rows += [(name, "label", -1) for name in labels]
-    rows.sort()
+    rows = sorted([*layout.rows, *((name, "label", -1) for name in labels)])
     return [(at, f"{name},{kind},") for name, kind, at in rows]
 
 
@@ -268,26 +257,25 @@ def to_csv(trace: Trace) -> str:
     """One row per settled entity per tick: tick,time,entity,kind,value,
     each tick's rows sorted by entity, then kind.
 
-    The work a tick would repeat is done once per export:
+    The work a tick would repeat is done once:
     - the rows are planned once per record layout and labels, as positions
-      in the record's data in printed order (`_row_plan`), and reused by
-      every record of that shape;
-    - each datum is printed once, memoised by the identity of its object,
-      which the trace keeps alive for the call; `True` and `False` are
-      seeded as `true` and `false`, so a boolean never shares an entry with
-      an equal rational;
+      in the record's data in printed order (`_row_plan`), kept in the
+      layout's `csv` and reused by every record of that shape, in this
+      export and every later one;
+    - each datum is printed once per export, memoised by the identity of
+      its object, which the trace keeps alive for the call; `True` and
+      `False` are seeded as `true` and `false`, so a boolean never shares
+      an entry with an equal rational;
     - the time `wcrt × tick` is printed from integers (`_time`)."""
     lines = ["tick,time,entity,kind,value"]
     append = lines.append
     printed = {id(True): "true", id(False): "false"}
     p, q = trace.wcrt.as_integer_ratio()
-    plans = {}
     for rec in trace.records:
-        labels = rec.labels
-        shape = (id(rec.layout), labels)  # the trace keeps each layout alive
-        plan = plans.get(shape)
+        labels, plans = rec.labels, rec.layout.csv
+        plan = plans.get(labels)
         if plan is None:
-            plan = plans[shape] = _row_plan(rec.layout, labels)
+            plan = plans[labels] = _row_plan(rec.layout, labels)
         data = rec.data + _LABEL if labels else rec.data
         prefix = f"{rec.tick},{_time(p, q, rec.tick)},"
         for at, head in plan:
@@ -304,23 +292,24 @@ def to_csv(trace: Trace) -> str:
 
 def to_json(trace: Trace) -> str:
     """The trace as a JSON document, each record's tables sorted by name
-    and read through its layout (`_by_name`). `json` is imported here, so
-    that a command that writes no JSON never loads it (see `files`)."""
+    and read through its layout's rows, a boolean as itself and a rational
+    as its text. `json` is imported here, so that a command that writes no
+    JSON never loads it (see `files`)."""
     import json
 
     p, q = trace.wcrt.as_integer_ratio()
     ticks = []
-    for rec, (statuses, values, conts) in _by_name(trace.records):
-        data = rec.data
+    for rec in trace.records:
+        data, tables = rec.data, {kind: {} for kind in _KINDS}
+        for name, kind, at in rec.layout.rows:
+            datum = data[at]
+            tables[kind][name] = datum if datum.__class__ is bool else format_rational(datum)
         ticks.append({
             "tick": rec.tick,
             "time": _time(p, q, rec.tick),
-            "statuses": {name: data[at] for name, at in statuses},
-            "values": {
-                name: data[at] if data[at].__class__ is bool else format_rational(data[at])
-                for name, at in values
-            },
-            "conts": {name: format_rational(data[at]) for name, at in conts},
+            "statuses": tables["status"],
+            "values": tables["value"],
+            "conts": tables["cont"],
             "labels": list(rec.labels),
         })
     doc = {

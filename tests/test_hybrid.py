@@ -416,6 +416,22 @@ def test_compare_holds_a_variable_once_its_scope_has_ended():
     )
 
 
+def test_compare_reads_at_each_tick_the_value_the_program_holds_then():
+    # between two scopes a variable holds its last settled value, and
+    # before its first declaration its first declared value: never a value
+    # it settles later in the run
+    ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
+    for source, horizon, column, first, deviation in (
+        ("loop { { cont y = 1; do {y' = 1} until (y <= 3) }; pause; pause }", 9,
+         [1, 2, 3, 3, 3, 2, 3, 3, 3, 2], 0, 7),
+        ("pause; { cont y = 0; do {y' = 2} until (y <= 4) }; loop { pause }", 6,
+         [0, 0, 2, 4, 4, 4, 4], 1, 2),
+    ):
+        report = compare(ha, parse(source), RewriteConfig(F(1)), F(horizon), {"x": "y"})
+        assert [point.program_values["y"] for point in report.grid] == column, source
+        assert (report.first_divergence_tick, report.max_deviation) == (first, deviation)
+
+
 def test_compare_refuses_a_target_declared_after_the_horizon():
     ha = parse_automaton("var x\nlocation L\n  rate x 1\ninit L x = 0\n")
     program = parse("pause; pause; pause; { cont y = 0; pause }")

@@ -78,7 +78,7 @@ def test_lti_loads_no_parser():
     assert not any(m == "syntax" or m.startswith("syntax.") for m in _tickflow(modules))
 
 
-@pytest.mark.parametrize("name", ["check", "run", "verify", "desugar"])
+@pytest.mark.parametrize("name", ["check", "run", "verify", "desugar", "compare"])
 def test_only_a_command_that_prints_a_program_loads_the_printer(name):
     assert ("tickflow.syntax.printer" in _command(name)) == (name == "desugar")
 

@@ -19,7 +19,8 @@ from tickflow.rewrite import RewriteConfig, rewrite_flows
 from tickflow.syntax import parse
 from tickflow import trace as trace_mod
 from tickflow.trace import (
-    TickRecord, Trace, from_json, made_record, to_csv, to_json, to_svg_timing, trace_equal,
+    TickRecord, Trace, from_json, made_record, settled_rows, to_csv, to_json, to_svg_timing,
+    trace_equal,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -180,6 +181,40 @@ def test_kernel_built_records_roundtrip_and_compare_by_their_tables():
             assert built == record and hash(built) == hash(record)
         first, second = trace.records[:2]
         assert first != second and second != first
+
+
+def test_a_layout_plans_its_csv_rows_once(monkeypatch):
+    # the first export plans each layout's rows once per labels tuple met,
+    # and the plan is the layout's: a second export plans nothing
+    traces = [*_kernel_built_traces(), _trace(SHAPE_CHANGING, wcrt=F(2, 3), max_ticks=12)]
+    calls = []
+    planned = trace_mod._row_plan
+    monkeypatch.setattr(trace_mod, "_row_plan", lambda *args: calls.append(args) or planned(*args))
+    for trace in traces:
+        assert all(isinstance(rec.layout, trace_mod.Layout) for rec in trace.records)
+        shapes = {(id(rec.layout), rec.labels) for rec in trace.records}
+        calls.clear()
+        text = to_csv(trace)
+        assert len(calls) == len(shapes)
+        calls.clear()
+        assert to_csv(trace) == text and calls == []
+
+
+def test_a_trace_read_back_reads_as_the_trace_it_came_from():
+    # every reader through the layout `from_json` builds gives what it
+    # gives through the kernel's: both exports, the entities, projections
+    # and each record's witness rows
+    traces = [*_corpus_traces(), *_kernel_built_traces(), *_differential_traces().values()]
+    for trace in traces:
+        back = from_json(to_json(trace))
+        names = trace.entities()
+        assert back.entities() == names
+        assert (to_csv(back), to_json(back)) == (to_csv(trace), to_json(trace))
+        for kept in (names, names[::2], ["nope"]):
+            assert back.project(kept) == trace.project(kept), kept
+        assert [settled_rows(rec) for rec in back.records] == [
+            settled_rows(rec) for rec in trace.records
+        ]
 
 
 def _table_reads(trace: Trace, name: str) -> tuple:
