@@ -4,7 +4,10 @@ The classical semantics alternates time steps (dwell in a location while
 its invariant holds) with instantaneous edges. With constant rates and
 linear guards every enabling instant is an exact rational, so simulation is
 closed-form: advance to the earliest instant an outgoing guard is
-satisfiable, take that edge, apply its resets, repeat.
+satisfiable, take that edge, apply its resets, repeat. A window of time
+is its two bounds, each an instant and whether it is open: a comparison is
+one half-line `v + s*t < 0` or `<= 0` per side (`==` is `<=` and `>=`), and
+a conjunction keeps the later lower bound and the earlier upper bound.
 
 Switching is urgent (earliest enabled wins); two edges enabling at the same
 instant need explicit priorities. Edges may carry a delay, which counts in
@@ -85,61 +88,50 @@ class Comparison(Struct):
     def satisfaction_window(self, valuation: dict, rates: dict):
         """Interval of t >= 0 where the comparison holds along the flow;
         returns (lo, hi, lo_strict, hi_strict) with hi None for unbounded,
-        or None when empty."""
-        v0 = self.lhs.value(valuation)
-        slope = self.lhs.slope(rates)
-        if self.op == "==":
-            if slope == 0:
-                return (Fraction(0), None, False, False) if v0 == 0 else None
-            t = -v0 / slope
-            if t < 0:
-                return None
-            return (t, t, False, False)
-        # normalize to "value <= 0" / "value < 0" direction
-        flip = self.op in (">=", ">")
-        v = -v0 if flip else v0
-        s = -slope if flip else slope
+        or None when empty. Each side of the comparison is one half-line,
+        where `v + s*t` is `< 0` or `<= 0`: `lhs` itself for `<` and `<=`,
+        its negation for `>` and `>=`, and both for `==`, which is `<=`
+        and `>=` at once."""
+        v0, slope = self.lhs.value(valuation), self.lhs.slope(rates)
         strict = self.op in ("<", ">")
-        # window where v + s t (<|<=) 0
-        if s == 0:
-            ok = v < 0 if strict else v <= 0
-            return (Fraction(0), None, False, False) if ok else None
-        t_cross = -v / s
-        if s < 0:
-            # becomes satisfied from t_cross onward
-            lo = max(t_cross, Fraction(0))
-            return (lo, None, strict and lo == t_cross, False)
-        # satisfied up to t_cross
-        if t_cross < 0 or (strict and t_cross == 0):
-            return None
-        return (Fraction(0), t_cross, False, strict)
+        window = _ALWAYS
+        for sign in _SIDES[self.op]:
+            v, s = sign * v0, sign * slope
+            if s == 0:  # at rest: always or never
+                side = _ALWAYS if v < 0 or v == 0 and not strict else None
+            elif s < 0:  # falling: from the crossing on
+                side = (-v / s, None, strict, False)
+            else:  # rising: up to the crossing
+                side = (Fraction(0), -v / s, False, strict)
+            window = window_intersect(window, side)
+        return window
+
+
+# the signs of `lhs` whose half-lines make up each comparison
+_SIDES = {"<": (1,), "<=": (1,), ">": (-1,), ">=": (-1,), "==": (1, -1)}
+
+_ALWAYS = (Fraction(0), None, False, False)  # every t >= 0
 
 
 def window_intersect(a, b):
+    """The intersection of two windows, None when either or it is empty.
+    A window is its lower and upper bound, each an (instant, open) pair:
+    the later lower bound and the earlier upper bound (None the latest)
+    are the tighter, and at one instant the open bound is. The window is
+    empty when its lower bound passes its upper bound."""
     if a is None or b is None:
         return None
-    lo_a, hi_a, slo_a, shi_a = a
-    lo_b, hi_b, slo_b, shi_b = b
-    if lo_a > lo_b:
-        lo, slo = lo_a, slo_a
-    elif lo_b > lo_a:
-        lo, slo = lo_b, slo_b
-    else:
-        lo, slo = lo_a, slo_a or slo_b
-    if hi_a is None:
-        hi, shi = hi_b, shi_b
-    elif hi_b is None:
-        hi, shi = hi_a, shi_a
-    elif hi_a < hi_b:
-        hi, shi = hi_a, shi_a
-    elif hi_b < hi_a:
-        hi, shi = hi_b, shi_b
-    else:
-        hi, shi = hi_a, shi_a or shi_b
-    if hi is not None:
-        if lo > hi or (lo == hi and (slo or shi)):
-            return None
-    return (lo, hi, slo, shi)
+    lo, lo_open = max((a[0], a[2]), (b[0], b[2]))
+    hi, hi_open = min((a[1], a[3]), (b[1], b[3]), key=_upper)
+    if hi is not None and (lo > hi or lo == hi and (lo_open or hi_open)):
+        return None
+    return (lo, hi, lo_open, hi_open)
+
+
+def _upper(bound) -> tuple:
+    """The sort key of an upper bound (instant, open), tightest first."""
+    instant, open_ = bound
+    return (instant is None, instant or 0, not open_)
 
 
 # --- automaton structure ----------------------------------------------------------
@@ -243,16 +235,13 @@ def ha_simulate(
     zero_dwell = 0
     while now < horizon:
         result = _next_switch(ha, loc, valuation, now, horizon, wcrt)
-        if result is None:
-            # dwell to the horizon
-            trace.segments.append(
-                TimeSegment(now, horizon - now, loc.name, dict(valuation), loc.rates)
-            )
-            return trace
-        edge, switch_time = result
-        dwell = switch_time - now
+        # a dwell ends at the switch, or at the horizon when there is none
+        dwell = (horizon if result is None else result[1]) - now
         segment = TimeSegment(now, dwell, loc.name, dict(valuation), loc.rates)
         trace.segments.append(segment)
+        if result is None:
+            return trace
+        edge, switch_time = result
         before = {v: segment.value(v, dwell) for v in ha.variables}
         after = dict(before)
         for var, expr in edge.resets:
@@ -273,7 +262,7 @@ def ha_simulate(
 def _window(conjunction: tuple, valuation: dict, rates: dict):
     """The window of t >= 0 where every comparison of `conjunction` holds
     along the flow, as `Comparison.satisfaction_window` gives one."""
-    window = (Fraction(0), None, False, False)
+    window = _ALWAYS
     for comparison in conjunction:
         window = window_intersect(window, comparison.satisfaction_window(valuation, rates))
     return window
@@ -300,35 +289,31 @@ def _next_switch(ha, loc, valuation, now, horizon, wcrt):
         # an open enabling instant has no earliest point
         if window is None or window[2]:
             continue
-        enable = window[0]
-        if expiry is not None and enable > expiry:
+        if expiry is not None and window[0] > expiry:
             continue  # invariant expires before the guard enables
-        candidates.append((enable, edge))
+        candidates.append((window[0], edge.priority, edge))
     if not candidates:
         if expiry is not None and now + expiry < horizon:
             raise DeadlockError(
                 f"invariant of {loc.name!r} expires with no enabled edge", now + expiry
             )
         return None
-    # urgency ranks by enabling instant; an edge delay postpones only the
-    # switch itself while the plant keeps flowing
-    best_enable = min(enable for enable, _ in candidates)
-    if now + best_enable >= horizon:
+    # urgency ranks by enabling instant, then priority; an edge delay
+    # postpones only the switch itself while the plant keeps flowing
+    candidates.sort(key=lambda candidate: candidate[:2])
+    enable, priority, edge = candidates[0]
+    if now + enable >= horizon:
         return None
-    best = [edge for enable, edge in candidates if enable == best_enable]
-    if len(best) > 1:
-        best.sort(key=lambda e: e.priority)
-        if best[0].priority == best[1].priority:
-            raise NondeterminismError(
-                f"edges {best[0].label!r} and {best[1].label!r} enable "
-                f"simultaneously at t={format_rational(now + best_enable)}"
-            )
-    edge = best[0]
+    if len(candidates) > 1 and candidates[1][:2] == (enable, priority):
+        raise NondeterminismError(
+            f"edges {edge.label!r} and {candidates[1][2].label!r} enable "
+            f"simultaneously at t={format_rational(now + enable)}"
+        )
     if wcrt is None:
         delay = Fraction(0)
     else:
         delay = wcrt if edge.delay_wcrt else edge.delay
-    switch_time = now + best_enable + delay
+    switch_time = now + enable + delay
     if switch_time >= horizon:
         return None
     return edge, switch_time

@@ -78,9 +78,10 @@ of the declarations its body declares, a list fixed at compile time.
 Program text reaches the source only as the `repr` of a str or a number,
 or as a constant bound into the functions' globals.
 
-A look-ahead reads its site's variables, in site order, into slots of its
-own that shadow them, then evaluates its invariant. Every prediction is
-affine in its variable's settled value (`ttl.affine_form`), so the slot
+A look-ahead reads its site's variables, in site order, into locals of
+the generated code that shadow them, then evaluates its invariant; it
+takes no slot, so every slot belongs to a declaration. Every prediction is
+affine in its variable's settled value (`ttl.affine_form`), so the local
 keeps that value: the invariant's `name <op> literal` compiles to one
 integer cross-multiplication against the threshold
 `(literal - shift)/scale`, folded at compile time, and any other use of
@@ -245,14 +246,14 @@ def _labels_in(res, labels: list):
 
 class _Code:
     """A program's `run` and `resume` and what its ticks share: each slot's
-    declaration (None for a look-ahead's), the input slots and names, the
-    slots of each declared name, a tick's first `env`, the store of tick 0,
-    the interned layouts of its states and a plan per order of a tick's
-    instances, which holds the tick's settle."""
+    declaration, the input slots and names, the slots of each declared
+    name, a tick's first `env`, the store of tick 0, the interned layouts
+    of its states and of its records (one object per value) and a plan
+    per order of a tick's instances, which holds the tick's settle."""
 
     __slots__ = (
         "run", "resume", "decls", "inputs", "input_names", "name_slots", "keys", "empty",
-        "layouts", "plans",
+        "layouts", "records", "plans",
     )
 
     def __init__(self, run, resume, decls: list):
@@ -263,14 +264,13 @@ class _Code:
         self.input_names = frozenset(decls[s].name for s in self.inputs)
         self.name_slots: dict = {}
         for s, d in enumerate(decls):
-            if d is not None:
-                self.name_slots.setdefault(d.name, set()).add(s)
+            self.name_slots.setdefault(d.name, set()).add(s)
         self.keys, self.empty = tuple(range(len(decls))), (None,) * len(decls)
-        self.layouts, self.plans = {(): ()}, {}
+        self.layouts, self.records, self.plans = {(): ()}, {}, {}
 
     def plan(self, order: tuple) -> tuple:
-        """For the instance keys `order`, the `trace.Layout` of the
-        data a record lays out, each instance's status and value, the
+        """For the instance keys `order`, the `trace.Layout`, interned, of
+        the data a record lays out, each instance's status and value, the
         (key, at, slot, name) of each input instance, `at` its status's
         entry in the data, the order's settle (`_settler`), straight-line
         code, and the next layout, interned, of a tick where no scope ends."""
@@ -293,10 +293,10 @@ class _Code:
                     tables[1].append((name, 2 * at + 1))
                 if slot in self.inputs:
                     entries.append((key, 2 * at, slot, decl.name))
-            layout = tuple(bound[1::2])
+            layout, record = tuple(bound[1::2]), Layout(tables)
             plan = self.plans[order] = (
-                Layout(tables), tuple(entries), _settler(kinds, (self.empty, *bound)),
-                self.layouts.setdefault(layout, layout),
+                self.records.setdefault(record, record), tuple(entries),
+                _settler(kinds, (self.empty, *bound)), self.layouts.setdefault(layout, layout),
             )
         return plan
 
@@ -356,8 +356,8 @@ class _TickCtx:
 
     An instance live at the tick's start is keyed by its slot, one it
     registers by `~slot`, so a slot may hold one that ended and a new one.
-    Per slot, `env` holds the key of its current instance (or a
-    look-ahead's prediction) and `prev` its previous-tick (status, value);
+    Per slot, `env` holds the key of its current instance and `prev` its
+    previous-tick (status, value);
     `live` and `fresh` list the keys of the instances live at the start
     that it did not kill and of those it registered, in registration order.
     `residue` is what the code left, `emitted` holds the keys of the
@@ -901,9 +901,9 @@ class _Compiler:
     lines to a list and returns the local, global or literal holding its
     value (`expr`). A scope maps each visible name to (kind, slot,
     declaration), kind being "signal", "cont" or "pred" (a look-ahead
-    prediction, whose third entry is its affine form); `decls` lists the
-    declaration of each slot, None for a look-ahead's, and `names` holds the
-    generated code's globals."""
+    prediction, whose second entry is the local holding its snapshot and
+    third its affine form); `decls` lists the declaration of each slot,
+    and `names` holds the generated code's globals."""
 
     def __init__(self, cfg: RewriteConfig, logged: bool):
         self.wcrt = cfg.wcrt
@@ -915,7 +915,7 @@ class _Compiler:
             "labels_in": _labels_in,
         }
 
-    def slot(self, decl=None) -> int:
+    def slot(self, decl) -> int:
         self.decls.append(decl)
         return len(self.decls) - 1
 
@@ -1176,7 +1176,7 @@ class _Compiler:
         first = len(self.decls)
         run, resume = self.stmt(node.body, scope)
         # the slots of the body's declarations
-        slots = tuple(s for s in range(first, len(self.decls)) if self.decls[s] is not None)
+        slots = tuple(range(first, len(self.decls)))
         if node.immediate:
             run = _prefix(guard, _either(test, _ENDED, run))
         if resume is None:
@@ -1266,12 +1266,11 @@ class _Compiler:
 
     def lookahead(self, site, invariant, scope, lines: list) -> str:
         """The two-tick look-ahead (see the module docstring): the site's
-        variables read into slots of their own, then the invariant."""
+        variables read into locals of their own, then the invariant."""
         inner = dict(scope)
         for name in site.vars:
-            slot = self.slot()
-            lines.append(f"env[{slot}] = {self.read(lines, scope[name][1], name, 'value')}")
-            inner[name] = ("pred", slot, ttl_mod.affine_form(site.odes, name, self.wcrt))
+            value = self.read(lines, scope[name][1], name, "value")
+            inner[name] = ("pred", value, ttl_mod.affine_form(site.odes, name, self.wcrt))
         return self.expr(invariant, inner, lines)
 
     # -- expressions (previous-tick settled values only) --
@@ -1290,8 +1289,8 @@ class _Compiler:
                 return self.read(lines, slot, node.name, "status")
             if kind == "cont":
                 return self.read(lines, slot, node.name, "value")
-            scale, shift = form  # a look-ahead prediction, not a read
-            return self.let(lines, f"{scale!r} * env[{slot}] + {self.bind(shift)}")
+            scale, shift = form  # a look-ahead prediction: `slot` is its snapshot's local
+            return self.let(lines, f"{scale!r} * {slot} + {self.bind(shift)}")
         if cls is ValueRef:
             return self.read(lines, scope[node.name][1], node.name, "value")
         if cls is Unary:
@@ -1321,10 +1320,10 @@ class _Compiler:
         kind, slot, form = scope[name]
         if kind == "cont":
             value = self.read(lines, slot, name, "value")
-        else:
+        else:  # `slot` is the local of the prediction's snapshot
             scale, shift = form
             bound = (bound - shift) / scale
-            value = f"env[{slot}]"
+            value = slot
         p, q = map(str, bound.as_integer_ratio())
         n, d = self.fresh("n"), self.fresh("d")
         lines.append(f"{n}, {d} = {INTEGERS.format(value)}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator
 
-from .errors import ArgumentError, NestingError
+from .errors import ArgumentError, CompileError, NestingError
 from .rational import format_rational
 from .struct import Struct
 from .syntax.checks import check_program, fold_constant
@@ -51,6 +51,7 @@ from .syntax.nodes import (
     TtlCall,
     Unary,
     rebuild,
+    sub_exprs,
     walk_stmt,
 )
 
@@ -88,9 +89,10 @@ def flow_site(odes) -> FlowSite:
 def rewrite_flows(program: Program, cfg: RewriteConfig) -> Program:
     """Replace every flow action with its bounded-loop form.
 
-    The program must already have its named constants bound and pass the
-    static checks, whose located error it raises; rewriting a program with
-    no flow actions returns it unchanged (so the pass is idempotent). A
+    The program must pass the static checks, whose located error it
+    raises, and a flow's rate must name no named constant left unbound, a
+    CompileError located at the name; rewriting a program with no flow
+    actions returns it unchanged (so the pass is idempotent). A
     program nested past the recursion limit raises NestingError.
     """
     try:
@@ -115,6 +117,13 @@ def _rewrite(stmt: Stmt, cfg: RewriteConfig, stops: Iterator[str]) -> Stmt:
 
 
 def _rewrite_site(stmt: DoUntil, cfg: RewriteConfig, stops: Iterator[str]) -> Stmt:
+    for _, rate in stmt.odes:
+        for sub in sub_exprs(rate):
+            if isinstance(sub, NameRef):  # the checks admit only a named constant
+                raise CompileError(
+                    f"named constant {sub.name!r} must be bound before the rewrite",
+                    *(sub.pos or ()),
+                )
     site = flow_site(stmt.odes)
     assigns = [
         ContAssign(name, Binary("+", NameRef(name), NumLit(rate * cfg.wcrt)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,6 +11,7 @@ from tickflow.errors import ArgumentError, AutomatonError, DeadlockError, Nondet
 from tickflow.hybrid import (
     Comparison,
     LinExpr,
+    _window,
     compare,
     ha_simulate,
     parse_automaton,
@@ -205,6 +207,59 @@ def test_a_guard_enables_at_the_earliest_instant_of_its_window():
     assert _switches(RISING + "edge A -> B when x > 3\n", 10) == []
 
 
+_HOLDS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+}
+
+
+def _admits(window, t) -> bool:
+    if window is None:
+        return False
+    lo, hi, lo_open, hi_open = window
+    after = lo < t or lo == t and not lo_open
+    return after and (hi is None or t < hi or t == hi and not hi_open)
+
+
+def test_a_window_admits_exactly_the_instants_where_its_comparisons_hold():
+    # a brute-force oracle: seeded conjunctions of 1-3 comparisons, every
+    # operator, zero and non-zero slopes, a comparison often on the last
+    # one's expression under another operator so that bounds coincide;
+    # sampled at 0, at every crossing and window bound, 1/1000 either side
+    # of them, between them and past the last
+    rng = random.Random(45)
+    numbers = [F(n, d) for n in range(-3, 4) for d in (1, 2)]
+    eps = F(1, 1000)
+    for _ in range(4000):
+        valuation = {v: rng.choice(numbers) for v in "xy"}
+        rates = {v: rng.choice(numbers) for v in "xy" if rng.random() < 0.7}
+        conjunction = []
+        for _ in range(rng.randint(1, 3)):
+            if conjunction and rng.random() < 0.4:
+                lhs = conjunction[-1].lhs
+            else:
+                coeffs = {v: rng.choice(numbers) for v in "xy" if rng.random() < 0.7}
+                lhs = LinExpr.make(rng.choice(numbers), coeffs)
+            conjunction.append(Comparison(lhs, rng.choice(tuple(_HOLDS))))
+        window = _window(tuple(conjunction), valuation, rates)
+        bounds = {F(0)}
+        for comparison in conjunction:
+            slope = comparison.lhs.slope(rates)
+            if slope:
+                bounds.add(-comparison.lhs.value(valuation) / slope)
+        if window is not None:
+            bounds.update(b for b in window[:2] if b is not None)
+        bounds = sorted(bounds)
+        samples = {b + d for b in bounds for d in (-eps, 0, eps)}
+        samples.update((a + b) / 2 for a, b in zip(bounds, bounds[1:]))
+        samples.add(bounds[-1] + 1)
+        for t in sorted(t for t in samples if t >= 0):
+            at = {v: valuation[v] + rates.get(v, F(0)) * t for v in valuation}
+            holds = all(_HOLDS[c.op](c.lhs.value(at), 0) for c in conjunction)
+            assert _admits(window, t) == holds, (conjunction, valuation, rates, window, t)
+        if window is not None and window[2]:
+            assert _admits(window, window[0] + eps)
+
+
 def test_edges_that_switch_back_and_forth_at_once_are_a_livelock():
     text = "var x\nlocation A\nlocation B\ninit A\nedge A -> B when x >= 0\nedge B -> A when x >= 0\n"
     with pytest.raises(AutomatonError) as err:
@@ -275,6 +330,19 @@ def test_simultaneous_edges_need_priorities():
     )
     trace = ha_simulate(parse_automaton(prioritized), F(5))
     assert trace.steps[0].target == "M"
+    # three edges at once: a tie on the best priority names its edges in
+    # edge order, and a best priority held once switches
+    three = (
+        "var x\nlocation L\n  rate x 1\nlocation M\nlocation N\nlocation O\ninit L x = 0\n"
+        "edge L -> M when x >= 1 label m priority {}\n"
+        "edge L -> N when x >= 1 label n priority {}\n"
+        "edge L -> O when x >= 1 label o priority {}\n"
+    )
+    with pytest.raises(NondeterminismError) as err:
+        ha_simulate(parse_automaton(three.format(1, 0, 0)), F(5))
+    assert str(err.value) == "edges 'n' and 'o' enable simultaneously at t=1"
+    trace = ha_simulate(parse_automaton(three.format(0, 1, 1)), F(5))
+    assert [(step.label, step.time) for step in trace.steps] == [("m", F(1))]
 
 
 def test_left_limit_at_switch_instants():

@@ -1402,6 +1402,24 @@ def test_record_builds_the_store_settle_builds():
             _record_matches_settle(compiled, cfg, native, choices, rng)
 
 
+def test_equal_record_layouts_of_a_run_are_one_object_and_every_slot_is_declared():
+    # a plan per order of a tick's instances, but one record layout per
+    # value; a look-ahead reads its snapshots into locals, so it takes no
+    # slot: the rewritten bank's slots are its variables and stop signals
+    source, wcrt = FLOW_BANK
+    cfg = RewriteConfig(wcrt)
+    for native, distinct, names in (
+        (False, 6, ["x0", "x1", "x2", "__stop1", "__stop2", "__stop3"]),
+        (True, 1, ["x0", "x1", "x2"]),
+    ):
+        program = parse(source) if native else rewrite_flows(parse(source), cfg)
+        trace = run(program, cfg, max_ticks=200, native_flows=native)
+        layouts = {id(record.layout): record.layout for record in trace.records}
+        assert len(layouts) == len(set(layouts.values())) == distinct
+        decls = init(program, cfg, native_flows=native).code.decls
+        assert [decl.name for decl in decls] == names
+
+
 # --- a tick's rationals are built and read from integers ----------------------------
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tickflow.errors import ArgumentError
+from tickflow.errors import ArgumentError, CompileError
+from tickflow.hybrid import compare, parse_automaton
 from tickflow.params import bind_params
 from tickflow.rewrite import (
     FlowSite,
@@ -140,6 +141,22 @@ def test_idempotence():
         once = rewrite_flows(program, RewriteConfig(F(2)))
         twice = rewrite_flows(once, RewriteConfig(F(2)))
         assert once.root == twice.root
+
+
+def test_an_unbound_constant_in_a_rate_is_refused_at_its_name():
+    source = "param k = 1; cont x = 0; do {x' = k} until (x <= 3)"
+    message = "1:35: named constant 'k' must be bound before the rewrite"
+    with pytest.raises(CompileError) as err:
+        rewrite_flows(parse(source), RewriteConfig(F(1)))
+    assert type(err.value) is CompileError and str(err.value) == message
+    # `compare` rewrites the program it is given
+    ha = parse_automaton("var x\nlocation A\n  rate x 1\ninit A x = 0\n")
+    with pytest.raises(CompileError) as err:
+        compare(ha, parse(source), RewriteConfig(F(1)), F(3), {"x": "x"})
+    assert str(err.value) == message
+    # a program without flows comes back unchanged, its constant unbound
+    program = parse("param k = 1; cont x = 0; x = k")
+    assert rewrite_flows(program, RewriteConfig(F(1))) == program
 
 
 def test_flow_site_summary():
