@@ -3,7 +3,8 @@
 Compile-time problems (lexing, parsing, resolution, typing, structural
 checks) derive from CompileError and carry a source position when one is
 known. Runtime problems raised while a program executes derive from
-KernelError and carry the tick index at which they occurred.
+KernelError and carry the tick index at which they occurred. A named
+constant still unbound when the kernel compiles its program is both.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ class KernelError(TickflowError):
             super().__init__(f"tick {tick}: {message}")
         else:
             super().__init__(message)
+
+
+class UnboundConstantError(CompileError, KernelError):
+    """A program given to the kernel still declares a named constant: a
+    compile error located at the declaration, and a `KernelError`, as is
+    every refusal of a program the kernel cannot run."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.message, self.line, self.col, self.tick = message, line, col, None
+        Exception.__init__(self, self.render())
 
 
 class ScheduleError(TickflowError):

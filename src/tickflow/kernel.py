@@ -17,22 +17,24 @@ Since no read sees the tick's own inputs, the code of a tick, the residue
 it leaves, its labels, the scopes it ends and every write but an input's
 are the same under every input choice. So the code runs once, latching
 nothing (a declaration of an input only notes the instance it registers),
-and that run (`_TickCtx`) is the one tick object: every choice, the empty
-one included, is checked against it by one path (`_TickCtx.check`), and
-settled, recorded or read through its methods that take the choice. A
-present input instance is emitted, and a supplied value is the first
-write of its instance, folded with the code's writes by the one `fold`
-when the code wrote it. The instances given a value are those live at the
-tick's start and those the code registered; one the tick killed is
-checked but given none. Errors are raised per choice, in the order a tick
-that latched before its code would meet them. A choice's names are
-checked where they enter: by `TickState.step`, before the code runs, by
-`run` for its whole schedule (`require_inputs`), and by the search for
-its whole alphabet. A choice's next store, key and record are the empty
-choice's, with only the entries of its input instances rewritten. A run
-keeps one cache of its settled pass (`_TickCtx.settled`: the data, the
-store, the plan and the next layout) and, for a key, one of that store
-flattened (`keyed`).
+and that run (`_TickCtx`) is the one tick object: every choice is checked
+against it by one path (`_TickCtx.check`), and settled, recorded or read
+through its methods that take the choice. A present input instance is
+emitted, and a supplied value is the first write of its instance, folded
+with the code's writes by the one `fold` when the code wrote it. The
+instances given a value are those live at the tick's start and those the
+code registered; one the tick killed is checked but given none. Errors are
+raised per choice, in the order a tick that latched before its code would
+meet them. A choice's names are checked where they enter: by
+`TickState.step`, before the code runs, by `run` for its whole schedule
+(`require_inputs`), and by the search for its whole alphabet. A choice's
+next store, key and record are the empty choice's, with only the entries
+of its input instances rewritten. `run` records each tick in its own loop,
+past the tick object's methods: it runs the code (`execute`), checks only
+a choice that gives values or a run that raised, folds any other (`fold`
+raises a double write as `check` does), and builds the record and the
+next state by `_close`, as `_TickCtx.record` does. The search keeps one
+cache of a run's settled pass (`settled`) and of its key (`keyed`).
 
 A program is compiled once per program object, tick length, flow mode
 and read logging, when the first `TickState` of it is built:
@@ -128,10 +130,10 @@ A state stores whether it terminated, set where it is built. One tick
 is `step(inputs)`, then `record()` or `settle()`, so a caller that reads
 less builds less. `step` runs the tick and checks `inputs` against it,
 which folds each instance's writes once; the run remembers the choice.
-`record` returns the next state and the record, whose data tuple and
-store come from straight-line code planned per order of a tick's
-instances and shared by the orders of one kind signature (`_settler`).
-`settle` returns the next state and its key, the tuple
+`record` returns the next state and the record (`_close`), whose data
+tuple and store come from straight-line code planned per order of a
+tick's instances and shared by the orders of one kind signature
+(`_settler`). `settle` returns the next state and its key, the tuple
 `verify.fingerprint` gives it; both flatten a store by the one
 `flat_key`. That is a key pass per run, over the next layout, that
 `record` never makes, and per choice a pass over its input instances
@@ -150,7 +152,7 @@ from math import isqrt
 from types import FunctionType
 from typing import Optional
 
-from .errors import ArgumentError, KernelError, NestingError
+from .errors import ArgumentError, KernelError, NestingError, UnboundConstantError
 from .rational import INTEGERS, coprime, format_value, ratio
 from .rewrite import RewriteConfig, flow_site
 from .struct import Struct
@@ -269,35 +271,34 @@ class _Code:
         self.layouts, self.records, self.plans = {(): ()}, {}, {}
 
     def plan(self, order: tuple) -> tuple:
-        """For the instance keys `order`, the `trace.Layout`, interned, of
-        the data a record lays out, each instance's status and value, the
-        (key, at, slot, name) of each input instance, `at` its status's
-        entry in the data, the order's settle (`_settler`), straight-line
-        code, and the next layout, interned, of a tick where no scope ends."""
-        plan = self.plans.get(order)
-        if plan is None:
-            tables, seen, entries, kinds, bound = ([], [], []), {}, [], [], []
-            for at, key in enumerate(order):
-                slot = key if key >= 0 else ~key
-                decl = self.decls[slot]
-                count = seen[decl.name] = seen.get(decl.name, 0) + 1
-                name = f"{decl.name}:{count}" if count > 1 else decl.name
-                bound += (key, slot)
-                kind = decl.stype if decl.__class__ is SignalDecl else "cont"
-                kinds.append((kind, key >= 0 and ~key in order))  # shadowed: slot registered again
-                if kind == "cont":  # its status is never read
-                    tables[2].append((name, 2 * at + 1))
-                    continue
-                tables[0].append((name, 2 * at))
-                if decl.stype is not None:
-                    tables[1].append((name, 2 * at + 1))
-                if slot in self.inputs:
-                    entries.append((key, 2 * at, slot, decl.name))
-            layout, record = tuple(bound[1::2]), Layout(tables)
-            plan = self.plans[order] = (
-                self.records.setdefault(record, record), tuple(entries),
-                _settler(kinds, (self.empty, *bound)), self.layouts.setdefault(layout, layout),
-            )
+        """Build and keep the plan for the instance keys `order`, which
+        `_settle` looks up first: the `trace.Layout`, interned, of the data a
+        record lays out, each instance's status and value, the (key, at,
+        slot, name) of each input instance, `at` its status's entry in the
+        data, the order's settle (`_settler`), straight-line code, and the
+        next layout, interned, of a tick where no scope ends."""
+        tables, seen, entries, kinds, bound = ([], [], []), {}, [], [], []
+        for at, key in enumerate(order):
+            slot = key if key >= 0 else ~key
+            decl = self.decls[slot]
+            count = seen[decl.name] = seen.get(decl.name, 0) + 1
+            name = f"{decl.name}:{count}" if count > 1 else decl.name
+            bound += (key, slot)
+            kind = decl.stype if decl.__class__ is SignalDecl else "cont"
+            kinds.append((kind, key >= 0 and ~key in order))  # shadowed: slot registered again
+            if kind == "cont":  # its status is never read
+                tables[2].append((name, 2 * at + 1))
+                continue
+            tables[0].append((name, 2 * at))
+            if decl.stype is not None:
+                tables[1].append((name, 2 * at + 1))
+            if slot in self.inputs:
+                entries.append((key, 2 * at, slot, decl.name))
+        layout, record = tuple(bound[1::2]), Layout(tables)
+        plan = self.plans[order] = (
+            self.records.setdefault(record, record), tuple(entries),
+            _settler(kinds, (self.empty, *bound)), self.layouts.setdefault(layout, layout),
+        )
         return plan
 
 
@@ -353,6 +354,8 @@ class _TickCtx:
     It is built under the choice it was stepped with, `choice`, checked
     (`check`) with the values it gives in `values`; `patch`, `settle` and
     `record` take that one when given none, and check any other once.
+    `run` builds it past the constructor, by `execute` alone, and checks
+    and records its choice itself.
 
     An instance live at the tick's start is keyed by its slot, one it
     registers by `~slot`, so a slot may hold one that ended and a new one.
@@ -374,6 +377,12 @@ class _TickCtx:
     )
 
     def __init__(self, state: TickState, inputs: InputAssignment):
+        self.execute(state)
+        self.values = self.check(inputs)
+        self.choice = inputs
+
+    def execute(self, state: TickState):
+        """Run the tick's code from `state`, keeping an error it raises."""
         self.state = state
         self.t = state.tick + 1
         self.env = list(state.code.keys)
@@ -393,29 +402,13 @@ class _TickCtx:
             self.residue = code.run(self) if state.tick == 0 else code.resume(self, state.residue)
         except KernelError as err:
             self.error = err if err.tick is not None else KernelError(err.message, self.t)
-        self.values = self.check(inputs)
-        self.choice = inputs
 
     def settled(self) -> tuple:
-        """The tick settled under the empty choice, once per run, by the
-        settle of the order of the instances live during it, in
-        registration order (`_Code.plan`): the record's data, each
-        instance's status and value, one whose scope ended included; the
-        next store, with each instance that outlives the tick at its slot;
-        the order's plan, which holds the record's layout and input
-        entries; and the next layout, interned: the slots of the instances
-        that outlive the tick, a re-registered one after the others. An
-        instance neither emitted nor written, and not leaving a present
-        status, keeps its pair."""
+        """The tick settled under the empty choice (`_settle`), kept on the
+        run by its first call or by `_close`: the record's data, the next
+        store, the order's plan and the next layout."""
         if self._settled is None:
-            code, ended = self.state.code, self.ended
-            order = self.live + tuple(self.fresh) if self.fresh else self.live
-            plan = code.plan(order)
-            layout = plan[3]
-            if ended:
-                layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
-                layout = code.layouts.setdefault(layout, layout)
-            self._settled = (*plan[2](self), plan, layout)
+            self._settled = _settle(self)
         return self._settled
 
     def keyed(self) -> tuple:
@@ -511,28 +504,10 @@ class _TickCtx:
 
     def record(self, inputs: Optional[InputAssignment] = None) -> tuple:
         """The next state under the input choice `inputs` and the tick's
-        record, whose data holds the settled status and value of every
-        instance live during the tick, in registration order, one whose
-        scope ended included: the run's `settled` data and store with only
-        the input instances' entries rewritten, as `patch` rewrites them."""
+        record (`_close`)."""
         inputs = self.choice if inputs is None else inputs
         values = self.values if inputs is self.choice else self.check(inputs)
-        data, store, (layout, entries, _, _), _ = self.settled()
-        present = inputs.present
-        if entries and (present or values):
-            data, store, emitted, ended = list(data), list(store), self.emitted, self.ended
-            for key, at, slot, name in entries:
-                if key in values:
-                    pair = (key in emitted or name in present, values[key])
-                elif name in present and key not in emitted:
-                    pair = (True, data[at + 1])
-                else:
-                    continue
-                data[at:at + 2] = pair
-                if key not in ended:
-                    store[slot] = pair
-        record = made_record(self.t, layout, tuple(data), tuple(sorted(self.labels)))
-        return self.after(store), record
+        return _close(self, values, inputs.present)
 
     def settles_present(self, name: str, inputs: InputAssignment) -> bool:
         """Whether the record under the input choice `inputs`, which this
@@ -613,6 +588,51 @@ class _TickCtx:
         return folded
 
 
+def _settle(tick: _TickCtx) -> tuple:
+    """The run `tick` settled under the empty choice by the settle of the
+    order of the instances live during it, in registration order
+    (`_Code.plan`): the record's data, each instance's status and value,
+    one whose scope ended included; the next store, with each instance
+    that outlives the tick at its slot; the order's plan, which holds the
+    record's layout and input entries; and the next layout, interned: the
+    slots of the instances that outlive the tick, a re-registered one after
+    the others. An instance neither emitted nor written, and not leaving a
+    present status, keeps its pair."""
+    code, fresh, ended = tick.state.code, tick.fresh, tick.ended
+    order = tick.live + tuple(fresh) if fresh else tick.live
+    plan = code.plans.get(order) or code.plan(order)
+    layout = plan[3]
+    if ended:
+        layout = tuple([key if key >= 0 else ~key for key in order if key not in ended])
+        layout = code.layouts.setdefault(layout, layout)
+    return (*plan[2](tick), plan, layout)
+
+
+def _close(tick: _TickCtx, values: dict, present: frozenset) -> tuple:
+    """The next state and the record of the run `tick` under a checked
+    choice that names the inputs `present` and gives input instances the
+    settled `values`, by key: the tick settled (`_settle`) with only the
+    input instances' entries rewritten, as `_TickCtx.patch` rewrites them.
+    The settled pass is kept on the run."""
+    data, store, plan, _ = tick._settled = _settle(tick)
+    entries = plan[1]
+    if entries and (present or values):
+        data, store, emitted, ended = list(data), list(store), tick.emitted, tick.ended
+        for key, at, slot, name in entries:
+            if key in values:
+                pair = (key in emitted or name in present, values[key])
+            elif name in present and key not in emitted:
+                pair = (True, data[at + 1])
+            else:
+                continue
+            data[at:at + 2] = pair
+            if key not in ended:
+                store[slot] = pair
+        data = tuple(data)
+    record = made_record(tick.t, plan[0], data, tuple(sorted(tick.labels)))
+    return tick.after(store), record
+
+
 def flat_key(store: tuple, layout: tuple, inputs=()) -> tuple:
     """The store `store` read through the layout `layout` as the flat part
     of a state key, a list: each live instance, in registration order, as
@@ -665,6 +685,15 @@ def require_inputs(program: Program, param: str, where: str, names=(), values=()
             raise ArgumentError(param, f"{where}value {shown}: {errors[0]}")
 
 
+def require_count(param: str, value, least: int) -> None:
+    """Refuse `value`, an argument of `param`, with an `ArgumentError` unless
+    its class is `int` (not `bool`) and it is at least `least`, 0 or 1."""
+    if value.__class__ is not int:
+        raise ArgumentError(param, f"must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentError(param, f"must be {('non-negative', 'positive')[least]}, got {value}")
+
+
 def _adapt(value, decl: SignalDecl):
     """Check and convert a value written to a valued signal: a numeric one
     holds only an exact `Fraction` or `int`, never a float, a string or a
@@ -712,12 +741,14 @@ _ENDED = ([], "None", True)  # the code of a statement that does nothing
 
 def _compile(program: Program, cfg: RewriteConfig, native_flows: bool, logged: bool):
     """The code of `program` for `TickState.code`, which logs its reads if
-    `logged`. The program must pass the static
-    checks, which raise their located error when it does not, and one
-    nested past the recursion limit raises NestingError."""
+    `logged`. The program must bind its constants (the first unbound one
+    locates the error) and pass the static checks, which raise their
+    located error; one nested past the recursion limit raises NestingError."""
     try:
         if program.params():
-            raise KernelError("named constants must be bound before execution")
+            decl = program.params()[0]
+            message = f"named constant {decl.name!r} must be bound before execution"
+            raise UnboundConstantError(message, *(decl.pos or ()))
         if not native_flows and program.has_flows():
             raise KernelError(
                 "program still contains flow actions; rewrite it or enable "
@@ -1351,7 +1382,10 @@ def run(
     continuous variable's name, in registration order. The schedule is a
     dict {tick: InputAssignment}, a list (index i for tick i + 1, None for
     none) or None; each entry is checked first: its tick, its type and its
-    inputs (`require_inputs`), so no tick checks its names again."""
+    inputs (`require_inputs`), so no tick checks its names again. A tick's
+    code runs once (`_TickCtx.execute`), only a choice that gives values or
+    a run that raised is checked, any other folds (`fold`), and `_close`
+    builds the record and the next state, as `step(choice).record()` does."""
     by_tick = schedule if isinstance(schedule, dict) else {
         i + 1: a for i, a in enumerate(schedule or ()) if a is not None
     }
@@ -1361,17 +1395,22 @@ def run(
         if not isinstance(entry, InputAssignment):
             raise ArgumentError("schedule", f"tick {t}: {entry!r} is not an InputAssignment")
         require_inputs(program, "schedule", f"tick {t}: ", entry.present, entry.values)
-    if max_ticks < 0:
-        raise ArgumentError("max_ticks", f"must be non-negative, got {max_ticks}")
+    require_count("max_ticks", max_ticks, 0)
     state = TickState(program, cfg, native_flows, [] if record_reads else None)
-    records, initial_conts = [], {}
+    records, initial_conts, decls, new = [], {}, state.code.decls, object.__new__
     for t in range(1, max_ticks + 1):
-        tick = _TickCtx(state, by_tick.get(t, EMPTY_INPUTS))
+        tick = new(_TickCtx)
+        tick.execute(state)
+        choice = by_tick.get(t, EMPTY_INPUTS)
+        if choice.values or tick.error is not None:
+            values = tick.check(choice)
+        else:  # a double write raises here as in `check`
+            tick.folded, values = tick.fold(), _NO_VALUES
         for key in tick.fresh:
-            decl = state.code.decls[~key]
+            decl = decls[~key]
             if decl.__class__ is not SignalDecl and decl.name not in initial_conts:
                 initial_conts[decl.name] = tick.prev[~key][1]
-        state, record = tick.record()
+        state, record = _close(tick, values, choice.present)
         records.append(record)
         if state.terminated:
             break

@@ -53,7 +53,9 @@ from itertools import product
 from typing import Optional
 
 from .errors import ArgumentError, ScheduleError, SearchLimitError, TickflowError
-from .kernel import InputAssignment, TickState, _TickCtx, flat_key, init, require_inputs
+from .kernel import (
+    InputAssignment, TickState, _TickCtx, flat_key, init, require_count, require_inputs,
+)
 from .rewrite import RewriteConfig
 from .struct import Struct
 from .syntax.nodes import Program
@@ -205,10 +207,8 @@ def check_reachable(
     if alphabet is None:
         alphabet = InputAlphabet.closed()
     alphabet.require(program)
-    if bound < 0:
-        raise ArgumentError("bound", f"must be non-negative, got {bound}")
-    if node_limit < 1:
-        raise ArgumentError("node_limit", f"must be positive, got {node_limit}")
+    require_count("bound", bound, 0)
+    require_count("node_limit", node_limit, 1)
     signals, conts = program.derived("declared names", lambda: _declared_names(program))
     if target not in signals:
         if target in conts:

@@ -704,6 +704,104 @@ def test_settle_keys_hold_only_tuples_ints_bools_strs_and_none():
             frontier = list(reached.values())
 
 
+@pytest.mark.parametrize("value", [2.5, "3", True, F(3), None])
+def test_a_tick_count_that_is_not_an_int_is_refused_by_name(value):
+    program = parse("signal S; emit S")
+    with pytest.raises(ArgumentError) as err:
+        run(program, CFG1, max_ticks=value)
+    assert err.value.name == "max_ticks"
+    assert err.value.message == f"must be an integer, got {value!r}"
+
+
+def test_an_unbound_constant_is_refused_at_its_first_declaration():
+    # the first `param` in the source locates the error, which is both a
+    # compile error and the kernel's; binding the constants runs the program
+    source = "cont y = 0;\n  param k = 1; param j = 2; cont x = 0; x = k"
+    with pytest.raises(CompileError) as err:
+        run(parse(source), CFG1)
+    assert isinstance(err.value, KernelError) and err.value.tick is None
+    assert str(err.value) == "2:3: named constant 'k' must be bound before execution"
+    trace = run(bind_params(parse(source), {}), CFG1, max_ticks=1)
+    assert trace.records[0].data == (False, 0, False, 1)
+
+
+def _stepped_run(program, cfg, native, logged, schedule, max_ticks):
+    """What `run` gives, from stepping and recording each tick instead: the
+    records, the final state, each continuous variable's first initial
+    value and the read log; or the error's class and message."""
+    state = kernel.TickState(program, cfg, native, [] if logged else None)
+    records, conts = [], {}
+    schedule = [entry or InputAssignment() for entry in schedule]
+    schedule += [InputAssignment()] * (max_ticks - len(schedule))
+    try:
+        for choice in schedule:
+            tick = state.step(choice)
+            for key in tick.fresh:
+                decl = state.code.decls[~key]
+                if decl.__class__ is not kernel.SignalDecl and decl.name not in conts:
+                    conts[decl.name] = tick.prev[~key][1]
+            state, record = tick.record()
+            records.append(record)
+            if state.terminated:
+                break
+    except KernelError as err:
+        return err.__class__, str(err)
+    return records, state, conts, state.read_log
+
+
+def _typed(values) -> list:
+    return [(value.__class__, value) for value in values]
+
+
+def test_run_records_each_tick_as_stepping_does(monkeypatch):
+    # differential: on seeded schedules drawn from each stepped case's
+    # choices (statuses and values, or no entry), with and without logged
+    # reads, `run` gives every record (tick, data, labels and the layout
+    # object), the final state (store, layout, residue, whether it
+    # terminated), the initial values and the read log that stepping each
+    # tick and recording it gives, or raises the same error, as it does on
+    # the two programs of TWO_FAULTS. `run` builds each state by its
+    # tick's `after`, so the last one it builds is its final state
+    cases = list(_stepped_cases())
+    for source, value, _ in TWO_FAULTS:
+        program = parse(source)
+        cases.append((program, CFG1, False, alphabet_for(program, {"L": (value,)}).choices()))
+    built = []
+    after = kernel._TickCtx.after
+
+    def building(run, store):
+        built.append(after(run, store))
+        return built[-1]
+
+    monkeypatch.setattr(kernel._TickCtx, "after", building)
+    rng = random.Random(0)
+    for compiled, cfg, native, choices in cases:
+        for logged in (False, True):
+            for _ in range(3):
+                schedule = [rng.choice((*choices, None)) for _ in range(rng.randint(1, 8))]
+                max_ticks = len(schedule) + rng.randint(0, 2)
+                want = _stepped_run(compiled, cfg, native, logged, schedule, max_ticks)
+                built.clear()
+                try:
+                    trace = run(compiled, cfg, schedule, max_ticks, native, logged)
+                except KernelError as err:
+                    assert (err.__class__, str(err)) == want, (compiled, schedule)
+                    continue
+                records, state, conts, log = want
+                final = built[-1]
+                assert len(trace.records) == len(records), (compiled, schedule)
+                for got, record in zip(trace.records, records):
+                    assert (got.tick, _typed(got.data), got.labels) == (
+                        record.tick, _typed(record.data), record.labels
+                    ), (compiled, schedule)
+                    assert got.layout is record.layout, (compiled, schedule)
+                assert repr(final.store) == repr(state.store) and final.layout is state.layout
+                assert (final.residue, final.terminated) == (state.residue, state.terminated)
+                assert trace.terminated == state.terminated
+                assert list(trace.initial_conts.items()) == list(conts.items())
+                assert trace.read_log == log, (compiled, schedule)
+
+
 def _code_decides(run) -> tuple:
     """What a tick's code decides: its residue, its labels, the scopes it
     ended and each instance that is not an input, by registration position

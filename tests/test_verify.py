@@ -18,6 +18,7 @@ from helpers import (
 from tickflow import files, kernel, verify
 from tickflow.errors import (
     ArgumentError,
+    CompileError,
     KernelError,
     ScheduleError,
     SearchLimitError,
@@ -326,6 +327,25 @@ def test_malformed_search_arguments_are_rejected():
     with pytest.raises(TickflowError, match="non-negative, got -3"):
         check_reachable(program, CFG1, None, bound=-3, target="S")
     assert isinstance(check_reachable(program, CFG1, None, bound=0, target="S"), Unreachable)
+
+
+@pytest.mark.parametrize("param, value", [
+    ("bound", 2.5), ("bound", "3"), ("bound", True), ("bound", F(3)),
+    ("node_limit", 2.5), ("node_limit", "100"), ("node_limit", True),
+])
+def test_a_search_count_that_is_not_an_int_is_refused_by_name(param, value):
+    # a bound of 2.5 would be read as "within 2.5 ticks", and a bool is an
+    # int only by inheritance
+    program = _program("signal S;\nemit S")
+    with pytest.raises(ArgumentError) as err:
+        check_reachable(program, CFG1, None, target="S", **{"bound": 3, param: value})
+    assert (err.value.name, err.value.message) == (param, f"must be an integer, got {value!r}")
+
+
+def test_an_unbound_constant_is_refused_at_its_declaration_by_the_search():
+    with pytest.raises(CompileError) as err:
+        check_reachable(parse("param k = 1; signal S; emit S"), CFG1, None, bound=3, target="S")
+    assert str(err.value) == "1:1: named constant 'k' must be bound before execution"
 
 
 def test_search_indexes_once_and_keys_no_leaf(monkeypatch):
